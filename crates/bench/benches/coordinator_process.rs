@@ -5,10 +5,9 @@
 //!
 //! 1. **Correctness, always**: before any timing, the process-fleet
 //!    report is asserted bitwise identical to the serial sweep —
-//!    fault-free, under a seeded six-kind process fault plan (worker
-//!    SIGKILLs and torn frames included), and with the disk spill tier
-//!    enabled. A robustness regression fails the bench run itself,
-//!    which is why CI executes this bench.
+//!    fault-free and under a seeded six-kind process fault plan (worker
+//!    SIGKILLs and torn frames included). A robustness regression fails
+//!    the bench run itself, which is why CI executes this bench.
 //! 2. **Throughput artifact**: the process-fleet sweep's
 //!    points-per-second (2 workers, spot checks on, no faults) is
 //!    written as `BENCH_coordinator_process.json` for the CI regression
@@ -103,32 +102,9 @@ fn assert_process_fleet_matches_serial(scenario: &mut Scenario) {
         "process fleet under seeded faults",
     );
 
-    // Spill tier enabled: same bytes, segments written and re-served.
-    let spill_dir = std::env::temp_dir().join(format!(
-        "mlf-bench-coordinator-process-spill-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&spill_dir);
-    let spilled = CoordinatorConfig {
-        spill_dir: Some(spill_dir.clone()),
-        ..process_cfg()
-    };
-    for run in 0..2 {
-        let out = scenario
-            .coordinate(0..FULL_SWEEP_SEEDS, &spilled)
-            .expect("spill-enabled process fleet");
-        assert_bitwise(
-            &out.report.points,
-            &serial.points,
-            &format!("spill-enabled process fleet, run {run}"),
-        );
-        assert_eq!(out.stats.spill_corrupt_segments, 0);
-    }
-    let _ = std::fs::remove_dir_all(&spill_dir);
-
     println!(
         "determinism: process-fleet sweep bitwise-identical to serial over {FULL_SWEEP_SEEDS} \
-         seeds (fault-free, seeded kill/torn-frame plan, spill tier on)"
+         seeds (fault-free and under a seeded kill/torn-frame plan)"
     );
 }
 

@@ -7,14 +7,15 @@
 //! `cargo run --release -p mlf-bench --bin fig5_random_joins
 //!    [--max-receivers 100] [--mc-quanta 200] [--mc-sigma 100]
 //!    [--sweep-seeds 64] [--threads 0] [--coordinate-procs 0]
-//!    [--checkpoint PATH] [--spill DIR]`
+//!    [--checkpoint PATH]`
 //!
 //! With `--coordinate-procs N` the network sweep runs on the
 //! fault-tolerant coordinator over a fleet of N supervised worker
 //! *processes* instead of the in-process thread pool, optionally with a
-//! crash-safe checkpoint (`--checkpoint`) and the workers' disk spill
-//! tier (`--spill`); the fleet's `CoordinatorStats` are printed per
-//! family. The merged bytes are identical in every mode.
+//! crash-safe checkpoint (`--checkpoint`, one file per family) that a
+//! rerun resumes from; the fleet's `CoordinatorStats` are printed per
+//! family. The metric columns are identical in every mode; the cache
+//! column counts the fleet workers' lookups, spot checks included.
 
 use mlf_bench::{cli, knob, or_exit, write_csv, Args, Table};
 use mlf_core::allocator::MultiRate;
@@ -62,11 +63,6 @@ const KNOBS: &[cli::Knob] = &[
         "",
         "crash-safe checkpoint base path for the fleet sweep (per-family suffix; empty = off)",
     ),
-    knob(
-        "spill",
-        "",
-        "directory for the fleet workers' disk spill tier (per-family subdir; empty = off)",
-    ),
 ];
 
 fn main() {
@@ -86,7 +82,6 @@ fn main() {
     let threads: usize = or_exit(args.get("threads", 0));
     let coordinate_procs: usize = or_exit(args.get("coordinate-procs", 0));
     let checkpoint: String = or_exit(args.get("checkpoint", String::new()));
-    let spill: String = or_exit(args.get("spill", String::new()));
 
     // Log-spaced x-axis like the paper's log plot.
     let mut xs = vec![1usize, 2, 3, 4, 5, 7, 10, 14, 20, 30, 50, 70];
@@ -192,7 +187,6 @@ fn main() {
                 workers: coordinate_procs,
                 checkpoint: (!checkpoint.is_empty())
                     .then(|| PathBuf::from(format!("{checkpoint}.{}", family.label()))),
-                spill_dir: (!spill.is_empty()).then(|| PathBuf::from(&spill).join(family.label())),
                 transport: TransportKind::Process(ProcessConfig::default()),
                 ..CoordinatorConfig::default()
             };

@@ -501,8 +501,7 @@ pub struct Hybrid {
 }
 
 impl Hybrid {
-    /// Solve with each session's declared type and efficient link rates —
-    /// the regime of the legacy `max_min_allocation` entry point.
+    /// Solve with each session's declared type and efficient link rates.
     pub fn as_declared() -> Self {
         Hybrid {
             regimes: Regimes::AsDeclared,

@@ -11,9 +11,8 @@
 //! case; TCP-friendliness uses `w = 1/RTT` (per the Mahdavi–Floyd model at
 //! fixed loss).
 //!
-//! The preferred entry point is [`crate::allocator::Weighted`] through the
-//! [`crate::allocator::Allocator`] trait; the [`weighted_max_min`] free
-//! function remains as a deprecated shim.
+//! The entry point is [`crate::allocator::Weighted`] through the
+//! [`crate::allocator::Allocator`] trait.
 //!
 //! The algorithm is progressive filling over a common *potential* `φ`:
 //! every active receiver holds `a = w·φ`. Under the efficient link-rate
@@ -31,7 +30,7 @@
 //! for mixing per-receiver weights with the uniform-rate constraint that
 //! the paper does not define; the solver rejects them.
 
-use crate::allocation::{Allocation, RATE_EPS};
+use crate::allocation::RATE_EPS;
 use crate::allocator::SolverWorkspace;
 use crate::maxmin::{FreezeReason, MaxMinSolution};
 use mlf_net::{LinkId, Network, ReceiverId};
@@ -81,21 +80,6 @@ impl Weights {
     pub(crate) fn values(&self) -> &[Vec<f64>] {
         &self.w
     }
-}
-
-/// Compute the weighted multi-rate max-min fair allocation under the
-/// efficient link-rate model.
-///
-/// # Panics
-///
-/// Panics if any session is single-rate, the weight shape mismatches, or a
-/// weight is not positive and finite.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `allocator::Weighted::new(weights)` via the `Allocator` trait"
-)]
-pub fn weighted_max_min(net: &Network, weights: &Weights) -> Allocation {
-    weighted_solve_in(net, weights, &mut SolverWorkspace::new()).allocation
 }
 
 /// Weighted progressive filling into a caller-provided workspace: the
@@ -426,17 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_shim_matches_the_trait() {
-        #[allow(deprecated)]
-        for seed in 0..5u64 {
-            let net = random_network(seed, 10, 3, 3).unwrap();
-            let w = Weights::uniform(&net);
-            #[allow(deprecated)]
-            let legacy = weighted_max_min(&net, &w);
-            let new = Weighted::new(w).allocate(&net);
-            assert_eq!(legacy.rates(), new.rates(), "seed {seed}");
-        }
-        // And uniform weighting equals plain multi-rate max-min.
+    fn uniform_weights_equal_plain_multi_rate() {
         let net = random_network(7, 10, 3, 3).unwrap();
         assert_eq!(
             Weighted::uniform().allocate(&net).rates(),

@@ -21,21 +21,12 @@
 //! same solve and share an entry; model parameters are compared by exact
 //! bit pattern, so `Scaled(2.0)` and `Scaled(2.0 + ε)` never collide).
 //! Everything else that shapes a point — the allocator configuration and
-//! the property-audit switch — enters the key as the `scenario` identity
-//! digest, derived from the allocator's
-//! [`cache_signature`](mlf_core::Allocator::cache_signature). Scenarios
-//! whose link rates are an explicit per-session
+//! the property-audit switch — stays out of the key: every cache belongs
+//! to exactly one scenario (the scenario's own serial cache, or one
+//! parallel or coordinator worker's), so it only ever sees one
+//! configuration. Scenarios whose link rates are an explicit per-session
 //! [`LinkRateConfig`](mlf_core::LinkRateConfig) are not representable as a
 //! uniform model key and bypass the cache entirely.
-//!
-//! Caches come in two ownership shapes. A scenario-owned cache (the
-//! default, plus one per parallel worker) sees a single configuration for
-//! its whole life. A [`SharedSolveCache`] handle can additionally be
-//! cloned into several scenarios that differ only in reporting, pooling
-//! their solves; the `scenario` key component keeps configurations that
-//! *do* differ in solve-relevant ways on disjoint entries, and an
-//! allocator that cannot state its signature (`cache_signature() ==
-//! None`) simply bypasses the shared pool.
 //!
 //! Entries never expire by time; capacity is the only pressure. Both maps
 //! evict in insertion (FIFO) order once their capacity is reached, and
@@ -50,17 +41,11 @@
 //! (worker-local state, like its `SolverWorkspace`), preserving the
 //! serial/parallel bitwise contract at any thread count.
 
-use crate::spill::{SpillStats, SpillTier};
 use crate::SweepPoint;
 use mlf_core::LinkRateModel;
 use mlf_net::{Network, TopologyFamily};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
-
-/// Bytes in one [`SolveKey::encode`] image: family tag (1) + family
-/// parameter (8) + nodes/sessions/max_receivers/seed (4 × 8) + model tag
-/// (1) + model bits (8) + scenario digest (8).
-pub(crate) const SOLVE_KEY_BYTES: usize = 58;
+use std::sync::Arc;
 
 /// Default bound on memoized sweep points.
 // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
@@ -211,113 +196,27 @@ impl TopologyKey {
     }
 }
 
-/// The identity of one sweep point's solve: a [`TopologyKey`], the
-/// effective uniform link-rate model, and the owning scenario's
-/// solve-relevant identity.
-///
-/// The `scenario` component is an FNV-1a digest of everything *outside*
-/// the key that can still change a solve's bytes — the allocator's
-/// [`cache_signature`](mlf_core::Allocator::cache_signature) and the
-/// property-audit switch. Scenario-owned caches always see a single
-/// scenario and could omit it; a [`SharedSolveCache`] spanning scenarios
-/// that differ only in reporting relies on it to keep distinct allocators
-/// from colliding while letting solve-identical scenarios share entries.
+/// The identity of one sweep point's solve: a [`TopologyKey`] and the
+/// effective uniform link-rate model.
 // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SolveKey {
     topology: TopologyKey,
     model: ModelKey,
-    scenario: u64,
 }
 
 impl SolveKey {
-    /// A key from the topology identity, the effective model, and the
-    /// scenario's solve-relevant identity digest.
-    pub fn new(topology: TopologyKey, model: LinkRateModel, scenario: u64) -> Self {
+    /// A key from the topology identity and the effective model.
+    pub fn new(topology: TopologyKey, model: LinkRateModel) -> Self {
         SolveKey {
             topology,
             model: model.into(),
-            scenario,
         }
     }
 
     /// The topology component (what the network cache is keyed by).
     pub fn topology(&self) -> TopologyKey {
         self.topology
-    }
-
-    /// Canonical fixed-width encoding of this key, the on-disk identity
-    /// used by the spill segment format (see [`crate::spill`]). Injective
-    /// on key values: model/family parameters are stored as raw bit
-    /// patterns, matching the in-memory `Eq`/`Hash` semantics.
-    pub(crate) fn encode(&self) -> [u8; SOLVE_KEY_BYTES] {
-        let mut out = [0u8; SOLVE_KEY_BYTES];
-        let (ftag, fparam): (u8, u64) = match self.topology.family {
-            FamilyKey::Fixed => (0, 0),
-            FamilyKey::FlatTree => (1, 0),
-            FamilyKey::KaryTree(arity) => (2, arity as u64),
-            FamilyKey::TransitStub(transit) => (3, transit as u64),
-            FamilyKey::Dumbbell => (4, 0),
-        };
-        out[0] = ftag;
-        out[1..9].copy_from_slice(&fparam.to_le_bytes());
-        out[9..17].copy_from_slice(&(self.topology.nodes as u64).to_le_bytes());
-        out[17..25].copy_from_slice(&(self.topology.sessions as u64).to_le_bytes());
-        out[25..33].copy_from_slice(&(self.topology.max_receivers as u64).to_le_bytes());
-        out[33..41].copy_from_slice(&self.topology.seed.to_le_bytes());
-        let (mtag, mbits): (u8, u64) = match self.model {
-            ModelKey::Efficient => (0, 0),
-            ModelKey::Scaled(bits) => (1, bits),
-            ModelKey::Sum => (2, 0),
-            ModelKey::RandomJoin(bits) => (3, bits),
-        };
-        out[41] = mtag;
-        out[42..50].copy_from_slice(&mbits.to_le_bytes());
-        out[50..58].copy_from_slice(&self.scenario.to_le_bytes());
-        out
-    }
-
-    /// Inverse of [`SolveKey::encode`]. `Err` carries the reason a byte
-    /// image is not a key (wrong length, unknown tags).
-    pub(crate) fn decode(bytes: &[u8]) -> Result<SolveKey, String> {
-        if bytes.len() != SOLVE_KEY_BYTES {
-            return Err(format!(
-                "encoded solve key is {} bytes, expected {SOLVE_KEY_BYTES}",
-                bytes.len()
-            ));
-        }
-        let u64_at = |off: usize| -> u64 {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[off..off + 8]);
-            u64::from_le_bytes(b)
-        };
-        let fparam = u64_at(1);
-        let family = match bytes[0] {
-            0 => FamilyKey::Fixed,
-            1 => FamilyKey::FlatTree,
-            2 => FamilyKey::KaryTree(fparam as usize),
-            3 => FamilyKey::TransitStub(fparam as usize),
-            4 => FamilyKey::Dumbbell,
-            tag => return Err(format!("unknown family tag {tag}")),
-        };
-        let model = match bytes[41] {
-            0 => ModelKey::Efficient,
-            1 => ModelKey::Scaled(u64_at(42)),
-            2 => ModelKey::Sum,
-            3 => ModelKey::RandomJoin(u64_at(42)),
-            tag => return Err(format!("unknown model tag {tag}")),
-        };
-        Ok(SolveKey {
-            topology: TopologyKey {
-                family,
-                nodes: u64_at(9) as usize,
-                sessions: u64_at(17) as usize,
-                max_receivers: u64_at(25) as usize,
-                seed: u64_at(33),
-            },
-            model,
-            scenario: u64_at(50),
-        })
     }
 }
 
@@ -333,10 +232,6 @@ pub struct SolveCache {
     networks: HashMap<TopologyKey, Arc<Network>>,
     network_order: VecDeque<TopologyKey>,
     stats: CacheStats,
-    /// Optional disk tier: evicted points spill to an append-only segment
-    /// file and in-memory misses consult it before recomputing (see
-    /// [`crate::spill`]). `None` (the default) is the plain bounded FIFO.
-    spill: Option<SpillTier>,
 }
 
 impl SolveCache {
@@ -383,27 +278,22 @@ impl SolveCache {
         self.network_capacity
     }
 
-    /// Look up a memoized point, consulting the disk spill tier (when
-    /// attached) on an in-memory miss. Counts a hit or a miss; a spill
-    /// hit is promoted back into the in-memory FIFO.
+    /// Look up a memoized point. Counts a hit or a miss.
     pub fn point(&mut self, key: &SolveKey) -> Option<SweepPoint> {
-        if let Some(p) = self.points.get(key) {
-            self.stats.hits += 1;
-            return Some(p.clone());
+        match self.points.get(key) {
+            Some(p) => {
+                self.stats.hits += 1;
+                Some(p.clone())
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
         }
-        if let Some(p) = self.spill.as_mut().and_then(|s| s.lookup(key)) {
-            self.stats.hits += 1;
-            self.insert_point(*key, p.clone());
-            return Some(p);
-        }
-        self.stats.misses += 1;
-        None
     }
 
-    /// Memoize a freshly solved point (evicting the oldest entry at
-    /// capacity; with a spill tier attached, the victim is appended to
-    /// disk instead of dropped). No-op when solve memoization is
-    /// disabled.
+    /// Memoize a freshly solved point, evicting the oldest entry at
+    /// capacity. No-op when solve memoization is disabled.
     pub(crate) fn insert_point(&mut self, key: SolveKey, point: SweepPoint) {
         if self.point_capacity == 0 {
             return;
@@ -411,29 +301,14 @@ impl SolveCache {
         if !self.points.contains_key(&key) {
             if self.points.len() >= self.point_capacity {
                 if let Some(oldest) = self.point_order.pop_front() {
-                    if let Some(victim) = self.points.remove(&oldest) {
+                    if self.points.remove(&oldest).is_some() {
                         self.stats.evictions += 1;
-                        if let Some(spill) = self.spill.as_mut() {
-                            spill.spill(&oldest, &victim);
-                        }
                     }
                 }
             }
             self.point_order.push_back(key);
         }
         self.points.insert(key, point);
-    }
-
-    /// Attach a disk spill tier: from now on evictions append to the
-    /// segment and in-memory misses consult it. Replaces any previous
-    /// tier.
-    pub(crate) fn attach_spill(&mut self, tier: SpillTier) {
-        self.spill = Some(tier);
-    }
-
-    /// The spill tier's telemetry, when one is attached.
-    pub(crate) fn spill_stats(&self) -> Option<SpillStats> {
-        self.spill.as_ref().map(|s| s.stats())
     }
 
     /// The built topology for `key`, building (and memoizing) it on first
@@ -456,85 +331,13 @@ impl SolveCache {
         net
     }
 
-    /// Drop every in-memory entry (counters are preserved — they
-    /// describe history, not contents). An attached spill segment is
-    /// left untouched: its records are still valid memoized points.
+    /// Drop every entry (counters are preserved — they describe history,
+    /// not contents).
     pub fn clear(&mut self) {
         self.points.clear();
         self.point_order.clear();
         self.networks.clear();
         self.network_order.clear();
-    }
-}
-
-/// A cloneable handle to one [`SolveCache`] shared by several scenarios.
-///
-/// Scenarios that differ only in *reporting* — same source, same link
-/// rates, same allocator configuration, same property-audit switch —
-/// perform bitwise-identical solves, so re-solving the grid once per
-/// scenario is pure waste. A `SharedSolveCache` lets them pool one memo:
-/// clone the handle into each [`ScenarioBuilder`](crate::ScenarioBuilder)
-/// via [`shared_cache`](crate::ScenarioBuilder::shared_cache).
-///
-/// Safety of sharing rests on the `scenario` component of [`SolveKey`]:
-/// scenarios whose solve-relevant identity differs (different allocator
-/// signature or audit switch) key disjoint entries and can share a handle
-/// without ever observing each other's points. An allocator that cannot
-/// cheaply describe its solve identity (`cache_signature() == None`)
-/// makes the scenario bypass a shared cache entirely — correctness over
-/// reuse.
-///
-/// Sharing is by mutex: serial sweeps hold the lock for the whole sweep
-/// (one acquisition, not one per point). Lock *scheduling* never affects
-/// results — every point is a pure function of its key, so whichever
-/// scenario populates an entry first, the bytes are the same. Parallel
-/// sweeps keep worker-local caches and do not consult the shared handle.
-#[derive(Debug, Clone, Default)]
-pub struct SharedSolveCache {
-    inner: Arc<Mutex<SolveCache>>,
-}
-
-impl SharedSolveCache {
-    /// A shared cache with the default capacities.
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_POINT_CAPACITY, DEFAULT_NETWORK_CAPACITY)
-    }
-
-    /// A shared cache bounded like [`SolveCache::with_capacity`].
-    pub fn with_capacity(points: usize, networks: usize) -> Self {
-        SharedSolveCache {
-            inner: Arc::new(Mutex::new(SolveCache::with_capacity(points, networks))),
-        }
-    }
-
-    /// Lock the underlying cache. Poisoning is survivable here: the cache
-    /// is a memo whose entries are pure functions of their keys, so state
-    /// left by a panicking holder is either absent or correct.
-    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, SolveCache> {
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Lifetime counters of the pooled cache.
-    pub fn stats(&self) -> CacheStats {
-        self.lock().stats()
-    }
-
-    /// Number of memoized sweep points in the pooled cache.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether the pooled cache has no memoized sweep points.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// Drop every pooled entry (counters are preserved).
-    pub fn clear(&self) {
-        self.lock().clear()
     }
 }
 
@@ -562,7 +365,6 @@ mod tests {
         SolveKey::new(
             TopologyKey::random(TopologyFamily::FlatTree, 10, 3, 3, seed),
             model,
-            0,
         )
     }
 
@@ -637,43 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_key_codec_round_trips() {
-        let keys = [
-            SolveKey::new(TopologyKey::fixed(), LinkRateModel::Efficient, 0),
-            SolveKey::new(
-                TopologyKey::random(TopologyFamily::FlatTree, 10, 3, 3, 5),
-                LinkRateModel::Scaled(2.0),
-                9,
-            ),
-            SolveKey::new(
-                TopologyKey::random(TopologyFamily::KaryTree { arity: 4 }, 30, 8, 5, 77),
-                LinkRateModel::RandomJoin { sigma: 6.0 },
-                u64::MAX,
-            ),
-            SolveKey::new(
-                TopologyKey::random(TopologyFamily::TransitStub { transit: 3 }, 40, 6, 6, 1),
-                LinkRateModel::Sum,
-                1,
-            ),
-            SolveKey::new(
-                TopologyKey::random(TopologyFamily::Dumbbell, 12, 2, 4, 2),
-                LinkRateModel::Efficient,
-                2,
-            ),
-        ];
-        for k in keys {
-            assert_eq!(SolveKey::decode(&k.encode()), Ok(k), "codec round trip");
-        }
-        assert!(SolveKey::decode(&[0u8; 10]).is_err(), "wrong length");
-        let mut bad_family = keys[0].encode();
-        bad_family[0] = 9;
-        assert!(SolveKey::decode(&bad_family).is_err(), "unknown family tag");
-        let mut bad_model = keys[0].encode();
-        bad_model[41] = 9;
-        assert!(SolveKey::decode(&bad_model).is_err(), "unknown model tag");
-    }
-
-    #[test]
     fn model_parameters_key_by_bit_pattern() {
         let mut c = SolveCache::new();
         c.insert_point(key(0, LinkRateModel::Scaled(2.0)), dummy_point(0));
@@ -720,33 +485,6 @@ mod tests {
         assert_eq!(builds, 1, "topology built exactly once");
         // Stats untouched by topology traffic.
         assert_eq!(c.stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn scenario_component_keys_disjoint_entries() {
-        // Two scenarios sharing a cache must never see each other's points
-        // unless their solve-relevant identity digests agree.
-        let mut c = SolveCache::new();
-        let tk = TopologyKey::random(TopologyFamily::FlatTree, 10, 3, 3, 0);
-        let ka = SolveKey::new(tk, LinkRateModel::Efficient, 11);
-        let kb = SolveKey::new(tk, LinkRateModel::Efficient, 22);
-        c.insert_point(ka, dummy_point(0));
-        assert!(c.point(&ka).is_some());
-        assert!(c.point(&kb).is_none(), "distinct scenario digests collide");
-    }
-
-    #[test]
-    fn shared_cache_pools_across_handles() {
-        let shared = SharedSolveCache::with_capacity(8, 8);
-        let handle = shared.clone();
-        let k = key(3, LinkRateModel::Sum);
-        shared.lock().insert_point(k, dummy_point(3));
-        assert_eq!(handle.lock().point(&k).map(|p| p.seed), Some(3));
-        assert_eq!(shared.len(), 1);
-        assert!(!shared.is_empty());
-        assert_eq!(shared.stats().hits, 1);
-        shared.clear();
-        assert!(handle.is_empty());
     }
 
     #[test]

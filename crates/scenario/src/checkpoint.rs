@@ -2,22 +2,21 @@
 //! [`coordinator`](crate::coordinator).
 //!
 //! A checkpoint file records every shard a coordinated sweep has accepted,
-//! one line per shard, so a killed run resumes from disk instead of
-//! recomputing — and provably produces the same bytes, because each line
-//! carries the shard's canonical point encoding plus two independent
-//! digests (a per-line checksum and the shard content hash the workers
+//! one record per shard, so a killed run resumes from disk instead of
+//! recomputing — and provably produces the same bytes, because each record
+//! carries the shard's canonical point encodings plus two independent
+//! digests (the record checksum and the shard content hash the workers
 //! originally reported).
 //!
-//! # Format
+//! # Format (v2)
 //!
-//! Hand-rolled JSON, one object per line (no external serializer is
-//! available offline, and the format is small enough that a hand parser is
-//! the more auditable choice — the same call `mlf_bench::regression` makes
-//! for its artifact records):
+//! A sequence of records in the crate's one checksummed record codec
+//! (`crate::record`, the same framing the worker protocol speaks:
+//! magic, version, type, header-checksummed length, payload, FNV-1a):
 //!
 //! ```text
-//! {"format":"mlf-sweep-checkpoint-v1","sweep":"0x…","shards":N,"shard_size":K,"check":"0x…"}
-//! {"shard":0,"start":0,"len":2,"hash":"0x…","points":["<hex>","<hex>"],"check":"0x…"}
+//! header (type 16): sweep u64 | shards u64 | shard_size u64
+//! shard  (type 17): shard u64 | start u64 | content hash u64 | count u32 | count × 66-byte point
 //! ```
 //!
 //! * The **header** binds the file to one sweep: `sweep` is the
@@ -25,39 +24,42 @@
 //!   audit switch, source parameters, and the full job list), `shards` and
 //!   `shard_size` pin the shard geometry. A checkpoint can never resume a
 //!   *different* sweep — mismatches are [`CheckpointError::HeaderMismatch`].
-//! * Each **shard line** stores the shard's points in the canonical
-//!   66-byte encoding ([`encode_point`]), hex-armored, plus the FNV-1a
-//!   content hash ([`shard_content_hash`]) the shard was verified under.
-//! * Every line ends with `"check"`: the FNV-1a digest of the line's bytes
-//!   up to (and excluding) the `,"check"` suffix. A flipped bit anywhere
-//!   in a line is detected on load.
+//! * Each **shard record** stores the shard's points in the canonical
+//!   66-byte encoding ([`encode_point`]) plus the FNV-1a content hash
+//!   ([`shard_content_hash`]) the shard was verified under; the loader
+//!   recomputes it.
 //!
-//! # Tail policy
+//! # Torn tail vs corrupt
 //!
 //! A crash can only damage the **tail** of an append-only file: the writer
-//! flushes line by line, so every earlier line is complete. On load,
-//! [`TailPolicy::Recover`] discards an *unterminated* final line (no
-//! trailing newline) and reports the surviving byte length so the resumed
-//! writer can truncate and continue; a line that is terminated but fails
-//! its checksum or its content hash is damage the append-only model cannot
-//! explain, and is always a hard [`CheckpointError::Corrupt`] — a bad
-//! shard is never merged. [`TailPolicy::Strict`] rejects the unterminated
-//! tail too (the audit mode the durability tests use).
+//! fsyncs record by record, so every earlier record is complete. On load,
+//! a strict prefix of the final record is a torn append: it is dropped
+//! ([`LoadedCheckpoint::dropped_tail`]) and the resumed writer truncates
+//! to [`LoadedCheckpoint::valid_len`] and continues. Damage inside any
+//! complete record — payload, checksum or length field, caught by the
+//! record's two checksums — or a content hash that does not verify is a
+//! hard [`CheckpointError::Corrupt`]: a bad shard is never merged. A file
+//! in the retired v1 JSON-lines format gets
+//! [`CheckpointError::LegacyFormat`] and is never overwritten.
 
-use crate::SweepPoint;
+use crate::hash::Fnv1a;
+use crate::record::{self, Dec, Enc};
+use crate::transport::TransportError;
+use crate::{ScenarioMetrics, SweepPoint};
 use mlf_core::LinkRateModel;
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-
-use crate::hash::{fnv1a, Fnv1a};
-use crate::ScenarioMetrics;
-
-/// The format tag every checkpoint header carries.
-pub const FORMAT: &str = "mlf-sweep-checkpoint-v1";
 
 /// Bytes of one encoded sweep point (see [`encode_point`]).
 pub const POINT_BYTES: usize = 66;
+
+/// Record type of the checkpoint header.
+const RECORD_HEADER: u8 = 16;
+/// Record type of one accepted shard.
+const RECORD_SHARD: u8 = 17;
+/// How every file in the retired v1 JSON-lines format begins.
+const V1_PREFIX: &[u8] = b"{\"format\":\"mlf-sweep-checkpoint-v1\"";
 
 /// Why a checkpoint could not be written or loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,7 +73,7 @@ pub enum CheckpointError {
         /// The OS error, stringified.
         message: String,
     },
-    /// The file has no complete header line.
+    /// The file is empty: not even a torn header.
     MissingHeader {
         /// The checkpoint path.
         path: PathBuf,
@@ -85,21 +87,21 @@ pub enum CheckpointError {
         /// The value stored in the file.
         got: String,
     },
-    /// A terminated line failed to parse, failed its checksum, or failed
+    /// A complete record failed a checksum, failed to decode, or failed
     /// its content hash. Never merged, never recovered.
     Corrupt {
-        /// 1-based line number.
-        line: usize,
+        /// 1-based record number.
+        record: usize,
         /// What was wrong.
         reason: String,
     },
-    /// The final line is unterminated (no trailing newline) under
-    /// [`TailPolicy::Strict`].
-    TruncatedTail {
-        /// 1-based line number of the torn line.
-        line: usize,
+    /// The file is a v1 JSON-lines checkpoint, which this build no longer
+    /// reads. It is left untouched.
+    LegacyFormat {
+        /// The checkpoint path.
+        path: PathBuf,
     },
-    /// A shard line names a shard index outside the header's geometry.
+    /// A shard record names a shard index outside the header's geometry.
     ShardOutOfRange {
         /// The stored shard index.
         shard: u64,
@@ -119,7 +121,7 @@ impl std::fmt::Display for CheckpointError {
                 )
             }
             CheckpointError::MissingHeader { path } => {
-                write!(f, "checkpoint {} has no complete header", path.display())
+                write!(f, "checkpoint {} has no header", path.display())
             }
             CheckpointError::HeaderMismatch {
                 field,
@@ -129,12 +131,14 @@ impl std::fmt::Display for CheckpointError {
                 f,
                 "checkpoint belongs to a different sweep: {field} is {got}, expected {expected}"
             ),
-            CheckpointError::Corrupt { line, reason } => {
-                write!(f, "checkpoint line {line} is corrupt: {reason}")
+            CheckpointError::Corrupt { record, reason } => {
+                write!(f, "checkpoint record {record} is corrupt: {reason}")
             }
-            CheckpointError::TruncatedTail { line } => {
-                write!(f, "checkpoint line {line} is truncated (unterminated tail)")
-            }
+            CheckpointError::LegacyFormat { path } => write!(
+                f,
+                "checkpoint {} is in the retired v1 JSON format; delete it to start over",
+                path.display()
+            ),
             CheckpointError::ShardOutOfRange { shard, shards } => {
                 write!(f, "checkpoint shard {shard} out of range ({shards} shards)")
             }
@@ -143,16 +147,6 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
-
-/// What to do with an unterminated final line on load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TailPolicy {
-    /// Any anomaly is an error (audit mode).
-    Strict,
-    /// Discard an unterminated tail and resume before it; terminated but
-    /// corrupt lines remain hard errors.
-    Recover,
-}
 
 /// The sweep identity a checkpoint is bound to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,10 +179,9 @@ pub struct LoadedCheckpoint {
     pub shards: Vec<ShardRecord>,
     /// Byte length of the intact prefix (what a resumed writer keeps).
     pub valid_len: u64,
-    /// Whether an unterminated tail was discarded
-    /// ([`TailPolicy::Recover`] only).
+    /// Whether a torn final record was discarded.
     pub dropped_tail: bool,
-    /// Whether the intact prefix includes the header line.
+    /// Whether the intact prefix includes the header record.
     pub has_header: bool,
 }
 
@@ -298,229 +291,52 @@ pub fn shard_content_hash(shard: u64, start: u64, points: &[SweepPoint]) -> u64 
 }
 
 // ---------------------------------------------------------------------------
-// Hex armor
+// Records
 // ---------------------------------------------------------------------------
 
-fn to_hex(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        s.push(DIGITS[(b >> 4) as usize] as char);
-        s.push(DIGITS[(b & 0xf) as usize] as char);
-    }
-    s
+fn header_record(meta: &CheckpointMeta) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u64(meta.sweep);
+    e.u64(meta.shards);
+    e.u64(meta.shard_size);
+    record::encode(RECORD_HEADER, &e.done())
 }
 
-fn from_hex(s: &str) -> Result<Vec<u8>, String> {
-    if s.len() % 2 != 0 {
-        return Err("odd-length hex string".to_string());
+fn shard_record(rec: &ShardRecord) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u64(rec.shard);
+    e.u64(rec.start);
+    e.u64(rec.hash);
+    e.u32(rec.points.len() as u32);
+    for p in &rec.points {
+        e.bytes(&encode_point(p));
     }
-    let digit = |c: u8| -> Result<u8, String> {
-        match c {
-            b'0'..=b'9' => Ok(c - b'0'),
-            b'a'..=b'f' => Ok(c - b'a' + 10),
-            _ => Err(format!("bad hex digit {:?}", c as char)),
-        }
+    record::encode(RECORD_SHARD, &e.done())
+}
+
+fn decode_header(payload: &[u8]) -> Result<CheckpointMeta, String> {
+    let mut d = Dec(payload);
+    let meta = CheckpointMeta {
+        sweep: d.u64()?,
+        shards: d.u64()?,
+        shard_size: d.u64()?,
     };
-    let raw = s.as_bytes();
-    let mut out = Vec::with_capacity(raw.len() / 2);
-    for pair in raw.chunks_exact(2) {
-        out.push(digit(pair[0])? << 4 | digit(pair[1])?);
-    }
-    Ok(out)
+    d.finish()?;
+    Ok(meta)
 }
 
-fn hex_u64(v: u64) -> String {
-    format!("0x{v:016x}")
-}
-
-fn parse_hex_u64(s: &str) -> Result<u64, String> {
-    let digits = s
-        .strip_prefix("0x")
-        .ok_or_else(|| format!("expected 0x-prefixed hash, got {s:?}"))?;
-    if digits.len() != 16 {
-        return Err(format!("expected 16 hex digits, got {}", digits.len()));
-    }
-    u64::from_str_radix(digits, 16).map_err(|e| format!("bad hash {s:?}: {e}"))
-}
-
-// ---------------------------------------------------------------------------
-// Line building and parsing
-// ---------------------------------------------------------------------------
-
-/// Append the `,"check":"0x…"}` suffix: the line checksum over everything
-/// before it.
-fn seal_line(mut body: String) -> String {
-    let check = fnv1a(body.as_bytes());
-    body.push_str(",\"check\":\"");
-    body.push_str(&hex_u64(check));
-    body.push_str("\"}");
-    body
-}
-
-/// Split a sealed line back into its body and verify the checksum.
-fn unseal_line(line: &str) -> Result<&str, String> {
-    let at = line
-        .rfind(",\"check\":\"")
-        .ok_or_else(|| "missing check field".to_string())?;
-    let body = &line[..at];
-    let tail = &line[at + ",\"check\":\"".len()..];
-    let stored = tail
-        .strip_suffix("\"}")
-        .ok_or_else(|| "malformed check suffix".to_string())?;
-    let stored = parse_hex_u64(stored)?;
-    let actual = fnv1a(body.as_bytes());
-    if stored != actual {
-        return Err(format!(
-            "checksum mismatch: stored {}, computed {}",
-            hex_u64(stored),
-            hex_u64(actual)
-        ));
-    }
-    Ok(body)
-}
-
-fn header_line(meta: &CheckpointMeta) -> String {
-    seal_line(format!(
-        "{{\"format\":\"{FORMAT}\",\"sweep\":\"{}\",\"shards\":{},\"shard_size\":{}",
-        hex_u64(meta.sweep),
-        meta.shards,
-        meta.shard_size
-    ))
-}
-
-fn shard_line(rec: &ShardRecord) -> String {
-    let mut body = format!(
-        "{{\"shard\":{},\"start\":{},\"len\":{},\"hash\":\"{}\",\"points\":[",
-        rec.shard,
-        rec.start,
-        rec.points.len(),
-        hex_u64(rec.hash)
-    );
-    for (i, p) in rec.points.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push('"');
-        body.push_str(&to_hex(&encode_point(p)));
-        body.push('"');
-    }
-    body.push(']');
-    seal_line(body)
-}
-
-/// A tiny forward-only scanner over one line body. The writer controls the
-/// format exactly, so parsing is strict: expected literals must match byte
-/// for byte.
-struct Scan<'a> {
-    s: &'a str,
-}
-
-impl<'a> Scan<'a> {
-    fn lit(&mut self, lit: &str) -> Result<(), String> {
-        match self.s.strip_prefix(lit) {
-            Some(rest) => {
-                self.s = rest;
-                Ok(())
-            }
-            None => Err(format!(
-                "expected {lit:?} at {:?}",
-                &self.s[..self.s.len().min(24)]
-            )),
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let end = self
-            .s
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(self.s.len());
-        if end == 0 {
-            return Err(format!(
-                "expected digits at {:?}",
-                &self.s[..self.s.len().min(24)]
-            ));
-        }
-        let v = self.s[..end]
-            .parse::<u64>()
-            .map_err(|e| format!("bad integer: {e}"))?;
-        self.s = &self.s[end..];
-        Ok(v)
-    }
-
-    /// A double-quoted string with no escapes (the format never needs any).
-    fn quoted(&mut self) -> Result<&'a str, String> {
-        self.lit("\"")?;
-        let end = self
-            .s
-            .find('"')
-            .ok_or_else(|| "unterminated string".to_string())?;
-        let v = &self.s[..end];
-        self.s = &self.s[end + 1..];
-        Ok(v)
-    }
-}
-
-fn parse_header(body: &str) -> Result<CheckpointMeta, String> {
-    let mut sc = Scan { s: body };
-    sc.lit("{\"format\":")?;
-    let format = sc.quoted()?;
-    if format != FORMAT {
-        return Err(format!("unknown format {format:?}"));
-    }
-    sc.lit(",\"sweep\":")?;
-    let sweep = parse_hex_u64(sc.quoted()?)?;
-    sc.lit(",\"shards\":")?;
-    let shards = sc.u64()?;
-    sc.lit(",\"shard_size\":")?;
-    let shard_size = sc.u64()?;
-    if !sc.s.is_empty() {
-        return Err(format!("trailing bytes after header: {:?}", sc.s));
-    }
-    Ok(CheckpointMeta {
-        sweep,
-        shards,
-        shard_size,
-    })
-}
-
-fn parse_shard(body: &str) -> Result<ShardRecord, String> {
-    let mut sc = Scan { s: body };
-    sc.lit("{\"shard\":")?;
-    let shard = sc.u64()?;
-    sc.lit(",\"start\":")?;
-    let start = sc.u64()?;
-    sc.lit(",\"len\":")?;
-    let len = sc.u64()?;
-    sc.lit(",\"hash\":")?;
-    let hash = parse_hex_u64(sc.quoted()?)?;
-    sc.lit(",\"points\":[")?;
-    let mut points = Vec::new();
-    if sc.lit("]").is_err() {
-        loop {
-            let raw = from_hex(sc.quoted()?)?;
-            points.push(decode_point(&raw)?);
-            if sc.lit(",").is_err() {
-                sc.lit("]")?;
-                break;
-            }
-        }
-    }
-    if !sc.s.is_empty() {
-        return Err(format!("trailing bytes after shard: {:?}", sc.s));
-    }
-    if points.len() as u64 != len {
-        return Err(format!(
-            "length field says {len} points, line holds {}",
-            points.len()
-        ));
-    }
+fn decode_shard(payload: &[u8]) -> Result<ShardRecord, String> {
+    let mut d = Dec(payload);
+    let (shard, start, hash) = (d.u64()?, d.u64()?, d.u64()?);
+    let n = d.count(POINT_BYTES)?;
+    let points = (0..n)
+        .map(|_| d.take(POINT_BYTES).and_then(decode_point))
+        .collect::<Result<Vec<_>, _>>()?;
+    d.finish()?;
     let actual = shard_content_hash(shard, start, &points);
     if actual != hash {
         return Err(format!(
-            "content hash mismatch: stored {}, computed {}",
-            hex_u64(hash),
-            hex_u64(actual)
+            "content hash mismatch: stored 0x{hash:016x}, computed 0x{actual:016x}"
         ));
     }
     Ok(ShardRecord {
@@ -544,7 +360,7 @@ fn io_err(path: &Path, op: &'static str, e: std::io::Error) -> CheckpointError {
 }
 
 /// The append-only writer side of a checkpoint file. Every accepted shard
-/// becomes one flushed line, so the on-disk prefix is always a valid
+/// becomes one synced record, so the on-disk prefix is always a valid
 /// checkpoint of everything accepted so far.
 #[derive(Debug)]
 pub struct CheckpointWriter {
@@ -553,14 +369,14 @@ pub struct CheckpointWriter {
 }
 
 impl CheckpointWriter {
-    /// Create (or truncate) a checkpoint and write its header line.
+    /// Create (or truncate) a checkpoint and write its header record.
     pub fn create(path: &Path, meta: &CheckpointMeta) -> Result<Self, CheckpointError> {
         let file = File::create(path).map_err(|e| io_err(path, "create", e))?;
         let mut w = CheckpointWriter {
             file,
             path: path.to_path_buf(),
         };
-        w.write_line(&header_line(meta))?;
+        w.write_record(&header_record(meta))?;
         Ok(w)
     }
 
@@ -588,7 +404,7 @@ impl CheckpointWriter {
             .seek(SeekFrom::End(0))
             .map_err(|e| io_err(&w.path, "seek", e))?;
         if !loaded.has_header {
-            w.write_line(&header_line(meta))?;
+            w.write_record(&header_record(meta))?;
         }
         Ok(w)
     }
@@ -596,17 +412,14 @@ impl CheckpointWriter {
     /// Append one accepted shard, flush it, and **fsync** it — the shard
     /// is durably on disk before the coordinator treats it as accepted,
     /// so a coordinator killed between accept and merge (even by power
-    /// loss, not just SIGKILL) never loses an accepted shard line.
+    /// loss, not just SIGKILL) never loses an accepted shard record.
     pub fn append_shard(&mut self, rec: &ShardRecord) -> Result<(), CheckpointError> {
-        self.write_line(&shard_line(rec))
+        self.write_record(&shard_record(rec))
     }
 
-    fn write_line(&mut self, line: &str) -> Result<(), CheckpointError> {
-        let mut bytes = Vec::with_capacity(line.len() + 1);
-        bytes.extend_from_slice(line.as_bytes());
-        bytes.push(b'\n');
+    fn write_record(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
         self.file
-            .write_all(&bytes)
+            .write_all(bytes)
             .map_err(|e| io_err(&self.path, "write", e))?;
         self.file
             .flush()
@@ -619,72 +432,66 @@ impl CheckpointWriter {
 
 impl Drop for CheckpointWriter {
     fn drop(&mut self) {
-        // Belt and braces: every line is already flushed and synced as it
-        // is written, but a final best-effort sync on any exit path costs
-        // nothing and covers future buffered-writer refactors.
+        // Belt and braces: every record is already flushed and synced as
+        // it is written, but a final best-effort sync on any exit path
+        // costs nothing and covers future buffered-writer refactors.
         let _ = self.file.flush();
         let _ = self.file.sync_data();
     }
 }
 
-/// Load a checkpoint, verifying every line checksum, every shard content
-/// hash, and the header against `expected`. See the module docs for what
-/// each [`TailPolicy`] tolerates.
+/// Load a checkpoint, verifying every record checksum, every shard content
+/// hash, and the header against `expected`. A torn final record is
+/// dropped; every other anomaly is an error (see the module docs).
 pub fn load_checkpoint(
     path: &Path,
     expected: &CheckpointMeta,
-    policy: TailPolicy,
 ) -> Result<LoadedCheckpoint, CheckpointError> {
-    let mut src = String::new();
-    File::open(path)
-        .map_err(|e| io_err(path, "open", e))?
-        .read_to_string(&mut src)
-        .map_err(|e| io_err(path, "read", e))?;
+    let bytes = std::fs::read(path).map_err(|e| io_err(path, "read", e))?;
+    if bytes.starts_with(V1_PREFIX) {
+        return Err(CheckpointError::LegacyFormat {
+            path: path.to_path_buf(),
+        });
+    }
     let mut loaded = LoadedCheckpoint {
         shards: Vec::new(),
         valid_len: 0,
         dropped_tail: false,
         has_header: false,
     };
-    let mut rest = src.as_str();
-    let mut line_no = 0usize;
-    while !rest.is_empty() {
-        line_no += 1;
-        let Some(nl) = rest.find('\n') else {
-            // Unterminated tail: the one anomaly an append-only crash can
-            // produce. Recover drops it; Strict rejects it.
-            return match policy {
-                TailPolicy::Strict => Err(CheckpointError::TruncatedTail { line: line_no }),
-                TailPolicy::Recover => {
-                    loaded.dropped_tail = true;
-                    Ok(loaded)
-                }
-            };
-        };
-        let line = &rest[..nl];
-        rest = &rest[nl + 1..];
-        let corrupt = |reason: String| CheckpointError::Corrupt {
-            line: line_no,
-            reason,
-        };
-        let body = unseal_line(line).map_err(corrupt)?;
-        if line_no == 1 {
-            let meta = parse_header(body).map_err(corrupt)?;
-            check_header(&meta, expected)?;
-            loaded.has_header = true;
-        } else {
-            let rec = parse_shard(body).map_err(corrupt)?;
-            if rec.shard >= expected.shards {
-                return Err(CheckpointError::ShardOutOfRange {
-                    shard: rec.shard,
-                    shards: expected.shards,
-                });
+    let mut rest = &bytes[..];
+    for n in 1.. {
+        let corrupt = |reason: String| CheckpointError::Corrupt { record: n, reason };
+        let rec = match record::read(&mut rest) {
+            Ok(Some(rec)) => rec,
+            Ok(None) => break,
+            // The one anomaly an append-only crash can produce.
+            Err(TransportError::Truncated { .. }) => {
+                loaded.dropped_tail = true;
+                break;
             }
-            loaded.shards.push(rec);
+            Err(e) => return Err(corrupt(e.to_string())),
+        };
+        match (n, rec.kind) {
+            (1, RECORD_HEADER) => {
+                check_header(&decode_header(&rec.payload).map_err(corrupt)?, expected)?;
+                loaded.has_header = true;
+            }
+            (2.., RECORD_SHARD) => {
+                let shard = decode_shard(&rec.payload).map_err(corrupt)?;
+                if shard.shard >= expected.shards {
+                    return Err(CheckpointError::ShardOutOfRange {
+                        shard: shard.shard,
+                        shards: expected.shards,
+                    });
+                }
+                loaded.shards.push(shard);
+            }
+            (_, kind) => return Err(corrupt(format!("unexpected record type {kind}"))),
         }
-        loaded.valid_len += line.len() as u64 + 1;
+        loaded.valid_len = (bytes.len() - rest.len()) as u64;
     }
-    if !loaded.has_header {
+    if !loaded.has_header && !loaded.dropped_tail {
         return Err(CheckpointError::MissingHeader {
             path: path.to_path_buf(),
         });
@@ -693,31 +500,19 @@ pub fn load_checkpoint(
 }
 
 fn check_header(got: &CheckpointMeta, expected: &CheckpointMeta) -> Result<(), CheckpointError> {
-    let mismatch = |field, e: String, g: String| {
-        Err(CheckpointError::HeaderMismatch {
+    let fields = [
+        ("sweep", got.sweep, expected.sweep),
+        ("shards", got.shards, expected.shards),
+        ("shard_size", got.shard_size, expected.shard_size),
+    ];
+    match fields.into_iter().find(|(_, g, e)| g != e) {
+        Some((field, got, expected)) => Err(CheckpointError::HeaderMismatch {
             field,
-            expected: e,
-            got: g,
-        })
-    };
-    if got.sweep != expected.sweep {
-        return mismatch("sweep", hex_u64(expected.sweep), hex_u64(got.sweep));
+            expected: format!("{expected:#x}"),
+            got: format!("{got:#x}"),
+        }),
+        None => Ok(()),
     }
-    if got.shards != expected.shards {
-        return mismatch(
-            "shards",
-            expected.shards.to_string(),
-            got.shards.to_string(),
-        );
-    }
-    if got.shard_size != expected.shard_size {
-        return mismatch(
-            "shard_size",
-            expected.shard_size.to_string(),
-            got.shard_size.to_string(),
-        );
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -786,7 +581,7 @@ mod tests {
         for r in &recs {
             w.append_shard(r).unwrap();
         }
-        let loaded = load_checkpoint(&path, &meta, TailPolicy::Strict).unwrap();
+        let loaded = load_checkpoint(&path, &meta).unwrap();
         assert_eq!(loaded.shards.len(), 2);
         assert!(!loaded.dropped_tail);
         for (a, b) in loaded.shards.iter().zip(&recs) {
@@ -802,7 +597,7 @@ mod tests {
             ..meta
         };
         assert!(matches!(
-            load_checkpoint(&path, &other, TailPolicy::Strict),
+            load_checkpoint(&path, &other),
             Err(CheckpointError::HeaderMismatch { field: "sweep", .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -829,29 +624,22 @@ mod tests {
         w.append_shard(&rec).unwrap();
         let intact = std::fs::read(&path).unwrap();
 
-        // Torn tail: drop the trailing newline and a few bytes.
+        // Torn tail: the final record lost its last few bytes.
         std::fs::write(&path, &intact[..intact.len() - 5]).unwrap();
-        assert!(matches!(
-            load_checkpoint(&path, &meta, TailPolicy::Strict),
-            Err(CheckpointError::TruncatedTail { line: 2 })
-        ));
-        let rec_loaded = load_checkpoint(&path, &meta, TailPolicy::Recover).unwrap();
+        let rec_loaded = load_checkpoint(&path, &meta).unwrap();
         assert!(rec_loaded.dropped_tail);
         assert_eq!(rec_loaded.shards.len(), 0);
         assert!(rec_loaded.has_header);
 
-        // Terminated but bit-flipped line: hard error under BOTH policies —
-        // never merged.
+        // A complete but bit-flipped record is a hard error — never merged.
         let mut flipped = intact.clone();
         let mid = flipped.len() - 20;
         flipped[mid] ^= 0x01;
         std::fs::write(&path, &flipped).unwrap();
-        for policy in [TailPolicy::Strict, TailPolicy::Recover] {
-            assert!(matches!(
-                load_checkpoint(&path, &meta, policy),
-                Err(CheckpointError::Corrupt { line: 2, .. })
-            ));
-        }
+        assert!(matches!(
+            load_checkpoint(&path, &meta),
+            Err(CheckpointError::Corrupt { record: 2, .. })
+        ));
         std::fs::remove_file(&path).unwrap();
     }
 }

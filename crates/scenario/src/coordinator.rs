@@ -66,7 +66,7 @@
 //! accepted shard's bytes are a pure function of the job list, so a slow
 //! machine retries more but merges the same report.
 //!
-//! # Transports and the spill tier
+//! # Transports
 //!
 //! The event loop is generic over the crate-private `WorkerTransport`
 //! seam: [`TransportKind::Threads`] runs the classic in-process fleet
@@ -75,20 +75,25 @@
 //! and speak the framed protocol of [`crate::transport`]. Dead processes
 //! are respawned with capped backoff up to
 //! [`ProcessConfig::max_respawns`] per slot; an exhausted fleet degrades
-//! to the serial fallback like a lost thread fleet. With
-//! [`CoordinatorConfig::spill_dir`] set, each worker's solve cache
-//! additionally spills evicted points to a crash-safe, self-checksummed
-//! on-disk segment and consults it on memory misses. Neither knob can
-//! change the merged bytes — both only move *where* the same pure solves
-//! run and *whether* they are recomputed or reread.
+//! to the serial fallback like a lost thread fleet. The transport cannot
+//! change the merged bytes — it only moves *where* the same pure solves
+//! run.
+//!
+//! # Cache telemetry
+//!
+//! Every worker owns a solve cache, and every report carries that cache's
+//! counters accumulated since the worker's previous report. The merged
+//! [`SweepReport::cache`] sums the deltas of the reports the coordinator
+//! verified and used (shard deliveries whose hash verified, and spot
+//! checks it compared) plus the serial fallback's, so a fault-free cold
+//! run reports what a cold [`Scenario::sweep`] would, plus the spot-check
+//! recomputations.
 
-use crate::cache::SolveCache;
+use crate::cache::{CacheStats, SolveCache};
 use crate::checkpoint::{
     self, shard_content_hash, CheckpointError, CheckpointMeta, CheckpointWriter, ShardRecord,
-    TailPolicy,
 };
 use crate::hash::Fnv1a;
-use crate::spill::SpillStats;
 use crate::transport::{TransportCounters, TransportError, TransportPoll, WorkerTransport};
 use crate::{LinkRates, NetworkSource, Scenario, SweepGrid, SweepPoint, SweepReport};
 use mlf_core::allocator::SolverWorkspace;
@@ -308,12 +313,6 @@ pub struct CoordinatorConfig {
     pub max_new_shards: Option<u64>,
     /// Which fleet to run on (threads or supervised processes).
     pub transport: TransportKind,
-    /// Enable the disk spill tier: each worker's solve cache spills
-    /// evicted points to `<dir>/worker-<id>.spill` (the serial fallback
-    /// uses `serial.spill`) and consults the segment on memory misses.
-    /// The directory is created if missing; an unopenable or corrupt
-    /// segment disables/starts a fresh tier, never fails the sweep.
-    pub spill_dir: Option<PathBuf>,
 }
 
 impl Default for CoordinatorConfig {
@@ -330,7 +329,6 @@ impl Default for CoordinatorConfig {
             fault_plan: FaultPlan::none(),
             max_new_shards: None,
             transport: TransportKind::Threads,
-            spill_dir: None,
         }
     }
 }
@@ -438,13 +436,6 @@ pub struct CoordinatorStats {
     pub respawns: u64,
     /// Assignment frames rejected by workers as damaged in flight.
     pub frames_rejected: u64,
-    /// Points the workers' spill tiers served from disk.
-    pub spill_hits: u64,
-    /// Spill-tier lookups that found nothing on disk.
-    pub spill_misses: u64,
-    /// Corrupt spill segments or records detected, skipped, and never
-    /// merged.
-    pub spill_corrupt_segments: u64,
 }
 
 impl std::fmt::Display for CoordinatorStats {
@@ -467,15 +458,10 @@ impl std::fmt::Display for CoordinatorStats {
             self.frames_rejected,
             if self.serial_fallback { "yes" } else { "no" }
         )?;
-        writeln!(
+        write!(
             f,
             "audit: {} spot checks passed, {} skipped",
             self.spot_checks_passed, self.spot_checks_skipped
-        )?;
-        write!(
-            f,
-            "spill: {} hits, {} misses, {} corrupt segments",
-            self.spill_hits, self.spill_misses, self.spill_corrupt_segments
         )
     }
 }
@@ -521,7 +507,7 @@ enum ToWorker {
 }
 
 /// One delivered computation. Shared with the transport frame codec;
-/// `spill` carries the worker's spill-tier activity since its previous
+/// `cache` carries the worker's solve-cache counters since its previous
 /// report (telemetry only — never part of any verified bytes).
 #[derive(Debug, Clone)]
 pub(crate) struct WorkerReport {
@@ -530,7 +516,7 @@ pub(crate) struct WorkerReport {
     pub(crate) attempt: u32,
     pub(crate) points: Vec<SweepPoint>,
     pub(crate) hash: u64,
-    pub(crate) spill: SpillStats,
+    pub(crate) cache: CacheStats,
 }
 
 struct ShardSpec {
@@ -568,6 +554,77 @@ enum ShardState {
 // Worker side
 // ---------------------------------------------------------------------------
 
+/// A worker's private compute state: its workspace, its solve cache, and
+/// the cache counters as of its previous report, so that every report
+/// carries the cache work of exactly its own jobs. Shared by the thread
+/// workers and the process workers (`crate::transport`).
+pub(crate) struct WorkerState {
+    ws: SolverWorkspace,
+    cache: Option<SolveCache>,
+    reported: CacheStats,
+}
+
+impl WorkerState {
+    pub(crate) fn new(scenario: &Scenario) -> Self {
+        WorkerState {
+            ws: SolverWorkspace::new(),
+            cache: scenario.worker_cache(),
+            reported: CacheStats::default(),
+        }
+    }
+
+    /// Serve one assignment as worker `id` under the fault `plan`.
+    /// `None` means an injected crash: the worker must die without
+    /// replying. Otherwise the report, plus whether an injected duplicate
+    /// asks for it to be delivered twice. Faults target real shard work
+    /// only; spot checks run clean (they are the audit, not the subject).
+    pub(crate) fn serve(
+        &mut self,
+        scenario: &Scenario,
+        id: usize,
+        a: &Assignment,
+        plan: &FaultPlan,
+        stall: Duration,
+    ) -> Option<(WorkerReport, bool)> {
+        let fault = match a.task {
+            TaskId::Shard(_) => plan.fires(id, a.shard, a.attempt),
+            TaskId::Spot(_) => None,
+        };
+        match fault {
+            Some(FaultKind::CrashWorker | FaultKind::KillProcess) => return None,
+            Some(FaultKind::Stall) => std::thread::sleep(stall),
+            _ => {}
+        }
+        let points: Vec<SweepPoint> = a
+            .jobs
+            .iter()
+            .map(|&(model, seed)| {
+                scenario.sweep_point_with(seed, model, &mut self.ws, self.cache.as_mut())
+            })
+            .collect();
+        let mut hash = shard_content_hash(a.shard, a.start, &points);
+        if fault == Some(FaultKind::CorruptHash) {
+            hash ^= 0x5eed_bad0_dead_beef;
+        }
+        let now = self
+            .cache
+            .as_ref()
+            .map(SolveCache::stats)
+            .unwrap_or_default();
+        let cache = now.since(&self.reported);
+        self.reported = now;
+        let report = WorkerReport {
+            worker: id,
+            task: a.task,
+            attempt: a.attempt,
+            points,
+            hash,
+            cache,
+        };
+        Some((report, fault == Some(FaultKind::DuplicateShard)))
+    }
+}
+
 fn worker_loop(
     scenario: &Scenario,
     id: usize,
@@ -575,56 +632,16 @@ fn worker_loop(
     tx: mpsc::Sender<WorkerReport>,
     plan: &FaultPlan,
     stall: Duration,
-    spill: Option<PathBuf>,
 ) {
-    let mut ws = SolverWorkspace::new();
-    let mut cache: Option<SolveCache> = scenario.worker_cache_with_spill(spill.as_deref());
-    let mut last_spill = SpillStats::default();
-    while let Ok(msg) = rx.recv() {
-        let a = match msg {
-            ToWorker::Shutdown => return,
-            ToWorker::Assign(a) => a,
-        };
-        // Faults target real shard work only; spot checks run clean (they
-        // are the audit, not the subject).
-        let fault = match a.task {
-            TaskId::Shard(_) => plan.fires(id, a.shard, a.attempt),
-            TaskId::Spot(_) => None,
-        };
-        if matches!(fault, Some(FaultKind::CrashWorker | FaultKind::KillProcess)) {
-            // Crash: exit without replying. Dropping `rx` is what the
-            // coordinator eventually observes as a dead channel. (A
-            // thread cannot be SIGKILLed, so KillProcess degrades to the
-            // same observable outcome.)
+    let mut worker = WorkerState::new(scenario);
+    while let Ok(ToWorker::Assign(a)) = rx.recv() {
+        // A crash exits without replying: dropping `rx` is what the
+        // coordinator eventually observes as a dead channel. (A thread
+        // cannot be SIGKILLed, so KillProcess degrades to the same
+        // observable outcome.)
+        let Some((report, duplicate)) = worker.serve(scenario, id, &a, plan, stall) else {
             return;
-        }
-        if matches!(fault, Some(FaultKind::Stall)) {
-            std::thread::sleep(stall);
-        }
-        let points: Vec<SweepPoint> = a
-            .jobs
-            .iter()
-            .map(|&(model, seed)| scenario.sweep_point_with(seed, model, &mut ws, cache.as_mut()))
-            .collect();
-        let mut hash = shard_content_hash(a.shard, a.start, &points);
-        if matches!(fault, Some(FaultKind::CorruptHash)) {
-            hash ^= 0x5eed_bad0_dead_beef;
-        }
-        let now_spill = cache
-            .as_ref()
-            .and_then(|c| c.spill_stats())
-            .unwrap_or_default();
-        let spill_delta = now_spill.since(&last_spill);
-        last_spill = now_spill;
-        let report = WorkerReport {
-            worker: id,
-            task: a.task,
-            attempt: a.attempt,
-            points,
-            hash,
-            spill: spill_delta,
         };
-        let duplicate = matches!(fault, Some(FaultKind::DuplicateShard));
         if duplicate && tx.send(report.clone()).is_err() {
             return;
         }
@@ -876,12 +893,13 @@ impl Scenario {
         let mut writer: Option<CheckpointWriter> = None;
         if let Some(path) = &cfg.checkpoint {
             if path.exists() {
-                let loaded = checkpoint::load_checkpoint(path, &meta, TailPolicy::Recover)?;
-                for rec in loaded.shards.iter() {
+                let loaded = checkpoint::load_checkpoint(path, &meta)?;
+                for (k, rec) in loaded.shards.iter().enumerate() {
                     let spec = &shards[rec.shard as usize];
                     if rec.start != spec.start || rec.points.len() != spec.jobs.len() {
                         return Err(CheckpointError::Corrupt {
-                            line: 0,
+                            // Record 1 is the header.
+                            record: k + 2,
                             reason: format!(
                                 "shard {} geometry disagrees with the sweep \
                                  (start {} len {}, expected start {} len {})",
@@ -907,6 +925,7 @@ impl Scenario {
 
         let mut remaining = done.iter().filter(|d| d.is_none()).count();
         let mut accepted_new = 0u64;
+        let mut cache = CacheStats::default();
         if remaining > 0 && interrupted(cfg, 0, remaining) {
             return Err(CoordinatorError::Interrupted { accepted: 0 });
         }
@@ -919,6 +938,7 @@ impl Scenario {
                 &mut remaining,
                 &mut accepted_new,
                 &mut stats,
+                &mut cache,
             )?;
         }
 
@@ -932,7 +952,7 @@ impl Scenario {
             report: SweepReport {
                 label: self.label.clone(),
                 points,
-                cache: Default::default(),
+                cache,
             },
             stats,
         })
@@ -949,6 +969,7 @@ impl Scenario {
         remaining: &mut usize,
         accepted_new: &mut u64,
         stats: &mut CoordinatorStats,
+        cache: &mut CacheStats,
     ) -> Result<(), CoordinatorError> {
         let workers = if cfg.workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -973,16 +994,6 @@ impl Scenario {
             })
             .collect();
         let mut attempts: Vec<u32> = vec![0; shards.len()];
-        if let Some(dir) = &cfg.spill_dir {
-            // Best-effort: the spill tier is an optimization, never a
-            // reason to fail a sweep.
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let worker_spill = |id: usize| {
-            cfg.spill_dir
-                .as_ref()
-                .map(|d| d.join(format!("worker-{id}.spill")))
-        };
 
         match &cfg.transport {
             TransportKind::Threads => std::thread::scope(|scope| {
@@ -991,8 +1002,7 @@ impl Scenario {
                     .map(|id| {
                         let (tx, rx) = mpsc::channel::<ToWorker>();
                         let rtx = rtx.clone();
-                        let spill = worker_spill(id);
-                        scope.spawn(move || worker_loop(self, id, rx, rtx, plan, stall, spill));
+                        scope.spawn(move || worker_loop(self, id, rx, rtx, plan, stall));
                         ThreadSlot { tx, alive: true }
                     })
                     .collect();
@@ -1015,6 +1025,7 @@ impl Scenario {
                     remaining,
                     accepted_new,
                     stats,
+                    cache,
                 )
             }),
             TransportKind::Process(pc) => {
@@ -1027,7 +1038,6 @@ impl Scenario {
                     pc.clone(),
                     plan.clone(),
                     stall,
-                    cfg.spill_dir.clone(),
                 )?;
                 self.drive(
                     &mut transport,
@@ -1040,6 +1050,7 @@ impl Scenario {
                     remaining,
                     accepted_new,
                     stats,
+                    cache,
                 )
             }
         }
@@ -1061,6 +1072,7 @@ impl Scenario {
         remaining: &mut usize,
         accepted_new: &mut u64,
         stats: &mut CoordinatorStats,
+        cache: &mut CacheStats,
     ) -> Result<(), CoordinatorError> {
         let mut current: Vec<Option<(TaskId, u32)>> = vec![None; transport.worker_count()];
         let result = self.drive_loop(
@@ -1075,6 +1087,7 @@ impl Scenario {
             remaining,
             accepted_new,
             stats,
+            cache,
         );
         transport.shutdown();
         let c = transport.counters();
@@ -1100,6 +1113,7 @@ impl Scenario {
         remaining: &mut usize,
         accepted_new: &mut u64,
         stats: &mut CoordinatorStats,
+        cache: &mut CacheStats,
     ) -> Result<(), CoordinatorError> {
         let mut stuck_probes = 0u32;
 
@@ -1212,6 +1226,7 @@ impl Scenario {
                     remaining,
                     accepted_new,
                     stats,
+                    cache,
                 );
             }
 
@@ -1259,6 +1274,7 @@ impl Scenario {
                         remaining,
                         accepted_new,
                         stats,
+                        cache,
                     )?;
                 }
                 TransportPoll::Rejected { worker } => {
@@ -1377,6 +1393,7 @@ impl Scenario {
                                 remaining,
                                 accepted_new,
                                 stats,
+                                cache,
                             );
                         }
                     }
@@ -1393,6 +1410,7 @@ impl Scenario {
                         remaining,
                         accepted_new,
                         stats,
+                        cache,
                     );
                 }
             }
@@ -1414,15 +1432,11 @@ impl Scenario {
         remaining: &mut usize,
         accepted_new: &mut u64,
         stats: &mut CoordinatorStats,
+        cache: &mut CacheStats,
     ) -> Result<(), CoordinatorError> {
         if rep.worker < current.len() && current[rep.worker] == Some((rep.task, rep.attempt)) {
             current[rep.worker] = None;
         }
-        // Spill telemetry rides every report (a duplicate delivery can
-        // double-count — acceptable for counters that steer nothing).
-        stats.spill_hits += rep.spill.hits;
-        stats.spill_misses += rep.spill.misses;
-        stats.spill_corrupt_segments += rep.spill.corrupt_segments;
         match rep.task {
             TaskId::Shard(shard) => {
                 let i = shard as usize;
@@ -1453,6 +1467,7 @@ impl Scenario {
                                 ready_at: Some(Deadline::now() + backoff(cfg, attempts[i])),
                             };
                         } else if cfg.spot_check == 0 {
+                            cache.merge(&rep.cache);
                             accept_shard(
                                 i,
                                 rep.points,
@@ -1464,6 +1479,7 @@ impl Scenario {
                                 accepted_new,
                             )?;
                         } else {
+                            cache.merge(&rep.cache);
                             state[i] = ShardState::Held {
                                 points: rep.points,
                                 computed_by: rep.worker,
@@ -1484,6 +1500,7 @@ impl Scenario {
                         spot_attempt,
                         ..
                     } => {
+                        cache.merge(&rep.cache);
                         let spot_len = cfg.spot_check.min(shards[i].jobs.len());
                         let head_ok = rep.points.len() == spot_len
                             && rep.points.iter().zip(points.iter()).all(|(a, b)| {
@@ -1543,10 +1560,10 @@ impl Scenario {
         remaining: &mut usize,
         accepted_new: &mut u64,
         stats: &mut CoordinatorStats,
+        cache_total: &mut CacheStats,
     ) -> Result<(), CoordinatorError> {
         let mut ws = SolverWorkspace::new();
-        let spill = cfg.spill_dir.as_ref().map(|d| d.join("serial.spill"));
-        let mut cache: Option<SolveCache> = self.worker_cache_with_spill(spill.as_deref());
+        let mut cache: Option<SolveCache> = self.worker_cache();
         let mut outcome: Result<(), CoordinatorError> = Ok(());
         for i in 0..shards.len() {
             if matches!(state[i], ShardState::Done) {
@@ -1588,12 +1605,8 @@ impl Scenario {
                 break;
             }
         }
-        // Fold the fallback's own spill activity in even on the
-        // interrupted path — telemetry should survive simulated kills.
-        if let Some(s) = cache.as_ref().and_then(|c| c.spill_stats()) {
-            stats.spill_hits += s.hits;
-            stats.spill_misses += s.misses;
-            stats.spill_corrupt_segments += s.corrupt_segments;
+        if let Some(c) = &cache {
+            cache_total.merge(&c.stats());
         }
         outcome
     }

@@ -1,6 +1,6 @@
 //! FNV-1a 64-bit hashing — the content-hash primitive shared by the
-//! coordinator's shard verification, the checkpoint file's line checksums,
-//! and the solve cache's scenario-identity component.
+//! coordinator's shard verification, its sweep identity, and the record
+//! codec's checksums.
 //!
 //! FNV-1a is deliberately simple: a fixed offset basis folded with a fixed
 //! prime, byte by byte, with no seeds and no platform dependence — the same

@@ -104,11 +104,11 @@ pub mod coordinator;
 pub mod executor;
 mod hash;
 pub mod protocol;
-mod spill;
+mod record;
 mod supervisor;
 pub mod transport;
 
-pub use cache::{CacheStats, SharedSolveCache, SolveCache};
+pub use cache::{CacheStats, SolveCache};
 pub use checkpoint::CheckpointError;
 pub use coordinator::{
     CoordinatorConfig, CoordinatorError, CoordinatorReport, CoordinatorStats, FaultEvent,
@@ -122,7 +122,6 @@ pub use protocol::{
 pub use transport::TransportError;
 
 use cache::{SolveKey, TopologyKey};
-use hash::Fnv1a;
 use mlf_core::allocator::{Allocator, Hybrid, SolverWorkspace};
 use mlf_core::{
     metrics, properties, FairnessReport, LinkRateConfig, LinkRateModel, MaxMinSolution,
@@ -240,7 +239,6 @@ pub struct ScenarioBuilder {
     check_properties: bool,
     cache_points: usize,
     cache_networks: usize,
-    shared_cache: Option<SharedSolveCache>,
 }
 
 impl Default for ScenarioBuilder {
@@ -254,7 +252,6 @@ impl Default for ScenarioBuilder {
             check_properties: true,
             cache_points: cache::DEFAULT_POINT_CAPACITY,
             cache_networks: cache::DEFAULT_NETWORK_CAPACITY,
-            shared_cache: None,
         }
     }
 }
@@ -338,21 +335,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Pool this scenario's serial-sweep solve cache with other scenarios
-    /// holding a clone of the same [`SharedSolveCache`] handle. Scenarios
-    /// that differ only in *reporting* (label, layering ladder) perform
-    /// identical solves and serve each other's points; scenarios whose
-    /// solve-relevant configuration differs key disjoint entries via the
-    /// scenario-identity component of the cache key, so sharing one handle
-    /// across heterogeneous scenarios is always safe. An allocator that
-    /// cannot state its [`cache_signature`](Allocator::cache_signature)
-    /// falls back to the scenario-owned cache. Parallel sweeps keep
-    /// worker-local caches and never consult the shared handle.
-    pub fn shared_cache(mut self, shared: &SharedSolveCache) -> Self {
-        self.shared_cache = Some(shared.clone());
-        self
-    }
-
     /// Validate and assemble the scenario.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
         let source = self.source.ok_or(ScenarioError::MissingNetwork)?;
@@ -388,17 +370,6 @@ impl ScenarioBuilder {
                 }
             }
         }
-        // The scenario's solve-relevant identity: everything outside the
-        // per-point `SolveKey` that can still change a solve's bytes. `None`
-        // when the allocator cannot cheaply state its signature — the
-        // scenario-owned cache then keys with a sentinel (it only ever sees
-        // this one configuration) and shared caches are bypassed.
-        let scenario_sig = self.allocator.cache_signature().map(|sig| {
-            let mut h = Fnv1a::new();
-            h.write(sig.as_bytes());
-            h.write_u64(u64::from(self.check_properties));
-            h.finish()
-        });
         Ok(Scenario {
             label: self.label,
             source,
@@ -410,8 +381,6 @@ impl ScenarioBuilder {
             cache: SolveCache::with_capacity(self.cache_points, self.cache_networks),
             cache_points: self.cache_points,
             cache_networks: self.cache_networks,
-            shared_cache: self.shared_cache,
-            scenario_sig,
         })
     }
 }
@@ -440,8 +409,6 @@ pub struct Scenario {
     cache: SolveCache,
     cache_points: usize,
     cache_networks: usize,
-    shared_cache: Option<SharedSolveCache>,
-    scenario_sig: Option<u64>,
 }
 
 impl Scenario {
@@ -593,14 +560,7 @@ impl Scenario {
                 max_receivers,
             } => TopologyKey::random(*family, *nodes, *sessions, *max_receivers, seed),
         };
-        // Owned caches only ever see this scenario's configuration, so a
-        // signature-less allocator can safely key with a sentinel digest;
-        // shared caches require a real signature (checked by the caller).
-        Some(SolveKey::new(
-            topology,
-            model,
-            self.scenario_sig.unwrap_or(0),
-        ))
+        Some(SolveKey::new(topology, model))
     }
 
     /// One sweep point through the cache (when one is supplied and the
@@ -656,26 +616,6 @@ impl Scenario {
             .then(|| SolveCache::with_capacity(self.cache_points, self.cache_networks))
     }
 
-    /// A worker cache with a disk spill tier attached at `spill` (the
-    /// coordinator's spill-enabled workers). The tier binds to the
-    /// scenario's solve-identity digest, so a signature-less allocator —
-    /// which could collide with a different configuration's segment —
-    /// disables spilling entirely, mirroring the shared-cache policy. An
-    /// unopenable segment likewise degrades to the plain in-memory cache;
-    /// the spill tier is an optimization and must never fail a sweep.
-    pub(crate) fn worker_cache_with_spill(
-        &self,
-        spill: Option<&std::path::Path>,
-    ) -> Option<SolveCache> {
-        let mut cache = self.worker_cache()?;
-        if let (Some(path), Some(sig)) = (spill, self.scenario_sig) {
-            if let Ok(tier) = crate::spill::SpillTier::open(path, sig) {
-                cache.attach_spill(tier);
-            }
-        }
-        Some(cache)
-    }
-
     /// Run one solve per seed, reusing the workspace — and the scenario's
     /// persistent [`SolveCache`] — throughout. The result is a pure
     /// function of the seeds (and the scenario spec): two sweeps with
@@ -696,46 +636,24 @@ impl Scenario {
         self.sweep_jobs_serial(&jobs)
     }
 
-    /// The serial executor: one workspace, the scenario's own cache (or
-    /// the pooled [`SharedSolveCache`] when one is configured and the
-    /// allocator can state its signature), jobs in order.
-    /// [`SweepReport::cache`] carries this sweep's share of the cache
-    /// counters.
+    /// The serial executor: one workspace, the scenario's own cache, jobs
+    /// in order. [`SweepReport::cache`] carries this sweep's share of the
+    /// cache counters.
     fn sweep_jobs_serial(&mut self, jobs: &[(Option<LinkRateModel>, u64)]) -> SweepReport {
         // Detach the owned workspace/cache so the shared solve path can
         // borrow `self` immutably (the same path the parallel workers use).
         let mut ws = std::mem::take(&mut self.ws);
-        let shared = match self.scenario_sig {
-            // Sharing is only sound when the scenario identity digest is
-            // real — a sentinel would let unrelated configurations collide.
-            Some(_) => self.shared_cache.clone(),
-            None => None,
-        };
-        let (points, stats) = if let Some(shared) = shared {
-            // One lock acquisition for the whole sweep, not one per point.
-            let mut guard = shared.lock();
-            let before = guard.stats();
-            let points = jobs
-                .iter()
-                .map(|&(model, seed)| {
-                    self.sweep_point_with(seed, model, &mut ws, Some(&mut *guard))
-                })
-                .collect();
-            (points, guard.stats().since(&before))
-        } else {
-            let mut cache = std::mem::take(&mut self.cache);
-            let before = cache.stats();
-            let enabled = self.caching_enabled();
-            let points = jobs
-                .iter()
-                .map(|&(model, seed)| {
-                    self.sweep_point_with(seed, model, &mut ws, enabled.then_some(&mut cache))
-                })
-                .collect();
-            let stats = cache.stats().since(&before);
-            self.cache = cache;
-            (points, stats)
-        };
+        let mut cache = std::mem::take(&mut self.cache);
+        let before = cache.stats();
+        let enabled = self.caching_enabled();
+        let points = jobs
+            .iter()
+            .map(|&(model, seed)| {
+                self.sweep_point_with(seed, model, &mut ws, enabled.then_some(&mut cache))
+            })
+            .collect();
+        let stats = cache.stats().since(&before);
+        self.cache = cache;
         self.ws = ws;
         SweepReport {
             label: self.label.clone(),

@@ -21,9 +21,10 @@
 //! supervisor only reports who is alive and moves bytes.
 
 use crate::coordinator::{Assignment, FaultKind, FaultPlan, ProcessConfig, TaskId};
+use crate::record::HEADER_BYTES;
 use crate::transport::{
     frame_bytes, read_frame, write_frame, Frame, ScenarioSpec, TransportCounters, TransportError,
-    TransportPoll, WorkerInit, WorkerTransport, HEADER_BYTES, WORKER_ARG, WORKER_ENV,
+    TransportPoll, WorkerInit, WorkerTransport, WORKER_ARG, WORKER_ENV,
 };
 use std::io::Write;
 use std::path::PathBuf;
@@ -115,7 +116,6 @@ pub(crate) struct ProcessTransport {
     spec: ScenarioSpec,
     plan: FaultPlan,
     stall: Duration,
-    spill_dir: Option<PathBuf>,
     cfg: ProcessConfig,
     slots: Vec<ChildSlot>,
     events_tx: Sender<RawEvent>,
@@ -133,7 +133,6 @@ impl ProcessTransport {
         cfg: ProcessConfig,
         plan: FaultPlan,
         stall: Duration,
-        spill_dir: Option<PathBuf>,
     ) -> Result<ProcessTransport, TransportError> {
         let program = match cfg.program.clone() {
             Some(p) => p,
@@ -148,7 +147,6 @@ impl ProcessTransport {
             spec,
             plan,
             stall,
-            spill_dir,
             cfg,
             slots: (0..workers.max(1)).map(|_| ChildSlot::new()).collect(),
             events_tx,
@@ -195,10 +193,6 @@ impl ProcessTransport {
         let init = Frame::Init(WorkerInit {
             worker: w,
             stall: self.stall,
-            spill: self
-                .spill_dir
-                .as_ref()
-                .map(|d| d.join(format!("worker-{w}.spill"))),
             plan: self.plan.clone(),
             spec: self.spec.clone(),
         });
@@ -420,8 +414,8 @@ impl WorkerTransport for ProcessTransport {
             }
             slot.stdin = None;
         }
-        // Grace window for clean exits (flushed spill segments, no
-        // half-written anything), then force the stragglers.
+        // Grace window for clean exits (no half-written anything), then
+        // force the stragglers.
         let grace = Clock::now() + Duration::from_millis(500);
         loop {
             let mut alive = false;

@@ -3,22 +3,20 @@
 //! The [coordinator](crate::coordinator) can run its fleet either as
 //! in-process threads or as supervised **child processes** that self-exec
 //! the current binary (see [`maybe_run_process_worker`]) and speak a
-//! versioned, length-prefixed binary frame protocol over stdin/stdout.
-//! This module owns that seam: the frame codec, the typed
+//! versioned binary frame protocol over stdin/stdout.
+//! This module owns that seam: the frame types, the typed
 //! [`TransportError`] taxonomy, the `ScenarioSpec` a scenario ships to
 //! a worker process, the worker-side loop (`run_stdio_worker`), and the
 //! `WorkerTransport` abstraction the coordinator drives — implemented
 //! by the in-process thread transport in `coordinator` and by the
 //! process supervisor in `supervisor`.
 //!
-//! # Frame format
+//! # Frames
 //!
-//! ```text
-//! "MLFW" | version u16 LE | frame type u8 | payload length u32 LE | payload | fnv1a u64 LE
-//! ```
-//!
-//! The trailing checksum is FNV-1a over *everything* before it (header
-//! included), so a flipped bit anywhere in a frame is detected. Payloads
+//! Every frame is one record of the crate's checksummed record codec
+//! (`crate::record`, shared with the checkpoint file): [`MAGIC`],
+//! [`PROTOCOL_VERSION`], a type byte, a header-checksummed length, the
+//! payload, and an FNV-1a checksum over everything before it. Payloads
 //! reuse the canonical 66-byte point encoding
 //! ([`crate::checkpoint::encode_point`]) — a point crosses the process
 //! boundary in exactly the bytes the shard hashes and the checkpoint file
@@ -28,13 +26,14 @@
 //! # Error taxonomy and resync
 //!
 //! [`TransportError`] distinguishes damage classes because they demand
-//! different reactions: a [`ChecksumMismatch`](TransportError::ChecksumMismatch)
-//! or [`UnknownFrameType`](TransportError::UnknownFrameType) arrives on an
-//! intact *framing* layer (magic, version, and length were all read), so
+//! different reactions: a [`ChecksumMismatch`](TransportError::ChecksumMismatch),
+//! [`UnknownFrameType`](TransportError::UnknownFrameType) or
+//! [`Malformed`](TransportError::Malformed) payload arrives on an intact
+//! *framing* layer (the verified header said how long the frame is), so
 //! the reader can skip the frame and resync on the next one — the worker
 //! answers with a `Reject` frame and the coordinator requeues. Truncation,
-//! bad magic, and version skew mean the stream itself cannot be trusted;
-//! the worker exits and the supervisor respawns it.
+//! bad magic, version skew, and a bad header mean the stream itself cannot
+//! be trusted; the worker exits and the supervisor respawns it.
 //!
 //! # Determinism
 //!
@@ -47,40 +46,28 @@
 //! rather than approximated). Fault injection riding the same seeded
 //! [`FaultPlan`] on both sides keeps chaos runs reproducible.
 
-use crate::cache::SolveCache;
-use crate::checkpoint::{
-    decode_point, encode_point, model_code, model_from_code, shard_content_hash, POINT_BYTES,
+use crate::cache::CacheStats;
+use crate::checkpoint::{decode_point, encode_point, model_code, model_from_code, POINT_BYTES};
+use crate::coordinator::{
+    Assignment, FaultEvent, FaultKind, FaultPlan, Job, TaskId, WorkerReport, WorkerState,
 };
-use crate::coordinator::{Assignment, FaultEvent, FaultKind, FaultPlan, Job, TaskId, WorkerReport};
-use crate::hash::Fnv1a;
-use crate::spill::SpillStats;
-use crate::{LinkRates, NetworkSource, Scenario, SweepPoint};
-use mlf_core::allocator::{
-    Allocator, Hybrid, MultiRate, SingleRate, SolverWorkspace, Unicast, Weighted,
-};
+use crate::record::{self, Dec, Enc};
+use crate::{LinkRates, NetworkSource, Scenario};
+use mlf_core::allocator::{Allocator, Hybrid, MultiRate, SingleRate, Unicast, Weighted};
 use mlf_core::LinkRateModel;
 use mlf_net::TopologyFamily;
 use std::io::{Read, Write};
-use std::path::PathBuf;
 use std::time::Duration;
 
-/// Magic prefix of every frame.
-// mlf-lint: allow(unused-pub, reason = "documented wire-protocol surface; referenced by ARCHITECTURE.md")
+/// Magic prefix of every record: frames and checkpoint records alike.
 pub const MAGIC: [u8; 4] = *b"MLFW";
 
-/// Protocol version spoken (and required) by this build. A coordinator
-/// and a worker from different protocol generations refuse each other
-/// with [`TransportError::VersionSkew`] instead of misparsing.
+/// Record-codec version spoken (and required) by this build. A
+/// coordinator and a worker from different generations refuse each other
+/// with [`TransportError::VersionSkew`] instead of misparsing; a
+/// checkpoint from another generation is refused the same way.
 // mlf-lint: allow(unused-pub, reason = "documented wire-protocol surface; referenced by ARCHITECTURE.md")
-pub const PROTOCOL_VERSION: u16 = 1;
-
-/// Frame header bytes: magic (4) + version (2) + type (1) + payload
-/// length (4).
-pub(crate) const HEADER_BYTES: usize = 11;
-
-/// Upper bound on a frame payload; a length field beyond this is treated
-/// as malformed rather than allocated.
-const MAX_PAYLOAD: usize = 64 << 20;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 const FRAME_INIT: u8 = 1;
 const FRAME_ASSIGN: u8 = 2;
@@ -117,6 +104,12 @@ pub enum TransportError {
         wire: u16,
         /// The version this build supports.
         supported: u16,
+    },
+    /// The header checksum failed or the length field exceeds the cap:
+    /// the frame's extent cannot be trusted.
+    BadHeader {
+        /// What was wrong.
+        reason: String,
     },
     /// The frame checksum did not verify (bytes were damaged in flight).
     ChecksumMismatch {
@@ -171,6 +164,7 @@ impl std::fmt::Display for TransportError {
                 f,
                 "protocol version skew: wire speaks v{wire}, this build supports v{supported}"
             ),
+            TransportError::BadHeader { reason } => write!(f, "bad frame header: {reason}"),
             TransportError::ChecksumMismatch { stored, computed } => write!(
                 f,
                 "frame checksum mismatch: stored 0x{stored:016x}, computed 0x{computed:016x}"
@@ -222,8 +216,6 @@ pub(crate) struct WorkerInit {
     pub(crate) worker: usize,
     /// How long a [`FaultKind::Stall`] sleeps.
     pub(crate) stall: Duration,
-    /// The worker's spill segment path, when disk spill is enabled.
-    pub(crate) spill: Option<PathBuf>,
     /// The seeded fault schedule (workers self-inject compute-side
     /// faults; the supervisor injects wire-side faults).
     pub(crate) plan: FaultPlan,
@@ -374,74 +366,6 @@ impl Scenario {
 // Payload codec
 // ---------------------------------------------------------------------------
 
-struct Enc(Vec<u8>);
-
-impl Enc {
-    fn new() -> Self {
-        Enc(Vec::new())
-    }
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        self.0.extend_from_slice(b);
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.bytes(s.as_bytes());
-    }
-    fn done(self) -> Vec<u8> {
-        self.0
-    }
-}
-
-struct Dec<'a>(&'a [u8]);
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.0.len() < n {
-            return Err(format!(
-                "payload needs {n} more bytes, has {}",
-                self.0.len()
-            ));
-        }
-        let (head, rest) = self.0.split_at(n);
-        self.0 = rest;
-        Ok(head)
-    }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
-    }
-    fn str(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        let b = self.take(len)?;
-        String::from_utf8(b.to_vec()).map_err(|_| "non-UTF-8 string".to_string())
-    }
-    fn finish(self) -> Result<(), String> {
-        if self.0.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("{} trailing payload bytes", self.0.len()))
-        }
-    }
-}
-
 fn fault_code(kind: FaultKind) -> u8 {
     match kind {
         FaultKind::CrashWorker => 0,
@@ -483,13 +407,6 @@ fn task_from_code(kind: u8, index: u64) -> Result<TaskId, String> {
 fn encode_init(e: &mut Enc, init: &WorkerInit) {
     e.u32(init.worker as u32);
     e.u64(init.stall.as_nanos() as u64);
-    match &init.spill {
-        None => e.u8(0),
-        Some(p) => {
-            e.u8(1);
-            e.str(&p.to_string_lossy());
-        }
-    }
     e.u32(init.plan.events().len() as u32);
     for ev in init.plan.events() {
         e.u8(fault_code(ev.kind));
@@ -543,12 +460,8 @@ fn decode_init(payload: &[u8]) -> Result<WorkerInit, String> {
     let mut d = Dec(payload);
     let worker = d.u32()? as usize;
     let stall = Duration::from_nanos(d.u64()?);
-    let spill = match d.u8()? {
-        0 => None,
-        1 => Some(PathBuf::from(d.str()?)),
-        t => return Err(format!("unknown spill tag {t}")),
-    };
-    let nevents = d.u32()? as usize;
+    // kind u8 + worker u32 + shard u64 per event.
+    let nevents = d.count(13)?;
     let mut events = Vec::with_capacity(nevents);
     for _ in 0..nevents {
         let kind = fault_from_code(d.u8()?)?;
@@ -588,7 +501,6 @@ fn decode_init(payload: &[u8]) -> Result<WorkerInit, String> {
     Ok(WorkerInit {
         worker,
         stall,
-        spill,
         plan: FaultPlan::from_events(events),
         spec: ScenarioSpec {
             label,
@@ -629,7 +541,8 @@ fn decode_assign(payload: &[u8]) -> Result<Assignment, String> {
     let attempt = d.u32()?;
     let shard = d.u64()?;
     let start = d.u64()?;
-    let njobs = d.u32()? as usize;
+    // model tag u8 + model bits u64 + seed u64 per job.
+    let njobs = d.count(17)?;
     let mut jobs: Vec<Job> = Vec::with_capacity(njobs);
     for _ in 0..njobs {
         let tag = d.u8()?;
@@ -654,10 +567,9 @@ fn encode_report(e: &mut Enc, r: &WorkerReport) {
     e.u64(tindex);
     e.u32(r.attempt);
     e.u64(r.hash);
-    e.u64(r.spill.hits);
-    e.u64(r.spill.misses);
-    e.u64(r.spill.spilled);
-    e.u64(r.spill.corrupt_segments);
+    e.u64(r.cache.hits);
+    e.u64(r.cache.misses);
+    e.u64(r.cache.evictions);
     e.u32(r.points.len() as u32);
     for p in &r.points {
         e.bytes(&encode_point(p));
@@ -672,13 +584,12 @@ fn decode_report(payload: &[u8]) -> Result<WorkerReport, String> {
     let task = task_from_code(tkind, tindex)?;
     let attempt = d.u32()?;
     let hash = d.u64()?;
-    let spill = SpillStats {
+    let cache = CacheStats {
         hits: d.u64()?,
         misses: d.u64()?,
-        spilled: d.u64()?,
-        corrupt_segments: d.u64()?,
+        evictions: d.u64()?,
     };
-    let npoints = d.u32()? as usize;
+    let npoints = d.count(POINT_BYTES)?;
     let mut points = Vec::with_capacity(npoints);
     for _ in 0..npoints {
         points.push(decode_point(d.take(POINT_BYTES)?)?);
@@ -690,7 +601,7 @@ fn decode_report(payload: &[u8]) -> Result<WorkerReport, String> {
         attempt,
         points,
         hash,
-        spill,
+        cache,
     })
 }
 
@@ -698,7 +609,7 @@ fn decode_report(payload: &[u8]) -> Result<WorkerReport, String> {
 // Frame IO
 // ---------------------------------------------------------------------------
 
-/// Serialize one frame: header, payload, trailing checksum.
+/// Serialize one frame as one record of the codec.
 pub(crate) fn frame_bytes(frame: &Frame) -> Vec<u8> {
     let mut e = Enc::new();
     let tag = match frame {
@@ -720,17 +631,7 @@ pub(crate) fn frame_bytes(frame: &Frame) -> Vec<u8> {
         }
         Frame::Shutdown => FRAME_SHUTDOWN,
     };
-    let payload = e.done();
-    let mut out = Vec::with_capacity(HEADER_BYTES + payload.len() + 8);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    out.push(tag);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let mut h = Fnv1a::new();
-    h.write(&out);
-    out.extend_from_slice(&h.finish().to_le_bytes());
-    out
+    record::encode(tag, &e.done())
 }
 
 /// Write one frame and flush it.
@@ -743,24 +644,6 @@ pub(crate) fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), Tran
         })
 }
 
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, TransportError> {
-    let mut got = 0usize;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => return Ok(got),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                return Err(TransportError::Io {
-                    op: "read",
-                    message: e.to_string(),
-                })
-            }
-        }
-    }
-    Ok(got)
-}
-
 /// Read one frame. `Ok(None)` is a clean end of stream (EOF on a frame
 /// boundary); EOF anywhere inside a frame is
 /// [`TransportError::Truncated`]. Checksum and payload validation
@@ -768,57 +651,12 @@ fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, TransportError
 /// [resyncable](TransportError::resyncable) error leaves the reader on
 /// the next frame boundary.
 pub(crate) fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, TransportError> {
-    let mut header = [0u8; HEADER_BYTES];
-    let got = read_full(r, &mut header)?;
-    if got == 0 {
+    let Some(rec) = record::read(r)? else {
         return Ok(None);
-    }
-    if got < HEADER_BYTES {
-        return Err(TransportError::Truncated {
-            expected: HEADER_BYTES,
-            got,
-        });
-    }
-    if header[0..4] != MAGIC {
-        return Err(TransportError::BadMagic {
-            got: [header[0], header[1], header[2], header[3]],
-        });
-    }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != PROTOCOL_VERSION {
-        return Err(TransportError::VersionSkew {
-            wire: version,
-            supported: PROTOCOL_VERSION,
-        });
-    }
-    let tag = header[6];
-    let len = u32::from_le_bytes([header[7], header[8], header[9], header[10]]) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(TransportError::Malformed {
-            reason: format!("payload length {len} exceeds the {MAX_PAYLOAD}-byte cap"),
-        });
-    }
-    let mut rest = vec![0u8; len + 8];
-    let got_rest = read_full(r, &mut rest)?;
-    if got_rest < rest.len() {
-        return Err(TransportError::Truncated {
-            expected: HEADER_BYTES + len + 8,
-            got: HEADER_BYTES + got_rest,
-        });
-    }
-    let mut h = Fnv1a::new();
-    h.write(&header);
-    h.write(&rest[..len]);
-    let computed = h.finish();
-    let mut stored_raw = [0u8; 8];
-    stored_raw.copy_from_slice(&rest[len..]);
-    let stored = u64::from_le_bytes(stored_raw);
-    if stored != computed {
-        return Err(TransportError::ChecksumMismatch { stored, computed });
-    }
-    let payload = &rest[..len];
+    };
+    let payload = &rec.payload[..];
     let malformed = |reason: String| TransportError::Malformed { reason };
-    let frame = match tag {
+    let frame = match rec.kind {
         FRAME_INIT => Frame::Init(decode_init(payload).map_err(malformed)?),
         FRAME_ASSIGN => Frame::Assign(decode_assign(payload).map_err(malformed)?),
         FRAME_REPORT => Frame::Report(decode_report(payload).map_err(malformed)?),
@@ -964,11 +802,7 @@ pub(crate) fn run_stdio_worker<R: Read, W: Write>(input: &mut R, output: &mut W)
             return 2;
         }
     };
-    let mut ws = SolverWorkspace::new();
-    let mut cache: Option<SolveCache> = scenario.worker_cache_with_spill(init.spill.as_deref());
-    // Start the delta baseline at zero so segment corruption discovered at
-    // open time reaches the coordinator with the first report.
-    let mut last_spill = SpillStats::default();
+    let mut worker = WorkerState::new(&scenario);
     loop {
         let a = match read_frame(input) {
             Ok(Some(Frame::Assign(a))) => a,
@@ -993,44 +827,16 @@ pub(crate) fn run_stdio_worker<R: Read, W: Write>(input: &mut R, output: &mut W)
             }
             Err(_) => return 2,
         };
-        let fault = match a.task {
-            TaskId::Shard(_) => init.plan.fires(init.worker, a.shard, a.attempt),
-            TaskId::Spot(_) => None,
-        };
-        if matches!(fault, Some(FaultKind::CrashWorker | FaultKind::KillProcess)) {
-            // Exit without replying; the supervisor's SIGKILL (for
-            // KillProcess) races this clean exit, and either way the
-            // coordinator sees a dead worker and requeues.
+        // An injected crash or kill exits without replying; the
+        // supervisor's SIGKILL (for KillProcess) races this clean exit, and
+        // either way the coordinator sees a dead worker and requeues.
+        let Some((report, duplicate)) =
+            worker.serve(&scenario, init.worker, &a, &init.plan, init.stall)
+        else {
             return 3;
-        }
-        if matches!(fault, Some(FaultKind::Stall)) {
-            std::thread::sleep(init.stall);
-        }
-        let points: Vec<SweepPoint> = a
-            .jobs
-            .iter()
-            .map(|&(model, seed)| scenario.sweep_point_with(seed, model, &mut ws, cache.as_mut()))
-            .collect();
-        let mut hash = shard_content_hash(a.shard, a.start, &points);
-        if matches!(fault, Some(FaultKind::CorruptHash)) {
-            hash ^= 0x5eed_bad0_dead_beef;
-        }
-        let now_spill = cache
-            .as_ref()
-            .and_then(|c| c.spill_stats())
-            .unwrap_or_default();
-        let spill = now_spill.since(&last_spill);
-        last_spill = now_spill;
-        let report = Frame::Report(WorkerReport {
-            worker: init.worker,
-            task: a.task,
-            attempt: a.attempt,
-            points,
-            hash,
-            spill,
-        });
-        if matches!(fault, Some(FaultKind::DuplicateShard)) && write_frame(output, &report).is_err()
-        {
+        };
+        let report = Frame::Report(report);
+        if duplicate && write_frame(output, &report).is_err() {
             return 2;
         }
         if write_frame(output, &report).is_err() {
@@ -1042,7 +848,9 @@ pub(crate) fn run_stdio_worker<R: Read, W: Write>(input: &mut R, output: &mut W)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ScenarioMetrics;
+    use crate::checkpoint::shard_content_hash;
+    use crate::record::HEADER_BYTES;
+    use crate::{ScenarioMetrics, SweepPoint};
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -1080,7 +888,6 @@ mod tests {
             Frame::Init(WorkerInit {
                 worker: 3,
                 stall: Duration::from_millis(250),
-                spill: Some(PathBuf::from("/tmp/worker-3.spill")),
                 plan: FaultPlan::from_events(vec![
                     FaultEvent {
                         kind: FaultKind::TornFrame,
@@ -1098,7 +905,6 @@ mod tests {
             Frame::Init(WorkerInit {
                 worker: 0,
                 stall: Duration::ZERO,
-                spill: None,
                 plan: FaultPlan::none(),
                 spec: ScenarioSpec {
                     family: TopologyFamily::TransitStub { transit: 3 },
@@ -1121,11 +927,10 @@ mod tests {
                 attempt: 0,
                 points: vec![point(0), point(1)],
                 hash: 0xdead_beef,
-                spill: SpillStats {
+                cache: CacheStats {
                     hits: 1,
                     misses: 2,
-                    spilled: 3,
-                    corrupt_segments: 0,
+                    evictions: 3,
                 },
             }),
             Frame::Reject {
@@ -1198,15 +1003,16 @@ mod tests {
             "{err}"
         );
 
-        // An unknown type with a valid checksum: consumed whole, resyncable.
-        let mut unknown = Vec::new();
-        unknown.extend_from_slice(&MAGIC);
-        unknown.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-        unknown.push(99);
-        unknown.extend_from_slice(&0u32.to_le_bytes());
-        let mut h = Fnv1a::new();
-        h.write(&unknown);
-        unknown.extend_from_slice(&h.finish().to_le_bytes());
+        // A flipped length byte fails the header checksum: the frame's
+        // extent is unknown, so the stream cannot resync.
+        let mut length = good.clone();
+        length[7] ^= 0x01;
+        let err = read_frame(&mut &length[..]).unwrap_err();
+        assert!(matches!(err, TransportError::BadHeader { .. }), "{err}");
+        assert!(!err.resyncable());
+
+        // An unknown type with valid checksums: consumed whole, resyncable.
+        let mut unknown = record::encode(99, &[]);
         unknown.extend_from_slice(&good);
         let mut cursor = &unknown[..];
         let err = read_frame(&mut cursor).unwrap_err();
@@ -1257,7 +1063,6 @@ mod tests {
         input.extend(frame_bytes(&Frame::Init(WorkerInit {
             worker: 0,
             stall: Duration::ZERO,
-            spill: None,
             plan: FaultPlan::none(),
             spec: spec.clone(),
         })));
@@ -1291,6 +1096,11 @@ mod tests {
         assert_eq!(rep.worker, 0);
         assert_eq!(rep.task, TaskId::Shard(0));
         assert_eq!(rep.hash, shard_content_hash(0, 0, &rep.points));
+        assert_eq!(
+            (rep.cache.hits, rep.cache.misses),
+            (0, 6),
+            "the report carries its own cache delta"
+        );
         let enc_got: Vec<_> = rep.points.iter().map(encode_point).collect();
         let enc_want: Vec<_> = expected.points.iter().map(encode_point).collect();
         assert_eq!(enc_got, enc_want, "process-side points bitwise equal");

@@ -1,16 +1,16 @@
 //! Checkpoint durability: the on-disk format round-trips every `f64` bit
-//! pattern exactly, torn tails are recovered while terminated-but-corrupt
-//! lines are hard errors (a bad shard is never merged), and a sweep killed
-//! at *every* shard boundary resumes to bytes identical to the serial
-//! sweep.
+//! pattern exactly, torn tails are recovered while damaged complete
+//! records are hard errors (a bad shard is never merged), and a sweep
+//! killed at *every* shard boundary resumes to bytes identical to the
+//! serial sweep.
 
 use mlf_core::allocator::MultiRate;
 use mlf_core::LinkRateModel;
 use mlf_scenario::checkpoint::{
     decode_point, encode_point, load_checkpoint, shard_content_hash, CheckpointError,
-    CheckpointMeta, CheckpointWriter, LoadedCheckpoint, ShardRecord, TailPolicy, FORMAT,
-    POINT_BYTES,
+    CheckpointMeta, CheckpointWriter, LoadedCheckpoint, ShardRecord, POINT_BYTES,
 };
+use mlf_scenario::transport::MAGIC;
 use mlf_scenario::{CoordinatorConfig, CoordinatorError, Scenario, ScenarioMetrics, SweepPoint};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -26,7 +26,7 @@ static NEXT_FILE: AtomicUsize = AtomicUsize::new(0);
 fn tmp(tag: &str) -> PathBuf {
     let n = NEXT_FILE.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!(
-        "mlf-coordinator-ckpt-{}-{tag}-{n}.jsonl",
+        "mlf-coordinator-ckpt-{}-{tag}-{n}.ckpt",
         std::process::id()
     ))
 }
@@ -62,6 +62,22 @@ fn assert_bitwise(got: &[SweepPoint], want: &[SweepPoint]) {
             "point {i} differs bitwise"
         );
     }
+}
+
+/// The type byte of every complete record in a checkpoint file, walking
+/// the documented layout (`magic | version u16 | type u8 | len u32 |
+/// header check u64 | payload | check u64`). Panics on a torn record.
+fn record_types(bytes: &[u8]) -> Vec<u8> {
+    let mut types = Vec::new();
+    let mut off = 0;
+    while off < bytes.len() {
+        assert_eq!(bytes[off..off + 4], MAGIC, "record at {off}");
+        let len = u32::from_le_bytes(bytes[off + 7..off + 11].try_into().unwrap()) as usize;
+        types.push(bytes[off + 6]);
+        off += 19 + len + 8;
+        assert!(off <= bytes.len(), "torn record ends past the file");
+    }
+    types
 }
 
 // ---------------------------------------------------------------------------
@@ -124,7 +140,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Write → load round-trips every point bitwise, through the real
-    /// file, under the strict tail policy.
+    /// file, with nothing torn.
     #[test]
     fn checkpoint_file_round_trips_any_bit_pattern(
         points in proptest::collection::vec(any_point(), 1..12),
@@ -145,7 +161,7 @@ proptest! {
             let mut w = CheckpointWriter::create(&path, &meta).expect("create");
             w.append_shard(&rec).expect("append");
         }
-        let loaded = load_checkpoint(&path, &meta, TailPolicy::Strict).expect("load");
+        let loaded = load_checkpoint(&path, &meta).expect("load");
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(loaded.shards.len(), 1);
         prop_assert!(!loaded.dropped_tail);
@@ -174,7 +190,7 @@ proptest! {
 fn writer_resume_appends_after_the_intact_prefix() {
     // Interrupted-writer lifecycle, driven directly: create, append one
     // shard, reopen via `resume` from the loaded intact prefix, append the
-    // second shard, and load the whole file back strictly.
+    // second shard, and load the whole file back with nothing torn.
     let path = tmp("resume-writer");
     let mk_points = |seed: u64| {
         vec![SweepPoint {
@@ -205,13 +221,13 @@ fn writer_resume_appends_after_the_intact_prefix() {
         let mut w = CheckpointWriter::create(&path, &meta).expect("create");
         w.append_shard(&rec(0)).expect("append shard 0");
     }
-    let header = std::fs::read_to_string(&path).expect("readable checkpoint");
+    let bytes = std::fs::read(&path).expect("readable checkpoint");
     assert!(
-        header.lines().next().unwrap_or("").contains(FORMAT),
-        "header line must carry the format tag {FORMAT}"
+        bytes.starts_with(&MAGIC),
+        "the header record must carry the record magic"
     );
-    let loaded: LoadedCheckpoint =
-        load_checkpoint(&path, &meta, TailPolicy::Strict).expect("intact prefix");
+    let loaded: LoadedCheckpoint = load_checkpoint(&path, &meta).expect("intact prefix");
+    assert!(!loaded.dropped_tail);
     assert_eq!(loaded.shards.len(), 1);
     assert_eq!(
         loaded.valid_len,
@@ -221,8 +237,9 @@ fn writer_resume_appends_after_the_intact_prefix() {
         let mut w = CheckpointWriter::resume(&path, &meta, &loaded).expect("resume");
         w.append_shard(&rec(1)).expect("append shard 1");
     }
-    let full = load_checkpoint(&path, &meta, TailPolicy::Strict).expect("full file");
+    let full = load_checkpoint(&path, &meta).expect("full file");
     std::fs::remove_file(&path).ok();
+    assert!(!full.dropped_tail);
     assert_eq!(full.shards.len(), 2);
     for (i, s) in full.shards.iter().enumerate() {
         assert_eq!(s.shard, i as u64);
@@ -253,7 +270,7 @@ fn checkpointed_run(path: &PathBuf) -> (Vec<SweepPoint>, Vec<u8>) {
 fn torn_tail_is_recovered_and_recomputed() {
     let path = tmp("torn");
     let (serial, bytes) = checkpointed_run(&path);
-    // Tear the final line mid-byte: an interrupted append, not corruption.
+    // Tear the final record: an interrupted append, not corruption.
     std::fs::write(&path, &bytes[..bytes.len() - 7]).expect("truncate");
     let s = scenario();
     let out = s
@@ -276,8 +293,8 @@ fn torn_tail_is_recovered_and_recomputed() {
 fn terminated_corrupt_line_is_a_hard_error_never_merged() {
     let path = tmp("corrupt");
     let (_serial, bytes) = checkpointed_run(&path);
-    // Flip one point byte in a *terminated* interior line: silent disk
-    // corruption, not a torn append. Must refuse under either policy.
+    // Flip one byte in a *complete* interior record: silent disk
+    // corruption, not a torn append. Must refuse.
     let mut corrupt = bytes.clone();
     let target = corrupt
         .iter()
@@ -289,7 +306,7 @@ fn terminated_corrupt_line_is_a_hard_error_never_merged() {
     let s = scenario();
     let err = s
         .coordinate(SEEDS, &fast_cfg(&path))
-        .expect_err("corrupt line must not be merged");
+        .expect_err("corrupt record must not be merged");
     match err {
         CoordinatorError::Checkpoint(
             CheckpointError::Corrupt { .. } | CheckpointError::HeaderMismatch { .. },
@@ -358,7 +375,7 @@ fn accepted_shard_is_on_disk_before_the_coordinator_can_die() {
     // find that shard on disk at the next resume. `max_new_shards: 1`
     // models the kill at the worst instant, right after the accept; the
     // writer's flush+fsync on append (and on drop) is what makes the
-    // line survive.
+    // record survive.
     let path = tmp("durable-accept");
     let mut s = scenario();
     let serial = s.sweep(SEEDS);
@@ -373,17 +390,12 @@ fn accepted_shard_is_on_disk_before_the_coordinator_can_die() {
         matches!(err, CoordinatorError::Interrupted { .. }),
         "expected Interrupted, got {err:?}"
     );
-    let text = std::fs::read_to_string(&path).expect("checkpoint survives the interrupt");
-    let lines: Vec<&str> = text.lines().collect();
+    let bytes = std::fs::read(&path).expect("checkpoint survives the interrupt");
     assert_eq!(
-        lines.len(),
-        2,
-        "header plus exactly the one accepted shard line"
-    );
-    assert!(
-        text.ends_with('\n'),
-        "the accepted line must be terminated — a torn line would be \
-         recomputed, i.e. lost"
+        record_types(&bytes),
+        [16, 17],
+        "header plus exactly the one accepted shard record, both complete \
+         — a torn record would be recomputed, i.e. lost"
     );
     let out = s
         .coordinate(SEEDS, &fast_cfg(&path))

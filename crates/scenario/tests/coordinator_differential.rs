@@ -8,8 +8,8 @@ use mlf_core::allocator::MultiRate;
 use mlf_core::LinkRateModel;
 use mlf_scenario::checkpoint::encode_point;
 use mlf_scenario::{
-    CoordinatorConfig, CoordinatorReport, CoordinatorStats, FaultEvent, FaultKind, FaultPlan,
-    Scenario, SweepGrid, SweepPoint,
+    CacheStats, CoordinatorConfig, CoordinatorReport, CoordinatorStats, FaultEvent, FaultKind,
+    FaultPlan, Scenario, SweepGrid, SweepPoint,
 };
 use std::time::Duration;
 
@@ -75,6 +75,28 @@ fn fault_free_coordinator_matches_serial_sweep() {
             }
         }
     }
+}
+
+/// With spot checks off, a fault-free run reports one miss per job, like a
+/// cold serial sweep: each worker report carries its own cache delta.
+#[test]
+fn fault_free_coordinator_reports_cold_cache_counters() {
+    let cold = scenario().sweep(0..64);
+    let cfg = CoordinatorConfig {
+        spot_check: 0,
+        // Generous, so that machine load cannot turn into a reassignment.
+        shard_timeout: Duration::from_secs(5),
+        ..fast_cfg()
+    };
+    let out = scenario().coordinate(0..64, &cfg).expect("fault-free run");
+    assert_bitwise(&out.report.points, &cold.points);
+    let want = CacheStats {
+        hits: 0,
+        misses: 64,
+        evictions: 0,
+    };
+    assert_eq!(cold.cache, want);
+    assert_eq!(out.report.cache, want);
 }
 
 #[test]

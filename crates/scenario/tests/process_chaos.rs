@@ -1,8 +1,9 @@
 //! Process-transport chaos: the supervised worker-process fleet merges
 //! bytes identical to the serial sweep under no faults, under explicit
 //! kill-the-worker-process and torn-frame plans, under the seeded
-//! six-kind process fault matrix at both fleet sizes, with the disk
-//! spill tier enabled, and across a kill-the-coordinator resume loop.
+//! six-kind process fault matrix at both fleet sizes, and across a
+//! kill-the-coordinator resume loop; a fault-free fleet also reports the
+//! cache counters of a cold serial sweep.
 //!
 //! Built with `harness = false`: child worker processes re-execute this
 //! binary, so `main` must route them into the stdio worker loop before
@@ -11,8 +12,8 @@
 use mlf_core::allocator::MultiRate;
 use mlf_scenario::checkpoint::encode_point;
 use mlf_scenario::{
-    CoordinatorConfig, CoordinatorError, FaultEvent, FaultKind, FaultPlan, ProcessConfig, Scenario,
-    SweepPoint, TransportKind,
+    CacheStats, CoordinatorConfig, CoordinatorError, FaultEvent, FaultKind, FaultPlan,
+    ProcessConfig, Scenario, SweepPoint, TransportKind,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -43,8 +44,8 @@ fn main() {
             thread_transport_survives_process_fault_plans,
         ),
         (
-            "spill_tier_serves_a_second_fleet_run",
-            spill_tier_serves_a_second_fleet_run,
+            "fault_free_process_fleet_reports_cold_cache_counters",
+            fault_free_process_fleet_reports_cold_cache_counters,
         ),
         (
             "killed_coordinator_resumes_process_fleet_to_identical_bytes",
@@ -98,7 +99,7 @@ fn process_cfg(workers: usize) -> CoordinatorConfig {
     }
 }
 
-/// A unique scratch directory for spill segments / checkpoints.
+/// A unique scratch directory for checkpoints.
 fn tmp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mlf-process-chaos-{}-{tag}", std::process::id()))
 }
@@ -216,45 +217,25 @@ fn thread_transport_survives_process_fault_plans() {
     }
 }
 
-fn spill_tier_serves_a_second_fleet_run() {
-    let dir = tmp_dir("spill");
-    let _ = std::fs::remove_dir_all(&dir);
-    // A solve cache small enough that most of the sweep is evicted (and
-    // therefore spilled) before the run ends; one worker so the second
-    // run's lookups land on the segment the first run wrote.
-    let build = || {
-        Scenario::builder()
-            .label("process-chaos")
-            .random_networks(14, 4, 4)
-            .allocator(MultiRate::new())
-            .cache_capacity(4, 4)
-            .build()
-            .expect("valid scenario spec")
-    };
-    let serial = build().sweep(SEEDS);
+/// With spot checks off, a fault-free fleet reports one miss per job, like
+/// a cold serial sweep: each worker report carries its own cache delta.
+fn fault_free_process_fleet_reports_cold_cache_counters() {
+    let cold = scenario().sweep(0..64);
     let cfg = CoordinatorConfig {
-        spill_dir: Some(dir.clone()),
-        ..process_cfg(1)
+        spot_check: 0,
+        ..process_cfg(2)
     };
-    let first = build()
-        .coordinate(SEEDS, &cfg)
-        .expect("first spill-enabled run succeeds");
-    assert_bitwise(&first.report.points, &serial.points);
-    assert!(
-        dir.join("worker-0.spill").exists(),
-        "the worker must have written its spill segment"
-    );
-    let second = build()
-        .coordinate(SEEDS, &cfg)
-        .expect("second spill-enabled run succeeds");
-    assert_bitwise(&second.report.points, &serial.points);
-    assert!(
-        second.stats.spill_hits > 0,
-        "the second run must be served from the spill segment (stats: {:?})",
-        second.stats
-    );
-    assert_eq!(second.stats.spill_corrupt_segments, 0);
-    let _ = std::fs::remove_dir_all(&dir);
+    let out = scenario()
+        .coordinate(0..64, &cfg)
+        .expect("fault-free process run succeeds");
+    assert_bitwise(&out.report.points, &cold.points);
+    let want = CacheStats {
+        hits: 0,
+        misses: 64,
+        evictions: 0,
+    };
+    assert_eq!(cold.cache, want);
+    assert_eq!(out.report.cache, want);
 }
 
 fn killed_coordinator_resumes_process_fleet_to_identical_bytes() {
@@ -266,12 +247,11 @@ fn killed_coordinator_resumes_process_fleet_to_identical_bytes() {
     let serial = s.sweep(SEEDS);
     // Accept exactly one new shard per run, then die — a coordinator kill
     // at every shard boundary, each restart driving a fresh process fleet
-    // against the same checkpoint and spill directory.
+    // against the same checkpoint.
     let mut kills = 0u32;
     let out = loop {
         let cfg = CoordinatorConfig {
             checkpoint: Some(ckpt.clone()),
-            spill_dir: Some(dir.join("spill")),
             max_new_shards: Some(1),
             ..process_cfg(2)
         };

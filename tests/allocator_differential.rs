@@ -1,21 +1,15 @@
 //! Differential coverage for the unified `Allocator` API: on every paper
 //! figure network, each `Allocator` implementation must produce
-//! **bitwise-identical** allocations to the legacy free function it
-//! replaces, workspace reuse must be transparent, and `Scenario::sweep`
-//! must be deterministic under a fixed seed.
-//!
-//! The legacy functions are deprecated shims, so this file is the one place
-//! that still calls them — deliberately.
-
-#![allow(deprecated)]
+//! **bitwise-identical** allocations to the legacy engine it replaced —
+//! the pre-index solvers frozen verbatim in `mlf_core::reference`, which
+//! the old free functions ran — workspace reuse must be transparent, and
+//! `Scenario::sweep` must be deterministic under a fixed seed.
 
 use mlf_core::allocator::{
-    Allocator, Hybrid, MultiRate, SingleRate, SolverWorkspace, Unicast, Weighted,
+    Allocator, Hybrid, MultiRate, Regimes, SingleRate, SolverWorkspace, Unicast, Weighted,
 };
-use mlf_core::{
-    max_min_allocation, max_min_allocation_with, multi_rate_max_min, single_rate_max_min,
-    unicast::unicast_max_min, weighted::weighted_max_min, LinkRateConfig, LinkRateModel, Weights,
-};
+use mlf_core::{reference, Allocation, LinkRateConfig, LinkRateModel, Weights};
+use mlf_net::SessionType;
 use mlf_net::{paper, Network};
 use mlf_scenario::{Scenario, SweepGrid};
 
@@ -42,9 +36,9 @@ fn paper_networks() -> Vec<(&'static str, Network)> {
     ]
 }
 
-/// Exact (bitwise) equality of allocations — the shims delegate to the same
-/// engine, so not even the last ulp may differ.
-fn assert_bitwise(name: &str, legacy: &mlf_core::Allocation, new: &mlf_core::Allocation) {
+/// Exact (bitwise) equality of allocations — the trait engines reproduce the
+/// legacy engine exactly, so not even the last ulp may differ.
+fn assert_bitwise(name: &str, legacy: &Allocation, new: &Allocation) {
     assert_eq!(
         legacy.rates(),
         new.rates(),
@@ -52,11 +46,21 @@ fn assert_bitwise(name: &str, legacy: &mlf_core::Allocation, new: &mlf_core::All
     );
 }
 
+fn efficient(net: &Network) -> LinkRateConfig {
+    LinkRateConfig::efficient(net.session_count())
+}
+
+/// The legacy engine with every session forced to one type, efficient
+/// link rates.
+fn legacy_uniform(net: &Network, kind: SessionType) -> Allocation {
+    reference::solve_in(net, &efficient(net), &Regimes::Uniform(kind)).allocation
+}
+
 #[test]
 fn hybrid_matches_max_min_allocation_on_every_paper_network() {
     let mut ws = SolverWorkspace::new();
     for (name, net) in paper_networks() {
-        let legacy = max_min_allocation(&net);
+        let legacy = reference::solve(&net, &efficient(&net)).allocation;
         let new = Hybrid::as_declared().solve(&net, &mut ws).allocation;
         assert_bitwise(name, &legacy, &new);
     }
@@ -74,7 +78,7 @@ fn hybrid_with_config_matches_max_min_allocation_with() {
     for (name, net) in paper_networks() {
         for model in models {
             let cfg = LinkRateConfig::uniform(net.session_count(), model);
-            let legacy = max_min_allocation_with(&net, &cfg);
+            let legacy = reference::solve(&net, &cfg).allocation;
             let new = Hybrid::as_declared()
                 .with_config(cfg)
                 .solve(&net, &mut ws)
@@ -88,7 +92,7 @@ fn hybrid_with_config_matches_max_min_allocation_with() {
 fn multi_rate_matches_its_legacy_function() {
     let mut ws = SolverWorkspace::new();
     for (name, net) in paper_networks() {
-        let legacy = multi_rate_max_min(&net);
+        let legacy = legacy_uniform(&net, SessionType::MultiRate);
         let new = MultiRate::new().solve(&net, &mut ws).allocation;
         assert_bitwise(name, &legacy, &new);
     }
@@ -98,7 +102,7 @@ fn multi_rate_matches_its_legacy_function() {
 fn single_rate_matches_its_legacy_function() {
     let mut ws = SolverWorkspace::new();
     for (name, net) in paper_networks() {
-        let legacy = single_rate_max_min(&net);
+        let legacy = legacy_uniform(&net, SessionType::SingleRate);
         let new = SingleRate::new().solve(&net, &mut ws).allocation;
         assert_bitwise(name, &legacy, &new);
     }
@@ -124,7 +128,7 @@ fn weighted_matches_its_legacy_function_on_multi_rate_networks() {
                 })
                 .collect(),
         );
-        let legacy = weighted_max_min(&net, &weights);
+        let legacy = reference::weighted_solve(&net, &weights).allocation;
         let new = Weighted::new(weights).solve(&net, &mut ws).allocation;
         assert_bitwise(name, &legacy, &new);
     }
@@ -137,7 +141,7 @@ fn unicast_matches_its_legacy_function_on_unicast_networks() {
         if !net.sessions().iter().all(|s| s.is_unicast()) {
             continue; // single_link qualifies; the multicast figures don't
         }
-        let legacy = unicast_max_min(&net);
+        let legacy = reference::unicast_solve(&net).allocation;
         let new = Unicast::new().solve(&net, &mut ws).allocation;
         assert_bitwise(name, &legacy, &new);
     }
@@ -224,12 +228,12 @@ fn shims_and_trait_also_agree_on_random_networks() {
         let net = mlf_net::topology::random_network(seed, 14, 5, 4).unwrap();
         assert_bitwise(
             &format!("random-{seed}"),
-            &max_min_allocation(&net),
+            &reference::solve(&net, &efficient(&net)).allocation,
             &Hybrid::as_declared().solve(&net, &mut ws).allocation,
         );
         assert_bitwise(
             &format!("random-{seed}/single"),
-            &single_rate_max_min(&net),
+            &legacy_uniform(&net, SessionType::SingleRate),
             &SingleRate::new().solve(&net, &mut ws).allocation,
         );
     }
