@@ -45,9 +45,9 @@ use mlf_net::{Network, SessionType};
 ///
 /// A workspace owns every buffer a solve needs — per-receiver rate/active/
 /// reason tables, the piecewise-linear term and breakpoint arrays, and
-/// per-link scratch — so repeated [`Allocator::solve`] calls (parameter
-/// sweeps, simulation loops) reuse allocations instead of re-allocating per
-/// call. A workspace may be shared freely across allocators and networks of
+/// per-link and per-position state — so repeated [`Allocator::solve`]
+/// calls (parameter sweeps, simulation loops) reuse allocations instead of
+/// re-allocating per call. A workspace may be shared freely across allocators and networks of
 /// different shapes; buffers are resized, not reallocated, when shapes
 /// repeat.
 ///
@@ -60,7 +60,10 @@ use mlf_net::{Network, SessionType};
 /// maximum weight among active receivers. Between freeze events the
 /// solvers never rescan `links × sessions × receivers`; when a receiver
 /// freezes, `SolverWorkspace::note_freeze` recomputes the aggregates of
-/// exactly the slots on that receiver's data-path.
+/// exactly the slots on that receiver's data-path, and clears its
+/// per-position active flags (one per slot it sits in, aligned with the
+/// index's flat receiver array), storing its `RandomJoin` miss factor
+/// there when its session has one (see [`crate::maxmin`]).
 ///
 /// **The incremental-load invariant**: after every freeze, each slot's
 /// aggregates equal the ascending-receiver-order fold over the live
@@ -82,14 +85,22 @@ pub struct SolverWorkspace {
     pub(crate) terms: Vec<(f64, f64)>,
     /// Sorted breakpoint scan buffer.
     pub(crate) breakpoints: Vec<f64>,
-    /// Per-call scratch rates (e.g. a session's rates on one link).
-    pub(crate) scratch: Vec<f64>,
     /// Per-link accumulator (bandwidth used by frozen unicast flows).
     pub(crate) link_used: Vec<f64>,
     /// Per-link flags (binding links in the unicast solver).
     pub(crate) link_flag: Vec<bool>,
+    /// `(estimate, link)` of the links a round still has to bisect.
+    pub(crate) pending: Vec<(f64, usize)>,
     /// The CSR incidence index of the network being solved.
     pub(crate) index: NetworkIndex,
+    /// Per-position active flags, aligned with the index's flat
+    /// `slot_receivers` array (see [`NetworkIndex`]): position `p` of slot
+    /// `(j, i)` is receiver `(i, slot_receivers[p])` on link `j`.
+    pub(crate) pos_active: Vec<bool>,
+    /// Per-position `RandomJoin` miss factor `1 − a.min(σ).max(0)/σ` of a
+    /// frozen receiver, written when it freezes. Read only at frozen
+    /// positions of `RandomJoin` sessions.
+    pub(crate) pos_miss: Vec<f64>,
     /// Per-slot count of active receivers.
     pub(crate) slot_active: Vec<usize>,
     /// Per-slot frozen-rate sum (ascending-receiver fold; `Sum` model).
@@ -105,7 +116,46 @@ pub struct SolverWorkspace {
     pub(crate) session_active: Vec<usize>,
     /// Total count of active receivers.
     pub(crate) active_total: usize,
+    /// Work done by every solve this workspace served.
+    pub(crate) counters: SolveCounters,
     solves: u64,
+}
+
+/// Exact work counters of the solves a [`SolverWorkspace`] served, summed
+/// over its lifetime (read them with [`SolverWorkspace::counters`]).
+///
+/// The counts are deterministic functions of the solved networks: a
+/// workspace reused across solves reports the sum of what fresh
+/// workspaces report for each solve, and two runs of the same solves
+/// report equal counters. No clock is involved; callers that want time
+/// measure it themselves.
+// mlf-lint: allow(unused-pub, reason = "reachable through SolverWorkspace::counters; the ident-based usage scan cannot see type flow")
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolveCounters {
+    /// Progressive-filling rounds (the `iterations` of every solution).
+    pub freeze_rounds: u64,
+    /// Evaluations of one link's load `u_j(ℓ)` at a candidate level, by
+    /// the link-freeze pass and the `RandomJoin` saturation search
+    /// (bracket checks and bisection steps).
+    pub link_load_evals: u64,
+    /// Halving steps of the `RandomJoin` saturation bisection.
+    pub bisection_steps: u64,
+    /// Bisections stopped early because their lower bound already reached
+    /// the round's running minimum saturation level.
+    pub early_exits: u64,
+    /// Bisections that used every one of their 200 steps without meeting
+    /// the convergence tolerance.
+    pub cap_hits: u64,
+}
+
+impl std::ops::AddAssign for SolveCounters {
+    fn add_assign(&mut self, other: SolveCounters) {
+        self.freeze_rounds += other.freeze_rounds;
+        self.link_load_evals += other.link_load_evals;
+        self.bisection_steps += other.bisection_steps;
+        self.early_exits += other.early_exits;
+        self.cap_hits += other.cap_hits;
+    }
 }
 
 impl SolverWorkspace {
@@ -117,6 +167,11 @@ impl SolverWorkspace {
     /// How many solves this workspace has served (telemetry for benches).
     pub fn solves(&self) -> u64 {
         self.solves
+    }
+
+    /// The work counters summed over every solve this workspace served.
+    pub fn counters(&self) -> SolveCounters {
+        self.counters
     }
 
     /// Size the per-receiver tables for `net` and reset them to the
@@ -153,6 +208,11 @@ impl SolverWorkspace {
         self.slot_frozen_max.resize(slots, 0.0);
         self.slot_wmax.clear();
         self.slot_wmax.resize(slots, 0.0);
+        let positions = self.index.position_count();
+        self.pos_active.clear();
+        self.pos_active.resize(positions, true);
+        self.pos_miss.clear();
+        self.pos_miss.resize(positions, 1.0);
         for slot in 0..slots {
             self.slot_active.push(self.index.slot_len(slot));
         }
@@ -173,27 +233,35 @@ impl SolverWorkspace {
     }
 
     /// Account a just-frozen receiver `(i, k)`: decrement the active
-    /// counters and recompute the frozen aggregates of every slot on the
-    /// receiver's data-path by the ascending-receiver fold (see the
-    /// incremental-load invariant in the type docs). The caller must have
-    /// already cleared `active[i][k]` and stored the final rate in
-    /// `rates[i][k]`.
-    pub(crate) fn note_freeze(&mut self, i: usize, k: usize) {
+    /// counters, clear its position flags, store its `RandomJoin` miss
+    /// factor `miss` (when its session has one) at every position, and
+    /// recompute the frozen aggregates of every slot on the receiver's
+    /// data-path by the ascending-receiver fold (see the incremental-load
+    /// invariant in the type docs). The caller must have already cleared
+    /// `active[i][k]` and stored the final rate in `rates[i][k]`.
+    pub(crate) fn note_freeze(&mut self, i: usize, k: usize, miss: Option<f64>) {
         debug_assert!(!self.active[i][k], "freeze bookkeeping before the flag");
         self.session_active[i] -= 1;
         self.active_total -= 1;
         let flat = self.index.flat(i, k);
-        for &(j, slot) in self.index.route_slots(flat) {
+        let route = self.index.route_slots(flat);
+        let positions = self.index.route_positions(flat);
+        for (&(j, slot), &pos) in route.iter().zip(positions) {
             self.link_active[j] -= 1;
+            self.pos_active[pos] = false;
+            if let Some(miss) = miss {
+                self.pos_miss[pos] = miss;
+            }
             let mut active = 0usize;
             let mut frozen_sum = 0.0_f64;
             let mut frozen_max = 0.0_f64;
-            for &kk in self.index.slot_receivers(slot) {
-                if self.active[i][kk] {
+            for p in self.index.slot_positions(slot) {
+                if self.pos_active[p] {
                     active += 1;
                 } else {
-                    frozen_sum += self.rates[i][kk];
-                    frozen_max = frozen_max.max(self.rates[i][kk]);
+                    let a = self.rates[i][self.index.position_receiver(p)];
+                    frozen_sum += a;
+                    frozen_max = frozen_max.max(a);
                 }
             }
             self.slot_active[slot] = active;
@@ -205,7 +273,7 @@ impl SolverWorkspace {
     /// [`SolverWorkspace::note_freeze`] plus maintenance of the per-slot
     /// active-weight maximum the weighted solver reads (`slot_wmax`).
     pub(crate) fn note_freeze_weighted(&mut self, i: usize, k: usize, weights: &[Vec<f64>]) {
-        self.note_freeze(i, k);
+        self.note_freeze(i, k, None);
         let flat = self.index.flat(i, k);
         for &(_, slot) in self.index.route_slots(flat) {
             let mut wmax = 0.0_f64;
@@ -219,8 +287,10 @@ impl SolverWorkspace {
     }
 
     /// Package the frozen state as a [`MaxMinSolution`] (the only
-    /// allocations a warm solve performs are for this owned output).
-    pub(crate) fn take_solution(&self, iterations: usize) -> MaxMinSolution {
+    /// allocations a warm solve performs are for this owned output) and
+    /// count the solve's rounds.
+    pub(crate) fn take_solution(&mut self, iterations: usize) -> MaxMinSolution {
+        self.counters.freeze_rounds += iterations as u64;
         MaxMinSolution {
             allocation: Allocation::from_rates(self.rates.clone()),
             reasons: self
@@ -692,6 +762,47 @@ mod tests {
             assert_eq!(warm.allocation.rates(), cold.rates(), "seed {seed}");
         }
         assert_eq!(ws.solves(), 10);
+    }
+
+    /// Counters are exact work counts: a workspace reused across solves
+    /// reports the sum of what a fresh workspace reports per solve, and
+    /// the Figure-5 shape never runs a bisection into its step cap.
+    #[test]
+    fn solve_counters_are_deterministic_sums() {
+        use mlf_net::topology::random_network_with;
+        use mlf_net::TopologyFamily;
+        let mut reused = SolverWorkspace::new();
+        let mut summed = SolveCounters::default();
+        for family in [
+            TopologyFamily::FlatTree,
+            TopologyFamily::KaryTree { arity: 3 },
+            TopologyFamily::TransitStub { transit: 4 },
+            TopologyFamily::Dumbbell,
+        ] {
+            for seed in 0..16u64 {
+                let net = random_network_with(family, seed, 30, 8, 5).unwrap();
+                let cfg = LinkRateConfig::uniform(
+                    net.session_count(),
+                    LinkRateModel::RandomJoin { sigma: 6.0 },
+                );
+                let allocator = MultiRate::with_config(cfg);
+                let warm = allocator.solve(&net, &mut reused);
+                let mut fresh = SolverWorkspace::new();
+                let cold = allocator.solve(&net, &mut fresh);
+                assert_eq!(warm, cold);
+                assert_eq!(
+                    fresh.counters().freeze_rounds,
+                    cold.iterations as u64,
+                    "one round per iteration"
+                );
+                summed += fresh.counters();
+            }
+        }
+        let counters = reused.counters();
+        assert_eq!(counters, summed);
+        assert_eq!(counters.cap_hits, 0);
+        assert!(counters.bisection_steps > 0 && counters.early_exits > 0);
+        assert!(counters.link_load_evals > counters.bisection_steps);
     }
 
     #[test]

@@ -18,7 +18,15 @@
 //!   indices `k ∈ R_{i,j}`, in **ascending receiver order**.
 //! * `recv_offsets` — session-major flat numbering of receivers.
 //! * `route_offsets` / `route_slots` — for each (flat) receiver, the
-//!   `(link, slot)` pairs along its data-path, in route order.
+//!   `(link, slot)` pairs along its data-path, in route order, plus
+//!   `route_pos`: where the receiver sits in each of those slots.
+//!
+//! An index into `slot_receivers` is a *position*: one
+//! `(link, session, receiver)` incidence. Per-position state in
+//! [`SolverWorkspace`](crate::allocator::SolverWorkspace) (active flags,
+//! `RandomJoin` miss factors) is aligned with `slot_receivers`, so a
+//! slot's positions fold in the same ascending-receiver order as its
+//! receiver list.
 //!
 //! The ascending orders are load-bearing: the solvers' floating-point
 //! accumulations (frozen-rate sums and maxima, per-link load terms) must
@@ -56,6 +64,9 @@ pub struct NetworkIndex {
     route_offsets: Vec<usize>,
     /// `(link, slot)` pairs along each receiver's data-path, route order.
     route_slots: Vec<(usize, usize)>,
+    /// The receiver's position in each slot of `route_slots` (an index
+    /// into `slot_receivers`), aligned with `route_slots`.
+    route_pos: Vec<usize>,
 }
 
 impl NetworkIndex {
@@ -98,6 +109,7 @@ impl NetworkIndex {
 
         self.route_offsets.clear();
         self.route_slots.clear();
+        self.route_pos.clear();
         for (i, s) in net.sessions().iter().enumerate() {
             for k in 0..s.receivers.len() {
                 self.route_offsets.push(self.route_slots.len());
@@ -106,7 +118,13 @@ impl NetworkIndex {
                         .slot_of(l.0, i)
                         // mlf-lint: allow(panic-unwrap, reason = "the slot table was just built from these same routes, so every (link, session) pair resolves")
                         .expect("every route link carries its own session");
+                    let offset = self
+                        .slot_receivers(slot)
+                        .binary_search(&k)
+                        // mlf-lint: allow(panic-unwrap, reason = "the slot's receiver list was built from the receivers routed over this link, this one included")
+                        .expect("a routed receiver sits in its slot");
                     self.route_slots.push((l.0, slot));
+                    self.route_pos.push(self.slot_recv_offsets[slot] + offset);
                 }
             }
         }
@@ -144,13 +162,31 @@ impl NetworkIndex {
     // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
     #[inline]
     pub fn slot_receivers(&self, slot: usize) -> &[usize] {
-        &self.slot_receivers[self.slot_recv_offsets[slot]..self.slot_recv_offsets[slot + 1]]
+        &self.slot_receivers[self.slot_positions(slot)]
+    }
+
+    /// The positions of a slot: indices into the flat receiver array,
+    /// ascending with the receiver indices they hold.
+    #[inline]
+    pub(crate) fn slot_positions(&self, slot: usize) -> std::ops::Range<usize> {
+        self.slot_recv_offsets[slot]..self.slot_recv_offsets[slot + 1]
+    }
+
+    /// The receiver index `k` held at a position.
+    #[inline]
+    pub(crate) fn position_receiver(&self, pos: usize) -> usize {
+        self.slot_receivers[pos]
+    }
+
+    /// Total number of positions (`Σ_slots |R_{i,j}|`).
+    pub(crate) fn position_count(&self) -> usize {
+        self.slot_receivers.len()
     }
 
     /// How many receivers a slot holds (`|R_{i,j}|`).
     #[inline]
     pub(crate) fn slot_len(&self, slot: usize) -> usize {
-        self.slot_recv_offsets[slot + 1] - self.slot_recv_offsets[slot]
+        self.slot_positions(slot).len()
     }
 
     /// The session-major flat id of receiver `(i, k)`.
@@ -164,6 +200,13 @@ impl NetworkIndex {
     #[inline]
     pub fn route_slots(&self, flat: usize) -> &[(usize, usize)] {
         &self.route_slots[self.route_offsets[flat]..self.route_offsets[flat + 1]]
+    }
+
+    /// The positions of flat receiver `r` in the slots of
+    /// [`NetworkIndex::route_slots`], aligned with them.
+    #[inline]
+    pub(crate) fn route_positions(&self, flat: usize) -> &[usize] {
+        &self.route_pos[self.route_offsets[flat]..self.route_offsets[flat + 1]]
     }
 
     /// The slot of `(link j, session i)`, if session `i` crosses link `j`.
@@ -226,6 +269,12 @@ mod tests {
                     let links: Vec<usize> = idx.route_slots(flat).iter().map(|&(j, _)| j).collect();
                     let expected: Vec<usize> = net.route(r).iter().map(|l| l.0).collect();
                     assert_eq!(links, expected, "route of {r:?}");
+                    let positions = idx.route_positions(flat);
+                    assert_eq!(positions.len(), idx.route_slots(flat).len());
+                    for (&(_, slot), &pos) in idx.route_slots(flat).iter().zip(positions) {
+                        assert!(idx.slot_positions(slot).contains(&pos));
+                        assert_eq!(idx.position_receiver(pos), r.index);
+                    }
                     for &(j, slot) in idx.route_slots(flat) {
                         assert_eq!(idx.slot_session(slot), r.session.0);
                         assert!(idx.slot_receivers(slot).contains(&r.index));

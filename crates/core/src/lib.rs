@@ -89,7 +89,8 @@ pub mod weighted;
 pub use allocation::Allocation;
 pub use allocation::FeasibilityViolation;
 pub use allocator::{
-    Allocator, Hybrid, MultiRate, Regimes, SingleRate, SolverWorkspace, Unicast, Weighted,
+    Allocator, Hybrid, MultiRate, Regimes, SingleRate, SolveCounters, SolverWorkspace, Unicast,
+    Weighted,
 };
 pub use linkrate::{LinkRateConfig, LinkRateModel};
 pub use maxmin::FreezeReason;

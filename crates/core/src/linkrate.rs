@@ -79,6 +79,33 @@ impl LinkRateModel {
         }
     }
 
+    /// Check the model's parameter against its domain: `RandomJoin` needs
+    /// a finite layer rate `σ > 0`, and `Scaled` a finite factor `≥ 1`
+    /// (below 1 it breaks the paper's premise `v(X) ≥ max X`). Returns
+    /// why the parameter is invalid.
+    ///
+    /// The solver assumes a valid model: `σ = 0` reports every rate as 0,
+    /// and a NaN `σ` stalls progressive filling.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        match *self {
+            LinkRateModel::Efficient | LinkRateModel::Sum => Ok(()),
+            LinkRateModel::Scaled(factor) => {
+                if factor.is_finite() && factor >= 1.0 {
+                    Ok(())
+                } else {
+                    Err("Scaled needs a finite redundancy factor >= 1")
+                }
+            }
+            LinkRateModel::RandomJoin { sigma } => {
+                if sigma.is_finite() && sigma > 0.0 {
+                    Ok(())
+                } else {
+                    Err("RandomJoin needs a finite layer rate sigma > 0")
+                }
+            }
+        }
+    }
+
     /// The redundancy `v(X) / max X` this model exhibits on a link with the
     /// given downstream rates (Definition 3). Returns 1 for empty/zero sets.
     pub fn redundancy(&self, rates: &[f64]) -> f64 {
@@ -139,7 +166,6 @@ impl LinkRateConfig {
     }
 
     /// Explicit per-session models.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
     pub fn per_session(models: Vec<LinkRateModel>) -> Self {
         LinkRateConfig { models }
     }
@@ -231,6 +257,35 @@ mod tests {
         for rates in [&[0.1, 0.9][..], &[0.2, 0.2, 0.2], &[0.99, 0.5]] {
             let max = rates.iter().cloned().fold(0.0_f64, f64::max);
             assert!(m.link_rate(rates) >= max - EPS);
+        }
+    }
+
+    #[test]
+    fn validate_rejects_parameters_outside_the_domain() {
+        use LinkRateModel::*;
+        for ok in [
+            Efficient,
+            Sum,
+            Scaled(1.0),
+            Scaled(2.5),
+            RandomJoin { sigma: 6.0 },
+            RandomJoin { sigma: 1e-9 },
+        ] {
+            assert_eq!(ok.validate(), Ok(()), "{ok:?}");
+        }
+        for bad in [
+            Scaled(0.5),
+            Scaled(-1.0),
+            Scaled(f64::NAN),
+            Scaled(f64::INFINITY),
+            RandomJoin { sigma: 0.0 },
+            RandomJoin { sigma: -1.0 },
+            RandomJoin { sigma: f64::NAN },
+            RandomJoin {
+                sigma: f64::INFINITY,
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
         }
     }
 

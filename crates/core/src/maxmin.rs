@@ -55,6 +55,41 @@
 //! their receiver lists at evaluation points — their accumulation order is
 //! part of the bitwise contract — but only over the link's own receivers,
 //! never over every session in the network.
+//!
+//! # `RandomJoin` loads: per-position miss factors
+//!
+//! A `RandomJoin{σ}` session's link rate is `σ(1 − ∏_t(1 − a_t/σ))`,
+//! folded by `LinkRateModel::link_rate` in ascending-receiver order as
+//! `miss *= 1 − a.min(σ).max(0)/σ`. The workspace keeps, per *position*
+//! (one entry of the index's flat `slot_receivers` array), an active flag
+//! and — once the receiver froze — its factor `1 − a.min(σ).max(0)/σ`,
+//! written when it freezes (its rate never changes afterwards). A load
+//! evaluation at level `ℓ` computes the active factor
+//! `g = 1 − ℓ.min(σ).max(0)/σ` once and folds, over the slot's positions
+//! in order, `miss *= active ? g : factor`. **Invariant:** these are the
+//! same floating-point operations on the same operands in the same order
+//! as `link_rate` on the slot's rates (frozen `a`, active `ℓ`), so every
+//! load is bit-for-bit the reference's; only the copy into a scratch
+//! buffer and the recomputation of frozen factors are gone.
+//!
+//! # The exact early exit
+//!
+//! A round needs only `next = min(upper, min_j ℓ_j)` over the links'
+//! saturation levels `ℓ_j`, so each bisection is handed the running
+//! minimum `best` and stops as soon as its lower end `lo ≥ best`. This is
+//! exact: inside the loop `lo` only rises (it moves only to a midpoint
+//! above it), so the full bisection would have returned some value
+//! `≥ lo ≥ best`, and `min(best, ·)` is `best` either way. The bracket
+//! pre-checks (`u_j(upper) ≤ c_j + ε`, `u_j(level) ≥ c_j − ε`) run
+//! unchanged, and for the same reason the links may be bisected in any
+//! order: links settled without a bisection (piecewise-linear links and
+//! settled brackets) go first, the rest in ascending order of a linear
+//! interpolation of their bracket, so `best` falls early. `min` is
+//! order-independent on the non-negative, non-NaN levels involved, so the
+//! order changes how much work a round does, never its result.
+//! [`crate::allocator::SolveCounters`] counts that work: load
+//! evaluations, bisection steps, early exits, and bisections that hit the
+//! 200-step cap.
 
 use crate::allocation::{Allocation, RATE_EPS};
 use crate::allocator::{Regimes, SolverWorkspace};
@@ -187,15 +222,28 @@ impl State<'_> {
         debug_assert!(upper.is_finite(), "session max rates are finite");
 
         // The next level is the smallest saturation level over all links
-        // (clamped to `upper`).
+        // (clamped to `upper`). Links settled without a bisection go first;
+        // the rest are bisected in ascending order of their estimated
+        // level, so the running minimum falls early and later bisections
+        // stop early (see `saturation_level_bisect`).
         let mut next = upper;
+        let mut pending = std::mem::take(&mut self.ws.pending);
+        pending.clear();
         for j in 0..self.net.link_count() {
             if self.ws.link_active[j] == 0 {
                 continue;
             }
-            let lj = self.link_saturation_level(j, upper);
+            match self.link_saturation_level(j, upper) {
+                Saturation::Level(lj) => next = next.min(lj),
+                Saturation::Bracketed(estimate) => pending.push((estimate, j)),
+            }
+        }
+        pending.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for &(_, j) in &pending {
+            let lj = self.saturation_level_bisect(j, upper, next);
             next = next.min(lj);
         }
+        self.ws.pending = pending;
         debug_assert!(
             next >= self.level - RATE_EPS,
             "water level must not decrease"
@@ -219,10 +267,8 @@ impl State<'_> {
                 let kappa = self.effective_kappa(i);
                 for k in 0..self.ws.rates[i].len() {
                     if self.ws.active[i][k] {
-                        self.ws.active[i][k] = false;
                         self.ws.rates[i][k] = kappa;
-                        self.ws.reasons[i][k] = Some(FreezeReason::MaxRate);
-                        self.ws.note_freeze(i, k);
+                        self.freeze(i, k, FreezeReason::MaxRate);
                         froze_any = true;
                     }
                 }
@@ -251,14 +297,12 @@ impl State<'_> {
                     // Freeze the whole session (step 7).
                     for k in 0..self.ws.rates[i].len() {
                         if self.ws.active[i][k] {
-                            self.ws.active[i][k] = false;
-                            self.ws.reasons[i][k] =
-                                Some(if self.ws.index.slot_receivers(slot).contains(&k) {
-                                    FreezeReason::Link(link)
-                                } else {
-                                    FreezeReason::SessionClosure
-                                });
-                            self.ws.note_freeze(i, k);
+                            let reason = if self.ws.index.slot_receivers(slot).contains(&k) {
+                                FreezeReason::Link(link)
+                            } else {
+                                FreezeReason::SessionClosure
+                            };
+                            self.freeze(i, k, reason);
                             froze_any = true;
                         }
                     }
@@ -267,9 +311,7 @@ impl State<'_> {
                     for t in 0..on_len {
                         let k = self.ws.index.slot_receivers(slot)[t];
                         if self.ws.active[i][k] {
-                            self.ws.active[i][k] = false;
-                            self.ws.reasons[i][k] = Some(FreezeReason::Link(link));
-                            self.ws.note_freeze(i, k);
+                            self.freeze(i, k, FreezeReason::Link(link));
                             froze_any = true;
                         }
                     }
@@ -284,56 +326,86 @@ impl State<'_> {
         );
     }
 
-    /// Fill the workspace scratch buffer with the slot session's rates if
-    /// the level were `ℓ` (frozen rates stay fixed, active ones take `ℓ`).
-    fn fill_slot_rates_at(&mut self, slot: usize, i: usize, level: f64) {
-        let ws = &mut *self.ws;
-        ws.scratch.clear();
-        for &k in ws.index.slot_receivers(slot) {
-            ws.scratch.push(if ws.active[i][k] {
-                level
-            } else {
-                ws.rates[i][k]
-            });
-        }
+    /// Freeze active receiver `(i, k)` at its current rate: clear its flag,
+    /// record why, and hand the workspace its `RandomJoin` miss factor
+    /// when the session has one.
+    fn freeze(&mut self, i: usize, k: usize, reason: FreezeReason) {
+        self.ws.active[i][k] = false;
+        self.ws.reasons[i][k] = Some(reason);
+        let miss = match *self.cfg.model(i) {
+            LinkRateModel::RandomJoin { sigma } => Some(miss_factor(self.ws.rates[i][k], sigma)),
+            _ => None,
+        };
+        self.ws.note_freeze(i, k, miss);
     }
 
     /// The load `u_j(ℓ)` of link `j` at hypothetical level `ℓ`.
     ///
     /// `Efficient`/`Scaled` sessions read the cached slot aggregates (their
-    /// load is a max, which the incremental fold reproduces exactly);
-    /// `Sum`/`RandomJoin` sessions rescan their receivers so the
-    /// floating-point accumulation keeps the reference's ascending-receiver
-    /// order.
+    /// load is a max, which the incremental fold reproduces exactly).
+    /// `Sum`/`RandomJoin` sessions fold over the slot's positions in
+    /// ascending-receiver order, the order `LinkRateModel::link_rate`
+    /// folds its argument in: `Sum` adds the rates, `RandomJoin`
+    /// multiplies the frozen receivers' stored miss factors with the
+    /// active receivers' shared factor `g = 1 − ℓ.min(σ).max(0)/σ`.
     fn link_load_at(&mut self, j: usize, level: f64) -> f64 {
+        let ws = &mut *self.ws;
+        ws.counters.link_load_evals += 1;
         let mut total = 0.0;
-        for slot in self.ws.index.link_slots(j) {
-            let i = self.ws.index.slot_session(slot);
+        // (σ, g) of the last RandomJoin slot: sessions sharing a layer
+        // rate share the active factor.
+        let mut shared: Option<(f64, f64)> = None;
+        for slot in ws.index.link_slots(j) {
+            let i = ws.index.slot_session(slot);
             match *self.cfg.model(i) {
                 LinkRateModel::Efficient => {
-                    let frozen_max = self.ws.slot_frozen_max[slot];
-                    total += if self.ws.slot_active[slot] > 0 {
+                    let frozen_max = ws.slot_frozen_max[slot];
+                    total += if ws.slot_active[slot] > 0 {
                         frozen_max.max(level.max(0.0))
                     } else {
                         frozen_max
                     };
                 }
                 LinkRateModel::Scaled(factor) => {
-                    let frozen_max = self.ws.slot_frozen_max[slot];
-                    let max = if self.ws.slot_active[slot] > 0 {
+                    let frozen_max = ws.slot_frozen_max[slot];
+                    let max = if ws.slot_active[slot] > 0 {
                         frozen_max.max(level.max(0.0))
                     } else {
                         frozen_max
                     };
-                    total += if self.ws.index.slot_len(slot) >= 2 {
+                    total += if ws.index.slot_len(slot) >= 2 {
                         factor * max
                     } else {
                         max
                     };
                 }
-                LinkRateModel::Sum | LinkRateModel::RandomJoin { .. } => {
-                    self.fill_slot_rates_at(slot, i, level);
-                    total += self.cfg.model(i).link_rate(&self.ws.scratch);
+                LinkRateModel::Sum => {
+                    total += ws
+                        .index
+                        .slot_positions(slot)
+                        .map(|p| {
+                            if ws.pos_active[p] {
+                                level
+                            } else {
+                                ws.rates[i][ws.index.position_receiver(p)]
+                            }
+                        })
+                        .sum::<f64>();
+                }
+                LinkRateModel::RandomJoin { sigma } => {
+                    let g = match shared {
+                        Some((s, g)) if s.to_bits() == sigma.to_bits() => g,
+                        _ => {
+                            let g = miss_factor(level, sigma);
+                            shared = Some((sigma, g));
+                            g
+                        }
+                    };
+                    let mut miss_all = 1.0;
+                    for p in ws.index.slot_positions(slot) {
+                        miss_all *= if ws.pos_active[p] { g } else { ws.pos_miss[p] };
+                    }
+                    total += sigma * (1.0 - miss_all);
                 }
             }
         }
@@ -342,30 +414,48 @@ impl State<'_> {
 
     /// Whether raising the level marginally above the current value would
     /// raise the slot session's rate on its link (the free-rider test).
-    fn session_marginal_on(&mut self, slot: usize, i: usize) -> bool {
-        if self.ws.slot_active[slot] == 0 {
+    fn session_marginal_on(&self, slot: usize, i: usize) -> bool {
+        let ws = &*self.ws;
+        if ws.slot_active[slot] == 0 {
             return false;
         }
         match *self.cfg.model(i) {
             LinkRateModel::Efficient | LinkRateModel::Scaled(_) => {
                 // Marginal iff no frozen session-mate on this link holds a
                 // higher rate than the level.
-                self.level >= self.ws.slot_frozen_max[slot] - RATE_EPS
+                self.level >= ws.slot_frozen_max[slot] - RATE_EPS
             }
             LinkRateModel::Sum => true,
-            LinkRateModel::RandomJoin { .. } => {
+            LinkRateModel::RandomJoin { sigma } => {
+                // The session's link rate at the level and a nudge above
+                // it, folded as in `link_load_at`.
                 let delta = (self.level.abs() + 1.0) * 1e-7;
-                self.fill_slot_rates_at(slot, i, self.level);
-                let now = self.cfg.model(i).link_rate(&self.ws.scratch);
-                self.fill_slot_rates_at(slot, i, self.level + delta);
-                let bumped = self.cfg.model(i).link_rate(&self.ws.scratch);
+                let g_now = miss_factor(self.level, sigma);
+                let g_bumped = miss_factor(self.level + delta, sigma);
+                let mut miss_now = 1.0;
+                let mut miss_bumped = 1.0;
+                for p in ws.index.slot_positions(slot) {
+                    if ws.pos_active[p] {
+                        miss_now *= g_now;
+                        miss_bumped *= g_bumped;
+                    } else {
+                        miss_now *= ws.pos_miss[p];
+                        miss_bumped *= ws.pos_miss[p];
+                    }
+                }
+                let now = sigma * (1.0 - miss_now);
+                let bumped = sigma * (1.0 - miss_bumped);
                 bumped > now + RATE_EPS * delta
             }
         }
     }
 
-    /// The largest level `ℓ ∈ [self.level, upper]` with `u_j(ℓ) ≤ c_j`.
-    fn link_saturation_level(&mut self, j: usize, upper: f64) -> f64 {
+    /// The largest level `ℓ ∈ [self.level, upper]` with `u_j(ℓ) ≤ c_j`,
+    /// when it is found without bisecting: exactly for piecewise-linear
+    /// links, and for nonlinear links whose load at either end of the
+    /// bracket already decides it. Otherwise the bracket's linear
+    /// interpolation of the level, as a search-order estimate.
+    fn link_saturation_level(&mut self, j: usize, upper: f64) -> Saturation {
         let cap = self.net.graph().capacity(LinkId(j));
         // Sessions crossing j: are they all piecewise-linear?
         let linear = self.ws.index.link_slots(j).all(|slot| {
@@ -374,10 +464,23 @@ impl State<'_> {
                 .is_piecewise_linear()
         });
         if linear {
-            self.saturation_level_linear(j, upper, cap)
-        } else {
-            self.saturation_level_bisect(j, upper, cap)
+            return Saturation::Level(self.saturation_level_linear(j, upper, cap));
         }
+        let lo = self.level;
+        let at_upper = self.link_load_at(j, upper);
+        if at_upper <= cap + RATE_EPS {
+            return Saturation::Level(upper);
+        }
+        let at_lo = self.link_load_at(j, lo);
+        if at_lo >= cap - RATE_EPS {
+            // Already saturated: the level can only advance past this link's
+            // constraint if no marginal session remains; conservatively stop
+            // here and let the freezing pass sort it out. (For RandomJoin
+            // loads there are no flat segments while any session is
+            // marginal, so no free-rider ride-through exists to find.)
+            return Saturation::Level(lo);
+        }
+        Saturation::Bracketed(lo + (cap - at_lo) / (at_upper - at_lo) * (upper - lo))
     }
 
     /// Exact solve for piecewise-linear loads `u_j(ℓ) = K + Σ w_t·max(b_t, ℓ)`.
@@ -461,22 +564,23 @@ impl State<'_> {
         upper // never saturates before the cap
     }
 
-    /// Monotone bisection fallback for nonlinear (RandomJoin) loads.
-    fn saturation_level_bisect(&mut self, j: usize, upper: f64, cap: f64) -> f64 {
+    /// Monotone bisection of a nonlinear (RandomJoin) link's saturation
+    /// level over `[self.level, upper]`, once `link_saturation_level` has
+    /// checked that the load crosses the capacity inside it.
+    ///
+    /// Stops early, returning `lo`, once `lo ≥ best`: `lo` only rises, so
+    /// the finished bisection would return a level `≥ best` too, and the
+    /// caller's `min` keeps `best` either way (see the module docs).
+    fn saturation_level_bisect(&mut self, j: usize, upper: f64, best: f64) -> f64 {
+        let cap = self.net.graph().capacity(LinkId(j));
         let mut lo = self.level;
-        if self.link_load_at(j, upper) <= cap + RATE_EPS {
-            return upper;
-        }
-        if self.link_load_at(j, lo) >= cap - RATE_EPS {
-            // Already saturated: the level can only advance past this link's
-            // constraint if no marginal session remains; conservatively stop
-            // here and let the freezing pass sort it out. (For RandomJoin
-            // loads there are no flat segments while any session is
-            // marginal, so no free-rider ride-through exists to find.)
-            return lo;
-        }
         let mut hi = upper;
-        for _ in 0..200 {
+        for _ in 0..BISECTION_CAP {
+            if lo >= best {
+                self.ws.counters.early_exits += 1;
+                return lo;
+            }
+            self.ws.counters.bisection_steps += 1;
             let mid = 0.5 * (lo + hi);
             if self.link_load_at(j, mid) <= cap {
                 lo = mid;
@@ -484,11 +588,33 @@ impl State<'_> {
                 hi = mid;
             }
             if hi - lo < 1e-13 * (1.0 + hi.abs()) {
-                break;
+                return lo;
             }
         }
+        self.ws.counters.cap_hits += 1;
         lo
     }
+}
+
+/// What a link's saturation search settled before any bisection.
+enum Saturation {
+    /// The link's saturation level.
+    Level(f64),
+    /// The load crosses the capacity strictly inside the bracket; the
+    /// payload estimates where (it only orders the bisections).
+    Bracketed(f64),
+}
+
+/// Most halving steps one saturation bisection takes.
+const BISECTION_CAP: usize = 200;
+
+/// The `RandomJoin` factor `1 − a.min(σ).max(0)/σ` of one receiver at rate
+/// `a`: the probability that it misses a given packet of the layer. The
+/// operations are exactly those `LinkRateModel::link_rate` applies to each
+/// rate, so folding these factors reproduces its product bit for bit.
+#[inline]
+fn miss_factor(a: f64, sigma: f64) -> f64 {
+    1.0 - a.min(sigma).max(0.0) / sigma
 }
 
 #[cfg(test)]

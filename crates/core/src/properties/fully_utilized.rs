@@ -9,7 +9,8 @@
 
 use crate::allocation::{Allocation, RATE_EPS};
 use crate::linkrate::LinkRateConfig;
-use mlf_net::{LinkId, Network, ReceiverId};
+use crate::properties::LinkAudit;
+use mlf_net::{Network, ReceiverId};
 
 /// Return the receivers whose rates are *not* fully-utilized-receiver-fair.
 /// An empty result means the allocation has Property 1 network-wide.
@@ -18,27 +19,25 @@ pub fn check_fully_utilized_receiver_fair(
     cfg: &LinkRateConfig,
     alloc: &Allocation,
 ) -> Vec<ReceiverId> {
-    // Precompute full-utilization per link once.
-    let full: Vec<bool> = (0..net.link_count())
-        .map(|j| alloc.is_fully_utilized(net, cfg, LinkId(j)))
-        .collect();
-    let mut violations = Vec::new();
-    for r in net.receivers() {
-        if !receiver_is_fair(net, alloc, &full, r) {
-            violations.push(r);
-        }
-    }
-    violations
+    violations(net, alloc, &LinkAudit::new(net, cfg, alloc))
 }
 
-fn receiver_is_fair(net: &Network, alloc: &Allocation, full: &[bool], r: ReceiverId) -> bool {
+/// Property 1's violations, reading full-utilization from a prepared
+/// [`LinkAudit`].
+pub(crate) fn violations(net: &Network, alloc: &Allocation, links: &LinkAudit) -> Vec<ReceiverId> {
+    net.receivers()
+        .filter(|&r| !receiver_is_fair(net, alloc, links, r))
+        .collect()
+}
+
+fn receiver_is_fair(net: &Network, alloc: &Allocation, links: &LinkAudit, r: ReceiverId) -> bool {
     let a = alloc.rate(r);
     let kappa = net.session(r.session).max_rate;
     if a >= kappa - RATE_EPS {
         return true;
     }
     net.route(r).iter().any(|&l| {
-        full[l.0]
+        links.full(l)
             && net
                 .receivers_on_link(l)
                 .all(|other| alloc.rate(other) <= a + RATE_EPS)

@@ -26,9 +26,9 @@ pub use per_receiver_link::check_per_receiver_link_fair;
 pub use per_session_link::check_per_session_link_fair;
 pub(crate) use same_path::check_same_path_receiver_fair;
 
-use crate::allocation::Allocation;
+use crate::allocation::{Allocation, RATE_EPS};
 use crate::linkrate::LinkRateConfig;
-use mlf_net::{Network, ReceiverId, SessionId};
+use mlf_net::{LinkId, Network, ReceiverId, SessionId};
 
 /// Outcome of checking all four fairness properties on an allocation.
 #[derive(Debug, Clone, Default)]
@@ -89,12 +89,78 @@ impl FairnessReport {
 }
 
 /// Check all four fairness properties of an allocation at once.
+///
+/// Equal, violation for violation, to calling the four checkers one by
+/// one, but the link-level inputs Properties 1, 3 and 4 share (the
+/// session link-rate table and the full-utilization mask) are derived
+/// once instead of once per property.
 pub fn check_all(net: &Network, cfg: &LinkRateConfig, alloc: &Allocation) -> FairnessReport {
+    let links = LinkAudit::new(net, cfg, alloc);
     FairnessReport {
-        fully_utilized_violations: check_fully_utilized_receiver_fair(net, cfg, alloc),
+        fully_utilized_violations: fully_utilized::violations(net, alloc, &links),
         same_path_violations: check_same_path_receiver_fair(net, alloc),
-        per_receiver_link_violations: check_per_receiver_link_fair(net, cfg, alloc),
-        per_session_link_violations: check_per_session_link_fair(net, cfg, alloc),
+        per_receiver_link_violations: per_receiver_link::violations(net, alloc, &links),
+        per_session_link_violations: per_session_link::violations(net, alloc, &links),
+    }
+}
+
+/// The link-level facts Properties 1, 3 and 4 read, derived once per
+/// audit: every session link rate `u_{i,j}` and whether each link is fully
+/// utilized.
+pub(crate) struct LinkAudit {
+    sessions: usize,
+    /// `u_{i,j}`, link-major: entry `j · sessions + i`.
+    rates: Vec<f64>,
+    /// Whether link `j` is fully utilized (`u_j ≥ c_j` within tolerance).
+    full: Vec<bool>,
+}
+
+impl LinkAudit {
+    /// Evaluate every `u_{i,j}` as [`Allocation::session_link_rate`] does,
+    /// and derive `u_j` from each link's row by the same session-order sum
+    /// [`Allocation::link_rate`] performs, so the mask is bitwise the one
+    /// [`Allocation::is_fully_utilized`] computes.
+    pub(crate) fn new(net: &Network, cfg: &LinkRateConfig, alloc: &Allocation) -> Self {
+        let sessions = net.session_count();
+        let mut rates = Vec::with_capacity(net.link_count() * sessions);
+        let mut full = Vec::with_capacity(net.link_count());
+        let mut on_link = Vec::new();
+        for j in 0..net.link_count() {
+            let link = LinkId(j);
+            let row = rates.len();
+            for i in 0..sessions {
+                on_link.clear();
+                on_link.extend(
+                    net.receivers_of_session_on_link(link, SessionId(i))
+                        .iter()
+                        .map(|&k| alloc.rates()[i][k]),
+                );
+                rates.push(cfg.model(i).link_rate(&on_link));
+            }
+            let u: f64 = rates[row..].iter().sum();
+            full.push(u >= net.graph().capacity(link) - RATE_EPS);
+        }
+        LinkAudit {
+            sessions,
+            rates,
+            full,
+        }
+    }
+
+    /// Whether `link` is fully utilized.
+    pub(crate) fn full(&self, link: LinkId) -> bool {
+        self.full[link.0]
+    }
+
+    /// Whether `session`'s link rate on `link` is at least every other
+    /// session's there (within tolerance): `u_{i',j} ≤ u_{i,j}` for all
+    /// `i' ≠ i`.
+    pub(crate) fn largest_share(&self, link: LinkId, session: SessionId) -> bool {
+        let row = &self.rates[link.0 * self.sessions..(link.0 + 1) * self.sessions];
+        let mine = row[session.0];
+        row.iter()
+            .enumerate()
+            .all(|(i, &u)| i == session.0 || u <= mine + RATE_EPS)
     }
 }
 
@@ -117,4 +183,114 @@ pub fn check_unicast_property1(
 pub fn check_unicast_property2(net: &Network, alloc: &Allocation) -> Vec<(ReceiverId, ReceiverId)> {
     debug_assert!(net.sessions().iter().all(|s| s.is_unicast()));
     check_same_path_receiver_fair(net, alloc)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::allocator::{Allocator, Hybrid, SolverWorkspace};
+    use crate::linkrate::LinkRateModel;
+    use mlf_net::topology::{random_network_with, SplitMix64};
+    use mlf_net::{SessionType, TopologyFamily};
+
+    /// `check_all` shares one link audit across Properties 1, 3 and 4; it
+    /// must report exactly what the four checkers report one by one, on
+    /// max-min allocations and on perturbed ones that violate properties.
+    #[test]
+    fn check_all_equals_the_four_checkers() {
+        let families = [
+            TopologyFamily::FlatTree,
+            TopologyFamily::KaryTree { arity: 3 },
+            TopologyFamily::TransitStub { transit: 3 },
+            TopologyFamily::Dumbbell,
+        ];
+        let models = [
+            LinkRateModel::Efficient,
+            LinkRateModel::Scaled(2.0),
+            LinkRateModel::Sum,
+            LinkRateModel::RandomJoin { sigma: 4.0 },
+        ];
+        let mut ws = SolverWorkspace::new();
+        let mut violations_seen = 0;
+        for (f, &family) in families.iter().enumerate() {
+            for seed in 0..12u64 {
+                let mut rng = SplitMix64(seed * 31 + f as u64);
+                let mut net = random_network_with(family, seed, 16, 5, 4).unwrap();
+                for i in 0..net.session_count() {
+                    if rng.below(3) == 0 {
+                        net = net.with_session_kind(SessionId(i), SessionType::SingleRate);
+                    }
+                }
+                for model in models {
+                    let cfg = LinkRateConfig::uniform(net.session_count(), model);
+                    let solved = Hybrid::as_declared()
+                        .with_config(cfg.clone())
+                        .solve(&net, &mut ws)
+                        .allocation;
+                    let perturbed = Allocation::from_rates(
+                        solved
+                            .rates()
+                            .iter()
+                            .map(|rs| {
+                                rs.iter()
+                                    .map(|&a| a * (0.5 + rng.below(5) as f64 * 0.25))
+                                    .collect()
+                            })
+                            .collect(),
+                    );
+                    for alloc in [&solved, &perturbed] {
+                        let all = check_all(&net, &cfg, alloc);
+                        assert_eq!(
+                            all.fully_utilized_violations,
+                            check_fully_utilized_receiver_fair(&net, &cfg, alloc)
+                        );
+                        assert_eq!(
+                            all.same_path_violations,
+                            check_same_path_receiver_fair(&net, alloc)
+                        );
+                        assert_eq!(
+                            all.per_receiver_link_violations,
+                            check_per_receiver_link_fair(&net, &cfg, alloc)
+                        );
+                        assert_eq!(
+                            all.per_session_link_violations,
+                            check_per_session_link_fair(&net, &cfg, alloc)
+                        );
+                        violations_seen += 4 - all.count_holding();
+                    }
+                }
+            }
+        }
+        assert!(
+            violations_seen > 0,
+            "the perturbed allocations must violate"
+        );
+    }
+
+    /// The shared mask is bitwise the one `Allocation::is_fully_utilized`
+    /// computes, and the shared table holds `Allocation::session_link_rate`.
+    #[test]
+    fn link_audit_matches_allocation_accessors() {
+        let mut ws = SolverWorkspace::new();
+        for seed in 0..8u64 {
+            let net = random_network_with(TopologyFamily::FlatTree, seed, 20, 6, 5).unwrap();
+            let cfg = LinkRateConfig::uniform(
+                net.session_count(),
+                LinkRateModel::RandomJoin { sigma: 6.0 },
+            );
+            let alloc = Hybrid::as_declared()
+                .with_config(cfg.clone())
+                .solve(&net, &mut ws)
+                .allocation;
+            let links = LinkAudit::new(&net, &cfg, &alloc);
+            for j in 0..net.link_count() {
+                let link = LinkId(j);
+                assert_eq!(links.full(link), alloc.is_fully_utilized(&net, &cfg, link));
+                for i in 0..net.session_count() {
+                    let u = alloc.session_link_rate(&net, &cfg, link, SessionId(i));
+                    assert_eq!(links.rates[j * links.sessions + i].to_bits(), u.to_bits());
+                }
+            }
+        }
+    }
 }

@@ -13,7 +13,8 @@
 
 use crate::allocation::{Allocation, RATE_EPS};
 use crate::linkrate::LinkRateConfig;
-use mlf_net::{LinkId, Network, ReceiverId, SessionId};
+use crate::properties::LinkAudit;
+use mlf_net::{Network, ReceiverId};
 
 /// Return the receivers witnessing per-receiver-link-fairness violations
 /// (the property is per-session; a session violates it iff any of its
@@ -23,61 +24,24 @@ pub fn check_per_receiver_link_fair(
     cfg: &LinkRateConfig,
     alloc: &Allocation,
 ) -> Vec<ReceiverId> {
-    let full: Vec<bool> = (0..net.link_count())
-        .map(|j| alloc.is_fully_utilized(net, cfg, LinkId(j)))
-        .collect();
-    // Session link rates are reused across receivers; precompute lazily per
-    // (link, session) pair.
-    let u = SessionLinkRates::new(net, cfg, alloc);
-    let mut violations = Vec::new();
-    for r in net.receivers() {
-        if !receiver_ok(net, alloc, &full, &u, r) {
-            violations.push(r);
-        }
-    }
-    violations
+    violations(net, alloc, &LinkAudit::new(net, cfg, alloc))
 }
 
-fn receiver_ok(
-    net: &Network,
-    alloc: &Allocation,
-    full: &[bool],
-    u: &SessionLinkRates,
-    r: ReceiverId,
-) -> bool {
+/// Property 3's violations, reading session link rates and
+/// full-utilization from a prepared [`LinkAudit`].
+pub(crate) fn violations(net: &Network, alloc: &Allocation, links: &LinkAudit) -> Vec<ReceiverId> {
+    net.receivers()
+        .filter(|&r| !receiver_ok(net, alloc, links, r))
+        .collect()
+}
+
+fn receiver_ok(net: &Network, alloc: &Allocation, links: &LinkAudit, r: ReceiverId) -> bool {
     if alloc.rate(r) >= net.session(r.session).max_rate - RATE_EPS {
         return true;
     }
-    net.route(r).iter().any(|&l| {
-        full[l.0] && {
-            let mine = u.get(l, r.session);
-            (0..net.session_count())
-                .filter(|&i| SessionId(i) != r.session)
-                .all(|i| u.get(l, SessionId(i)) <= mine + RATE_EPS)
-        }
-    })
-}
-
-/// Cached `u_{i,j}` table.
-pub(crate) struct SessionLinkRates {
-    table: Vec<Vec<f64>>, // [link][session]
-}
-
-impl SessionLinkRates {
-    pub(crate) fn new(net: &Network, cfg: &LinkRateConfig, alloc: &Allocation) -> Self {
-        let table = (0..net.link_count())
-            .map(|j| {
-                (0..net.session_count())
-                    .map(|i| alloc.session_link_rate(net, cfg, LinkId(j), SessionId(i)))
-                    .collect()
-            })
-            .collect();
-        SessionLinkRates { table }
-    }
-
-    pub(crate) fn get(&self, link: LinkId, session: SessionId) -> f64 {
-        self.table[link.0][session.0]
-    }
+    net.route(r)
+        .iter()
+        .any(|&l| links.full(l) && links.largest_share(l, r.session))
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@
 
 use crate::allocation::{Allocation, RATE_EPS};
 use crate::linkrate::LinkRateConfig;
-use crate::properties::per_receiver_link::SessionLinkRates;
-use mlf_net::{LinkId, Network, SessionId};
+use crate::properties::LinkAudit;
+use mlf_net::{LinkId, Network, ReceiverId, SessionId};
 
 /// Return the sessions violating per-session-link-fairness. Empty result ⇒
 /// Property 4 holds network-wide.
@@ -24,42 +24,29 @@ pub fn check_per_session_link_fair(
     cfg: &LinkRateConfig,
     alloc: &Allocation,
 ) -> Vec<SessionId> {
-    let full: Vec<bool> = (0..net.link_count())
-        .map(|j| alloc.is_fully_utilized(net, cfg, LinkId(j)))
-        .collect();
-    let u = SessionLinkRates::new(net, cfg, alloc);
-    let mut violations = Vec::new();
-    for i in 0..net.session_count() {
-        let sid = SessionId(i);
-        if !session_ok(net, cfg, alloc, &full, &u, sid) {
-            violations.push(sid);
-        }
-    }
-    violations
+    violations(net, alloc, &LinkAudit::new(net, cfg, alloc))
 }
 
-fn session_ok(
-    net: &Network,
-    _cfg: &LinkRateConfig,
-    alloc: &Allocation,
-    full: &[bool],
-    u: &SessionLinkRates,
-    sid: SessionId,
-) -> bool {
+/// Property 4's violations, reading session link rates and
+/// full-utilization from a prepared [`LinkAudit`].
+pub(crate) fn violations(net: &Network, alloc: &Allocation, links: &LinkAudit) -> Vec<SessionId> {
+    (0..net.session_count())
+        .map(SessionId)
+        .filter(|&sid| !session_ok(net, alloc, links, sid))
+        .collect()
+}
+
+fn session_ok(net: &Network, alloc: &Allocation, links: &LinkAudit, sid: SessionId) -> bool {
     let session = net.session(sid);
     let all_capped = (0..session.receivers.len())
-        .all(|k| alloc.rate(mlf_net::ReceiverId::new(sid.0, k)) >= session.max_rate - RATE_EPS);
+        .all(|k| alloc.rate(ReceiverId::new(sid.0, k)) >= session.max_rate - RATE_EPS);
     if all_capped {
         return true;
     }
     let path = net.session_data_path(sid);
     (0..net.link_count()).any(|j| {
-        path[j] && full[j] && {
-            let mine = u.get(LinkId(j), sid);
-            (0..net.session_count())
-                .filter(|&i| SessionId(i) != sid)
-                .all(|i| u.get(LinkId(j), SessionId(i)) <= mine + RATE_EPS)
-        }
+        let link = LinkId(j);
+        path[j] && links.full(link) && links.largest_share(link, sid)
     })
 }
 

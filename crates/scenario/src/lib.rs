@@ -162,6 +162,19 @@ pub enum LinkRates {
 }
 
 impl LinkRates {
+    /// Check every configured model (see [`LinkRateModel::validate`]).
+    fn validate(&self) -> Result<(), ScenarioError> {
+        let invalid =
+            |session| move |reason| ScenarioError::InvalidLinkRateModel { session, reason };
+        match self {
+            LinkRates::Efficient => Ok(()),
+            LinkRates::Uniform(m) => m.validate().map_err(invalid(None)),
+            LinkRates::Explicit(cfg) => {
+                (0..cfg.len()).try_for_each(|i| cfg.model(i).validate().map_err(invalid(Some(i))))
+            }
+        }
+    }
+
     fn resolve(&self, session_count: usize) -> LinkRateConfig {
         match self {
             LinkRates::Efficient => LinkRateConfig::efficient(session_count),
@@ -196,6 +209,15 @@ pub enum ScenarioError {
     /// family rejects (too few nodes, zero sessions, zero receivers, …).
     /// Earlier versions silently clamped these into a different experiment.
     Topology(TopologyError),
+    /// A configured link-rate model has a parameter outside its domain
+    /// (see [`LinkRateModel::validate`]).
+    InvalidLinkRateModel {
+        /// The session whose model is invalid (`None` for a
+        /// [`LinkRates::Uniform`] model, which every session shares).
+        session: Option<usize>,
+        /// What is wrong with the parameter.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -222,6 +244,10 @@ impl std::fmt::Display for ScenarioError {
                  rates with MultiRate, SingleRate, or Hybrid"
             ),
             ScenarioError::Topology(e) => write!(f, "bad random-network source: {e}"),
+            ScenarioError::InvalidLinkRateModel { session, reason } => match session {
+                Some(i) => write!(f, "invalid link-rate model for session {i}: {reason}"),
+                None => write!(f, "invalid link-rate model: {reason}"),
+            },
         }
     }
 }
@@ -342,6 +368,7 @@ impl ScenarioBuilder {
         {
             return Err(ScenarioError::AllocatorIgnoresLinkRates);
         }
+        self.link_rates.validate()?;
         if let NetworkSource::Random {
             family,
             nodes,
@@ -1014,6 +1041,63 @@ mod tests {
             .build()
             .err();
         assert_eq!(err, Some(ScenarioError::ExplicitConfigOnRandom));
+    }
+
+    /// Link-rate models outside their domain are refused at build time
+    /// instead of sweeping into zero rates or a stalled solve.
+    #[test]
+    fn builder_rejects_invalid_link_rate_models() {
+        let bad = [
+            LinkRateModel::RandomJoin { sigma: 0.0 },
+            LinkRateModel::RandomJoin { sigma: -1.0 },
+            LinkRateModel::RandomJoin { sigma: f64::NAN },
+            LinkRateModel::Scaled(0.5),
+            LinkRateModel::Scaled(-1.0),
+            LinkRateModel::Scaled(f64::NAN),
+        ];
+        for model in bad {
+            let reason = model.validate().unwrap_err();
+            let uniform = Scenario::builder()
+                .random_networks(10, 3, 3)
+                .link_rates(LinkRates::Uniform(model))
+                .allocator(MultiRate::new())
+                .build()
+                .err();
+            assert_eq!(
+                uniform,
+                Some(ScenarioError::InvalidLinkRateModel {
+                    session: None,
+                    reason
+                }),
+                "{model:?}"
+            );
+            let explicit = Scenario::builder()
+                .network(two_branch_network())
+                .link_rates(LinkRates::Explicit(
+                    LinkRateConfig::efficient(2).with_session(1, model),
+                ))
+                .build()
+                .err();
+            assert_eq!(
+                explicit,
+                Some(ScenarioError::InvalidLinkRateModel {
+                    session: Some(1),
+                    reason
+                }),
+                "{model:?}"
+            );
+            assert!(explicit.unwrap().to_string().contains("session 1"));
+        }
+        for good in [
+            LinkRateModel::RandomJoin { sigma: 6.0 },
+            LinkRateModel::Scaled(1.0),
+        ] {
+            assert!(Scenario::builder()
+                .random_networks(10, 3, 3)
+                .link_rates(LinkRates::Uniform(good))
+                .build()
+                .is_ok());
+        }
     }
 
     #[test]

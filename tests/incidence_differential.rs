@@ -8,9 +8,12 @@
 //! These tests drive that claim across all four `TopologyFamily` variants
 //! crossed with every link-rate model (including the nonlinear
 //! `RandomJoin` bisection path), randomized session-type mixes and κ caps,
-//! plus the weighted and unicast engines.
+//! plus the weighted and unicast engines. The `random_join_*` cases focus
+//! on the bisection path: the Figure-5 sweep shape, per-session layer
+//! rates mixed with linear sessions, and workspace reuse across shapes
+//! and models.
 
-use mlf_core::allocator::{Allocator, Hybrid, SolverWorkspace, Unicast, Weighted};
+use mlf_core::allocator::{Allocator, Hybrid, MultiRate, SolverWorkspace, Unicast, Weighted};
 use mlf_core::{reference, LinkRateConfig, LinkRateModel, Regimes, Weights};
 use mlf_net::topology::{random_network_with, random_tree, SplitMix64};
 use mlf_net::{Network, NodeId, Session, SessionId, SessionType, TopologyFamily};
@@ -60,7 +63,15 @@ fn assert_bitwise(
 /// A random network of the given family, with a deterministic sprinkle of
 /// single-rate sessions and κ caps derived from the seed.
 fn mixed_network(family: TopologyFamily, seed: u64, nodes: usize) -> Network {
-    let mut net = random_network_with(family, seed, nodes, 5, 4).unwrap();
+    sprinkle(
+        random_network_with(family, seed, nodes, 5, 4).unwrap(),
+        seed,
+    )
+}
+
+/// Flip about a third of the sessions single-rate and cap about a third
+/// at κ ∈ [0.5, 10.25], deterministically from the seed.
+fn sprinkle(mut net: Network, seed: u64) -> Network {
     let mut rng = SplitMix64(seed ^ 0x9E37_79B9_7F4A_7C15);
     for i in 0..net.session_count() {
         if rng.below(3) == 0 {
@@ -75,6 +86,28 @@ fn mixed_network(family: TopologyFamily, seed: u64, nodes: usize) -> Network {
     }
     Network::with_routes(net.graph().clone(), sessions, net.routes().to_vec())
         .expect("same routes remain valid")
+}
+
+/// The Figure-5 layer model.
+const FIG5_MODEL: LinkRateModel = LinkRateModel::RandomJoin { sigma: 6.0 };
+
+/// Per-session models: about two thirds `RandomJoin` with σ drawn from
+/// {1, 2, 4, 6, 8}, the rest linear, deterministically from the seed.
+fn mixed_sigma_config(net: &Network, seed: u64) -> LinkRateConfig {
+    const SIGMAS: [f64; 5] = [1.0, 2.0, 4.0, 6.0, 8.0];
+    let mut rng = SplitMix64(seed ^ 0x51_6D_A5);
+    let mut cfg = LinkRateConfig::efficient(net.session_count());
+    for i in 0..net.session_count() {
+        let model = if rng.below(3) < 2 {
+            LinkRateModel::RandomJoin {
+                sigma: SIGMAS[rng.below(SIGMAS.len())],
+            }
+        } else {
+            MODELS[rng.below(3)]
+        };
+        cfg = cfg.with_session(i, model);
+    }
+    cfg
 }
 
 proptest! {
@@ -123,6 +156,114 @@ proptest! {
             let reference = reference::solve_in(&net, &cfg, &Regimes::AsDeclared);
             assert_bitwise(&format!("mixed/seed {seed}"), &optimized, &reference);
         }
+    }
+
+    /// The Figure-5 sweep shape (30 nodes, 8 sessions, ≤5 receivers,
+    /// `RandomJoin{σ=6}`, all multi-rate) over every family: the
+    /// workload the per-position miss factors and the early-exit
+    /// bisection were built for.
+    #[test]
+    fn random_join_fig5_shape_matches_reference(seed in any::<u64>(), family_ix in 0usize..4) {
+        let family = FAMILIES[family_ix];
+        let net = random_network_with(family, seed, 30, 8, 5).unwrap();
+        let cfg = LinkRateConfig::uniform(net.session_count(), FIG5_MODEL);
+        let optimized = MultiRate::with_config(cfg.clone()).solve(&net, &mut SolverWorkspace::new());
+        let reference =
+            reference::solve_in(&net, &cfg, &Regimes::Uniform(SessionType::MultiRate));
+        assert_bitwise(&format!("fig5/{}/seed {seed}", family.label()), &optimized, &reference);
+    }
+
+    /// Per-session layer rates σ ∈ {1, 2, 4, 6, 8} mixed with linear
+    /// sessions on shared links, single-rate sessions and κ caps on both
+    /// sides of σ.
+    #[test]
+    fn random_join_mixed_sigmas_match_reference(
+        seed in any::<u64>(),
+        nodes in 8usize..30,
+        family_ix in 0usize..4,
+    ) {
+        let family = FAMILIES[family_ix];
+        let net = sprinkle(random_network_with(family, seed, nodes, 6, 5).unwrap(), seed);
+        let cfg = mixed_sigma_config(&net, seed);
+        let optimized = Hybrid::as_declared()
+            .with_config(cfg.clone())
+            .solve(&net, &mut SolverWorkspace::new());
+        let reference = reference::solve_in(&net, &cfg, &Regimes::AsDeclared);
+        assert_bitwise(&format!("sigmas/{}/seed {seed}", family.label()), &optimized, &reference);
+    }
+
+    /// One workspace across shapes and models: RandomJoin on one network,
+    /// Efficient on a differently shaped one, RandomJoin on that, then the
+    /// first again. Stale per-position factors or flags from an earlier
+    /// solve would show up as a bit difference.
+    #[test]
+    fn random_join_workspace_reuse_matches_reference(seed in any::<u64>(), family_ix in 0usize..4) {
+        let a = random_network_with(FAMILIES[family_ix], seed, 30, 8, 5).unwrap();
+        let b = sprinkle(
+            random_network_with(FAMILIES[(family_ix + 1) % 4], seed ^ 1, 14, 4, 4).unwrap(),
+            seed,
+        );
+        let mixed = mixed_sigma_config(&b, seed);
+        let solves = [
+            (&a, LinkRateConfig::uniform(a.session_count(), FIG5_MODEL)),
+            (&b, LinkRateConfig::efficient(b.session_count())),
+            (&b, mixed),
+            (&a, LinkRateConfig::uniform(a.session_count(), FIG5_MODEL)),
+        ];
+        let mut ws = SolverWorkspace::new();
+        for (step, (net, cfg)) in solves.iter().enumerate() {
+            let optimized = Hybrid::as_declared().with_config(cfg.clone()).solve(net, &mut ws);
+            let reference = reference::solve_in(net, cfg, &Regimes::AsDeclared);
+            assert_bitwise(&format!("reuse step {step}/seed {seed}"), &optimized, &reference);
+        }
+    }
+
+    /// Links in series with equal capacities carry the same receivers, so
+    /// their loads are the same function of the level and their
+    /// saturation levels tie exactly: every bisection after the first
+    /// reaches the running minimum only on its last step. An early exit
+    /// that fired before `lo ≥ best` would lower the round's level.
+    #[test]
+    fn random_join_tied_links_match_reference(
+        hops in 2usize..5,
+        fanout in 2usize..5,
+        cap_ix in 0usize..6,
+        leaf_ix in 0usize..3,
+        sigma_ix in 0usize..5,
+        linear_mate in 0usize..2,
+    ) {
+        const CAPS: [f64; 6] = [1.5, 2.0, 3.0, 4.5, 7.0, 10.0];
+        const LEAF_CAPS: [f64; 3] = [0.75, 2.5, 100.0];
+        let mut g = mlf_net::Graph::new();
+        let chain = g.add_nodes(hops + 1);
+        for w in chain.windows(2) {
+            g.add_link(w[0], w[1], CAPS[cap_ix]).unwrap();
+        }
+        let leaves = g.add_nodes(fanout);
+        for &leaf in &leaves {
+            g.add_link(chain[hops], leaf, LEAF_CAPS[leaf_ix]).unwrap();
+        }
+        let net = Network::new(
+            g,
+            vec![
+                Session::multi_rate(chain[0], leaves.clone()),
+                Session::multi_rate(chain[0], vec![leaves[0], leaves[fanout - 1]]),
+                Session::unicast(chain[0], leaves[0]),
+            ],
+        )
+        .unwrap();
+        let rj = LinkRateModel::RandomJoin { sigma: [1.0, 2.0, 4.0, 6.0, 8.0][sigma_ix] };
+        let mate = if linear_mate == 1 { LinkRateModel::Efficient } else { rj };
+        let cfg = LinkRateConfig::per_session(vec![rj, rj, mate]);
+        let optimized = Hybrid::as_declared()
+            .with_config(cfg.clone())
+            .solve(&net, &mut SolverWorkspace::new());
+        let reference = reference::solve_in(&net, &cfg, &Regimes::AsDeclared);
+        assert_bitwise(
+            &format!("tied/{hops} hops/{fanout} leaves/cap {cap_ix}/leaf {leaf_ix}/{rj:?}"),
+            &optimized,
+            &reference,
+        );
     }
 
     /// The weighted engine against its reference, with deterministic
@@ -180,7 +321,6 @@ fn unicast_matches_reference() {
 /// solves bitwise across every topology family, serial and parallel alike.
 #[test]
 fn warm_cache_sweeps_match_cold_solves_across_families() {
-    use mlf_core::allocator::MultiRate;
     use mlf_scenario::{LinkRates, Scenario, SweepGrid};
 
     for family in FAMILIES {
