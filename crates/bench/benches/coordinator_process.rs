@@ -114,6 +114,8 @@ fn emit_artifact(scenario: &Scenario) -> Duration {
     or_exit(measure_and_emit(
         "coordinator_process",
         FULL_SWEEP_SEEDS,
+        "points",
+        "process fleet (2 workers)",
         || {
             scenario
                 .coordinate(0..FULL_SWEEP_SEEDS, &fleet_cfg)

@@ -63,9 +63,13 @@ fn assert_parallel_matches_serial(scenario: &mut Scenario) {
 /// regression gate (serial points-per-second tracks per-solve cost without
 /// parallel scheduling noise).
 fn emit_artifact(scenario: &Scenario) -> std::time::Duration {
-    or_exit(measure_and_emit("parallel_sweep", FULL_SWEEP_SEEDS, || {
-        scenario.sweep_par(0..FULL_SWEEP_SEEDS, 1).points.len()
-    }))
+    or_exit(measure_and_emit(
+        "parallel_sweep",
+        FULL_SWEEP_SEEDS,
+        "points",
+        "serial",
+        || scenario.sweep_par(0..FULL_SWEEP_SEEDS, 1).points.len(),
+    ))
 }
 
 fn report_wall_clock_speedup(scenario: &Scenario, serial: std::time::Duration) {

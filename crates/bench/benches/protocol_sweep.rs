@@ -67,9 +67,13 @@ fn assert_parallel_matches_serial(scenario: &ProtocolScenario, grid: &ProtocolSw
 
 fn emit_artifact(scenario: &ProtocolScenario, grid: &ProtocolSweepGrid) -> Duration {
     let points = grid.kinds.len() * grid.independent_losses.len() * grid.seeds.len();
-    or_exit(measure_and_emit("protocol_sweep", points as u64, || {
-        scenario.sweep(grid).points.len()
-    }))
+    or_exit(measure_and_emit(
+        "protocol_sweep",
+        points as u64,
+        "points",
+        "serial",
+        || scenario.sweep(grid).points.len(),
+    ))
 }
 
 fn report_wall_clock_speedup(

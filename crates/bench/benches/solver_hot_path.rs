@@ -121,9 +121,13 @@ fn bench_solver_hot_path(c: &mut Criterion) {
 
     // Cold throughput: the gated number. Fresh scenario per pass, so every
     // point pays topology build + index build + solve.
-    let cold = or_exit(measure_and_emit("solver_hot_path", points, || {
-        sweep_cold(&ws).iter().map(|r| r.points.len()).sum()
-    }));
+    let cold = or_exit(measure_and_emit(
+        "solver_hot_path",
+        points,
+        "points",
+        "serial",
+        || sweep_cold(&ws).iter().map(|r| r.points.len()).sum(),
+    ));
     let cold_pps = points as f64 / cold.as_secs_f64();
 
     // Warm throughput: the same grids against scenarios whose caches

@@ -22,8 +22,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlf_bench::or_exit;
 use mlf_bench::regression::{check_mode, measure_and_emit, time_best_of_three};
-use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind};
-use mlf_sim::engine::{MarkerSource, NoMarkers, ReceiverController, StarConfig, StarReport};
+use mlf_protocols::{CoordinatedSender, ProtocolKind, ProtocolReceiver};
+use mlf_sim::engine::{MarkerSource, NoMarkers, StarConfig, StarReport};
 use mlf_sim::{reference, run_star_into, SimRng, StarScratch, Tick};
 use std::hint::black_box;
 
@@ -52,10 +52,10 @@ fn paper_config() -> StarConfig {
 
 /// Controllers and marker source exactly as the Figure 8 `TrialRig` wires
 /// them.
-fn rig(kind: ProtocolKind) -> (Vec<Box<dyn ReceiverController>>, Markers) {
+fn rig(kind: ProtocolKind) -> (Vec<ProtocolReceiver>, Markers) {
     let base = SimRng::seed_from_u64(SEED ^ 0xABCD_EF01_2345_6789);
     let controllers = (0..RECEIVERS)
-        .map(|r| make_receiver(kind, base.split(1_000_000 + r as u64)))
+        .map(|r| ProtocolReceiver::new(kind, base.split(1_000_000 + r as u64)))
         .collect();
     let markers = match kind {
         ProtocolKind::Coordinated => Markers::Coordinated(CoordinatedSender::new(LAYERS)),
@@ -107,16 +107,22 @@ fn bench_star_engine(c: &mut Criterion) {
     // Gated throughput: total slots across the three protocols per pass of
     // the indexed engine (scratch reused, as in a trial loop).
     let total_slots = SLOTS * ProtocolKind::ALL.len() as u64;
-    let indexed = or_exit(measure_and_emit("star_engine", total_slots, || {
-        let mut report = StarReport::default();
-        let mut scratch = StarScratch::default();
-        let mut sum = 0usize;
-        for kind in ProtocolKind::ALL {
-            run_indexed(&cfg, kind, SLOTS, &mut report, &mut scratch);
-            sum += report.final_levels.len();
-        }
-        black_box(sum)
-    }));
+    let indexed = or_exit(measure_and_emit(
+        "star_engine",
+        total_slots,
+        "slots",
+        "serial",
+        || {
+            let mut report = StarReport::default();
+            let mut scratch = StarScratch::default();
+            let mut sum = 0usize;
+            for kind in ProtocolKind::ALL {
+                run_indexed(&cfg, kind, SLOTS, &mut report, &mut scratch);
+                sum += report.final_levels.len();
+            }
+            black_box(sum)
+        },
+    ));
     let indexed_sps = total_slots as f64 / indexed.as_secs_f64();
 
     let cold = time_best_of_three(|| {

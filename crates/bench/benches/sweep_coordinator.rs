@@ -137,6 +137,8 @@ fn emit_artifact(scenario: &Scenario) -> Duration {
     or_exit(measure_and_emit(
         "sweep_coordinator",
         FULL_SWEEP_SEEDS,
+        "points",
+        "coordinated threads (2 workers)",
         || {
             scenario
                 .coordinate(0..FULL_SWEEP_SEEDS, &coordinator_cfg)

@@ -28,8 +28,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mlf_bench::or_exit;
 use mlf_bench::regression::{check_mode, measure_and_emit, time_best_of_three};
 use mlf_net::{Graph, LinkId, Network, Session};
-use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind};
-use mlf_sim::engine::{MarkerSource, NoMarkers, ReceiverController};
+use mlf_protocols::{CoordinatedSender, ProtocolKind, ProtocolReceiver};
+use mlf_sim::engine::{MarkerSource, NoMarkers};
 use mlf_sim::tree::{run_tree_into, TreeConfig, TreeReport, TreeScratch};
 use mlf_sim::{reference_tree, LossProcess, SimRng, Tick};
 use std::hint::black_box;
@@ -112,10 +112,10 @@ fn receivers_of(net: &Network) -> usize {
     net.session(mlf_net::SessionId(0)).receivers.len()
 }
 
-fn rig(kind: ProtocolKind, receivers: usize) -> (Vec<Box<dyn ReceiverController>>, Markers) {
+fn rig(kind: ProtocolKind, receivers: usize) -> (Vec<ProtocolReceiver>, Markers) {
     let base = SimRng::seed_from_u64(SEED ^ 0xABCD_EF01_2345_6789);
     let controllers = (0..receivers)
-        .map(|r| make_receiver(kind, base.split(1_000_000 + r as u64)))
+        .map(|r| ProtocolReceiver::new(kind, base.split(1_000_000 + r as u64)))
         .collect();
     let markers = match kind {
         ProtocolKind::Coordinated => Markers::Coordinated(CoordinatedSender::new(LAYERS)),
@@ -179,16 +179,22 @@ fn bench_tree_engine(c: &mut Criterion) {
     // Gated throughput: total slots across the three protocols per pass of
     // the bitset engine (scratch reused, as in a trial loop).
     let total_slots = BIG_SLOTS * ProtocolKind::ALL.len() as u64;
-    let bitset = or_exit(measure_and_emit("tree_engine", total_slots, || {
-        let mut report = TreeReport::empty();
-        let mut scratch = TreeScratch::default();
-        let mut sum = 0usize;
-        for kind in ProtocolKind::ALL {
-            run_bitset(&big, &big_cfg, kind, BIG_SLOTS, &mut report, &mut scratch);
-            sum += report.final_levels.len();
-        }
-        black_box(sum)
-    }));
+    let bitset = or_exit(measure_and_emit(
+        "tree_engine",
+        total_slots,
+        "slots",
+        "serial",
+        || {
+            let mut report = TreeReport::empty();
+            let mut scratch = TreeScratch::default();
+            let mut sum = 0usize;
+            for kind in ProtocolKind::ALL {
+                run_bitset(&big, &big_cfg, kind, BIG_SLOTS, &mut report, &mut scratch);
+                sum += report.final_levels.len();
+            }
+            black_box(sum)
+        },
+    ));
     let bitset_sps = total_slots as f64 / bitset.as_secs_f64();
 
     let ref_total_slots = BIG_REF_SLOTS * ProtocolKind::ALL.len() as u64;

@@ -9,10 +9,8 @@
 //!    [--trials 5] [--packets 30000] [--receivers 30] [--loss 0.03]`
 
 use mlf_bench::{cli, knob, or_exit, write_csv, Args, Table};
-use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind};
-use mlf_sim::{
-    run_star, LossProcess, NoMarkers, ReceiverController, RunningStats, SimRng, StarConfig,
-};
+use mlf_protocols::{CoordinatedSender, ProtocolKind, ProtocolReceiver};
+use mlf_sim::{run_star, LossProcess, NoMarkers, RunningStats, SimRng, StarConfig};
 
 const KNOBS: &[cli::Knob] = &[
     knob("trials", "5", "trials per point"),
@@ -90,8 +88,8 @@ fn run_once(
     let mut cfg = StarConfig::figure8(layers, receivers, 0.0001, 0.0);
     cfg.fanout_loss = vec![fanout; receivers];
     let base = SimRng::seed_from_u64(0xB065_7000 + trial);
-    let mut controllers: Vec<Box<dyn ReceiverController>> = (0..receivers)
-        .map(|r| make_receiver(kind, base.split(r as u64)))
+    let mut controllers: Vec<ProtocolReceiver> = (0..receivers)
+        .map(|r| ProtocolReceiver::new(kind, base.split(r as u64)))
         .collect();
     let report = match kind {
         ProtocolKind::Coordinated => {

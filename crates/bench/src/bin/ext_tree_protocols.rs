@@ -9,10 +9,10 @@
 
 use mlf_bench::{cli, knob, or_exit, write_csv, Args, Table};
 use mlf_net::{LinkId, Network, Session};
-use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind};
+use mlf_protocols::{CoordinatedSender, ProtocolKind, ProtocolReceiver};
 use mlf_sim::{
     tree::{run_tree_expect, TreeConfig},
-    LossProcess, NoMarkers, ReceiverController, RunningStats, SimRng,
+    LossProcess, NoMarkers, RunningStats, SimRng,
 };
 
 const KNOBS: &[cli::Knob] = &[
@@ -123,8 +123,8 @@ fn run_once(
     };
     let n = net.session(mlf_net::SessionId(0)).receivers.len();
     let base = SimRng::seed_from_u64(0x7EEE + trial);
-    let mut controllers: Vec<Box<dyn ReceiverController>> = (0..n)
-        .map(|r| make_receiver(kind, base.split(r as u64)))
+    let mut controllers: Vec<ProtocolReceiver> = (0..n)
+        .map(|r| ProtocolReceiver::new(kind, base.split(r as u64)))
         .collect();
     match kind {
         ProtocolKind::Coordinated => {

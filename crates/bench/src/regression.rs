@@ -276,10 +276,14 @@ pub fn time_best_of_three(f: impl Fn() -> usize) -> std::time::Duration {
     best
 }
 
-/// The gated-bench measurement both sweep benches share: time the serial
-/// `sweep` best-of-three, write the `BENCH_<bench>.json` artifact into
+/// The gated-bench measurement every gated bench shares: time `run`
+/// best-of-three, write the `BENCH_<bench>.json` artifact into
 /// [`artifact_dir`], print the throughput line, and return the elapsed
 /// time for the speedup report.
+///
+/// `unit` names what `points` counts (`"points"`, `"slots"`) and `mode`
+/// how `run` executes (`"serial"`, `"coordinated threads"`, …); both only
+/// label the printed line, the artifact records plain points per second.
 ///
 /// An unwritable artifact is a [`RecordError`], not a warning: CI gates on
 /// the file existing, so the benches funnel this through [`crate::or_exit`]
@@ -287,17 +291,19 @@ pub fn time_best_of_three(f: impl Fn() -> usize) -> std::time::Duration {
 pub fn measure_and_emit(
     bench: &str,
     points: u64,
-    sweep: impl Fn() -> usize,
+    unit: &str,
+    mode: &str,
+    run: impl Fn() -> usize,
 ) -> Result<std::time::Duration, RecordError> {
-    let serial = time_best_of_three(sweep);
-    let record = BenchRecord::new(bench, points, serial.as_secs_f64());
+    let elapsed = time_best_of_three(run);
+    let record = BenchRecord::new(bench, points, elapsed.as_secs_f64());
     let path = record.write(artifact_dir())?;
     println!(
-        "throughput: {:.3} points/s serial ({points} points in {serial:?}) -> {}",
+        "throughput: {:.3} {unit}/s {mode} ({points} {unit} in {elapsed:?}) -> {}",
         record.points_per_second,
         path.display()
     );
-    Ok(serial)
+    Ok(elapsed)
 }
 
 #[cfg(test)]

@@ -8,11 +8,11 @@
 //! sweeps the independent-loss axis for all three protocols.
 
 use crate::config::ProtocolKind;
-use crate::receiver::make_receiver;
+use crate::receiver::ProtocolReceiver;
 use crate::sender::CoordinatedSender;
 use mlf_sim::{
-    run_star_into, MarkerSource, NoMarkers, ReceiverController, RunningStats, SimRng, StarConfig,
-    StarReport, StarScratch, Tick,
+    run_star_into, MarkerSource, NoMarkers, RunningStats, SimRng, StarConfig, StarReport,
+    StarScratch, Tick,
 };
 
 /// A loss probability that cannot parameterize an experiment.
@@ -207,10 +207,11 @@ impl MarkerSource for Markers {
 /// by every trial of the point), the engine's loss/RNG scratch, the output
 /// report buffers, and the per-receiver controller vector. One `TrialRig`
 /// runs any number of trials of one `(protocol, params)` pair with no
-/// steady-state allocation beyond the per-trial controller boxes.
+/// steady-state allocation. The controllers are the concrete
+/// [`ProtocolReceiver`] enum, so the engine's visit loop inlines them.
 struct TrialRig {
     cfg: StarConfig,
-    controllers: Vec<Box<dyn ReceiverController>>,
+    controllers: Vec<ProtocolReceiver>,
     report: StarReport,
     scratch: StarScratch,
 }
@@ -241,7 +242,8 @@ impl TrialRig {
         let base = SimRng::seed_from_u64(seed ^ 0xABCD_EF01_2345_6789);
         self.controllers.clear();
         self.controllers.extend(
-            (0..params.receivers).map(|r| make_receiver(kind, base.split(1_000_000 + r as u64))),
+            (0..params.receivers)
+                .map(|r| ProtocolReceiver::new(kind, base.split(1_000_000 + r as u64))),
         );
         let mut markers = match kind {
             ProtocolKind::Coordinated => {

@@ -66,6 +66,7 @@ pub use experiment::{
 pub use markov::two_receiver_chain;
 pub use markov::{DenseChain, TwoReceiverModel};
 pub use receiver::{
-    make_receiver, CoordinatedReceiver, DeterministicReceiver, UncoordinatedReceiver,
+    make_receiver, CoordinatedReceiver, DeterministicReceiver, ProtocolReceiver,
+    UncoordinatedReceiver,
 };
 pub use sender::CoordinatedSender;

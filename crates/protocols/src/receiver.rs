@@ -12,6 +12,13 @@
 //! * [`CoordinatedReceiver`] — joins exactly when a sender marker tells
 //!   receivers at its level to (markers for level `i` imply markers for all
 //!   `j < i`, so one threshold field suffices).
+//!
+//! [`ProtocolReceiver`] is the one place a [`ProtocolKind`] becomes a
+//! controller. It is a plain enum over the three, so engine loops that are
+//! generic over the controller type (`mlf_sim::run_star_into`) inline the
+//! state machines into their per-delivery visit instead of making a
+//! virtual call; [`make_receiver`] boxes the same enum for callers that
+//! need a `dyn ReceiverController`.
 
 use crate::config::{join_probability, join_threshold, ProtocolKind};
 use mlf_sim::{Action, PacketEvent, ReceiverController, SimRng};
@@ -32,6 +39,7 @@ impl UncoordinatedReceiver {
 }
 
 impl ReceiverController for UncoordinatedReceiver {
+    #[inline]
     fn on_packet(&mut self, ev: &PacketEvent) -> Action {
         if ev.lost {
             return Action::LeaveDown; // engine clamps at level 1
@@ -60,6 +68,7 @@ impl DeterministicReceiver {
 }
 
 impl ReceiverController for DeterministicReceiver {
+    #[inline]
     fn on_packet(&mut self, ev: &PacketEvent) -> Action {
         if ev.lost {
             // A congestion event: leave and restart the run. Leaving *is*
@@ -90,6 +99,7 @@ impl CoordinatedReceiver {
 }
 
 impl ReceiverController for CoordinatedReceiver {
+    #[inline]
     fn on_packet(&mut self, ev: &PacketEvent) -> Action {
         if ev.lost {
             return Action::LeaveDown;
@@ -101,14 +111,48 @@ impl ReceiverController for CoordinatedReceiver {
     }
 }
 
-/// A boxed controller for any of the three protocols, wired to its own RNG
-/// substream where needed.
-pub fn make_receiver(kind: ProtocolKind, rng: SimRng) -> Box<dyn ReceiverController> {
-    match kind {
-        ProtocolKind::Uncoordinated => Box::new(UncoordinatedReceiver::new(rng)),
-        ProtocolKind::Deterministic => Box::new(DeterministicReceiver::new()),
-        ProtocolKind::Coordinated => Box::new(CoordinatedReceiver::new()),
+/// The controller of any of the three protocols, dispatched with `match`.
+#[derive(Debug, Clone)]
+pub enum ProtocolReceiver {
+    /// [`ProtocolKind::Uncoordinated`].
+    Uncoordinated(UncoordinatedReceiver),
+    /// [`ProtocolKind::Deterministic`].
+    Deterministic(DeterministicReceiver),
+    /// [`ProtocolKind::Coordinated`].
+    Coordinated(CoordinatedReceiver),
+}
+
+impl ProtocolReceiver {
+    /// A fresh controller for `kind`. `rng` is the receiver's own RNG
+    /// substream; only the Uncoordinated protocol draws from it.
+    pub fn new(kind: ProtocolKind, rng: SimRng) -> Self {
+        match kind {
+            ProtocolKind::Uncoordinated => {
+                ProtocolReceiver::Uncoordinated(UncoordinatedReceiver::new(rng))
+            }
+            ProtocolKind::Deterministic => {
+                ProtocolReceiver::Deterministic(DeterministicReceiver::new())
+            }
+            ProtocolKind::Coordinated => ProtocolReceiver::Coordinated(CoordinatedReceiver::new()),
+        }
     }
+}
+
+impl ReceiverController for ProtocolReceiver {
+    #[inline]
+    fn on_packet(&mut self, ev: &PacketEvent) -> Action {
+        match self {
+            ProtocolReceiver::Uncoordinated(r) => r.on_packet(ev),
+            ProtocolReceiver::Deterministic(r) => r.on_packet(ev),
+            ProtocolReceiver::Coordinated(r) => r.on_packet(ev),
+        }
+    }
+}
+
+/// A boxed [`ProtocolReceiver`], for callers that hold controllers as
+/// `dyn ReceiverController` (wrappers and mixed fleets).
+pub fn make_receiver(kind: ProtocolKind, rng: SimRng) -> Box<dyn ReceiverController> {
+    Box::new(ProtocolReceiver::new(kind, rng))
 }
 
 #[cfg(test)]

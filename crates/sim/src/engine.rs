@@ -262,6 +262,41 @@ impl LayerInterleaver {
     }
 }
 
+/// Exact work counters of the star runs a [`StarScratch`] served, summed
+/// over its lifetime (read them with [`StarScratch::counters`]).
+///
+/// They are deterministic functions of the runs: a scratch reused across
+/// runs reports the sum of what fresh scratches report for each run, and
+/// every receiver visit is one delivery or one congestion event, so
+/// `visits` equals the summed `delivered + congestion_events` of the
+/// reports. No clock is involved.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StarCounters {
+    /// Slots simulated (one packet each).
+    pub slots: u64,
+    /// Slots whose packet crossed the shared link.
+    pub shared_carried: u64,
+    /// Receiver visits: one `on_packet` call per subscribed receiver and
+    /// carried slot.
+    pub visits: u64,
+    /// Fanout-link loss draws (visits whose packet survived the shared
+    /// link).
+    pub fanout_samples: u64,
+    /// Join and leave requests the engine applied (clamped no-op actions
+    /// at level 1 or `M` are not counted).
+    pub level_changes: u64,
+}
+
+impl std::ops::AddAssign for StarCounters {
+    fn add_assign(&mut self, other: StarCounters) {
+        self.slots += other.slots;
+        self.shared_carried += other.shared_carried;
+        self.visits += other.visits;
+        self.fanout_samples += other.fanout_samples;
+        self.level_changes += other.level_changes;
+    }
+}
+
 /// Reusable buffers for back-to-back [`run_star`] calls (trial loops).
 ///
 /// One star run needs per-receiver copies of the configured loss processes
@@ -291,6 +326,15 @@ pub struct StarScratch {
     /// Snapshot of the slot layer's subscriber bitset row (a receiver's own
     /// action must not edit the row mid-walk).
     row: Vec<u64>,
+    /// Work done by every run this scratch served.
+    counters: StarCounters,
+}
+
+impl StarScratch {
+    /// The work counters summed over every run this scratch served.
+    pub fn counters(&self) -> StarCounters {
+        self.counters
+    }
 }
 
 /// Settle receiver `r`'s lazy `offered`/`level_slot_sum` accounting through
@@ -405,7 +449,12 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
         settled_slots,
         settled_prefix,
         row,
+        counters,
     } = scratch;
+    let mut work = StarCounters {
+        slots,
+        ..StarCounters::default()
+    };
     let mut interleaver = LayerInterleaver::new(&cfg.layer_rates);
 
     report.slots = slots;
@@ -446,6 +495,11 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
         // visit-time `wants && subscribed` checks.
         row.clear();
         row.extend_from_slice(membership.index().subscribers(layer));
+        let slot_visits: u64 = row.iter().map(|w| u64::from(w.count_ones())).sum();
+        work.visits += slot_visits;
+        if !lost_shared {
+            work.fanout_samples += slot_visits;
+        }
         for (w, &bits) in row.iter().enumerate() {
             let mut bits = bits;
             while bits != 0 {
@@ -492,6 +546,7 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
                     target,
                     slots_done,
                 );
+                work.level_changes += 1;
                 membership.request_level(slot, r, target);
             }
         }
@@ -511,6 +566,8 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
         );
         report.final_levels[r] = level;
     }
+    work.shared_carried = report.shared_carried;
+    *counters += work;
 }
 
 #[cfg(test)]
@@ -674,5 +731,41 @@ mod tests {
         let report = run_star(&cfg, &mut ctls, &mut EverySlot, 8000, 6);
         assert!(ctls[0].0 > 0);
         assert_eq!(ctls[0].0, report.delivered[0]);
+    }
+
+    #[test]
+    fn counters_count_visits_draws_and_level_changes_exactly() {
+        // Pure shared loss: a visit is lost exactly when the shared draw
+        // lost it, so every fanout draw is a delivery. Pinned receivers
+        // only ever join, once per level up to their target.
+        let cfg = StarConfig::figure8(4, 3, 0.05, 0.0);
+        let mut scratch = StarScratch::default();
+        let mut report = StarReport::default();
+        for _ in 0..2 {
+            let mut ctls = vec![Pinned(1), Pinned(3), Pinned(4)];
+            run_star_into(
+                &cfg,
+                &mut ctls,
+                &mut NoMarkers,
+                8_000,
+                9,
+                &mut report,
+                &mut scratch,
+            );
+        }
+        let delivered: u64 = report.delivered.iter().sum();
+        let congested: u64 = report.congestion_events.iter().sum();
+        assert!(congested > 0);
+        // Two identical runs through one scratch: every counter doubles.
+        assert_eq!(
+            scratch.counters(),
+            StarCounters {
+                slots: 2 * 8_000,
+                shared_carried: 2 * report.shared_carried,
+                visits: 2 * (delivered + congested),
+                fanout_samples: 2 * delivered,
+                level_changes: 2 * (2 + 3),
+            }
+        );
     }
 }

@@ -54,7 +54,7 @@ pub mod tree;
 
 pub use engine::{
     run_star, run_star_into, Action, LayerInterleaver, MarkerSource, NoMarkers, PacketEvent,
-    ReceiverController, StarConfig, StarReport, StarScratch,
+    ReceiverController, StarConfig, StarCounters, StarReport, StarScratch,
 };
 pub use events::{EventQueue, Tick};
 pub use index::{LevelIndex, LinkLevelIndex};

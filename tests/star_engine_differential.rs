@@ -11,10 +11,17 @@
 //! state machines × Bernoulli and Gilbert–Elliott loss (shared and fanout)
 //! × zero and nonzero join/leave latencies × receiver counts 1..128, with
 //! the controller/marker wiring the Figure 8 harness uses.
+//!
+//! The same grid also pins the controller dispatch: the statically
+//! dispatched `ProtocolReceiver` enum the harness runs and the boxed
+//! `make_receiver` controllers give identical reports and identical
+//! [`StarCounters`].
 
-use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind};
+use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind, ProtocolReceiver};
 use mlf_sim::engine::{MarkerSource, NoMarkers, ReceiverController, StarConfig, StarReport};
-use mlf_sim::{reference, run_star, run_star_into, LossProcess, SimRng, StarScratch, Tick};
+use mlf_sim::{
+    reference, run_star, run_star_into, LossProcess, SimRng, StarCounters, StarScratch, Tick,
+};
 use proptest::prelude::*;
 
 const KINDS: [ProtocolKind; 3] = ProtocolKind::ALL;
@@ -37,6 +44,20 @@ impl MarkerSource for Markers {
     }
 }
 
+/// One controller per receiver, each on the RNG substream the Figure 8
+/// `TrialRig` gives it, built by `make` (the enum or its boxed form).
+fn controllers<C>(
+    kind: ProtocolKind,
+    receivers: usize,
+    seed: u64,
+    make: impl Fn(ProtocolKind, SimRng) -> C,
+) -> Vec<C> {
+    let base = SimRng::seed_from_u64(seed ^ 0xABCD_EF01_2345_6789);
+    (0..receivers)
+        .map(|r| make(kind, base.split(1_000_000 + r as u64)))
+        .collect()
+}
+
 /// Controllers and marker source exactly as the Figure 8 `TrialRig` wires
 /// them: per-receiver RNG substreams split off one trial base.
 fn rig(
@@ -44,16 +65,19 @@ fn rig(
     receivers: usize,
     layers: usize,
     seed: u64,
-) -> (Vec<Box<dyn ReceiverController>>, Markers) {
-    let base = SimRng::seed_from_u64(seed ^ 0xABCD_EF01_2345_6789);
-    let controllers = (0..receivers)
-        .map(|r| make_receiver(kind, base.split(1_000_000 + r as u64)))
-        .collect();
-    let markers = match kind {
+) -> (Vec<ProtocolReceiver>, Markers) {
+    (
+        controllers(kind, receivers, seed, ProtocolReceiver::new),
+        markers(kind, layers),
+    )
+}
+
+/// The sender side: coordination markers for the Coordinated protocol.
+fn markers(kind: ProtocolKind, layers: usize) -> Markers {
+    match kind {
         ProtocolKind::Coordinated => Markers::Coordinated(CoordinatedSender::new(layers)),
         _ => Markers::None(NoMarkers),
-    };
-    (controllers, markers)
+    }
 }
 
 fn loss(bursty: bool, p: f64) -> LossProcess {
@@ -80,6 +104,31 @@ fn config(
 fn run_indexed(cfg: &StarConfig, kind: ProtocolKind, slots: u64, seed: u64) -> StarReport {
     let (mut ctls, mut mk) = rig(kind, cfg.receiver_count(), cfg.layer_count(), seed);
     run_star(cfg, &mut ctls, &mut mk, slots, seed)
+}
+
+/// One indexed run on a fresh scratch with the controllers `make` builds
+/// (the enum or its boxed form); returns the report and the run's counters.
+fn run_fresh<C: ReceiverController>(
+    cfg: &StarConfig,
+    kind: ProtocolKind,
+    slots: u64,
+    seed: u64,
+    make: impl Fn(ProtocolKind, SimRng) -> C,
+) -> (StarReport, StarCounters) {
+    let mut ctls = controllers(kind, cfg.receiver_count(), seed, make);
+    let mut mk = markers(kind, cfg.layer_count());
+    let mut report = StarReport::default();
+    let mut scratch = StarScratch::default();
+    run_star_into(
+        cfg,
+        &mut ctls,
+        &mut mk,
+        slots,
+        seed,
+        &mut report,
+        &mut scratch,
+    );
+    (report, scratch.counters())
 }
 
 fn run_reference(cfg: &StarConfig, kind: ProtocolKind, slots: u64, seed: u64) -> StarReport {
@@ -166,6 +215,7 @@ proptest! {
     ) {
         let mut scratch = StarScratch::default();
         let mut report = StarReport::default();
+        let mut fresh_sum = StarCounters::default();
         for (t, &seed) in seeds.iter().enumerate() {
             // Alternate shapes so the scratch's membership/index buffers
             // must genuinely re-size, not just re-zero.
@@ -190,7 +240,48 @@ proptest! {
                 &report,
                 &reference,
             );
+            fresh_sum += run_fresh(&cfg, kind, 2_000, seed, ProtocolReceiver::new).1;
         }
+        // A reused scratch counts exactly the work of the fresh runs.
+        prop_assert_eq!(scratch.counters(), fresh_sum);
+    }
+
+    /// Static and dynamic dispatch of the same controllers: the enum the
+    /// Figure 8 harness runs and the boxed `make_receiver` controllers
+    /// produce identical reports and identical work counters, and every
+    /// counted visit is one delivery or one congestion event.
+    #[test]
+    fn boxed_controllers_match_the_enum(
+        receivers in 1usize..128,
+        layers in 2usize..9,
+        kind_ix in 0usize..3,
+        bursty_ix in 0usize..4,
+        latency_ix in 0usize..4,
+        p_shared in 0.0f64..0.08,
+        p_ind in 0.0f64..0.08,
+        seed in any::<u64>(),
+    ) {
+        let kind = KINDS[kind_ix];
+        let cfg = config(
+            layers,
+            receivers,
+            loss(bursty_ix & 1 == 1, p_shared),
+            loss(bursty_ix & 2 == 2, p_ind),
+            LATENCIES[latency_ix],
+        );
+        let label = format!(
+            "{} n={receivers} m={layers} lat={:?}",
+            kind.label(),
+            LATENCIES[latency_ix]
+        );
+        let (plain, plain_counters) = run_fresh(&cfg, kind, 2_500, seed, ProtocolReceiver::new);
+        let (boxed, boxed_counters) = run_fresh(&cfg, kind, 2_500, seed, make_receiver);
+        assert_reports_identical(&label, &plain, &boxed);
+        prop_assert_eq!(plain_counters, boxed_counters, "{}", label);
+        let events: u64 = plain.delivered.iter().sum::<u64>()
+            + plain.congestion_events.iter().sum::<u64>();
+        prop_assert_eq!(plain_counters.visits, events, "{}", label);
+        prop_assert_eq!(plain_counters.shared_carried, plain.shared_carried);
     }
 }
 

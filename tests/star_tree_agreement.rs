@@ -33,8 +33,8 @@
 
 use mlf_net::topology::star_network;
 use mlf_net::LinkId;
-use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind};
-use mlf_sim::engine::{MarkerSource, NoMarkers, ReceiverController, StarConfig};
+use mlf_protocols::{CoordinatedSender, ProtocolKind, ProtocolReceiver};
+use mlf_sim::engine::{MarkerSource, NoMarkers, StarConfig};
 use mlf_sim::tree::{run_tree_expect, TreeConfig};
 use mlf_sim::{run_star, LossProcess, SimRng, Tick};
 
@@ -60,10 +60,10 @@ fn rig(
     receivers: usize,
     layers: usize,
     seed: u64,
-) -> (Vec<Box<dyn ReceiverController>>, Markers) {
+) -> (Vec<ProtocolReceiver>, Markers) {
     let base = SimRng::seed_from_u64(seed ^ 0xABCD_EF01_2345_6789);
     let controllers = (0..receivers)
-        .map(|r| make_receiver(kind, base.split(1_000_000 + r as u64)))
+        .map(|r| ProtocolReceiver::new(kind, base.split(1_000_000 + r as u64)))
         .collect();
     let markers = match kind {
         ProtocolKind::Coordinated => Markers::Coordinated(CoordinatedSender::new(layers)),

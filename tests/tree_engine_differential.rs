@@ -20,8 +20,8 @@
 
 use mlf_net::topology::{kary_tree, random_tree, star_network};
 use mlf_net::{Network, NodeId, Session};
-use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind};
-use mlf_sim::engine::{MarkerSource, NoMarkers, ReceiverController};
+use mlf_protocols::{CoordinatedSender, ProtocolKind, ProtocolReceiver};
+use mlf_sim::engine::{MarkerSource, NoMarkers};
 use mlf_sim::tree::{run_tree_expect, run_tree_into, TreeConfig, TreeReport, TreeScratch};
 use mlf_sim::{reference_tree, LossProcess, SimRng, Tick};
 use proptest::prelude::*;
@@ -53,10 +53,10 @@ fn rig(
     receivers: usize,
     layers: usize,
     seed: u64,
-) -> (Vec<Box<dyn ReceiverController>>, Markers) {
+) -> (Vec<ProtocolReceiver>, Markers) {
     let base = SimRng::seed_from_u64(seed ^ 0xABCD_EF01_2345_6789);
     let controllers = (0..receivers)
-        .map(|r| make_receiver(kind, base.split(1_000_000 + r as u64)))
+        .map(|r| ProtocolReceiver::new(kind, base.split(1_000_000 + r as u64)))
         .collect();
     let markers = match kind {
         ProtocolKind::Coordinated => Markers::Coordinated(CoordinatedSender::new(layers)),
