@@ -243,6 +243,9 @@ pub fn encode_point(p: &SweepPoint) -> [u8; POINT_BYTES] {
 }
 
 /// Decode a canonical 66-byte point encoding (inverse of [`encode_point`]).
+/// Bytes [`encode_point`] never writes are an error, so every decoded
+/// point re-encodes to exactly its input: parameter bits on a model
+/// without a parameter, or a count after an absent-properties tag.
 pub fn decode_point(bytes: &[u8]) -> Result<SweepPoint, String> {
     if bytes.len() != POINT_BYTES {
         return Err(format!(
@@ -256,7 +259,11 @@ pub fn decode_point(bytes: &[u8]) -> Result<SweepPoint, String> {
         u64::from_le_bytes(b)
     };
     let model = model_from_code(bytes[8], u64_at(9))?;
+    if model_code(model).1 != u64_at(9) {
+        return Err(format!("model tag {} carries no parameter", bytes[8]));
+    }
     let properties_holding = match bytes[57] {
+        0 if u64_at(58) != 0 => Err("a count after the no-properties tag".to_string())?,
         0 => None,
         1 => Some(u64_at(58) as usize),
         t => Err(format!("unknown properties tag {t}"))?,
@@ -553,6 +560,14 @@ mod tests {
         assert!(decode_point(&[0u8; 65]).is_err());
         let mut bad = encode_point(&point(0, None));
         bad[8] = 9; // unknown model tag
+        assert!(decode_point(&bad).is_err());
+        // Bytes encode_point never writes: parameter bits on `Efficient`,
+        // and a count after the no-properties tag of an odd seed.
+        let mut bad = encode_point(&point(1, Some(LinkRateModel::Efficient)));
+        bad[9] = 1;
+        assert!(decode_point(&bad).is_err());
+        let mut bad = encode_point(&point(1, None));
+        bad[58] = 1;
         assert!(decode_point(&bad).is_err());
     }
 

@@ -43,8 +43,9 @@
 //! * [`FaultKind::DuplicateShard`] — the shard is delivered twice; the
 //!   second copy is dropped.
 //! * [`FaultKind::KillProcess`] — (process fleets) the supervisor
-//!   SIGKILLs the worker child mid-shard; the death is observed, the
-//!   shard requeued, and the slot respawned with capped backoff. Thread
+//!   SIGKILLs the worker child mid-shard; the death is observed, every
+//!   assignment it held requeued, and the slot respawned with capped
+//!   backoff. Thread
 //!   fleets model it as a clean worker exit.
 //! * [`FaultKind::TornFrame`] — the assignment frame is damaged on the
 //!   wire; the frame checksum catches it, the worker rejects it, and the
@@ -78,6 +79,14 @@
 //! to the serial fallback like a lost thread fleet. The transport cannot
 //! change the merged bytes — it only moves *where* the same pure solves
 //! run.
+//!
+//! # Pipelining
+//!
+//! Each worker holds up to two assignments, so the next one is already
+//! queued while the coordinator verifies the previous report. The
+//! coordinator tracks them per worker as `(task, attempt)` tickets,
+//! oldest first. A report retires its own ticket, a dead worker requeues
+//! every ticket it held, and a rejection names the ticket it rejects.
 //!
 //! # Cache telemetry
 //!
@@ -490,6 +499,16 @@ pub(crate) enum TaskId {
     Spot(u64),
 }
 
+/// One dispatched assignment as the coordinator tracks it: the task and
+/// the attempt it was sent as.
+pub(crate) type Ticket = (TaskId, u32);
+
+/// How many assignments one worker may hold at once. With two, the next
+/// assignment is already queued at the worker while the coordinator
+/// verifies the previous report and dispatches, so no worker idles
+/// through that round trip. Workers serve their assignments in order.
+const IN_FLIGHT_DEPTH: usize = 2;
+
 /// One unit of dispatched work. Shared with the transport frame codec.
 #[derive(Debug, Clone)]
 pub(crate) struct Assignment {
@@ -498,6 +517,12 @@ pub(crate) struct Assignment {
     pub(crate) shard: u64,
     pub(crate) start: u64,
     pub(crate) jobs: Vec<Job>,
+}
+
+impl Assignment {
+    pub(crate) fn ticket(&self) -> Ticket {
+        (self.task, self.attempt)
+    }
 }
 
 #[derive(Debug)]
@@ -524,30 +549,29 @@ struct ShardSpec {
     jobs: Vec<Job>,
 }
 
+/// A shard's hash-verified points, awaiting or undergoing their spot
+/// check.
+struct Audit {
+    points: Vec<SweepPoint>,
+    /// The worker that computed the points; the spot check goes elsewhere.
+    computed_by: usize,
+    spot_attempt: u32,
+}
+
 enum ShardState {
     /// Waiting for a worker (`ready_at` holds the retry backoff).
-    Queued {
-        ready_at: Option<Deadline>,
-    },
+    Queued { ready_at: Option<Deadline> },
     /// Assigned; reassigned if not delivered by `deadline`.
-    Running {
-        deadline: Deadline,
-    },
-    /// Hash-verified points waiting for a spot-check slot.
+    Running { deadline: Deadline },
+    /// Verified points waiting for a spot-check slot.
     Held {
-        points: Vec<SweepPoint>,
-        computed_by: usize,
-        spot_attempt: u32,
+        audit: Audit,
         ready_at: Option<Deadline>,
     },
     /// Spot check in flight on a second worker.
-    SpotRunning {
-        points: Vec<SweepPoint>,
-        computed_by: usize,
-        spot_attempt: u32,
-        deadline: Deadline,
-    },
-    Done,
+    SpotRunning { audit: Audit, deadline: Deadline },
+    /// Accepted (and checkpointed, when configured).
+    Done { points: Vec<SweepPoint> },
 }
 
 // ---------------------------------------------------------------------------
@@ -696,7 +720,10 @@ impl WorkerTransport for ThreadTransport<'_> {
                 .fires(worker, assignment.shard, assignment.attempt)
                 == Some(FaultKind::TornFrame)
         {
-            self.pending.push_back(TransportPoll::Rejected { worker });
+            self.pending.push_back(TransportPoll::Rejected {
+                worker,
+                ticket: assignment.ticket(),
+            });
             return true;
         }
         if self.slots[worker]
@@ -805,92 +832,57 @@ fn backoff(cfg: &CoordinatorConfig, attempt: u32) -> Duration {
         .min(cfg.backoff_cap)
 }
 
-/// Accept one verified shard: checkpoint it, mark it done.
-#[allow(clippy::too_many_arguments)]
-fn accept_shard(
-    i: usize,
-    points: Vec<SweepPoint>,
-    shards: &[ShardSpec],
-    writer: &mut Option<CheckpointWriter>,
-    done: &mut [Option<Vec<SweepPoint>>],
-    state: &mut [ShardState],
-    remaining: &mut usize,
-    accepted_new: &mut u64,
-) -> Result<(), CoordinatorError> {
-    if let Some(w) = writer.as_mut() {
-        let start = shards[i].start;
-        let hash = shard_content_hash(i as u64, start, &points);
-        w.append_shard(&ShardRecord {
-            shard: i as u64,
-            start,
-            points: points.clone(),
-            hash,
-        })?;
-    }
-    done[i] = Some(points);
-    state[i] = ShardState::Done;
-    *remaining -= 1;
-    *accepted_new += 1;
-    Ok(())
+/// The mutable state of one coordinated sweep: every shard's scheduling
+/// state, what each worker holds, the checkpoint writer, and the
+/// telemetry. The event loop's methods live here.
+struct Run<'a> {
+    cfg: &'a CoordinatorConfig,
+    shards: Vec<ShardSpec>,
+    state: Vec<ShardState>,
+    /// Per shard, the attempt its next (or running) assignment carries.
+    attempts: Vec<u32>,
+    /// Per worker, the assignments sent and not yet answered, oldest
+    /// first; at most [`IN_FLIGHT_DEPTH`] each.
+    current: Vec<VecDeque<Ticket>>,
+    writer: Option<CheckpointWriter>,
+    /// Shards not yet `Done`.
+    remaining: usize,
+    /// Shards accepted by this run (checkpointed ones excluded).
+    accepted_new: u64,
+    stats: CoordinatorStats,
+    cache: CacheStats,
 }
 
-/// Whether the simulated-kill cap fires now.
-fn interrupted(cfg: &CoordinatorConfig, accepted_new: u64, remaining: usize) -> bool {
-    matches!(cfg.max_new_shards, Some(cap) if accepted_new >= cap && remaining > 0)
-}
-
-impl Scenario {
-    /// [`Scenario::sweep`] through the fault-tolerant coordinator: shards
-    /// the seeds across worker threads, hash-verifies and optionally
-    /// spot-checks every shard, checkpoints accepted shards, and merges in
-    /// canonical seed order. The merged [`SweepReport`] is **bitwise
-    /// identical** to the serial sweep under any [`FaultPlan`] and across
-    /// any kill/resume sequence. See the [module docs](crate::coordinator).
-    pub fn coordinate<I: IntoIterator<Item = u64>>(
-        &self,
-        seeds: I,
-        cfg: &CoordinatorConfig,
-    ) -> Result<CoordinatorReport, CoordinatorError> {
-        let jobs: Vec<Job> = seeds.into_iter().map(|s| (None, s)).collect();
-        self.coordinate_jobs(jobs, cfg)
-    }
-
-    /// [`Scenario::sweep_grid`] through the coordinator (models-major job
-    /// order, exactly like the serial and parallel grid executors).
-    pub fn coordinate_grid(
-        &self,
-        grid: &SweepGrid,
-        cfg: &CoordinatorConfig,
-    ) -> Result<CoordinatorReport, CoordinatorError> {
-        self.check_grid(grid);
-        self.coordinate_jobs(Self::grid_jobs(grid), cfg)
-    }
-
-    fn coordinate_jobs(
-        &self,
-        jobs: Vec<Job>,
-        cfg: &CoordinatorConfig,
-    ) -> Result<CoordinatorReport, CoordinatorError> {
+impl<'a> Run<'a> {
+    /// Shard the job list and restore whatever the checkpoint (when
+    /// configured and present) already holds.
+    fn new(
+        scenario: &Scenario,
+        jobs: &[Job],
+        cfg: &'a CoordinatorConfig,
+    ) -> Result<Self, CoordinatorError> {
         let shard_size = cfg.shard_size.max(1);
-        let mut shards: Vec<ShardSpec> = Vec::new();
-        for (idx, chunk) in jobs.chunks(shard_size).enumerate() {
-            shards.push(ShardSpec {
+        let shards: Vec<ShardSpec> = jobs
+            .chunks(shard_size)
+            .enumerate()
+            .map(|(idx, chunk)| ShardSpec {
                 start: (idx * shard_size) as u64,
                 jobs: chunk.to_vec(),
-            });
-        }
+            })
+            .collect();
         let mut stats = CoordinatorStats {
             shards: shards.len() as u64,
             ..CoordinatorStats::default()
         };
         let meta = CheckpointMeta {
-            sweep: sweep_identity(self, &jobs),
+            sweep: sweep_identity(scenario, jobs),
             shards: shards.len() as u64,
             shard_size: shard_size as u64,
         };
-
-        let mut done: Vec<Option<Vec<SweepPoint>>> = (0..shards.len()).map(|_| None).collect();
-        let mut writer: Option<CheckpointWriter> = None;
+        let mut state: Vec<ShardState> = (0..shards.len())
+            .map(|_| ShardState::Queued { ready_at: None })
+            .collect();
+        let mut writer = None;
         if let Some(path) = &cfg.checkpoint {
             if path.exists() {
                 let loaded = checkpoint::load_checkpoint(path, &meta)?;
@@ -912,65 +904,514 @@ impl Scenario {
                         }
                         .into());
                     }
-                    if done[rec.shard as usize].is_none() {
+                    let slot = &mut state[rec.shard as usize];
+                    if !matches!(slot, ShardState::Done { .. }) {
                         stats.shards_from_checkpoint += 1;
                     }
-                    done[rec.shard as usize] = Some(rec.points.clone());
+                    *slot = ShardState::Done {
+                        points: rec.points.clone(),
+                    };
                 }
                 writer = Some(CheckpointWriter::resume(path, &meta, &loaded)?);
             } else {
                 writer = Some(CheckpointWriter::create(path, &meta)?);
             }
         }
-
-        let mut remaining = done.iter().filter(|d| d.is_none()).count();
-        let mut accepted_new = 0u64;
-        let mut cache = CacheStats::default();
-        if remaining > 0 && interrupted(cfg, 0, remaining) {
-            return Err(CoordinatorError::Interrupted { accepted: 0 });
-        }
-        if remaining > 0 {
-            self.run_workers(
-                cfg,
-                &shards,
-                &mut done,
-                &mut writer,
-                &mut remaining,
-                &mut accepted_new,
-                &mut stats,
-                &mut cache,
-            )?;
-        }
-
-        let mut points = Vec::with_capacity(jobs.len());
-        // Every shard is `Some` here: run_workers only returns Ok once
-        // `remaining == 0`.
-        for p in done.into_iter().flatten() {
-            points.extend(p);
-        }
-        Ok(CoordinatorReport {
-            report: SweepReport {
-                label: self.label.clone(),
-                points,
-                cache,
-            },
+        let remaining = state
+            .iter()
+            .filter(|s| !matches!(s, ShardState::Done { .. }))
+            .count();
+        Ok(Run {
+            cfg,
+            attempts: vec![0; shards.len()],
+            shards,
+            state,
+            current: Vec::new(),
+            writer,
+            remaining,
+            accepted_new: 0,
             stats,
+            cache: CacheStats::default(),
         })
     }
 
-    /// Launch the configured fleet and drive the event loop over it.
-    #[allow(clippy::too_many_arguments)]
-    fn run_workers(
-        &self,
-        cfg: &CoordinatorConfig,
-        shards: &[ShardSpec],
-        done: &mut [Option<Vec<SweepPoint>>],
-        writer: &mut Option<CheckpointWriter>,
-        remaining: &mut usize,
-        accepted_new: &mut u64,
-        stats: &mut CoordinatorStats,
-        cache: &mut CacheStats,
+    /// The merged report, shards in canonical order. Call only once every
+    /// shard is done.
+    fn into_report(self, label: String) -> CoordinatorReport {
+        let points = self
+            .state
+            .into_iter()
+            .flat_map(|s| match s {
+                ShardState::Done { points } => points,
+                _ => Vec::new(),
+            })
+            .collect();
+        CoordinatorReport {
+            report: SweepReport {
+                label,
+                points,
+                cache: self.cache,
+            },
+            stats: self.stats,
+        }
+    }
+
+    /// Take shard `i`'s state out, leaving a placeholder the caller
+    /// overwrites.
+    fn take(&mut self, i: usize) -> ShardState {
+        std::mem::replace(&mut self.state[i], ShardState::Queued { ready_at: None })
+    }
+
+    /// Accept one verified shard: checkpoint it, mark it done.
+    fn accept(&mut self, i: usize, points: Vec<SweepPoint>) -> Result<(), CoordinatorError> {
+        if let Some(w) = self.writer.as_mut() {
+            let start = self.shards[i].start;
+            let hash = shard_content_hash(i as u64, start, &points);
+            w.append_shard(&ShardRecord {
+                shard: i as u64,
+                start,
+                points: points.clone(),
+                hash,
+            })?;
+        }
+        self.state[i] = ShardState::Done { points };
+        self.remaining -= 1;
+        self.accepted_new += 1;
+        Ok(())
+    }
+
+    /// Whether the simulated-kill cap fires now.
+    fn interrupted(&self) -> bool {
+        matches!(self.cfg.max_new_shards, Some(cap) if self.accepted_new >= cap && self.remaining > 0)
+    }
+
+    /// Burn one retry of shard `i` and requeue it behind its backoff; a
+    /// spent budget fails the sweep.
+    fn retry_shard(&mut self, i: usize) -> Result<(), CoordinatorError> {
+        self.stats.retries += 1;
+        self.attempts[i] += 1;
+        if self.attempts[i] > self.cfg.max_retries {
+            return Err(CoordinatorError::ShardFailed {
+                shard: i as u64,
+                attempts: self.attempts[i],
+            });
+        }
+        self.state[i] = ShardState::Queued {
+            ready_at: Some(Deadline::now() + backoff(self.cfg, self.attempts[i])),
+        };
+        Ok(())
+    }
+
+    /// Retry a lost spot check of shard `i` behind its backoff. Once the
+    /// audit's budget is spent the shard is accepted on its already
+    /// verified content hash: losing the audit must never fail the sweep.
+    fn retry_spot(&mut self, i: usize, mut audit: Audit) -> Result<(), CoordinatorError> {
+        audit.spot_attempt += 1;
+        if audit.spot_attempt > self.cfg.max_retries {
+            self.stats.spot_checks_skipped += 1;
+            return self.accept(i, audit.points);
+        }
+        let ready_at = Some(Deadline::now() + backoff(self.cfg, audit.spot_attempt));
+        self.state[i] = ShardState::Held { audit, ready_at };
+        Ok(())
+    }
+
+    /// Remove `ticket` from `worker`'s in-flight queue, if it is there.
+    fn retire(&mut self, worker: usize, ticket: Ticket) {
+        if let Some(queue) = self.current.get_mut(worker) {
+            if let Some(k) = queue.iter().position(|&t| t == ticket) {
+                queue.remove(k);
+            }
+        }
+    }
+
+    /// A worker died holding `ticket`, or rejected it unread: put the
+    /// task back in play when it is still the live attempt. A lost shard
+    /// burns a retry, like a timeout; a lost spot check retries the
+    /// audit. A stale ticket (already timed out and reassigned) changes
+    /// nothing.
+    fn lose(&mut self, (task, attempt): Ticket) -> Result<(), CoordinatorError> {
+        match task {
+            TaskId::Shard(shard) => {
+                let i = shard as usize;
+                if matches!(self.state[i], ShardState::Running { .. })
+                    && self.attempts[i] == attempt
+                {
+                    return self.retry_shard(i);
+                }
+            }
+            TaskId::Spot(shard) => {
+                let i = shard as usize;
+                match self.take(i) {
+                    ShardState::SpotRunning { audit, .. } if audit.spot_attempt == attempt => {
+                        return self.retry_spot(i, audit);
+                    }
+                    other => self.state[i] = other,
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Hand every ready task to a worker with room: queued shards to any
+    /// worker, spot checks of held shards to any worker but the one that
+    /// computed them. A held shard with no second worker left is accepted
+    /// on its verified content hash alone. Returns whether anything was
+    /// sent.
+    fn dispatch<T: WorkerTransport>(
+        &mut self,
+        transport: &mut T,
+    ) -> Result<bool, CoordinatorError> {
+        let mut sent = false;
+        for i in 0..self.state.len() {
+            let now = Deadline::now();
+            let (task, attempt, exclude) = match &self.state[i] {
+                ShardState::Queued { ready_at } if ready_at.map_or(true, |t| t <= now) => {
+                    (TaskId::Shard(i as u64), self.attempts[i], None)
+                }
+                ShardState::Held { audit, ready_at } if ready_at.map_or(true, |t| t <= now) => {
+                    let computed_by = audit.computed_by;
+                    if (0..transport.worker_count())
+                        .any(|w| w != computed_by && transport.usable(w))
+                    {
+                        (
+                            TaskId::Spot(i as u64),
+                            audit.spot_attempt,
+                            Some(computed_by),
+                        )
+                    } else {
+                        if let ShardState::Held { audit, .. } = self.take(i) {
+                            self.stats.spot_checks_skipped += 1;
+                            self.accept(i, audit.points)?;
+                        }
+                        if self.interrupted() {
+                            break;
+                        }
+                        continue;
+                    }
+                }
+                _ => continue,
+            };
+            let spec = &self.shards[i];
+            let len = match task {
+                TaskId::Shard(_) => spec.jobs.len(),
+                TaskId::Spot(_) => self.cfg.spot_check.min(spec.jobs.len()),
+            };
+            let assignment = || Assignment {
+                task,
+                attempt,
+                shard: i as u64,
+                start: spec.start,
+                jobs: spec.jobs[..len].to_vec(),
+            };
+            if dispatch_to(transport, &mut self.current, exclude, assignment) {
+                sent = true;
+                let deadline = now + self.cfg.shard_timeout;
+                self.state[i] = match self.take(i) {
+                    ShardState::Held { audit, .. } => ShardState::SpotRunning { audit, deadline },
+                    _ => ShardState::Running { deadline },
+                };
+            }
+        }
+        Ok(sent)
+    }
+
+    /// How long to wait for the next event (until the earliest deadline
+    /// or backoff, or one timeout-sized probe window when nothing is
+    /// scheduled), and whether any task is in flight.
+    fn next_wait(&self) -> (Duration, bool) {
+        let mut next: Option<Deadline> = None;
+        let mut in_flight = false;
+        for s in &self.state {
+            let t = match s {
+                ShardState::Running { deadline } | ShardState::SpotRunning { deadline, .. } => {
+                    in_flight = true;
+                    Some(*deadline)
+                }
+                ShardState::Queued { ready_at } | ShardState::Held { ready_at, .. } => *ready_at,
+                ShardState::Done { .. } => None,
+            };
+            if let Some(t) = t {
+                next = Some(next.map_or(t, |n| n.min(t)));
+            }
+        }
+        let wait = match next {
+            Some(t) => t.saturating_duration_since(Deadline::now()),
+            // Nothing scheduled at all: either every live worker is busy
+            // (possibly crashed without detection) or work is waiting on
+            // a worker. Probe in timeout-sized windows.
+            None => self.cfg.shard_timeout,
+        };
+        (wait, in_flight)
+    }
+
+    /// Requeue every task past its deadline. Returns whether any was.
+    fn expire(&mut self) -> Result<bool, CoordinatorError> {
+        let now = Deadline::now();
+        let mut expired_any = false;
+        for i in 0..self.state.len() {
+            let expired = match &self.state[i] {
+                ShardState::Running { deadline } | ShardState::SpotRunning { deadline, .. } => {
+                    *deadline <= now
+                }
+                _ => false,
+            };
+            if !expired {
+                continue;
+            }
+            expired_any = true;
+            self.stats.timeouts += 1;
+            match self.take(i) {
+                ShardState::SpotRunning { audit, .. } => self.retry_spot(i, audit)?,
+                _ => self.retry_shard(i)?,
+            }
+        }
+        Ok(expired_any)
+    }
+
+    /// Drive one launched fleet to completion, then shut it down
+    /// (whatever the outcome — process children are reaped even on
+    /// error) and fold its counters into the stats.
+    fn drive<T: WorkerTransport>(
+        &mut self,
+        scenario: &Scenario,
+        transport: &mut T,
     ) -> Result<(), CoordinatorError> {
+        self.current = vec![VecDeque::new(); transport.worker_count()];
+        let result = self.drive_loop(scenario, transport);
+        transport.shutdown();
+        let c = transport.counters();
+        self.stats.workers_lost += c.workers_lost;
+        self.stats.respawns += c.respawns;
+        result
+    }
+
+    /// The transport-generic event loop: dispatch, verify, retry, merge.
+    /// Scheduling decisions are identical for thread and process fleets —
+    /// which is why the two transports merge identical bytes.
+    fn drive_loop<T: WorkerTransport>(
+        &mut self,
+        scenario: &Scenario,
+        transport: &mut T,
+    ) -> Result<(), CoordinatorError> {
+        let mut stuck_probes = 0u32;
+        loop {
+            if self.dispatch(transport)? {
+                stuck_probes = 0;
+            }
+            if self.remaining == 0 {
+                return Ok(());
+            }
+            if self.interrupted() {
+                return Err(CoordinatorError::Interrupted {
+                    accepted: self.accepted_new,
+                });
+            }
+            if !(0..transport.worker_count()).any(|w| transport.usable(w)) {
+                return self.serial_remainder(scenario);
+            }
+
+            let (wait, in_flight) = self.next_wait();
+            match transport.recv_timeout(wait.max(Duration::from_millis(1))) {
+                TransportPoll::Report(rep) => {
+                    stuck_probes = 0;
+                    self.handle_report(rep)?;
+                }
+                TransportPoll::Rejected { worker, ticket } => {
+                    // A damaged assignment frame: the worker never saw
+                    // the work. Requeue it like a lost worker's.
+                    stuck_probes = 0;
+                    self.stats.frames_rejected += 1;
+                    self.retire(worker, ticket);
+                    self.lose(ticket)?;
+                }
+                TransportPoll::Down { worker } => {
+                    // Everything the worker held is lost with it.
+                    stuck_probes = 0;
+                    let lost = self.current.get_mut(worker).map(std::mem::take);
+                    for ticket in lost.into_iter().flatten() {
+                        self.lose(ticket)?;
+                    }
+                }
+                TransportPoll::Timeout => {
+                    if !self.expire()? && !in_flight {
+                        stuck_probes += 1;
+                        if stuck_probes >= 3 {
+                            // Live-but-silent workers have had three
+                            // full timeout windows; treat the fleet as
+                            // lost and finish serially.
+                            return self.serial_remainder(scenario);
+                        }
+                    }
+                }
+                // Every worker is permanently gone.
+                TransportPoll::AllDown => return self.serial_remainder(scenario),
+            }
+        }
+    }
+
+    /// Process one delivery: verify, settle, or retry.
+    fn handle_report(&mut self, rep: WorkerReport) -> Result<(), CoordinatorError> {
+        self.retire(rep.worker, (rep.task, rep.attempt));
+        match rep.task {
+            TaskId::Shard(shard) => {
+                let i = shard as usize;
+                if !matches!(
+                    self.state[i],
+                    ShardState::Running { .. } | ShardState::Queued { .. }
+                ) {
+                    // Already settled (duplicate delivery, or a stale
+                    // delivery from a timed-out attempt).
+                    self.stats.duplicates_dropped += 1;
+                    return Ok(());
+                }
+                // A delivery for an open shard is welcome whichever
+                // attempt produced it — determinism makes every valid
+                // delivery byte-identical — provided it verifies.
+                let spec = &self.shards[i];
+                let expected = shard_content_hash(shard, spec.start, &rep.points);
+                if rep.points.len() != spec.jobs.len() || rep.hash != expected {
+                    self.stats.hash_rejects += 1;
+                    return self.retry_shard(i);
+                }
+                self.cache.merge(&rep.cache);
+                if self.cfg.spot_check == 0 {
+                    return self.accept(i, rep.points);
+                }
+                self.state[i] = ShardState::Held {
+                    audit: Audit {
+                        points: rep.points,
+                        computed_by: rep.worker,
+                        spot_attempt: 0,
+                    },
+                    ready_at: None,
+                };
+                Ok(())
+            }
+            TaskId::Spot(shard) => {
+                let i = shard as usize;
+                let audit = match self.take(i) {
+                    ShardState::SpotRunning { audit, .. } => audit,
+                    other => {
+                        self.state[i] = other;
+                        self.stats.duplicates_dropped += 1;
+                        return Ok(());
+                    }
+                };
+                self.cache.merge(&rep.cache);
+                let spot_len = self.cfg.spot_check.min(self.shards[i].jobs.len());
+                let head_ok =
+                    rep.points.len() == spot_len
+                        && rep.points.iter().zip(audit.points.iter()).all(|(a, b)| {
+                            checkpoint::encode_point(a) == checkpoint::encode_point(b)
+                        });
+                if head_ok {
+                    self.stats.spot_checks_passed += 1;
+                    return self.accept(i, audit.points);
+                }
+                // Two workers disagree bitwise: trust neither, recompute
+                // the shard from scratch.
+                self.retry_shard(i)
+            }
+        }
+    }
+
+    /// Graceful degradation: every worker is lost, so compute the
+    /// remaining shards serially in shard order. Bytes are unaffected —
+    /// the serial path runs the same pure solve per job.
+    fn serial_remainder(&mut self, scenario: &Scenario) -> Result<(), CoordinatorError> {
+        self.stats.serial_fallback = true;
+        let mut ws = SolverWorkspace::new();
+        let mut cache: Option<SolveCache> = scenario.worker_cache();
+        let mut outcome: Result<(), CoordinatorError> = Ok(());
+        for i in 0..self.shards.len() {
+            let points = match self.take(i) {
+                done @ ShardState::Done { .. } => {
+                    self.state[i] = done;
+                    continue;
+                }
+                // A hash-verified shard awaiting its spot check is kept;
+                // the audit is skipped, not the verification.
+                ShardState::Held { audit, .. } | ShardState::SpotRunning { audit, .. } => {
+                    self.stats.spot_checks_skipped += 1;
+                    audit.points
+                }
+                _ => self.shards[i]
+                    .jobs
+                    .iter()
+                    .map(|&(model, seed)| {
+                        scenario.sweep_point_with(seed, model, &mut ws, cache.as_mut())
+                    })
+                    .collect(),
+            };
+            if let Err(e) = self.accept(i, points) {
+                outcome = Err(e);
+                break;
+            }
+            if self.interrupted() {
+                outcome = Err(CoordinatorError::Interrupted {
+                    accepted: self.accepted_new,
+                });
+                break;
+            }
+        }
+        if let Some(c) = &cache {
+            self.cache.merge(&c.stats());
+        }
+        outcome
+    }
+}
+
+impl Scenario {
+    /// [`Scenario::sweep`] through the fault-tolerant coordinator: shards
+    /// the seeds across worker threads, hash-verifies and optionally
+    /// spot-checks every shard, checkpoints accepted shards, and merges in
+    /// canonical seed order. The merged [`SweepReport`] is **bitwise
+    /// identical** to the serial sweep under any [`FaultPlan`] and across
+    /// any kill/resume sequence. See the [module docs](crate::coordinator).
+    pub fn coordinate<I: IntoIterator<Item = u64>>(
+        &self,
+        seeds: I,
+        cfg: &CoordinatorConfig,
+    ) -> Result<CoordinatorReport, CoordinatorError> {
+        let jobs: Vec<Job> = seeds.into_iter().map(|s| (None, s)).collect();
+        self.coordinate_jobs(jobs, cfg)
+    }
+
+    /// [`Scenario::sweep_grid`] through the coordinator (models-major job
+    /// order, exactly like the serial and parallel grid executors).
+    ///
+    /// # Panics
+    ///
+    /// Like [`Scenario::sweep_grid`], on a grid that
+    /// [`Scenario::validate_grid`] rejects.
+    pub fn coordinate_grid(
+        &self,
+        grid: &SweepGrid,
+        cfg: &CoordinatorConfig,
+    ) -> Result<CoordinatorReport, CoordinatorError> {
+        self.check_grid(grid);
+        self.coordinate_jobs(Self::grid_jobs(grid), cfg)
+    }
+
+    fn coordinate_jobs(
+        &self,
+        jobs: Vec<Job>,
+        cfg: &CoordinatorConfig,
+    ) -> Result<CoordinatorReport, CoordinatorError> {
+        let mut run = Run::new(self, &jobs, cfg)?;
+        if run.remaining > 0 {
+            if run.interrupted() {
+                return Err(CoordinatorError::Interrupted { accepted: 0 });
+            }
+            self.run_workers(&mut run)?;
+        }
+        Ok(run.into_report(self.label.clone()))
+    }
+
+    /// Launch the configured fleet and drive the event loop over it.
+    fn run_workers(&self, run: &mut Run<'_>) -> Result<(), CoordinatorError> {
+        let cfg = run.cfg;
         let workers = if cfg.workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -983,18 +1424,6 @@ impl Scenario {
             .shard_timeout
             .saturating_mul(2)
             .saturating_add(Duration::from_millis(20));
-        let mut state: Vec<ShardState> = done
-            .iter()
-            .map(|d| {
-                if d.is_some() {
-                    ShardState::Done
-                } else {
-                    ShardState::Queued { ready_at: None }
-                }
-            })
-            .collect();
-        let mut attempts: Vec<u32> = vec![0; shards.len()];
-
         match &cfg.transport {
             TransportKind::Threads => std::thread::scope(|scope| {
                 let (rtx, rrx) = mpsc::channel::<WorkerReport>();
@@ -1014,19 +1443,7 @@ impl Scenario {
                     pending: VecDeque::new(),
                     counters: TransportCounters::default(),
                 };
-                self.drive(
-                    &mut transport,
-                    cfg,
-                    shards,
-                    &mut state,
-                    &mut attempts,
-                    done,
-                    writer,
-                    remaining,
-                    accepted_new,
-                    stats,
-                    cache,
-                )
+                run.drive(self, &mut transport)
             }),
             TransportKind::Process(pc) => {
                 let spec = self
@@ -1039,682 +1456,271 @@ impl Scenario {
                     plan.clone(),
                     stall,
                 )?;
-                self.drive(
-                    &mut transport,
-                    cfg,
-                    shards,
-                    &mut state,
-                    &mut attempts,
-                    done,
-                    writer,
-                    remaining,
-                    accepted_new,
-                    stats,
-                    cache,
-                )
+                run.drive(self, &mut transport)
             }
         }
-    }
-
-    /// Drive one launched fleet to completion, then shut it down
-    /// (whatever the outcome — process children are reaped even on
-    /// error) and fold its counters into the stats.
-    #[allow(clippy::too_many_arguments)]
-    fn drive<T: WorkerTransport>(
-        &self,
-        transport: &mut T,
-        cfg: &CoordinatorConfig,
-        shards: &[ShardSpec],
-        state: &mut [ShardState],
-        attempts: &mut [u32],
-        done: &mut [Option<Vec<SweepPoint>>],
-        writer: &mut Option<CheckpointWriter>,
-        remaining: &mut usize,
-        accepted_new: &mut u64,
-        stats: &mut CoordinatorStats,
-        cache: &mut CacheStats,
-    ) -> Result<(), CoordinatorError> {
-        let mut current: Vec<Option<(TaskId, u32)>> = vec![None; transport.worker_count()];
-        let result = self.drive_loop(
-            transport,
-            cfg,
-            shards,
-            state,
-            attempts,
-            &mut current,
-            done,
-            writer,
-            remaining,
-            accepted_new,
-            stats,
-            cache,
-        );
-        transport.shutdown();
-        let c = transport.counters();
-        stats.workers_lost += c.workers_lost;
-        stats.respawns += c.respawns;
-        result
-    }
-
-    /// The transport-generic event loop: dispatch, verify, retry, merge.
-    /// Scheduling decisions are identical for thread and process fleets —
-    /// which is why the two transports merge identical bytes.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_loop<T: WorkerTransport>(
-        &self,
-        transport: &mut T,
-        cfg: &CoordinatorConfig,
-        shards: &[ShardSpec],
-        state: &mut [ShardState],
-        attempts: &mut [u32],
-        current: &mut [Option<(TaskId, u32)>],
-        done: &mut [Option<Vec<SweepPoint>>],
-        writer: &mut Option<CheckpointWriter>,
-        remaining: &mut usize,
-        accepted_new: &mut u64,
-        stats: &mut CoordinatorStats,
-        cache: &mut CacheStats,
-    ) -> Result<(), CoordinatorError> {
-        let mut stuck_probes = 0u32;
-
-        loop {
-            // --- dispatch ready work to idle live workers ------------
-            for i in 0..state.len() {
-                let now = Deadline::now();
-                match &state[i] {
-                    ShardState::Queued { ready_at } if ready_at.map_or(true, |t| t <= now) => {
-                        let spec = &shards[i];
-                        let assignment = Assignment {
-                            task: TaskId::Shard(i as u64),
-                            attempt: attempts[i],
-                            shard: i as u64,
-                            start: spec.start,
-                            jobs: spec.jobs.clone(),
-                        };
-                        if dispatch_to(transport, current, None, &assignment).is_some() {
-                            state[i] = ShardState::Running {
-                                deadline: now + cfg.shard_timeout,
-                            };
-                            stuck_probes = 0;
-                        }
-                    }
-                    ShardState::Held { ready_at, .. } if ready_at.map_or(true, |t| t <= now) => {
-                        let (points, computed_by, spot_attempt) = match std::mem::replace(
-                            &mut state[i],
-                            ShardState::Queued { ready_at: None },
-                        ) {
-                            ShardState::Held {
-                                points,
-                                computed_by,
-                                spot_attempt,
-                                ..
-                            } => (points, computed_by, spot_attempt),
-                            // Unreachable: we matched Held above.
-                            other => {
-                                state[i] = other;
-                                continue;
-                            }
-                        };
-                        let second_exists = (0..transport.worker_count())
-                            .any(|w| w != computed_by && transport.usable(w));
-                        if !second_exists {
-                            // No independent worker left to audit with:
-                            // accept on the (already verified) content
-                            // hash alone.
-                            stats.spot_checks_skipped += 1;
-                            accept_shard(
-                                i,
-                                points,
-                                shards,
-                                writer,
-                                done,
-                                state,
-                                remaining,
-                                accepted_new,
-                            )?;
-                            if interrupted(cfg, *accepted_new, *remaining) {
-                                break;
-                            }
-                            continue;
-                        }
-                        let spec = &shards[i];
-                        let spot_len = cfg.spot_check.min(spec.jobs.len());
-                        let assignment = Assignment {
-                            task: TaskId::Spot(i as u64),
-                            attempt: spot_attempt,
-                            shard: i as u64,
-                            start: spec.start,
-                            jobs: spec.jobs[..spot_len].to_vec(),
-                        };
-                        if dispatch_to(transport, current, Some(computed_by), &assignment).is_some()
-                        {
-                            state[i] = ShardState::SpotRunning {
-                                points,
-                                computed_by,
-                                spot_attempt,
-                                deadline: now + cfg.shard_timeout,
-                            };
-                            stuck_probes = 0;
-                        } else {
-                            state[i] = ShardState::Held {
-                                points,
-                                computed_by,
-                                spot_attempt,
-                                ready_at: None,
-                            };
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if *remaining == 0 {
-                return Ok(());
-            }
-            if interrupted(cfg, *accepted_new, *remaining) {
-                return Err(CoordinatorError::Interrupted {
-                    accepted: *accepted_new,
-                });
-            }
-            if !(0..transport.worker_count()).any(|w| transport.usable(w)) {
-                stats.serial_fallback = true;
-                return self.serial_remainder(
-                    cfg,
-                    shards,
-                    state,
-                    done,
-                    writer,
-                    remaining,
-                    accepted_new,
-                    stats,
-                    cache,
-                );
-            }
-
-            // --- wait for the next delivery or deadline --------------
-            let now = Deadline::now();
-            let mut next: Option<Deadline> = None;
-            let mut in_flight = false;
-            for s in state.iter() {
-                let t = match s {
-                    ShardState::Running { deadline } => {
-                        in_flight = true;
-                        Some(*deadline)
-                    }
-                    ShardState::SpotRunning { deadline, .. } => {
-                        in_flight = true;
-                        Some(*deadline)
-                    }
-                    ShardState::Queued { ready_at } => *ready_at,
-                    ShardState::Held { ready_at, .. } => *ready_at,
-                    ShardState::Done => None,
-                };
-                if let Some(t) = t {
-                    next = Some(next.map_or(t, |n: Deadline| n.min(t)));
-                }
-            }
-            let wait = match next {
-                Some(t) => t.saturating_duration_since(now),
-                // Nothing scheduled at all: either every live worker is
-                // busy (possibly crashed without detection) or work is
-                // waiting on a worker. Probe in timeout-sized windows.
-                None => cfg.shard_timeout,
-            };
-            match transport.recv_timeout(wait.max(Duration::from_millis(1))) {
-                TransportPoll::Report(rep) => {
-                    stuck_probes = 0;
-                    self.handle_report(
-                        rep,
-                        cfg,
-                        shards,
-                        current,
-                        state,
-                        attempts,
-                        done,
-                        writer,
-                        remaining,
-                        accepted_new,
-                        stats,
-                        cache,
-                    )?;
-                }
-                TransportPoll::Rejected { worker } => {
-                    // A damaged assignment frame: the worker never saw
-                    // the work. Requeue it like a lost worker's.
-                    stuck_probes = 0;
-                    stats.frames_rejected += 1;
-                    requeue_lost(
-                        cfg,
-                        worker,
-                        current,
-                        shards,
-                        state,
-                        attempts,
-                        done,
-                        writer,
-                        remaining,
-                        accepted_new,
-                        stats,
-                    )?;
-                }
-                TransportPoll::Down { worker } => {
-                    stuck_probes = 0;
-                    requeue_lost(
-                        cfg,
-                        worker,
-                        current,
-                        shards,
-                        state,
-                        attempts,
-                        done,
-                        writer,
-                        remaining,
-                        accepted_new,
-                        stats,
-                    )?;
-                }
-                TransportPoll::Timeout => {
-                    let now = Deadline::now();
-                    let mut expired_any = false;
-                    for i in 0..state.len() {
-                        match &state[i] {
-                            ShardState::Running { deadline } if *deadline <= now => {
-                                expired_any = true;
-                                stats.timeouts += 1;
-                                stats.retries += 1;
-                                attempts[i] += 1;
-                                if attempts[i] > cfg.max_retries {
-                                    return Err(CoordinatorError::ShardFailed {
-                                        shard: i as u64,
-                                        attempts: attempts[i],
-                                    });
-                                }
-                                state[i] = ShardState::Queued {
-                                    ready_at: Some(now + backoff(cfg, attempts[i])),
-                                };
-                            }
-                            ShardState::SpotRunning { deadline, .. } if *deadline <= now => {
-                                expired_any = true;
-                                stats.timeouts += 1;
-                                let (points, computed_by, spot_attempt) = match std::mem::replace(
-                                    &mut state[i],
-                                    ShardState::Queued { ready_at: None },
-                                ) {
-                                    ShardState::SpotRunning {
-                                        points,
-                                        computed_by,
-                                        spot_attempt,
-                                        ..
-                                    } => (points, computed_by, spot_attempt + 1),
-                                    other => {
-                                        state[i] = other;
-                                        continue;
-                                    }
-                                };
-                                if spot_attempt > cfg.max_retries {
-                                    // The content hash already verified;
-                                    // losing the audit repeatedly must
-                                    // not fail the sweep.
-                                    stats.spot_checks_skipped += 1;
-                                    accept_shard(
-                                        i,
-                                        points,
-                                        shards,
-                                        writer,
-                                        done,
-                                        state,
-                                        remaining,
-                                        accepted_new,
-                                    )?;
-                                } else {
-                                    state[i] = ShardState::Held {
-                                        points,
-                                        computed_by,
-                                        spot_attempt,
-                                        ready_at: Some(now + backoff(cfg, spot_attempt)),
-                                    };
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    if !expired_any && !in_flight {
-                        stuck_probes += 1;
-                        if stuck_probes >= 3 {
-                            // Live-but-silent workers have had three
-                            // full timeout windows; treat the fleet as
-                            // lost and finish serially.
-                            stats.serial_fallback = true;
-                            return self.serial_remainder(
-                                cfg,
-                                shards,
-                                state,
-                                done,
-                                writer,
-                                remaining,
-                                accepted_new,
-                                stats,
-                                cache,
-                            );
-                        }
-                    }
-                }
-                TransportPoll::AllDown => {
-                    // Every worker is permanently gone.
-                    stats.serial_fallback = true;
-                    return self.serial_remainder(
-                        cfg,
-                        shards,
-                        state,
-                        done,
-                        writer,
-                        remaining,
-                        accepted_new,
-                        stats,
-                        cache,
-                    );
-                }
-            }
-        }
-    }
-
-    /// Process one delivery: verify, settle, or retry.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_report(
-        &self,
-        rep: WorkerReport,
-        cfg: &CoordinatorConfig,
-        shards: &[ShardSpec],
-        current: &mut [Option<(TaskId, u32)>],
-        state: &mut [ShardState],
-        attempts: &mut [u32],
-        done: &mut [Option<Vec<SweepPoint>>],
-        writer: &mut Option<CheckpointWriter>,
-        remaining: &mut usize,
-        accepted_new: &mut u64,
-        stats: &mut CoordinatorStats,
-        cache: &mut CacheStats,
-    ) -> Result<(), CoordinatorError> {
-        if rep.worker < current.len() && current[rep.worker] == Some((rep.task, rep.attempt)) {
-            current[rep.worker] = None;
-        }
-        match rep.task {
-            TaskId::Shard(shard) => {
-                let i = shard as usize;
-                match &state[i] {
-                    ShardState::Done | ShardState::Held { .. } | ShardState::SpotRunning { .. } => {
-                        // Already settled (duplicate delivery, or a stale
-                        // delivery from a timed-out attempt).
-                        stats.duplicates_dropped += 1;
-                    }
-                    ShardState::Running { .. } | ShardState::Queued { .. } => {
-                        // A delivery for an open shard is welcome whichever
-                        // attempt produced it — determinism makes every
-                        // valid delivery byte-identical — provided it
-                        // verifies.
-                        let spec = &shards[i];
-                        let expected = shard_content_hash(shard, spec.start, &rep.points);
-                        if rep.points.len() != spec.jobs.len() || rep.hash != expected {
-                            stats.hash_rejects += 1;
-                            stats.retries += 1;
-                            attempts[i] += 1;
-                            if attempts[i] > cfg.max_retries {
-                                return Err(CoordinatorError::ShardFailed {
-                                    shard,
-                                    attempts: attempts[i],
-                                });
-                            }
-                            state[i] = ShardState::Queued {
-                                ready_at: Some(Deadline::now() + backoff(cfg, attempts[i])),
-                            };
-                        } else if cfg.spot_check == 0 {
-                            cache.merge(&rep.cache);
-                            accept_shard(
-                                i,
-                                rep.points,
-                                shards,
-                                writer,
-                                done,
-                                state,
-                                remaining,
-                                accepted_new,
-                            )?;
-                        } else {
-                            cache.merge(&rep.cache);
-                            state[i] = ShardState::Held {
-                                points: rep.points,
-                                computed_by: rep.worker,
-                                spot_attempt: 0,
-                                ready_at: None,
-                            };
-                        }
-                    }
-                }
-            }
-            TaskId::Spot(shard) => {
-                let i = shard as usize;
-                let taken = std::mem::replace(&mut state[i], ShardState::Queued { ready_at: None });
-                match taken {
-                    ShardState::SpotRunning {
-                        points,
-                        computed_by,
-                        spot_attempt,
-                        ..
-                    } => {
-                        cache.merge(&rep.cache);
-                        let spot_len = cfg.spot_check.min(shards[i].jobs.len());
-                        let head_ok = rep.points.len() == spot_len
-                            && rep.points.iter().zip(points.iter()).all(|(a, b)| {
-                                checkpoint::encode_point(a) == checkpoint::encode_point(b)
-                            });
-                        if head_ok {
-                            stats.spot_checks_passed += 1;
-                            accept_shard(
-                                i,
-                                points,
-                                shards,
-                                writer,
-                                done,
-                                state,
-                                remaining,
-                                accepted_new,
-                            )?;
-                        } else {
-                            // Two workers disagree bitwise: trust neither,
-                            // recompute the shard from scratch.
-                            let _ = computed_by;
-                            let _ = spot_attempt;
-                            stats.retries += 1;
-                            attempts[i] += 1;
-                            if attempts[i] > cfg.max_retries {
-                                return Err(CoordinatorError::ShardFailed {
-                                    shard,
-                                    attempts: attempts[i],
-                                });
-                            }
-                            state[i] = ShardState::Queued {
-                                ready_at: Some(Deadline::now() + backoff(cfg, attempts[i])),
-                            };
-                        }
-                    }
-                    other => {
-                        state[i] = other;
-                        stats.duplicates_dropped += 1;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Graceful degradation: every worker is lost, so compute the
-    /// remaining shards serially in shard order. Bytes are unaffected —
-    /// the serial path runs the same pure solve per job.
-    #[allow(clippy::too_many_arguments)]
-    fn serial_remainder(
-        &self,
-        cfg: &CoordinatorConfig,
-        shards: &[ShardSpec],
-        state: &mut [ShardState],
-        done: &mut [Option<Vec<SweepPoint>>],
-        writer: &mut Option<CheckpointWriter>,
-        remaining: &mut usize,
-        accepted_new: &mut u64,
-        stats: &mut CoordinatorStats,
-        cache_total: &mut CacheStats,
-    ) -> Result<(), CoordinatorError> {
-        let mut ws = SolverWorkspace::new();
-        let mut cache: Option<SolveCache> = self.worker_cache();
-        let mut outcome: Result<(), CoordinatorError> = Ok(());
-        for i in 0..shards.len() {
-            if matches!(state[i], ShardState::Done) {
-                continue;
-            }
-            let taken = std::mem::replace(&mut state[i], ShardState::Queued { ready_at: None });
-            let points = match taken {
-                // A hash-verified shard awaiting its spot check is kept;
-                // the audit is skipped, not the verification.
-                ShardState::Held { points, .. } | ShardState::SpotRunning { points, .. } => {
-                    stats.spot_checks_skipped += 1;
-                    points
-                }
-                _ => shards[i]
-                    .jobs
-                    .iter()
-                    .map(|&(model, seed)| {
-                        self.sweep_point_with(seed, model, &mut ws, cache.as_mut())
-                    })
-                    .collect(),
-            };
-            if let Err(e) = accept_shard(
-                i,
-                points,
-                shards,
-                writer,
-                done,
-                state,
-                remaining,
-                accepted_new,
-            ) {
-                outcome = Err(e);
-                break;
-            }
-            if interrupted(cfg, *accepted_new, *remaining) {
-                outcome = Err(CoordinatorError::Interrupted {
-                    accepted: *accepted_new,
-                });
-                break;
-            }
-        }
-        if let Some(c) = &cache {
-            cache_total.merge(&c.stats());
-        }
-        outcome
     }
 }
 
-/// Hand `assignment` to any idle usable worker other than `exclude`,
-/// recording it as that worker's current task. Returns the worker that
-/// took the assignment.
+/// Hand the assignment `make` builds to a usable worker other than
+/// `exclude` that has room — idle workers first, then second slots — and
+/// record it in that worker's in-flight queue. The assignment is built
+/// only once some worker has room. Returns whether a worker took it.
 fn dispatch_to<T: WorkerTransport>(
     transport: &mut T,
-    current: &mut [Option<(TaskId, u32)>],
+    current: &mut [VecDeque<Ticket>],
     exclude: Option<usize>,
-    assignment: &Assignment,
-) -> Option<usize> {
-    let workers = transport.worker_count();
-    for (w, slot) in current.iter_mut().enumerate().take(workers) {
-        if Some(w) == exclude || slot.is_some() || !transport.usable(w) {
-            continue;
-        }
-        if transport.try_send(w, assignment) {
-            *slot = Some((assignment.task, assignment.attempt));
-            return Some(w);
-        }
-    }
-    None
-}
-
-/// A worker died or rejected its assignment: clear its current task and
-/// put that task back in play. A lost *shard* burns a retry (like a
-/// timeout); a lost *spot check* retries the audit until its budget is
-/// spent, then accepts on the already-verified content hash — losing the
-/// audit must never fail the sweep.
-#[allow(clippy::too_many_arguments)]
-fn requeue_lost(
-    cfg: &CoordinatorConfig,
-    worker: usize,
-    current: &mut [Option<(TaskId, u32)>],
-    shards: &[ShardSpec],
-    state: &mut [ShardState],
-    attempts: &mut [u32],
-    done: &mut [Option<Vec<SweepPoint>>],
-    writer: &mut Option<CheckpointWriter>,
-    remaining: &mut usize,
-    accepted_new: &mut u64,
-    stats: &mut CoordinatorStats,
-) -> Result<(), CoordinatorError> {
-    let Some((task, _)) = current.get_mut(worker).and_then(|c| c.take()) else {
-        return Ok(());
-    };
-    match task {
-        TaskId::Shard(shard) => {
-            let i = shard as usize;
-            if matches!(state[i], ShardState::Running { .. }) {
-                stats.retries += 1;
-                attempts[i] += 1;
-                if attempts[i] > cfg.max_retries {
-                    return Err(CoordinatorError::ShardFailed {
-                        shard,
-                        attempts: attempts[i],
-                    });
-                }
-                state[i] = ShardState::Queued {
-                    ready_at: Some(Deadline::now() + backoff(cfg, attempts[i])),
-                };
+    make: impl Fn() -> Assignment,
+) -> bool {
+    let mut assignment: Option<Assignment> = None;
+    for depth in 0..IN_FLIGHT_DEPTH {
+        for (w, queue) in current.iter_mut().enumerate() {
+            if Some(w) == exclude || queue.len() != depth || !transport.usable(w) {
+                continue;
             }
-        }
-        TaskId::Spot(shard) => {
-            let i = shard as usize;
-            let taken = std::mem::replace(&mut state[i], ShardState::Queued { ready_at: None });
-            match taken {
-                ShardState::SpotRunning {
-                    points,
-                    computed_by,
-                    spot_attempt,
-                    ..
-                } => {
-                    let spot_attempt = spot_attempt + 1;
-                    if spot_attempt > cfg.max_retries {
-                        stats.spot_checks_skipped += 1;
-                        accept_shard(
-                            i,
-                            points,
-                            shards,
-                            writer,
-                            done,
-                            state,
-                            remaining,
-                            accepted_new,
-                        )?;
-                    } else {
-                        state[i] = ShardState::Held {
-                            points,
-                            computed_by,
-                            spot_attempt,
-                            ready_at: Some(Deadline::now() + backoff(cfg, spot_attempt)),
-                        };
-                    }
-                }
-                other => state[i] = other,
+            let a = assignment.get_or_insert_with(&make);
+            if transport.try_send(w, a) {
+                queue.push_back(a.ticket());
+                return true;
             }
         }
     }
-    Ok(())
+    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlf_core::allocator::MultiRate;
+
+    /// One scripted fleet event, fired at the next poll.
+    enum Step {
+        /// The worker dies with everything it holds and comes back empty,
+        /// like a respawned process.
+        Down(usize),
+        /// The worker rejects the `k`-th assignment it holds, unread.
+        Reject(usize, usize),
+        /// The worker serves its oldest assignment and delivers the
+        /// report twice.
+        Duplicate(usize),
+    }
+
+    /// A deterministic in-process fleet for exact scheduling checks.
+    /// Scripted steps fire first, one per poll; after that, workers
+    /// serve their oldest assignment in turn, one report per poll. It
+    /// panics when a worker is handed more than `IN_FLIGHT_DEPTH`
+    /// assignments, or a spot check of a shard it computed.
+    struct Scripted<'s> {
+        scenario: &'s Scenario,
+        workers: Vec<WorkerState>,
+        held: Vec<VecDeque<Assignment>>,
+        script: VecDeque<Step>,
+        replay: Option<WorkerReport>,
+        turn: usize,
+        /// Per shard, the worker whose delivery of it was last served.
+        computed_by: Vec<Option<usize>>,
+        /// Every assignment sent, in order.
+        sent: Vec<(usize, Ticket)>,
+    }
+
+    impl<'s> Scripted<'s> {
+        fn new(scenario: &'s Scenario, workers: usize, shards: usize, script: Vec<Step>) -> Self {
+            Scripted {
+                scenario,
+                workers: (0..workers).map(|_| WorkerState::new(scenario)).collect(),
+                held: vec![VecDeque::new(); workers],
+                script: script.into(),
+                replay: None,
+                turn: 0,
+                computed_by: vec![None; shards],
+                sent: Vec::new(),
+            }
+        }
+
+        fn serve(&mut self, w: usize) -> WorkerReport {
+            let a = self.held[w].pop_front().expect("the worker holds work");
+            if let TaskId::Shard(i) = a.task {
+                self.computed_by[i as usize] = Some(w);
+            }
+            let plan = FaultPlan::none();
+            let (report, _) = self.workers[w]
+                .serve(self.scenario, w, &a, &plan, Duration::ZERO)
+                .expect("no faults are armed");
+            report
+        }
+    }
+
+    impl WorkerTransport for Scripted<'_> {
+        fn worker_count(&self) -> usize {
+            self.held.len()
+        }
+
+        fn usable(&self, _worker: usize) -> bool {
+            true
+        }
+
+        fn try_send(&mut self, worker: usize, assignment: &Assignment) -> bool {
+            assert!(
+                self.held[worker].len() < IN_FLIGHT_DEPTH,
+                "worker {worker} handed more than {IN_FLIGHT_DEPTH} assignments"
+            );
+            if let TaskId::Spot(i) = assignment.task {
+                assert_ne!(self.computed_by[i as usize], Some(worker), "self-audit");
+            }
+            self.held[worker].push_back(assignment.clone());
+            self.sent.push((worker, assignment.ticket()));
+            true
+        }
+
+        fn recv_timeout(&mut self, wait: Duration) -> TransportPoll {
+            if let Some(report) = self.replay.take() {
+                return TransportPoll::Report(report);
+            }
+            match self.script.pop_front() {
+                Some(Step::Down(w)) => {
+                    self.held[w].clear();
+                    return TransportPoll::Down { worker: w };
+                }
+                Some(Step::Reject(w, k)) => {
+                    let a = self.held[w].remove(k).expect("the worker holds k+1 tasks");
+                    return TransportPoll::Rejected {
+                        worker: w,
+                        ticket: a.ticket(),
+                    };
+                }
+                Some(Step::Duplicate(w)) => {
+                    let report = self.serve(w);
+                    self.replay = Some(report.clone());
+                    return TransportPoll::Report(report);
+                }
+                None => {}
+            }
+            let n = self.held.len();
+            for k in 0..n {
+                let w = (self.turn + k) % n;
+                if !self.held[w].is_empty() {
+                    self.turn = w + 1;
+                    return TransportPoll::Report(self.serve(w));
+                }
+            }
+            // Idle: work waits on a backoff.
+            std::thread::sleep(wait);
+            TransportPoll::Timeout
+        }
+
+        fn shutdown(&mut self) {}
+
+        fn counters(&self) -> TransportCounters {
+            TransportCounters::default()
+        }
+    }
+
+    /// How many times `ticket` was sent.
+    fn times(sent: &[(usize, Ticket)], ticket: Ticket) -> usize {
+        sent.iter().filter(|&&(_, t)| t == ticket).count()
+    }
+
+    fn scripted_scenario() -> Scenario {
+        Scenario::builder()
+            .label("scripted")
+            .random_networks(14, 4, 4)
+            .allocator(MultiRate::new())
+            .build()
+            .expect("valid scenario spec")
+    }
+
+    /// Run seeds `0..8` as one-job shards on a two-worker scripted fleet,
+    /// and check the merged bytes against the serial sweep.
+    fn scripted_run(
+        spot_check: usize,
+        script: Vec<Step>,
+    ) -> (CoordinatorStats, Vec<(usize, Ticket)>) {
+        let scenario = scripted_scenario();
+        let cfg = CoordinatorConfig {
+            shard_size: 1,
+            spot_check,
+            shard_timeout: Duration::from_secs(5),
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(1),
+            ..CoordinatorConfig::default()
+        };
+        let jobs: Vec<Job> = (0..8).map(|seed| (None, seed)).collect();
+        let mut run = Run::new(&scenario, &jobs, &cfg).expect("no checkpoint to load");
+        let mut fleet = Scripted::new(&scenario, 2, jobs.len(), script);
+        run.drive(&scenario, &mut fleet)
+            .expect("the scripted run merges");
+        let sent = fleet.sent;
+        let out = run.into_report(scenario.label.clone());
+        let serial = scripted_scenario().sweep(0..8);
+        assert_eq!(out.report.points.len(), serial.points.len());
+        for (got, want) in out.report.points.iter().zip(&serial.points) {
+            assert_eq!(
+                checkpoint::encode_point(got),
+                checkpoint::encode_point(want)
+            );
+        }
+        // Every task the fleet drops is requeued at once: none waits out
+        // its deadline.
+        assert_eq!(out.stats.timeouts, 0, "{:?}", out.stats);
+        assert!(!out.stats.serial_fallback);
+        (out.stats, sent)
+    }
+
+    /// The first dispatch pass fills idle workers first, then second
+    /// slots: worker 0 holds shards 0 and 2, worker 1 shards 1 and 3.
+    #[test]
+    fn dispatch_fills_idle_workers_before_second_slots() {
+        let (_, sent) = scripted_run(0, Vec::new());
+        let first: Vec<(usize, Ticket)> = sent[..4].to_vec();
+        let shard = |i| (TaskId::Shard(i), 0);
+        assert_eq!(
+            first,
+            vec![(0, shard(0)), (1, shard(1)), (0, shard(2)), (1, shard(3))]
+        );
+    }
+
+    #[test]
+    fn a_lost_worker_requeues_every_assignment_it_held() {
+        let (stats, sent) = scripted_run(0, vec![Step::Down(0)]);
+        assert_eq!(stats.retries, 2, "{stats:?}");
+        for i in [0, 2] {
+            assert_eq!(
+                times(&sent, (TaskId::Shard(i), 1)),
+                1,
+                "shard {i} is resent"
+            );
+        }
+        for i in [1, 3] {
+            assert_eq!(
+                times(&sent, (TaskId::Shard(i), 1)),
+                0,
+                "shard {i} was not lost"
+            );
+        }
+    }
+
+    #[test]
+    fn a_rejection_requeues_the_task_it_names() {
+        // Worker 0 holds shards 0 and 2 and rejects the second.
+        let (stats, sent) = scripted_run(0, vec![Step::Reject(0, 1)]);
+        assert_eq!((stats.frames_rejected, stats.retries), (1, 1), "{stats:?}");
+        assert_eq!(
+            times(&sent, (TaskId::Shard(2), 1)),
+            1,
+            "the rejected task is resent"
+        );
+        assert_eq!(times(&sent, (TaskId::Shard(0), 1)), 0, "the head is not");
+    }
+
+    #[test]
+    fn a_duplicate_of_a_retired_task_is_dropped_and_counted() {
+        // The copy must not retire worker 0's other assignment, or the
+        // worker would be handed a third (the fleet panics on that).
+        let (stats, _) = scripted_run(1, vec![Step::Duplicate(0)]);
+        assert_eq!(stats.duplicates_dropped, 1, "{stats:?}");
+        assert_eq!(stats.retries, 0);
+        assert_eq!(stats.spot_checks_passed, 8);
+    }
 
     #[test]
     fn fault_plans_are_deterministic_in_their_seed() {

@@ -212,8 +212,8 @@ pub enum ScenarioError {
     /// A configured link-rate model has a parameter outside its domain
     /// (see [`LinkRateModel::validate`]).
     InvalidLinkRateModel {
-        /// The session whose model is invalid (`None` for a
-        /// [`LinkRates::Uniform`] model, which every session shares).
+        /// The session whose model is invalid (`None` for a model every
+        /// session shares: a [`LinkRates::Uniform`] or [`SweepGrid`] model).
         session: Option<usize>,
         /// What is wrong with the parameter.
         reason: &'static str,
@@ -657,6 +657,14 @@ impl Scenario {
     /// the same topologies under different redundancy models). Each seeded
     /// topology is built once and shared across the grid's models through
     /// the scenario cache.
+    ///
+    /// # Panics
+    ///
+    /// On a grid that [`Scenario::validate_grid`] rejects, with that
+    /// error's message: link-rate models on an allocator without a
+    /// link-rate parameterization
+    /// ([`ScenarioError::AllocatorIgnoresLinkRates`]), or a model outside
+    /// its domain ([`ScenarioError::InvalidLinkRateModel`]).
     pub fn sweep_grid(&mut self, grid: &SweepGrid) -> SweepReport {
         self.check_grid(grid);
         let jobs = Self::grid_jobs(grid);
@@ -704,12 +712,30 @@ impl Scenario {
         jobs
     }
 
+    /// Check a grid against this scenario once, before any point runs:
+    /// grid models need an allocator with a link-rate parameterization,
+    /// and each model must pass [`LinkRateModel::validate`]. The typed
+    /// form of the check [`Scenario::sweep_grid`],
+    /// [`Scenario::sweep_grid_par`] and [`Scenario::coordinate_grid`]
+    /// panic on.
+    pub fn validate_grid(&self, grid: &SweepGrid) -> Result<(), ScenarioError> {
+        if !grid.models.is_empty() && !self.allocator.supports_link_rates() {
+            return Err(ScenarioError::AllocatorIgnoresLinkRates);
+        }
+        grid.models.iter().try_for_each(|m| {
+            m.validate()
+                .map_err(|reason| ScenarioError::InvalidLinkRateModel {
+                    session: None,
+                    reason,
+                })
+        })
+    }
+
     fn check_grid(&self, grid: &SweepGrid) {
-        assert!(
-            grid.models.is_empty() || self.allocator.supports_link_rates(),
-            "{}",
-            ScenarioError::AllocatorIgnoresLinkRates
-        );
+        if let Err(e) = self.validate_grid(grid) {
+            // mlf-lint: allow(panic-unwrap, reason = "the documented `# Panics` contract of the grid sweeps, whose signatures stay infallible; validate_grid is the typed alternative")
+            panic!("{e}");
+        }
     }
 
     /// [`Scenario::sweep`], sharded across `threads` scoped worker threads.
@@ -739,6 +765,11 @@ impl Scenario {
     /// [`Scenario::sweep_grid`], sharded across `threads` scoped worker
     /// threads. Point order (models-major, then seeds) and every point's
     /// bits match the serial executor exactly.
+    ///
+    /// # Panics
+    ///
+    /// Like [`Scenario::sweep_grid`], on a grid that
+    /// [`Scenario::validate_grid`] rejects.
     pub fn sweep_grid_par(&self, grid: &SweepGrid, threads: usize) -> SweepReport {
         self.check_grid(grid);
         let (points, cache) = self.run_jobs_par(&Self::grid_jobs(grid), threads);
@@ -1476,6 +1507,60 @@ mod tests {
             .unwrap()
             .run();
         assert!(scaled.metrics.total_rate < efficient.metrics.total_rate - 1e-9);
+    }
+
+    /// Grid models outside their domain are refused before any point
+    /// runs: typed by `validate_grid`, and as a panic carrying the same
+    /// message from the serial and parallel grid sweeps (a NaN sigma used
+    /// to stall the solver instead).
+    #[test]
+    fn grid_sweeps_reject_invalid_link_rate_models() {
+        let mut s = Scenario::builder()
+            .random_networks(10, 3, 3)
+            .allocator(MultiRate::new())
+            .build()
+            .unwrap();
+        let bad = [
+            LinkRateModel::RandomJoin { sigma: 0.0 },
+            LinkRateModel::RandomJoin { sigma: f64::NAN },
+            LinkRateModel::Scaled(0.5),
+            LinkRateModel::Scaled(f64::NAN),
+        ];
+        for model in bad {
+            let grid = SweepGrid::seeds(0..4).with_models(vec![LinkRateModel::Efficient, model]);
+            let want = ScenarioError::InvalidLinkRateModel {
+                session: None,
+                reason: model.validate().unwrap_err(),
+            };
+            assert_eq!(s.validate_grid(&grid), Err(want.clone()), "{model:?}");
+            let message = |payload: Box<dyn std::any::Any + Send>| {
+                payload.downcast::<String>().map(|m| *m).unwrap_or_default()
+            };
+            let serial = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                s.sweep_grid(&grid);
+            }));
+            assert_eq!(serial.map_err(message), Err(want.to_string()), "{model:?}");
+            let par = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                s.sweep_grid_par(&grid, 2);
+            }));
+            assert_eq!(par.map_err(message), Err(want.to_string()), "{model:?}");
+        }
+        let good = SweepGrid::seeds(0..4).with_models(vec![
+            LinkRateModel::RandomJoin { sigma: 6.0 },
+            LinkRateModel::Scaled(1.0),
+            LinkRateModel::Sum,
+        ]);
+        assert_eq!(s.validate_grid(&good), Ok(()));
+        let weighted = Scenario::builder()
+            .random_networks(10, 3, 3)
+            .allocator(Weighted::uniform())
+            .build()
+            .unwrap();
+        assert_eq!(
+            weighted.validate_grid(&good),
+            Err(ScenarioError::AllocatorIgnoresLinkRates)
+        );
+        assert_eq!(weighted.validate_grid(&SweepGrid::seeds(0..4)), Ok(()));
     }
 
     #[test]

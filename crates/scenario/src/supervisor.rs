@@ -11,21 +11,28 @@
 //!   declared dead, killed, and reaped;
 //! * a dead slot respawns with capped exponential backoff, up to
 //!   `ProcessConfig::max_respawns` times, then stays down (**exhausted**);
-//! * every death surfaces to the coordinator as a `Down` event so the
-//!   lost assignment is requeued;
+//! * every death surfaces to the coordinator as a `Down` event so every
+//!   assignment the worker held is requeued;
 //! * shutdown and drop kill, wait on, and join everything — no zombies,
-//!   whatever path the run exits through.
+//!   whatever path the run exits through. A clean shutdown waits on
+//!   events, not a poll: each child's reader reports its stdout EOF, and
+//!   only then is the child reaped.
+//!
+//! A slot may hold several assignments at once. The child serves its
+//! frames in order, so the supervisor attributes a `Reject` to the
+//! slot's oldest unanswered frame.
 //!
 //! Scheduling (which shard goes where, retry budgets, verification) all
 //! stays in the coordinator's transport-generic event loop — the
 //! supervisor only reports who is alive and moves bytes.
 
-use crate::coordinator::{Assignment, FaultKind, FaultPlan, ProcessConfig, TaskId};
+use crate::coordinator::{Assignment, FaultKind, FaultPlan, ProcessConfig, TaskId, Ticket};
 use crate::record::HEADER_BYTES;
 use crate::transport::{
     frame_bytes, read_frame, write_frame, Frame, ScenarioSpec, TransportCounters, TransportError,
     TransportPoll, WorkerInit, WorkerTransport, WORKER_ARG, WORKER_ENV,
 };
+use std::collections::VecDeque;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -63,6 +70,9 @@ struct ChildSlot {
     exhausted: bool,
     /// Heartbeat deadline while the child holds an assignment.
     busy_until: Option<Clock>,
+    /// Assignments written to the child and not yet answered, oldest
+    /// first.
+    outstanding: VecDeque<Ticket>,
 }
 
 impl ChildSlot {
@@ -76,6 +86,7 @@ impl ChildSlot {
             respawn_at: None,
             exhausted: false,
             busy_until: None,
+            outstanding: VecDeque::new(),
         }
     }
 }
@@ -118,6 +129,9 @@ pub(crate) struct ProcessTransport {
     stall: Duration,
     cfg: ProcessConfig,
     slots: Vec<ChildSlot>,
+    /// Slots marked down outside `recv_timeout` (a failed write) whose
+    /// death the coordinator has not been told yet.
+    lost: VecDeque<usize>,
     events_tx: Sender<RawEvent>,
     events_rx: Receiver<RawEvent>,
     counters: TransportCounters,
@@ -149,6 +163,7 @@ impl ProcessTransport {
             stall,
             cfg,
             slots: (0..workers.max(1)).map(|_| ChildSlot::new()).collect(),
+            lost: VecDeque::new(),
             events_tx,
             events_rx,
             counters: TransportCounters::default(),
@@ -190,6 +205,7 @@ impl ProcessTransport {
         slot.child = Some(child);
         slot.stdin = None;
         slot.busy_until = None;
+        slot.outstanding.clear();
         let init = Frame::Init(WorkerInit {
             worker: w,
             stall: self.stall,
@@ -226,6 +242,7 @@ impl ProcessTransport {
             let _ = h.join();
         }
         slot.busy_until = None;
+        slot.outstanding.clear();
         if slot.respawns_used >= self.cfg.max_respawns {
             slot.exhausted = true;
             slot.respawn_at = None;
@@ -253,6 +270,17 @@ impl ProcessTransport {
                 let _ = h.join();
             }
         }
+    }
+
+    /// Slot `w`'s child answered `ticket` (a report or a rejection):
+    /// retire it, and keep the heartbeat armed while the child still
+    /// holds work.
+    fn answered(&mut self, w: usize, ticket: Ticket) {
+        let slot = &mut self.slots[w];
+        if let Some(k) = slot.outstanding.iter().position(|&t| t == ticket) {
+            slot.outstanding.remove(k);
+        }
+        slot.busy_until = (!slot.outstanding.is_empty()).then(|| Clock::now() + self.cfg.heartbeat);
     }
 }
 
@@ -303,8 +331,11 @@ impl WorkerTransport for ProcessTransport {
             None => false,
         };
         if !write_ok {
+            // The child may die holding earlier assignments: report the
+            // death so the coordinator requeues them now.
             self.counters.workers_lost += 1;
             self.mark_down(worker);
+            self.lost.push_back(worker);
             return false;
         }
         if matches!(fault, Some(FaultKind::KillProcess)) {
@@ -315,13 +346,21 @@ impl WorkerTransport for ProcessTransport {
                 let _ = child.kill();
             }
         }
-        self.slots[worker].busy_until = Some(Clock::now() + self.cfg.heartbeat);
+        let slot = &mut self.slots[worker];
+        slot.outstanding.push_back(assignment.ticket());
+        // Already armed when the child holds earlier work: the heartbeat
+        // measures the child's silence, not the coordinator's sends.
+        slot.busy_until
+            .get_or_insert_with(|| Clock::now() + self.cfg.heartbeat);
         true
     }
 
     fn recv_timeout(&mut self, wait: Duration) -> TransportPoll {
         let deadline = Clock::now() + wait;
         loop {
+            if let Some(w) = self.lost.pop_front() {
+                return TransportPoll::Down { worker: w };
+            }
             if self.slots.iter().all(|s| s.exhausted) {
                 return TransportPoll::AllDown;
             }
@@ -362,15 +401,26 @@ impl WorkerTransport for ProcessTransport {
                     }
                     match ev.kind {
                         RawEventKind::Report(rep) => {
-                            self.slots[ev.worker].busy_until = None;
                             let mut rep = *rep;
+                            self.answered(ev.worker, (rep.task, rep.attempt));
                             // Trust the slot, not the wire, for identity.
                             rep.worker = ev.worker;
                             return TransportPoll::Report(rep);
                         }
                         RawEventKind::Rejected => {
-                            self.slots[ev.worker].busy_until = None;
-                            return TransportPoll::Rejected { worker: ev.worker };
+                            // The child serves frames in order, so it
+                            // rejected its oldest unanswered one.
+                            let Some(ticket) = self.slots[ev.worker].outstanding.front().copied()
+                            else {
+                                // Nothing outstanding to requeue (a
+                                // refused Init; the child exits next).
+                                continue;
+                            };
+                            self.answered(ev.worker, ticket);
+                            return TransportPoll::Rejected {
+                                worker: ev.worker,
+                                ticket,
+                            };
                         }
                         RawEventKind::Down => {
                             if self.slots[ev.worker].child.is_none() {
@@ -414,24 +464,21 @@ impl WorkerTransport for ProcessTransport {
             }
             slot.stdin = None;
         }
-        // Grace window for clean exits (no half-written anything), then
-        // force the stragglers.
+        // Each exiting child closes its stdout, and its reader reports
+        // that EOF as `Down`: reap the child then. Stragglers past the
+        // grace window are killed below.
         let grace = Clock::now() + Duration::from_millis(500);
-        loop {
-            let mut alive = false;
-            for slot in &mut self.slots {
-                if let Some(child) = slot.child.as_mut() {
-                    match child.try_wait() {
-                        Ok(Some(_)) => slot.child = None,
-                        Ok(None) => alive = true,
-                        Err(_) => slot.child = None,
-                    }
+        while self.slots.iter().any(|s| s.child.is_some()) {
+            let wait = grace.saturating_duration_since(Clock::now());
+            let Ok(ev) = self.events_rx.recv_timeout(wait) else {
+                break;
+            };
+            let slot = &mut self.slots[ev.worker];
+            if ev.generation == slot.generation && matches!(ev.kind, RawEventKind::Down) {
+                if let Some(mut child) = slot.child.take() {
+                    let _ = child.wait();
                 }
             }
-            if !alive || Clock::now() >= grace {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
         }
         self.reap_all();
     }

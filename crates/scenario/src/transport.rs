@@ -49,7 +49,7 @@
 use crate::cache::CacheStats;
 use crate::checkpoint::{decode_point, encode_point, model_code, model_from_code, POINT_BYTES};
 use crate::coordinator::{
-    Assignment, FaultEvent, FaultKind, FaultPlan, Job, TaskId, WorkerReport, WorkerState,
+    Assignment, FaultEvent, FaultKind, FaultPlan, Job, TaskId, Ticket, WorkerReport, WorkerState,
 };
 use crate::record::{self, Dec, Enc};
 use crate::{LinkRates, NetworkSource, Scenario};
@@ -688,12 +688,14 @@ pub(crate) fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, TransportE
 pub(crate) enum TransportPoll {
     /// A worker delivered a computed task.
     Report(WorkerReport),
-    /// A worker rejected its last assignment (damaged frame); requeue it.
+    /// A worker rejected an assignment unread (damaged frame); requeue it.
     Rejected {
         /// The rejecting worker's slot.
         worker: usize,
+        /// The assignment it rejected.
+        ticket: Ticket,
     },
-    /// A worker died; requeue whatever it was computing.
+    /// A worker died; requeue every assignment it held.
     Down {
         /// The dead worker's slot.
         worker: usize,

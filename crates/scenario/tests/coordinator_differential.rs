@@ -114,6 +114,23 @@ fn coordinator_grid_matches_serial_grid_sweep() {
     assert_bitwise(&out.report.points, &serial.points);
 }
 
+/// An invalid grid model is refused before any worker starts, with the
+/// message `validate_grid` gives.
+#[test]
+fn coordinator_grid_rejects_invalid_link_rate_models() {
+    let s = scenario();
+    for model in [
+        LinkRateModel::RandomJoin { sigma: f64::NAN },
+        LinkRateModel::Scaled(0.5),
+    ] {
+        let grid = SweepGrid::seeds(0..4).with_models(vec![model]);
+        let err = s.validate_grid(&grid).expect_err("invalid model");
+        let run = std::panic::AssertUnwindSafe(|| s.coordinate_grid(&grid, &fast_cfg()));
+        let panicked = std::panic::catch_unwind(run).expect_err("coordinate_grid panics");
+        assert_eq!(panicked.downcast_ref::<String>(), Some(&err.to_string()));
+    }
+}
+
 /// One targeted plan per fault class, each asserting both the differential
 /// and that the fault actually exercised its handling path.
 #[test]
@@ -193,6 +210,82 @@ fn losing_every_worker_degrades_to_serial_with_identical_bytes() {
     let out = s.coordinate(SEEDS, &cfg).expect("degrades, not fails");
     assert!(out.stats.serial_fallback, "expected the serial fallback");
     assert_bitwise(&out.report.points, &serial.points);
+}
+
+/// Each worker holds up to two assignments. On two workers the first
+/// dispatch pass is fixed: worker 0 takes shards 0 and 2, worker 1 shards
+/// 1 and 3. These legs aim faults at that pipeline; shard deadlines are
+/// generous, so any timeout means a task was forgotten.
+fn pipelined_cfg(plan: Vec<FaultEvent>) -> CoordinatorConfig {
+    CoordinatorConfig {
+        shard_timeout: Duration::from_secs(5),
+        fault_plan: FaultPlan::from_events(plan),
+        ..fast_cfg()
+    }
+}
+
+fn fault(kind: FaultKind, worker: usize, shard: u64) -> FaultEvent {
+    FaultEvent {
+        kind,
+        worker,
+        shard,
+    }
+}
+
+/// A torn frame on worker 0's second assignment (shard 2) requeues shard
+/// 2. Requeuing the head (shard 0) instead would leave shard 2 to time
+/// out.
+#[test]
+fn pipelined_torn_second_assignment_requeues_that_task() {
+    let mut s = scenario();
+    let serial = s.sweep(SEEDS);
+    let cfg = pipelined_cfg(vec![fault(FaultKind::TornFrame, 0, 2)]);
+    let out = s.coordinate(SEEDS, &cfg).expect("torn frame still merges");
+    assert_bitwise(&out.report.points, &serial.points);
+    let st = &out.stats;
+    assert_eq!(
+        (st.frames_rejected, st.retries, st.timeouts),
+        (1, 1, 0),
+        "{st:?}"
+    );
+}
+
+/// A duplicate delivery of shard 0 arrives after the first copy retired
+/// it: the copy is dropped and counted, and nothing is retried.
+#[test]
+fn pipelined_duplicate_of_a_retired_task_is_dropped_and_counted() {
+    let mut s = scenario();
+    let serial = s.sweep(SEEDS);
+    let cfg = pipelined_cfg(vec![fault(FaultKind::DuplicateShard, 0, 0)]);
+    let out = s.coordinate(SEEDS, &cfg).expect("duplicate still merges");
+    assert_bitwise(&out.report.points, &serial.points);
+    let st = &out.stats;
+    assert_eq!(
+        (st.duplicates_dropped, st.retries, st.timeouts),
+        (1, 0, 0),
+        "{st:?}"
+    );
+}
+
+/// Worker 0 crashes on shard 0 while shard 2 waits behind it. A thread
+/// crash is silent, so both come back through their deadlines, and the
+/// other worker finishes the sweep. (Spot checks are off: the silent
+/// worker still counts as live, so audits of the other worker's shards
+/// would wait on it until the coordinator falls back to serial.)
+#[test]
+fn pipelined_lost_worker_requeues_both_assignments() {
+    let mut s = scenario();
+    let serial = s.sweep(SEEDS);
+    let cfg = CoordinatorConfig {
+        spot_check: 0,
+        shard_timeout: Duration::from_millis(100),
+        ..pipelined_cfg(vec![fault(FaultKind::CrashWorker, 0, 0)])
+    };
+    let out = s.coordinate(SEEDS, &cfg).expect("crash still merges");
+    assert_bitwise(&out.report.points, &serial.points);
+    let st = &out.stats;
+    assert!(st.timeouts >= 1, "{st:?}");
+    assert!(!st.serial_fallback, "the live worker finishes the sweep");
 }
 
 /// The seeded chaos matrix: every drawn plan, at both fleet sizes, merges

@@ -38,6 +38,10 @@ fn main() {
             "torn_frames_are_rejected_and_recomputed",
             torn_frames_are_rejected_and_recomputed,
         ),
+        (
+            "pipelined_fleet_requeues_exactly_the_lost_assignments",
+            pipelined_fleet_requeues_exactly_the_lost_assignments,
+        ),
         ("seeded_process_chaos_matrix", seeded_process_chaos_matrix),
         (
             "thread_transport_survives_process_fault_plans",
@@ -178,6 +182,66 @@ fn torn_frames_are_rejected_and_recomputed() {
         out.stats.frames_rejected > 0,
         "a torn frame must surface as a rejection (stats: {:?})",
         out.stats
+    );
+}
+
+/// A one-worker fleet holds two assignments from the first dispatch
+/// pass (shards 0 and 1). Shard deadlines are generous, so any timeout
+/// means a lost task was forgotten.
+fn pipelined_fleet_requeues_exactly_the_lost_assignments() {
+    let mut s = scenario();
+    let serial = s.sweep(SEEDS);
+    let one_worker = |kind, shard| CoordinatorConfig {
+        spot_check: 0,
+        shard_timeout: Duration::from_secs(10),
+        fault_plan: FaultPlan::from_events(vec![FaultEvent {
+            kind,
+            worker: 0,
+            shard,
+        }]),
+        ..process_cfg(1)
+    };
+    // The child dies on shard 0 with shard 1 queued behind it: its death
+    // requeues both, and the respawned child computes them.
+    let out = s
+        .coordinate(SEEDS, &one_worker(FaultKind::CrashWorker, 0))
+        .expect("a crash with two in flight still merges");
+    assert_bitwise(&out.report.points, &serial.points);
+    let st = &out.stats;
+    assert!(
+        st.respawns >= 1 && st.retries >= 1 && st.timeouts == 0,
+        "{st:?}"
+    );
+    // The child answers shard 0, then rejects the torn shard 1: the
+    // rejection is attributed to the oldest unanswered frame, shard 1.
+    let out = s
+        .coordinate(SEEDS, &one_worker(FaultKind::TornFrame, 1))
+        .expect("a torn second frame still merges");
+    assert_bitwise(&out.report.points, &serial.points);
+    let st = &out.stats;
+    assert_eq!(
+        (st.frames_rejected, st.retries, st.timeouts),
+        (1, 1, 0),
+        "{st:?}"
+    );
+    // Two shards: the child answers shard 0, then wedges on shard 1 with
+    // nothing left to send it. The heartbeat stays armed while shard 1 is
+    // unanswered, so the wedged child is killed and shard 1 requeued well
+    // before its deadline.
+    let mut cfg = one_worker(FaultKind::Stall, 1);
+    cfg.transport = TransportKind::Process(ProcessConfig {
+        heartbeat: Duration::from_millis(200),
+        respawn_backoff: Duration::from_millis(2),
+        ..ProcessConfig::default()
+    });
+    let out = s
+        .coordinate(0..4, &cfg)
+        .expect("a wedged second assignment still merges");
+    assert_bitwise(&out.report.points, &serial.points[..4]);
+    let st = &out.stats;
+    assert!(
+        st.workers_lost >= 1 && st.respawns >= 1 && st.timeouts == 0,
+        "{st:?}"
     );
 }
 

@@ -4,12 +4,15 @@
 //! fails; a torn final record recovers to the record before it, damage in
 //! any complete record is `Corrupt`, and a v1 JSON file gets a typed
 //! rejection and is left untouched. (The codec's own reader is fuzzed by
-//! the `record` unit tests.)
+//! the `record` unit tests.) The 66-byte point decoder is fuzzed on its
+//! own too: it must answer any image with a typed error or a point that
+//! re-encodes to exactly that image.
 
 use mlf_core::allocator::MultiRate;
+use mlf_core::LinkRateModel;
 use mlf_scenario::checkpoint::{
-    load_checkpoint, shard_content_hash, CheckpointError, CheckpointMeta, CheckpointWriter,
-    LoadedCheckpoint, ShardRecord,
+    decode_point, encode_point, load_checkpoint, shard_content_hash, CheckpointError,
+    CheckpointMeta, CheckpointWriter, LoadedCheckpoint, ShardRecord, POINT_BYTES,
 };
 use mlf_scenario::{CoordinatorConfig, CoordinatorError, Scenario, ScenarioMetrics, SweepPoint};
 use proptest::prelude::*;
@@ -136,6 +139,95 @@ proptest! {
         let at = at % bytes.len();
         bytes[at] ^= 1 << bit;
         prop_assert!(load_bytes(&bytes).is_err());
+    }
+}
+
+/// A point from raw field bits: any seed, any model tag with any
+/// parameter bits, any float bit patterns, with or without a property
+/// count.
+fn point_from(
+    seed: u64,
+    (tag, param): (u8, u64),
+    floats: [u64; 4],
+    iterations: u64,
+    properties: Option<u64>,
+) -> SweepPoint {
+    let param = f64::from_bits(param);
+    let model = match tag % 5 {
+        0 => None,
+        1 => Some(LinkRateModel::Efficient),
+        2 => Some(LinkRateModel::Scaled(param)),
+        3 => Some(LinkRateModel::Sum),
+        _ => Some(LinkRateModel::RandomJoin { sigma: param }),
+    };
+    SweepPoint {
+        seed,
+        model,
+        metrics: ScenarioMetrics {
+            jain_index: f64::from_bits(floats[0]),
+            min_rate: f64::from_bits(floats[1]),
+            total_rate: f64::from_bits(floats[2]),
+            satisfaction: f64::from_bits(floats[3]),
+            iterations: iterations as usize,
+        },
+        properties_holding: properties.map(|n| n as usize),
+    }
+}
+
+/// `decode_point`'s contract on one input: a typed error, or a point
+/// whose canonical encoding is the input itself.
+fn assert_decodes_canonically(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(p) = decode_point(bytes) {
+        prop_assert_eq!(encode_point(&p).to_vec(), bytes.to_vec());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Random 66-byte images: rejected, or decoded exactly.
+    #[test]
+    fn fuzz_decode_point_random_images(bytes in proptest::collection::vec(any::<u8>(), POINT_BYTES)) {
+        assert_decodes_canonically(&bytes)?;
+    }
+
+    /// Every encoded point round-trips, and every cut or extension of its
+    /// image is a length error.
+    #[test]
+    fn fuzz_decode_point_truncated_images(
+        seed in any::<u64>(),
+        model in (any::<u8>(), any::<u64>()),
+        floats in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        iterations in any::<u64>(),
+        properties in (any::<bool>(), any::<u64>()),
+        cut in 0usize..(2 * POINT_BYTES),
+    ) {
+        let (a, b, c, d) = floats;
+        let p = point_from(seed, model, [a, b, c, d], iterations, properties.0.then_some(properties.1));
+        let mut bytes = encode_point(&p).to_vec();
+        assert_decodes_canonically(&bytes)?;
+        prop_assert!(decode_point(&bytes).is_ok());
+        bytes.resize(cut, 0);
+        prop_assert_eq!(decode_point(&bytes).is_ok(), cut == POINT_BYTES);
+        assert_decodes_canonically(&bytes)?;
+    }
+
+    /// One flipped bit in a valid image: rejected, or decoded exactly.
+    #[test]
+    fn fuzz_decode_point_bit_flips(
+        seed in any::<u64>(),
+        model in (any::<u8>(), any::<u64>()),
+        floats in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        properties in (any::<bool>(), any::<u64>()),
+        at in 0usize..POINT_BYTES,
+        bit in 0u8..8,
+    ) {
+        let (a, b, c, d) = floats;
+        let p = point_from(seed, model, [a, b, c, d], 7, properties.0.then_some(properties.1));
+        let mut bytes = encode_point(&p);
+        bytes[at] ^= 1 << bit;
+        assert_decodes_canonically(&bytes)?;
     }
 }
 
