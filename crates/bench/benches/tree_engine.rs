@@ -27,7 +27,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlf_bench::or_exit;
 use mlf_bench::regression::{check_mode, measure_and_emit, time_best_of_three};
-use mlf_net::{Graph, LinkId, Network, Session};
+use mlf_net::{Graph, Network, Session};
 use mlf_protocols::{CoordinatedSender, ProtocolKind, ProtocolReceiver};
 use mlf_sim::engine::{MarkerSource, NoMarkers};
 use mlf_sim::tree::{run_tree_into, TreeConfig, TreeReport, TreeScratch};
@@ -65,30 +65,24 @@ impl MarkerSource for Markers {
 }
 
 /// A complete `arity`-ary tree of the given depth with every leaf a
-/// receiver, built with explicit routes: recording each node's root path
-/// during construction and handing them to [`Network::with_routes`] skips
-/// the per-receiver BFS of [`Network::new`], which at 10⁵ receivers ×
-/// 2×10⁵ graph elements would dominate the whole bench.
+/// receiver. `Network::new` routes all 10⁵ leaves at full scale from one
+/// BFS tree of the sender.
 fn leaf_tree(arity: usize, depth: usize) -> Network {
     let mut g = Graph::new();
     let root = g.add_node();
-    let mut frontier: Vec<(mlf_net::NodeId, Vec<LinkId>)> = vec![(root, Vec::new())];
+    let mut frontier = vec![root];
     for _ in 0..depth {
         let mut next = Vec::with_capacity(frontier.len() * arity);
-        for (p, route) in &frontier {
+        for &p in &frontier {
             for _ in 0..arity {
                 let c = g.add_node();
-                let l = g.add_link(*p, c, 1e6).expect("fresh link");
-                let mut r = route.clone();
-                r.push(l);
-                next.push((c, r));
+                g.add_link(p, c, 1e6).expect("fresh link");
+                next.push(c);
             }
         }
         frontier = next;
     }
-    let (leaves, routes): (Vec<_>, Vec<_>) = frontier.into_iter().unzip();
-    Network::with_routes(g, vec![Session::multi_rate(root, leaves)], vec![routes])
-        .expect("explicit routes of a complete tree are valid")
+    Network::new(g, vec![Session::multi_rate(root, frontier)]).expect("a tree routes every leaf")
 }
 
 fn config(net: &Network) -> TreeConfig {

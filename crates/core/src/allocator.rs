@@ -34,12 +34,11 @@
 //! ```
 
 use crate::allocation::Allocation;
-use crate::index::NetworkIndex;
 use crate::linkrate::{LinkRateConfig, LinkRateModel};
 use crate::maxmin::{solve_in, FreezeReason, MaxMinSolution};
 use crate::unicast::unicast_solve_in;
 use crate::weighted::{weighted_solve_in, Weights};
-use mlf_net::{Network, SessionType};
+use mlf_net::{Incidence, Network, SessionType};
 
 /// Reusable scratch state for the progressive-filling solvers.
 ///
@@ -51,10 +50,11 @@ use mlf_net::{Network, SessionType};
 /// different shapes; buffers are resized, not reallocated, when shapes
 /// repeat.
 ///
-/// # Incidence index and incremental aggregates
+/// # Incidence and incremental aggregates
 ///
-/// Each solve (`SolverWorkspace::reset`) rebuilds a [`NetworkIndex`] (CSR
-/// link → session → receiver incidence) and, per `(link, session)` *slot*,
+/// The solvers iterate the network's own [`Incidence`] (CSR link →
+/// session → receiver incidence, built once with the [`Network`]). Each
+/// solve (`SolverWorkspace::reset`) sizes, per `(link, session)` *slot*,
 /// the aggregates the hot loops consume: active-receiver count,
 /// frozen-rate sum, frozen-rate maximum, and (for the weighted solver) the
 /// maximum weight among active receivers. Between freeze events the
@@ -62,7 +62,7 @@ use mlf_net::{Network, SessionType};
 /// freezes, `SolverWorkspace::note_freeze` recomputes the aggregates of
 /// exactly the slots on that receiver's data-path, and clears its
 /// per-position active flags (one per slot it sits in, aligned with the
-/// index's flat receiver array), storing its `RandomJoin` miss factor
+/// incidence's flat receiver array), storing its `RandomJoin` miss factor
 /// there when its session has one (see [`crate::maxmin`]).
 ///
 /// **The incremental-load invariant**: after every freeze, each slot's
@@ -91,11 +91,9 @@ pub struct SolverWorkspace {
     pub(crate) link_flag: Vec<bool>,
     /// `(estimate, link)` of the links a round still has to bisect.
     pub(crate) pending: Vec<(f64, usize)>,
-    /// The CSR incidence index of the network being solved.
-    pub(crate) index: NetworkIndex,
-    /// Per-position active flags, aligned with the index's flat
-    /// `slot_receivers` array (see [`NetworkIndex`]): position `p` of slot
-    /// `(j, i)` is receiver `(i, slot_receivers[p])` on link `j`.
+    /// Per-position active flags, aligned with the flat `slot_receivers`
+    /// array of the network's [`Incidence`]: position `p` of slot `(j, i)`
+    /// is receiver `(i, slot_receivers[p])` on link `j`.
     pub(crate) pos_active: Vec<bool>,
     /// Per-position `RandomJoin` miss factor `1 − a.min(σ).max(0)/σ` of a
     /// frozen receiver, written when it freezes. Read only at frozen
@@ -196,11 +194,11 @@ impl SolverWorkspace {
         self.link_flag.clear();
         self.link_flag.resize(net.link_count(), false);
 
-        // Incidence index + per-slot aggregates for the hot loops: all
-        // receivers start active, so frozen aggregates are zero and the
-        // active counts are the slot/link/session receiver totals.
-        self.index.rebuild(net);
-        let slots = self.index.slot_count();
+        // Per-slot aggregates for the hot loops: all receivers start
+        // active, so frozen aggregates are zero and the active counts are
+        // the slot/link/session receiver totals.
+        let inc = net.incidence();
+        let slots = inc.slot_count();
         self.slot_active.clear();
         self.slot_frozen_sum.clear();
         self.slot_frozen_sum.resize(slots, 0.0);
@@ -208,23 +206,20 @@ impl SolverWorkspace {
         self.slot_frozen_max.resize(slots, 0.0);
         self.slot_wmax.clear();
         self.slot_wmax.resize(slots, 0.0);
-        let positions = self.index.position_count();
+        let positions = inc.position_count();
         self.pos_active.clear();
         self.pos_active.resize(positions, true);
         self.pos_miss.clear();
         self.pos_miss.resize(positions, 1.0);
-        for slot in 0..slots {
-            self.slot_active.push(self.index.slot_len(slot));
-        }
+        self.slot_active
+            .extend((0..slots).map(|slot| inc.slot_positions(slot).len()));
         self.link_active.clear();
-        for j in 0..net.link_count() {
-            let on_link = self
-                .index
-                .link_slots(j)
-                .map(|slot| self.index.slot_len(slot))
-                .sum();
-            self.link_active.push(on_link);
-        }
+        let slot_active = &self.slot_active;
+        self.link_active.extend((0..net.link_count()).map(|j| {
+            inc.link_slots(j)
+                .map(|slot| slot_active[slot])
+                .sum::<usize>()
+        }));
         self.session_active.clear();
         self.session_active
             .extend(net.sessions().iter().map(|s| s.receivers.len()));
@@ -238,16 +233,15 @@ impl SolverWorkspace {
     /// recompute the frozen aggregates of every slot on the receiver's
     /// data-path by the ascending-receiver fold (see the incremental-load
     /// invariant in the type docs). The caller must have already cleared
-    /// `active[i][k]` and stored the final rate in `rates[i][k]`.
-    pub(crate) fn note_freeze(&mut self, i: usize, k: usize, miss: Option<f64>) {
+    /// `active[i][k]` and stored the final rate in `rates[i][k]`; `inc` is
+    /// the incidence of the network being solved.
+    pub(crate) fn note_freeze(&mut self, inc: &Incidence, i: usize, k: usize, miss: Option<f64>) {
         debug_assert!(!self.active[i][k], "freeze bookkeeping before the flag");
         self.session_active[i] -= 1;
         self.active_total -= 1;
-        let flat = self.index.flat(i, k);
-        let route = self.index.route_slots(flat);
-        let positions = self.index.route_positions(flat);
-        for (&(j, slot), &pos) in route.iter().zip(positions) {
-            self.link_active[j] -= 1;
+        let flat = inc.flat(i, k);
+        for (l, &(slot, pos)) in inc.route_links(flat).iter().zip(inc.route_slots(flat)) {
+            self.link_active[l.0] -= 1;
             self.pos_active[pos] = false;
             if let Some(miss) = miss {
                 self.pos_miss[pos] = miss;
@@ -255,11 +249,11 @@ impl SolverWorkspace {
             let mut active = 0usize;
             let mut frozen_sum = 0.0_f64;
             let mut frozen_max = 0.0_f64;
-            for p in self.index.slot_positions(slot) {
+            for (p, &kk) in inc.slot_positions(slot).zip(inc.slot_receivers(slot)) {
                 if self.pos_active[p] {
                     active += 1;
                 } else {
-                    let a = self.rates[i][self.index.position_receiver(p)];
+                    let a = self.rates[i][kk];
                     frozen_sum += a;
                     frozen_max = frozen_max.max(a);
                 }
@@ -272,12 +266,17 @@ impl SolverWorkspace {
 
     /// [`SolverWorkspace::note_freeze`] plus maintenance of the per-slot
     /// active-weight maximum the weighted solver reads (`slot_wmax`).
-    pub(crate) fn note_freeze_weighted(&mut self, i: usize, k: usize, weights: &[Vec<f64>]) {
-        self.note_freeze(i, k, None);
-        let flat = self.index.flat(i, k);
-        for &(_, slot) in self.index.route_slots(flat) {
+    pub(crate) fn note_freeze_weighted(
+        &mut self,
+        inc: &Incidence,
+        i: usize,
+        k: usize,
+        weights: &[Vec<f64>],
+    ) {
+        self.note_freeze(inc, i, k, None);
+        for &(slot, _) in inc.route_slots(inc.flat(i, k)) {
             let mut wmax = 0.0_f64;
-            for &kk in self.index.slot_receivers(slot) {
+            for &kk in inc.slot_receivers(slot) {
                 if self.active[i][kk] {
                     wmax = wmax.max(weights[i][kk]);
                 }

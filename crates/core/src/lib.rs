@@ -11,11 +11,11 @@
 //! * [`maxmin`] — the progressive-filling engine (the paper's Appendix A
 //!   algorithm) computing the unique max-min fair allocation for any mix of
 //!   single-rate and multi-rate sessions, generalized to arbitrary monotone
-//!   session link-rate models;
-//! * [`index`] — the CSR incidence structure ([`index::NetworkIndex`]) the
-//!   solver hot paths iterate instead of rescanning `links × sessions ×
-//!   receivers`, with incrementally maintained per-`(link, session)`
-//!   aggregates in the [`SolverWorkspace`];
+//!   session link-rate models. Its hot paths iterate the network's own
+//!   CSR incidence ([`mlf_net::Incidence`], built once with the
+//!   `Network`) instead of rescanning `links × sessions × receivers`, with
+//!   incrementally maintained per-`(link, session)` aggregates in the
+//!   [`SolverWorkspace`];
 //! * [`mod@reference`] — the frozen pre-index engines, kept verbatim so
 //!   differential tests can assert the optimized solvers are bitwise
 //!   identical to them;
@@ -71,7 +71,6 @@
 
 pub mod allocation;
 pub mod allocator;
-pub mod index;
 pub mod linkrate;
 pub mod maxmin;
 pub mod metrics;

@@ -39,29 +39,23 @@
 //! falls back to bisection. Every iteration freezes at least one receiver,
 //! so the loop runs at most `#receivers` times.
 //!
-//! # Implementation: incidence index + incremental aggregates
+//! # Implementation: incidence + incremental aggregates
 //!
-//! The hot loops run on the [`crate::index::NetworkIndex`] CSR incidence
-//! structure held by the workspace: per link, only the sessions that
-//! actually cross it are visited (in ascending session order), and each
-//! `(link, session)` slot's frozen-rate sum/maximum and active count are
-//! maintained incrementally — when a receiver freezes,
-//! `SolverWorkspace::note_freeze` re-folds exactly the slots on that
-//! receiver's data-path, in the same ascending-receiver order a full
-//! rescan would use. The result is **bitwise identical** to the
-//! pre-index engine preserved in [`crate::reference`] (asserted by the
-//! `incidence_differential` proptest suite); see the invariant note on
-//! [`SolverWorkspace`] for why. `Sum` and `RandomJoin` loads still re-fold
-//! their receiver lists at evaluation points — their accumulation order is
-//! part of the bitwise contract — but only over the link's own receivers,
-//! never over every session in the network.
+//! Per link, the hot loops visit only the sessions crossing it: the
+//! slots of the network's [`mlf_net::Incidence`], sessions ascending.
+//! They read per-slot aggregates that [`SolverWorkspace`] re-folds, in
+//! ascending receiver order, only for the slots a freezing receiver sits
+//! in (see its invariant note). The result is **bitwise identical** to the
+//! engine frozen in [`crate::reference`], as the `incidence_differential`
+//! suite asserts. `Sum` and `RandomJoin` loads re-fold a slot's positions
+//! at each evaluation, in the same order.
 //!
 //! # `RandomJoin` loads: per-position miss factors
 //!
 //! A `RandomJoin{σ}` session's link rate is `σ(1 − ∏_t(1 − a_t/σ))`,
 //! folded by `LinkRateModel::link_rate` in ascending-receiver order as
 //! `miss *= 1 − a.min(σ).max(0)/σ`. The workspace keeps, per *position*
-//! (one entry of the index's flat `slot_receivers` array), an active flag
+//! (one entry of the incidence's flat `slot_receivers` array), an active flag
 //! and — once the receiver froze — its factor `1 − a.min(σ).max(0)/σ`,
 //! written when it freezes (its rate never changes afterwards). A load
 //! evaluation at level `ℓ` computes the active factor
@@ -94,7 +88,7 @@
 use crate::allocation::{Allocation, RATE_EPS};
 use crate::allocator::{Regimes, SolverWorkspace};
 use crate::linkrate::{LinkRateConfig, LinkRateModel};
-use mlf_net::{LinkId, Network, ReceiverId};
+use mlf_net::{Incidence, LinkId, Network, ReceiverId};
 
 /// Why a receiver's rate froze at its final value.
 // mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
@@ -162,6 +156,7 @@ pub(crate) fn solve_in(
     ws.reset(net);
     let mut state = State {
         net,
+        inc: net.incidence(),
         cfg,
         regimes,
         ws,
@@ -182,6 +177,7 @@ pub(crate) fn solve_in(
 /// Water-filling pass over workspace-held state.
 struct State<'a> {
     net: &'a Network,
+    inc: &'a Incidence,
     cfg: &'a LinkRateConfig,
     regimes: &'a Regimes,
     ws: &'a mut SolverWorkspace,
@@ -285,8 +281,8 @@ impl State<'_> {
             if load < self.net.graph().capacity(link) - RATE_EPS {
                 continue;
             }
-            for slot in self.ws.index.link_slots(j) {
-                let i = self.ws.index.slot_session(slot);
+            for slot in self.inc.link_slots(j) {
+                let i = self.inc.slot_session(slot);
                 if self.ws.slot_active[slot] == 0 {
                     continue;
                 }
@@ -297,7 +293,7 @@ impl State<'_> {
                     // Freeze the whole session (step 7).
                     for k in 0..self.ws.rates[i].len() {
                         if self.ws.active[i][k] {
-                            let reason = if self.ws.index.slot_receivers(slot).contains(&k) {
+                            let reason = if self.inc.slot_receivers(slot).contains(&k) {
                                 FreezeReason::Link(link)
                             } else {
                                 FreezeReason::SessionClosure
@@ -307,9 +303,8 @@ impl State<'_> {
                         }
                     }
                 } else {
-                    let on_len = self.ws.index.slot_receivers(slot).len();
-                    for t in 0..on_len {
-                        let k = self.ws.index.slot_receivers(slot)[t];
+                    let inc = self.inc;
+                    for &k in inc.slot_receivers(slot) {
                         if self.ws.active[i][k] {
                             self.freeze(i, k, FreezeReason::Link(link));
                             froze_any = true;
@@ -336,7 +331,7 @@ impl State<'_> {
             LinkRateModel::RandomJoin { sigma } => Some(miss_factor(self.ws.rates[i][k], sigma)),
             _ => None,
         };
-        self.ws.note_freeze(i, k, miss);
+        self.ws.note_freeze(self.inc, i, k, miss);
     }
 
     /// The load `u_j(ℓ)` of link `j` at hypothetical level `ℓ`.
@@ -355,8 +350,8 @@ impl State<'_> {
         // (σ, g) of the last RandomJoin slot: sessions sharing a layer
         // rate share the active factor.
         let mut shared: Option<(f64, f64)> = None;
-        for slot in ws.index.link_slots(j) {
-            let i = ws.index.slot_session(slot);
+        for slot in self.inc.link_slots(j) {
+            let i = self.inc.slot_session(slot);
             match *self.cfg.model(i) {
                 LinkRateModel::Efficient => {
                     let frozen_max = ws.slot_frozen_max[slot];
@@ -373,21 +368,21 @@ impl State<'_> {
                     } else {
                         frozen_max
                     };
-                    total += if ws.index.slot_len(slot) >= 2 {
+                    total += if self.inc.slot_positions(slot).len() >= 2 {
                         factor * max
                     } else {
                         max
                     };
                 }
                 LinkRateModel::Sum => {
-                    total += ws
-                        .index
-                        .slot_positions(slot)
-                        .map(|p| {
+                    let positions = self.inc.slot_positions(slot);
+                    total += positions
+                        .zip(self.inc.slot_receivers(slot))
+                        .map(|(p, &k)| {
                             if ws.pos_active[p] {
                                 level
                             } else {
-                                ws.rates[i][ws.index.position_receiver(p)]
+                                ws.rates[i][k]
                             }
                         })
                         .sum::<f64>();
@@ -402,7 +397,7 @@ impl State<'_> {
                         }
                     };
                     let mut miss_all = 1.0;
-                    for p in ws.index.slot_positions(slot) {
+                    for p in self.inc.slot_positions(slot) {
                         miss_all *= if ws.pos_active[p] { g } else { ws.pos_miss[p] };
                     }
                     total += sigma * (1.0 - miss_all);
@@ -434,7 +429,7 @@ impl State<'_> {
                 let g_bumped = miss_factor(self.level + delta, sigma);
                 let mut miss_now = 1.0;
                 let mut miss_bumped = 1.0;
-                for p in ws.index.slot_positions(slot) {
+                for p in self.inc.slot_positions(slot) {
                     if ws.pos_active[p] {
                         miss_now *= g_now;
                         miss_bumped *= g_bumped;
@@ -458,9 +453,9 @@ impl State<'_> {
     fn link_saturation_level(&mut self, j: usize, upper: f64) -> Saturation {
         let cap = self.net.graph().capacity(LinkId(j));
         // Sessions crossing j: are they all piecewise-linear?
-        let linear = self.ws.index.link_slots(j).all(|slot| {
+        let linear = self.inc.link_slots(j).all(|slot| {
             self.cfg
-                .model(self.ws.index.slot_session(slot))
+                .model(self.inc.slot_session(slot))
                 .is_piecewise_linear()
         });
         if linear {
@@ -488,8 +483,8 @@ impl State<'_> {
         let mut constant = 0.0; // K: contributions independent of ℓ
         let ws = &mut *self.ws;
         ws.terms.clear(); // (b_t, w_t)
-        for slot in ws.index.link_slots(j) {
-            let i = ws.index.slot_session(slot);
+        for slot in self.inc.link_slots(j) {
+            let i = self.inc.slot_session(slot);
             let active_count = ws.slot_active[slot];
             let frozen_sum = ws.slot_frozen_sum[slot];
             let frozen_max = ws.slot_frozen_max[slot];
@@ -502,7 +497,8 @@ impl State<'_> {
                     }
                 }
                 LinkRateModel::Scaled(v) => {
-                    let w = if ws.index.slot_len(slot) >= 2 { v } else { 1.0 };
+                    let shared = self.inc.slot_positions(slot).len() >= 2;
+                    let w = if shared { v } else { 1.0 };
                     if active_count > 0 {
                         ws.terms.push((frozen_max, w));
                     } else {

@@ -119,26 +119,29 @@ impl LinkAudit {
     /// Evaluate every `u_{i,j}` as [`Allocation::session_link_rate`] does,
     /// and derive `u_j` from each link's row by the same session-order sum
     /// [`Allocation::link_rate`] performs, so the mask is bitwise the one
-    /// [`Allocation::is_fully_utilized`] computes.
+    /// [`Allocation::is_fully_utilized`] computes. Only the network's
+    /// non-empty `(link, session)` slots are evaluated; every other entry
+    /// is the empty set's link rate, `0.0`.
     pub(crate) fn new(net: &Network, cfg: &LinkRateConfig, alloc: &Allocation) -> Self {
         let sessions = net.session_count();
-        let mut rates = Vec::with_capacity(net.link_count() * sessions);
+        let inc = net.incidence();
+        let mut rates = vec![0.0; net.link_count() * sessions];
         let mut full = Vec::with_capacity(net.link_count());
         let mut on_link = Vec::new();
         for j in 0..net.link_count() {
-            let link = LinkId(j);
-            let row = rates.len();
-            for i in 0..sessions {
+            let row = j * sessions;
+            for slot in inc.link_slots(j) {
+                let i = inc.slot_session(slot);
                 on_link.clear();
                 on_link.extend(
-                    net.receivers_of_session_on_link(link, SessionId(i))
+                    inc.slot_receivers(slot)
                         .iter()
                         .map(|&k| alloc.rates()[i][k]),
                 );
-                rates.push(cfg.model(i).link_rate(&on_link));
+                rates[row + i] = cfg.model(i).link_rate(&on_link);
             }
-            let u: f64 = rates[row..].iter().sum();
-            full.push(u >= net.graph().capacity(link) - RATE_EPS);
+            let u: f64 = rates[row..row + sessions].iter().sum();
+            full.push(u >= net.graph().capacity(LinkId(j)) - RATE_EPS);
         }
         LinkAudit {
             sessions,
@@ -191,7 +194,7 @@ mod tests {
     use crate::allocator::{Allocator, Hybrid, SolverWorkspace};
     use crate::linkrate::LinkRateModel;
     use mlf_net::topology::{random_network_with, SplitMix64};
-    use mlf_net::{SessionType, TopologyFamily};
+    use mlf_net::{NodeId, Session, SessionType, TopologyFamily};
 
     /// `check_all` shares one link audit across Properties 1, 3 and 4; it
     /// must report exactly what the four checkers report one by one, on
@@ -292,5 +295,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Property 2 compares only receivers grouped by identical link sets;
+    /// its pairs must equal the all-pairs scan's, in the same order, on
+    /// networks where most receivers share a path with others.
+    #[test]
+    fn same_path_pairs_equal_the_all_pairs_scan() {
+        let mut pairs_seen = 0;
+        for seed in 0..48u64 {
+            let mut rng = SplitMix64(seed);
+            let nodes = 2 + rng.below(5);
+            let g = mlf_net::topology::random_tree(seed, nodes, 1.0, 5.0);
+            // Many sessions from two senders onto a handful of nodes:
+            // co-located receivers of one sender share their path.
+            let sessions: Vec<Session> = (0..10)
+                .map(|_| {
+                    let sender = NodeId(rng.below(2));
+                    let mut receivers: Vec<NodeId> =
+                        (0..nodes).map(NodeId).filter(|&n| n != sender).collect();
+                    receivers.retain(|_| rng.below(3) > 0);
+                    if receivers.is_empty() {
+                        receivers.push(NodeId(1 - sender.0));
+                    }
+                    Session::multi_rate(sender, receivers).with_max_rate(1.0 + rng.below(3) as f64)
+                })
+                .collect();
+            let net = Network::new(g, sessions).unwrap();
+            let alloc = Allocation::from_rates(
+                net.sessions()
+                    .iter()
+                    .map(|s| s.receivers.iter().map(|_| rng.below(4) as f64).collect())
+                    .collect(),
+            );
+            let receivers: Vec<ReceiverId> = net.receivers().collect();
+            let mut all_pairs = Vec::new();
+            for (t, &a) in receivers.iter().enumerate() {
+                for &b in &receivers[t + 1..] {
+                    if net.same_data_path(a, b) && !same_path::pair_is_fair(&net, &alloc, a, b) {
+                        all_pairs.push((a, b));
+                    }
+                }
+            }
+            let cfg = LinkRateConfig::efficient(net.session_count());
+            assert_eq!(
+                check_all(&net, &cfg, &alloc).same_path_violations,
+                all_pairs
+            );
+            pairs_seen += all_pairs.len();
+        }
+        assert!(pairs_seen > 100, "only {pairs_seen} violating pairs");
     }
 }

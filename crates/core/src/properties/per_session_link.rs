@@ -28,26 +28,27 @@ pub fn check_per_session_link_fair(
 }
 
 /// Property 4's violations, reading session link rates and
-/// full-utilization from a prepared [`LinkAudit`].
+/// full-utilization from a prepared [`LinkAudit`]. A session's data-path
+/// links are the links of its `(link, session)` slots.
 pub(crate) fn violations(net: &Network, alloc: &Allocation, links: &LinkAudit) -> Vec<SessionId> {
+    let inc = net.incidence();
+    let mut fair_link = vec![false; net.session_count()];
+    for j in (0..net.link_count()).filter(|&j| links.full(LinkId(j))) {
+        for slot in inc.link_slots(j) {
+            let i = inc.slot_session(slot);
+            fair_link[i] = fair_link[i] || links.largest_share(LinkId(j), SessionId(i));
+        }
+    }
     (0..net.session_count())
         .map(SessionId)
-        .filter(|&sid| !session_ok(net, alloc, links, sid))
+        .filter(|&sid| !fair_link[sid.0] && !all_capped(net, alloc, sid))
         .collect()
 }
 
-fn session_ok(net: &Network, alloc: &Allocation, links: &LinkAudit, sid: SessionId) -> bool {
+fn all_capped(net: &Network, alloc: &Allocation, sid: SessionId) -> bool {
     let session = net.session(sid);
-    let all_capped = (0..session.receivers.len())
-        .all(|k| alloc.rate(ReceiverId::new(sid.0, k)) >= session.max_rate - RATE_EPS);
-    if all_capped {
-        return true;
-    }
-    let path = net.session_data_path(sid);
-    (0..net.link_count()).any(|j| {
-        let link = LinkId(j);
-        path[j] && links.full(link) && links.largest_share(link, sid)
-    })
+    (0..session.receivers.len())
+        .all(|k| alloc.rate(ReceiverId::new(sid.0, k)) >= session.max_rate - RATE_EPS)
 }
 
 #[cfg(test)]

@@ -16,19 +16,31 @@ use mlf_net::{Network, ReceiverId};
 
 /// Return all unordered receiver pairs with identical data-paths whose rates
 /// violate same-path-receiver-fairness. Empty result ⇒ Property 2 holds.
+///
+/// Pairs come out in all-pairs order: by the first receiver, then the
+/// second, both session-major. Receivers are grouped by their sorted link
+/// sets first, so only pairs within a group are compared.
 pub(crate) fn check_same_path_receiver_fair(
     net: &Network,
     alloc: &Allocation,
 ) -> Vec<(ReceiverId, ReceiverId)> {
+    let inc = net.incidence();
     let receivers: Vec<ReceiverId> = net.receivers().collect();
+    // Flat ids sorted by link set; the stable sort keeps each group in
+    // flat order, so linking neighbours chains every group ascending.
+    let mut by_path: Vec<usize> = (0..receivers.len()).collect();
+    by_path.sort_by_key(|&f| inc.crossed(f));
+    let mut next_same = vec![None; receivers.len()];
+    for w in by_path.windows(2) {
+        if inc.crossed(w[0]) == inc.crossed(w[1]) {
+            next_same[w[0]] = Some(w[1]);
+        }
+    }
     let mut violations = Vec::new();
-    for (idx, &a) in receivers.iter().enumerate() {
-        for &b in &receivers[idx + 1..] {
-            if !net.same_data_path(a, b) {
-                continue;
-            }
-            if !pair_is_fair(net, alloc, a, b) {
-                violations.push((a, b));
+    for (f, &a) in receivers.iter().enumerate() {
+        for g in std::iter::successors(next_same[f], |&g| next_same[g]) {
+            if !pair_is_fair(net, alloc, a, receivers[g]) {
+                violations.push((a, receivers[g]));
             }
         }
     }

@@ -3,7 +3,7 @@
 //!
 //! The production engines in [`crate::maxmin`], [`crate::weighted`] and
 //! [`crate::unicast`] run on the CSR incidence structure of
-//! [`crate::index::NetworkIndex`] with incrementally maintained per-link
+//! [`mlf_net::Incidence`] with incrementally maintained per-link
 //! aggregates. This module preserves the *original* scan-everything
 //! implementations — the nested `for link { for session { for receiver } }`
 //! rescans they replaced — so property tests can assert the optimized

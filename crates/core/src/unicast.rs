@@ -112,7 +112,7 @@ pub(crate) fn unicast_solve_in(net: &Network, ws: &mut SolverWorkspace) -> MaxMi
                 for &l in route(i) {
                     ws.link_used[l.0] += ws.rates[i][0];
                 }
-                ws.note_freeze(i, 0, None);
+                ws.note_freeze(net.incidence(), i, 0, None);
             }
         }
         assert!(froze, "unicast water-filling must freeze a flow per round");

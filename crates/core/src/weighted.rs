@@ -104,12 +104,13 @@ pub(crate) fn weighted_solve_in(
     }
 
     ws.reset(net);
+    let inc = net.incidence();
     // Seed the per-slot active-weight maxima (every receiver starts
     // active): the ascending-receiver fold over each slot's weights.
-    for slot in 0..ws.index.slot_count() {
-        let i = ws.index.slot_session(slot);
+    for slot in 0..inc.slot_count() {
+        let i = inc.slot_session(slot);
         let mut wmax = 0.0_f64;
-        for &k in ws.index.slot_receivers(slot) {
+        for &k in inc.slot_receivers(slot) {
             wmax = wmax.max(weights.w[i][k]);
         }
         ws.slot_wmax[slot] = wmax;
@@ -146,7 +147,7 @@ pub(crate) fn weighted_solve_in(
             }
             let mut constant = 0.0;
             ws.terms.clear(); // (breakpoint b, slope W)
-            for slot in ws.index.link_slots(j) {
+            for slot in inc.link_slots(j) {
                 let frozen_max = ws.slot_frozen_max[slot];
                 let w_max = ws.slot_wmax[slot];
                 if w_max > 0.0 {
@@ -207,7 +208,7 @@ pub(crate) fn weighted_solve_in(
                     ws.active[i][k] = false;
                     ws.rates[i][k] = s.max_rate;
                     ws.reasons[i][k] = Some(FreezeReason::MaxRate);
-                    ws.note_freeze_weighted(i, k, &weights.w);
+                    ws.note_freeze_weighted(inc, i, k, &weights.w);
                     froze = true;
                 }
             }
@@ -225,7 +226,7 @@ pub(crate) fn weighted_solve_in(
             }
             // Load at current φ.
             let mut load = 0.0;
-            for slot in ws.index.link_slots(j) {
+            for slot in inc.link_slots(j) {
                 let frozen_max = ws.slot_frozen_max[slot];
                 let max = if ws.slot_active[slot] > 0 {
                     frozen_max.max(ws.slot_wmax[slot] * phi)
@@ -237,20 +238,18 @@ pub(crate) fn weighted_solve_in(
             if load < net.graph().capacity(link) - RATE_EPS {
                 continue;
             }
-            for slot in ws.index.link_slots(j) {
-                let i = ws.index.slot_session(slot);
+            for slot in inc.link_slots(j) {
+                let i = inc.slot_session(slot);
                 let session_max = if ws.slot_active[slot] > 0 {
                     ws.slot_frozen_max[slot].max(ws.slot_wmax[slot] * phi)
                 } else {
                     ws.slot_frozen_max[slot]
                 };
-                let on_len = ws.index.slot_receivers(slot).len();
-                for t in 0..on_len {
-                    let k = ws.index.slot_receivers(slot)[t];
+                for &k in inc.slot_receivers(slot) {
                     if ws.active[i][k] && ws.rates[i][k] >= session_max - RATE_EPS {
                         ws.active[i][k] = false;
                         ws.reasons[i][k] = Some(FreezeReason::Link(link));
-                        ws.note_freeze_weighted(i, k, &weights.w);
+                        ws.note_freeze_weighted(inc, i, k, &weights.w);
                         froze = true;
                     }
                 }

@@ -4,7 +4,6 @@ use crate::ids::{LinkId, NodeId, ReceiverId, SessionId};
 use std::fmt;
 
 /// Errors raised while building or validating a [`crate::Network`].
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetError {
     /// A link references a node index that does not exist.

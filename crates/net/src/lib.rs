@@ -10,7 +10,8 @@
 //!   `r_{i,k}`, a type `chi(S_i) ∈ {single-rate, multi-rate}` and a maximum
 //!   desired rate `kappa_i`;
 //! * a fully-routed [`Network`] `N = (G, {S_i}, chi, tau)` exposing each
-//!   receiver's data-path and the per-link receiver sets `R_{i,j}` / `R_j`;
+//!   receiver's data-path and the per-link receiver sets `R_{i,j}` / `R_j`,
+//!   built once into the flat [`Incidence`] the solvers and audits read;
 //! * [`topology`] builders (stars, trees, dumbbells, random trees) and the
 //!   paper's exact example networks in [`paper`].
 //!
@@ -43,6 +44,7 @@
 pub mod error;
 pub mod graph;
 pub mod ids;
+pub mod incidence;
 pub mod network;
 pub mod paper;
 pub mod routing;
@@ -53,7 +55,8 @@ pub use error::NetError;
 pub use error::RouteDefect;
 pub use graph::{Graph, Link};
 pub use ids::{LinkId, NodeId, ReceiverId, SessionId};
+pub use incidence::Incidence;
 pub use network::Network;
-pub use routing::{shortest_path, validate_route, PathFinder, Route};
+pub use routing::{shortest_path, validate_route, Route};
 pub use session::{Session, SessionType};
 pub use topology::{TopologyError, TopologyFamily};

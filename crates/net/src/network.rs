@@ -3,14 +3,16 @@
 //!
 //! [`Network`] is the central immutable object consumed by the allocator, the
 //! fairness-property checkers and the simulator. On construction it computes
-//! (or validates) every receiver's data-path and builds the per-link receiver
-//! index sets `R_{i,j}` (receivers of session `S_i` whose data-path traverses
-//! link `l_j`) and `R_j` (all receivers traversing `l_j`) from Table 1.
+//! (or validates) every receiver's data-path and builds, once, the flat
+//! [`Incidence`] holding the per-link receiver index sets `R_{i,j}`
+//! (receivers of session `S_i` whose data-path traverses link `l_j`) and
+//! `R_j` (all receivers traversing `l_j`) from Table 1.
 
 use crate::error::{NetError, NetResult};
 use crate::graph::Graph;
 use crate::ids::{LinkId, NodeId, ReceiverId, SessionId};
-use crate::routing::{validate_route, PathFinder, Route};
+use crate::incidence::Incidence;
+use crate::routing::{validate_route, Route, RouteTree};
 use crate::session::{Session, SessionType};
 
 /// A fully-routed multicast network.
@@ -31,41 +33,41 @@ use crate::session::{Session, SessionType};
 pub struct Network {
     graph: Graph,
     sessions: Vec<Session>,
-    /// `routes[i][k]` = data-path of receiver `r_{i,k}` (ordered links).
-    routes: Vec<Vec<Route>>,
-    /// `on_link[j][i]` = indices `k` of receivers `r_{i,k}` in `R_{i,j}`.
-    on_link: Vec<Vec<Vec<usize>>>,
-    /// `crosses[i][k]` = the sorted, deduplicated link ids of `r_{i,k}`'s
-    /// data-path, for O(log route) membership tests. Stored per receiver
-    /// (not as a links-wide bitvec) so memory scales with total route
+    /// Routes and `R_{i,j}`, flat. Stored per route entry (not as a
+    /// links-wide bitvec per receiver) so memory scales with total route
     /// length, not receivers × links — the 10⁵-receiver tree benches would
     /// otherwise need tens of gigabytes here.
-    crosses: Vec<Vec<Vec<usize>>>,
-    receiver_count: usize,
+    incidence: Incidence,
 }
 
 impl Network {
     /// Build a network, routing every receiver along the hop-count shortest
-    /// path from its session sender (deterministic tie-breaking).
+    /// path from its session sender (deterministic tie-breaking): one BFS
+    /// tree per session, whose parent walks give exactly the routes of
+    /// [`crate::shortest_path`]. An unknown or unreachable receiver node (or
+    /// an unknown sender) is [`NetError::Unroutable`], naming the first such
+    /// receiver session-major.
     pub fn new(graph: Graph, sessions: Vec<Session>) -> NetResult<Self> {
-        // One PathFinder routes every receiver: the BFS scratch is reused
-        // across all |receivers| queries instead of re-allocated per call.
-        let mut finder = PathFinder::new();
-        let mut routes = Vec::with_capacity(sessions.len());
+        let mut offsets = vec![0];
+        let mut links = Vec::new();
+        let mut tree = RouteTree::default();
         for (i, s) in sessions.iter().enumerate() {
-            let mut session_routes = Vec::with_capacity(s.receivers.len());
-            for (k, &rnode) in s.receivers.iter().enumerate() {
-                let route =
-                    finder
-                        .shortest_path(&graph, s.sender, rnode)
-                        .ok_or(NetError::Unroutable {
-                            receiver: ReceiverId::new(i, k),
-                        })?;
-                session_routes.push(route);
+            let known = graph.contains_node(s.sender);
+            if known {
+                tree.grow(&graph, s.sender, None);
             }
-            routes.push(session_routes);
+            for (k, &rnode) in s.receivers.iter().enumerate() {
+                let routed =
+                    rnode == s.sender || (known && tree.route_into(s.sender, rnode, &mut links));
+                if !routed {
+                    return Err(NetError::Unroutable {
+                        receiver: ReceiverId::new(i, k),
+                    });
+                }
+                offsets.push(links.len());
+            }
         }
-        Self::assemble(graph, sessions, routes)
+        Self::assemble(graph, sessions, offsets, links)
     }
 
     /// Build a network with explicitly supplied routes (`routes[i][k]` is the
@@ -78,6 +80,8 @@ impl Network {
         if routes.len() != sessions.len() {
             return Err(NetError::RouteShapeMismatch);
         }
+        let mut offsets = vec![0];
+        let mut links = Vec::new();
         for (i, (s, rs)) in sessions.iter().zip(&routes).enumerate() {
             if rs.len() != s.receivers.len() {
                 return Err(NetError::RouteShapeMismatch);
@@ -90,12 +94,22 @@ impl Network {
                     route,
                     ReceiverId::new(i, k),
                 )?;
+                links.extend_from_slice(route);
+                offsets.push(links.len());
             }
         }
-        Self::assemble(graph, sessions, routes)
+        Self::assemble(graph, sessions, offsets, links)
     }
 
-    fn assemble(graph: Graph, sessions: Vec<Session>, routes: Vec<Vec<Route>>) -> NetResult<Self> {
+    /// Validate the sessions and build the incidence of the flat,
+    /// session-major routes (`route_links[offsets[f]..offsets[f + 1]]` is
+    /// flat receiver `f`'s data-path).
+    fn assemble(
+        graph: Graph,
+        sessions: Vec<Session>,
+        offsets: Vec<usize>,
+        route_links: Vec<LinkId>,
+    ) -> NetResult<Self> {
         // Validate sessions against the model's restrictions.
         for (i, s) in sessions.iter().enumerate() {
             let sid = SessionId(i);
@@ -130,35 +144,11 @@ impl Network {
                 });
             }
         }
-
-        let n_links = graph.link_count();
-        let mut on_link = vec![vec![Vec::new(); sessions.len()]; n_links];
-        let mut crosses = Vec::with_capacity(sessions.len());
-        let mut receiver_count = 0;
-        for (i, session_routes) in routes.iter().enumerate() {
-            let mut session_crosses = Vec::with_capacity(session_routes.len());
-            for (k, route) in session_routes.iter().enumerate() {
-                receiver_count += 1;
-                let mut ids: Vec<usize> = Vec::with_capacity(route.len());
-                for &l in route {
-                    ids.push(l.0);
-                    on_link[l.0][i].push(k);
-                }
-                ids.sort_unstable();
-                ids.dedup();
-                session_crosses.push(ids);
-            }
-            crosses.push(session_crosses);
-        }
-        // Receiver indices within each R_{i,j} come out sorted because we
-        // iterate k in order; some consumers rely on that for determinism.
+        let incidence = Incidence::new(graph.link_count(), &sessions, offsets, route_links);
         Ok(Network {
             graph,
             sessions,
-            routes,
-            on_link,
-            crosses,
-            receiver_count,
+            incidence,
         })
     }
 
@@ -184,7 +174,7 @@ impl Network {
 
     /// Total number of receivers across all sessions.
     pub fn receiver_count(&self) -> usize {
-        self.receiver_count
+        self.incidence.receiver_count()
     }
 
     /// Access a session by id. Panics on out-of-range ids (which can only be
@@ -209,55 +199,68 @@ impl Network {
             .flat_map(|(i, s)| (0..s.receivers.len()).map(move |k| ReceiverId::new(i, k)))
     }
 
-    /// The data-path (ordered link sequence) of a receiver.
-    pub fn route(&self, r: ReceiverId) -> &[LinkId] {
-        &self.routes[r.session.0][r.index]
+    /// The flat routing and `R_{i,j}` incidence arrays the solvers and the
+    /// fairness audit read.
+    pub fn incidence(&self) -> &Incidence {
+        &self.incidence
     }
 
-    /// All routes, shaped `[session][receiver]`.
-    pub fn routes(&self) -> &[Vec<Route>] {
-        &self.routes
+    fn flat(&self, r: ReceiverId) -> usize {
+        self.incidence.flat(r.session.0, r.index)
+    }
+
+    /// The data-path (ordered link sequence) of a receiver.
+    pub fn route(&self, r: ReceiverId) -> &[LinkId] {
+        self.incidence.route_links(self.flat(r))
+    }
+
+    /// A copy of all routes, shaped `[session][receiver]`.
+    pub fn routes(&self) -> Vec<Vec<Route>> {
+        let mut routes = vec![Vec::new(); self.sessions.len()];
+        for r in self.receivers() {
+            routes[r.session.0].push(self.route(r).to_vec());
+        }
+        routes
     }
 
     /// `R_{i,j}`: indices `k` of the receivers of session `i` whose data-path
     /// traverses link `j` (sorted ascending).
     pub fn receivers_of_session_on_link(&self, link: LinkId, session: SessionId) -> &[usize] {
-        &self.on_link[link.0][session.0]
+        let slot = self.incidence.slot_of(link.0, session.0);
+        slot.map_or(&[], |slot| self.incidence.slot_receivers(slot))
     }
 
-    /// `R_j`: every receiver whose data-path traverses link `j`.
+    /// `R_j`: every receiver whose data-path traverses link `j`, session-major.
     pub fn receivers_on_link(&self, link: LinkId) -> impl Iterator<Item = ReceiverId> + '_ {
-        self.on_link[link.0]
-            .iter()
-            .enumerate()
-            .flat_map(move |(i, ks)| ks.iter().map(move |&k| ReceiverId::new(i, k)))
+        let inc = &self.incidence;
+        inc.link_slots(link.0).flat_map(move |slot| {
+            let i = inc.slot_session(slot);
+            inc.slot_receivers(slot)
+                .iter()
+                .map(move |&k| ReceiverId::new(i, k))
+        })
     }
 
-    /// Whether receiver `r`'s data-path traverses link `j` (`r ∈ R_j`).
-    /// O(log route length) over the receiver's sorted link-id list.
+    /// Whether receiver `r`'s data-path traverses link `j` (`r ∈ R_j`): a
+    /// binary search of `R_{i,j}`.
     pub fn crosses(&self, r: ReceiverId, link: LinkId) -> bool {
-        self.crosses[r.session.0][r.index]
-            .binary_search(&link.0)
-            .is_ok()
+        let on_link = self.receivers_of_session_on_link(link, r.session);
+        on_link.binary_search(&r.index).is_ok()
     }
 
     /// The session's data-path: the set of links carrying data to *any* of
     /// its receivers, as a boolean mask indexed by link id.
     pub fn session_data_path(&self, session: SessionId) -> Vec<bool> {
-        let mut mask = vec![false; self.link_count()];
-        for route in &self.routes[session.0] {
-            for &l in route {
-                mask[l.0] = true;
-            }
-        }
-        mask
+        (0..self.link_count())
+            .map(|j| self.incidence.slot_of(j, session.0).is_some())
+            .collect()
     }
 
     /// Whether two receivers' data-paths traverse exactly the same link set
     /// (the premise of same-path-receiver-fairness, Fairness Property 2).
     /// Compares the two sorted link-id sets directly.
     pub fn same_data_path(&self, a: ReceiverId, b: ReceiverId) -> bool {
-        self.crosses[a.session.0][a.index] == self.crosses[b.session.0][b.index]
+        self.incidence.crossed(self.flat(a)) == self.incidence.crossed(self.flat(b))
     }
 
     /// A copy of the network with session `id`'s type replaced.
@@ -298,9 +301,13 @@ impl Network {
         }
         let mut sessions = self.sessions.clone();
         sessions[i].receivers.remove(r.index);
-        let mut routes = self.routes.clone();
-        routes[i].remove(r.index);
-        Self::assemble(self.graph.clone(), sessions, routes)
+        let mut offsets = vec![0];
+        let mut links = Vec::new();
+        for other in self.receivers().filter(|&other| other != r) {
+            links.extend_from_slice(self.route(other));
+            offsets.push(links.len());
+        }
+        Self::assemble(self.graph.clone(), sessions, offsets, links)
     }
 
     /// Fraction of sessions that are multi-rate (the `m/n` knob of Figure 6

@@ -34,83 +34,77 @@ pub type Route = Vec<LinkId>;
 /// bit-for-bit.
 ///
 /// If `from == to`, the empty route is returned.
-///
-/// This convenience wrapper allocates fresh BFS buffers per call; when
-/// routing many receivers over one graph (network construction, topology
-/// sweeps), use a [`PathFinder`] to reuse them.
 pub fn shortest_path(graph: &Graph, from: NodeId, to: NodeId) -> Option<Route> {
-    PathFinder::new().shortest_path(graph, from, to)
+    if from == to {
+        return Some(Vec::new());
+    }
+    if !graph.contains_node(from) || !graph.contains_node(to) {
+        return None;
+    }
+    let mut tree = RouteTree::default();
+    tree.grow(graph, from, Some(to));
+    let mut route = Vec::new();
+    tree.route_into(from, to, &mut route).then_some(route)
 }
 
-/// Reusable BFS scratch for [`shortest_path`]-style queries.
+/// A BFS tree from one source; a route is the parent walk from its end
+/// node back to the source, reversed.
 ///
-/// A `PathFinder` owns the `parent`/`seen`/queue buffers one BFS needs, so
-/// routing every receiver of a topology (or a whole sweep of topologies)
-/// performs no per-query allocation beyond the returned [`Route`] itself —
-/// visible at sweep scale on transit–stub builds, where `Network`
-/// construction routes hundreds of receivers back to back.
+/// [`crate::Network::new`] grows one full tree per session sender and
+/// routes every receiver of the session from it, while [`shortest_path`]
+/// stops the same BFS once it discovers its target. The routes agree on
+/// any graph, cycles and parallel links included: BFS from a fixed source
+/// dequeues nodes in the same order and gives each discovered node the
+/// same parent whether or not it stops early, since stopping only
+/// truncates the run. So no per-receiver search and no tree check are
+/// needed.
 ///
-/// Results are identical to the free [`shortest_path`] function: the
-/// buffers are scratch, not state (`seen` gates every `parent` read, so
-/// stale entries from earlier queries are never observed).
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-#[derive(Debug, Default, Clone)]
-pub struct PathFinder {
-    /// parent[v] = (previous node, link used to reach v)
+/// The buffers are reused from one source to the next.
+#[derive(Debug, Default)]
+pub(crate) struct RouteTree {
+    /// parent[v] = (previous node, link used to reach v); `None` for the
+    /// source and for nodes not reached.
     parent: Vec<Option<(NodeId, LinkId)>>,
-    seen: Vec<bool>,
     queue: VecDeque<NodeId>,
 }
 
-impl PathFinder {
-    /// A finder with empty scratch (grown on first use).
-    pub fn new() -> Self {
-        PathFinder::default()
-    }
-
-    /// [`shortest_path`] against this finder's reusable scratch.
-    pub fn shortest_path(&mut self, graph: &Graph, from: NodeId, to: NodeId) -> Option<Route> {
-        if from == to {
-            return Some(Vec::new());
-        }
-        if !graph.contains_node(from) || !graph.contains_node(to) {
-            return None;
-        }
-        let n = graph.node_count();
+impl RouteTree {
+    /// Grow the BFS tree of `from` (a node of `graph`), in full or until
+    /// `stop_at` is discovered.
+    pub(crate) fn grow(&mut self, graph: &Graph, from: NodeId, stop_at: Option<NodeId>) {
         self.parent.clear();
-        self.parent.resize(n, None);
-        self.seen.clear();
-        self.seen.resize(n, false);
+        self.parent.resize(graph.node_count(), None);
         self.queue.clear();
-        self.seen[from.0] = true;
         self.queue.push_back(from);
-        while let Some(u) = self.queue.pop_front() {
+        'bfs: while let Some(u) = self.queue.pop_front() {
             for (v, l) in graph.neighbors(u) {
-                if !self.seen[v.0] {
-                    self.seen[v.0] = true;
+                if v != from && self.parent[v.0].is_none() {
                     self.parent[v.0] = Some((u, l));
-                    if v == to {
-                        self.queue.clear();
-                        break;
+                    if Some(v) == stop_at {
+                        break 'bfs;
                     }
                     self.queue.push_back(v);
                 }
             }
         }
-        if !self.seen[to.0] {
-            return None;
-        }
-        let mut route = Vec::new();
+    }
+
+    /// Append the route from the tree's source `from` to `to` onto `out`,
+    /// in path order. Returns `false`, leaving `out` as it was, when `to`
+    /// is not in the tree.
+    pub(crate) fn route_into(&self, from: NodeId, to: NodeId, out: &mut Vec<LinkId>) -> bool {
+        let start = out.len();
         let mut cur = to;
         while cur != from {
-            // `seen[to]` implies a complete parent chain back to `from`; a
-            // broken chain degrades to "no route" rather than panicking.
-            let (prev, link) = self.parent[cur.0]?;
-            route.push(link);
+            let Some(&Some((prev, link))) = self.parent.get(cur.0) else {
+                out.truncate(start);
+                return false;
+            };
+            out.push(link);
             cur = prev;
         }
-        route.reverse();
-        Some(route)
+        out[start..].reverse();
+        true
     }
 }
 
@@ -228,37 +222,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(shortest_path(&g, n[0], n[3]), Some(vec![l01, l13]));
         }
-    }
-
-    #[test]
-    fn pathfinder_reuse_matches_fresh_queries() {
-        // A reused finder must answer exactly like per-call allocation —
-        // including queries that leave stale parent entries behind.
-        let (g, n, _) = triangle();
-        let mut finder = PathFinder::new();
-        for _ in 0..3 {
-            for &from in &n {
-                for &to in &n {
-                    assert_eq!(
-                        finder.shortest_path(&g, from, to),
-                        shortest_path(&g, from, to),
-                        "{from:?} -> {to:?}"
-                    );
-                }
-            }
-        }
-        // Shrinking graphs must not read out-of-date scratch sized for a
-        // bigger one.
-        let mut small = Graph::new();
-        let a = small.add_node();
-        let b = small.add_node();
-        let l = small.add_link(a, b, 1.0).unwrap();
-        assert_eq!(finder.shortest_path(&small, a, b), Some(vec![l]));
-        // Disconnected pair after the finder has seen other graphs.
-        let mut disc = Graph::new();
-        let x = disc.add_node();
-        let y = disc.add_node();
-        assert_eq!(finder.shortest_path(&disc, x, y), None);
     }
 
     #[test]

@@ -1,11 +1,162 @@
 //! Property tests of the routing and network-assembly substrate.
 
-use mlf_net::topology::{random_network, random_tree};
-use mlf_net::{shortest_path, validate_route, NodeId, ReceiverId};
+use mlf_net::topology::{random_network, random_network_with, random_tree, SplitMix64};
+use mlf_net::{
+    paper, shortest_path, validate_route, Graph, NetError, Network, NodeId, ReceiverId, Session,
+    TopologyFamily,
+};
 use proptest::prelude::*;
+
+/// `Network::new` routes every receiver from one BFS tree per session;
+/// each route must be the per-receiver `shortest_path` query's, tie-breaks
+/// included.
+fn assert_routes_match_shortest_paths(net: &Network) {
+    for r in net.receivers() {
+        let s = net.session(r.session);
+        let expected = shortest_path(net.graph(), s.sender, s.receivers[r.index])
+            .expect("a built network routes every receiver");
+        assert_eq!(net.route(r), expected.as_slice(), "route of {r:?}");
+    }
+}
+
+/// A random connected graph with cycles: a random tree plus `extra` random
+/// links (parallel links and links closing cycles included), and sessions
+/// with distinct members drawn over all of its nodes.
+fn cyclic_network(seed: u64, nodes: usize, extra: usize, sessions: usize) -> Network {
+    let mut g = random_tree(seed, nodes, 1.0, 5.0);
+    let mut rng = SplitMix64(seed ^ 0x5eed_c7c1_e5ee_d000);
+    for _ in 0..extra {
+        let a = NodeId(rng.below(nodes));
+        let b = NodeId(rng.below(nodes));
+        if a != b {
+            g.add_link(a, b, 1.0 + rng.unit()).expect("valid link");
+        }
+    }
+    let sessions = (0..sessions)
+        .map(|_| {
+            let mut members: Vec<NodeId> = (0..nodes).map(NodeId).collect();
+            // Partial Fisher–Yates: the first 1 + receivers slots are the
+            // sender and the receivers.
+            let receivers = 1 + rng.below(nodes - 1);
+            for t in 0..=receivers {
+                let u = t + rng.below(nodes - t);
+                members.swap(t, u);
+            }
+            Session::multi_rate(members[0], members[1..=receivers].to_vec())
+        })
+        .collect();
+    Network::new(g, sessions).expect("connected graphs route every receiver")
+}
+
+#[test]
+fn every_family_routes_like_shortest_path() {
+    for family in [
+        TopologyFamily::FlatTree,
+        TopologyFamily::KaryTree { arity: 3 },
+        TopologyFamily::TransitStub { transit: 4 },
+        TopologyFamily::Dumbbell,
+    ] {
+        for seed in 0..32u64 {
+            let net = random_network_with(family, seed, 30, 8, 5).unwrap();
+            assert_routes_match_shortest_paths(&net);
+        }
+    }
+}
+
+#[test]
+fn paper_networks_route_like_shortest_path() {
+    let removals = [paper::figure3a(), paper::figure3b()];
+    let mut nets = vec![
+        paper::figure1().network,
+        paper::figure2().network,
+        paper::figure2_multi_rate().network,
+        paper::figure4().network,
+        paper::single_link(3.0),
+        mlf_net::topology::star_network(8, 10.0, 4.0),
+    ];
+    for ex in removals {
+        nets.push(ex.network.without_receiver(ex.removed).unwrap());
+        nets.push(ex.network);
+    }
+    // Figure 3(b) hands in explicit routes; re-route every example from
+    // its graph and sessions.
+    for net in nets {
+        let rerouted = Network::new(net.graph().clone(), net.sessions().to_vec()).unwrap();
+        assert_routes_match_shortest_paths(&rerouted);
+    }
+}
+
+/// The per-receiver code failed with `Unroutable` naming the first failing
+/// receiver, session-major; so must the per-session trees.
+#[test]
+fn unroutable_receivers_keep_their_error_identity() {
+    let mut g = Graph::new();
+    let n = g.add_nodes(4);
+    g.add_link(n[0], n[1], 1.0).unwrap();
+    g.add_link(n[1], n[2], 1.0).unwrap();
+    // n[3] is isolated; NodeId(9) is not in the graph.
+    let unroutable = |sessions: Vec<Session>| match Network::new(g.clone(), sessions) {
+        Err(NetError::Unroutable { receiver }) => receiver,
+        other => panic!("expected Unroutable, got {other:?}"),
+    };
+    let ok = Session::multi_rate(n[0], vec![n[1], n[2]]);
+    // Unknown sender: its first receiver off the sender's node.
+    assert_eq!(
+        unroutable(vec![
+            ok.clone(),
+            Session::multi_rate(NodeId(9), vec![n[1], n[2]])
+        ]),
+        ReceiverId::new(1, 0)
+    );
+    // Unknown receiver.
+    assert_eq!(
+        unroutable(vec![
+            ok.clone(),
+            Session::multi_rate(n[0], vec![n[1], NodeId(9)])
+        ]),
+        ReceiverId::new(1, 1)
+    );
+    // Disconnected receiver, ahead of a later session's unknown one.
+    assert_eq!(
+        unroutable(vec![
+            Session::multi_rate(n[1], vec![n[0], n[3], n[2]]),
+            Session::multi_rate(n[0], vec![NodeId(9)]),
+        ]),
+        ReceiverId::new(0, 1)
+    );
+    // Routing errors come before session validation, as before: the bad
+    // rate of session 0 is not reported.
+    assert_eq!(
+        unroutable(vec![
+            ok.clone().with_max_rate(0.0),
+            Session::unicast(n[0], n[3]),
+        ]),
+        ReceiverId::new(1, 0)
+    );
+    // A receiver on an unknown sender's node has the empty route, so the
+    // unknown node surfaces from validation instead.
+    assert_eq!(
+        Network::new(g.clone(), vec![Session::unicast(NodeId(9), NodeId(9))]),
+        Err(NetError::UnknownNode(NodeId(9)))
+    );
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// On connected graphs with cycles and parallel links, where routes
+    /// are no longer unique, the per-session trees still pick exactly the
+    /// per-receiver BFS routes.
+    #[test]
+    fn cyclic_graphs_route_like_shortest_path(
+        seed in any::<u64>(),
+        nodes in 2usize..24,
+        extra in 0usize..30,
+        sessions in 1usize..5,
+    ) {
+        let net = cyclic_network(seed, nodes, extra, sessions);
+        assert_routes_match_shortest_paths(&net);
+    }
 
     /// On trees, BFS finds the unique path; it validates, and reversing the
     /// endpoints reverses the route.

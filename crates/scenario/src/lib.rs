@@ -134,7 +134,7 @@ use mlf_net::{Network, ReceiverId, TopologyError, TopologyFamily};
 #[derive(Debug, Clone)]
 pub(crate) enum NetworkSource {
     /// One fixed network (e.g. a paper figure).
-    Fixed(Network),
+    Fixed(Box<Network>),
     /// A `mlf_net::topology` random family, one network per sweep seed.
     Random {
         /// The structural family the topologies are drawn from.
@@ -291,7 +291,7 @@ impl ScenarioBuilder {
 
     /// Solve this fixed network.
     pub fn network(mut self, net: Network) -> Self {
-        self.source = Some(NetworkSource::Fixed(net));
+        self.source = Some(NetworkSource::Fixed(Box::new(net)));
         self
     }
 
@@ -452,7 +452,7 @@ impl Scenario {
     /// The fixed network, when the source is fixed.
     pub fn network(&self) -> Option<&Network> {
         match &self.source {
-            NetworkSource::Fixed(net) => Some(net),
+            NetworkSource::Fixed(net) => Some(&**net),
             NetworkSource::Random { .. } => None,
         }
     }

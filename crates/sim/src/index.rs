@@ -351,6 +351,7 @@ impl LinkLevelIndex {
     ///
     /// Fails when the routes are not tree paths: every link must appear at
     /// one depth with one predecessor across all routes.
+    // mlf-lint: allow(unused-pub, reason = "the public LinkLevelIndex is built only through this method; its in-crate callers are invisible to the analyzer")
     pub fn rebuild(
         &mut self,
         layer_count: usize,

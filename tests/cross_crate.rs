@@ -90,8 +90,7 @@ fn protocols_reach_the_fair_rate_when_unconstrained() {
         .cloned()
         .map(|s| s.with_max_rate(ladder.total_rate()))
         .collect();
-    let net = mlf_net::Network::with_routes(net.graph().clone(), sessions, net.routes().to_vec())
-        .unwrap();
+    let net = mlf_net::Network::with_routes(net.graph().clone(), sessions, net.routes()).unwrap();
     let alloc = Hybrid::as_declared().allocate(&net);
     for (_, rate) in alloc.iter() {
         assert_eq!(rate, ladder.total_rate());

@@ -84,7 +84,7 @@ fn sprinkle(mut net: Network, seed: u64) -> Network {
             s.max_rate = 0.5 + rng.below(40) as f64 * 0.25;
         }
     }
-    Network::with_routes(net.graph().clone(), sessions, net.routes().to_vec())
+    Network::with_routes(net.graph().clone(), sessions, net.routes())
         .expect("same routes remain valid")
 }
 

@@ -41,7 +41,7 @@ fn arb_network() -> impl Strategy<Value = Network> {
                     s.max_rate = caps[i % caps.len()];
                 }
             }
-            Network::with_routes(net.graph().clone(), sessions_vec, net.routes().to_vec())
+            Network::with_routes(net.graph().clone(), sessions_vec, net.routes())
                 .expect("same routes remain valid")
         })
 }
