@@ -20,7 +20,7 @@
 //! virtual call; [`make_receiver`] boxes the same enum for callers that
 //! need a `dyn ReceiverController`.
 
-use crate::config::{join_probability, join_threshold, ProtocolKind};
+use crate::config::{join_threshold, ProtocolKind};
 use mlf_sim::{Action, PacketEvent, ReceiverController, SimRng};
 
 /// Uncoordinated: per-packet probabilistic joins.
@@ -44,12 +44,26 @@ impl ReceiverController for UncoordinatedReceiver {
         if ev.lost {
             return Action::LeaveDown; // engine clamps at level 1
         }
-        if ev.level < ev.layer_count && self.rng.bernoulli(join_probability(ev.level)) {
+        if ev.level < ev.layer_count && join_coin(&mut self.rng, ev.level) {
             Action::JoinUp
         } else {
             Action::Stay
         }
     }
+}
+
+/// The Uncoordinated join coin at `level`: `rng.bernoulli(join_probability(level))`
+/// as an integer test, with the same answer from the same draws.
+///
+/// Level 1 joins with probability 1, so it draws nothing. Above it the
+/// probability is `2^-k` with `k = 2(level−1)`, and `unit() < 2^-k` holds
+/// exactly when the top `k` of the 53 bits `unit()` keeps are zero. Past
+/// `k = 53` only the all-zero 53 bits pass, hence `min(k, 53)`. Panics for
+/// levels outside `1..=32`, as [`join_threshold`] does.
+#[inline]
+fn join_coin(rng: &mut SimRng, level: usize) -> bool {
+    let top_bits = join_threshold(level).trailing_zeros().min(53);
+    top_bits == 0 || rng.next_u64().leading_zeros() >= top_bits
 }
 
 /// Deterministic: joins after a fixed run of clean packets.
@@ -224,6 +238,31 @@ mod tests {
         // Level 3: p = 1/16, expect n/16 = 12500 ± noise.
         let freq = joins as f64 / n as f64;
         assert!((freq - 1.0 / 16.0).abs() < 0.003, "freq {freq}");
+    }
+
+    /// The integer join coin is the float one, draw for draw: the same
+    /// answer and the same RNG state after every draw, at every level.
+    #[test]
+    fn join_coin_matches_the_bernoulli_draw() {
+        use crate::config::join_probability;
+        for level in 1..=32 {
+            let mut a = SimRng::seed_from_u64(0xC01 + level as u64);
+            let mut b = a.clone();
+            for i in 0..100_000 {
+                assert_eq!(
+                    join_coin(&mut a, level),
+                    b.bernoulli(join_probability(level)),
+                    "level {level}, draw {i}"
+                );
+                assert_eq!(a, b, "level {level}: rng state after draw {i}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "level out of range")]
+    fn join_coin_rejects_levels_past_32() {
+        let _ = join_coin(&mut SimRng::seed_from_u64(1), 33);
     }
 
     #[test]

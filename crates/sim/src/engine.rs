@@ -26,23 +26,43 @@
 //!
 //! ## The level-indexed hot loop
 //!
-//! Per slot the engine does **O(subscribed(layer)) + O(receivers/64)**
-//! work (the latter a word-scan/snapshot of the layer's bitset row), not
-//! O(receivers): the shared-link test reads the [`LevelIndex`]'s cached
-//! bucket maximum, the delivery loop walks the layer's subscriber bitset in
-//! ascending receiver id (visiting only receivers it would deliver to), and
-//! the per-receiver `offered`/`level_slot_sum` accounting is settled
-//! **lazily at level-change events** from cumulative per-layer emitted-slot
-//! counters (plus once at run end) instead of every slot. The pre-index
-//! scan engine is preserved verbatim in [`crate::reference`]; the rewrite's
-//! contract — bitwise-identical [`StarReport`]s, resting on the
-//! RNG-draw-preservation argument spelled out in [`crate::multicast`] — is
-//! pinned by `tests/star_engine_differential.rs`.
+//! The engine does per-slot work only where the model has some:
+//!
+//! * **Every slot** costs O(1): the slot's layer comes from a table of one
+//!   schedule period (`Σ rates` slots for integer rates, 128 for the
+//!   paper's 8 exponential layers), precomputed per run from a
+//!   [`LayerInterleaver`]; rates with no period within 4096 slots refill
+//!   the table from the same live interleaver each time it runs out. The
+//!   slot bumps its layer's cumulative emission counter, asks the
+//!   [`MarkerSource`] for its marker (one call per slot, in slot order,
+//!   so coordinated senders count every packet), and compares its layer
+//!   with the [`LevelIndex`]'s cached maximum effective level.
+//! * **An uncarried slot** (its layer above every effective level) ends
+//!   there: no receiver is subscribed to it, so it has no loss draw, no
+//!   subscriber row and no visit. Membership changes queued under join or
+//!   leave latency are applied only at the slot they fall due, so a slot
+//!   with nothing due does not touch the event queue either.
+//! * **A carried slot** draws the shared-link loss once, snapshots the
+//!   layer's subscriber bitset (O(receivers/64) words) and walks its set
+//!   bits in ascending receiver id, visiting only receivers it delivers
+//!   to. A visit touches one per-receiver *lane* — the receiver's RNG
+//!   stream, its fanout loss and its delivery/congestion tallies — where
+//!   a Bernoulli fanout link is one integer compare of a raw draw against
+//!   a precomputed threshold, then calls the receiver's controller.
+//!
+//! The per-receiver `offered`/`level_slot_sum` accounting is settled
+//! **lazily at level-change events** from the cumulative per-layer
+//! emitted-slot counters (plus once at run end) instead of every slot.
+//! The pre-index scan engine is preserved verbatim in
+//! [`crate::reference`]; the rewrite's contract — bitwise-identical
+//! [`StarReport`]s, resting on the RNG-draw-preservation argument spelled
+//! out in [`crate::multicast`] — is pinned by
+//! `tests/star_engine_differential.rs`.
 //!
 //! [`LevelIndex`]: crate::index::LevelIndex
 
 use crate::events::Tick;
-use crate::loss::LossProcess;
+use crate::loss::{LaneLoss, LossProcess};
 use crate::multicast::MembershipTable;
 use crate::rng::SimRng;
 
@@ -260,7 +280,76 @@ impl LayerInterleaver {
         self.credit[best] -= self.total;
         best + 1
     }
+
+    /// Replace `table` with the next layers of this schedule: at most
+    /// `limit` (and at most [`SCHEDULE_CAP`]) of them, stopping early when
+    /// every credit is back to exactly zero. Returns whether it stopped
+    /// there. Zero credits are the state a fresh interleaver starts in, so
+    /// a table filled from a fresh interleaver that stops there holds one
+    /// whole period, and replaying it is the schedule itself. Layers must
+    /// fit a `u8` (the engine asserts at most 255).
+    fn fill_schedule(&mut self, table: &mut Vec<u8>, limit: u64) -> bool {
+        table.clear();
+        let cap = usize::try_from(limit).map_or(SCHEDULE_CAP, |l| l.min(SCHEDULE_CAP));
+        while table.len() < cap {
+            // Lossless: layers are at most 255.
+            table.push(self.next_layer() as u8);
+            if self.credit.iter().all(|&c| c == 0.0) {
+                return true;
+            }
+        }
+        false
+    }
 }
+
+/// A star run's layer schedule: the [`LayerInterleaver`]'s sequence,
+/// replayed from a table of precomputed layers.
+struct Schedule<'a> {
+    /// The layers of the next slots, read from `cursor` on.
+    table: &'a mut Vec<u8>,
+    /// The live interleaver the table continues from when it is not one
+    /// whole period.
+    interleaver: LayerInterleaver,
+    /// Whether `table` holds one whole period and simply replays.
+    periodic: bool,
+    cursor: usize,
+}
+
+impl<'a> Schedule<'a> {
+    /// The schedule of a run of `slots` slots on layers of `rates`, kept in
+    /// `table`.
+    fn new(rates: &[f64], table: &'a mut Vec<u8>, slots: u64) -> Self {
+        let mut interleaver = LayerInterleaver::new(rates);
+        let periodic = interleaver.fill_schedule(table, slots);
+        Schedule {
+            table,
+            interleaver,
+            periodic,
+            cursor: 0,
+        }
+    }
+
+    /// The layer (1-based) of the next slot; `remaining` counts the run's
+    /// slots from this one on.
+    #[inline]
+    fn next_layer(&mut self, remaining: u64) -> usize {
+        if self.cursor == self.table.len() {
+            if !self.periodic {
+                self.interleaver.fill_schedule(self.table, remaining);
+            }
+            self.cursor = 0;
+        }
+        let layer = self.table[self.cursor];
+        self.cursor += 1;
+        usize::from(layer)
+    }
+}
+
+/// The longest layer-schedule table a star run precomputes. The Section 4
+/// exponential rates repeat every `Σ rates` = `2^(M-1)` slots (128 for the
+/// paper's 8 layers); rate vectors whose credits never return exactly to
+/// zero within this many slots refill the table as the run reaches its end.
+const SCHEDULE_CAP: usize = 4096;
 
 /// Exact work counters of the star runs a [`StarScratch`] served, summed
 /// over its lifetime (read them with [`StarScratch::counters`]).
@@ -299,21 +388,26 @@ impl std::ops::AddAssign for StarCounters {
 
 /// Reusable buffers for back-to-back [`run_star`] calls (trial loops).
 ///
-/// One star run needs per-receiver copies of the configured loss processes
-/// (sampling mutates their state), per-receiver RNG streams, the membership
-/// table with its level index (bitset rows sized to receivers × layers),
-/// and the lazy-accounting checkpoint vectors; allocating those per trial
-/// dominated the allocation profile of `run_point`-style experiments. A
-/// scratch re-seeds the same buffers instead: [`run_star_into`] produces
-/// results bitwise identical to [`run_star`] — the loss state is
-/// `clone_from`-reset from `cfg`, every RNG is re-derived from the run
-/// seed, and the membership table is [`MembershipTable::reset`] to the
-/// all-at-level-1 start state — so nothing carries over between trials
-/// except the allocations.
+/// One star run needs a lane per receiver (its RNG stream, a copy of its
+/// fanout loss process — sampling mutates its state — and its tallies),
+/// the layer-schedule table, the membership table with its level index
+/// (bitset rows sized to receivers × layers), and the lazy-accounting
+/// checkpoint vectors; allocating those per trial dominated the
+/// allocation profile of `run_point`-style experiments. A scratch re-seeds
+/// the same buffers instead: [`run_star_into`] produces results bitwise
+/// identical to [`run_star`] — every lane is rebuilt from `cfg` and the
+/// run seed, the schedule is refilled from a fresh interleaver, and the
+/// membership table is [`MembershipTable::reset`] to the all-at-level-1
+/// start state — so nothing carries over between trials except the
+/// allocations.
 #[derive(Debug, Clone, Default)]
 pub struct StarScratch {
-    fanout_rng: Vec<SimRng>,
-    fanout_loss: Vec<LossProcess>,
+    /// Per receiver: its fanout link's RNG stream and loss test, and its
+    /// delivery and congestion tallies — everything a visit touches.
+    lanes: Vec<Lane>,
+    /// The layers of the next slots of the schedule (one whole period when
+    /// the rates have a short one).
+    schedule: Vec<u8>,
     membership: MembershipTable,
     /// `layer_cum[L-1]` = slots emitted on layer `L` so far, including the
     /// slot being processed: the lazy accounting's cumulative counters.
@@ -335,6 +429,20 @@ impl StarScratch {
     pub fn counters(&self) -> StarCounters {
         self.counters
     }
+}
+
+/// One receiver's per-run state in the delivery loop, kept together so a
+/// visit indexes one vector once.
+#[derive(Debug, Clone)]
+struct Lane {
+    /// The receiver's fanout-link RNG substream.
+    rng: SimRng,
+    /// The receiver's fanout-link loss, in its per-visit form.
+    loss: LaneLoss,
+    /// Packets delivered so far (the report's `delivered`).
+    delivered: u64,
+    /// Congestion events so far (the report's `congestion_events`).
+    congestion: u64,
 }
 
 /// Settle receiver `r`'s lazy `offered`/`level_slot_sum` accounting through
@@ -397,15 +505,21 @@ pub fn run_star<C: ReceiverController, M: MarkerSource>(
 /// [`run_star`] into caller-provided report and scratch buffers: zero
 /// steady-state allocation across repeated trials of one shape.
 ///
-/// This is the level-indexed engine: per slot it visits only the
-/// receivers actively subscribed to the slot's layer (ascending receiver
+/// This is the level-indexed engine (see the module docs for its cost
+/// model): every slot reads its layer from a precomputed schedule table
+/// and tests the shared link against the index's O(1) bucket maximum; a
+/// slot the shared link does not carry stops there; a carried slot visits
+/// only the receivers actively subscribed to its layer (ascending receiver
 /// id, so every per-receiver RNG stream consumes exactly the draws the
 /// reference engine gives it; one O(receivers/64) word-scan snapshots the
-/// row), reads the shared-link subscription test from
-/// the index's O(1) bucket maximum, and defers the per-receiver
-/// `offered`/`level_slot_sum` accounting to join/leave events (and run
-/// end). Bitwise identical to [`crate::reference::run_star`] by the
-/// differential proptests.
+/// row). The per-receiver `offered`/`level_slot_sum` accounting is
+/// deferred to join/leave events (and run end). Bitwise identical to
+/// [`crate::reference::run_star`] by the differential proptests.
+///
+/// # Panics
+///
+/// Panics if `controllers` does not hold one controller per receiver, or
+/// if the star has no layers or more than 255.
 #[allow(clippy::too_many_arguments)] // the run_star signature plus two buffers
 pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
     cfg: &StarConfig,
@@ -420,15 +534,23 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
     assert_eq!(controllers.len(), n, "one controller per receiver");
     let m = cfg.layer_count();
     assert!(m >= 1);
+    assert!(
+        m <= usize::from(u8::MAX),
+        "the star engine runs at most 255 layers"
+    );
 
     let base = SimRng::seed_from_u64(seed);
     let mut shared_rng = base.split(u64::MAX);
-    scratch.fanout_rng.clear();
+    scratch.lanes.clear();
     scratch
-        .fanout_rng
-        .extend((0..n).map(|r| base.split(r as u64)));
+        .lanes
+        .extend(cfg.fanout_loss.iter().enumerate().map(|(r, loss)| Lane {
+            rng: base.split(r as u64),
+            loss: LaneLoss::new(loss),
+            delivered: 0,
+            congestion: 0,
+        }));
     let mut shared_loss = cfg.shared_loss.clone();
-    scratch.fanout_loss.clone_from(&cfg.fanout_loss);
 
     scratch.membership.reset(n, m, 1);
     scratch
@@ -442,8 +564,8 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
     reset_u64(&mut scratch.settled_slots, n);
     reset_u64(&mut scratch.settled_prefix, n);
     let StarScratch {
-        fanout_rng,
-        fanout_loss,
+        lanes,
+        schedule,
         membership,
         layer_cum,
         settled_slots,
@@ -455,20 +577,23 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
         slots,
         ..StarCounters::default()
     };
-    let mut interleaver = LayerInterleaver::new(&cfg.layer_rates);
+    let mut schedule = Schedule::new(&cfg.layer_rates, schedule, slots);
+    // Nothing is queued yet; `advance_to` runs only once this is due.
+    let mut next_change = Tick::MAX;
 
     report.slots = slots;
     report.shared_carried = 0;
     reset_u64(&mut report.offered, n);
-    reset_u64(&mut report.delivered, n);
-    reset_u64(&mut report.congestion_events, n);
     reset_u64(&mut report.level_slot_sum, n);
     report.final_levels.clear();
     report.final_levels.resize(n, 1);
 
     for slot in 0..slots {
-        membership.advance_to(slot);
-        let layer = interleaver.next_layer();
+        if next_change <= slot {
+            membership.advance_to(slot);
+            next_change = membership.next_change_at().unwrap_or(Tick::MAX);
+        }
+        let layer = schedule.next_layer(slots - slot);
         let mk = marker.marker(slot, layer);
         // The slot now counts toward the cumulative per-layer emission
         // totals the lazy accounting settles from: a level change during
@@ -478,14 +603,14 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
         let slots_done = slot + 1;
 
         // Shared link: carried iff any receiver is effectively subscribed —
-        // an O(1) read of the index's cached bucket maximum.
-        let carried = layer <= membership.max_effective_level();
-        let lost_shared = if carried {
-            report.shared_carried += 1;
-            shared_loss.sample(&mut shared_rng)
-        } else {
-            false
-        };
+        // an O(1) read of the index's cached bucket maximum. An uncarried
+        // slot has an empty subscriber row too (every active level is at
+        // most the maximum effective one), so nothing else happens in it.
+        if layer > membership.max_effective_level() {
+            continue;
+        }
+        report.shared_carried += 1;
+        let lost_shared = shared_loss.sample(&mut shared_rng);
 
         // Deliver to each receiver that requested and effectively holds
         // the layer: exactly the set bits of the layer's subscriber row.
@@ -505,11 +630,12 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
             while bits != 0 {
                 let r = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let lost = lost_shared || fanout_loss[r].sample(&mut fanout_rng[r]);
+                let lane = &mut lanes[r];
+                let lost = lost_shared || lane.loss.sample(&mut lane.rng);
                 if lost {
-                    report.congestion_events[r] += 1;
+                    lane.congestion += 1;
                 } else {
-                    report.delivered[r] += 1;
+                    lane.delivered += 1;
                 }
                 let level = membership.requested_level(r);
                 let ev = PacketEvent {
@@ -548,9 +674,18 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
                 );
                 work.level_changes += 1;
                 membership.request_level(slot, r, target);
+                next_change = membership.next_change_at().unwrap_or(Tick::MAX);
             }
         }
     }
+    report.delivered.clear();
+    report
+        .delivered
+        .extend(lanes.iter().map(|lane| lane.delivered));
+    report.congestion_events.clear();
+    report
+        .congestion_events
+        .extend(lanes.iter().map(|lane| lane.congestion));
     for r in 0..n {
         let level = membership.requested_level(r);
         settle_receiver(
@@ -603,6 +738,43 @@ mod tests {
             counts[il.next_layer() - 1] += 1;
         }
         assert_eq!(counts, [1000, 1000, 2000, 4000]);
+    }
+
+    /// The table-driven schedule is the live interleaver's, slot for slot,
+    /// across several table wraps: whole periods for rates that have a
+    /// short one, refills for rates that do not.
+    #[test]
+    fn schedule_replays_the_live_interleaver() {
+        let exponential = [1.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
+        let cases: [(&[f64], Option<usize>); 6] = [
+            (&exponential, Some(128)),
+            (&[1.0], Some(1)),
+            (&[3.0, 5.0], Some(8)),
+            (&[0.5, 0.25, 0.25], Some(4)),
+            (&[1.0, 0.3, 2.7], None),
+            (&[0.1, 0.2, 0.7], None),
+        ];
+        let slots = 3 * SCHEDULE_CAP as u64 + 17;
+        for (rates, period) in cases {
+            let mut table = Vec::new();
+            let mut schedule = Schedule::new(rates, &mut table, slots);
+            let expected_len = period.unwrap_or(SCHEDULE_CAP);
+            assert_eq!(schedule.periodic, period.is_some(), "{rates:?}");
+            assert_eq!(schedule.table.len(), expected_len, "{rates:?}");
+            let mut live = LayerInterleaver::new(rates);
+            for slot in 0..slots {
+                assert_eq!(
+                    schedule.next_layer(slots - slot),
+                    live.next_layer(),
+                    "{rates:?}: slot {slot}"
+                );
+            }
+        }
+        // A run shorter than the period fills only what it plays.
+        let mut table = Vec::new();
+        let schedule = Schedule::new(&exponential, &mut table, 40);
+        assert!(!schedule.periodic);
+        assert_eq!(schedule.table.len(), 40);
     }
 
     #[test]

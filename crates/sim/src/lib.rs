@@ -15,9 +15,10 @@
 //!   maintained level-bucketed [`index::LevelIndex`] (O(1) max effective
 //!   level, per-layer subscriber bitsets);
 //! * the modified-star engine measuring shared-link redundancy
-//!   ([`engine::run_star`]) — per-slot cost O(subscribed(layer)) +
-//!   O(receivers/64) via the level index and lazy event-time accounting,
-//!   with the
+//!   ([`engine::run_star`]) — O(1) per slot the shared link does not
+//!   carry, O(subscribed(layer)) + O(receivers/64) per carried slot, via
+//!   a precomputed schedule period, the level index and lazy event-time
+//!   accounting, with the
 //!   pre-index scan engine frozen in [`mod@reference`] and bitwise equality
 //!   between the two pinned by `tests/star_engine_differential.rs`;
 //! * bit-for-bit reproducible RNG with per-component substreams ([`rng`]);

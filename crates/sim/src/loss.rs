@@ -9,7 +9,7 @@
 //! thing its Bernoulli model abstracts away, and the Figure 8 ablation
 //! benches quantify how much burstiness moves the redundancy curves.
 
-use crate::rng::SimRng;
+use crate::rng::{bernoulli_threshold, SimRng};
 
 /// A packet-loss process for one link.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,9 +125,121 @@ impl LossProcess {
     }
 }
 
+/// A link's [`LossProcess`] in the form the star engine samples per visit:
+/// a Bernoulli process becomes its precomputed integer test, anything else
+/// is sampled as itself. [`LaneLoss::sample`] gives the same answers and
+/// leaves the RNG in the same state as [`LossProcess::sample`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum LaneLoss {
+    /// Bernoulli with `p ≤ 0`: never lost, no draw.
+    Never,
+    /// Bernoulli with `p ≥ 1`: always lost, no draw.
+    Always,
+    /// Bernoulli with `p` inside `(0, 1)` (or NaN): one draw, lost iff it
+    /// passes this [`bernoulli_threshold`].
+    Below(u64),
+    /// Any other process, sampled through [`LossProcess::sample`].
+    Process(LossProcess),
+}
+
+impl LaneLoss {
+    /// The lane form of `process`. Like [`SimRng::bernoulli`], a debug
+    /// build rejects a Bernoulli probability outside `[0, 1]`; a release
+    /// build treats a NaN one as a draw that never loses.
+    pub(crate) fn new(process: &LossProcess) -> Self {
+        match *process {
+            LossProcess::Bernoulli { p } => {
+                debug_assert!((0.0..=1.0).contains(&p), "probability out of range");
+                if p <= 0.0 {
+                    LaneLoss::Never
+                } else if p >= 1.0 {
+                    LaneLoss::Always
+                } else {
+                    LaneLoss::Below(bernoulli_threshold(p))
+                }
+            }
+            LossProcess::GilbertElliott { .. } => LaneLoss::Process(process.clone()),
+        }
+    }
+
+    /// Draw the fate of one packet: `true` = lost.
+    #[inline]
+    pub(crate) fn sample(&mut self, rng: &mut SimRng) -> bool {
+        match self {
+            LaneLoss::Never => false,
+            LaneLoss::Always => true,
+            LaneLoss::Below(t) => rng.below_threshold(*t),
+            LaneLoss::Process(process) => process.sample(rng),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The lane form of a Bernoulli process answers exactly like
+    /// `SimRng::bernoulli` and consumes exactly the same draws, at the
+    /// edges of the probability range and in its interior.
+    #[test]
+    fn lane_threshold_matches_bernoulli_draw_for_draw() {
+        let cases = [
+            0.0,
+            -0.0,
+            5e-324,
+            f64::EPSILON / 2.0, // 2^-53
+            1e-4,
+            0.1,
+            0.5,
+            1.0 - f64::EPSILON / 2.0, // 1 - 2^-53
+            1.0,
+        ];
+        for p in cases {
+            let process = LossProcess::Bernoulli { p };
+            let mut lane = LaneLoss::new(&process);
+            let mut a = SimRng::seed_from_u64(0x1A2E);
+            let mut b = a.clone();
+            for i in 0..20_000 {
+                assert_eq!(lane.sample(&mut a), b.bernoulli(p), "p={p:e}, draw {i}");
+                assert_eq!(a, b, "p={p:e}: rng state after draw {i}");
+            }
+        }
+    }
+
+    /// The threshold's comparison is exact at its boundary: the draw whose
+    /// top 53 bits equal `t - 1` passes and the one equal to `t` fails, as
+    /// `unit() < p` decides.
+    #[test]
+    fn lane_threshold_is_exact_at_the_boundary() {
+        for p in [
+            5e-324,
+            f64::EPSILON / 2.0,
+            1e-4,
+            0.1,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+        ] {
+            let t = bernoulli_threshold(p);
+            let unit = |k: u64| k as f64 / (1u64 << 53) as f64;
+            assert!(unit(t - 1) < p, "p={p:e}: k = t-1 must pass");
+            assert!(unit(t) >= p, "p={p:e}: k = t must fail");
+        }
+    }
+
+    /// A NaN probability: a debug build rejects it, as `SimRng::bernoulli`
+    /// does; a release build draws one word and never loses.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "out of range"))]
+    fn nan_lane_draws_once_and_never_loses() {
+        let mut lane = LaneLoss::new(&LossProcess::Bernoulli { p: f64::NAN });
+        let mut a = SimRng::seed_from_u64(7);
+        let mut b = a.clone();
+        for _ in 0..1_000 {
+            assert!(!lane.sample(&mut a));
+            let _ = b.next_u64();
+            assert_eq!(a, b);
+        }
+    }
 
     #[test]
     fn bernoulli_empirical_rate() {

@@ -301,6 +301,14 @@ impl MembershipTable {
         self.queue.advance_clock(now);
     }
 
+    /// When the next queued membership change falls due (`None` when
+    /// nothing is queued, as always at zero latency). Until then
+    /// [`MembershipTable::advance_to`] has nothing to apply, so the star
+    /// engine calls it only once this time is reached.
+    pub(crate) fn next_change_at(&self) -> Option<Tick> {
+        self.queue.peek_time()
+    }
+
     /// The highest effective level across receivers — what the shared link
     /// upstream of everyone must carry (cumulative layering: the union of
     /// the receivers' layer sets is the layer prefix up to the max level).

@@ -80,6 +80,14 @@ impl SimRng {
         }
     }
 
+    /// One draw against a [`bernoulli_threshold`]: `true` iff the draw's
+    /// top 53 bits (the integer [`SimRng::unit`] scales by `2^-53`) fall
+    /// below `t`.
+    #[inline]
+    pub(crate) fn below_threshold(&mut self, t: u64) -> bool {
+        (self.next_u64() >> 11) < t
+    }
+
     /// Uniform integer in `[0, bound)`. `bound` must be non-zero.
     #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
@@ -87,6 +95,20 @@ impl SimRng {
         // Lemire-style rejection-free mapping is fine at simulation quality.
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
+}
+
+/// The integer form of [`SimRng::bernoulli`] for `p` strictly inside
+/// `(0, 1)`: `rng.bernoulli(p)` and `rng.below_threshold(bernoulli_threshold(p))`
+/// give the same answer from the same single draw.
+///
+/// `unit()` is a 53-bit integer `k` times `2^-53`, and scaling `p` by the
+/// power of two `2^53` is exact, so `unit() < p` holds exactly when
+/// `k < p·2^53`, that is when `k < ceil(p·2^53)`. For `p` in `(0, 1)` the
+/// threshold lies in `[1, 2^53]`. A NaN `p` maps to 0, a test no draw
+/// passes, just as `unit() < NaN` is false.
+pub(crate) fn bernoulli_threshold(p: f64) -> u64 {
+    // Saturating float-to-int: NaN becomes 0; in-range values are exact.
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 #[cfg(test)]

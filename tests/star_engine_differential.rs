@@ -16,9 +16,19 @@
 //! dispatched `ProtocolReceiver` enum the harness runs and the boxed
 //! `make_receiver` controllers give identical reports and identical
 //! [`StarCounters`].
+//!
+//! The indexed engine replays its layer schedule from a table of one
+//! period (or, for rates whose schedule has no short period, from tables it
+//! refills as the run goes) and skips all per-slot work on slots the shared
+//! link does not carry. Rate vectors with no short period, a single-layer
+//! star and a recording `MarkerSource` cover those paths: the sender must
+//! still see exactly one `marker` call per slot, in slot order, with the
+//! interleaver's layer.
 
 use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind, ProtocolReceiver};
-use mlf_sim::engine::{MarkerSource, NoMarkers, ReceiverController, StarConfig, StarReport};
+use mlf_sim::engine::{
+    LayerInterleaver, MarkerSource, NoMarkers, ReceiverController, StarConfig, StarReport,
+};
 use mlf_sim::{
     reference, run_star, run_star_into, LossProcess, SimRng, StarCounters, StarScratch, Tick,
 };
@@ -135,6 +145,57 @@ fn run_reference(cfg: &StarConfig, kind: ProtocolKind, slots: u64, seed: u64) ->
     let (mut ctls, mut mk) = rig(kind, cfg.receiver_count(), cfg.layer_count(), seed);
     reference::run_star(cfg, &mut ctls, &mut mk, slots, seed)
 }
+
+/// A marker source that records every call it gets, in order, and passes
+/// it on to the harness's sender.
+struct Recording {
+    inner: Markers,
+    calls: Vec<(Tick, usize)>,
+}
+
+impl MarkerSource for Recording {
+    fn marker(&mut self, slot: Tick, layer: usize) -> Option<usize> {
+        self.calls.push((slot, layer));
+        self.inner.marker(slot, layer)
+    }
+}
+
+/// Run both engines with a recording sender; return each engine's report
+/// and its sender's call log.
+fn run_recorded(
+    cfg: &StarConfig,
+    kind: ProtocolKind,
+    slots: u64,
+    seed: u64,
+) -> [(StarReport, Vec<(Tick, usize)>); 2] {
+    let recorded = |reference_engine: bool| {
+        let (mut ctls, inner) = rig(kind, cfg.receiver_count(), cfg.layer_count(), seed);
+        let mut mk = Recording {
+            inner,
+            calls: Vec::new(),
+        };
+        let report = if reference_engine {
+            reference::run_star(cfg, &mut ctls, &mut mk, slots, seed)
+        } else {
+            run_star(cfg, &mut ctls, &mut mk, slots, seed)
+        };
+        (report, mk.calls)
+    };
+    [recorded(false), recorded(true)]
+}
+
+/// The star of `config` on layers of the given `rates` instead of the
+/// exponential schedule.
+fn with_rates(rates: &[f64], cfg: StarConfig) -> StarConfig {
+    StarConfig {
+        layer_rates: rates.to_vec(),
+        ..cfg
+    }
+}
+
+/// Rate vectors whose interleaver credits never return exactly to zero, so
+/// the indexed engine's schedule table refills instead of replaying.
+const UNPERIODIC_RATES: [&[f64]; 2] = [&[1.0, 0.3, 2.7], &[0.1, 0.2, 0.7]];
 
 /// Every counter and final level must agree exactly; `StarReport` is all
 /// integers, so `==` is the bit-level comparison.
@@ -282,6 +343,138 @@ proptest! {
             + plain.congestion_events.iter().sum::<u64>();
         prop_assert_eq!(plain_counters.visits, events, "{}", label);
         prop_assert_eq!(plain_counters.shared_carried, plain.shared_carried);
+    }
+
+    /// Arbitrary positive rate vectors, which almost never have a schedule
+    /// period within the engine's table: long enough runs to refill the
+    /// table, and the sender's call log must match too.
+    #[test]
+    fn arbitrary_rates_match_reference(
+        rates in proptest::collection::vec(0.05f64..4.0, 1..6),
+        receivers in 1usize..40,
+        kind_ix in 0usize..3,
+        bursty_ix in 0usize..4,
+        latency_ix in 0usize..4,
+        p_shared in 0.0f64..0.08,
+        p_ind in 0.0f64..0.08,
+        seed in any::<u64>(),
+    ) {
+        let kind = KINDS[kind_ix];
+        let cfg = with_rates(
+            &rates,
+            config(
+                rates.len(),
+                receivers,
+                loss(bursty_ix & 1 == 1, p_shared),
+                loss(bursty_ix & 2 == 2, p_ind),
+                LATENCIES[latency_ix],
+            ),
+        );
+        let [(indexed, indexed_calls), (reference, reference_calls)] =
+            run_recorded(&cfg, kind, 9_000, seed);
+        let label = format!("{} rates={rates:?} n={receivers}", kind.label());
+        assert_reports_identical(&label, &indexed, &reference);
+        prop_assert!(indexed_calls == reference_calls, "{}: marker calls", label);
+    }
+}
+
+/// Rates with no short schedule period: the indexed engine refills its
+/// schedule table twice in a 10 000-slot run and must still match the
+/// reference for every protocol, loss kind and latency pair.
+#[test]
+fn unperiodic_rates_agree_for_every_protocol() {
+    for rates in UNPERIODIC_RATES {
+        for kind in KINDS {
+            for (i, &latencies) in LATENCIES.iter().enumerate() {
+                let cfg = with_rates(
+                    rates,
+                    config(
+                        rates.len(),
+                        12,
+                        loss(i % 2 == 1, 0.01),
+                        loss(i % 2 == 0, 0.04),
+                        latencies,
+                    ),
+                );
+                let seed = 0x5EED + i as u64;
+                assert_reports_identical(
+                    &format!("rates {rates:?} {} lat={latencies:?}", kind.label()),
+                    &run_indexed(&cfg, kind, 10_000, seed),
+                    &run_reference(&cfg, kind, 10_000, seed),
+                );
+            }
+        }
+    }
+}
+
+/// A single-layer star: every slot is the base layer, every receiver
+/// holds it for the whole run, and no protocol can join or leave.
+#[test]
+fn single_layer_star_agrees_for_every_protocol() {
+    for kind in KINDS {
+        for receivers in [1, 7, 65] {
+            for (i, &latencies) in LATENCIES.iter().enumerate() {
+                let (p_shared, p_ind) = if i == 0 { (0.0, 0.0) } else { (0.02, 0.05) };
+                let cfg = config(
+                    1,
+                    receivers,
+                    loss(i == 3, p_shared),
+                    loss(i == 2, p_ind),
+                    latencies,
+                );
+                let seed = 0x1A7E + receivers as u64;
+                let indexed = run_indexed(&cfg, kind, 3_000, seed);
+                assert_reports_identical(
+                    &format!("1 layer {} n={receivers} lat={latencies:?}", kind.label()),
+                    &indexed,
+                    &run_reference(&cfg, kind, 3_000, seed),
+                );
+                assert_eq!(indexed.shared_carried, 3_000);
+                assert!(indexed.final_levels.iter().all(|&l| l == 1));
+            }
+        }
+    }
+}
+
+/// The sender sees one `marker` call per slot, in slot order, with the
+/// interleaver's layer for that slot — on carried and uncarried slots
+/// alike, for periodic and unperiodic schedules — exactly as the
+/// reference engine calls it.
+#[test]
+fn marker_is_called_once_per_slot_in_slot_order() {
+    let exponential: &[f64] = &[1.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
+    let slots = 9_000;
+    for rates in [exponential, UNPERIODIC_RATES[0], UNPERIODIC_RATES[1]] {
+        for kind in KINDS {
+            for &latencies in &LATENCIES {
+                // Heavy loss keeps receivers low, so most slots go
+                // uncarried.
+                let cfg = with_rates(
+                    rates,
+                    config(
+                        rates.len(),
+                        10,
+                        loss(false, 0.05),
+                        loss(true, 0.1),
+                        latencies,
+                    ),
+                );
+                let label = format!("rates {rates:?} {} lat={latencies:?}", kind.label());
+                let [(indexed, indexed_calls), (reference, reference_calls)] =
+                    run_recorded(&cfg, kind, slots, 0xCA11);
+                assert_reports_identical(&label, &indexed, &reference);
+                assert_eq!(indexed_calls, reference_calls, "{label}");
+                let mut interleaver = LayerInterleaver::new(rates);
+                let expected: Vec<(Tick, usize)> = (0..slots)
+                    .map(|slot| (slot, interleaver.next_layer()))
+                    .collect();
+                assert_eq!(indexed_calls, expected, "{label}");
+                assert!(
+                    indexed.shared_carried < slots,
+                    "{label}: some slots uncarried"
+                );
+            }
+        }
     }
 }
 
