@@ -1,7 +1,8 @@
-//! Benchmarks the PR-2 tentpole: `Scenario::sweep_par` sharding a
-//! Figure-5-scale sweep (256 seeded random topologies under the Appendix B
-//! random-join link-rate model) across scoped worker threads, versus the
-//! serial `sweep_grid` on one workspace.
+//! Benchmarks thread sweeps: `Scenario::coordinate` on
+//! `CoordinatorConfig::threads(n)` sharding a Figure-5-scale sweep (256
+//! seeded random topologies under the Appendix B random-join link-rate
+//! model) across worker threads, versus the serial `sweep_grid` on one
+//! workspace.
 //!
 //! Three things are recorded:
 //!
@@ -9,8 +10,9 @@
 //!    identical to the serial ones at 2, 4, and 8 threads before any timing
 //!    runs — a determinism regression fails the bench run itself, which is
 //!    why CI executes this bench.
-//! 2. **Throughput artifact**: the serial sweep's points-per-second is
-//!    written as `BENCH_parallel_sweep.json` for the CI regression gate
+//! 2. **Throughput artifact**: the one-thread sweep's points-per-second
+//!    (cold worker cache on every run) is written as
+//!    `BENCH_parallel_sweep.json` for the CI regression gate
 //!    (`bench_gate` fails the job on a >30% drop below the committed
 //!    baseline in `crates/bench/baselines/`).
 //! 3. **Speedup**: a hand-timed serial-vs-parallel comparison over the full
@@ -26,7 +28,7 @@ use mlf_bench::or_exit;
 use mlf_bench::regression::{check_mode, measure_and_emit, time_best_of_three};
 use mlf_core::allocator::MultiRate;
 use mlf_core::LinkRateModel;
-use mlf_scenario::{LinkRates, Scenario, SweepGrid};
+use mlf_scenario::{CoordinatorConfig, LinkRates, Scenario, SweepGrid, SweepReport};
 use std::hint::black_box;
 
 /// Figure-5 scale: 30-node trees, 8 sessions, up to 5 receivers each, all
@@ -43,14 +45,24 @@ fn fig5_scale_scenario() -> Scenario {
 
 const FULL_SWEEP_SEEDS: u64 = 256;
 
+/// Seeds `0..seeds` as a thread sweep on `threads` workers.
+fn thread_sweep(scenario: &Scenario, seeds: u64, threads: usize) -> SweepReport {
+    scenario
+        .coordinate(0..seeds, &CoordinatorConfig::threads(threads))
+        .expect("thread sweeps succeed")
+        .report
+}
+
 fn assert_parallel_matches_serial(scenario: &mut Scenario) {
     let grid = SweepGrid::seeds(0..FULL_SWEEP_SEEDS);
     let serial = scenario.sweep_grid(&grid);
     for threads in [2usize, 4, 8] {
-        let parallel = scenario.sweep_grid_par(&grid, threads);
+        let parallel = scenario
+            .coordinate_grid(&grid, &CoordinatorConfig::threads(threads))
+            .expect("thread sweeps succeed");
         assert_eq!(
-            serial, parallel,
-            "sweep_par diverged from serial at {threads} threads"
+            serial, parallel.report,
+            "thread sweep diverged from serial at {threads} threads"
         );
     }
     println!(
@@ -68,7 +80,7 @@ fn emit_artifact(scenario: &Scenario) -> std::time::Duration {
         FULL_SWEEP_SEEDS,
         "points",
         "serial",
-        || scenario.sweep_par(0..FULL_SWEEP_SEEDS, 1).points.len(),
+        || thread_sweep(scenario, FULL_SWEEP_SEEDS, 1).points.len(),
     ))
 }
 
@@ -80,8 +92,7 @@ fn report_wall_clock_speedup(scenario: &Scenario, serial: std::time::Duration) {
     );
     for threads in [2usize, 4] {
         let par = time_best_of_three(|| {
-            scenario
-                .sweep_par(0..FULL_SWEEP_SEEDS, threads)
+            thread_sweep(scenario, FULL_SWEEP_SEEDS, threads)
                 .points
                 .len()
         });
@@ -106,11 +117,11 @@ fn bench_parallel_sweep(c: &mut Criterion) {
     // short; the full-size comparison above is the headline number.
     let mut group = c.benchmark_group("scenario/fig5_scale_sweep_64seeds");
     group.bench_function("serial", |b| {
-        b.iter(|| black_box(scenario.sweep_par(0..64, 1).points.len()))
+        b.iter(|| black_box(thread_sweep(&scenario, 64, 1).points.len()))
     });
     for threads in [2usize, 4] {
         group.bench_function(format!("par_{threads}_threads"), |b| {
-            b.iter(|| black_box(scenario.sweep_par(0..64, threads).points.len()))
+            b.iter(|| black_box(thread_sweep(&scenario, 64, threads).points.len()))
         });
     }
     group.finish();

@@ -1,8 +1,7 @@
-//! Benchmarks the protocol-sweep tentpole: `ProtocolScenario::sweep_par`
-//! sharding a Figure-8-scale grid (all three protocols × a 6-point
-//! independent-loss axis × 2 replicate seeds, on a scaled-down star) across
-//! scoped worker threads through the shared deterministic executor, versus
-//! the serial sweep.
+//! Benchmarks protocol thread sweeps: `ProtocolScenario::coordinate` on
+//! `CoordinatorConfig::threads(n)` sharding a Figure-8-scale grid (all
+//! three protocols × a 6-point independent-loss axis × 2 replicate seeds,
+//! on a scaled-down star) across worker threads, versus the serial sweep.
 //!
 //! Three things happen, in order:
 //!
@@ -22,7 +21,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mlf_bench::or_exit;
 use mlf_bench::regression::{check_mode, measure_and_emit, time_best_of_three};
 use mlf_protocols::ExperimentParams;
-use mlf_scenario::{ProtocolScenario, ProtocolSweepGrid};
+use mlf_scenario::{CoordinatorConfig, ProtocolScenario, ProtocolSweepGrid, ProtocolSweepReport};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -49,13 +48,24 @@ fn sweep_grid() -> ProtocolSweepGrid {
     ProtocolSweepGrid::figure8_axis(6).with_seeds([seed, seed + 1])
 }
 
+fn thread_sweep(
+    scenario: &ProtocolScenario,
+    grid: &ProtocolSweepGrid,
+    threads: usize,
+) -> ProtocolSweepReport {
+    scenario
+        .coordinate(grid, &CoordinatorConfig::threads(threads))
+        .expect("thread sweeps succeed")
+        .report
+}
+
 fn assert_parallel_matches_serial(scenario: &ProtocolScenario, grid: &ProtocolSweepGrid) {
     let serial = scenario.sweep(grid);
     for threads in [2usize, 4, 8] {
-        let parallel = scenario.sweep_par(grid, threads);
         assert_eq!(
-            serial, parallel,
-            "protocol sweep_par diverged from serial at {threads} threads"
+            serial,
+            thread_sweep(scenario, grid, threads),
+            "protocol thread sweep diverged from serial at {threads} threads"
         );
     }
     println!(
@@ -84,7 +94,7 @@ fn report_wall_clock_speedup(
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("wall-clock (available parallelism {cores}): serial {serial:?}");
     for threads in [2usize, 4] {
-        let par = time_best_of_three(|| scenario.sweep_par(grid, threads).points.len());
+        let par = time_best_of_three(|| thread_sweep(scenario, grid, threads).points.len());
         println!(
             "  parallel speedup at {threads} threads: {:.2}x ({par:?})",
             serial.as_secs_f64() / par.as_secs_f64()
@@ -112,7 +122,7 @@ fn bench_protocol_sweep(c: &mut Criterion) {
     });
     for threads in [2usize, 4] {
         group.bench_function(format!("par_{threads}_threads"), |b| {
-            b.iter(|| black_box(scenario.sweep_par(&small, threads).points.len()))
+            b.iter(|| black_box(thread_sweep(&scenario, &small, threads).points.len()))
         });
     }
     group.finish();

@@ -6,9 +6,8 @@
 //! Three things are recorded:
 //!
 //! 1. **Correctness, always**: the warm-cache replay of the grid is
-//!    asserted bitwise identical to the cold sweep, and the parallel
-//!    executor (worker-local caches) to the serial one, before any timing
-//!    runs.
+//!    asserted bitwise identical to the cold sweep, and thread sweeps
+//!    (worker-local caches) to the serial one, before any timing runs.
 //! 2. **Throughput artifact**: the *cold* grid sweep's points-per-second —
 //!    the number that tracks raw solver hot-path cost (topology build +
 //!    index build + progressive filling, no memo hits) — is written as
@@ -99,9 +98,11 @@ fn assert_cache_and_parallel_agreement(ws: &[Workload]) {
             w.label
         );
         for threads in [2usize, 4] {
-            let par = scenario.sweep_grid_par(&w.grid, threads);
+            let par = scenario
+                .coordinate_grid(&w.grid, &mlf_scenario::CoordinatorConfig::threads(threads))
+                .expect("thread sweeps succeed");
             assert_eq!(
-                cold, par,
+                cold, par.report,
                 "{}: parallel diverged at {threads} threads",
                 w.label
             );

@@ -1,5 +1,5 @@
 //! Benchmarks the fault-tolerant sweep coordinator against the plain
-//! serial sweep and the lean `sweep_par` sharder.
+//! serial sweep and a plain thread sweep (`CoordinatorConfig::threads`).
 //!
 //! Three things are recorded:
 //!
@@ -13,7 +13,7 @@
 //!    `BENCH_sweep_coordinator.json` for the CI regression gate — it tracks
 //!    the coordination overhead (channels, hashing, spot checks) on top of
 //!    per-point solve cost.
-//! 3. **Overhead**: hand-timed serial vs `sweep_par` vs coordinated
+//! 3. **Overhead**: hand-timed one-thread vs two-thread vs coordinated
 //!    wall-clock over the full sweep, printed so the cost of verification
 //!    can be read directly. Skipped in `MLF_BENCH_CHECK=1` mode, along with
 //!    criterion sampling.
@@ -148,15 +148,23 @@ fn emit_artifact(scenario: &Scenario) -> Duration {
     ))
 }
 
+/// Seeds `0..seeds` as a plain thread sweep on `threads` workers.
+fn thread_sweep(scenario: &Scenario, seeds: u64, threads: usize) -> usize {
+    scenario
+        .coordinate(0..seeds, &CoordinatorConfig::threads(threads))
+        .map(|out| out.report.points.len())
+        .unwrap_or(0)
+}
+
 fn report_overhead(scenario: &mut Scenario, coordinated: Duration) {
-    let serial = time_best_of_three(|| scenario.sweep_par(0..FULL_SWEEP_SEEDS, 1).points.len());
-    let par2 = time_best_of_three(|| scenario.sweep_par(0..FULL_SWEEP_SEEDS, 2).points.len());
+    let serial = time_best_of_three(|| thread_sweep(scenario, FULL_SWEEP_SEEDS, 1));
+    let par2 = time_best_of_three(|| thread_sweep(scenario, FULL_SWEEP_SEEDS, 2));
     println!(
-        "wall-clock over {FULL_SWEEP_SEEDS} seeds: serial {serial:?}, sweep_par(2) {par2:?}, \
+        "wall-clock over {FULL_SWEEP_SEEDS} seeds: 1 thread {serial:?}, 2 threads {par2:?}, \
          coordinated(2 workers, spot checks) {coordinated:?}"
     );
     println!(
-        "  coordination overhead vs sweep_par(2): {:.2}x",
+        "  verification overhead vs a 2-thread sweep: {:.2}x",
         coordinated.as_secs_f64() / par2.as_secs_f64()
     );
 }
@@ -176,7 +184,7 @@ fn bench_sweep_coordinator(c: &mut Criterion) {
     let small_cfg = cfg(2);
     let mut group = c.benchmark_group("scenario/coordinated_sweep_32seeds");
     group.bench_function("serial", |b| {
-        b.iter(|| black_box(scenario.sweep_par(0..32, 1).points.len()))
+        b.iter(|| black_box(thread_sweep(&scenario, 32, 1)))
     });
     group.bench_function("coordinated_2_workers", |b| {
         b.iter(|| {

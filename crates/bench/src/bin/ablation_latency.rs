@@ -13,7 +13,7 @@
 
 use mlf_bench::{cli, knob, or_exit, write_csv, Args, Table};
 use mlf_protocols::{ExperimentParams, ProtocolKind};
-use mlf_scenario::{ProtocolScenario, ProtocolSweepGrid};
+use mlf_scenario::{CoordinatorConfig, ProtocolScenario, ProtocolSweepGrid};
 
 const KNOBS: &[cli::Knob] = &[
     knob("trials", "5", "trials per point"),
@@ -63,7 +63,7 @@ fn main() {
     println!(
         "Leave-latency ablation: Deterministic protocol, shared loss 1e-4, independent 0.03\n"
     );
-    let report = scenario.sweep_par(&grid, threads);
+    let report = or_exit(scenario.coordinate(&grid, &CoordinatorConfig::threads(threads))).report;
     let mut t = Table::new([
         "leave latency (slots)",
         "redundancy",

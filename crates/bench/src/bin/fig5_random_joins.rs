@@ -131,14 +131,14 @@ fn main() {
     let path = write_csv(".", "fig5_random_joins", &t.records()).expect("csv");
     println!("\nseries written to {}", path.display());
 
-    // ---- Network-level sweep through the parallel engine -----------------
+    // ---- Network-level sweep through the coordinator ---------------------
     // The same random-join redundancy model, now inside whole networks:
     // every session of every random topology carries RandomJoin link rates
     // and the multi-rate allocator solves the resulting fixed point. Each
-    // family's seeds are sharded across `threads` workers by `sweep_par`,
-    // whose merge order makes the output independent of the thread count.
-    // sweep_par resolves 0 to available parallelism and clamps to the job
-    // count internally; the banner reports what was requested.
+    // family's seeds are sharded across `threads` workers by the
+    // coordinator, whose merge order makes the output independent of the
+    // thread count. It resolves 0 to available parallelism and never runs
+    // more workers than shards; the banner reports what was requested.
     println!(
         "\nNetwork sweep (random-join model, {sweep_seeds} seeds/family, \
          requested worker threads: {}):\n",
@@ -182,20 +182,22 @@ fn main() {
             .allocator(MultiRate::new())
             .build()
             .expect("family sweep scenario");
-        let report = if coordinate_procs > 0 {
-            let cfg = CoordinatorConfig {
+        let cfg = if coordinate_procs > 0 {
+            CoordinatorConfig {
                 workers: coordinate_procs,
                 checkpoint: (!checkpoint.is_empty())
                     .then(|| PathBuf::from(format!("{checkpoint}.{}", family.label()))),
                 transport: TransportKind::Process(ProcessConfig::default()),
                 ..CoordinatorConfig::default()
-            };
-            let out = or_exit(scenario.coordinate(0..sweep_seeds, &cfg));
-            fleet_stats.push((family.label(), out.stats));
-            out.report
+            }
         } else {
-            scenario.sweep_par(0..sweep_seeds, threads)
+            CoordinatorConfig::threads(threads)
         };
+        let out = or_exit(scenario.coordinate(0..sweep_seeds, &cfg));
+        if coordinate_procs > 0 {
+            fleet_stats.push((family.label(), out.stats));
+        }
+        let report = out.report;
         sweep_table.row([
             family.label().to_string(),
             format!("{:.4}", report.mean_jain()),

@@ -1,6 +1,6 @@
 //! Figure 8 regenerator: redundancy of the three protocols vs independent
 //! link loss on the 100-receiver, 8-layer modified star — now driven
-//! through the `ProtocolScenario` parallel sweep engine, so the
+//! through the `ProtocolScenario` coordinator as a thread sweep, so the
 //! `(loss × protocol × seed)` grid shards across worker threads with
 //! bitwise-deterministic output (any `--threads` value produces the same
 //! numbers).
@@ -22,7 +22,7 @@
 
 use mlf_bench::{cli, knob, or_exit, write_csv, Args, Table};
 use mlf_protocols::{ExperimentParams, ProtocolKind};
-use mlf_scenario::{ProtocolScenario, ProtocolSweepGrid};
+use mlf_scenario::{CoordinatorConfig, ProtocolScenario, ProtocolSweepGrid};
 use mlf_sim::RunningStats;
 
 const KNOBS: &[cli::Knob] = &[
@@ -121,7 +121,7 @@ fn main() {
         }
     );
 
-    let report = scenario.sweep_par(&grid, threads);
+    let report = or_exit(scenario.coordinate(&grid, &CoordinatorConfig::threads(threads))).report;
 
     let mut t = Table::new([
         "indep loss",

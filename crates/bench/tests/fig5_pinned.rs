@@ -40,7 +40,7 @@ fn run(dir: &Path, extra: &[&str]) -> String {
 }
 
 /// The network-sweep rows, cut to the metric columns (family through
-/// all-props rate); the cache column depends on the executor.
+/// all-props rate); the cache column depends on the fleet.
 fn metric_rows(stdout: &str) -> Vec<String> {
     let section = stdout
         .split("Network sweep")

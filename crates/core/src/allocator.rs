@@ -347,7 +347,7 @@ impl Regimes {
 /// scratch across solves. The `Send + Sync` bound makes that concurrency
 /// real: a `&dyn Allocator` can be shared across `std::thread::scope`
 /// workers, each solving with its own workspace — the substrate of
-/// `mlf-scenario`'s parallel sweep executor.
+/// `mlf-scenario`'s sweep coordinator.
 pub trait Allocator: Send + Sync {
     /// Compute the regime's unique max-min fair allocation of `net`,
     /// with per-receiver freeze diagnostics.

@@ -37,9 +37,9 @@
 //! A hit returns a clone of a point the same scenario previously computed
 //! from the same key — and every point is a pure function of its key
 //! within a scenario — so cached sweeps are **bitwise identical** to
-//! uncached ones. The parallel executors give each worker its own cache
+//! uncached ones. The coordinator gives each worker its own cache
 //! (worker-local state, like its `SolverWorkspace`), preserving the
-//! serial/parallel bitwise contract at any thread count.
+//! serial/parallel bitwise contract on any fleet.
 
 use crate::SweepPoint;
 use mlf_core::LinkRateModel;

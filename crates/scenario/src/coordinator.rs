@@ -1,23 +1,28 @@
 //! Fault-tolerant sweep coordination: shard, verify, merge, checkpoint.
 //!
-//! [`Scenario::sweep_par`] already shards a sweep across threads, but a
-//! single killed process loses the whole run and nothing audits a
-//! worker's output before it is merged. This module adds the robustness
-//! layer: a **coordinator** hands seed-range shards to workers over typed
-//! mpsc channels, every delivered shard carries a deterministic FNV-1a
-//! content hash the coordinator recomputes before accepting, accepted
-//! shards can additionally be **spot-checked** — their head jobs
+//! The coordinator is the crate's one parallel engine. It hands job-range
+//! shards to workers, every delivered shard carries a deterministic
+//! FNV-1a content hash the coordinator recomputes before accepting,
+//! accepted shards can additionally be **spot-checked** — their head jobs
 //! recomputed bitwise by a *different* worker — and completed shards
-//! stream to an append-only [checkpoint] so a killed
-//! sweep resumes from disk.
+//! stream to an append-only [checkpoint] so a killed sweep resumes from
+//! disk. Plain thread sweeps are coordinated sweeps too:
+//! [`CoordinatorConfig::threads`] runs the same loop with no audit and no
+//! deadlines.
 //!
-//! The determinism contract is what makes all of this cheap: every sweep
-//! point is a pure function of its `(model, seed)` job and the scenario
-//! spec, so *any* worker can recompute *any* shard at *any* time and
-//! produce the same bytes. Failures therefore become recoverable rather
-//! than fatal — lost work is reassigned, corrupt work is rejected and
-//! recomputed, duplicated work is dropped — and the merged report is
-//! **bitwise identical** to [`Scenario::sweep`] no matter what failed:
+//! The engine is generic over the crate-private `Sweep` trait: a job
+//! type, a record with a canonical bit-exact codec, a per-worker state
+//! with a pure `solve`, and a sweep identity. [`Scenario`] sweeps
+//! Figure-5 points, [`ProtocolScenario`](crate::ProtocolScenario)
+//! Figure-8 points; both get the same fleets, checks and checkpoints.
+//!
+//! The determinism contract is what makes all of this cheap: every record
+//! is a pure function of its job and the sweep spec, so *any* worker can
+//! recompute *any* shard at *any* time and produce the same bytes.
+//! Failures therefore become recoverable rather than fatal — lost work is
+//! reassigned, corrupt work is rejected and recomputed, duplicated work is
+//! dropped — and the merged report is **bitwise identical** to the serial
+//! sweep no matter what failed:
 //!
 //! ```text
 //! coordinate(faults = none) ≡ coordinate(any FaultPlan)
@@ -70,9 +75,10 @@
 //! # Transports
 //!
 //! The event loop is generic over the crate-private `WorkerTransport`
-//! seam: [`TransportKind::Threads`] runs the classic in-process fleet
-//! over typed mpsc channels, [`TransportKind::Process`] a **supervised
-//! fleet of child worker processes** that self-exec the current binary
+//! seam: [`TransportKind::Threads`] runs an in-process fleet over typed
+//! mpsc channels (a panicking solve is re-raised on the caller's thread),
+//! [`TransportKind::Process`] a **supervised fleet of child worker
+//! processes** that self-exec the current binary
 //! and speak the framed protocol of [`crate::transport`]. Dead processes
 //! are respawned with capped backoff up to
 //! [`ProcessConfig::max_respawns`] per slot; an exhausted fleet degrades
@@ -98,15 +104,13 @@
 //! run reports what a cold [`Scenario::sweep`] would, plus the spot-check
 //! recomputations.
 
-use crate::cache::{CacheStats, SolveCache};
-use crate::checkpoint::{
-    self, shard_content_hash, CheckpointError, CheckpointMeta, CheckpointWriter, ShardRecord,
-};
+use crate::cache::CacheStats;
+use crate::checkpoint::{self, CheckpointError, CheckpointMeta, CheckpointWriter, ShardRecord};
 use crate::hash::Fnv1a;
+use crate::protocol::ProtocolScenarioError;
+use crate::record::{Dec, Enc};
 use crate::transport::{TransportCounters, TransportError, TransportPoll, WorkerTransport};
-use crate::{LinkRates, NetworkSource, Scenario, SweepGrid, SweepPoint, SweepReport};
-use mlf_core::allocator::SolverWorkspace;
-use mlf_core::LinkRateModel;
+use crate::{Scenario, ScenarioError, SweepGrid, SweepReport};
 use mlf_sim::SimRng;
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -116,10 +120,57 @@ use std::time::Duration;
 // mlf-lint: allow(ambient-entropy, reason = "monotonic deadlines drive retry/reassignment scheduling only; merged bytes are a pure function of the job list (see module docs)")
 type Deadline = std::time::Instant;
 
-/// One `(model override, seed)` sweep job — the coordinator speaks the
-/// same job language as the serial and parallel executors.
-pub(crate) type Job = (Option<LinkRateModel>, u64);
+/// What a coordinated sweep sweeps. Everything the coordinator, the
+/// checkpoint and the worker protocol know about a sweep goes through
+/// this seam, so none of them names a concrete record type.
+pub(crate) trait Sweep: Sync + Sized {
+    /// One unit of work; its record is a pure function of it.
+    type Job: Clone + Send + Sync + 'static;
+    /// One job's output.
+    type Record: Clone + Send + 'static;
+    /// A worker's private scratch; a record never depends on its history.
+    type Worker;
+    /// The `Init` frame type that ships this kind of sweep to a worker.
+    const INIT_FRAME: u8;
+    /// Encoded bytes of one job.
+    const JOB_BYTES: usize;
+    /// Encoded bytes of one record.
+    const RECORD_BYTES: usize;
 
+    /// Append one job's encoding.
+    fn encode_job(job: &Self::Job, e: &mut Enc);
+    /// Inverse of [`Sweep::encode_job`].
+    fn decode_job(d: &mut Dec<'_>) -> Result<Self::Job, String>;
+    /// Append one record's canonical encoding: every `f64` by its bits,
+    /// so two records are bitwise equal iff their encodings are.
+    fn encode_record(record: &Self::Record, e: &mut Enc);
+    /// Inverse of [`Sweep::encode_record`]; rejects bytes it never writes.
+    fn decode_record(d: &mut Dec<'_>) -> Result<Self::Record, String>;
+    /// A fresh worker state.
+    fn worker(&self) -> Self::Worker;
+    /// The pure solve of one job.
+    fn solve(&self, worker: &mut Self::Worker, job: &Self::Job) -> Self::Record;
+    /// The worker's lifetime solve-cache counters (telemetry only).
+    fn cache_stats(_worker: &Self::Worker) -> CacheStats {
+        CacheStats::default()
+    }
+    /// Fold everything besides the job list that determines the records.
+    fn identity(&self, h: &mut Fnv1a);
+    /// Append the spec a worker process rebuilds this sweep from, or say
+    /// why it cannot be shipped faithfully.
+    fn process_spec(&self, e: &mut Enc) -> Result<(), String>;
+    /// Rebuild the sweep from [`Sweep::process_spec`]'s bytes.
+    fn from_spec(d: &mut Dec<'_>) -> Result<Self, String>;
+}
+
+/// The canonical encoding of a run of records.
+pub(crate) fn encode_records<S: Sweep>(records: &[S::Record]) -> Vec<u8> {
+    let mut e = Enc::new();
+    for r in records {
+        S::encode_record(r, &mut e);
+    }
+    e.done()
+}
 /// The kinds of failure the seeded harness can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -139,6 +190,17 @@ pub enum FaultKind {
     /// catches it and the worker rejects instead of computing.
     TornFrame,
 }
+
+/// Every fault kind, in wire-code order: the first four are the thread
+/// alphabet [`FaultPlan::from_seed`] draws from, all six the process one.
+pub(crate) const FAULT_KINDS: [FaultKind; 6] = [
+    FaultKind::CrashWorker,
+    FaultKind::Stall,
+    FaultKind::CorruptHash,
+    FaultKind::DuplicateShard,
+    FaultKind::KillProcess,
+    FaultKind::TornFrame,
+];
 
 /// One injected fault: `kind` fires when `worker` receives `shard` on the
 /// shard's first assignment (retries run clean, so every plan converges).
@@ -176,27 +238,7 @@ impl FaultPlan {
     /// uniformly chosen worker. At most one event per shard, so a capped
     /// retry budget always converges.
     pub fn from_seed(seed: u64, workers: usize, shards: u64) -> Self {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let workers = workers.max(1) as u64;
-        let mut events = Vec::new();
-        for shard in 0..shards {
-            if !rng.bernoulli(0.4) {
-                continue;
-            }
-            let kind = match rng.below(4) {
-                0 => FaultKind::CrashWorker,
-                1 => FaultKind::Stall,
-                2 => FaultKind::CorruptHash,
-                _ => FaultKind::DuplicateShard,
-            };
-            let worker = rng.below(workers) as usize;
-            events.push(FaultEvent {
-                kind,
-                worker,
-                shard,
-            });
-        }
-        FaultPlan { events }
+        Self::draw(&FAULT_KINDS[..4], seed, workers, shards)
     }
 
     /// Like [`FaultPlan::from_seed`], drawing from the full fault
@@ -204,6 +246,10 @@ impl FaultPlan {
     /// ([`FaultKind::KillProcess`], [`FaultKind::TornFrame`]) — the plan
     /// the process-chaos differentials run at every fleet size.
     pub fn from_seed_process(seed: u64, workers: usize, shards: u64) -> Self {
+        Self::draw(&FAULT_KINDS, seed, workers, shards)
+    }
+
+    fn draw(kinds: &[FaultKind], seed: u64, workers: usize, shards: u64) -> Self {
         let mut rng = SimRng::seed_from_u64(seed);
         let workers = workers.max(1) as u64;
         let mut events = Vec::new();
@@ -211,14 +257,7 @@ impl FaultPlan {
             if !rng.bernoulli(0.4) {
                 continue;
             }
-            let kind = match rng.below(6) {
-                0 => FaultKind::CrashWorker,
-                1 => FaultKind::Stall,
-                2 => FaultKind::CorruptHash,
-                3 => FaultKind::DuplicateShard,
-                4 => FaultKind::KillProcess,
-                _ => FaultKind::TornFrame,
-            };
+            let kind = kinds[rng.below(kinds.len() as u64) as usize];
             let worker = rng.below(workers) as usize;
             events.push(FaultEvent {
                 kind,
@@ -297,14 +336,16 @@ impl Default for ProcessConfig {
 /// Knobs of one coordinated sweep.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
-    /// Worker threads (`0` = use `std::thread::available_parallelism`).
+    /// Workers (`0` = use `std::thread::available_parallelism`); never
+    /// more than the sweep has shards.
     pub workers: usize,
     /// Jobs per shard (clamped to at least 1).
     pub shard_size: usize,
     /// Head jobs of every accepted shard recomputed bitwise by a second
     /// worker before the shard is merged (`0` disables spot checks).
     pub spot_check: usize,
-    /// How long one shard may stay assigned before it is reassigned.
+    /// How long one shard may stay assigned before it is reassigned
+    /// (`Duration::MAX`: never).
     pub shard_timeout: Duration,
     /// Retry budget per shard (timeouts and hash rejects both count).
     pub max_retries: u32,
@@ -322,6 +363,20 @@ pub struct CoordinatorConfig {
     pub max_new_shards: Option<u64>,
     /// Which fleet to run on (threads or supervised processes).
     pub transport: TransportKind,
+}
+
+impl CoordinatorConfig {
+    /// A plain thread sweep: `workers` threads (`0` = available
+    /// parallelism), no spot checks, and no shard deadline, so a slow
+    /// solve is never retried.
+    pub fn threads(workers: usize) -> Self {
+        CoordinatorConfig {
+            workers,
+            spot_check: 0,
+            shard_timeout: Duration::MAX,
+            ..CoordinatorConfig::default()
+        }
+    }
 }
 
 impl Default for CoordinatorConfig {
@@ -343,7 +398,7 @@ impl Default for CoordinatorConfig {
 }
 
 /// Why a coordinated sweep stopped without a merged report.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CoordinatorError {
     /// One shard exhausted its retry budget.
     ShardFailed {
@@ -365,6 +420,12 @@ pub enum CoordinatorError {
     /// launch never surfaces here — it is retried, respawned around, or
     /// absorbed by the serial fallback.
     Transport(TransportError),
+    /// The grid failed [`Scenario::validate_grid`]; no worker started.
+    Grid(ScenarioError),
+    /// The protocol grid failed
+    /// [`ProtocolSweepGrid::validate`](crate::ProtocolSweepGrid::validate);
+    /// no worker started.
+    ProtocolGrid(ProtocolScenarioError),
     /// The scenario cannot be shipped to worker processes (fixed
     /// network, explicit link-rate config, or unregistered allocator);
     /// run it on [`TransportKind::Threads`] instead.
@@ -385,6 +446,8 @@ impl std::fmt::Display for CoordinatorError {
             }
             CoordinatorError::Checkpoint(e) => write!(f, "{e}"),
             CoordinatorError::Transport(e) => write!(f, "process fleet failed to launch: {e}"),
+            CoordinatorError::Grid(e) => write!(f, "invalid sweep grid: {e}"),
+            CoordinatorError::ProtocolGrid(e) => write!(f, "invalid protocol sweep grid: {e}"),
             CoordinatorError::UnsupportedScenario { reason } => {
                 write!(f, "scenario cannot run on the process transport: {reason}")
             }
@@ -397,6 +460,8 @@ impl std::error::Error for CoordinatorError {
         match self {
             CoordinatorError::Checkpoint(e) => Some(e),
             CoordinatorError::Transport(e) => Some(e),
+            CoordinatorError::Grid(e) => Some(e),
+            CoordinatorError::ProtocolGrid(e) => Some(e),
             _ => None,
         }
     }
@@ -478,10 +543,10 @@ impl std::fmt::Display for CoordinatorStats {
 /// A merged coordinated sweep: the (bitwise canonical) report plus the
 /// scheduling telemetry of how it got there.
 #[derive(Debug, Clone)]
-pub struct CoordinatorReport {
-    /// The merged sweep, byte-identical to [`Scenario::sweep`] over the
-    /// same jobs.
-    pub report: SweepReport,
+pub struct CoordinatorReport<R = SweepReport> {
+    /// The merged sweep, byte-identical to the serial sweep over the same
+    /// jobs.
+    pub report: R,
     /// Scheduling telemetry (excluded from any equality the differentials
     /// assert).
     pub stats: CoordinatorStats,
@@ -511,88 +576,84 @@ const IN_FLIGHT_DEPTH: usize = 2;
 
 /// One unit of dispatched work. Shared with the transport frame codec.
 #[derive(Debug, Clone)]
-pub(crate) struct Assignment {
+pub(crate) struct Assignment<J> {
     pub(crate) task: TaskId,
     pub(crate) attempt: u32,
     pub(crate) shard: u64,
     pub(crate) start: u64,
-    pub(crate) jobs: Vec<Job>,
+    pub(crate) jobs: Vec<J>,
 }
 
-impl Assignment {
+impl<J> Assignment<J> {
     pub(crate) fn ticket(&self) -> Ticket {
         (self.task, self.attempt)
     }
-}
-
-#[derive(Debug)]
-enum ToWorker {
-    Assign(Assignment),
-    Shutdown,
 }
 
 /// One delivered computation. Shared with the transport frame codec;
 /// `cache` carries the worker's solve-cache counters since its previous
 /// report (telemetry only — never part of any verified bytes).
 #[derive(Debug, Clone)]
-pub(crate) struct WorkerReport {
+pub(crate) struct WorkerReport<R> {
     pub(crate) worker: usize,
     pub(crate) task: TaskId,
     pub(crate) attempt: u32,
-    pub(crate) points: Vec<SweepPoint>,
+    pub(crate) points: Vec<R>,
     pub(crate) hash: u64,
     pub(crate) cache: CacheStats,
 }
 
-struct ShardSpec {
+struct ShardSpec<J> {
     start: u64,
-    jobs: Vec<Job>,
+    jobs: Vec<J>,
 }
 
-/// A shard's hash-verified points, awaiting or undergoing their spot
+/// A shard's hash-verified records, awaiting or undergoing their spot
 /// check.
-struct Audit {
-    points: Vec<SweepPoint>,
-    /// The worker that computed the points; the spot check goes elsewhere.
+struct Audit<R> {
+    points: Vec<R>,
+    /// The worker that computed the records; the spot check goes elsewhere.
     computed_by: usize,
     spot_attempt: u32,
 }
 
-enum ShardState {
+/// `None` deadlines never fire (a sweep without a shard timeout).
+enum ShardState<R> {
     /// Waiting for a worker (`ready_at` holds the retry backoff).
     Queued { ready_at: Option<Deadline> },
     /// Assigned; reassigned if not delivered by `deadline`.
-    Running { deadline: Deadline },
-    /// Verified points waiting for a spot-check slot.
+    Running { deadline: Option<Deadline> },
+    /// Verified records waiting for a spot-check slot.
     Held {
-        audit: Audit,
+        audit: Audit<R>,
         ready_at: Option<Deadline>,
     },
     /// Spot check in flight on a second worker.
-    SpotRunning { audit: Audit, deadline: Deadline },
+    SpotRunning {
+        audit: Audit<R>,
+        deadline: Option<Deadline>,
+    },
     /// Accepted (and checkpointed, when configured).
-    Done { points: Vec<SweepPoint> },
+    Done { points: Vec<R> },
 }
 
 // ---------------------------------------------------------------------------
 // Worker side
 // ---------------------------------------------------------------------------
 
-/// A worker's private compute state: its workspace, its solve cache, and
-/// the cache counters as of its previous report, so that every report
-/// carries the cache work of exactly its own jobs. Shared by the thread
-/// workers and the process workers (`crate::transport`).
-pub(crate) struct WorkerState {
-    ws: SolverWorkspace,
-    cache: Option<SolveCache>,
+/// A worker's private compute state, plus its cache counters as of its
+/// previous report, so that every report carries the cache work of
+/// exactly its own jobs. Shared by the thread workers and the process
+/// workers (`crate::transport`).
+pub(crate) struct WorkerState<S: Sweep> {
+    state: S::Worker,
     reported: CacheStats,
 }
 
-impl WorkerState {
-    pub(crate) fn new(scenario: &Scenario) -> Self {
+impl<S: Sweep> WorkerState<S> {
+    pub(crate) fn new(sweep: &S) -> Self {
         WorkerState {
-            ws: SolverWorkspace::new(),
-            cache: scenario.worker_cache(),
+            state: sweep.worker(),
             reported: CacheStats::default(),
         }
     }
@@ -604,12 +665,12 @@ impl WorkerState {
     /// only; spot checks run clean (they are the audit, not the subject).
     pub(crate) fn serve(
         &mut self,
-        scenario: &Scenario,
+        sweep: &S,
         id: usize,
-        a: &Assignment,
+        a: &Assignment<S::Job>,
         plan: &FaultPlan,
         stall: Duration,
-    ) -> Option<(WorkerReport, bool)> {
+    ) -> Option<(WorkerReport<S::Record>, bool)> {
         let fault = match a.task {
             TaskId::Shard(_) => plan.fires(id, a.shard, a.attempt),
             TaskId::Spot(_) => None,
@@ -619,22 +680,16 @@ impl WorkerState {
             Some(FaultKind::Stall) => std::thread::sleep(stall),
             _ => {}
         }
-        let points: Vec<SweepPoint> = a
+        let points: Vec<S::Record> = a
             .jobs
             .iter()
-            .map(|&(model, seed)| {
-                scenario.sweep_point_with(seed, model, &mut self.ws, self.cache.as_mut())
-            })
+            .map(|job| sweep.solve(&mut self.state, job))
             .collect();
-        let mut hash = shard_content_hash(a.shard, a.start, &points);
+        let mut hash = checkpoint::shard_hash::<S>(a.shard, a.start, &points);
         if fault == Some(FaultKind::CorruptHash) {
             hash ^= 0x5eed_bad0_dead_beef;
         }
-        let now = self
-            .cache
-            .as_ref()
-            .map(SolveCache::stats)
-            .unwrap_or_default();
+        let now = S::cache_stats(&self.state);
         let cache = now.since(&self.reported);
         self.reported = now;
         let report = WorkerReport {
@@ -649,27 +704,41 @@ impl WorkerState {
     }
 }
 
-fn worker_loop(
-    scenario: &Scenario,
+/// What a thread worker sends back: a report, or the payload of a panic
+/// in its solve, which the coordinator re-raises.
+type FromWorker<R> = Result<WorkerReport<R>, Box<dyn std::any::Any + Send>>;
+
+fn worker_loop<S: Sweep>(
+    sweep: &S,
     id: usize,
-    rx: mpsc::Receiver<ToWorker>,
-    tx: mpsc::Sender<WorkerReport>,
+    rx: mpsc::Receiver<Assignment<S::Job>>,
+    tx: mpsc::Sender<FromWorker<S::Record>>,
     plan: &FaultPlan,
     stall: Duration,
 ) {
-    let mut worker = WorkerState::new(scenario);
-    while let Ok(ToWorker::Assign(a)) = rx.recv() {
-        // A crash exits without replying: dropping `rx` is what the
-        // coordinator eventually observes as a dead channel. (A thread
-        // cannot be SIGKILLed, so KillProcess degrades to the same
-        // observable outcome.)
-        let Some((report, duplicate)) = worker.serve(scenario, id, &a, plan, stall) else {
-            return;
+    let mut worker = WorkerState::new(sweep);
+    // The fleet shuts down by dropping its senders: the worker serves what
+    // it was sent, then `recv` fails.
+    while let Ok(a) = rx.recv() {
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            worker.serve(sweep, id, &a, plan, stall)
+        }));
+        let (report, duplicate) = match served {
+            Ok(Some(served)) => served,
+            // A crash exits without replying: dropping `rx` is what the
+            // coordinator eventually observes as a dead channel. (A
+            // thread cannot be SIGKILLed, so KillProcess degrades to the
+            // same observable outcome.)
+            Ok(None) => return,
+            Err(payload) => {
+                let _ = tx.send(Err(payload));
+                return;
+            }
         };
-        if duplicate && tx.send(report.clone()).is_err() {
+        if duplicate && tx.send(Ok(report.clone())).is_err() {
             return;
         }
-        if tx.send(report).is_err() {
+        if tx.send(Ok(report)).is_err() {
             return;
         }
     }
@@ -679,26 +748,25 @@ fn worker_loop(
 // Thread transport
 // ---------------------------------------------------------------------------
 
-struct ThreadSlot {
-    tx: mpsc::Sender<ToWorker>,
+struct ThreadSlot<J> {
+    tx: mpsc::Sender<Assignment<J>>,
     alive: bool,
 }
 
 /// The in-process fleet: one worker thread per slot over typed mpsc
-/// channels — the original coordinator transport, now behind
-/// [`WorkerTransport`] so the event loop cannot tell it from a process
-/// fleet.
-struct ThreadTransport<'p> {
-    slots: Vec<ThreadSlot>,
-    rrx: mpsc::Receiver<WorkerReport>,
+/// channels, behind [`WorkerTransport`] so the event loop cannot tell it
+/// from a process fleet.
+struct ThreadTransport<'p, S: Sweep> {
+    slots: Vec<ThreadSlot<S::Job>>,
+    rrx: mpsc::Receiver<FromWorker<S::Record>>,
     plan: &'p FaultPlan,
     /// Synthetic events (torn-frame rejections) delivered ahead of the
     /// report channel.
-    pending: VecDeque<TransportPoll>,
+    pending: VecDeque<TransportPoll<S::Record>>,
     counters: TransportCounters,
 }
 
-impl WorkerTransport for ThreadTransport<'_> {
+impl<S: Sweep> WorkerTransport<S> for ThreadTransport<'_, S> {
     fn worker_count(&self) -> usize {
         self.slots.len()
     }
@@ -707,7 +775,7 @@ impl WorkerTransport for ThreadTransport<'_> {
         self.slots[worker].alive
     }
 
-    fn try_send(&mut self, worker: usize, assignment: &Assignment) -> bool {
+    fn try_send(&mut self, worker: usize, assignment: &Assignment<S::Job>) -> bool {
         if !self.slots[worker].alive {
             return false;
         }
@@ -726,11 +794,7 @@ impl WorkerTransport for ThreadTransport<'_> {
             });
             return true;
         }
-        if self.slots[worker]
-            .tx
-            .send(ToWorker::Assign(assignment.clone()))
-            .is_ok()
-        {
+        if self.slots[worker].tx.send(assignment.clone()).is_ok() {
             true
         } else {
             // The channel is dead: the worker crashed some time ago.
@@ -740,21 +804,23 @@ impl WorkerTransport for ThreadTransport<'_> {
         }
     }
 
-    fn recv_timeout(&mut self, wait: Duration) -> TransportPoll {
+    fn recv_timeout(&mut self, wait: Duration) -> TransportPoll<S::Record> {
         if let Some(ev) = self.pending.pop_front() {
             return ev;
         }
         match self.rrx.recv_timeout(wait) {
-            Ok(rep) => TransportPoll::Report(rep),
+            Ok(Ok(rep)) => TransportPoll::Report(rep),
+            // A solve panicked: the sweep fails the way a serial loop
+            // would. Unwinding drops the fleet's channels, so the other
+            // workers exit and the scope joins them.
+            Ok(Err(payload)) => std::panic::resume_unwind(payload),
             Err(mpsc::RecvTimeoutError::Timeout) => TransportPoll::Timeout,
             Err(mpsc::RecvTimeoutError::Disconnected) => TransportPoll::AllDown,
         }
     }
 
     fn shutdown(&mut self) {
-        for s in &self.slots {
-            let _ = s.tx.send(ToWorker::Shutdown);
-        }
+        self.slots.clear();
     }
 
     fn counters(&self) -> TransportCounters {
@@ -766,62 +832,18 @@ impl WorkerTransport for ThreadTransport<'_> {
 // Coordinator side
 // ---------------------------------------------------------------------------
 
-/// The identity of one coordinated sweep: everything that determines the
-/// merged bytes — scenario spec, allocator identity, audit switch, and the
+/// The identity of one coordinated sweep: the sweep's own spec and the
 /// exact job list. Binds checkpoints to their sweep so a file can never
 /// resume a different experiment.
-fn sweep_identity(scenario: &Scenario, jobs: &[Job]) -> u64 {
+fn sweep_identity<S: Sweep>(sweep: &S, jobs: &[S::Job]) -> u64 {
     let mut h = Fnv1a::new();
-    h.write(scenario.label.as_bytes());
-    h.write(scenario.allocator.name().as_bytes());
-    let sig = scenario
-        .allocator
-        .cache_signature()
-        .unwrap_or_else(|| "<opaque>".to_string());
-    h.write(sig.as_bytes());
-    h.write_u64(u64::from(scenario.check_properties));
-    match &scenario.source {
-        NetworkSource::Fixed(net) => {
-            h.write(b"fixed");
-            h.write_u64(net.session_count() as u64);
-        }
-        NetworkSource::Random {
-            family,
-            nodes,
-            sessions,
-            max_receivers,
-        } => {
-            h.write(b"random");
-            h.write(family.label().as_bytes());
-            h.write_u64(*nodes as u64);
-            h.write_u64(*sessions as u64);
-            h.write_u64(*max_receivers as u64);
-        }
-    }
-    match &scenario.link_rates {
-        LinkRates::Efficient => h.write(b"eff"),
-        LinkRates::Uniform(m) => {
-            h.write(b"uniform");
-            let (tag, bits) = checkpoint::model_code(Some(*m));
-            h.write(&[tag]);
-            h.write_u64(bits);
-        }
-        LinkRates::Explicit(cfg) => {
-            h.write(b"explicit");
-            for i in 0..cfg.len() {
-                let (tag, bits) = checkpoint::model_code(Some(*cfg.model(i)));
-                h.write(&[tag]);
-                h.write_u64(bits);
-            }
-        }
-    }
+    sweep.identity(&mut h);
     h.write_u64(jobs.len() as u64);
-    for &(model, seed) in jobs {
-        let (tag, bits) = checkpoint::model_code(model);
-        h.write(&[tag]);
-        h.write_u64(bits);
-        h.write_u64(seed);
+    let mut e = Enc::new();
+    for job in jobs {
+        S::encode_job(job, &mut e);
     }
+    h.write(&e.done());
     h.finish()
 }
 
@@ -832,13 +854,31 @@ fn backoff(cfg: &CoordinatorConfig, attempt: u32) -> Duration {
         .min(cfg.backoff_cap)
 }
 
+/// Run `jobs` of `sweep` through the coordinator: the records in job
+/// order, the summed cache counters, and the scheduling telemetry.
+pub(crate) fn coordinate<S: Sweep + 'static>(
+    sweep: &S,
+    jobs: Vec<S::Job>,
+    cfg: &CoordinatorConfig,
+) -> Result<(Vec<S::Record>, CacheStats, CoordinatorStats), CoordinatorError> {
+    let mut run = Run::new(sweep, &jobs, cfg)?;
+    if run.remaining > 0 {
+        if run.interrupted() {
+            return Err(CoordinatorError::Interrupted { accepted: 0 });
+        }
+        run.launch()?;
+    }
+    Ok(run.finish())
+}
+
 /// The mutable state of one coordinated sweep: every shard's scheduling
 /// state, what each worker holds, the checkpoint writer, and the
 /// telemetry. The event loop's methods live here.
-struct Run<'a> {
+struct Run<'a, S: Sweep> {
+    sweep: &'a S,
     cfg: &'a CoordinatorConfig,
-    shards: Vec<ShardSpec>,
-    state: Vec<ShardState>,
+    shards: Vec<ShardSpec<S::Job>>,
+    state: Vec<ShardState<S::Record>>,
     /// Per shard, the attempt its next (or running) assignment carries.
     attempts: Vec<u32>,
     /// Per worker, the assignments sent and not yet answered, oldest
@@ -852,17 +892,16 @@ struct Run<'a> {
     stats: CoordinatorStats,
     cache: CacheStats,
 }
-
-impl<'a> Run<'a> {
+impl<'a, S: Sweep + 'static> Run<'a, S> {
     /// Shard the job list and restore whatever the checkpoint (when
     /// configured and present) already holds.
     fn new(
-        scenario: &Scenario,
-        jobs: &[Job],
+        sweep: &'a S,
+        jobs: &[S::Job],
         cfg: &'a CoordinatorConfig,
     ) -> Result<Self, CoordinatorError> {
         let shard_size = cfg.shard_size.max(1);
-        let shards: Vec<ShardSpec> = jobs
+        let shards: Vec<ShardSpec<S::Job>> = jobs
             .chunks(shard_size)
             .enumerate()
             .map(|(idx, chunk)| ShardSpec {
@@ -875,17 +914,17 @@ impl<'a> Run<'a> {
             ..CoordinatorStats::default()
         };
         let meta = CheckpointMeta {
-            sweep: sweep_identity(scenario, jobs),
+            sweep: sweep_identity(sweep, jobs),
             shards: shards.len() as u64,
             shard_size: shard_size as u64,
         };
-        let mut state: Vec<ShardState> = (0..shards.len())
+        let mut state: Vec<ShardState<S::Record>> = (0..shards.len())
             .map(|_| ShardState::Queued { ready_at: None })
             .collect();
         let mut writer = None;
         if let Some(path) = &cfg.checkpoint {
             if path.exists() {
-                let loaded = checkpoint::load_checkpoint(path, &meta)?;
+                let loaded = checkpoint::load::<S>(path, &meta)?;
                 for (k, rec) in loaded.shards.iter().enumerate() {
                     let spec = &shards[rec.shard as usize];
                     if rec.start != spec.start || rec.points.len() != spec.jobs.len() {
@@ -922,6 +961,7 @@ impl<'a> Run<'a> {
             .filter(|s| !matches!(s, ShardState::Done { .. }))
             .count();
         Ok(Run {
+            sweep,
             cfg,
             attempts: vec![0; shards.len()],
             shards,
@@ -935,9 +975,9 @@ impl<'a> Run<'a> {
         })
     }
 
-    /// The merged report, shards in canonical order. Call only once every
-    /// shard is done.
-    fn into_report(self, label: String) -> CoordinatorReport {
+    /// The merged records in canonical shard order, the cache counters
+    /// and the stats. Call only once every shard is done.
+    fn finish(self) -> (Vec<S::Record>, CacheStats, CoordinatorStats) {
         let points = self
             .state
             .into_iter()
@@ -946,28 +986,21 @@ impl<'a> Run<'a> {
                 _ => Vec::new(),
             })
             .collect();
-        CoordinatorReport {
-            report: SweepReport {
-                label,
-                points,
-                cache: self.cache,
-            },
-            stats: self.stats,
-        }
+        (points, self.cache, self.stats)
     }
 
     /// Take shard `i`'s state out, leaving a placeholder the caller
     /// overwrites.
-    fn take(&mut self, i: usize) -> ShardState {
+    fn take(&mut self, i: usize) -> ShardState<S::Record> {
         std::mem::replace(&mut self.state[i], ShardState::Queued { ready_at: None })
     }
 
     /// Accept one verified shard: checkpoint it, mark it done.
-    fn accept(&mut self, i: usize, points: Vec<SweepPoint>) -> Result<(), CoordinatorError> {
+    fn accept(&mut self, i: usize, points: Vec<S::Record>) -> Result<(), CoordinatorError> {
         if let Some(w) = self.writer.as_mut() {
             let start = self.shards[i].start;
-            let hash = shard_content_hash(i as u64, start, &points);
-            w.append_shard(&ShardRecord {
+            let hash = checkpoint::shard_hash::<S>(i as u64, start, &points);
+            w.append::<S>(&ShardRecord {
                 shard: i as u64,
                 start,
                 points: points.clone(),
@@ -1005,7 +1038,11 @@ impl<'a> Run<'a> {
     /// Retry a lost spot check of shard `i` behind its backoff. Once the
     /// audit's budget is spent the shard is accepted on its already
     /// verified content hash: losing the audit must never fail the sweep.
-    fn retry_spot(&mut self, i: usize, mut audit: Audit) -> Result<(), CoordinatorError> {
+    fn retry_spot(
+        &mut self,
+        i: usize,
+        mut audit: Audit<S::Record>,
+    ) -> Result<(), CoordinatorError> {
         audit.spot_attempt += 1;
         if audit.spot_attempt > self.cfg.max_retries {
             self.stats.spot_checks_skipped += 1;
@@ -1058,7 +1095,7 @@ impl<'a> Run<'a> {
     /// computed them. A held shard with no second worker left is accepted
     /// on its verified content hash alone. Returns whether anything was
     /// sent.
-    fn dispatch<T: WorkerTransport>(
+    fn dispatch<T: WorkerTransport<S>>(
         &mut self,
         transport: &mut T,
     ) -> Result<bool, CoordinatorError> {
@@ -1104,9 +1141,9 @@ impl<'a> Run<'a> {
                 start: spec.start,
                 jobs: spec.jobs[..len].to_vec(),
             };
-            if dispatch_to(transport, &mut self.current, exclude, assignment) {
+            if dispatch_to::<S, T>(transport, &mut self.current, exclude, assignment) {
                 sent = true;
-                let deadline = now + self.cfg.shard_timeout;
+                let deadline = now.checked_add(self.cfg.shard_timeout);
                 self.state[i] = match self.take(i) {
                     ShardState::Held { audit, .. } => ShardState::SpotRunning { audit, deadline },
                     _ => ShardState::Running { deadline },
@@ -1126,7 +1163,7 @@ impl<'a> Run<'a> {
             let t = match s {
                 ShardState::Running { deadline } | ShardState::SpotRunning { deadline, .. } => {
                     in_flight = true;
-                    Some(*deadline)
+                    *deadline
                 }
                 ShardState::Queued { ready_at } | ShardState::Held { ready_at, .. } => *ready_at,
                 ShardState::Done { .. } => None,
@@ -1152,7 +1189,7 @@ impl<'a> Run<'a> {
         for i in 0..self.state.len() {
             let expired = match &self.state[i] {
                 ShardState::Running { deadline } | ShardState::SpotRunning { deadline, .. } => {
-                    *deadline <= now
+                    deadline.is_some_and(|d| d <= now)
                 }
                 _ => false,
             };
@@ -1172,13 +1209,9 @@ impl<'a> Run<'a> {
     /// Drive one launched fleet to completion, then shut it down
     /// (whatever the outcome — process children are reaped even on
     /// error) and fold its counters into the stats.
-    fn drive<T: WorkerTransport>(
-        &mut self,
-        scenario: &Scenario,
-        transport: &mut T,
-    ) -> Result<(), CoordinatorError> {
+    fn drive<T: WorkerTransport<S>>(&mut self, transport: &mut T) -> Result<(), CoordinatorError> {
         self.current = vec![VecDeque::new(); transport.worker_count()];
-        let result = self.drive_loop(scenario, transport);
+        let result = self.drive_loop(transport);
         transport.shutdown();
         let c = transport.counters();
         self.stats.workers_lost += c.workers_lost;
@@ -1189,9 +1222,8 @@ impl<'a> Run<'a> {
     /// The transport-generic event loop: dispatch, verify, retry, merge.
     /// Scheduling decisions are identical for thread and process fleets —
     /// which is why the two transports merge identical bytes.
-    fn drive_loop<T: WorkerTransport>(
+    fn drive_loop<T: WorkerTransport<S>>(
         &mut self,
-        scenario: &Scenario,
         transport: &mut T,
     ) -> Result<(), CoordinatorError> {
         let mut stuck_probes = 0u32;
@@ -1208,11 +1240,15 @@ impl<'a> Run<'a> {
                 });
             }
             if !(0..transport.worker_count()).any(|w| transport.usable(w)) {
-                return self.serial_remainder(scenario);
+                return self.serial_remainder();
             }
 
             let (wait, in_flight) = self.next_wait();
-            match transport.recv_timeout(wait.max(Duration::from_millis(1))) {
+            // An hour bounds the wait of a sweep without deadlines; waking
+            // early is harmless.
+            match transport
+                .recv_timeout(wait.clamp(Duration::from_millis(1), Duration::from_secs(3600)))
+            {
                 TransportPoll::Report(rep) => {
                     stuck_probes = 0;
                     self.handle_report(rep)?;
@@ -1240,18 +1276,18 @@ impl<'a> Run<'a> {
                             // Live-but-silent workers have had three
                             // full timeout windows; treat the fleet as
                             // lost and finish serially.
-                            return self.serial_remainder(scenario);
+                            return self.serial_remainder();
                         }
                     }
                 }
                 // Every worker is permanently gone.
-                TransportPoll::AllDown => return self.serial_remainder(scenario),
+                TransportPoll::AllDown => return self.serial_remainder(),
             }
         }
     }
 
     /// Process one delivery: verify, settle, or retry.
-    fn handle_report(&mut self, rep: WorkerReport) -> Result<(), CoordinatorError> {
+    fn handle_report(&mut self, rep: WorkerReport<S::Record>) -> Result<(), CoordinatorError> {
         self.retire(rep.worker, (rep.task, rep.attempt));
         match rep.task {
             TaskId::Shard(shard) => {
@@ -1269,7 +1305,7 @@ impl<'a> Run<'a> {
                 // attempt produced it — determinism makes every valid
                 // delivery byte-identical — provided it verifies.
                 let spec = &self.shards[i];
-                let expected = shard_content_hash(shard, spec.start, &rep.points);
+                let expected = checkpoint::shard_hash::<S>(shard, spec.start, &rep.points);
                 if rep.points.len() != spec.jobs.len() || rep.hash != expected {
                     self.stats.hash_rejects += 1;
                     return self.retry_shard(i);
@@ -1300,11 +1336,9 @@ impl<'a> Run<'a> {
                 };
                 self.cache.merge(&rep.cache);
                 let spot_len = self.cfg.spot_check.min(self.shards[i].jobs.len());
-                let head_ok =
-                    rep.points.len() == spot_len
-                        && rep.points.iter().zip(audit.points.iter()).all(|(a, b)| {
-                            checkpoint::encode_point(a) == checkpoint::encode_point(b)
-                        });
+                let head_ok = rep.points.len() == spot_len
+                    && encode_records::<S>(&rep.points)
+                        == encode_records::<S>(&audit.points[..spot_len]);
                 if head_ok {
                     self.stats.spot_checks_passed += 1;
                     return self.accept(i, audit.points);
@@ -1319,10 +1353,9 @@ impl<'a> Run<'a> {
     /// Graceful degradation: every worker is lost, so compute the
     /// remaining shards serially in shard order. Bytes are unaffected —
     /// the serial path runs the same pure solve per job.
-    fn serial_remainder(&mut self, scenario: &Scenario) -> Result<(), CoordinatorError> {
+    fn serial_remainder(&mut self) -> Result<(), CoordinatorError> {
         self.stats.serial_fallback = true;
-        let mut ws = SolverWorkspace::new();
-        let mut cache: Option<SolveCache> = scenario.worker_cache();
+        let mut worker = self.sweep.worker();
         let mut outcome: Result<(), CoordinatorError> = Ok(());
         for i in 0..self.shards.len() {
             let points = match self.take(i) {
@@ -1339,9 +1372,7 @@ impl<'a> Run<'a> {
                 _ => self.shards[i]
                     .jobs
                     .iter()
-                    .map(|&(model, seed)| {
-                        scenario.sweep_point_with(seed, model, &mut ws, cache.as_mut())
-                    })
+                    .map(|job| self.sweep.solve(&mut worker, job))
                     .collect(),
             };
             if let Err(e) = self.accept(i, points) {
@@ -1355,68 +1386,21 @@ impl<'a> Run<'a> {
                 break;
             }
         }
-        if let Some(c) = &cache {
-            self.cache.merge(&c.stats());
-        }
+        self.cache.merge(&S::cache_stats(&worker));
         outcome
     }
-}
 
-impl Scenario {
-    /// [`Scenario::sweep`] through the fault-tolerant coordinator: shards
-    /// the seeds across worker threads, hash-verifies and optionally
-    /// spot-checks every shard, checkpoints accepted shards, and merges in
-    /// canonical seed order. The merged [`SweepReport`] is **bitwise
-    /// identical** to the serial sweep under any [`FaultPlan`] and across
-    /// any kill/resume sequence. See the [module docs](crate::coordinator).
-    pub fn coordinate<I: IntoIterator<Item = u64>>(
-        &self,
-        seeds: I,
-        cfg: &CoordinatorConfig,
-    ) -> Result<CoordinatorReport, CoordinatorError> {
-        let jobs: Vec<Job> = seeds.into_iter().map(|s| (None, s)).collect();
-        self.coordinate_jobs(jobs, cfg)
-    }
-
-    /// [`Scenario::sweep_grid`] through the coordinator (models-major job
-    /// order, exactly like the serial and parallel grid executors).
-    ///
-    /// # Panics
-    ///
-    /// Like [`Scenario::sweep_grid`], on a grid that
-    /// [`Scenario::validate_grid`] rejects.
-    pub fn coordinate_grid(
-        &self,
-        grid: &SweepGrid,
-        cfg: &CoordinatorConfig,
-    ) -> Result<CoordinatorReport, CoordinatorError> {
-        self.check_grid(grid);
-        self.coordinate_jobs(Self::grid_jobs(grid), cfg)
-    }
-
-    fn coordinate_jobs(
-        &self,
-        jobs: Vec<Job>,
-        cfg: &CoordinatorConfig,
-    ) -> Result<CoordinatorReport, CoordinatorError> {
-        let mut run = Run::new(self, &jobs, cfg)?;
-        if run.remaining > 0 {
-            if run.interrupted() {
-                return Err(CoordinatorError::Interrupted { accepted: 0 });
-            }
-            self.run_workers(&mut run)?;
-        }
-        Ok(run.into_report(self.label.clone()))
-    }
-
-    /// Launch the configured fleet and drive the event loop over it.
-    fn run_workers(&self, run: &mut Run<'_>) -> Result<(), CoordinatorError> {
-        let cfg = run.cfg;
+    /// Launch the configured fleet — never more workers than shards —
+    /// and drive the event loop over it.
+    fn launch(&mut self) -> Result<(), CoordinatorError> {
+        let cfg = self.cfg;
+        let sweep = self.sweep;
         let workers = if cfg.workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             cfg.workers
-        };
+        }
+        .min(self.shards.len());
         let plan = &cfg.fault_plan;
         // Stalls must overshoot the deadline, or they would be ordinary
         // slow deliveries rather than timeouts.
@@ -1426,12 +1410,12 @@ impl Scenario {
             .saturating_add(Duration::from_millis(20));
         match &cfg.transport {
             TransportKind::Threads => std::thread::scope(|scope| {
-                let (rtx, rrx) = mpsc::channel::<WorkerReport>();
-                let slots: Vec<ThreadSlot> = (0..workers)
+                let (rtx, rrx) = mpsc::channel();
+                let slots: Vec<ThreadSlot<S::Job>> = (0..workers)
                     .map(|id| {
-                        let (tx, rx) = mpsc::channel::<ToWorker>();
+                        let (tx, rx) = mpsc::channel();
                         let rtx = rtx.clone();
-                        scope.spawn(move || worker_loop(self, id, rx, rtx, plan, stall));
+                        scope.spawn(move || worker_loop(sweep, id, rx, rtx, plan, stall));
                         ThreadSlot { tx, alive: true }
                     })
                     .collect();
@@ -1443,22 +1427,59 @@ impl Scenario {
                     pending: VecDeque::new(),
                     counters: TransportCounters::default(),
                 };
-                run.drive(self, &mut transport)
+                self.drive(&mut transport)
             }),
             TransportKind::Process(pc) => {
-                let spec = self
-                    .process_spec()
+                let mut spec = Enc::new();
+                sweep
+                    .process_spec(&mut spec)
                     .map_err(|reason| CoordinatorError::UnsupportedScenario { reason })?;
-                let mut transport = crate::supervisor::ProcessTransport::launch(
-                    spec,
+                let mut transport = crate::supervisor::ProcessTransport::<S>::launch(
+                    spec.done(),
                     workers,
                     pc.clone(),
                     plan.clone(),
                     stall,
                 )?;
-                run.drive(self, &mut transport)
+                self.drive(&mut transport)
             }
         }
+    }
+}
+
+impl Scenario {
+    /// [`Scenario::sweep`] through the coordinator: shards the seeds
+    /// across workers, hash-verifies and optionally spot-checks every
+    /// shard, checkpoints accepted shards, and merges in canonical seed
+    /// order. The merged [`SweepReport`] is **bitwise identical** to the
+    /// serial sweep on any fleet, under any [`FaultPlan`] and across any
+    /// kill/resume sequence. See the [module docs](crate::coordinator).
+    pub fn coordinate<I: IntoIterator<Item = u64>>(
+        &self,
+        seeds: I,
+        cfg: &CoordinatorConfig,
+    ) -> Result<CoordinatorReport, CoordinatorError> {
+        self.coordinate_grid(&SweepGrid::seeds(seeds), cfg)
+    }
+
+    /// [`Scenario::sweep_grid`] through the coordinator (models-major job
+    /// order, exactly like the serial grid sweep). A grid that
+    /// [`Scenario::validate_grid`] rejects is [`CoordinatorError::Grid`].
+    pub fn coordinate_grid(
+        &self,
+        grid: &SweepGrid,
+        cfg: &CoordinatorConfig,
+    ) -> Result<CoordinatorReport, CoordinatorError> {
+        self.validate_grid(grid).map_err(CoordinatorError::Grid)?;
+        let (points, cache, stats) = coordinate(self, Self::grid_jobs(grid), cfg)?;
+        Ok(CoordinatorReport {
+            report: SweepReport {
+                label: self.label.clone(),
+                points,
+                cache,
+            },
+            stats,
+        })
     }
 }
 
@@ -1466,13 +1487,13 @@ impl Scenario {
 /// `exclude` that has room — idle workers first, then second slots — and
 /// record it in that worker's in-flight queue. The assignment is built
 /// only once some worker has room. Returns whether a worker took it.
-fn dispatch_to<T: WorkerTransport>(
+fn dispatch_to<S: Sweep, T: WorkerTransport<S>>(
     transport: &mut T,
     current: &mut [VecDeque<Ticket>],
     exclude: Option<usize>,
-    make: impl Fn() -> Assignment,
+    make: impl Fn() -> Assignment<S::Job>,
 ) -> bool {
-    let mut assignment: Option<Assignment> = None;
+    let mut assignment: Option<Assignment<S::Job>> = None;
     for depth in 0..IN_FLIGHT_DEPTH {
         for (w, queue) in current.iter_mut().enumerate() {
             if Some(w) == exclude || queue.len() != depth || !transport.usable(w) {
@@ -1491,7 +1512,10 @@ fn dispatch_to<T: WorkerTransport>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::Job;
     use mlf_core::allocator::MultiRate;
+
+    type Point = <Scenario as Sweep>::Record;
 
     /// One scripted fleet event, fired at the next poll.
     enum Step {
@@ -1512,10 +1536,10 @@ mod tests {
     /// assignments, or a spot check of a shard it computed.
     struct Scripted<'s> {
         scenario: &'s Scenario,
-        workers: Vec<WorkerState>,
-        held: Vec<VecDeque<Assignment>>,
+        workers: Vec<WorkerState<Scenario>>,
+        held: Vec<VecDeque<Assignment<Job>>>,
         script: VecDeque<Step>,
-        replay: Option<WorkerReport>,
+        replay: Option<WorkerReport<Point>>,
         turn: usize,
         /// Per shard, the worker whose delivery of it was last served.
         computed_by: Vec<Option<usize>>,
@@ -1537,7 +1561,7 @@ mod tests {
             }
         }
 
-        fn serve(&mut self, w: usize) -> WorkerReport {
+        fn serve(&mut self, w: usize) -> WorkerReport<Point> {
             let a = self.held[w].pop_front().expect("the worker holds work");
             if let TaskId::Shard(i) = a.task {
                 self.computed_by[i as usize] = Some(w);
@@ -1550,7 +1574,7 @@ mod tests {
         }
     }
 
-    impl WorkerTransport for Scripted<'_> {
+    impl WorkerTransport<Scenario> for Scripted<'_> {
         fn worker_count(&self) -> usize {
             self.held.len()
         }
@@ -1559,7 +1583,7 @@ mod tests {
             true
         }
 
-        fn try_send(&mut self, worker: usize, assignment: &Assignment) -> bool {
+        fn try_send(&mut self, worker: usize, assignment: &Assignment<Job>) -> bool {
             assert!(
                 self.held[worker].len() < IN_FLIGHT_DEPTH,
                 "worker {worker} handed more than {IN_FLIGHT_DEPTH} assignments"
@@ -1572,7 +1596,7 @@ mod tests {
             true
         }
 
-        fn recv_timeout(&mut self, wait: Duration) -> TransportPoll {
+        fn recv_timeout(&mut self, wait: Duration) -> TransportPoll<Point> {
             if let Some(report) = self.replay.take() {
                 return TransportPoll::Report(report);
             }
@@ -1647,13 +1671,12 @@ mod tests {
         let jobs: Vec<Job> = (0..8).map(|seed| (None, seed)).collect();
         let mut run = Run::new(&scenario, &jobs, &cfg).expect("no checkpoint to load");
         let mut fleet = Scripted::new(&scenario, 2, jobs.len(), script);
-        run.drive(&scenario, &mut fleet)
-            .expect("the scripted run merges");
+        run.drive(&mut fleet).expect("the scripted run merges");
         let sent = fleet.sent;
-        let out = run.into_report(scenario.label.clone());
+        let (points, _, stats) = run.finish();
         let serial = scripted_scenario().sweep(0..8);
-        assert_eq!(out.report.points.len(), serial.points.len());
-        for (got, want) in out.report.points.iter().zip(&serial.points) {
+        assert_eq!(points.len(), serial.points.len());
+        for (got, want) in points.iter().zip(&serial.points) {
             assert_eq!(
                 checkpoint::encode_point(got),
                 checkpoint::encode_point(want)
@@ -1661,9 +1684,9 @@ mod tests {
         }
         // Every task the fleet drops is requeued at once: none waits out
         // its deadline.
-        assert_eq!(out.stats.timeouts, 0, "{:?}", out.stats);
-        assert!(!out.stats.serial_fallback);
-        (out.stats, sent)
+        assert_eq!(stats.timeouts, 0, "{stats:?}");
+        assert!(!stats.serial_fallback);
+        (stats, sent)
     }
 
     /// The first dispatch pass fills idle workers first, then second
@@ -1720,6 +1743,106 @@ mod tests {
         assert_eq!(stats.duplicates_dropped, 1, "{stats:?}");
         assert_eq!(stats.retries, 0);
         assert_eq!(stats.spot_checks_passed, 8);
+    }
+
+    /// A toy sweep: job `j` solves to `j * j`, job 13 panics, and job 7
+    /// sleeps past the default shard deadline when `slow` is set. It
+    /// counts the workers it equips.
+    #[derive(Default)]
+    struct Squares {
+        slow: bool,
+        workers: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Sweep for Squares {
+        type Job = u64;
+        type Record = u64;
+        type Worker = ();
+        const INIT_FRAME: u8 = 0;
+        const JOB_BYTES: usize = 8;
+        const RECORD_BYTES: usize = 8;
+
+        fn encode_job(job: &u64, e: &mut Enc) {
+            e.u64(*job);
+        }
+        fn decode_job(d: &mut Dec<'_>) -> Result<u64, String> {
+            d.u64()
+        }
+        fn encode_record(record: &u64, e: &mut Enc) {
+            e.u64(*record);
+        }
+        fn decode_record(d: &mut Dec<'_>) -> Result<u64, String> {
+            d.u64()
+        }
+        fn worker(&self) {
+            self.workers
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        fn solve(&self, _: &mut (), &job: &u64) -> u64 {
+            assert_ne!(job, 13, "job 13 panics");
+            if self.slow && job == 7 {
+                std::thread::sleep(Duration::from_millis(2100));
+            }
+            job * job
+        }
+        fn identity(&self, h: &mut Fnv1a) {
+            h.write(b"squares");
+        }
+        fn process_spec(&self, _: &mut Enc) -> Result<(), String> {
+            Err("squares run on threads only".to_string())
+        }
+        fn from_spec(_: &mut Dec<'_>) -> Result<Self, String> {
+            Err("squares run on threads only".to_string())
+        }
+    }
+
+    fn squares(sweep: &Squares, jobs: std::ops::Range<u64>, n: usize) -> Vec<u64> {
+        let (records, _, stats) = coordinate(sweep, jobs.collect(), &CoordinatorConfig::threads(n))
+            .expect("thread sweeps succeed");
+        assert_eq!((stats.retries, stats.timeouts), (0, 0), "{stats:?}");
+        assert!(!stats.serial_fallback);
+        records
+    }
+
+    #[test]
+    fn thread_sweeps_run_at_most_one_worker_per_shard() {
+        for (jobs, shards) in [(0..5, 1), (0..12, 2), (20..44, 3)] {
+            let sweep = Squares::default();
+            let want: Vec<u64> = jobs.clone().map(|j| j * j).collect();
+            assert_eq!(squares(&sweep, jobs, 8), want);
+            assert_eq!(sweep.workers.into_inner(), shards);
+        }
+        let empty = Squares::default();
+        assert!(squares(&empty, 0..0, 4).is_empty());
+        assert_eq!(empty.workers.into_inner(), 0, "no shards, no workers");
+    }
+
+    /// A shard that runs past the default 2 s deadline is neither
+    /// retried nor failed: thread sweeps have no deadline, and the
+    /// deadline arithmetic cannot overflow.
+    #[test]
+    fn thread_sweeps_never_time_out_a_slow_shard() {
+        assert_eq!(CoordinatorConfig::threads(2).shard_timeout, Duration::MAX);
+        let sweep = Squares {
+            slow: true,
+            ..Squares::default()
+        };
+        let want: Vec<u64> = (0..12).map(|j| j * j).collect();
+        assert_eq!(squares(&sweep, 0..12, 2), want);
+    }
+
+    #[test]
+    fn a_panicking_solve_reaches_the_caller_as_a_panic() {
+        for n in [1, 2, 8] {
+            let sweep = Squares::default();
+            let run = std::panic::AssertUnwindSafe(|| squares(&sweep, 0..40, n));
+            let payload = std::panic::catch_unwind(run).expect_err("the solve panics");
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(message.contains("job 13 panics"), "{message}");
+        }
     }
 
     #[test]

@@ -16,25 +16,19 @@
 //! seed)` and whole sweep points are memoized per `(topology, effective
 //! link-rate model)`, so model grids share topology builds and repeated
 //! sweeps replay from cache — bitwise identically, with
-//! [`SweepReport::cache`] reporting hits/misses/evictions. For multi-core
-//! machines, [`Scenario::sweep_par`] and [`Scenario::sweep_grid_par`]
-//! shard the seed/grid space across `std::thread::scope` workers (one
-//! workspace and one worker-local cache per worker) and merge the points
-//! back in deterministic seed order, so the parallel output is **bitwise
-//! identical** to the serial one at any thread count.
+//! [`SweepReport::cache`] reporting hits/misses/evictions.
 //!
-//! ## The shared executor
+//! ## One parallel engine
 //!
-//! The shard/merge machinery itself lives in [`executor::run_jobs_par`],
-//! generic over the job and output types: balanced contiguous partition,
-//! one worker-local state per thread, in-order merge. Allocator sweeps
-//! instantiate it with `(model, seed)` jobs and per-worker
-//! [`SolverWorkspace`]s; [`protocol`] instantiates it with
-//! `(protocol, loss, seed)` jobs and stateless workers, which is how the
-//! Figure 8 protocol comparisons ([`ProtocolScenario`] over a
-//! [`ProtocolSweepGrid`]) get the same parallel, bitwise-deterministic
-//! treatment as allocator sweeps. See the [`executor`] module docs for the
-//! exact determinism contract.
+//! Every parallel sweep runs on the [`coordinator`]:
+//! [`Scenario::coordinate`] / [`Scenario::coordinate_grid`] for allocator
+//! sweeps and [`ProtocolScenario::coordinate`] for the Figure 8 protocol
+//! comparisons ([`ProtocolSweepGrid`]). [`CoordinatorConfig::threads`] is
+//! a plain thread sweep; the same engine also runs hash-verified,
+//! spot-checked, checkpointed sweeps on thread or process fleets. Each
+//! worker owns its scratch (a [`SolverWorkspace`] and a worker-local
+//! cache), and records merge back in job order, so the coordinated output
+//! is **bitwise identical** to the serial sweep on any fleet.
 //!
 //! ## Topology families
 //!
@@ -77,12 +71,12 @@
 //! assert!(report.fairness.unwrap().all_hold()); // Theorem 1
 //! ```
 //!
-//! Sweeps over random topologies are deterministic in their seeds, and the
-//! parallel executor reproduces the serial points exactly:
+//! Sweeps over random topologies are deterministic in their seeds, and a
+//! thread sweep reproduces the serial points exactly:
 //!
 //! ```
 //! use mlf_net::TopologyFamily;
-//! use mlf_scenario::Scenario;
+//! use mlf_scenario::{CoordinatorConfig, Scenario};
 //!
 //! let mut s = Scenario::builder()
 //!     .random_networks_with(TopologyFamily::TransitStub { transit: 3 }, 12, 4, 4)
@@ -91,8 +85,8 @@
 //! let once = s.sweep(0..8);
 //! let again = s.sweep(0..8);
 //! assert_eq!(once.points, again.points);
-//! let parallel = s.sweep_par(0..8, 4);
-//! assert_eq!(once.points, parallel.points);
+//! let parallel = s.coordinate(0..8, &CoordinatorConfig::threads(4)).unwrap();
+//! assert_eq!(once.points, parallel.report.points);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -101,8 +95,8 @@
 pub mod cache;
 pub mod checkpoint;
 pub mod coordinator;
-pub mod executor;
 mod hash;
+mod point;
 pub mod protocol;
 mod record;
 mod supervisor;
@@ -422,8 +416,8 @@ impl ScenarioBuilder {
 /// grid revisiting the same cells (across its models, or across repeated
 /// sweep calls) skips the rebuild and the solve. Cached output is bitwise
 /// identical to uncached output — a point is a pure function of its key —
-/// and the parallel executors give each worker a private cache, keeping
-/// the serial/parallel bitwise contract intact. [`SweepReport::cache`]
+/// and coordinated sweeps give each worker a private cache, keeping the
+/// serial/parallel bitwise contract intact. [`SweepReport::cache`]
 /// reports each sweep's hits/misses/evictions.
 pub struct Scenario {
     label: String,
@@ -464,28 +458,18 @@ impl Scenario {
 
     /// Solve the scenario once (seed 0 for random sources).
     pub fn run(&mut self) -> ScenarioReport {
-        self.run_seeded(0)
-    }
-
-    /// Solve the scenario for one seed (ignored by fixed sources).
-    pub(crate) fn run_seeded(&mut self, seed: u64) -> ScenarioReport {
-        self.run_inner(seed, None)
-    }
-
-    fn run_inner(&mut self, seed: u64, model_override: Option<LinkRateModel>) -> ScenarioReport {
         // Detach the owned workspace so the shared solve path can borrow
-        // `self` immutably (the same path the parallel workers use).
+        // `self` immutably (the same path coordinator workers use).
         let mut ws = std::mem::take(&mut self.ws);
-        let report = self.solve_with_ws(seed, model_override, &mut ws);
+        let report = self.solve_with_ws(0, None, &mut ws);
         self.ws = ws;
         report
     }
 
     /// Solve one point against an explicit workspace. This is the whole
     /// solve path: serial sweeps call it with the scenario's own workspace,
-    /// parallel workers with their per-thread one — which is why the two
-    /// executors agree bitwise (a solve's result never depends on workspace
-    /// history).
+    /// coordinator workers with their own — which is why the two agree
+    /// bitwise (a solve's result never depends on workspace history).
     fn solve_with_ws(
         &self,
         seed: u64,
@@ -521,7 +505,7 @@ impl Scenario {
 
     /// The full per-point report against an explicit, already-built
     /// network: the tail of the solve path shared by the cached and
-    /// uncached executors.
+    /// uncached paths.
     fn report_for(
         &self,
         net: &Network,
@@ -636,8 +620,8 @@ impl Scenario {
         self.cache_points > 0 || self.cache_networks > 0
     }
 
-    /// A fresh cache sized like the scenario's (the worker-local caches of
-    /// the parallel executors), or `None` when caching is disabled.
+    /// A fresh cache sized like the scenario's (a coordinator worker's
+    /// cache), or `None` when caching is disabled.
     fn worker_cache(&self) -> Option<SolveCache> {
         self.caching_enabled()
             .then(|| SolveCache::with_capacity(self.cache_points, self.cache_networks))
@@ -648,9 +632,7 @@ impl Scenario {
     /// function of the seeds (and the scenario spec): two sweeps with
     /// equal seeds produce equal points (the second served from cache).
     pub fn sweep<I: IntoIterator<Item = u64>>(&mut self, seeds: I) -> SweepReport {
-        let jobs: Vec<(Option<LinkRateModel>, u64)> =
-            seeds.into_iter().map(|s| (None, s)).collect();
-        self.sweep_jobs_serial(&jobs)
+        self.sweep_grid(&SweepGrid::seeds(seeds))
     }
 
     /// Run the full `seeds × models` grid (the Figure 4/5/6 pattern:
@@ -665,25 +647,24 @@ impl Scenario {
     /// link-rate parameterization
     /// ([`ScenarioError::AllocatorIgnoresLinkRates`]), or a model outside
     /// its domain ([`ScenarioError::InvalidLinkRateModel`]).
+    ///
+    /// The sweep runs inline: one workspace, the scenario's own cache,
+    /// jobs in order. [`SweepReport::cache`] carries this sweep's share of
+    /// the cache counters.
     pub fn sweep_grid(&mut self, grid: &SweepGrid) -> SweepReport {
-        self.check_grid(grid);
-        let jobs = Self::grid_jobs(grid);
-        self.sweep_jobs_serial(&jobs)
-    }
-
-    /// The serial executor: one workspace, the scenario's own cache, jobs
-    /// in order. [`SweepReport::cache`] carries this sweep's share of the
-    /// cache counters.
-    fn sweep_jobs_serial(&mut self, jobs: &[(Option<LinkRateModel>, u64)]) -> SweepReport {
+        if let Err(e) = self.validate_grid(grid) {
+            // mlf-lint: allow(panic-unwrap, reason = "the documented `# Panics` contract of the infallible sweep_grid; validate_grid and coordinate_grid are the typed alternatives")
+            panic!("{e}");
+        }
         // Detach the owned workspace/cache so the shared solve path can
-        // borrow `self` immutably (the same path the parallel workers use).
+        // borrow `self` immutably (the same path coordinator workers use).
         let mut ws = std::mem::take(&mut self.ws);
         let mut cache = std::mem::take(&mut self.cache);
         let before = cache.stats();
         let enabled = self.caching_enabled();
-        let points = jobs
-            .iter()
-            .map(|&(model, seed)| {
+        let points = Self::grid_jobs(grid)
+            .into_iter()
+            .map(|(model, seed)| {
                 self.sweep_point_with(seed, model, &mut ws, enabled.then_some(&mut cache))
             })
             .collect();
@@ -698,7 +679,7 @@ impl Scenario {
     }
 
     /// The canonical job order of a grid — models-major, then seeds. Both
-    /// the serial and the parallel grid executor consume this one
+    /// the serial and the coordinated grid sweep consume this one
     /// expansion, so their point order can never diverge.
     fn grid_jobs(grid: &SweepGrid) -> Vec<(Option<LinkRateModel>, u64)> {
         let mut jobs = Vec::with_capacity(grid.seeds.len() * grid.models.len().max(1));
@@ -715,9 +696,8 @@ impl Scenario {
     /// Check a grid against this scenario once, before any point runs:
     /// grid models need an allocator with a link-rate parameterization,
     /// and each model must pass [`LinkRateModel::validate`]. The typed
-    /// form of the check [`Scenario::sweep_grid`],
-    /// [`Scenario::sweep_grid_par`] and [`Scenario::coordinate_grid`]
-    /// panic on.
+    /// form of the check [`Scenario::sweep_grid`] panics on and
+    /// [`Scenario::coordinate_grid`] returns as [`CoordinatorError::Grid`].
     pub fn validate_grid(&self, grid: &SweepGrid) -> Result<(), ScenarioError> {
         if !grid.models.is_empty() && !self.allocator.supports_link_rates() {
             return Err(ScenarioError::AllocatorIgnoresLinkRates);
@@ -729,80 +709,6 @@ impl Scenario {
                     reason,
                 })
         })
-    }
-
-    fn check_grid(&self, grid: &SweepGrid) {
-        if let Err(e) = self.validate_grid(grid) {
-            // mlf-lint: allow(panic-unwrap, reason = "the documented `# Panics` contract of the grid sweeps, whose signatures stay infallible; validate_grid is the typed alternative")
-            panic!("{e}");
-        }
-    }
-
-    /// [`Scenario::sweep`], sharded across `threads` scoped worker threads.
-    ///
-    /// Each worker solves a contiguous shard of the seed list with its own
-    /// [`SolverWorkspace`] and its own worker-local [`SolveCache`]; shards
-    /// are merged back in seed order, so the result is **bitwise
-    /// identical** to the serial [`Scenario::sweep`] for the same seeds,
-    /// at any thread count (a solve's output never depends on workspace or
-    /// cache history — a hit replays exactly the bits a fresh solve would
-    /// produce). `threads == 0` means "use
-    /// `std::thread::available_parallelism`". The scenario's own workspace
-    /// and cache are untouched, so [`Scenario::solves`] does not count
-    /// parallel solves; the report's [`SweepReport::cache`] merges the
-    /// workers' counters.
-    pub fn sweep_par<I: IntoIterator<Item = u64>>(&self, seeds: I, threads: usize) -> SweepReport {
-        let jobs: Vec<(Option<LinkRateModel>, u64)> =
-            seeds.into_iter().map(|s| (None, s)).collect();
-        let (points, cache) = self.run_jobs_par(&jobs, threads);
-        SweepReport {
-            label: self.label.clone(),
-            points,
-            cache,
-        }
-    }
-
-    /// [`Scenario::sweep_grid`], sharded across `threads` scoped worker
-    /// threads. Point order (models-major, then seeds) and every point's
-    /// bits match the serial executor exactly.
-    ///
-    /// # Panics
-    ///
-    /// Like [`Scenario::sweep_grid`], on a grid that
-    /// [`Scenario::validate_grid`] rejects.
-    pub fn sweep_grid_par(&self, grid: &SweepGrid, threads: usize) -> SweepReport {
-        self.check_grid(grid);
-        let (points, cache) = self.run_jobs_par(&Self::grid_jobs(grid), threads);
-        SweepReport {
-            label: self.label.clone(),
-            points,
-            cache,
-        }
-    }
-
-    /// Run a job list through the shared deterministic executor
-    /// ([`executor::run_jobs_par_with_state`]): balanced contiguous
-    /// shards, one `(SolverWorkspace, SolveCache)` per worker, outputs
-    /// merged back in job order, worker cache counters summed in shard
-    /// order.
-    fn run_jobs_par(
-        &self,
-        jobs: &[(Option<LinkRateModel>, u64)],
-        threads: usize,
-    ) -> (Vec<SweepPoint>, CacheStats) {
-        let (points, states) = executor::run_jobs_par_with_state(
-            jobs,
-            threads,
-            || (SolverWorkspace::new(), self.worker_cache()),
-            |(ws, cache), &(model, seed)| self.sweep_point_with(seed, model, ws, cache.as_mut()),
-        );
-        let mut stats = CacheStats::default();
-        for (_, cache) in &states {
-            if let Some(cache) = cache {
-                stats.merge(&cache.stats());
-            }
-        }
-        (points, stats)
     }
 
     /// The lifetime counters of the scenario's own (serial-sweep) cache.
@@ -977,7 +883,7 @@ pub struct SweepReport {
     /// The points, in sweep order.
     pub points: Vec<SweepPoint>,
     /// This sweep's solve-cache counters (serial: the scenario cache's
-    /// delta; parallel: the workers' merged totals).
+    /// delta; coordinated: the workers' merged totals).
     pub cache: CacheStats,
 }
 
@@ -1351,8 +1257,12 @@ mod tests {
         assert_eq!(s.solves(), 3);
     }
 
+    fn threads(n: usize) -> CoordinatorConfig {
+        CoordinatorConfig::threads(n)
+    }
+
     #[test]
-    fn sweep_par_is_bitwise_identical_to_serial_at_any_thread_count() {
+    fn thread_sweeps_are_bitwise_identical_to_serial_at_any_thread_count() {
         for family in [
             TopologyFamily::FlatTree,
             TopologyFamily::KaryTree { arity: 2 },
@@ -1366,17 +1276,19 @@ mod tests {
                 .build()
                 .unwrap();
             let serial = s.sweep(0..12);
-            for threads in [1, 2, 3, 5, 8, 64] {
-                let parallel = s.sweep_par(0..12, threads);
-                assert_eq!(serial, parallel, "{} at {threads} threads", family.label());
+            // 0 delegates to available_parallelism.
+            for n in [0, 1, 2, 3, 5, 8, 64] {
+                let parallel = s.coordinate(0..12, &threads(n)).unwrap().report;
+                assert_eq!(serial, parallel, "{} at {n} threads", family.label());
             }
-            // threads == 0 delegates to available_parallelism.
-            assert_eq!(serial, s.sweep_par(0..12, 0));
+            let empty = s.coordinate(0..0, &threads(4)).unwrap();
+            assert!(empty.report.points.is_empty());
+            assert_eq!(empty.stats.shards, 0);
         }
     }
 
     #[test]
-    fn sweep_grid_par_matches_serial_order_and_bits() {
+    fn thread_grid_sweeps_match_serial_order_and_bits() {
         let mut s = Scenario::builder()
             .random_networks(12, 4, 4)
             .allocator(MultiRate::new())
@@ -1385,16 +1297,14 @@ mod tests {
         let grid = SweepGrid::seeds(0..5)
             .with_models([LinkRateModel::Efficient, LinkRateModel::Scaled(2.0)]);
         let serial = s.sweep_grid(&grid);
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(
-                serial,
-                s.sweep_grid_par(&grid, threads),
-                "{threads} threads"
-            );
+        for n in [1, 2, 4, 7] {
+            let parallel = s.coordinate_grid(&grid, &threads(n)).unwrap().report;
+            assert_eq!(serial, parallel, "{n} threads");
         }
         // Seeds-only grids go through the same job path.
         let seeds_only = SweepGrid::seeds(3..9);
-        assert_eq!(s.sweep_grid(&seeds_only), s.sweep_grid_par(&seeds_only, 3));
+        let parallel = s.coordinate_grid(&seeds_only, &threads(3)).unwrap();
+        assert_eq!(s.sweep_grid(&seeds_only), parallel.report);
     }
 
     #[test]
@@ -1510,9 +1420,9 @@ mod tests {
     }
 
     /// Grid models outside their domain are refused before any point
-    /// runs: typed by `validate_grid`, and as a panic carrying the same
-    /// message from the serial and parallel grid sweeps (a NaN sigma used
-    /// to stall the solver instead).
+    /// runs: typed by `validate_grid` and `coordinate_grid`, and as a
+    /// panic carrying the same message from the serial grid sweep (a NaN
+    /// sigma used to stall the solver instead).
     #[test]
     fn grid_sweeps_reject_invalid_link_rate_models() {
         let mut s = Scenario::builder()
@@ -1540,10 +1450,8 @@ mod tests {
                 s.sweep_grid(&grid);
             }));
             assert_eq!(serial.map_err(message), Err(want.to_string()), "{model:?}");
-            let par = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                s.sweep_grid_par(&grid, 2);
-            }));
-            assert_eq!(par.map_err(message), Err(want.to_string()), "{model:?}");
+            let coordinated = s.coordinate_grid(&grid, &threads(2)).err();
+            assert_eq!(coordinated, Some(CoordinatorError::Grid(want)), "{model:?}");
         }
         let good = SweepGrid::seeds(0..4).with_models(vec![
             LinkRateModel::RandomJoin { sigma: 6.0 },

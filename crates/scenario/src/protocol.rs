@@ -9,22 +9,20 @@
 //! the experiment template (star shape, packets, trials, latencies) once,
 //! a [`ProtocolSweepGrid`] spans `(protocol kind × independent-loss grid ×
 //! join/leave-latency pairs × trial seeds)`, and
-//! [`ProtocolScenario::sweep_par`] shards the grid's
-//! jobs across worker threads through the shared
-//! [`executor::run_jobs_par`] — with the same **bitwise serial/parallel
-//! agreement** contract the allocator sweeps have, because every point is a
-//! pure function of its `(kind, loss, seed)` job (the simulator re-seeds
-//! its RNGs from the job; workers hold no cross-job state).
-//!
-//! [`ProtocolScenario::figure8`] regroups sweep points back into the
-//! `Figure8Point` shape, bitwise identical to the serial
-//! [`figure8_series`] for the same template and loss axis.
+//! [`ProtocolScenario::coordinate`] runs the grid's jobs on the
+//! [`coordinator`] — thread or process fleets, fault
+//! tolerance, checkpoint/resume — with the same **bitwise serial/parallel
+//! agreement** contract the allocator sweeps have, because every point is
+//! a pure function of its `(kind, loss, latency, seed)` job (the simulator
+//! re-seeds its RNGs from the job; workers hold no cross-job state).
+//! Points cross processes and checkpoints in a canonical codec that
+//! stores every `f64` — each `RunningStats` field included — by its bits.
 //!
 //! ## Example
 //!
 //! ```
 //! use mlf_protocols::ExperimentParams;
-//! use mlf_scenario::{ProtocolScenario, ProtocolSweepGrid};
+//! use mlf_scenario::{CoordinatorConfig, ProtocolScenario, ProtocolSweepGrid};
 //!
 //! let scenario = ProtocolScenario::builder()
 //!     .label("quick-panel")
@@ -38,18 +36,20 @@
 //!     .unwrap();
 //! let grid = ProtocolSweepGrid::independent_losses([0.01, 0.05]);
 //! let serial = scenario.sweep(&grid);
-//! let parallel = scenario.sweep_par(&grid, 4);
-//! assert_eq!(serial, parallel); // bitwise, at any thread count
+//! let parallel = scenario.coordinate(&grid, &CoordinatorConfig::threads(4)).unwrap();
+//! assert_eq!(serial, parallel.report); // bitwise, on any fleet
 //! assert_eq!(serial.points.len(), 6); // 2 losses × 3 protocols
 //! ```
 
-use crate::executor;
+use crate::coordinator::{self, CoordinatorConfig, CoordinatorError, CoordinatorReport, Sweep};
+use crate::hash::Fnv1a;
+use crate::record::{Dec, Enc};
+use crate::transport::FRAME_INIT_PROTOCOL;
 use mlf_protocols::experiment::{
-    figure8_series, run_point, validate_loss, ExperimentParamError, ExperimentParams, Figure8Point,
-    PointOutcome,
+    run_point, validate_loss, ExperimentParamError, ExperimentParams, PointOutcome,
 };
 use mlf_protocols::ProtocolKind;
-use mlf_sim::Tick;
+use mlf_sim::{RunningStats, Tick};
 
 /// Why a [`ProtocolScenarioBuilder`] or a [`ProtocolSweepGrid`] was
 /// rejected.
@@ -150,7 +150,7 @@ impl ProtocolScenarioBuilder {
 /// The canonical job order is **losses-major, then latency pairs, then
 /// kinds, then seeds** — the Figure 8 presentation order (one loss point
 /// holds all protocols' outcomes), with the Section 5 latency ablation as
-/// the next-outer axis. Both the serial and the parallel executor consume
+/// the next-outer axis. Both the serial and the coordinated sweep consume
 /// this one expansion, so their point order can never diverge.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolSweepGrid {
@@ -261,10 +261,10 @@ impl ProtocolSweepGrid {
 }
 
 /// One expanded grid cell: the pure-function input of
-/// [`ProtocolScenario::solve_job`], and therefore the unit the parallel
-/// executor shards.
+/// [`ProtocolScenario::solve_job`], and therefore the unit the
+/// coordinator shards.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct ProtocolJob {
+pub(crate) struct ProtocolJob {
     kind: ProtocolKind,
     loss: f64,
     latency: (Tick, Tick),
@@ -277,8 +277,8 @@ struct ProtocolJob {
 /// `(kind, loss, seed)` and differ only in their
 /// `join_latency`/`leave_latency` tags.
 ///
-/// Equality is bitwise on every statistic — the serial/parallel
-/// differential compares whole reports with `==`.
+/// Equality compares every statistic as an `f64`; the canonical codec
+/// behind coordinated sweeps and checkpoints stores each by its bits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolSweepPoint {
     /// Which protocol ran.
@@ -329,6 +329,24 @@ impl ProtocolSweepPoint {
     }
 }
 
+impl ProtocolSweepPoint {
+    /// The point's canonical 282-byte encoding: the bytes coordinated
+    /// sweeps ship between processes and store in checkpoints.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        ProtocolScenario::encode_record(self, &mut e);
+        e.done()
+    }
+
+    /// Inverse of [`ProtocolSweepPoint::encode`]. Bytes it never writes
+    /// are an error, so a decoded point re-encodes to exactly its input.
+    pub fn decode(bytes: &[u8]) -> Result<Self, String> {
+        let mut d = Dec(bytes);
+        let point = ProtocolScenario::decode_record(&mut d)?;
+        d.finish().map(|()| point)
+    }
+}
+
 /// The outcome of a protocol sweep: one [`ProtocolSweepPoint`] per grid
 /// cell, in the grid's canonical order.
 #[derive(Debug, Clone, PartialEq)]
@@ -371,13 +389,12 @@ impl ProtocolSweepReport {
 }
 
 /// A declarative protocol experiment: one [`ExperimentParams`] template
-/// plus a label, with serial and parallel sweep entry points over
+/// plus a label, with serial and coordinated sweep entry points over
 /// [`ProtocolSweepGrid`]s.
 ///
 /// The scenario is immutable and `Sync` — unlike the allocator
 /// [`Scenario`](crate::Scenario) it needs no per-worker scratch state, so
-/// parallel workers are stateless and one scenario can serve concurrent
-/// sweeps.
+/// workers are stateless and one scenario can serve concurrent sweeps.
 #[derive(Debug, Clone)]
 pub struct ProtocolScenario {
     label: String,
@@ -401,8 +418,8 @@ impl ProtocolScenario {
     }
 
     /// Solve one grid cell. Pure in `(kind, loss, latency, seed)` — this is
-    /// the function the executor shards, and why parallel sweeps are
-    /// bitwise serial-identical.
+    /// the function coordinator workers run, and why coordinated sweeps
+    /// are bitwise serial-identical.
     fn solve_job(&self, job: &ProtocolJob) -> ProtocolSweepPoint {
         let &ProtocolJob {
             kind,
@@ -417,7 +434,7 @@ impl ProtocolScenario {
             ..self.template
         }
         .with_independent_loss(loss)
-        // mlf-lint: allow(panic-unwrap, reason = "sweep_par validates the whole grid before any job is built, so every grid loss is in range here")
+        // mlf-lint: allow(panic-unwrap, reason = "sweep and coordinate validate the whole grid before any job is built, and worker processes only receive jobs of validated grids, so every grid loss is in range here")
         .expect("grid losses are validated at sweep entry");
         ProtocolSweepPoint {
             kind,
@@ -443,7 +460,7 @@ impl ProtocolScenario {
         independent_loss: f64,
         seed: u64,
     ) -> ProtocolSweepPoint {
-        // mlf-lint: allow(panic-unwrap, reason = "eager loss validation with a panic mirrors the documented sweep()/sweep_par() contract for caller-bug inputs")
+        // mlf-lint: allow(panic-unwrap, reason = "eager loss validation with a panic mirrors the documented sweep() contract for caller-bug inputs")
         validate_loss("independent", independent_loss).unwrap_or_else(|e| panic!("{e}"));
         self.solve_job(&ProtocolJob {
             kind,
@@ -458,57 +475,190 @@ impl ProtocolScenario {
     /// # Panics
     ///
     /// Panics if the grid fails [`ProtocolSweepGrid::validate`] (check it
-    /// first for a typed error).
+    /// first, or use [`ProtocolScenario::coordinate`], for a typed error).
     pub fn sweep(&self, grid: &ProtocolSweepGrid) -> ProtocolSweepReport {
-        self.sweep_par(grid, 1)
-    }
-
-    /// [`ProtocolScenario::sweep`], sharded across `threads` scoped worker
-    /// threads through the shared deterministic executor
-    /// ([`executor::run_jobs_par`]). The result is **bitwise identical** to
-    /// the serial sweep at any thread count; `threads == 0` uses
-    /// `std::thread::available_parallelism`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grid fails [`ProtocolSweepGrid::validate`].
-    pub fn sweep_par(&self, grid: &ProtocolSweepGrid, threads: usize) -> ProtocolSweepReport {
         if let Err(e) = grid.validate() {
             // mlf-lint: allow(panic-unwrap, reason = "documented '# Panics' contract: an invalid grid is a caller bug, and validate() offers the typed alternative")
             panic!("{e}");
         }
-        let jobs = grid.jobs(&self.template);
         ProtocolSweepReport {
             label: self.label.clone(),
-            points: executor::run_jobs_par(&jobs, threads, || (), |(), job| self.solve_job(job)),
+            points: grid
+                .jobs(&self.template)
+                .iter()
+                .map(|job| self.solve_job(job))
+                .collect(),
         }
     }
 
-    /// One full Figure 8 panel — all three protocols across
-    /// `independent_losses` at the template's shared loss — computed through
-    /// the parallel executor and regrouped into the classic
-    /// [`Figure8Point`] shape.
-    ///
-    /// Bitwise identical to the serial
-    /// [`figure8_series`]`(template, independent_losses)` for the same
-    /// template, at any thread count.
-    pub fn figure8(&self, independent_losses: &[f64], threads: usize) -> Vec<Figure8Point> {
-        let grid = ProtocolSweepGrid::independent_losses(independent_losses.iter().copied());
-        let report = self.sweep_par(&grid, threads);
-        report
-            .points
-            .chunks(ProtocolKind::ALL.len())
-            .map(|cell| Figure8Point {
-                independent_loss: cell[0].independent_loss,
-                outcomes: cell.iter().map(|p| p.outcome.clone()).collect(),
-            })
-            .collect()
+    /// [`ProtocolScenario::sweep`] through the coordinator, on any fleet
+    /// and under any fault plan or kill/resume sequence, **bitwise
+    /// identical** to the serial sweep. A grid that fails
+    /// [`ProtocolSweepGrid::validate`] is [`CoordinatorError::ProtocolGrid`].
+    pub fn coordinate(
+        &self,
+        grid: &ProtocolSweepGrid,
+        cfg: &CoordinatorConfig,
+    ) -> Result<CoordinatorReport<ProtocolSweepReport>, CoordinatorError> {
+        grid.validate().map_err(CoordinatorError::ProtocolGrid)?;
+        let (points, _, stats) = coordinator::coordinate(self, grid.jobs(&self.template), cfg)?;
+        Ok(CoordinatorReport {
+            report: ProtocolSweepReport {
+                label: self.label.clone(),
+                points,
+            },
+            stats,
+        })
+    }
+}
+
+/// Inverse of a protocol's wire code, `kind as u8`: its index in
+/// [`ProtocolKind::ALL`].
+fn kind_from_code(code: u8) -> Result<ProtocolKind, String> {
+    let kind = ProtocolKind::ALL.get(usize::from(code)).copied();
+    kind.ok_or_else(|| format!("unknown protocol kind {code}"))
+}
+
+fn f64_at(d: &mut Dec<'_>) -> Result<f64, String> {
+    Ok(f64::from_bits(d.u64()?))
+}
+
+/// Figure-8 points through the coordinator. A 282-byte record holds the
+/// kind, losses, seed, latencies, the outcome's kind and its six
+/// `RunningStats` (count, mean, M2, min, max), every `f64` by its bits.
+/// Only a kind byte can be invalid, so decoding is canonical.
+impl Sweep for ProtocolScenario {
+    type Job = ProtocolJob;
+    type Record = ProtocolSweepPoint;
+    type Worker = ();
+    const INIT_FRAME: u8 = FRAME_INIT_PROTOCOL;
+    const JOB_BYTES: usize = 33;
+    const RECORD_BYTES: usize = 282;
+
+    fn encode_job(job: &ProtocolJob, e: &mut Enc) {
+        e.u8(job.kind as u8);
+        e.u64(job.loss.to_bits());
+        e.u64(job.latency.0);
+        e.u64(job.latency.1);
+        e.u64(job.seed);
     }
 
-    /// The serial reference for [`ProtocolScenario::figure8`] (delegates to
-    /// [`figure8_series`] on the scenario's template).
-    pub fn figure8_serial(&self, independent_losses: &[f64]) -> Vec<Figure8Point> {
-        figure8_series(&self.template, independent_losses)
+    fn decode_job(d: &mut Dec<'_>) -> Result<ProtocolJob, String> {
+        Ok(ProtocolJob {
+            kind: kind_from_code(d.u8()?)?,
+            loss: f64_at(d)?,
+            latency: (d.u64()?, d.u64()?),
+            seed: d.u64()?,
+        })
+    }
+
+    fn encode_record(p: &ProtocolSweepPoint, e: &mut Enc) {
+        e.u8(p.kind as u8);
+        e.u64(p.shared_loss.to_bits());
+        e.u64(p.independent_loss.to_bits());
+        e.u64(p.seed);
+        e.u64(p.join_latency);
+        e.u64(p.leave_latency);
+        let o = &p.outcome;
+        e.u8(o.kind as u8);
+        for stats in [
+            &o.redundancy,
+            &o.mean_level,
+            &o.goodput,
+            &o.observed_loss,
+            &o.receiver_goodput,
+            &o.receiver_mean_level,
+        ] {
+            let (n, mean, m2, min, max) = stats.raw_parts();
+            e.u64(n);
+            for x in [mean, m2, min, max] {
+                e.u64(x.to_bits());
+            }
+        }
+    }
+
+    fn decode_record(d: &mut Dec<'_>) -> Result<ProtocolSweepPoint, String> {
+        let kind = kind_from_code(d.u8()?)?;
+        let (shared_loss, independent_loss) = (f64_at(d)?, f64_at(d)?);
+        let (seed, join_latency, leave_latency) = (d.u64()?, d.u64()?, d.u64()?);
+        let outcome_kind = kind_from_code(d.u8()?)?;
+        let mut stat = || -> Result<RunningStats, String> {
+            let n = d.u64()?;
+            let (mean, m2, min, max) = (f64_at(d)?, f64_at(d)?, f64_at(d)?, f64_at(d)?);
+            Ok(RunningStats::from_raw_parts(n, mean, m2, min, max))
+        };
+        let outcome = PointOutcome {
+            kind: outcome_kind,
+            redundancy: stat()?,
+            mean_level: stat()?,
+            goodput: stat()?,
+            observed_loss: stat()?,
+            receiver_goodput: stat()?,
+            receiver_mean_level: stat()?,
+        };
+        Ok(ProtocolSweepPoint {
+            kind,
+            shared_loss,
+            independent_loss,
+            seed,
+            join_latency,
+            leave_latency,
+            outcome,
+        })
+    }
+
+    fn worker(&self) {}
+
+    fn solve(&self, _: &mut (), job: &ProtocolJob) -> ProtocolSweepPoint {
+        self.solve_job(job)
+    }
+
+    fn identity(&self, h: &mut Fnv1a) {
+        h.write(b"protocol");
+        let mut e = Enc::new();
+        let _ = self.process_spec(&mut e);
+        h.write(&e.done());
+    }
+
+    /// The label and every template field, `f64`s by their bits.
+    fn process_spec(&self, e: &mut Enc) -> Result<(), String> {
+        let t = &self.template;
+        e.str(&self.label);
+        for v in [t.layers as u64, t.receivers as u64] {
+            e.u64(v);
+        }
+        e.u64(t.shared_loss.to_bits());
+        e.u64(t.independent_loss.to_bits());
+        for v in [
+            t.packets,
+            t.trials as u64,
+            t.seed,
+            t.join_latency,
+            t.leave_latency,
+        ] {
+            e.u64(v);
+        }
+        Ok(())
+    }
+
+    fn from_spec(d: &mut Dec<'_>) -> Result<Self, String> {
+        let label = d.str()?;
+        let template = ExperimentParams {
+            layers: d.u64()? as usize,
+            receivers: d.u64()? as usize,
+            shared_loss: f64_at(d)?,
+            independent_loss: f64_at(d)?,
+            packets: d.u64()?,
+            trials: d.u64()? as usize,
+            seed: d.u64()?,
+            join_latency: d.u64()?,
+            leave_latency: d.u64()?,
+        };
+        ProtocolScenario::builder()
+            .label(label)
+            .template(template)
+            .build()
+            .map_err(|e| e.to_string())
     }
 }
 
@@ -609,25 +759,46 @@ mod tests {
         );
     }
 
+    fn threads(s: &ProtocolScenario, grid: &ProtocolSweepGrid, n: usize) -> ProtocolSweepReport {
+        s.coordinate(grid, &CoordinatorConfig::threads(n))
+            .expect("thread sweeps succeed")
+            .report
+    }
+
     #[test]
-    fn parallel_sweep_is_bitwise_identical_to_serial() {
+    fn thread_sweep_is_bitwise_identical_to_serial() {
         let s = tiny_scenario();
         let grid = ProtocolSweepGrid::independent_losses([0.0, 0.03, 0.08]).with_seeds([7, 9]);
         let serial = s.sweep(&grid);
         assert_eq!(serial.points.len(), 3 * 3 * 2);
-        for threads in [0, 2, 3, 8, 64] {
-            assert_eq!(serial, s.sweep_par(&grid, threads), "{threads} threads");
+        for n in [0, 1, 2, 3, 8, 64] {
+            assert_eq!(serial, threads(&s, &grid, n), "{n} threads");
         }
     }
 
     #[test]
-    fn figure8_matches_the_serial_series_bitwise() {
+    fn sweep_regroups_into_the_serial_figure8_series_bitwise() {
         let s = tiny_scenario();
         let losses = [0.0, 0.04, 0.09];
-        let serial = s.figure8_serial(&losses);
-        for threads in [1, 2, 4] {
-            assert_eq!(serial, s.figure8(&losses, threads), "{threads} threads");
+        let serial = mlf_protocols::experiment::figure8_series(s.template(), &losses);
+        let report = s.sweep(&ProtocolSweepGrid::independent_losses(losses));
+        for (cell, want) in report.points.chunks(ProtocolKind::ALL.len()).zip(&serial) {
+            assert_eq!(cell[0].independent_loss, want.independent_loss);
+            let outcomes: Vec<PointOutcome> = cell.iter().map(|p| p.outcome.clone()).collect();
+            assert_eq!(outcomes, want.outcomes);
         }
+    }
+
+    #[test]
+    fn coordinating_an_invalid_grid_is_a_typed_error() {
+        let grid = ProtocolSweepGrid::independent_losses([0.01, 1.5]);
+        let err = tiny_scenario()
+            .coordinate(&grid, &CoordinatorConfig::threads(2))
+            .err();
+        assert_eq!(
+            err,
+            Some(CoordinatorError::ProtocolGrid(grid.validate().unwrap_err()))
+        );
     }
 
     #[test]
@@ -736,8 +907,8 @@ mod tests {
             .with_seeds([5, 6]);
         let serial = s.sweep(&grid);
         assert_eq!(serial.points.len(), 2 * 3 * 3 * 2);
-        for threads in [2, 8, 64] {
-            assert_eq!(serial, s.sweep_par(&grid, threads), "{threads} threads");
+        for n in [2, 8, 64] {
+            assert_eq!(serial, threads(&s, &grid, n), "{n} threads");
         }
     }
 

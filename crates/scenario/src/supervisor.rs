@@ -26,11 +26,13 @@
 //! stays in the coordinator's transport-generic event loop — the
 //! supervisor only reports who is alive and moves bytes.
 
-use crate::coordinator::{Assignment, FaultKind, FaultPlan, ProcessConfig, TaskId, Ticket};
+use crate::coordinator::{
+    Assignment, FaultKind, FaultPlan, ProcessConfig, Sweep, TaskId, Ticket, WorkerReport,
+};
 use crate::record::HEADER_BYTES;
 use crate::transport::{
-    frame_bytes, read_frame, write_frame, Frame, ScenarioSpec, TransportCounters, TransportError,
-    TransportPoll, WorkerInit, WorkerTransport, WORKER_ARG, WORKER_ENV,
+    frame_bytes, read_frame, write_frame, Frame, TransportCounters, TransportError, TransportPoll,
+    WorkerInit, WorkerTransport, WORKER_ARG, WORKER_ENV,
 };
 use std::collections::VecDeque;
 use std::io::Write;
@@ -45,14 +47,14 @@ type Clock = std::time::Instant;
 
 /// One event from a reader thread, tagged with the incarnation that
 /// produced it so events from a replaced child are discarded.
-struct RawEvent {
+struct RawEvent<R> {
     worker: usize,
     generation: u64,
-    kind: RawEventKind,
+    kind: RawEventKind<R>,
 }
 
-enum RawEventKind {
-    Report(Box<crate::coordinator::WorkerReport>),
+enum RawEventKind<R> {
+    Report(Box<WorkerReport<R>>),
     Rejected,
     Down,
 }
@@ -89,12 +91,31 @@ impl ChildSlot {
             outstanding: VecDeque::new(),
         }
     }
+
+    /// Kill, reap, and join the slot's child and reader, if any. Safe to
+    /// join: once the child is reaped its stdout pipe is at EOF, so the
+    /// reader exits (its channel sends never block).
+    fn reap(&mut self) {
+        self.stdin = None;
+        if let Some(mut child) = self.child.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        if let Some(h) = self.reader.take() {
+            let _ = h.join();
+        }
+    }
 }
 
-fn reader_loop(worker: usize, generation: u64, stdout: ChildStdout, tx: Sender<RawEvent>) {
+fn reader_loop<S: Sweep>(
+    worker: usize,
+    generation: u64,
+    stdout: ChildStdout,
+    tx: Sender<RawEvent<S::Record>>,
+) {
     let mut reader = std::io::BufReader::new(stdout);
     loop {
-        let kind = match read_frame(&mut reader) {
+        let kind = match read_frame::<S, _>(&mut reader) {
             Ok(Some(Frame::Report(rep))) => RawEventKind::Report(Box::new(rep)),
             Ok(Some(Frame::Reject { .. })) => RawEventKind::Rejected,
             // EOF, a stream-level error, or an out-of-protocol frame: the
@@ -122,9 +143,10 @@ fn reader_loop(worker: usize, generation: u64, stdout: ChildStdout, tx: Sender<R
 }
 
 /// A supervised fleet of child worker processes.
-pub(crate) struct ProcessTransport {
+pub(crate) struct ProcessTransport<S: Sweep> {
     program: PathBuf,
-    spec: ScenarioSpec,
+    /// The sweep's `Sweep::process_spec` bytes, shipped in every `Init`.
+    spec: Vec<u8>,
     plan: FaultPlan,
     stall: Duration,
     cfg: ProcessConfig,
@@ -132,22 +154,22 @@ pub(crate) struct ProcessTransport {
     /// Slots marked down outside `recv_timeout` (a failed write) whose
     /// death the coordinator has not been told yet.
     lost: VecDeque<usize>,
-    events_tx: Sender<RawEvent>,
-    events_rx: Receiver<RawEvent>,
+    events_tx: Sender<RawEvent<S::Record>>,
+    events_rx: Receiver<RawEvent<S::Record>>,
     counters: TransportCounters,
 }
 
-impl ProcessTransport {
+impl<S: Sweep> ProcessTransport<S> {
     /// Spawn the initial fleet. Failure to spawn *any* initial child is
     /// fatal (the machine cannot exec the worker binary at all); every
     /// later failure is absorbed as a down worker.
     pub(crate) fn launch(
-        spec: ScenarioSpec,
+        spec: Vec<u8>,
         workers: usize,
         cfg: ProcessConfig,
         plan: FaultPlan,
         stall: Duration,
-    ) -> Result<ProcessTransport, TransportError> {
+    ) -> Result<Self, TransportError> {
         let program = match cfg.program.clone() {
             Some(p) => p,
             None => std::env::current_exe().map_err(|e| TransportError::Io {
@@ -201,15 +223,16 @@ impl ProcessTransport {
         slot.generation += 1;
         let generation = slot.generation;
         slot.reader =
-            stdout.map(|out| std::thread::spawn(move || reader_loop(w, generation, out, tx)));
+            stdout.map(|out| std::thread::spawn(move || reader_loop::<S>(w, generation, out, tx)));
         slot.child = Some(child);
         slot.stdin = None;
         slot.busy_until = None;
         slot.outstanding.clear();
-        let init = Frame::Init(WorkerInit {
+        let init = Frame::<S>::Init(WorkerInit {
             worker: w,
             stall: self.stall,
             plan: self.plan.clone(),
+            kind: S::INIT_FRAME,
             spec: self.spec.clone(),
         });
         let mut sin = match stdin {
@@ -231,16 +254,7 @@ impl ProcessTransport {
     /// schedule a respawn with capped backoff or mark the slot exhausted.
     fn mark_down(&mut self, w: usize) {
         let slot = &mut self.slots[w];
-        slot.stdin = None;
-        if let Some(mut child) = slot.child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        // Safe to join: the child is reaped, so its stdout pipe is at EOF
-        // and the reader exits (its channel sends never block).
-        if let Some(h) = slot.reader.take() {
-            let _ = h.join();
-        }
+        slot.reap();
         slot.busy_until = None;
         slot.outstanding.clear();
         if slot.respawns_used >= self.cfg.max_respawns {
@@ -260,16 +274,7 @@ impl ProcessTransport {
 
     /// Kill, reap, and join every remaining child and reader.
     fn reap_all(&mut self) {
-        for slot in &mut self.slots {
-            slot.stdin = None;
-            if let Some(mut child) = slot.child.take() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            if let Some(h) = slot.reader.take() {
-                let _ = h.join();
-            }
-        }
+        self.slots.iter_mut().for_each(ChildSlot::reap);
     }
 
     /// Slot `w`'s child answered `ticket` (a report or a rejection):
@@ -284,7 +289,7 @@ impl ProcessTransport {
     }
 }
 
-impl WorkerTransport for ProcessTransport {
+impl<S: Sweep> WorkerTransport<S> for ProcessTransport<S> {
     fn worker_count(&self) -> usize {
         self.slots.len()
     }
@@ -293,7 +298,7 @@ impl WorkerTransport for ProcessTransport {
         !self.slots[worker].exhausted
     }
 
-    fn try_send(&mut self, worker: usize, assignment: &Assignment) -> bool {
+    fn try_send(&mut self, worker: usize, assignment: &Assignment<S::Job>) -> bool {
         if self.slots[worker].exhausted {
             return false;
         }
@@ -319,7 +324,7 @@ impl WorkerTransport for ProcessTransport {
                 .fires(worker, assignment.shard, assignment.attempt),
             TaskId::Spot(_) => None,
         };
-        let mut bytes = frame_bytes(&Frame::Assign(assignment.clone()));
+        let mut bytes = frame_bytes(&Frame::<S>::Assign(assignment.clone()));
         if matches!(fault, Some(FaultKind::TornFrame)) {
             // Damage one payload byte, length intact: the child's frame
             // checksum fails, it answers Reject, and the stream resyncs
@@ -355,7 +360,7 @@ impl WorkerTransport for ProcessTransport {
         true
     }
 
-    fn recv_timeout(&mut self, wait: Duration) -> TransportPoll {
+    fn recv_timeout(&mut self, wait: Duration) -> TransportPoll<S::Record> {
         let deadline = Clock::now() + wait;
         loop {
             if let Some(w) = self.lost.pop_front() {
@@ -460,7 +465,7 @@ impl WorkerTransport for ProcessTransport {
         // Ask nicely: a Shutdown frame, then EOF on stdin.
         for slot in &mut self.slots {
             if let Some(sin) = slot.stdin.as_mut() {
-                let _ = write_frame(sin, &Frame::Shutdown);
+                let _ = write_frame(sin, &Frame::<S>::Shutdown);
             }
             slot.stdin = None;
         }
@@ -488,7 +493,7 @@ impl WorkerTransport for ProcessTransport {
     }
 }
 
-impl Drop for ProcessTransport {
+impl<S: Sweep> Drop for ProcessTransport<S> {
     fn drop(&mut self) {
         // No zombies on any exit path, including panics: `shutdown` makes
         // this a no-op, every other path still kills, waits, and joins.

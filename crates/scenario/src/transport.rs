@@ -5,23 +5,25 @@
 //! the current binary (see [`maybe_run_process_worker`]) and speak a
 //! versioned binary frame protocol over stdin/stdout.
 //! This module owns that seam: the frame types, the typed
-//! [`TransportError`] taxonomy, the `ScenarioSpec` a scenario ships to
-//! a worker process, the worker-side loop (`run_stdio_worker`), and the
+//! [`TransportError`] taxonomy, the spec a scenario ships to a worker
+//! process, the worker-side loop (`run_stdio_worker`), and the
 //! `WorkerTransport` abstraction the coordinator drives — implemented
 //! by the in-process thread transport in `coordinator` and by the
-//! process supervisor in `supervisor`.
+//! process supervisor in `supervisor`. Frames are generic over the
+//! coordinator's `Sweep`: the `Init` frame's type says which kind of
+//! sweep a worker rebuilds (type 1 a [`Scenario`], type 6 a
+//! [`ProtocolScenario`]), and jobs and records cross the wire in that
+//! sweep's own canonical codec.
 //!
 //! # Frames
 //!
 //! Every frame is one record of the crate's checksummed record codec
 //! (`crate::record`, shared with the checkpoint file): [`MAGIC`],
 //! [`PROTOCOL_VERSION`], a type byte, a header-checksummed length, the
-//! payload, and an FNV-1a checksum over everything before it. Payloads
-//! reuse the canonical 66-byte point encoding
-//! ([`crate::checkpoint::encode_point`]) — a point crosses the process
-//! boundary in exactly the bytes the shard hashes and the checkpoint file
-//! speak, which is what keeps the process transport inside the bitwise
-//! differential.
+//! payload, and an FNV-1a checksum over everything before it. A record
+//! crosses the process boundary in exactly the bytes the shard hashes
+//! and the checkpoint file speak, which is what keeps the process
+//! transport inside the bitwise differential.
 //!
 //! # Error taxonomy and resync
 //!
@@ -37,25 +39,23 @@
 //!
 //! # Determinism
 //!
-//! A worker process computes points with the same pure
-//! `sweep_point_with` the threads use, over a `ScenarioSpec` that
-//! round-trips every solve-relevant knob (scenarios that *cannot* be
-//! shipped faithfully — fixed networks, explicit per-session link-rate
-//! configs, unregistered allocators — are rejected up front with
+//! A worker process computes records with the same pure `solve` the
+//! threads use, over a spec that round-trips every solve-relevant knob
+//! (scenarios that *cannot* be shipped faithfully — fixed networks,
+//! explicit per-session link-rate configs, unregistered allocators — are
+//! rejected up front with
 //! [`CoordinatorError::UnsupportedScenario`](crate::coordinator::CoordinatorError::UnsupportedScenario)
 //! rather than approximated). Fault injection riding the same seeded
 //! [`FaultPlan`] on both sides keeps chaos runs reproducible.
 
 use crate::cache::CacheStats;
-use crate::checkpoint::{decode_point, encode_point, model_code, model_from_code, POINT_BYTES};
 use crate::coordinator::{
-    Assignment, FaultEvent, FaultKind, FaultPlan, Job, TaskId, Ticket, WorkerReport, WorkerState,
+    Assignment, FaultEvent, FaultKind, FaultPlan, Sweep, TaskId, Ticket, WorkerReport, WorkerState,
+    FAULT_KINDS,
 };
 use crate::record::{self, Dec, Enc};
-use crate::{LinkRates, NetworkSource, Scenario};
+use crate::{ProtocolScenario, Scenario};
 use mlf_core::allocator::{Allocator, Hybrid, MultiRate, SingleRate, Unicast, Weighted};
-use mlf_core::LinkRateModel;
-use mlf_net::TopologyFamily;
 use std::io::{Read, Write};
 use std::time::Duration;
 
@@ -69,11 +69,14 @@ pub const MAGIC: [u8; 4] = *b"MLFW";
 // mlf-lint: allow(unused-pub, reason = "documented wire-protocol surface; referenced by ARCHITECTURE.md")
 pub const PROTOCOL_VERSION: u16 = 2;
 
-const FRAME_INIT: u8 = 1;
+/// `Init` frame of a [`Scenario`] sweep.
+pub(crate) const FRAME_INIT: u8 = 1;
 const FRAME_ASSIGN: u8 = 2;
 const FRAME_REPORT: u8 = 3;
 const FRAME_REJECT: u8 = 4;
 const FRAME_SHUTDOWN: u8 = 5;
+/// `Init` frame of a [`ProtocolScenario`] sweep.
+pub(crate) const FRAME_INIT_PROTOCOL: u8 = 6;
 
 /// Environment marker a worker child process is launched with.
 pub(crate) const WORKER_ENV: &str = "MLF_PROCESS_WORKER";
@@ -189,15 +192,14 @@ impl std::error::Error for TransportError {}
 // ---------------------------------------------------------------------------
 
 /// One message of the coordinator ↔ worker-process protocol.
-#[derive(Debug, Clone)]
-pub(crate) enum Frame {
+pub(crate) enum Frame<S: Sweep> {
     /// Coordinator → worker, once per process: who you are and what
-    /// scenario you compute.
+    /// sweep you compute.
     Init(WorkerInit),
     /// Coordinator → worker: compute one shard or spot check.
-    Assign(Assignment),
+    Assign(Assignment<S::Job>),
     /// Worker → coordinator: a computed shard or spot check.
-    Report(WorkerReport),
+    Report(WorkerReport<S::Record>),
     /// Worker → coordinator: the last frame could not be honored (damaged
     /// in flight, or arrived out of protocol); the sender should requeue.
     Reject {
@@ -219,27 +221,10 @@ pub(crate) struct WorkerInit {
     /// The seeded fault schedule (workers self-inject compute-side
     /// faults; the supervisor injects wire-side faults).
     pub(crate) plan: FaultPlan,
-    /// The scenario to rebuild and compute.
-    pub(crate) spec: ScenarioSpec,
-}
-
-/// The shippable identity of a scenario: every knob that can change a
-/// sweep point's bytes, in a form a worker process can rebuild with
-/// [`ScenarioSpec::build_scenario`]. Produced by `Scenario::process_spec`,
-/// which rejects scenarios that cannot be shipped faithfully.
-#[derive(Debug, Clone)]
-pub(crate) struct ScenarioSpec {
-    pub(crate) label: String,
-    pub(crate) family: TopologyFamily,
-    pub(crate) nodes: usize,
-    pub(crate) sessions: usize,
-    pub(crate) max_receivers: usize,
-    /// `None` = [`LinkRates::Efficient`], `Some(m)` = uniform model `m`.
-    pub(crate) link_model: Option<LinkRateModel>,
-    pub(crate) allocator: AllocatorCode,
-    pub(crate) check_properties: bool,
-    pub(crate) cache_points: usize,
-    pub(crate) cache_networks: usize,
+    /// The frame type, which names the kind of sweep (`Sweep::INIT_FRAME`).
+    pub(crate) kind: u8,
+    /// The sweep's `Sweep::process_spec` bytes.
+    pub(crate) spec: Vec<u8>,
 }
 
 /// The registry of allocator configurations the process transport can
@@ -247,146 +232,29 @@ pub(crate) struct ScenarioSpec {
 /// scenario's allocator maps to a code only if a fresh instance of that
 /// registry entry states the identical
 /// [`cache_signature`](Allocator::cache_signature), so a worker process
-/// provably rebuilds the same solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AllocatorCode {
-    MultiRate,
-    SingleRate,
-    HybridDeclared,
-    WeightedUniform,
-    Unicast,
-}
+/// provably rebuilds the same solve. The code is the entry's index.
+pub(crate) const ALLOCATORS: [fn() -> Box<dyn Allocator>; 5] = [
+    || Box::new(MultiRate::new()),
+    || Box::new(SingleRate::new()),
+    || Box::new(Hybrid::as_declared()),
+    || Box::new(Weighted::uniform()),
+    || Box::new(Unicast::new()),
+];
 
-impl AllocatorCode {
-    const ALL: [AllocatorCode; 5] = [
-        AllocatorCode::MultiRate,
-        AllocatorCode::SingleRate,
-        AllocatorCode::HybridDeclared,
-        AllocatorCode::WeightedUniform,
-        AllocatorCode::Unicast,
-    ];
-
-    fn instantiate(self) -> Box<dyn Allocator> {
-        match self {
-            AllocatorCode::MultiRate => Box::new(MultiRate::new()),
-            AllocatorCode::SingleRate => Box::new(SingleRate::new()),
-            AllocatorCode::HybridDeclared => Box::new(Hybrid::as_declared()),
-            AllocatorCode::WeightedUniform => Box::new(Weighted::uniform()),
-            AllocatorCode::Unicast => Box::new(Unicast::new()),
-        }
-    }
-}
-
-fn allocator_code(a: &dyn Allocator) -> Option<AllocatorCode> {
+pub(crate) fn allocator_code(a: &dyn Allocator) -> Option<u8> {
     let sig = a.cache_signature()?;
-    AllocatorCode::ALL
-        .into_iter()
-        .find(|code| code.instantiate().cache_signature().as_deref() == Some(sig.as_str()))
-}
-
-impl ScenarioSpec {
-    /// Rebuild the scenario this spec describes (worker-process side).
-    pub(crate) fn build_scenario(&self) -> Result<Scenario, String> {
-        let builder = Scenario::builder()
-            .label(self.label.clone())
-            .random_networks_with(self.family, self.nodes, self.sessions, self.max_receivers)
-            .link_rates(match self.link_model {
-                None => LinkRates::Efficient,
-                Some(m) => LinkRates::Uniform(m),
-            })
-            .check_properties(self.check_properties)
-            .cache_capacity(self.cache_points, self.cache_networks);
-        let builder = match self.allocator {
-            AllocatorCode::MultiRate => builder.allocator(MultiRate::new()),
-            AllocatorCode::SingleRate => builder.allocator(SingleRate::new()),
-            AllocatorCode::HybridDeclared => builder.allocator(Hybrid::as_declared()),
-            AllocatorCode::WeightedUniform => builder.allocator(Weighted::uniform()),
-            AllocatorCode::Unicast => builder.allocator(Unicast::new()),
-        };
-        builder.build().map_err(|e| e.to_string())
-    }
-}
-
-impl Scenario {
-    /// The `ScenarioSpec` a worker process rebuilds this scenario from,
-    /// or the reason it cannot be shipped. Only scenarios whose every
-    /// solve-relevant knob round-trips are eligible — anything else would
-    /// silently break the bitwise differential, so it is rejected here.
-    /// (Layering and reporting knobs never reach a sweep point's bytes —
-    /// nothing outside the solve key and the scenario digest does — so
-    /// they are not shipped.)
-    pub(crate) fn process_spec(&self) -> Result<ScenarioSpec, String> {
-        let NetworkSource::Random {
-            family,
-            nodes,
-            sessions,
-            max_receivers,
-        } = &self.source
-        else {
-            return Err(
-                "process transport needs a random-network scenario; a fixed network \
-                 cannot be shipped to a worker process"
-                    .to_string(),
-            );
-        };
-        let link_model = match &self.link_rates {
-            LinkRates::Efficient => None,
-            LinkRates::Uniform(m) => Some(*m),
-            LinkRates::Explicit(_) => {
-                return Err(
-                    "explicit per-session link-rate configs cannot be shipped to a \
-                     worker process"
-                        .to_string(),
-                )
-            }
-        };
-        let allocator = allocator_code(self.allocator.as_ref()).ok_or_else(|| {
-            format!(
-                "allocator {:?} is not in the process-transport registry \
-                 (no registry entry states its cache signature)",
-                self.allocator.name()
-            )
-        })?;
-        Ok(ScenarioSpec {
-            label: self.label.clone(),
-            family: *family,
-            nodes: *nodes,
-            sessions: *sessions,
-            max_receivers: *max_receivers,
-            link_model,
-            allocator,
-            check_properties: self.check_properties,
-            cache_points: self.cache_points,
-            cache_networks: self.cache_networks,
-        })
-    }
+    (0..ALLOCATORS.len())
+        .find(|&i| ALLOCATORS[i]().cache_signature().as_deref() == Some(sig.as_str()))
+        .map(|i| i as u8)
 }
 
 // ---------------------------------------------------------------------------
 // Payload codec
 // ---------------------------------------------------------------------------
 
-fn fault_code(kind: FaultKind) -> u8 {
-    match kind {
-        FaultKind::CrashWorker => 0,
-        FaultKind::Stall => 1,
-        FaultKind::CorruptHash => 2,
-        FaultKind::DuplicateShard => 3,
-        FaultKind::KillProcess => 4,
-        FaultKind::TornFrame => 5,
-    }
-}
-
 fn fault_from_code(code: u8) -> Result<FaultKind, String> {
-    match code {
-        0 => Ok(FaultKind::CrashWorker),
-        1 => Ok(FaultKind::Stall),
-        2 => Ok(FaultKind::CorruptHash),
-        3 => Ok(FaultKind::DuplicateShard),
-        4 => Ok(FaultKind::KillProcess),
-        5 => Ok(FaultKind::TornFrame),
-        t => Err(format!("unknown fault kind {t}")),
-    }
+    let kind = FAULT_KINDS.get(usize::from(code)).copied();
+    kind.ok_or_else(|| format!("unknown fault kind {code}"))
 }
 
 fn task_code(task: TaskId) -> (u8, u64) {
@@ -409,54 +277,15 @@ fn encode_init(e: &mut Enc, init: &WorkerInit) {
     e.u64(init.stall.as_nanos() as u64);
     e.u32(init.plan.events().len() as u32);
     for ev in init.plan.events() {
-        e.u8(fault_code(ev.kind));
+        // The wire code is the kind's index in `FAULT_KINDS`.
+        e.u8(ev.kind as u8);
         e.u32(ev.worker as u32);
         e.u64(ev.shard);
     }
-    let spec = &init.spec;
-    e.str(&spec.label);
-    let (ftag, fparam): (u8, u64) = match spec.family {
-        TopologyFamily::FlatTree => (0, 0),
-        TopologyFamily::KaryTree { arity } => (1, arity as u64),
-        TopologyFamily::TransitStub { transit } => (2, transit as u64),
-        TopologyFamily::Dumbbell => (3, 0),
-    };
-    e.u8(ftag);
-    e.u64(fparam);
-    e.u64(spec.nodes as u64);
-    e.u64(spec.sessions as u64);
-    e.u64(spec.max_receivers as u64);
-    let (mtag, mbits) = model_code(spec.link_model);
-    e.u8(mtag);
-    e.u64(mbits);
-    e.u8(fault_code_allocator(spec.allocator));
-    e.u8(u8::from(spec.check_properties));
-    e.u64(spec.cache_points as u64);
-    e.u64(spec.cache_networks as u64);
+    e.bytes(&init.spec);
 }
 
-fn fault_code_allocator(code: AllocatorCode) -> u8 {
-    match code {
-        AllocatorCode::MultiRate => 0,
-        AllocatorCode::SingleRate => 1,
-        AllocatorCode::HybridDeclared => 2,
-        AllocatorCode::WeightedUniform => 3,
-        AllocatorCode::Unicast => 4,
-    }
-}
-
-fn allocator_from_code(code: u8) -> Result<AllocatorCode, String> {
-    match code {
-        0 => Ok(AllocatorCode::MultiRate),
-        1 => Ok(AllocatorCode::SingleRate),
-        2 => Ok(AllocatorCode::HybridDeclared),
-        3 => Ok(AllocatorCode::WeightedUniform),
-        4 => Ok(AllocatorCode::Unicast),
-        t => Err(format!("unknown allocator code {t}")),
-    }
-}
-
-fn decode_init(payload: &[u8]) -> Result<WorkerInit, String> {
+fn decode_init(kind: u8, payload: &[u8]) -> Result<WorkerInit, String> {
     let mut d = Dec(payload);
     let worker = d.u32()? as usize;
     let stall = Duration::from_nanos(d.u64()?);
@@ -473,51 +302,16 @@ fn decode_init(payload: &[u8]) -> Result<WorkerInit, String> {
             shard,
         });
     }
-    let label = d.str()?;
-    let ftag = d.u8()?;
-    let fparam = d.u64()?;
-    let family = match ftag {
-        0 => TopologyFamily::FlatTree,
-        1 => TopologyFamily::KaryTree {
-            arity: fparam as usize,
-        },
-        2 => TopologyFamily::TransitStub {
-            transit: fparam as usize,
-        },
-        3 => TopologyFamily::Dumbbell,
-        t => return Err(format!("unknown family tag {t}")),
-    };
-    let nodes = d.u64()? as usize;
-    let sessions = d.u64()? as usize;
-    let max_receivers = d.u64()? as usize;
-    let mtag = d.u8()?;
-    let mbits = d.u64()?;
-    let link_model = model_from_code(mtag, mbits)?;
-    let allocator = allocator_from_code(d.u8()?)?;
-    let check_properties = d.u8()? != 0;
-    let cache_points = d.u64()? as usize;
-    let cache_networks = d.u64()? as usize;
-    d.finish()?;
     Ok(WorkerInit {
         worker,
         stall,
         plan: FaultPlan::from_events(events),
-        spec: ScenarioSpec {
-            label,
-            family,
-            nodes,
-            sessions,
-            max_receivers,
-            link_model,
-            allocator,
-            check_properties,
-            cache_points,
-            cache_networks,
-        },
+        kind,
+        spec: d.0.to_vec(),
     })
 }
 
-fn encode_assign(e: &mut Enc, a: &Assignment) {
+fn encode_assign<S: Sweep>(e: &mut Enc, a: &Assignment<S::Job>) {
     let (tkind, tindex) = task_code(a.task);
     e.u8(tkind);
     e.u64(tindex);
@@ -525,15 +319,12 @@ fn encode_assign(e: &mut Enc, a: &Assignment) {
     e.u64(a.shard);
     e.u64(a.start);
     e.u32(a.jobs.len() as u32);
-    for &(model, seed) in &a.jobs {
-        let (tag, bits) = model_code(model);
-        e.u8(tag);
-        e.u64(bits);
-        e.u64(seed);
+    for job in &a.jobs {
+        S::encode_job(job, e);
     }
 }
 
-fn decode_assign(payload: &[u8]) -> Result<Assignment, String> {
+fn decode_assign<S: Sweep>(payload: &[u8]) -> Result<Assignment<S::Job>, String> {
     let mut d = Dec(payload);
     let tkind = d.u8()?;
     let tindex = d.u64()?;
@@ -541,15 +332,10 @@ fn decode_assign(payload: &[u8]) -> Result<Assignment, String> {
     let attempt = d.u32()?;
     let shard = d.u64()?;
     let start = d.u64()?;
-    // model tag u8 + model bits u64 + seed u64 per job.
-    let njobs = d.count(17)?;
-    let mut jobs: Vec<Job> = Vec::with_capacity(njobs);
-    for _ in 0..njobs {
-        let tag = d.u8()?;
-        let bits = d.u64()?;
-        let seed = d.u64()?;
-        jobs.push((model_from_code(tag, bits)?, seed));
-    }
+    let njobs = d.count(S::JOB_BYTES)?;
+    let jobs = (0..njobs)
+        .map(|_| S::decode_job(&mut d))
+        .collect::<Result<Vec<_>, _>>()?;
     d.finish()?;
     Ok(Assignment {
         task,
@@ -560,7 +346,7 @@ fn decode_assign(payload: &[u8]) -> Result<Assignment, String> {
     })
 }
 
-fn encode_report(e: &mut Enc, r: &WorkerReport) {
+fn encode_report<S: Sweep>(e: &mut Enc, r: &WorkerReport<S::Record>) {
     e.u32(r.worker as u32);
     let (tkind, tindex) = task_code(r.task);
     e.u8(tkind);
@@ -572,11 +358,11 @@ fn encode_report(e: &mut Enc, r: &WorkerReport) {
     e.u64(r.cache.evictions);
     e.u32(r.points.len() as u32);
     for p in &r.points {
-        e.bytes(&encode_point(p));
+        S::encode_record(p, e);
     }
 }
 
-fn decode_report(payload: &[u8]) -> Result<WorkerReport, String> {
+fn decode_report<S: Sweep>(payload: &[u8]) -> Result<WorkerReport<S::Record>, String> {
     let mut d = Dec(payload);
     let worker = d.u32()? as usize;
     let tkind = d.u8()?;
@@ -589,11 +375,10 @@ fn decode_report(payload: &[u8]) -> Result<WorkerReport, String> {
         misses: d.u64()?,
         evictions: d.u64()?,
     };
-    let npoints = d.count(POINT_BYTES)?;
-    let mut points = Vec::with_capacity(npoints);
-    for _ in 0..npoints {
-        points.push(decode_point(d.take(POINT_BYTES)?)?);
-    }
+    let npoints = d.count(S::RECORD_BYTES)?;
+    let points = (0..npoints)
+        .map(|_| S::decode_record(&mut d))
+        .collect::<Result<Vec<_>, _>>()?;
     d.finish()?;
     Ok(WorkerReport {
         worker,
@@ -610,19 +395,19 @@ fn decode_report(payload: &[u8]) -> Result<WorkerReport, String> {
 // ---------------------------------------------------------------------------
 
 /// Serialize one frame as one record of the codec.
-pub(crate) fn frame_bytes(frame: &Frame) -> Vec<u8> {
+pub(crate) fn frame_bytes<S: Sweep>(frame: &Frame<S>) -> Vec<u8> {
     let mut e = Enc::new();
     let tag = match frame {
         Frame::Init(init) => {
             encode_init(&mut e, init);
-            FRAME_INIT
+            init.kind
         }
         Frame::Assign(a) => {
-            encode_assign(&mut e, a);
+            encode_assign::<S>(&mut e, a);
             FRAME_ASSIGN
         }
         Frame::Report(r) => {
-            encode_report(&mut e, r);
+            encode_report::<S>(&mut e, r);
             FRAME_REPORT
         }
         Frame::Reject { message } => {
@@ -635,7 +420,10 @@ pub(crate) fn frame_bytes(frame: &Frame) -> Vec<u8> {
 }
 
 /// Write one frame and flush it.
-pub(crate) fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), TransportError> {
+pub(crate) fn write_frame<S: Sweep, W: Write>(
+    w: &mut W,
+    frame: &Frame<S>,
+) -> Result<(), TransportError> {
     w.write_all(&frame_bytes(frame))
         .and_then(|_| w.flush())
         .map_err(|e| TransportError::Io {
@@ -650,16 +438,18 @@ pub(crate) fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), Tran
 /// failures consume the whole frame, so a
 /// [resyncable](TransportError::resyncable) error leaves the reader on
 /// the next frame boundary.
-pub(crate) fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, TransportError> {
+pub(crate) fn read_frame<S: Sweep, R: Read>(r: &mut R) -> Result<Option<Frame<S>>, TransportError> {
     let Some(rec) = record::read(r)? else {
         return Ok(None);
     };
     let payload = &rec.payload[..];
     let malformed = |reason: String| TransportError::Malformed { reason };
     let frame = match rec.kind {
-        FRAME_INIT => Frame::Init(decode_init(payload).map_err(malformed)?),
-        FRAME_ASSIGN => Frame::Assign(decode_assign(payload).map_err(malformed)?),
-        FRAME_REPORT => Frame::Report(decode_report(payload).map_err(malformed)?),
+        FRAME_INIT | FRAME_INIT_PROTOCOL => {
+            Frame::Init(decode_init(rec.kind, payload).map_err(malformed)?)
+        }
+        FRAME_ASSIGN => Frame::Assign(decode_assign::<S>(payload).map_err(malformed)?),
+        FRAME_REPORT => Frame::Report(decode_report::<S>(payload).map_err(malformed)?),
         FRAME_REJECT => {
             let mut d = Dec(payload);
             let message = d.str().map_err(malformed)?;
@@ -684,10 +474,9 @@ pub(crate) fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, TransportE
 // ---------------------------------------------------------------------------
 
 /// What one poll of a transport produced.
-#[derive(Debug)]
-pub(crate) enum TransportPoll {
+pub(crate) enum TransportPoll<R> {
     /// A worker delivered a computed task.
-    Report(WorkerReport),
+    Report(WorkerReport<R>),
     /// A worker rejected an assignment unread (damaged frame); requeue it.
     Rejected {
         /// The rejecting worker's slot.
@@ -722,7 +511,7 @@ pub(crate) struct TransportCounters {
 /// process fleet (`supervisor`); the coordinator's event loop is generic
 /// over this trait, which is what makes thread mode and process mode the
 /// *same* scheduling code — and therefore the same merged bytes.
-pub(crate) trait WorkerTransport {
+pub(crate) trait WorkerTransport<S: Sweep> {
     /// Fleet size (slot indices are `0..worker_count()`).
     fn worker_count(&self) -> usize;
     /// Whether a slot can still (eventually) take work. A dead-but-
@@ -731,9 +520,9 @@ pub(crate) trait WorkerTransport {
     /// Try to hand `assignment` to `worker`. `false` means the worker
     /// cannot take it right now (busy respawning, channel gone); the
     /// coordinator will try another worker or wait.
-    fn try_send(&mut self, worker: usize, assignment: &Assignment) -> bool;
+    fn try_send(&mut self, worker: usize, assignment: &Assignment<S::Job>) -> bool;
     /// Wait up to `wait` for the next fleet event.
-    fn recv_timeout(&mut self, wait: Duration) -> TransportPoll;
+    fn recv_timeout(&mut self, wait: Duration) -> TransportPoll<S::Record>;
     /// Begin a clean shutdown (workers told to drain and exit; process
     /// children reaped).
     fn shutdown(&mut self);
@@ -763,9 +552,9 @@ pub fn maybe_run_process_worker() {
     std::process::exit(code);
 }
 
-/// The worker-process loop: read an `Init`, rebuild the scenario, then
-/// serve `Assign` frames until `Shutdown` or EOF. Returns the process
-/// exit code (0 clean, 2 protocol failure, 3 injected crash).
+/// The worker-process loop: read an `Init`, rebuild the sweep it names,
+/// then serve `Assign` frames until `Shutdown` or EOF. Returns the
+/// process exit code (0 clean, 2 protocol failure, 3 injected crash).
 ///
 /// Fault semantics mirror the thread workers: `CrashWorker` and
 /// `KillProcess` exit without replying (the supervisor additionally
@@ -775,56 +564,55 @@ pub fn maybe_run_process_worker() {
 /// twice. `TornFrame` is injected by the *supervisor* (it damages wire
 /// bytes); this side merely rejects the damaged frame and resyncs.
 pub(crate) fn run_stdio_worker<R: Read, W: Write>(input: &mut R, output: &mut W) -> i32 {
-    let init = match read_frame(input) {
+    let init = match read_frame::<Scenario, R>(input) {
         Ok(Some(Frame::Init(init))) => init,
         Ok(None) => return 0,
         Ok(Some(_)) => {
-            let _ = write_frame(
-                output,
-                &Frame::Reject {
-                    message: "expected an Init frame first".to_string(),
-                },
-            );
+            reject(output, "expected an Init frame first".to_string());
             return 2;
         }
         Err(e) => {
-            let _ = write_frame(
-                output,
-                &Frame::Reject {
-                    message: e.to_string(),
-                },
-            );
+            reject(output, e.to_string());
             return 2;
         }
     };
-    let scenario = match init.spec.build_scenario() {
+    match init.kind {
+        FRAME_INIT_PROTOCOL => serve_stdio::<ProtocolScenario, R, W>(&init, input, output),
+        _ => serve_stdio::<Scenario, R, W>(&init, input, output),
+    }
+}
+
+fn reject<W: Write>(output: &mut W, message: String) {
+    let _ = write_frame(output, &Frame::<Scenario>::Reject { message });
+}
+
+fn serve_stdio<S: Sweep, R: Read, W: Write>(
+    init: &WorkerInit,
+    input: &mut R,
+    output: &mut W,
+) -> i32 {
+    let mut d = Dec(&init.spec);
+    let sweep = match S::from_spec(&mut d).and_then(|s| d.finish().map(|()| s)) {
         Ok(s) => s,
         Err(reason) => {
-            let _ = write_frame(output, &Frame::Reject { message: reason });
+            reject(output, reason);
             return 2;
         }
     };
-    let mut worker = WorkerState::new(&scenario);
+    let mut worker = WorkerState::new(&sweep);
     loop {
-        let a = match read_frame(input) {
+        let a = match read_frame::<S, R>(input) {
             Ok(Some(Frame::Assign(a))) => a,
             Ok(Some(Frame::Shutdown)) | Ok(None) => return 0,
             Ok(Some(_)) => {
-                let _ = write_frame(
+                reject(
                     output,
-                    &Frame::Reject {
-                        message: "unexpected frame (worker takes Assign/Shutdown)".to_string(),
-                    },
+                    "unexpected frame (worker takes Assign/Shutdown)".to_string(),
                 );
                 continue;
             }
             Err(e) if e.resyncable() => {
-                let _ = write_frame(
-                    output,
-                    &Frame::Reject {
-                        message: e.to_string(),
-                    },
-                );
+                reject(output, e.to_string());
                 continue;
             }
             Err(_) => return 2,
@@ -833,11 +621,11 @@ pub(crate) fn run_stdio_worker<R: Read, W: Write>(input: &mut R, output: &mut W)
         // supervisor's SIGKILL (for KillProcess) races this clean exit, and
         // either way the coordinator sees a dead worker and requeues.
         let Some((report, duplicate)) =
-            worker.serve(&scenario, init.worker, &a, &init.plan, init.stall)
+            worker.serve(&sweep, init.worker, &a, &init.plan, init.stall)
         else {
             return 3;
         };
-        let report = Frame::Report(report);
+        let report = Frame::<S>::Report(report);
         if duplicate && write_frame(output, &report).is_err() {
             return 2;
         }
@@ -850,23 +638,35 @@ pub(crate) fn run_stdio_worker<R: Read, W: Write>(input: &mut R, output: &mut W)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::shard_content_hash;
+    use crate::checkpoint::{encode_point, shard_content_hash};
+    use crate::point::Job;
     use crate::record::HEADER_BYTES;
-    use crate::{ScenarioMetrics, SweepPoint};
+    use crate::{LinkRates, ScenarioMetrics, SweepPoint};
+    use mlf_core::LinkRateModel;
+    use mlf_net::TopologyFamily;
 
-    fn spec() -> ScenarioSpec {
-        ScenarioSpec {
-            label: "wire".to_string(),
-            family: TopologyFamily::FlatTree,
-            nodes: 12,
-            sessions: 3,
-            max_receivers: 3,
-            link_model: Some(LinkRateModel::Scaled(2.0)),
-            allocator: AllocatorCode::MultiRate,
-            check_properties: true,
-            cache_points: 64,
-            cache_networks: 16,
+    fn scenario() -> Scenario {
+        Scenario::builder()
+            .label("wire")
+            .random_networks(12, 3, 3)
+            .link_rates(LinkRates::Uniform(LinkRateModel::Scaled(2.0)))
+            .allocator(MultiRate::new())
+            .cache_capacity(64, 16)
+            .build()
+            .unwrap()
+    }
+
+    fn read_err(bytes: &mut &[u8]) -> TransportError {
+        match read_frame::<Scenario, _>(bytes) {
+            Err(e) => e,
+            Ok(_) => panic!("expected a read error"),
         }
+    }
+
+    fn spec_of(scenario: &Scenario) -> Vec<u8> {
+        let mut e = Enc::new();
+        scenario.process_spec(&mut e).expect("the scenario ships");
+        e.done()
     }
 
     fn point(seed: u64) -> SweepPoint {
@@ -886,7 +686,7 @@ mod tests {
 
     #[test]
     fn every_frame_type_round_trips() {
-        let frames = vec![
+        let frames: Vec<Frame<Scenario>> = vec![
             Frame::Init(WorkerInit {
                 worker: 3,
                 stall: Duration::from_millis(250),
@@ -902,19 +702,15 @@ mod tests {
                         shard: 2,
                     },
                 ]),
-                spec: spec(),
+                kind: FRAME_INIT,
+                spec: spec_of(&scenario()),
             }),
             Frame::Init(WorkerInit {
                 worker: 0,
                 stall: Duration::ZERO,
                 plan: FaultPlan::none(),
-                spec: ScenarioSpec {
-                    family: TopologyFamily::TransitStub { transit: 3 },
-                    link_model: None,
-                    allocator: AllocatorCode::Unicast,
-                    check_properties: false,
-                    ..spec()
-                },
+                kind: FRAME_INIT_PROTOCOL,
+                spec: vec![1, 2, 3],
             }),
             Frame::Assign(Assignment {
                 task: TaskId::Spot(7),
@@ -946,24 +742,29 @@ mod tests {
         }
         let mut cursor = &wire[..];
         for f in &frames {
-            let got = read_frame(&mut cursor).unwrap().expect("frame present");
+            let got = read_frame::<Scenario, _>(&mut cursor)
+                .unwrap()
+                .expect("frame present");
             // The codec is canonical, so byte equality of re-encodings is
             // full structural equality (and survives NaN metrics).
             assert_eq!(frame_bytes(&got), frame_bytes(f));
         }
-        assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+        assert!(
+            read_frame::<Scenario, _>(&mut cursor).unwrap().is_none(),
+            "clean EOF"
+        );
     }
 
     #[test]
     fn damaged_frames_are_classified() {
-        let good = frame_bytes(&Frame::Reject {
+        let good = frame_bytes(&Frame::<Scenario>::Reject {
             message: "x".to_string(),
         });
 
         let mut flipped = good.clone();
         let idx = HEADER_BYTES + 1;
         flipped[idx] ^= 0x20;
-        let err = read_frame(&mut &flipped[..]).unwrap_err();
+        let err = read_err(&mut &flipped[..]);
         assert!(
             matches!(err, TransportError::ChecksumMismatch { .. }),
             "{err}"
@@ -972,13 +773,13 @@ mod tests {
 
         let mut magic = good.clone();
         magic[0] = b'X';
-        let err = read_frame(&mut &magic[..]).unwrap_err();
+        let err = read_err(&mut &magic[..]);
         assert!(matches!(err, TransportError::BadMagic { .. }), "{err}");
         assert!(!err.resyncable());
 
         let mut skew = good.clone();
         skew[4] = 0xff;
-        let err = read_frame(&mut &skew[..]).unwrap_err();
+        let err = read_err(&mut &skew[..]);
         assert!(
             matches!(
                 err,
@@ -991,9 +792,9 @@ mod tests {
         );
 
         let truncated = &good[..good.len() - 3];
-        let err = read_frame(&mut &truncated[..]).unwrap_err();
+        let err = read_err(&mut &truncated[..]);
         assert!(matches!(err, TransportError::Truncated { .. }), "{err}");
-        let err = read_frame(&mut &good[..5]).unwrap_err();
+        let err = read_err(&mut &good[..5]);
         assert!(
             matches!(
                 err,
@@ -1009,7 +810,7 @@ mod tests {
         // extent is unknown, so the stream cannot resync.
         let mut length = good.clone();
         length[7] ^= 0x01;
-        let err = read_frame(&mut &length[..]).unwrap_err();
+        let err = read_err(&mut &length[..]);
         assert!(matches!(err, TransportError::BadHeader { .. }), "{err}");
         assert!(!err.resyncable());
 
@@ -1017,32 +818,38 @@ mod tests {
         let mut unknown = record::encode(99, &[]);
         unknown.extend_from_slice(&good);
         let mut cursor = &unknown[..];
-        let err = read_frame(&mut cursor).unwrap_err();
+        let err = read_err(&mut cursor);
         assert!(
             matches!(err, TransportError::UnknownFrameType { tag: 99 }),
             "{err}"
         );
         assert!(err.resyncable());
         assert!(
-            matches!(read_frame(&mut cursor).unwrap(), Some(Frame::Reject { .. })),
+            matches!(
+                read_frame::<Scenario, _>(&mut cursor).unwrap(),
+                Some(Frame::Reject { .. })
+            ),
             "reader resynced on the next frame"
         );
     }
 
     #[test]
     fn process_spec_round_trips_every_registered_allocator() {
-        for code in AllocatorCode::ALL {
-            let spec = ScenarioSpec {
-                allocator: code,
-                // Weighted/Unicast regimes reject non-efficient link rates.
-                link_model: None,
-                ..spec()
-            };
-            let scenario = spec.build_scenario().expect("spec builds");
-            let back = scenario.process_spec().expect("spec ships");
-            assert_eq!(back.allocator, code, "allocator registry round trip");
-            assert_eq!(back.nodes, spec.nodes);
-            assert_eq!(back.check_properties, spec.check_properties);
+        for (code, make) in ALLOCATORS.iter().enumerate() {
+            let mut scenario = Scenario::builder()
+                .label("wire")
+                .random_networks_with(TopologyFamily::TransitStub { transit: 3 }, 12, 3, 3)
+                .check_properties(false)
+                .build()
+                .unwrap();
+            // Weighted/Unicast regimes reject non-efficient link rates.
+            scenario.allocator = make();
+            let bytes = spec_of(&scenario);
+            let mut d = Dec(&bytes);
+            let back = Scenario::from_spec(&mut d).expect("spec builds");
+            assert!(d.finish().is_ok());
+            assert_eq!(allocator_code(back.allocator.as_ref()), Some(code as u8));
+            assert_eq!(spec_of(&back), bytes, "registry round trip");
         }
     }
 
@@ -1050,25 +857,25 @@ mod tests {
     fn fixed_networks_are_rejected() {
         let net = mlf_net::topology::random_network(0, 10, 3, 3).unwrap();
         let scenario = Scenario::builder().network(net).build().unwrap();
-        assert!(scenario.process_spec().is_err());
+        assert!(scenario.process_spec(&mut Enc::new()).is_err());
     }
 
     #[test]
     fn stdio_worker_matches_sweep_bitwise() {
-        let spec = spec();
-        let mut scenario = spec.build_scenario().unwrap();
+        let mut scenario = scenario();
         let seeds: Vec<u64> = (0..6).collect();
         let expected = scenario.sweep(seeds.iter().copied());
         let jobs: Vec<Job> = seeds.iter().map(|&s| (None, s)).collect();
 
         let mut input = Vec::new();
-        input.extend(frame_bytes(&Frame::Init(WorkerInit {
+        input.extend(frame_bytes(&Frame::<Scenario>::Init(WorkerInit {
             worker: 0,
             stall: Duration::ZERO,
             plan: FaultPlan::none(),
-            spec: spec.clone(),
+            kind: FRAME_INIT,
+            spec: spec_of(&scenario),
         })));
-        input.extend(frame_bytes(&Frame::Assign(Assignment {
+        input.extend(frame_bytes(&Frame::<Scenario>::Assign(Assignment {
             task: TaskId::Shard(0),
             attempt: 0,
             shard: 0,
@@ -1076,7 +883,7 @@ mod tests {
             jobs: jobs.clone(),
         })));
         // A torn frame mid-stream: the worker must reject and resync.
-        let mut torn = frame_bytes(&Frame::Assign(Assignment {
+        let mut torn = frame_bytes(&Frame::<Scenario>::Assign(Assignment {
             task: TaskId::Shard(1),
             attempt: 0,
             shard: 1,
@@ -1085,14 +892,14 @@ mod tests {
         }));
         torn[HEADER_BYTES] ^= 0x40;
         input.extend(torn);
-        input.extend(frame_bytes(&Frame::Shutdown));
+        input.extend(frame_bytes(&Frame::<Scenario>::Shutdown));
 
         let mut output = Vec::new();
         let code = run_stdio_worker(&mut &input[..], &mut output);
         assert_eq!(code, 0, "clean shutdown");
 
         let mut out = &output[..];
-        let Some(Frame::Report(rep)) = read_frame(&mut out).unwrap() else {
+        let Some(Frame::Report(rep)) = read_frame::<Scenario, _>(&mut out).unwrap() else {
             panic!("expected a report first");
         };
         assert_eq!(rep.worker, 0);
@@ -1106,9 +913,9 @@ mod tests {
         let enc_got: Vec<_> = rep.points.iter().map(encode_point).collect();
         let enc_want: Vec<_> = expected.points.iter().map(encode_point).collect();
         assert_eq!(enc_got, enc_want, "process-side points bitwise equal");
-        let Some(Frame::Reject { .. }) = read_frame(&mut out).unwrap() else {
+        let Some(Frame::Reject { .. }) = read_frame::<Scenario, _>(&mut out).unwrap() else {
             panic!("expected a reject for the torn frame");
         };
-        assert!(read_frame(&mut out).unwrap().is_none());
+        assert!(read_frame::<Scenario, _>(&mut out).unwrap().is_none());
     }
 }

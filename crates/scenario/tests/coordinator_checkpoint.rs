@@ -422,3 +422,54 @@ fn fully_checkpointed_sweep_resumes_without_computing_anything() {
     assert_eq!(out.stats.shards_from_checkpoint, out.stats.shards);
     std::fs::remove_file(&path).ok();
 }
+
+/// Two fixed networks that differ only in one link capacity, under the
+/// same default label, allocator and session count: a checkpoint of one
+/// must never resume as the other.
+#[test]
+fn checkpoint_is_bound_to_its_fixed_network_content() {
+    let fixed = |capacity: f64| {
+        let mut g = mlf_net::Graph::new();
+        let (src, hub) = (g.add_node(), g.add_node());
+        let (a, b) = (g.add_node(), g.add_node());
+        g.add_link(src, hub, 10.0).unwrap();
+        g.add_link(hub, a, capacity).unwrap();
+        g.add_link(hub, b, 6.0).unwrap();
+        let sessions = vec![
+            mlf_net::Session::multi_rate(src, vec![a, b]),
+            mlf_net::Session::unicast(src, b),
+        ];
+        let net = mlf_net::Network::new(g, sessions).unwrap();
+        Scenario::builder()
+            .network(net)
+            .allocator(MultiRate::new())
+            .build()
+            .expect("valid fixed scenario")
+    };
+    let path = tmp("fixed-network");
+    let cfg = CoordinatorConfig {
+        shard_size: 1,
+        ..fast_cfg(&path)
+    };
+    let interrupted = fixed(2.0).coordinate(
+        0..6,
+        &CoordinatorConfig {
+            max_new_shards: Some(2),
+            ..cfg.clone()
+        },
+    );
+    assert!(matches!(
+        interrupted,
+        Err(CoordinatorError::Interrupted { accepted: 2 })
+    ));
+    match fixed(3.0).coordinate(0..6, &cfg) {
+        Err(CoordinatorError::Checkpoint(CheckpointError::HeaderMismatch { field, .. })) => {
+            assert_eq!(field, "sweep");
+        }
+        other => panic!("network B resumed network A's checkpoint: {other:?}"),
+    }
+    // The same network resumes its own checkpoint.
+    let resumed = fixed(2.0).coordinate(0..6, &cfg).expect("resumes");
+    assert_eq!(resumed.stats.shards_from_checkpoint, 2);
+    std::fs::remove_file(&path).ok();
+}

@@ -1,15 +1,18 @@
 //! The coordinator's headline differential: the merged report is bitwise
 //! identical to the serial sweep under no faults, under every seeded
 //! fault plan, under targeted single-fault-class plans, and after losing
-//! every worker. Tests whose names contain `chaos` are the seeded
+//! every worker — for Figure-5 points and, in the headline Figure-8 leg,
+//! for protocol points. Tests whose names contain `chaos` are the seeded
 //! fault-matrix legs CI runs as its own job (`cargo test chaos`).
 
 use mlf_core::allocator::MultiRate;
 use mlf_core::LinkRateModel;
+use mlf_protocols::ExperimentParams;
 use mlf_scenario::checkpoint::encode_point;
 use mlf_scenario::{
-    CacheStats, CoordinatorConfig, CoordinatorReport, CoordinatorStats, FaultEvent, FaultKind,
-    FaultPlan, Scenario, SweepGrid, SweepPoint,
+    CacheStats, CoordinatorConfig, CoordinatorError, CoordinatorReport, CoordinatorStats,
+    FaultEvent, FaultKind, FaultPlan, ProtocolScenario, ProtocolSweepGrid, Scenario, SweepGrid,
+    SweepPoint,
 };
 use std::time::Duration;
 
@@ -115,7 +118,7 @@ fn coordinator_grid_matches_serial_grid_sweep() {
 }
 
 /// An invalid grid model is refused before any worker starts, with the
-/// message `validate_grid` gives.
+/// error `validate_grid` gives.
 #[test]
 fn coordinator_grid_rejects_invalid_link_rate_models() {
     let s = scenario();
@@ -125,9 +128,10 @@ fn coordinator_grid_rejects_invalid_link_rate_models() {
     ] {
         let grid = SweepGrid::seeds(0..4).with_models(vec![model]);
         let err = s.validate_grid(&grid).expect_err("invalid model");
-        let run = std::panic::AssertUnwindSafe(|| s.coordinate_grid(&grid, &fast_cfg()));
-        let panicked = std::panic::catch_unwind(run).expect_err("coordinate_grid panics");
-        assert_eq!(panicked.downcast_ref::<String>(), Some(&err.to_string()));
+        assert_eq!(
+            s.coordinate_grid(&grid, &fast_cfg()).err(),
+            Some(CoordinatorError::Grid(err))
+        );
     }
 }
 
@@ -333,4 +337,63 @@ fn chaos_seed_5_workers_2() {
 #[test]
 fn chaos_seed_6_workers_8() {
     chaos_leg(6, 8);
+}
+
+/// The headline Figure-8 legs on thread fleets: a quick-scale protocol
+/// grid with latency pairs under seeded fault plans at 2 and 8 workers,
+/// then interrupted and resumed from its checkpoint, merges records
+/// byte-equal to the serial sweep.
+#[test]
+fn chaos_figure8_grid_threads_2_and_8_with_resume() {
+    let scenario = ProtocolScenario::builder()
+        .label("coordinator-differential/figure8")
+        .template(ExperimentParams {
+            receivers: 6,
+            packets: 3_000,
+            trials: 2,
+            ..ExperimentParams::quick(0.0001, 0.0).expect("valid losses")
+        })
+        .build()
+        .expect("valid protocol scenario");
+    let grid = ProtocolSweepGrid::independent_losses([0.0, 0.04])
+        .with_latencies([(0, 0), (16, 64)])
+        .with_seeds([1, 2]);
+    let serial = scenario.sweep(&grid);
+    let want: Vec<Vec<u8>> = serial.points.iter().map(|p| p.encode()).collect();
+    let shards = want.len().div_ceil(2) as u64;
+    let dir = std::env::temp_dir().join(format!(
+        "mlf-coordinator-differential-{}-figure8",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    for (fault_seed, workers) in [(1u64, 2usize), (2, 8)] {
+        let path = dir.join(format!("w{workers}.ckpt"));
+        let _ = std::fs::remove_file(&path);
+        let plan = FaultPlan::from_seed(fault_seed, workers, shards);
+        assert!(!plan.is_empty());
+        let cfg = CoordinatorConfig {
+            workers,
+            fault_plan: plan,
+            checkpoint: Some(path.clone()),
+            ..fast_cfg()
+        };
+        let interrupted = scenario.coordinate(
+            &grid,
+            &CoordinatorConfig {
+                max_new_shards: Some(4),
+                ..cfg.clone()
+            },
+        );
+        assert!(matches!(
+            interrupted,
+            Err(CoordinatorError::Interrupted { accepted: 4 })
+        ));
+        let out = scenario
+            .coordinate(&grid, &cfg)
+            .expect("resumed chaos run merges");
+        assert_eq!(out.stats.shards_from_checkpoint, 4, "{:?}", out.stats);
+        let got: Vec<Vec<u8>> = out.report.points.iter().map(|p| p.encode()).collect();
+        assert_eq!(got, want, "{workers} workers: records differ from serial");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,17 +3,21 @@
 //! kill-the-worker-process and torn-frame plans, under the seeded
 //! six-kind process fault matrix at both fleet sizes, and across a
 //! kill-the-coordinator resume loop; a fault-free fleet also reports the
-//! cache counters of a cold serial sweep.
+//! cache counters of a cold serial sweep. The headline Figure-8 leg runs
+//! a protocol grid with latency pairs through the same fleet, faults and
+//! resume loop.
 //!
 //! Built with `harness = false`: child worker processes re-execute this
 //! binary, so `main` must route them into the stdio worker loop before
-//! any test runs.
+//! any test runs. An optional first argument runs only the legs whose
+//! names contain it (`cargo test --test process_chaos -- figure8`).
 
 use mlf_core::allocator::MultiRate;
+use mlf_protocols::ExperimentParams;
 use mlf_scenario::checkpoint::encode_point;
 use mlf_scenario::{
     CacheStats, CoordinatorConfig, CoordinatorError, FaultEvent, FaultKind, FaultPlan,
-    ProcessConfig, Scenario, SweepPoint, TransportKind,
+    ProcessConfig, ProtocolScenario, ProtocolSweepGrid, Scenario, SweepPoint, TransportKind,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -55,9 +59,17 @@ fn main() {
             "killed_coordinator_resumes_process_fleet_to_identical_bytes",
             killed_coordinator_resumes_process_fleet_to_identical_bytes,
         ),
+        (
+            "figure8_process_fleet_survives_faults_and_resumes_to_identical_bytes",
+            figure8_process_fleet_survives_faults_and_resumes_to_identical_bytes,
+        ),
     ];
+    let filter = std::env::args()
+        .skip(1)
+        .find(|a| !a.starts_with('-'))
+        .unwrap_or_default();
     let mut failed = 0usize;
-    for (name, test) in tests {
+    for (name, test) in tests.iter().filter(|(name, _)| name.contains(&filter)) {
         eprintln!("test {name} ...");
         match std::panic::catch_unwind(test) {
             Ok(()) => eprintln!("test {name} ... ok"),
@@ -334,5 +346,54 @@ fn killed_coordinator_resumes_process_fleet_to_identical_bytes() {
         out.stats.shards_from_checkpoint > 0,
         "the final run must resume from disk, not recompute"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The headline leg: a quick-scale Figure-8 grid with latency pairs on a
+/// two-process fleet, under the seeded six-kind fault plan, interrupted
+/// after every few accepted shards and resumed from its checkpoint until
+/// done. Its records are byte-equal to the serial sweep.
+fn figure8_process_fleet_survives_faults_and_resumes_to_identical_bytes() {
+    let scenario = ProtocolScenario::builder()
+        .label("process-chaos/figure8")
+        .template(ExperimentParams {
+            receivers: 6,
+            packets: 3_000,
+            trials: 2,
+            ..ExperimentParams::quick(0.0001, 0.0).expect("valid losses")
+        })
+        .build()
+        .expect("valid protocol scenario");
+    let grid = ProtocolSweepGrid::independent_losses([0.0, 0.04])
+        .with_latencies([(0, 0), (16, 64)])
+        .with_seeds([1, 2]);
+    let serial = scenario.sweep(&grid);
+    let shards = serial.points.len().div_ceil(2) as u64;
+    let dir = tmp_dir("figure8");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let cfg = CoordinatorConfig {
+        checkpoint: Some(dir.join("figure8.ckpt")),
+        max_new_shards: Some(3),
+        fault_plan: FaultPlan::from_seed_process(7, 2, shards),
+        ..process_cfg(2)
+    };
+    assert!(cfg.fault_plan.events().len() >= 2, "{:?}", cfg.fault_plan);
+    let mut kills = 0u32;
+    let out = loop {
+        match scenario.coordinate(&grid, &cfg) {
+            Ok(out) => break out,
+            Err(CoordinatorError::Interrupted { .. }) => {
+                kills += 1;
+                assert!(kills < 100, "resume loop failed to converge");
+            }
+            Err(other) => panic!("unexpected failure mid-resume: {other:?}"),
+        }
+    };
+    assert!(kills >= 2, "the cap must actually interrupt runs");
+    assert!(out.stats.shards_from_checkpoint > 0, "{:?}", out.stats);
+    let got: Vec<Vec<u8>> = out.report.points.iter().map(|p| p.encode()).collect();
+    let want: Vec<Vec<u8>> = serial.points.iter().map(|p| p.encode()).collect();
+    assert_eq!(got, want, "fleet records differ from the serial sweep");
     let _ = std::fs::remove_dir_all(&dir);
 }

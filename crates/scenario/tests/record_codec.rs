@@ -4,20 +4,28 @@
 //! fails; a torn final record recovers to the record before it, damage in
 //! any complete record is `Corrupt`, and a v1 JSON file gets a typed
 //! rejection and is left untouched. (The codec's own reader is fuzzed by
-//! the `record` unit tests.) The 66-byte point decoder is fuzzed on its
-//! own too: it must answer any image with a typed error or a point that
-//! re-encodes to exactly that image.
+//! the `record` unit tests.) The 66-byte point decoder and the 282-byte
+//! Figure-8 point decoder are fuzzed on their own too: each must answer
+//! any image with a typed error or a point that re-encodes to exactly
+//! that image. Figure-8 checkpoints, cut or bit-flipped, resume as torn
+//! or are refused as corrupt.
 
 use mlf_core::allocator::MultiRate;
 use mlf_core::LinkRateModel;
+use mlf_protocols::{ExperimentParams, ProtocolKind};
 use mlf_scenario::checkpoint::{
     decode_point, encode_point, load_checkpoint, shard_content_hash, CheckpointError,
     CheckpointMeta, CheckpointWriter, LoadedCheckpoint, ShardRecord, POINT_BYTES,
 };
-use mlf_scenario::{CoordinatorConfig, CoordinatorError, Scenario, ScenarioMetrics, SweepPoint};
+use mlf_scenario::{
+    CoordinatorConfig, CoordinatorError, CoordinatorReport, ProtocolScenario, ProtocolSweepGrid,
+    ProtocolSweepPoint, ProtocolSweepReport, Scenario, ScenarioMetrics, SweepPoint,
+};
+use mlf_sim::RunningStats;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 static NEXT_FILE: AtomicUsize = AtomicUsize::new(0);
 
@@ -290,4 +298,211 @@ fn v1_json_checkpoint_gets_a_typed_rejection_and_is_never_overwritten() {
     ));
     assert_eq!(std::fs::read(&path).expect("still there"), v1);
     std::fs::remove_file(&path).ok();
+}
+
+// ---------------------------------------------------------------------------
+// The Figure-8 point codec
+// ---------------------------------------------------------------------------
+
+/// Bytes of one encoded protocol point.
+const PROTOCOL_POINT_BYTES: usize = 282;
+
+fn protocol_scenario() -> ProtocolScenario {
+    ProtocolScenario::builder()
+        .label("record-codec/figure8")
+        .template(ExperimentParams {
+            receivers: 4,
+            packets: 1_000,
+            trials: 1,
+            ..ExperimentParams::quick(0.0001, 0.0).expect("valid losses")
+        })
+        .build()
+        .expect("valid protocol scenario")
+}
+
+fn protocol_grid() -> ProtocolSweepGrid {
+    ProtocolSweepGrid::independent_losses([0.0, 0.05]).with_latencies([(0, 0), (3, 9)])
+}
+
+/// A real protocol point, the template the property tests perturb.
+fn real_protocol_point() -> ProtocolSweepPoint {
+    protocol_scenario().run_point(ProtocolKind::Coordinated, 0.05, 9)
+}
+
+/// `ProtocolSweepPoint::decode`'s contract on one input: a typed error,
+/// or a point whose canonical encoding is the input itself.
+fn assert_protocol_decodes_canonically(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(p) = ProtocolSweepPoint::decode(bytes) {
+        prop_assert_eq!(p.encode(), bytes.to_vec());
+    }
+    Ok(())
+}
+
+/// A complete checkpoint of a two-worker thread sweep of the protocol
+/// grid (six two-point shards), and its serial records.
+fn protocol_checkpoint() -> &'static (Vec<u8>, Vec<Vec<u8>>) {
+    static BUILT: OnceLock<(Vec<u8>, Vec<Vec<u8>>)> = OnceLock::new();
+    BUILT.get_or_init(|| {
+        let path = tmp("figure8-build");
+        let cfg = protocol_cfg(&path);
+        let s = protocol_scenario();
+        s.coordinate(&protocol_grid(), &cfg)
+            .expect("checkpointed sweep");
+        let bytes = std::fs::read(&path).expect("checkpoint written");
+        std::fs::remove_file(&path).ok();
+        let serial = s.sweep(&protocol_grid());
+        (bytes, serial.points.iter().map(|p| p.encode()).collect())
+    })
+}
+
+fn protocol_cfg(path: &std::path::Path) -> CoordinatorConfig {
+    CoordinatorConfig {
+        checkpoint: Some(path.to_path_buf()),
+        shard_size: 2,
+        ..CoordinatorConfig::threads(2)
+    }
+}
+
+/// Resume the protocol sweep from `bytes` on disk.
+fn resume_protocol_from(
+    bytes: &[u8],
+) -> Result<CoordinatorReport<ProtocolSweepReport>, CoordinatorError> {
+    let path = tmp("figure8-resume");
+    std::fs::write(&path, bytes).expect("write");
+    let out = protocol_scenario().coordinate(&protocol_grid(), &protocol_cfg(&path));
+    std::fs::remove_file(&path).ok();
+    out
+}
+
+/// Exotic `f64` bit patterns: NaN payloads, −0.0, subnormals, ±∞.
+fn exotic_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        Just(f64::from_bits(0x7ff8_0000_dead_beef)),
+        Just(f64::from_bits(0xfff0_0000_0000_0001)),
+        Just(-0.0),
+        Just(f64::from_bits(1)),
+        Just(f64::MIN_POSITIVE / 3.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+    ]
+}
+
+fn exotic_stats() -> impl Strategy<Value = RunningStats> {
+    (
+        any::<u64>(),
+        exotic_f64(),
+        exotic_f64(),
+        exotic_f64(),
+        exotic_f64(),
+    )
+        .prop_map(|(n, mean, m2, min, max)| RunningStats::from_raw_parts(n, mean, m2, min, max))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary images, of the record's width or not: rejected, or
+    /// decoded to a point that re-encodes to exactly that image.
+    #[test]
+    fn fuzz_protocol_point_random_images(
+        bytes in proptest::collection::vec(any::<u8>(), 0..(PROTOCOL_POINT_BYTES + 8)),
+        width in any::<bool>(),
+    ) {
+        let mut bytes = bytes;
+        if width {
+            bytes.resize(PROTOCOL_POINT_BYTES, 0);
+            // Valid kind bytes, so the image gets past the tags.
+            bytes[0] %= 3;
+            bytes[41] %= 3;
+        }
+        assert_protocol_decodes_canonically(&bytes)?;
+    }
+
+    /// Points with exotic `f64` bits everywhere round-trip bit for bit,
+    /// and every strict prefix or one-bit flip of their image is rejected
+    /// or decodes canonically.
+    #[test]
+    fn fuzz_protocol_point_exotic_bits_round_trip(
+        losses in (exotic_f64(), exotic_f64()),
+        fields in (any::<u64>(), any::<u64>(), any::<u64>(), 0u8..3, 0u8..3),
+        stats in proptest::collection::vec(exotic_stats(), 6),
+        cut in 0usize..PROTOCOL_POINT_BYTES,
+        (at, bit) in (0usize..PROTOCOL_POINT_BYTES, 0u8..8),
+    ) {
+        let mut p = real_protocol_point();
+        (p.shared_loss, p.independent_loss) = losses;
+        (p.seed, p.join_latency, p.leave_latency) = (fields.0, fields.1, fields.2);
+        p.kind = ProtocolKind::ALL[usize::from(fields.3)];
+        p.outcome.kind = ProtocolKind::ALL[usize::from(fields.4)];
+        let o = &mut p.outcome;
+        for (slot, s) in [
+            &mut o.redundancy,
+            &mut o.mean_level,
+            &mut o.goodput,
+            &mut o.observed_loss,
+            &mut o.receiver_goodput,
+            &mut o.receiver_mean_level,
+        ]
+        .into_iter()
+        .zip(stats)
+        {
+            *slot = s;
+        }
+        let bytes = p.encode();
+        prop_assert_eq!(bytes.len(), PROTOCOL_POINT_BYTES);
+        let back = ProtocolSweepPoint::decode(&bytes).expect("an encoding decodes");
+        prop_assert_eq!(back.encode(), bytes.clone());
+        prop_assert!(ProtocolSweepPoint::decode(&bytes[..cut]).is_err());
+        let mut flipped = bytes;
+        flipped[at] ^= 1 << bit;
+        assert_protocol_decodes_canonically(&flipped)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A protocol checkpoint cut anywhere resumes to the serial records:
+    /// a torn final record is dropped and recomputed, every complete
+    /// record is restored.
+    #[test]
+    fn fuzz_truncated_protocol_checkpoints_resume_to_identical_records(cut in any::<usize>()) {
+        let (bytes, want) = protocol_checkpoint();
+        let cut = 1 + cut % bytes.len();
+        let out = resume_protocol_from(&bytes[..cut]).expect("a prefix resumes");
+        let got: Vec<Vec<u8>> = out.report.points.iter().map(|p| p.encode()).collect();
+        prop_assert_eq!(&got, want);
+        prop_assert!(out.stats.shards_from_checkpoint <= 6);
+        if cut == bytes.len() {
+            prop_assert_eq!(out.stats.shards_from_checkpoint, 6);
+        }
+    }
+
+    /// One flipped bit anywhere in a complete protocol checkpoint is
+    /// refused as corrupt before any shard is merged.
+    #[test]
+    fn fuzz_bit_flipped_protocol_checkpoints_are_corrupt(at in any::<usize>(), bit in 0u8..8) {
+        let (bytes, _) = protocol_checkpoint();
+        let mut flipped = bytes.clone();
+        let at = at % flipped.len();
+        flipped[at] ^= 1 << bit;
+        let refused = matches!(
+            resume_protocol_from(&flipped),
+            Err(CoordinatorError::Checkpoint(CheckpointError::Corrupt { .. }))
+        );
+        prop_assert!(refused);
+    }
+}
+
+/// A Figure-5 checkpoint offered to a Figure-8 sweep is refused.
+#[test]
+fn a_point_checkpoint_never_resumes_a_protocol_sweep() {
+    let (bytes, _) = checkpoint_bytes(2);
+    assert!(matches!(
+        resume_protocol_from(&bytes),
+        Err(CoordinatorError::Checkpoint(
+            CheckpointError::HeaderMismatch { .. }
+        ))
+    ));
 }

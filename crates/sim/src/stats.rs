@@ -64,6 +64,22 @@ impl RunningStats {
         self.max = self.max.max(other.max);
     }
 
+    /// Rebuild an accumulator from [`RunningStats::raw_parts`], bit for bit.
+    pub fn from_raw_parts(n: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
+        RunningStats {
+            n,
+            mean,
+            m2,
+            min,
+            max,
+        }
+    }
+
+    /// The full state: count, mean, M2, min and max.
+    pub fn raw_parts(&self) -> (u64, f64, f64, f64, f64) {
+        (self.n, self.mean, self.m2, self.min, self.max)
+    }
+
     /// Build from a slice of observations.
     // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
     pub fn from_slice(xs: &[f64]) -> Self {
@@ -201,6 +217,33 @@ mod tests {
         let mut pooled = whole.clone();
         pooled.merge(&RunningStats::new());
         assert_eq!(pooled, whole);
+    }
+
+    #[test]
+    fn raw_parts_round_trip_bitwise() {
+        let exotic = [
+            f64::from_bits(0x7ff8_dead_beef_0001),
+            -0.0,
+            f64::from_bits(1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for (n, k) in [(0u64, 0usize), (3, 1), (u64::MAX, 2), (7, 4)] {
+            let parts = (n, exotic[k], exotic[(k + 1) % 5], exotic[(k + 2) % 5], 2.5);
+            let (n2, mean, m2, min, max) =
+                RunningStats::from_raw_parts(parts.0, parts.1, parts.2, parts.3, parts.4)
+                    .raw_parts();
+            assert_eq!(n2, parts.0);
+            for (got, want) in [mean, m2, min, max]
+                .iter()
+                .zip([parts.1, parts.2, parts.3, parts.4])
+            {
+                assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
+        let s = RunningStats::from_slice(&[1.0, 2.5, 9.0]);
+        let (n, mean, m2, min, max) = s.raw_parts();
+        assert_eq!(RunningStats::from_raw_parts(n, mean, m2, min, max), s);
     }
 
     #[test]

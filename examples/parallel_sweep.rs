@@ -1,13 +1,14 @@
 //! Parallel sweeps over structurally diverse random topologies.
 //!
-//! This example shows the two PR-2 capabilities together:
+//! This example shows two capabilities together:
 //!
 //! * `TopologyFamily` — the sweep below draws networks from four different
 //!   structural families (flat random trees, balanced k-ary trees,
 //!   transit–stub hierarchies, dumbbell meshes) instead of one tree shape;
-//! * `Scenario::sweep_par` — each family's 48-seed sweep is sharded across
-//!   worker threads, and the merged points are *bitwise identical* to the
-//!   serial `sweep`, which the example asserts before reporting.
+//! * `Scenario::coordinate` with `CoordinatorConfig::threads` — each
+//!   family's 48-seed sweep is sharded across worker threads, and the
+//!   merged points are *bitwise identical* to the serial `sweep`, which
+//!   the example asserts before reporting.
 //!
 //! Run with `cargo run --release --example parallel_sweep`.
 
@@ -46,7 +47,10 @@ fn main() {
         // telemetry is not part of report equality: the serial sweep uses
         // the scenario's persistent cache, parallel workers their own.)
         let serial = scenario.sweep(seeds.clone());
-        let parallel = scenario.sweep_par(seeds.clone(), threads);
+        let parallel = scenario
+            .coordinate(seeds.clone(), &CoordinatorConfig::threads(threads))
+            .expect("thread sweeps succeed")
+            .report;
         assert_eq!(
             serial,
             parallel,
@@ -81,7 +85,7 @@ fn main() {
     }
 
     // Degenerate requests fail loudly at build time instead of silently
-    // running a different experiment (the pre-PR-2 behaviour).
+    // running a different experiment.
     match Scenario::builder().random_networks(1, 0, 3).build() {
         Err(err) => println!("\nDegenerate sweep request is rejected: {err}"),
         Ok(_) => unreachable!("a 1-node 0-session sweep must not build"),

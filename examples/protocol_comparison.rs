@@ -1,6 +1,6 @@
 //! Run the three Section 4 congestion-control protocols on the Figure 7(b)
 //! star and compare their shared-link redundancy — a scaled-down Figure 8
-//! point driven through the `ProtocolScenario` parallel sweep engine, plus
+//! point run as a thread sweep on the `ProtocolScenario` coordinator, plus
 //! the exact two-receiver Markov answer.
 //!
 //! Run with `cargo run --release --example protocol_comparison
@@ -9,7 +9,7 @@
 //! seeds per protocol for tighter confidence intervals.
 
 use mlf_protocols::{markov, ExperimentParams, ProtocolKind};
-use mlf_scenario::{ProtocolScenario, ProtocolSweepGrid};
+use mlf_scenario::{CoordinatorConfig, ProtocolScenario, ProtocolSweepGrid};
 use mlf_sim::RunningStats;
 
 /// Parse the example's two optional `--key value` knobs (threads,
@@ -73,7 +73,10 @@ fn main() {
     // output is bitwise identical to the serial sweep at any thread count.
     let grid = ProtocolSweepGrid::independent_losses([INDEPENDENT_LOSS])
         .with_seeds(template.seed..template.seed + sweep_seeds);
-    let report = scenario.sweep_par(&grid, threads);
+    let report = scenario
+        .coordinate(&grid, &CoordinatorConfig::threads(threads))
+        .expect("thread sweeps succeed")
+        .report;
 
     println!(
         "protocol        redundancy (mean ± 95% CI)   mean level   goodput   observed loss   \

@@ -75,9 +75,10 @@
 //! inputs (topology, configuration, seeds). Concretely:
 //!
 //! * **Bitwise reproducibility.** The same scenario, grid, and seeds
-//!   produce byte-identical output on every run, at any thread count
-//!   (`sweep_par`/`sweep_grid_par`/`run_jobs_par` merge worker shards in
-//!   canonical order), and with the solve cache warm or cold.
+//!   produce byte-identical output on every run, on any worker fleet
+//!   (the sweep coordinator merges shards in canonical order, whether it
+//!   runs plain threads or a fault-injected, checkpointed process fleet),
+//!   and with the solve cache warm or cold.
 //! * **No ambient inputs.** Library code takes seeds, times, and
 //!   configuration as parameters — never from wall clocks
 //!   (`Instant`/`SystemTime`), environment variables, or thread identity.
@@ -156,8 +157,9 @@ pub mod prelude {
     };
     pub use mlf_protocols::{ExperimentParamError, ExperimentParams, ProtocolKind};
     pub use mlf_scenario::{
-        CacheStats, LinkRates, ProtocolScenario, ProtocolSweepGrid, ProtocolSweepPoint,
-        ProtocolSweepReport, Scenario, ScenarioReport, SolveCache, SweepGrid, SweepReport,
+        CacheStats, CoordinatorConfig, LinkRates, ProtocolScenario, ProtocolSweepGrid,
+        ProtocolSweepPoint, ProtocolSweepReport, Scenario, ScenarioReport, SolveCache, SweepGrid,
+        SweepReport,
     };
     pub use mlf_sim::{LossProcess, RunningStats, SimRng};
 }

@@ -321,7 +321,7 @@ fn unicast_matches_reference() {
 /// solves bitwise across every topology family, serial and parallel alike.
 #[test]
 fn warm_cache_sweeps_match_cold_solves_across_families() {
-    use mlf_scenario::{LinkRates, Scenario, SweepGrid};
+    use mlf_scenario::{CoordinatorConfig, LinkRates, Scenario, SweepGrid};
 
     for family in FAMILIES {
         let grid = SweepGrid::seeds(0..6)
@@ -350,10 +350,13 @@ fn warm_cache_sweeps_match_cold_solves_across_families() {
             .unwrap();
         assert_eq!(cold.points, uncached.sweep_grid(&grid).points);
 
-        // The parallel path (worker-local caches) stays bitwise identical
-        // to serial at several thread counts.
+        // Thread sweeps (worker-local caches) stay bitwise identical to
+        // serial at several thread counts.
         for threads in [2usize, 5] {
-            let par = cached.sweep_grid_par(&grid, threads);
+            let par = cached
+                .coordinate_grid(&grid, &CoordinatorConfig::threads(threads))
+                .expect("thread sweep")
+                .report;
             assert_eq!(cold, par, "{} at {threads} threads", family.label());
         }
     }

@@ -1,6 +1,7 @@
-//! Differential test for the parallel sweep executor: `Scenario::sweep_par`
-//! and `Scenario::sweep_grid_par` must be **bitwise identical** to the
-//! serial `sweep`/`sweep_grid` for the same seeds, at any thread count.
+//! Differential test for thread sweeps: `Scenario::coordinate` and
+//! `Scenario::coordinate_grid` on `CoordinatorConfig::threads(n)` must be
+//! **bitwise identical** to the serial `sweep`/`sweep_grid` for the same
+//! seeds, at any thread count.
 //!
 //! The per-thread-count tests are named so CI can pin the 2- and 8-thread
 //! configurations explicitly:
@@ -33,11 +34,15 @@ fn scenarios() -> Vec<Scenario> {
 }
 
 fn assert_identical_at(threads: usize) {
+    let cfg = CoordinatorConfig::threads(threads);
     for mut scenario in scenarios() {
         let label = scenario.label().to_string();
         let serial = scenario.sweep(0..32);
-        let parallel = scenario.sweep_par(0..32, threads);
-        assert_eq!(serial, parallel, "{label}: sweep_par({threads}) diverged");
+        let parallel = scenario.coordinate(0..32, &cfg).expect("thread sweep");
+        assert_eq!(
+            serial, parallel.report,
+            "{label}: coordinate on {threads} threads diverged"
+        );
 
         let grid = SweepGrid::seeds(0..8).with_models([
             LinkRateModel::Efficient,
@@ -45,10 +50,10 @@ fn assert_identical_at(threads: usize) {
             LinkRateModel::RandomJoin { sigma: 4.0 },
         ]);
         let serial_grid = scenario.sweep_grid(&grid);
-        let parallel_grid = scenario.sweep_grid_par(&grid, threads);
+        let parallel_grid = scenario.coordinate_grid(&grid, &cfg).expect("thread sweep");
         assert_eq!(
-            serial_grid, parallel_grid,
-            "{label}: sweep_grid_par({threads}) diverged"
+            serial_grid, parallel_grid.report,
+            "{label}: coordinate_grid on {threads} threads diverged"
         );
     }
 }
@@ -70,14 +75,14 @@ fn parallel_sweep_matches_serial_on_eight_threads() {
 
 #[test]
 fn parallel_sweep_matches_serial_with_more_threads_than_seeds() {
-    // Thread counts beyond the job count collapse to one job per worker;
-    // the merge contract must still hold.
+    // Thread counts beyond the shard count collapse to one worker per
+    // shard; the merge contract must still hold.
     assert_identical_at(64);
 }
 
 #[test]
 fn fixed_network_sweeps_also_shard_cleanly() {
-    // Fixed sources ignore seeds, but the executor path is shared; a
+    // Fixed sources ignore seeds, but the sweep path is shared; a
     // layered scenario exercises the report-side state too.
     let example = mlf_net::paper::figure2();
     let mut scenario = Scenario::builder()
@@ -89,6 +94,7 @@ fn fixed_network_sweeps_also_shard_cleanly() {
         .unwrap();
     let serial = scenario.sweep(0..16);
     for threads in [2, 8] {
-        assert_eq!(serial, scenario.sweep_par(0..16, threads));
+        let parallel = scenario.coordinate(0..16, &CoordinatorConfig::threads(threads));
+        assert_eq!(serial, parallel.expect("thread sweep").report);
     }
 }

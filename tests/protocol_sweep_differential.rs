@@ -1,6 +1,7 @@
-//! Differential test for the protocol sweep engine:
-//! `ProtocolScenario::sweep_par` must be **bitwise identical** to the
-//! serial `sweep` for the same grid, at any thread count, across all
+//! Differential test for protocol thread sweeps:
+//! `ProtocolScenario::coordinate` on `CoordinatorConfig::threads(n)` must
+//! be **bitwise identical** to the serial `sweep` for the same grid, at
+//! any thread count, across all
 //! `ProtocolKind`s and a loss grid — the same contract the allocator
 //! sweeps prove in `parallel_sweep_differential.rs`, now for the Figure 8
 //! path.
@@ -9,6 +10,7 @@
 //! configurations explicitly:
 //! `cargo test --test protocol_sweep_differential -- two_threads eight_threads`.
 
+use mlf_protocols::experiment::{figure8_series, Figure8Point};
 use multicast_fairness::prelude::*;
 
 /// A scaled-down star (8 receivers, 4k packets, 2 trials) so the full
@@ -35,16 +37,22 @@ fn grid() -> ProtocolSweepGrid {
     ProtocolSweepGrid::independent_losses([0.0, 0.02, 0.05, 0.09]).with_seeds([11, 12])
 }
 
-fn assert_identical_at(threads: usize) {
+fn threads(s: &ProtocolScenario, g: &ProtocolSweepGrid, n: usize) -> ProtocolSweepReport {
+    s.coordinate(g, &CoordinatorConfig::threads(n))
+        .expect("thread sweep")
+        .report
+}
+
+fn assert_identical_at(n: usize) {
     let s = scenario();
     let g = grid();
     assert_eq!(g.kinds, ProtocolKind::ALL.to_vec());
     let serial = s.sweep(&g);
     assert_eq!(serial.points.len(), 3 * 4 * 2);
-    let parallel = s.sweep_par(&g, threads);
     assert_eq!(
-        serial, parallel,
-        "protocol sweep_par({threads}) diverged from serial"
+        serial,
+        threads(&s, &g, n),
+        "protocol sweep on {n} threads diverged from serial"
     );
     // Every protocol kind must actually be exercised by the grid.
     for kind in ProtocolKind::ALL {
@@ -69,8 +77,8 @@ fn protocol_sweep_matches_serial_on_eight_threads() {
 
 #[test]
 fn protocol_sweep_matches_serial_with_more_threads_than_jobs() {
-    // Thread counts beyond the job count collapse to one job per worker;
-    // the merge contract must still hold.
+    // Thread counts beyond the shard count collapse to one worker per
+    // shard; the merge contract must still hold.
     assert_identical_at(64);
 }
 
@@ -85,11 +93,11 @@ fn latency_axis_sweep_matches_serial_at_any_thread_count() {
         .with_seeds([11, 12]);
     let serial = s.sweep(&g);
     assert_eq!(serial.points.len(), 3 * 2 * 3 * 2);
-    for threads in [2, 8, 64] {
-        let parallel = s.sweep_par(&g, threads);
+    for n in [2, 8, 64] {
         assert_eq!(
-            serial, parallel,
-            "latency-axis sweep_par({threads}) diverged from serial"
+            serial,
+            threads(&s, &g, n),
+            "latency-axis sweep on {n} threads diverged from serial"
         );
     }
     for &(join, leave) in &[(0u64, 0u64), (4, 25), (13, 0)] {
@@ -124,17 +132,24 @@ fn per_receiver_distributions_ride_the_sweep_points() {
 
 #[test]
 fn figure8_through_the_executor_matches_the_serial_series() {
-    // The regrouped Figure 8 panel must reproduce the classic serial
-    // `figure8_series` output bit for bit at any thread count.
+    // A Figure 8 grid, regrouped one loss point per chunk of protocols,
+    // must reproduce the classic serial `figure8_series` output bit for
+    // bit, serially and at any thread count.
     let s = scenario();
     let losses = [0.0, 0.03, 0.07];
-    let serial = s.figure8_serial(&losses);
-    for threads in [2, 8] {
-        assert_eq!(
-            serial,
-            s.figure8(&losses, threads),
-            "figure8({threads}) diverged from figure8_series"
-        );
+    let series = figure8_series(s.template(), &losses);
+    let g = ProtocolSweepGrid::independent_losses(losses);
+    let serial = s.sweep(&g);
+    for report in [&serial, &threads(&s, &g, 2), &threads(&s, &g, 8)] {
+        let regrouped: Vec<Figure8Point> = report
+            .points
+            .chunks(ProtocolKind::ALL.len())
+            .map(|cell| Figure8Point {
+                independent_loss: cell[0].independent_loss,
+                outcomes: cell.iter().map(|p| p.outcome.clone()).collect(),
+            })
+            .collect();
+        assert_eq!(regrouped, series, "sweep diverged from figure8_series");
     }
 }
 
