@@ -350,9 +350,10 @@ fn killed_coordinator_resumes_process_fleet_to_identical_bytes() {
 }
 
 /// The headline leg: a quick-scale Figure-8 grid with latency pairs on a
-/// two-process fleet, under the seeded six-kind fault plan, interrupted
-/// after every few accepted shards and resumed from its checkpoint until
-/// done. Its records are byte-equal to the serial sweep.
+/// two-process fleet, under a seeded process fault plan that arms all six
+/// fault kinds, interrupted after every few accepted shards and resumed
+/// from its checkpoint until done. Its records are byte-equal to the
+/// serial sweep.
 fn figure8_process_fleet_survives_faults_and_resumes_to_identical_bytes() {
     let scenario = ProtocolScenario::builder()
         .label("process-chaos/figure8")
@@ -369,16 +370,33 @@ fn figure8_process_fleet_survives_faults_and_resumes_to_identical_bytes() {
         .with_seeds([1, 2]);
     let serial = scenario.sweep(&grid);
     let shards = serial.points.len().div_ceil(2) as u64;
+    assert_eq!(shards, 12);
     let dir = tmp_dir("figure8");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
+    // The first seeded plan that arms all six fault kinds.
+    let all_kinds = [
+        FaultKind::CrashWorker,
+        FaultKind::Stall,
+        FaultKind::CorruptHash,
+        FaultKind::DuplicateShard,
+        FaultKind::KillProcess,
+        FaultKind::TornFrame,
+    ];
+    let plan = (0..)
+        .map(|seed| FaultPlan::from_seed_process(seed, 2, shards))
+        .find(|p| {
+            all_kinds
+                .iter()
+                .all(|k| p.events().iter().any(|e| e.kind == *k))
+        })
+        .expect("some seed arms every kind");
     let cfg = CoordinatorConfig {
         checkpoint: Some(dir.join("figure8.ckpt")),
         max_new_shards: Some(3),
-        fault_plan: FaultPlan::from_seed_process(7, 2, shards),
+        fault_plan: plan,
         ..process_cfg(2)
     };
-    assert!(cfg.fault_plan.events().len() >= 2, "{:?}", cfg.fault_plan);
     let mut kills = 0u32;
     let out = loop {
         match scenario.coordinate(&grid, &cfg) {
