@@ -152,8 +152,10 @@ fn emit_artifact(scenario: &Scenario) -> Duration {
 fn thread_sweep(scenario: &Scenario, seeds: u64, threads: usize) -> usize {
     scenario
         .coordinate(0..seeds, &CoordinatorConfig::threads(threads))
-        .map(|out| out.report.points.len())
-        .unwrap_or(0)
+        .expect("thread sweeps succeed")
+        .report
+        .points
+        .len()
 }
 
 fn report_overhead(scenario: &mut Scenario, coordinated: Duration) {

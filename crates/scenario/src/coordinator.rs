@@ -367,11 +367,12 @@ pub struct CoordinatorConfig {
 
 impl CoordinatorConfig {
     /// A plain thread sweep: `workers` threads (`0` = available
-    /// parallelism), no spot checks, and no shard deadline, so a slow
-    /// solve is never retried.
+    /// parallelism), one job per shard (so every worker gets work and
+    /// uneven jobs balance), no spot checks, and no shard deadline.
     pub fn threads(workers: usize) -> Self {
         CoordinatorConfig {
             workers,
+            shard_size: 1,
             spot_check: 0,
             shard_timeout: Duration::MAX,
             ..CoordinatorConfig::default()
@@ -487,6 +488,8 @@ impl From<TransportError> for CoordinatorError {
 pub struct CoordinatorStats {
     /// Total shards in the sweep.
     pub shards: u64,
+    /// Workers launched: never more than the shards.
+    pub workers: u64,
     /// Shards restored from the checkpoint instead of recomputed.
     pub shards_from_checkpoint: u64,
     /// Shard reassignments (timeouts, hash rejects, spot mismatches).
@@ -931,15 +934,7 @@ impl<'a, S: Sweep + 'static> Run<'a, S> {
                         return Err(CheckpointError::Corrupt {
                             // Record 1 is the header.
                             record: k + 2,
-                            reason: format!(
-                                "shard {} geometry disagrees with the sweep \
-                                 (start {} len {}, expected start {} len {})",
-                                rec.shard,
-                                rec.start,
-                                rec.points.len(),
-                                spec.start,
-                                spec.jobs.len()
-                            ),
+                            reason: format!("shard {} has the wrong geometry", rec.shard),
                         }
                         .into());
                     }
@@ -1056,9 +1051,7 @@ impl<'a, S: Sweep + 'static> Run<'a, S> {
     /// Remove `ticket` from `worker`'s in-flight queue, if it is there.
     fn retire(&mut self, worker: usize, ticket: Ticket) {
         if let Some(queue) = self.current.get_mut(worker) {
-            if let Some(k) = queue.iter().position(|&t| t == ticket) {
-                queue.remove(k);
-            }
+            queue.retain(|&t| t != ticket);
         }
     }
 
@@ -1094,16 +1087,17 @@ impl<'a, S: Sweep + 'static> Run<'a, S> {
     /// worker, spot checks of held shards to any worker but the one that
     /// computed them. A held shard with no second worker left is accepted
     /// on its verified content hash alone. Returns whether anything was
-    /// sent.
+    /// sent. Once no worker has room, queued shards are skipped unsent.
     fn dispatch<T: WorkerTransport<S>>(
         &mut self,
         transport: &mut T,
     ) -> Result<bool, CoordinatorError> {
         let mut sent = false;
+        let mut full = false;
+        let now = Deadline::now();
         for i in 0..self.state.len() {
-            let now = Deadline::now();
             let (task, attempt, exclude) = match &self.state[i] {
-                ShardState::Queued { ready_at } if ready_at.map_or(true, |t| t <= now) => {
+                ShardState::Queued { ready_at } if !full && ready_at.map_or(true, |t| t <= now) => {
                     (TaskId::Shard(i as u64), self.attempts[i], None)
                 }
                 ShardState::Held { audit, ready_at } if ready_at.map_or(true, |t| t <= now) => {
@@ -1148,6 +1142,8 @@ impl<'a, S: Sweep + 'static> Run<'a, S> {
                     ShardState::Held { audit, .. } => ShardState::SpotRunning { audit, deadline },
                     _ => ShardState::Running { deadline },
                 };
+            } else if exclude.is_none() {
+                full = true;
             }
         }
         Ok(sent)
@@ -1375,14 +1371,11 @@ impl<'a, S: Sweep + 'static> Run<'a, S> {
                     .map(|job| self.sweep.solve(&mut worker, job))
                     .collect(),
             };
-            if let Err(e) = self.accept(i, points) {
-                outcome = Err(e);
-                break;
-            }
-            if self.interrupted() {
-                outcome = Err(CoordinatorError::Interrupted {
+            let accepted = self.accept(i, points);
+            if accepted.is_err() || self.interrupted() {
+                outcome = accepted.and(Err(CoordinatorError::Interrupted {
                     accepted: self.accepted_new,
-                });
+                }));
                 break;
             }
         }
@@ -1401,6 +1394,7 @@ impl<'a, S: Sweep + 'static> Run<'a, S> {
             cfg.workers
         }
         .min(self.shards.len());
+        self.stats.workers = workers as u64;
         let plan = &cfg.fault_plan;
         // Stalls must overshoot the deadline, or they would be ordinary
         // slow deliveries rather than timeouts.
@@ -1801,16 +1795,18 @@ mod tests {
             .expect("thread sweeps succeed");
         assert_eq!((stats.retries, stats.timeouts), (0, 0), "{stats:?}");
         assert!(!stats.serial_fallback);
+        let equipped = sweep.workers.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(stats.workers as usize, equipped);
         records
     }
 
     #[test]
-    fn thread_sweeps_run_at_most_one_worker_per_shard() {
-        for (jobs, shards) in [(0..5, 1), (0..12, 2), (20..44, 3)] {
+    fn thread_sweeps_run_every_requested_worker_up_to_one_per_job() {
+        for (jobs, workers) in [(0..5, 5), (0..12, 8), (20..44, 8)] {
             let sweep = Squares::default();
             let want: Vec<u64> = jobs.clone().map(|j| j * j).collect();
             assert_eq!(squares(&sweep, jobs, 8), want);
-            assert_eq!(sweep.workers.into_inner(), shards);
+            assert_eq!(sweep.workers.into_inner(), workers);
         }
         let empty = Squares::default();
         assert!(squares(&empty, 0..0, 4).is_empty());

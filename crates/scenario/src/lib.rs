@@ -1277,13 +1277,21 @@ mod tests {
                 .unwrap();
             let serial = s.sweep(0..12);
             // 0 delegates to available_parallelism.
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
             for n in [0, 1, 2, 3, 5, 8, 64] {
-                let parallel = s.coordinate(0..12, &threads(n)).unwrap().report;
-                assert_eq!(serial, parallel, "{} at {n} threads", family.label());
+                let parallel = s.coordinate(0..12, &threads(n)).unwrap();
+                assert_eq!(serial, parallel.report, "{} at {n} threads", family.label());
+                // Every requested worker runs, up to one per job.
+                let workers = if n == 0 { cores } else { n };
+                assert_eq!(
+                    parallel.stats.workers,
+                    workers.min(12) as u64,
+                    "{n} threads"
+                );
             }
             let empty = s.coordinate(0..0, &threads(4)).unwrap();
             assert!(empty.report.points.is_empty());
-            assert_eq!(empty.stats.shards, 0);
+            assert_eq!((empty.stats.shards, empty.stats.workers), (0, 0));
         }
     }
 

@@ -182,7 +182,8 @@ impl Sweep for Scenario {
     }
 
     /// Label, allocator identity, audit switch, network source (a fixed
-    /// network by its content: every link, every session) and link rates.
+    /// network by its content: every link, every session, every route)
+    /// and link rates.
     fn identity(&self, h: &mut Fnv1a) {
         h.write(self.label.as_bytes());
         h.write(self.allocator.name().as_bytes());
@@ -209,6 +210,14 @@ impl Sweep for Scenario {
                     }
                     h.write_u64(u64::from(s.kind.is_single_rate()));
                     h.write_u64(s.max_rate.to_bits());
+                }
+                // Routes too: `Network::with_routes` may pick other paths.
+                for r in net.receivers() {
+                    let route = net.route(r);
+                    h.write_u64(route.len() as u64);
+                    for link in route {
+                        h.write_u64(link.0 as u64);
+                    }
                 }
             }
             NetworkSource::Random {

@@ -665,6 +665,7 @@ impl Sweep for ProtocolScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlf_protocols::experiment::Figure8Point;
 
     fn tiny_scenario() -> ProtocolScenario {
         ProtocolScenario::builder()
@@ -759,10 +760,19 @@ mod tests {
         );
     }
 
+    /// The grid on an `n`-thread fleet (`0` = available parallelism),
+    /// which must run every requested worker, up to one per job.
     fn threads(s: &ProtocolScenario, grid: &ProtocolSweepGrid, n: usize) -> ProtocolSweepReport {
-        s.coordinate(grid, &CoordinatorConfig::threads(n))
-            .expect("thread sweeps succeed")
-            .report
+        let run = s
+            .coordinate(grid, &CoordinatorConfig::threads(n))
+            .expect("thread sweeps succeed");
+        let n = if n == 0 {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            n
+        };
+        assert_eq!(run.stats.workers, n.min(run.report.points.len()) as u64);
+        run.report
     }
 
     #[test]
@@ -782,11 +792,15 @@ mod tests {
         let losses = [0.0, 0.04, 0.09];
         let serial = mlf_protocols::experiment::figure8_series(s.template(), &losses);
         let report = s.sweep(&ProtocolSweepGrid::independent_losses(losses));
-        for (cell, want) in report.points.chunks(ProtocolKind::ALL.len()).zip(&serial) {
-            assert_eq!(cell[0].independent_loss, want.independent_loss);
-            let outcomes: Vec<PointOutcome> = cell.iter().map(|p| p.outcome.clone()).collect();
-            assert_eq!(outcomes, want.outcomes);
-        }
+        let regrouped: Vec<Figure8Point> = report
+            .points
+            .chunks(ProtocolKind::ALL.len())
+            .map(|cell| Figure8Point {
+                independent_loss: cell[0].independent_loss,
+                outcomes: cell.iter().map(|p| p.outcome.clone()).collect(),
+            })
+            .collect();
+        assert_eq!(regrouped, serial);
     }
 
     #[test]

@@ -428,6 +428,13 @@ fn fully_checkpointed_sweep_resumes_without_computing_anything() {
 /// must never resume as the other.
 #[test]
 fn checkpoint_is_bound_to_its_fixed_network_content() {
+    let scenario = |net: mlf_net::Network| {
+        Scenario::builder()
+            .network(net)
+            .allocator(MultiRate::new())
+            .build()
+            .expect("valid fixed scenario")
+    };
     let fixed = |capacity: f64| {
         let mut g = mlf_net::Graph::new();
         let (src, hub) = (g.add_node(), g.add_node());
@@ -439,37 +446,61 @@ fn checkpoint_is_bound_to_its_fixed_network_content() {
             mlf_net::Session::multi_rate(src, vec![a, b]),
             mlf_net::Session::unicast(src, b),
         ];
-        let net = mlf_net::Network::new(g, sessions).unwrap();
-        Scenario::builder()
-            .network(net)
-            .allocator(MultiRate::new())
-            .build()
-            .expect("valid fixed scenario")
+        scenario(mlf_net::Network::new(g, sessions).unwrap())
     };
-    let path = tmp("fixed-network");
-    let cfg = CoordinatorConfig {
-        shard_size: 1,
-        ..fast_cfg(&path)
+    // One graph and one session on a triangle; receiver `a` is routed
+    // either over the direct link or the long way round through `b`.
+    let routed = |long_way: bool| {
+        let mut g = mlf_net::Graph::new();
+        let (src, a, b) = (g.add_node(), g.add_node(), g.add_node());
+        let direct = g.add_link(src, a, 4.0).unwrap();
+        let to_b = g.add_link(src, b, 5.0).unwrap();
+        let b_to_a = g.add_link(b, a, 3.0).unwrap();
+        let to_a = if long_way {
+            vec![to_b, b_to_a]
+        } else {
+            vec![direct]
+        };
+        let sessions = vec![mlf_net::Session::multi_rate(src, vec![a, b])];
+        let routes = vec![vec![to_a, vec![to_b]]];
+        scenario(mlf_net::Network::with_routes(g, sessions, routes).unwrap())
     };
-    let interrupted = fixed(2.0).coordinate(
-        0..6,
-        &CoordinatorConfig {
-            max_new_shards: Some(2),
-            ..cfg.clone()
-        },
+    assert_ne!(
+        routed(false).sweep(0..1),
+        routed(true).sweep(0..1),
+        "the two routings must solve differently"
     );
-    assert!(matches!(
-        interrupted,
-        Err(CoordinatorError::Interrupted { accepted: 2 })
-    ));
-    match fixed(3.0).coordinate(0..6, &cfg) {
-        Err(CoordinatorError::Checkpoint(CheckpointError::HeaderMismatch { field, .. })) => {
-            assert_eq!(field, "sweep");
+    for (label, a, b) in [
+        ("capacity", fixed(2.0), fixed(3.0)),
+        ("route", routed(false), routed(true)),
+    ] {
+        let path = tmp(&format!("fixed-network-{label}"));
+        let cfg = CoordinatorConfig {
+            shard_size: 1,
+            ..fast_cfg(&path)
+        };
+        let interrupted = a.coordinate(
+            0..6,
+            &CoordinatorConfig {
+                max_new_shards: Some(2),
+                ..cfg.clone()
+            },
+        );
+        assert!(matches!(
+            interrupted,
+            Err(CoordinatorError::Interrupted { accepted: 2 })
+        ));
+        match b.coordinate(0..6, &cfg) {
+            Err(CoordinatorError::Checkpoint(CheckpointError::HeaderMismatch {
+                field, ..
+            })) => {
+                assert_eq!(field, "sweep", "{label}");
+            }
+            other => panic!("{label}: network B resumed network A's checkpoint: {other:?}"),
         }
-        other => panic!("network B resumed network A's checkpoint: {other:?}"),
+        // The same network resumes its own checkpoint.
+        let resumed = a.coordinate(0..6, &cfg).expect("resumes");
+        assert_eq!(resumed.stats.shards_from_checkpoint, 2, "{label}");
+        std::fs::remove_file(&path).ok();
     }
-    // The same network resumes its own checkpoint.
-    let resumed = fixed(2.0).coordinate(0..6, &cfg).expect("resumes");
-    assert_eq!(resumed.stats.shards_from_checkpoint, 2);
-    std::fs::remove_file(&path).ok();
 }

@@ -43,6 +43,8 @@ fn assert_identical_at(threads: usize) {
             serial, parallel.report,
             "{label}: coordinate on {threads} threads diverged"
         );
+        // Every requested worker runs, up to one per job.
+        assert_eq!(parallel.stats.workers, threads.min(32) as u64);
 
         let grid = SweepGrid::seeds(0..8).with_models([
             LinkRateModel::Efficient,

@@ -37,10 +37,14 @@ fn grid() -> ProtocolSweepGrid {
     ProtocolSweepGrid::independent_losses([0.0, 0.02, 0.05, 0.09]).with_seeds([11, 12])
 }
 
+/// The grid on an `n`-thread fleet, which must run every requested
+/// worker, up to one per job.
 fn threads(s: &ProtocolScenario, g: &ProtocolSweepGrid, n: usize) -> ProtocolSweepReport {
-    s.coordinate(g, &CoordinatorConfig::threads(n))
-        .expect("thread sweep")
-        .report
+    let run = s
+        .coordinate(g, &CoordinatorConfig::threads(n))
+        .expect("thread sweep");
+    assert_eq!(run.stats.workers, n.min(run.report.points.len()) as u64);
+    run.report
 }
 
 fn assert_identical_at(n: usize) {
