@@ -8,7 +8,10 @@
 //! 1. **Correctness, always**: every protocol's indexed run is asserted
 //!    bitwise identical (whole `StarReport`) to the reference run before
 //!    any timing — an engine-determinism regression fails the bench run
-//!    itself, which is why CI executes this bench.
+//!    itself, which is why CI executes this bench. A second leg repeats
+//!    the check at independent loss 0, where receivers on lossless lanes
+//!    are parked as quiet and their deliveries settled lazily; the timed
+//!    configuration stays the lossy one.
 //! 2. **Throughput artifact + speedup floor**: the indexed engine is timed
 //!    best-of-three over all three protocols and written as
 //!    `BENCH_star_engine.json` (the gated "points" are slots; the metric is
@@ -50,6 +53,11 @@ fn paper_config() -> StarConfig {
     StarConfig::figure8(LAYERS, RECEIVERS, 0.0001, 0.05)
 }
 
+/// The paper star with lossless fanout links: Figure 8's first loss point.
+fn lossless_config() -> StarConfig {
+    StarConfig::figure8(LAYERS, RECEIVERS, 0.0001, 0.0)
+}
+
 /// Controllers and marker source exactly as the Figure 8 `TrialRig` wires
 /// them.
 fn rig(kind: ProtocolKind) -> (Vec<ProtocolReceiver>, Markers) {
@@ -81,7 +89,7 @@ fn run_reference(cfg: &StarConfig, kind: ProtocolKind, slots: u64) -> StarReport
     reference::run_star(cfg, &mut ctls, &mut mk, slots, SEED)
 }
 
-fn assert_engines_agree(cfg: &StarConfig) {
+fn assert_engines_agree(cfg: &StarConfig, label: &str) {
     let mut report = StarReport::default();
     let mut scratch = StarScratch::default();
     for kind in ProtocolKind::ALL {
@@ -90,19 +98,20 @@ fn assert_engines_agree(cfg: &StarConfig) {
         assert_eq!(
             report,
             reference,
-            "indexed engine diverged from reference for {}",
+            "indexed engine diverged from reference for {} ({label})",
             kind.label()
         );
     }
     println!(
-        "determinism: indexed engine bitwise-identical to reference across all 3 protocols \
-         at {RECEIVERS} receivers x {SLOTS} slots"
+        "determinism ({label}): indexed engine bitwise-identical to reference across all 3 \
+         protocols at {RECEIVERS} receivers x {SLOTS} slots"
     );
 }
 
 fn bench_star_engine(c: &mut Criterion) {
     let cfg = paper_config();
-    assert_engines_agree(&cfg);
+    assert_engines_agree(&cfg, "independent loss 0.05");
+    assert_engines_agree(&lossless_config(), "independent loss 0");
 
     // Gated throughput: total slots across the three protocols per pass of
     // the indexed engine (scratch reused, as in a trial loop).

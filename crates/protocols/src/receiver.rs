@@ -25,7 +25,7 @@ use mlf_sim::{Action, PacketEvent, ReceiverController, SimRng};
 
 /// Uncoordinated: per-packet probabilistic joins.
 // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UncoordinatedReceiver {
     rng: SimRng,
 }
@@ -50,6 +50,16 @@ impl ReceiverController for UncoordinatedReceiver {
             Action::Stay
         }
     }
+
+    /// All of them at the top layer, none below it: there every clean
+    /// packet flips the join coin, and its draws must not be skipped.
+    fn quiet_packets(&self, level: usize, layer_count: usize) -> u64 {
+        if level >= layer_count {
+            u64::MAX
+        } else {
+            0
+        }
+    }
 }
 
 /// The Uncoordinated join coin at `level`: `rng.bernoulli(join_probability(level))`
@@ -68,7 +78,7 @@ fn join_coin(rng: &mut SimRng, level: usize) -> bool {
 
 /// Deterministic: joins after a fixed run of clean packets.
 // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeterministicReceiver {
     /// Clean packets received since the last join/leave event.
     clean_run: u64,
@@ -98,11 +108,26 @@ impl ReceiverController for DeterministicReceiver {
             Action::Stay
         }
     }
+
+    /// All of them at the top layer; below it, the clean packets left
+    /// before the one that reaches the join threshold.
+    fn quiet_packets(&self, level: usize, layer_count: usize) -> u64 {
+        if level >= layer_count {
+            u64::MAX
+        } else {
+            join_threshold(level).saturating_sub(self.clean_run + 1)
+        }
+    }
+
+    /// Each clean packet extends the run, at the top layer too.
+    fn skip_quiet(&mut self, n: u64) {
+        self.clean_run += n;
+    }
 }
 
 /// Coordinated: joins only on sender markers.
 // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoordinatedReceiver;
 
 impl CoordinatedReceiver {
@@ -123,10 +148,15 @@ impl ReceiverController for CoordinatedReceiver {
             _ => Action::Stay,
         }
     }
+
+    /// All of them: only a marker moves it up, and it keeps no state.
+    fn quiet_packets(&self, _level: usize, _layer_count: usize) -> u64 {
+        u64::MAX
+    }
 }
 
 /// The controller of any of the three protocols, dispatched with `match`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ProtocolReceiver {
     /// [`ProtocolKind::Uncoordinated`].
     Uncoordinated(UncoordinatedReceiver),
@@ -159,6 +189,24 @@ impl ReceiverController for ProtocolReceiver {
             ProtocolReceiver::Uncoordinated(r) => r.on_packet(ev),
             ProtocolReceiver::Deterministic(r) => r.on_packet(ev),
             ProtocolReceiver::Coordinated(r) => r.on_packet(ev),
+        }
+    }
+
+    #[inline]
+    fn quiet_packets(&self, level: usize, layer_count: usize) -> u64 {
+        match self {
+            ProtocolReceiver::Uncoordinated(r) => r.quiet_packets(level, layer_count),
+            ProtocolReceiver::Deterministic(r) => r.quiet_packets(level, layer_count),
+            ProtocolReceiver::Coordinated(r) => r.quiet_packets(level, layer_count),
+        }
+    }
+
+    #[inline]
+    fn skip_quiet(&mut self, n: u64) {
+        match self {
+            ProtocolReceiver::Uncoordinated(r) => r.skip_quiet(n),
+            ProtocolReceiver::Deterministic(r) => r.skip_quiet(n),
+            ProtocolReceiver::Coordinated(r) => r.skip_quiet(n),
         }
     }
 }
@@ -283,6 +331,79 @@ mod tests {
         assert_eq!(c.on_packet(&ev(2, false, Some(3))), Action::JoinUp);
         // At the top layer it cannot join further.
         assert_eq!(c.on_packet(&ev(8, false, Some(8))), Action::Stay);
+    }
+
+    /// The quiet-packet contract, for every protocol at layer counts 1, 2
+    /// and 8, every level, and (Deterministic) several clean-run starts:
+    /// the promised clean, marker-free packets on any slot and layer all
+    /// answer `Stay`, `skip_quiet` over them leaves the controller equal
+    /// to one that took the calls, and a finite budget is tight — one more
+    /// packet either acts or changes the controller in a way no skip
+    /// describes (the Uncoordinated coin's draw).
+    #[test]
+    fn quiet_packets_are_stays_that_skip_quiet_replays() {
+        const CAP: u64 = 5000;
+        for layers in [1, 2, 8] {
+            for level in 1..=layers {
+                let mut starts = vec![
+                    ProtocolReceiver::new(ProtocolKind::Uncoordinated, SimRng::seed_from_u64(5)),
+                    ProtocolReceiver::new(ProtocolKind::Coordinated, SimRng::seed_from_u64(5)),
+                ];
+                starts.extend([0, 1, 2, 3, 15, 4000, 70_000].map(|clean_run| {
+                    ProtocolReceiver::Deterministic(DeterministicReceiver { clean_run })
+                }));
+                for start in starts {
+                    let label = format!("{start:?} at level {level} of {layers}");
+                    let quiet = start.quiet_packets(level, layers);
+                    let calls = quiet.min(CAP);
+                    let clean = |i: u64| PacketEvent {
+                        slot: 3 * i + 1,
+                        layer: 1 + (i as usize % level),
+                        lost: false,
+                        marker: None,
+                        level,
+                        layer_count: layers,
+                    };
+                    let mut called = start.clone();
+                    for i in 0..calls {
+                        assert_eq!(
+                            called.on_packet(&clean(i)),
+                            Action::Stay,
+                            "{label}: call {i}"
+                        );
+                        if [1, calls / 2].contains(&(i + 1)) {
+                            let mut skipped = start.clone();
+                            skipped.skip_quiet(i + 1);
+                            assert_eq!(skipped, called, "{label}: skip {}", i + 1);
+                        }
+                    }
+                    let mut skipped = start.clone();
+                    skipped.skip_quiet(calls);
+                    assert_eq!(skipped, called, "{label}: skip {calls}");
+                    if quiet != u64::MAX {
+                        assert!(quiet <= CAP, "{label}: budget {quiet} past the test's cap");
+                        let action = called.on_packet(&clean(calls));
+                        skipped.skip_quiet(1);
+                        assert!(
+                            action != Action::Stay || skipped != called,
+                            "{label}: packet {} past the budget is quiet too",
+                            quiet + 1
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The boxed controller answers the quiet contract as the enum does.
+    #[test]
+    fn boxed_receivers_forward_the_quiet_contract() {
+        let mut boxed = make_receiver(ProtocolKind::Deterministic, SimRng::seed_from_u64(6));
+        assert_eq!(boxed.quiet_packets(2, 8), 3);
+        boxed.skip_quiet(3);
+        assert_eq!(boxed.quiet_packets(2, 8), 0);
+        assert_eq!(boxed.on_packet(&ev(2, false, None)), Action::JoinUp);
+        assert_eq!(boxed.quiet_packets(8, 8), u64::MAX);
     }
 
     #[test]

@@ -49,10 +49,23 @@
 //!   stream, its fanout loss and its delivery/congestion tallies — where
 //!   a Bernoulli fanout link is one integer compare of a raw draw against
 //!   a precomputed threshold, then calls the receiver's controller.
+//! * **A quiet receiver** is not visited at all. After a visit that leaves
+//!   its level standing, a receiver on a lossless lane (no draw, never
+//!   lost) whose requested and effective levels agree is *parked* when its
+//!   controller promises `q > 0` quiet packets
+//!   ([`ReceiverController::quiet_packets`]): the walk skips parked bits
+//!   on slots with no shared loss and no marker. It wakes on a shared
+//!   loss, a marker, or the slot that would be its `(q+1)`-th quiet
+//!   delivery — finite budgets are per-level clocks of the layer prefix,
+//!   so a slot costs one mask test while none is pending — and then its
+//!   skipped deliveries are settled from the layer prefix in one
+//!   [`ReceiverController::skip_quiet`] call before its visit. A run
+//!   with no lossless lane compiles the walk without any of this.
 //!
 //! The per-receiver `offered`/`level_slot_sum` accounting is settled
 //! **lazily at level-change events** from the cumulative per-layer
-//! emitted-slot counters (plus once at run end) instead of every slot.
+//! emitted-slot counters (plus once at run end) instead of every slot,
+//! and so are a parked receiver's deliveries (at wake-up and run end).
 //! The pre-index scan engine is preserved verbatim in
 //! [`crate::reference`]; the rewrite's contract — bitwise-identical
 //! [`StarReport`]s, resting on the RNG-draw-preservation argument spelled
@@ -99,14 +112,61 @@ pub enum Action {
 }
 
 /// A layered congestion-control receiver: reacts to each packet event.
+///
+/// ## Quiet packets
+///
+/// A *clean* packet is one delivered to the receiver (`lost == false`); a
+/// *marker-free* one carries `marker == None`. A controller may promise
+/// that it answers [`Action::Stay`] to its next `q` clean, marker-free
+/// packets at requested level `level` ([`quiet_packets`]), and say how
+/// `n` such calls would leave it ([`skip_quiet`]). The star engine then
+/// stops calling it on lossless fanout links until a packet could change
+/// its answer — a shared-link loss, a marker, or the `(q+1)`-th quiet
+/// packet — and settles the skipped deliveries in one [`skip_quiet`]
+/// call. Neither answer may depend on the skipped packets' slots or
+/// layers.
+///
+/// The defaults (`0`, no-op) opt out: the engine calls
+/// [`on_packet`](Self::on_packet) for every delivery, as it does for any
+/// controller that draws randomness per packet below its budget. A
+/// controller whose answers read state shared with other receivers (an
+/// active node's common target level, say) must keep them: another
+/// receiver's visit may change that state while this one is skipped, and
+/// the promise would no longer hold.
+///
+/// [`quiet_packets`]: Self::quiet_packets
+/// [`skip_quiet`]: Self::skip_quiet
 pub trait ReceiverController {
     /// Handle one packet event and decide the subscription action.
     fn on_packet(&mut self, ev: &PacketEvent) -> Action;
+
+    /// How many of the next clean, marker-free packets at requested level
+    /// `level` (of `layer_count` layers) this controller answers with
+    /// [`Action::Stay`], with [`skip_quiet`](Self::skip_quiet) describing
+    /// the state they leave it in; `u64::MAX` means all of them. The
+    /// default, 0, promises nothing.
+    fn quiet_packets(&self, _level: usize, _layer_count: usize) -> u64 {
+        0
+    }
+
+    /// Leave this controller exactly as `n` clean, marker-free
+    /// [`on_packet`](Self::on_packet) calls at its current level would,
+    /// for any `n` within its [`quiet_packets`](Self::quiet_packets)
+    /// budget. The default does nothing.
+    fn skip_quiet(&mut self, _n: u64) {}
 }
 
 impl ReceiverController for Box<dyn ReceiverController> {
     fn on_packet(&mut self, ev: &PacketEvent) -> Action {
         (**self).on_packet(ev)
+    }
+
+    fn quiet_packets(&self, level: usize, layer_count: usize) -> u64 {
+        (**self).quiet_packets(level, layer_count)
+    }
+
+    fn skip_quiet(&mut self, n: u64) {
+        (**self).skip_quiet(n)
     }
 }
 
@@ -365,8 +425,9 @@ pub struct StarCounters {
     pub slots: u64,
     /// Slots whose packet crossed the shared link.
     pub shared_carried: u64,
-    /// Receiver visits: one `on_packet` call per subscribed receiver and
-    /// carried slot.
+    /// Receiver visits: one delivery or congestion event per subscribed
+    /// receiver and carried slot, whether the controller saw it through
+    /// `on_packet` or it was settled as a quiet delivery.
     pub visits: u64,
     /// Fanout-link loss draws (visits whose packet survived the shared
     /// link).
@@ -374,6 +435,11 @@ pub struct StarCounters {
     /// Join and leave requests the engine applied (clamped no-op actions
     /// at level 1 or `M` are not counted).
     pub level_changes: u64,
+    /// Deliveries settled without an `on_packet` call: clean, marker-free
+    /// packets to receivers parked on a lossless fanout link (see
+    /// [`ReceiverController::quiet_packets`]). `visits - quiet_deliveries`
+    /// is the number of `on_packet` calls.
+    pub quiet_deliveries: u64,
 }
 
 impl std::ops::AddAssign for StarCounters {
@@ -383,6 +449,7 @@ impl std::ops::AddAssign for StarCounters {
         self.visits += other.visits;
         self.fanout_samples += other.fanout_samples;
         self.level_changes += other.level_changes;
+        self.quiet_deliveries += other.quiet_deliveries;
     }
 }
 
@@ -420,6 +487,11 @@ pub struct StarScratch {
     /// Snapshot of the slot layer's subscriber bitset row (a receiver's own
     /// action must not edit the row mid-walk).
     row: Vec<u64>,
+    /// Bitset of the receivers parked as quiet (runs with a lossless lane
+    /// only): the walk skips them on clean, marker-free slots.
+    parked: Vec<u64>,
+    /// Per receiver: its quiet-delivery checkpoint while parked.
+    quiet: Vec<Parked>,
     /// Work done by every run this scratch served.
     counters: StarCounters,
 }
@@ -445,6 +517,139 @@ struct Lane {
     congestion: u64,
 }
 
+/// A parked receiver's quiet-delivery checkpoint. While it is parked at
+/// level `l` every slot on layers `1..=l` is delivered to it — its lane
+/// never loses, and a shared loss wakes it — so its quiet deliveries are
+/// the growth of the layer prefix `Σ layer_cum[..l]`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Parked {
+    /// The layer prefix through the slot it parked in.
+    since: u64,
+    /// The layer prefix at which a delivery would be past its quiet budget
+    /// (`u64::MAX`: never).
+    wake_at: u64,
+}
+
+/// Deliver `run` skipped quiet packets to a parked receiver: its lane's
+/// tally, one [`ReceiverController::skip_quiet`] call, and the counter.
+fn settle_quiet<C: ReceiverController>(
+    lane: &mut Lane,
+    controller: &mut C,
+    work: &mut StarCounters,
+    run: u64,
+) {
+    lane.delivered += run;
+    controller.skip_quiet(run);
+    work.quiet_deliveries += run;
+}
+
+/// The slots emitted so far on layers `1..=level`.
+#[inline]
+fn layer_prefix(layer_cum: &[u64], level: usize) -> u64 {
+    layer_cum[..level].iter().sum()
+}
+
+/// Levels up to which a finite quiet budget can park a receiver: one bit
+/// of [`Budgets::tracked`] each.
+const BUDGET_LEVELS: usize = 64;
+
+/// The finite quiet budgets of parked receivers, per level: when the layer
+/// prefix of a level reaches the earliest `wake_at` among its receivers.
+/// A slot on layer `L` advances the clocks of the tracked levels `≥ L`
+/// only, so a slot costs one mask test while no budget is finite. A
+/// tracked level's clock equals its layer prefix; its `due` may be stale
+/// low (its receiver woke early), which costs one walk that re-arms it.
+#[derive(Debug, Clone)]
+struct Budgets {
+    /// Bit `l-1`: some receiver parked at level `l` has a finite budget.
+    tracked: u64,
+    /// `clock[l-1]`: the layer prefix of level `l` (kept while tracked).
+    clock: [u64; BUDGET_LEVELS],
+    /// `due[l-1]`: at most the least `wake_at` parked at level `l`.
+    due: [u64; BUDGET_LEVELS],
+}
+
+impl Budgets {
+    fn new() -> Self {
+        Budgets {
+            tracked: 0,
+            clock: [0; BUDGET_LEVELS],
+            due: [u64::MAX; BUDGET_LEVELS],
+        }
+    }
+
+    /// Count a slot on `layer`; returns the levels whose clock reached its
+    /// due value (bit `l-1`), whose `due` restarts at `u64::MAX` for the
+    /// walk to recompute through [`Budgets::keep`] and [`Budgets::admit`].
+    #[inline]
+    fn advance(&mut self, layer: usize) -> u64 {
+        let shift = u32::try_from(layer - 1).unwrap_or(u32::MAX);
+        let mut levels = self.tracked & u64::MAX.checked_shl(shift).unwrap_or(0);
+        let mut fired = 0;
+        while levels != 0 {
+            let i = levels.trailing_zeros() as usize;
+            levels &= levels - 1;
+            self.clock[i] += 1;
+            if self.clock[i] == self.due[i] {
+                fired |= 1 << i;
+                self.due[i] = u64::MAX;
+            }
+        }
+        fired
+    }
+
+    /// Whether a receiver parked at `level` until `wake_at` is due now.
+    #[inline]
+    fn is_due(&self, level: usize, wake_at: u64) -> bool {
+        wake_at != u64::MAX && self.clock[level - 1] == wake_at
+    }
+
+    /// A receiver stays parked at `level` until `wake_at`.
+    #[inline]
+    fn keep(&mut self, level: usize, wake_at: u64) {
+        if wake_at != u64::MAX {
+            let due = &mut self.due[level - 1];
+            *due = (*due).min(wake_at);
+        }
+    }
+
+    /// Park a receiver at `level` from layer prefix `since` until
+    /// `wake_at`; `false` (do not park) for a finite budget above
+    /// [`BUDGET_LEVELS`].
+    #[inline]
+    fn admit(&mut self, level: usize, since: u64, wake_at: u64) -> bool {
+        if wake_at == u64::MAX {
+            return true;
+        }
+        if level > BUDGET_LEVELS {
+            return false;
+        }
+        let bit = 1u64 << (level - 1);
+        if self.tracked & bit == 0 {
+            self.tracked |= bit;
+            // Untracked clocks stand still; restart this one here.
+            self.clock[level - 1] = since;
+            self.due[level - 1] = wake_at;
+        } else {
+            debug_assert_eq!(self.clock[level - 1], since, "clock off its layer prefix");
+            self.keep(level, wake_at);
+        }
+        true
+    }
+
+    /// Stop tracking the `fired` levels left with no finite budget.
+    fn retire(&mut self, fired: u64) {
+        let mut levels = fired;
+        while levels != 0 {
+            let i = levels.trailing_zeros() as usize;
+            levels &= levels - 1;
+            if self.due[i] == u64::MAX {
+                self.tracked &= !(1 << i);
+            }
+        }
+    }
+}
+
 /// Settle receiver `r`'s lazy `offered`/`level_slot_sum` accounting through
 /// the `slots_done` slots emitted so far (its requested level has been
 /// `old_level` since its last settlement), then re-checkpoint at
@@ -462,14 +667,14 @@ fn settle_receiver(
     new_level: usize,
     slots_done: u64,
 ) {
-    let prefix_old: u64 = layer_cum[..old_level].iter().sum();
+    let prefix_old = layer_prefix(layer_cum, old_level);
     offered[r] += prefix_old - settled_prefix[r];
     level_slot_sum[r] += old_level as u64 * (slots_done - settled_slots[r]);
     settled_slots[r] = slots_done;
     settled_prefix[r] = if new_level == old_level {
         prefix_old
     } else {
-        layer_cum[..new_level].iter().sum()
+        layer_prefix(layer_cum, new_level)
     };
 }
 
@@ -512,9 +717,11 @@ pub fn run_star<C: ReceiverController, M: MarkerSource>(
 /// only the receivers actively subscribed to its layer (ascending receiver
 /// id, so every per-receiver RNG stream consumes exactly the draws the
 /// reference engine gives it; one O(receivers/64) word-scan snapshots the
-/// row). The per-receiver `offered`/`level_slot_sum` accounting is
-/// deferred to join/leave events (and run end). Bitwise identical to
-/// [`crate::reference::run_star`] by the differential proptests.
+/// row), skipping receivers parked as quiet. The per-receiver
+/// `offered`/`level_slot_sum` accounting is deferred to join/leave events
+/// (and run end), and parked receivers' deliveries to their wake-up.
+/// Bitwise identical to [`crate::reference::run_star`] by the differential
+/// proptests.
 ///
 /// # Panics
 ///
@@ -540,7 +747,7 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
     );
 
     let base = SimRng::seed_from_u64(seed);
-    let mut shared_rng = base.split(u64::MAX);
+    let shared_rng = base.split(u64::MAX);
     scratch.lanes.clear();
     scratch
         .lanes
@@ -550,19 +757,61 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
             delivered: 0,
             congestion: 0,
         }));
-    let mut shared_loss = cfg.shared_loss.clone();
 
     scratch.membership.reset(n, m, 1);
     scratch
         .membership
         .set_latencies(cfg.join_latency, cfg.leave_latency);
-    let reset_u64 = |v: &mut Vec<u64>, len: usize| {
-        v.clear();
-        v.resize(len, 0);
-    };
     reset_u64(&mut scratch.layer_cum, m);
     reset_u64(&mut scratch.settled_slots, n);
     reset_u64(&mut scratch.settled_prefix, n);
+
+    report.slots = slots;
+    report.shared_carried = 0;
+    reset_u64(&mut report.offered, n);
+    reset_u64(&mut report.level_slot_sum, n);
+    report.final_levels.clear();
+    report.final_levels.resize(n, 1);
+
+    // Only a lossless lane can park, so a run without one compiles the
+    // walk with no parking code at all.
+    if scratch
+        .lanes
+        .iter()
+        .any(|lane| lane.loss == LaneLoss::Never)
+    {
+        reset_u64(&mut scratch.parked, n.div_ceil(64));
+        scratch.quiet.resize(n, Parked::default());
+        run_slots::<true, C, M>(cfg, controllers, marker, shared_rng, report, scratch);
+    } else {
+        run_slots::<false, C, M>(cfg, controllers, marker, shared_rng, report, scratch);
+    }
+}
+
+/// Clear `v` to `len` zeros, keeping its allocation.
+fn reset_u64(v: &mut Vec<u64>, len: usize) {
+    v.clear();
+    v.resize(len, 0);
+}
+
+/// The slot loop and final tally of [`run_star_into`] over its reset
+/// scratch and report. With `PARK`, a receiver on a lossless lane whose
+/// controller promises quiet packets ([`ReceiverController::quiet_packets`])
+/// is parked after its visit, skipped by the walk on clean, marker-free
+/// slots and woken — its skipped deliveries settled through the previous
+/// slot by one [`ReceiverController::skip_quiet`] call — on a shared loss,
+/// a marker, or the slot past its budget; then it is visited as usual.
+fn run_slots<const PARK: bool, C: ReceiverController, M: MarkerSource>(
+    cfg: &StarConfig,
+    controllers: &mut [C],
+    marker: &mut M,
+    mut shared_rng: SimRng,
+    report: &mut StarReport,
+    scratch: &mut StarScratch,
+) {
+    let n = cfg.receiver_count();
+    let m = cfg.layer_count();
+    let slots = report.slots;
     let StarScratch {
         lanes,
         schedule,
@@ -571,22 +820,19 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
         settled_slots,
         settled_prefix,
         row,
+        parked,
+        quiet,
         counters,
     } = scratch;
+    let mut shared_loss = cfg.shared_loss.clone();
     let mut work = StarCounters {
         slots,
         ..StarCounters::default()
     };
     let mut schedule = Schedule::new(&cfg.layer_rates, schedule, slots);
+    let mut budgets = Budgets::new();
     // Nothing is queued yet; `advance_to` runs only once this is due.
     let mut next_change = Tick::MAX;
-
-    report.slots = slots;
-    report.shared_carried = 0;
-    reset_u64(&mut report.offered, n);
-    reset_u64(&mut report.level_slot_sum, n);
-    report.final_levels.clear();
-    report.final_levels.resize(n, 1);
 
     for slot in 0..slots {
         if next_change <= slot {
@@ -601,12 +847,20 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
         // exactly as the reference's head-of-slot accounting loop did.
         layer_cum[layer - 1] += 1;
         let slots_done = slot + 1;
+        // The budget clocks follow the layer prefixes on every slot; a
+        // level that fires is re-armed by the walk below from its parked
+        // receivers, all of which are in this slot's row.
+        let fired = if PARK { budgets.advance(layer) } else { 0 };
 
         // Shared link: carried iff any receiver is effectively subscribed —
         // an O(1) read of the index's cached bucket maximum. An uncarried
         // slot has an empty subscriber row too (every active level is at
-        // most the maximum effective one), so nothing else happens in it.
+        // most the maximum effective one), so nothing else happens in it:
+        // in particular no receiver is parked at a level it fired.
         if layer > membership.max_effective_level() {
+            if PARK {
+                budgets.retire(fired);
+            }
             continue;
         }
         report.shared_carried += 1;
@@ -625,11 +879,35 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
         if !lost_shared {
             work.fanout_samples += slot_visits;
         }
+        // Parked receivers in the row all wake on a shared loss or a
+        // marker; on other slots only those whose level's budget clock
+        // fired are looked at, and a slot with neither skips them all.
+        let wake_all = PARK && (lost_shared || mk.is_some());
+        let examine_parked = wake_all || fired != 0;
         for (w, &bits) in row.iter().enumerate() {
-            let mut bits = bits;
+            let parked_w = if PARK { parked[w] } else { 0 };
+            let mut bits = if examine_parked {
+                bits
+            } else {
+                bits & !parked_w
+            };
             while bits != 0 {
                 let r = w * 64 + bits.trailing_zeros() as usize;
+                let bit = bits & bits.wrapping_neg();
                 bits &= bits - 1;
+                if PARK && parked_w & bit != 0 {
+                    let level = membership.requested_level(r);
+                    let Parked { since, wake_at } = quiet[r];
+                    if !wake_all && !budgets.is_due(level, wake_at) {
+                        budgets.keep(level, wake_at);
+                        continue;
+                    }
+                    // Wake: settle its quiet deliveries through the
+                    // previous slot (this slot is on a layer it holds).
+                    parked[w] &= !bit;
+                    let quiet_run = layer_prefix(layer_cum, level) - 1 - since;
+                    settle_quiet(&mut lanes[r], &mut controllers[r], &mut work, quiet_run);
+                }
                 let lane = &mut lanes[r];
                 let lost = lost_shared || lane.loss.sample(&mut lane.rng);
                 if lost {
@@ -647,18 +925,30 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
                     layer_count: m,
                 };
                 let target = match controllers[r].on_packet(&ev) {
-                    Action::Stay => continue,
-                    Action::JoinUp => {
-                        if level >= m {
-                            continue;
+                    Action::JoinUp if level < m => level + 1,
+                    Action::LeaveDown if level > 1 => level - 1,
+                    _ => {
+                        // Its level stands. Park it if nothing queued can
+                        // move its active level and its controller
+                        // promises quiet packets.
+                        if PARK
+                            && lanes[r].loss == LaneLoss::Never
+                            && membership.effective_level(r) == level
+                        {
+                            let budget = controllers[r].quiet_packets(level, m);
+                            if budget > 0 {
+                                let since = layer_prefix(layer_cum, level);
+                                let wake_at = since
+                                    .checked_add(budget)
+                                    .and_then(|v| v.checked_add(1))
+                                    .unwrap_or(u64::MAX);
+                                if budgets.admit(level, since, wake_at) {
+                                    parked[w] |= bit;
+                                    quiet[r] = Parked { since, wake_at };
+                                }
+                            }
                         }
-                        level + 1
-                    }
-                    Action::LeaveDown => {
-                        if level <= 1 {
-                            continue;
-                        }
-                        level - 1
+                        continue;
                     }
                 };
                 settle_receiver(
@@ -675,6 +965,22 @@ pub fn run_star_into<C: ReceiverController, M: MarkerSource>(
                 work.level_changes += 1;
                 membership.request_level(slot, r, target);
                 next_change = membership.next_change_at().unwrap_or(Tick::MAX);
+            }
+        }
+        if PARK {
+            budgets.retire(fired);
+        }
+    }
+    if PARK {
+        // Settle every receiver still parked through the last slot.
+        for (w, &bits) in parked.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let r = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let quiet_run =
+                    layer_prefix(layer_cum, membership.requested_level(r)) - quiet[r].since;
+                settle_quiet(&mut lanes[r], &mut controllers[r], &mut work, quiet_run);
             }
         }
     }
@@ -727,6 +1033,37 @@ mod tests {
                 Equal => Action::Stay,
                 Greater => Action::LeaveDown,
             }
+        }
+    }
+
+    /// The Coordinated receiver's rule — join on a marker at or above its
+    /// level, leave on loss — opted in as quiet at every level, counting
+    /// its `on_packet` calls.
+    #[derive(Clone, Default)]
+    struct MarkerJoiner {
+        calls: u64,
+    }
+    impl ReceiverController for MarkerJoiner {
+        fn on_packet(&mut self, ev: &PacketEvent) -> Action {
+            self.calls += 1;
+            if ev.lost {
+                return Action::LeaveDown;
+            }
+            match ev.marker {
+                Some(t) if ev.level <= t && ev.level < ev.layer_count => Action::JoinUp,
+                _ => Action::Stay,
+            }
+        }
+        fn quiet_packets(&self, _level: usize, _layer_count: usize) -> u64 {
+            u64::MAX
+        }
+    }
+
+    /// A sender marking every base-layer packet with threshold `.0`.
+    struct MarkEveryBase(usize);
+    impl MarkerSource for MarkEveryBase {
+        fn marker(&mut self, _slot: Tick, layer: usize) -> Option<usize> {
+            (layer == 1).then_some(self.0)
         }
     }
 
@@ -937,7 +1274,56 @@ mod tests {
                 visits: 2 * (delivered + congested),
                 fanout_samples: 2 * delivered,
                 level_changes: 2 * (2 + 3),
+                // Pinned keeps the default: no delivery is quiet.
+                quiet_deliveries: 0,
             }
+        );
+
+        // Lossless, with a Coordinated-style controller that opts in and
+        // a sender marking every base-layer packet "everyone joins". A
+        // receiver's first delivery is a marked base-layer packet (it
+        // joins to 2), each join is followed by one unparked visit that
+        // parks it, and every later base-layer packet's marker wakes it
+        // (three joins, then a Stay at the top). So its `on_packet`
+        // calls are the 1000 base-layer packets of 8000 slots plus the
+        // three visits after its joins; every other delivery is quiet.
+        let cfg = StarConfig::figure8(4, 3, 0.0, 0.0);
+        let mut scratch = StarScratch::default();
+        let mut ctls = vec![MarkerJoiner::default(); 3];
+        run_star_into(
+            &cfg,
+            &mut ctls,
+            &mut MarkEveryBase(4),
+            8_000,
+            9,
+            &mut report,
+            &mut scratch,
+        );
+        let calls = 1000 + 3;
+        assert!(ctls.iter().all(|c| c.calls == calls));
+        assert_eq!(report.final_levels, vec![4; 3]);
+        let delivered: u64 = report.delivered.iter().sum();
+        assert_eq!(report.congestion_events, vec![0; 3]);
+        assert_eq!(
+            scratch.counters(),
+            StarCounters {
+                slots: 8_000,
+                shared_carried: report.shared_carried,
+                visits: delivered,
+                fanout_samples: delivered,
+                level_changes: 3 * 3,
+                quiet_deliveries: delivered - 3 * calls,
+            }
+        );
+        assert_eq!(
+            report,
+            crate::reference::run_star(
+                &cfg,
+                &mut vec![MarkerJoiner::default(); 3],
+                &mut MarkEveryBase(4),
+                8_000,
+                9,
+            )
         );
     }
 }

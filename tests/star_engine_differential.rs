@@ -17,6 +17,14 @@
 //! `make_receiver` controllers give identical reports and identical
 //! [`StarCounters`].
 //!
+//! Receivers on lossless fanout links whose controllers promise quiet
+//! packets are parked and their clean, marker-free deliveries settled
+//! lazily. An exact zero independent loss in a third of the random cases,
+//! stars mixing lossless and lossy lanes, fleets mixing quiet controllers
+//! with ones that never opt in, and the lossless paper-shape cells cover
+//! that path; a counting wrapper checks that the skipped `on_packet`
+//! calls are exactly the counted quiet deliveries.
+//!
 //! The indexed engine replays its layer schedule from a table of one
 //! period (or, for rates whose schedule has no short period, from tables it
 //! refills as the run goes) and skips all per-slot work on slots the shared
@@ -27,7 +35,8 @@
 
 use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind, ProtocolReceiver};
 use mlf_sim::engine::{
-    LayerInterleaver, MarkerSource, NoMarkers, ReceiverController, StarConfig, StarReport,
+    Action, LayerInterleaver, MarkerSource, NoMarkers, PacketEvent, ReceiverController, StarConfig,
+    StarReport,
 };
 use mlf_sim::{
     reference, run_star, run_star_into, LossProcess, SimRng, StarCounters, StarScratch, Tick,
@@ -88,6 +97,81 @@ fn markers(kind: ProtocolKind, layers: usize) -> Markers {
         ProtocolKind::Coordinated => Markers::Coordinated(CoordinatedSender::new(layers)),
         _ => Markers::None(NoMarkers),
     }
+}
+
+/// An independent (fanout) loss probability: exactly 0 — a lossless lane,
+/// where receivers park — in about a third of the cases, else uniform.
+fn independent_loss() -> impl Strategy<Value = f64> {
+    (0u8..3, 0.0f64..0.08).prop_map(|(pick, p)| if pick == 0 { 0.0 } else { p })
+}
+
+/// Forwards every call to `inner` and counts its `on_packet` calls. With
+/// `quiet` off it keeps the trait's defaults, as a controller that never
+/// opts in to quiet packets does.
+struct Counting<C> {
+    inner: C,
+    quiet: bool,
+    calls: u64,
+}
+
+impl<C: ReceiverController> ReceiverController for Counting<C> {
+    fn on_packet(&mut self, ev: &PacketEvent) -> Action {
+        self.calls += 1;
+        self.inner.on_packet(ev)
+    }
+
+    fn quiet_packets(&self, level: usize, layer_count: usize) -> u64 {
+        if self.quiet {
+            self.inner.quiet_packets(level, layer_count)
+        } else {
+            0
+        }
+    }
+
+    fn skip_quiet(&mut self, n: u64) {
+        self.inner.skip_quiet(n);
+    }
+}
+
+/// A controller that walks to a fixed level and stays there, keeping the
+/// trait's never-quiet defaults.
+struct Pinned(usize);
+
+impl ReceiverController for Pinned {
+    fn on_packet(&mut self, ev: &PacketEvent) -> Action {
+        match ev.level.cmp(&self.0) {
+            std::cmp::Ordering::Less => Action::JoinUp,
+            std::cmp::Ordering::Equal => Action::Stay,
+            std::cmp::Ordering::Greater => Action::LeaveDown,
+        }
+    }
+}
+
+/// A boxed fleet on `kind`'s RNG substreams: receivers `3k` run `kind` as
+/// `make_receiver` boxes it (quiet where it promises), receivers `3k+1`
+/// run it behind a wrapper that keeps the never-quiet defaults, and
+/// receivers `3k+2` are [`Pinned`] walkers.
+fn mixed_fleet(
+    kind: ProtocolKind,
+    receivers: usize,
+    layers: usize,
+    seed: u64,
+) -> Vec<Box<dyn ReceiverController>> {
+    controllers(kind, receivers, seed, make_receiver)
+        .into_iter()
+        .enumerate()
+        .map(|(r, ctl)| -> Box<dyn ReceiverController> {
+            match r % 3 {
+                0 => ctl,
+                1 => Box::new(Counting {
+                    inner: ctl,
+                    quiet: false,
+                    calls: 0,
+                }),
+                _ => Box::new(Pinned(1 + r % layers)),
+            }
+        })
+        .collect()
 }
 
 fn loss(bursty: bool, p: f64) -> LossProcess {
@@ -238,7 +322,7 @@ proptest! {
         bursty_ix in 0usize..4,
         latency_ix in 0usize..4,
         p_shared in 0.0f64..0.08,
-        p_ind in 0.0f64..0.08,
+        p_ind in independent_loss(),
         seed in any::<u64>(),
     ) {
         let kind = KINDS[kind_ix];
@@ -272,7 +356,7 @@ proptest! {
         receivers_a in 1usize..64,
         receivers_b in 1usize..128,
         latency_ix in 0usize..4,
-        p_ind in 0.0f64..0.08,
+        p_ind in independent_loss(),
     ) {
         let mut scratch = StarScratch::default();
         let mut report = StarReport::default();
@@ -310,7 +394,9 @@ proptest! {
     /// Static and dynamic dispatch of the same controllers: the enum the
     /// Figure 8 harness runs and the boxed `make_receiver` controllers
     /// produce identical reports and identical work counters, and every
-    /// counted visit is one delivery or one congestion event.
+    /// counted visit is one delivery or one congestion event. A wrapper
+    /// that forwards the quiet contract and counts `on_packet` calls sees
+    /// exactly the visits that were not settled as quiet deliveries.
     #[test]
     fn boxed_controllers_match_the_enum(
         receivers in 1usize..128,
@@ -319,7 +405,7 @@ proptest! {
         bursty_ix in 0usize..4,
         latency_ix in 0usize..4,
         p_shared in 0.0f64..0.08,
-        p_ind in 0.0f64..0.08,
+        p_ind in independent_loss(),
         seed in any::<u64>(),
     ) {
         let kind = KINDS[kind_ix];
@@ -343,6 +429,107 @@ proptest! {
             + plain.congestion_events.iter().sum::<u64>();
         prop_assert_eq!(plain_counters.visits, events, "{}", label);
         prop_assert_eq!(plain_counters.shared_carried, plain.shared_carried);
+
+        let mut counted = controllers(kind, receivers, seed, |kind, rng| Counting {
+            inner: ProtocolReceiver::new(kind, rng),
+            quiet: true,
+            calls: 0,
+        });
+        let mut mk = markers(kind, layers);
+        let mut report = StarReport::default();
+        let mut scratch = StarScratch::default();
+        run_star_into(&cfg, &mut counted, &mut mk, 2_500, seed, &mut report, &mut scratch);
+        assert_reports_identical(&label, &report, &plain);
+        prop_assert_eq!(scratch.counters(), plain_counters, "{}", label);
+        let calls: u64 = counted.iter().map(|c| c.calls).sum();
+        prop_assert_eq!(
+            calls,
+            plain_counters.visits - plain_counters.quiet_deliveries,
+            "{}",
+            label
+        );
+    }
+
+    /// Even receivers on lossless lanes (where they may park), odd ones on
+    /// lossy lanes (where they never do), in one star.
+    #[test]
+    fn mixed_lossless_and_lossy_lanes_match_reference(
+        receivers in 1usize..128,
+        layers in 2usize..9,
+        kind_ix in 0usize..3,
+        bursty_ix in 0usize..4,
+        latency_ix in 0usize..4,
+        p_shared in 0.0f64..0.08,
+        p_odd in 0.001f64..0.08,
+        seed in any::<u64>(),
+    ) {
+        let kind = KINDS[kind_ix];
+        let mut cfg = config(
+            layers,
+            receivers,
+            loss(bursty_ix & 1 == 1, p_shared),
+            LossProcess::bernoulli(0.0),
+            LATENCIES[latency_ix],
+        );
+        for lane in cfg.fanout_loss.iter_mut().skip(1).step_by(2) {
+            *lane = loss(bursty_ix & 2 == 2, p_odd);
+        }
+        let label = format!(
+            "mixed lanes {} n={receivers} m={layers} lat={:?}",
+            kind.label(),
+            LATENCIES[latency_ix]
+        );
+        assert_reports_identical(
+            &label,
+            &run_indexed(&cfg, kind, 2_500, seed),
+            &run_reference(&cfg, kind, 2_500, seed),
+        );
+    }
+
+    /// Boxed fleets in which quiet protocol controllers share lossless
+    /// lanes with controllers that never opt in: a non-forwarding wrapper
+    /// around the same protocol, and a pinned walker.
+    #[test]
+    fn mixed_quiet_and_default_fleets_match_reference(
+        receivers in 1usize..128,
+        layers in 2usize..9,
+        kind_ix in 0usize..3,
+        latency_ix in 0usize..4,
+        p_shared in 0.0f64..0.08,
+        p_ind in independent_loss(),
+        seed in any::<u64>(),
+    ) {
+        let kind = KINDS[kind_ix];
+        let cfg = config(
+            layers,
+            receivers,
+            LossProcess::bernoulli(p_shared),
+            LossProcess::bernoulli(p_ind),
+            LATENCIES[latency_ix],
+        );
+        let indexed = run_star(
+            &cfg,
+            &mut mixed_fleet(kind, receivers, layers, seed),
+            &mut markers(kind, layers),
+            2_500,
+            seed,
+        );
+        let reference = reference::run_star(
+            &cfg,
+            &mut mixed_fleet(kind, receivers, layers, seed),
+            &mut markers(kind, layers),
+            2_500,
+            seed,
+        );
+        assert_reports_identical(
+            &format!(
+                "mixed fleet {} n={receivers} m={layers} lat={:?}",
+                kind.label(),
+                LATENCIES[latency_ix]
+            ),
+            &indexed,
+            &reference,
+        );
     }
 
     /// Arbitrary positive rate vectors, which almost never have a schedule
@@ -356,7 +543,7 @@ proptest! {
         bursty_ix in 0usize..4,
         latency_ix in 0usize..4,
         p_shared in 0.0f64..0.08,
-        p_ind in 0.0f64..0.08,
+        p_ind in independent_loss(),
         seed in any::<u64>(),
     ) {
         let kind = KINDS[kind_ix];
@@ -493,6 +680,31 @@ fn paper_shape_agrees_for_every_protocol() {
                 &indexed,
                 &reference,
             );
+        }
+    }
+}
+
+/// The lossless Figure 8 cells at paper shape: 100 receivers, 8 layers,
+/// 100 000 slots, no independent loss, the paper's and a heavy shared
+/// loss, at the idealized and a nonzero latency pair. Every receiver's
+/// lane is lossless, so receivers park as quiet for most of the run.
+#[test]
+fn paper_shape_lossless_agrees_for_every_protocol() {
+    for kind in KINDS {
+        for latencies in [(0, 0), (16, 64)] {
+            for p_shared in [0.0001, 0.3] {
+                let cfg = StarConfig::figure8(8, 100, p_shared, 0.0)
+                    .with_latencies(latencies.0, latencies.1);
+                let seed = 0x51_66_C0_99;
+                assert_reports_identical(
+                    &format!(
+                        "lossless {} lat={latencies:?} shared={p_shared}",
+                        kind.label()
+                    ),
+                    &run_indexed(&cfg, kind, 100_000, seed),
+                    &run_reference(&cfg, kind, 100_000, seed),
+                );
+            }
         }
     }
 }
