@@ -11,7 +11,7 @@
 //!    runs — a determinism regression fails the bench run itself, which is
 //!    why CI executes this bench.
 //! 2. **Throughput artifact**: the one-thread sweep's points-per-second
-//!    (cold worker cache on every run) is written as
+//!    is written as
 //!    `BENCH_parallel_sweep.json` for the CI regression gate
 //!    (`bench_gate` fails the job on a >30% drop below the committed
 //!    baseline in `crates/bench/baselines/`).

@@ -14,8 +14,7 @@
 //! *processes* instead of the in-process thread pool, optionally with a
 //! crash-safe checkpoint (`--checkpoint`, one file per family) that a
 //! rerun resumes from; the fleet's `CoordinatorStats` are printed per
-//! family. The metric columns are identical in every mode; the cache
-//! column counts the fleet workers' lookups, spot checks included.
+//! family. The metric columns are identical in every mode.
 
 use mlf_bench::{cli, knob, or_exit, write_csv, Args, Table};
 use mlf_core::allocator::MultiRate;
@@ -160,7 +159,6 @@ fn main() {
         "mean min rate",
         "mean satisfaction",
         "all-props rate",
-        "cache h/m/e",
     ]);
     if coordinate_procs > 0 && !checkpoint.is_empty() {
         // The writer creates the file, not its directory.
@@ -204,19 +202,10 @@ fn main() {
             format!("{:.4}", report.mean_min_rate()),
             format!("{:.4}", report.mean_of(|p| p.metrics.satisfaction)),
             format!("{:.3}", report.all_properties_rate()),
-            format!(
-                "{}/{}/{}",
-                report.cache.hits, report.cache.misses, report.cache.evictions
-            ),
         ]);
     }
     print!("{sweep_table}");
     for (family, stats) in &fleet_stats {
         println!("\nprocess fleet [{family}] ({coordinate_procs} workers):\n{stats}");
     }
-    println!(
-        "\n(cache h/m/e: sweep solve-cache hits/misses/evictions — every (seed, model) cell \
-         is unique in a one-shot sweep, so cold sweeps report all misses; warm re-sweeps and \
-         model grids report hits where cells repeat)"
-    );
 }

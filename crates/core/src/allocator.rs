@@ -389,11 +389,11 @@ pub trait Allocator: Send + Sync {
     ///
     /// Two allocators with equal signatures produce bitwise-equal
     /// solutions for the same network and link-rate inputs, which is what
-    /// lets scenarios that differ only in *reporting* (label, layering
-    /// ladder) share one solve cache. Return `None` when the identity is
-    /// not cheaply representable (e.g. explicit per-receiver weights) —
-    /// shared caches then simply bypass memoization for that scenario
-    /// rather than risk serving another configuration's bits.
+    /// lets a sweep fold the allocator into its identity and ship it to a
+    /// worker process by name. Return `None` when the identity is not
+    /// cheaply representable (e.g. explicit per-receiver weights) — such
+    /// an allocator then stays in-process rather than risk another
+    /// configuration's bits.
     fn cache_signature(&self) -> Option<String> {
         None
     }
@@ -685,8 +685,8 @@ impl Allocator for Weighted {
     }
 
     /// Uniform weights have a stable identity; explicit per-receiver
-    /// weights are deliberately unrepresentable (`None`), so shared caches
-    /// bypass rather than fingerprint a large float matrix.
+    /// weights are deliberately unrepresentable (`None`), so they stay
+    /// in-process rather than fingerprint a large float matrix.
     fn cache_signature(&self) -> Option<String> {
         match &self.weights {
             WeightSpec::Uniform => Some("weighted@uniform".to_string()),

@@ -143,7 +143,7 @@ pub struct Item {
     /// `impl<T> crate::x::Foo<T> where …`).
     pub impl_target: Option<String>,
     /// For [`ItemKind::Use`]: the normalized path text
-    /// (`crate::cache::{CacheStats, SolveCache}`).
+    /// (`crate::point::{encode_point, decode_point}`).
     pub use_path: Option<String>,
     /// Members of `mod { … }` and `impl { … }` bodies.
     pub children: Vec<Item>,
@@ -839,11 +839,11 @@ mod tests {
 
     #[test]
     fn use_paths_are_normalized() {
-        let items = parse("pub use crate::cache::{CacheStats, SolveCache};\n");
+        let items = parse("pub use crate::point::{encode_point, decode_point};\n");
         assert_eq!(items[0].kind, ItemKind::Use);
         assert_eq!(
             items[0].use_path.as_deref(),
-            Some("crate::cache::{CacheStats,SolveCache}")
+            Some("crate::point::{encode_point,decode_point}")
         );
     }
 

@@ -94,23 +94,19 @@
 //! oldest first. A report retires its own ticket, a dead worker requeues
 //! every ticket it held, and a rejection names the ticket it rejects.
 //!
-//! # Cache telemetry
+//! # Topology counters
 //!
-//! Every worker owns a solve cache, and every report carries that cache's
-//! counters accumulated since the worker's previous report. The merged
-//! [`SweepReport::cache`] sums the deltas of the reports the coordinator
-//! verified and used (shard deliveries whose hash verified, and spot
-//! checks it compared) plus the serial fallback's, so a fault-free cold
-//! run reports what a cold [`Scenario::sweep`] would, plus the spot-check
-//! recomputations.
+//! Every job builds its own topology, so the merged
+//! [`SweepReport::cache`] is set from the job list alone: a miss per job
+//! of a random-network source, a hit per job of a fixed one. A seeds-only
+//! coordinated sweep therefore reports what [`Scenario::sweep`] does.
 
-use crate::cache::CacheStats;
 use crate::checkpoint::{self, CheckpointError, CheckpointMeta, CheckpointWriter, ShardRecord};
 use crate::hash::Fnv1a;
 use crate::protocol::ProtocolScenarioError;
 use crate::record::{Dec, Enc};
 use crate::transport::{TransportCounters, TransportError, TransportPoll, WorkerTransport};
-use crate::{Scenario, ScenarioError, SweepGrid, SweepReport};
+use crate::{CacheStats, Scenario, ScenarioError, SweepGrid, SweepReport};
 use mlf_sim::SimRng;
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -150,10 +146,6 @@ pub(crate) trait Sweep: Sync + Sized {
     fn worker(&self) -> Self::Worker;
     /// The pure solve of one job.
     fn solve(&self, worker: &mut Self::Worker, job: &Self::Job) -> Self::Record;
-    /// The worker's lifetime solve-cache counters (telemetry only).
-    fn cache_stats(_worker: &Self::Worker) -> CacheStats {
-        CacheStats::default()
-    }
     /// Fold everything besides the job list that determines the records.
     fn identity(&self, h: &mut Fnv1a);
     /// Append the spec a worker process rebuilds this sweep from, or say
@@ -593,9 +585,7 @@ impl<J> Assignment<J> {
     }
 }
 
-/// One delivered computation. Shared with the transport frame codec;
-/// `cache` carries the worker's solve-cache counters since its previous
-/// report (telemetry only — never part of any verified bytes).
+/// One delivered computation. Shared with the transport frame codec.
 #[derive(Debug, Clone)]
 pub(crate) struct WorkerReport<R> {
     pub(crate) worker: usize,
@@ -603,7 +593,6 @@ pub(crate) struct WorkerReport<R> {
     pub(crate) attempt: u32,
     pub(crate) points: Vec<R>,
     pub(crate) hash: u64,
-    pub(crate) cache: CacheStats,
 }
 
 struct ShardSpec<J> {
@@ -644,20 +633,16 @@ enum ShardState<R> {
 // Worker side
 // ---------------------------------------------------------------------------
 
-/// A worker's private compute state, plus its cache counters as of its
-/// previous report, so that every report carries the cache work of
-/// exactly its own jobs. Shared by the thread workers and the process
-/// workers (`crate::transport`).
+/// A worker's private compute state. Shared by the thread workers and
+/// the process workers (`crate::transport`).
 pub(crate) struct WorkerState<S: Sweep> {
     state: S::Worker,
-    reported: CacheStats,
 }
 
 impl<S: Sweep> WorkerState<S> {
     pub(crate) fn new(sweep: &S) -> Self {
         WorkerState {
             state: sweep.worker(),
-            reported: CacheStats::default(),
         }
     }
 
@@ -692,16 +677,12 @@ impl<S: Sweep> WorkerState<S> {
         if fault == Some(FaultKind::CorruptHash) {
             hash ^= 0x5eed_bad0_dead_beef;
         }
-        let now = S::cache_stats(&self.state);
-        let cache = now.since(&self.reported);
-        self.reported = now;
         let report = WorkerReport {
             worker: id,
             task: a.task,
             attempt: a.attempt,
             points,
             hash,
-            cache,
         };
         Some((report, fault == Some(FaultKind::DuplicateShard)))
     }
@@ -858,12 +839,12 @@ fn backoff(cfg: &CoordinatorConfig, attempt: u32) -> Duration {
 }
 
 /// Run `jobs` of `sweep` through the coordinator: the records in job
-/// order, the summed cache counters, and the scheduling telemetry.
+/// order and the scheduling telemetry.
 pub(crate) fn coordinate<S: Sweep + 'static>(
     sweep: &S,
     jobs: Vec<S::Job>,
     cfg: &CoordinatorConfig,
-) -> Result<(Vec<S::Record>, CacheStats, CoordinatorStats), CoordinatorError> {
+) -> Result<(Vec<S::Record>, CoordinatorStats), CoordinatorError> {
     let mut run = Run::new(sweep, &jobs, cfg)?;
     if run.remaining > 0 {
         if run.interrupted() {
@@ -893,7 +874,6 @@ struct Run<'a, S: Sweep> {
     /// Shards accepted by this run (checkpointed ones excluded).
     accepted_new: u64,
     stats: CoordinatorStats,
-    cache: CacheStats,
 }
 impl<'a, S: Sweep + 'static> Run<'a, S> {
     /// Shard the job list and restore whatever the checkpoint (when
@@ -966,13 +946,12 @@ impl<'a, S: Sweep + 'static> Run<'a, S> {
             remaining,
             accepted_new: 0,
             stats,
-            cache: CacheStats::default(),
         })
     }
 
-    /// The merged records in canonical shard order, the cache counters
-    /// and the stats. Call only once every shard is done.
-    fn finish(self) -> (Vec<S::Record>, CacheStats, CoordinatorStats) {
+    /// The merged records in canonical shard order and the stats. Call
+    /// only once every shard is done.
+    fn finish(self) -> (Vec<S::Record>, CoordinatorStats) {
         let points = self
             .state
             .into_iter()
@@ -981,7 +960,7 @@ impl<'a, S: Sweep + 'static> Run<'a, S> {
                 _ => Vec::new(),
             })
             .collect();
-        (points, self.cache, self.stats)
+        (points, self.stats)
     }
 
     /// Take shard `i`'s state out, leaving a placeholder the caller
@@ -1306,7 +1285,6 @@ impl<'a, S: Sweep + 'static> Run<'a, S> {
                     self.stats.hash_rejects += 1;
                     return self.retry_shard(i);
                 }
-                self.cache.merge(&rep.cache);
                 if self.cfg.spot_check == 0 {
                     return self.accept(i, rep.points);
                 }
@@ -1330,7 +1308,6 @@ impl<'a, S: Sweep + 'static> Run<'a, S> {
                         return Ok(());
                     }
                 };
-                self.cache.merge(&rep.cache);
                 let spot_len = self.cfg.spot_check.min(self.shards[i].jobs.len());
                 let head_ok = rep.points.len() == spot_len
                     && encode_records::<S>(&rep.points)
@@ -1379,7 +1356,6 @@ impl<'a, S: Sweep + 'static> Run<'a, S> {
                 break;
             }
         }
-        self.cache.merge(&S::cache_stats(&worker));
         outcome
     }
 
@@ -1465,7 +1441,9 @@ impl Scenario {
         cfg: &CoordinatorConfig,
     ) -> Result<CoordinatorReport, CoordinatorError> {
         self.validate_grid(grid).map_err(CoordinatorError::Grid)?;
-        let (points, cache, stats) = coordinate(self, Self::grid_jobs(grid), cfg)?;
+        let jobs = Self::grid_jobs(grid);
+        let cache = CacheStats::per_point(&self.source, jobs.len(), jobs.len());
+        let (points, stats) = coordinate(self, jobs, cfg)?;
         Ok(CoordinatorReport {
             report: SweepReport {
                 label: self.label.clone(),
@@ -1667,7 +1645,7 @@ mod tests {
         let mut fleet = Scripted::new(&scenario, 2, jobs.len(), script);
         run.drive(&mut fleet).expect("the scripted run merges");
         let sent = fleet.sent;
-        let (points, _, stats) = run.finish();
+        let (points, stats) = run.finish();
         let serial = scripted_scenario().sweep(0..8);
         assert_eq!(points.len(), serial.points.len());
         for (got, want) in points.iter().zip(&serial.points) {
@@ -1791,7 +1769,7 @@ mod tests {
     }
 
     fn squares(sweep: &Squares, jobs: std::ops::Range<u64>, n: usize) -> Vec<u64> {
-        let (records, _, stats) = coordinate(sweep, jobs.collect(), &CoordinatorConfig::threads(n))
+        let (records, stats) = coordinate(sweep, jobs.collect(), &CoordinatorConfig::threads(n))
             .expect("thread sweeps succeed");
         assert_eq!((stats.retries, stats.timeouts), (0, 0), "{stats:?}");
         assert!(!stats.serial_fallback);

@@ -11,12 +11,10 @@
 //!
 //! A scenario owns one [`SolverWorkspace`], so a sweep's repeated solves
 //! reuse scratch buffers instead of re-allocating per call — the hot-path
-//! win the Figure 5/8 sweeps need. It also owns a bounded [`SolveCache`]
-//! ([`cache`]): seeded topologies are built once per `(family, shape,
-//! seed)` and whole sweep points are memoized per `(topology, effective
-//! link-rate model)`, so model grids share topology builds and repeated
-//! sweeps replay from cache — bitwise identically, with
-//! [`SweepReport::cache`] reporting hits/misses/evictions.
+//! win the Figure 5/8 sweeps need. A grid sweep loops over seeds first:
+//! each seeded topology is built once and solved under every grid model
+//! before the next seed's is built, so model grids share topology builds
+//! without any memo.
 //!
 //! ## One parallel engine
 //!
@@ -26,9 +24,9 @@
 //! comparisons ([`ProtocolSweepGrid`]). [`CoordinatorConfig::threads`] is
 //! a plain thread sweep; the same engine also runs hash-verified,
 //! spot-checked, checkpointed sweeps on thread or process fleets. Each
-//! worker owns its scratch (a [`SolverWorkspace`] and a worker-local
-//! cache), and records merge back in job order, so the coordinated output
-//! is **bitwise identical** to the serial sweep on any fleet.
+//! worker owns its scratch (a [`SolverWorkspace`]), and records merge
+//! back in job order, so the coordinated output is **bitwise identical**
+//! to the serial sweep on any fleet.
 //!
 //! ## Topology families
 //!
@@ -92,7 +90,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod checkpoint;
 pub mod coordinator;
 mod hash;
@@ -102,7 +99,6 @@ mod record;
 mod supervisor;
 pub mod transport;
 
-pub use cache::{CacheStats, SolveCache};
 pub use checkpoint::CheckpointError;
 pub use coordinator::{
     CoordinatorConfig, CoordinatorError, CoordinatorReport, CoordinatorStats, FaultEvent,
@@ -115,7 +111,6 @@ pub use protocol::{
 };
 pub use transport::TransportError;
 
-use cache::{SolveKey, TopologyKey};
 use mlf_core::allocator::{Allocator, Hybrid, SolverWorkspace};
 use mlf_core::{
     metrics, properties, FairnessReport, LinkRateConfig, LinkRateModel, MaxMinSolution,
@@ -123,6 +118,7 @@ use mlf_core::{
 use mlf_layering::LayerSchedule;
 use mlf_net::topology::random_network_with;
 use mlf_net::{Network, ReceiverId, TopologyError, TopologyFamily};
+use std::borrow::Cow;
 
 /// Where a scenario's networks come from.
 #[derive(Debug, Clone)]
@@ -257,8 +253,6 @@ pub struct ScenarioBuilder {
     allocator: Box<dyn Allocator>,
     layering: Option<LayerSchedule>,
     check_properties: bool,
-    cache_points: usize,
-    cache_networks: usize,
 }
 
 impl Default for ScenarioBuilder {
@@ -270,8 +264,6 @@ impl Default for ScenarioBuilder {
             allocator: Box::new(Hybrid::as_declared()),
             layering: None,
             check_properties: true,
-            cache_points: cache::DEFAULT_POINT_CAPACITY,
-            cache_networks: cache::DEFAULT_NETWORK_CAPACITY,
         }
     }
 }
@@ -343,18 +335,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Bound the sweep solve/topology cache: `points` memoized
-    /// [`SweepPoint`]s and `networks` built topologies (defaults:
-    /// [`cache::DEFAULT_POINT_CAPACITY`] /
-    /// [`cache::DEFAULT_NETWORK_CAPACITY`]). `cache_capacity(0, 0)`
-    /// disables caching entirely; see [`cache`] for the key semantics and
-    /// the determinism argument.
-    pub fn cache_capacity(mut self, points: usize, networks: usize) -> Self {
-        self.cache_points = points;
-        self.cache_networks = networks;
-        self
-    }
-
     /// Validate and assemble the scenario.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
         let source = self.source.ok_or(ScenarioError::MissingNetwork)?;
@@ -399,9 +379,6 @@ impl ScenarioBuilder {
             layering: self.layering,
             check_properties: self.check_properties,
             ws: SolverWorkspace::new(),
-            cache: SolveCache::with_capacity(self.cache_points, self.cache_networks),
-            cache_points: self.cache_points,
-            cache_networks: self.cache_networks,
         })
     }
 }
@@ -409,16 +386,6 @@ impl ScenarioBuilder {
 /// A declarative experiment: topology × link-rate model × allocation regime
 /// × (optional) layering × reporting, with solver scratch reused across
 /// every run it performs.
-///
-/// Serial sweeps additionally reuse a per-scenario [`SolveCache`]: seeded
-/// topologies are built once per `(family, shape, seed)` and whole sweep
-/// points are memoized per `(topology, effective link-rate model)`, so a
-/// grid revisiting the same cells (across its models, or across repeated
-/// sweep calls) skips the rebuild and the solve. Cached output is bitwise
-/// identical to uncached output — a point is a pure function of its key —
-/// and coordinated sweeps give each worker a private cache, keeping the
-/// serial/parallel bitwise contract intact. [`SweepReport::cache`]
-/// reports each sweep's hits/misses/evictions.
 pub struct Scenario {
     label: String,
     source: NetworkSource,
@@ -427,9 +394,6 @@ pub struct Scenario {
     layering: Option<LayerSchedule>,
     check_properties: bool,
     ws: SolverWorkspace,
-    cache: SolveCache,
-    cache_points: usize,
-    cache_networks: usize,
 }
 
 impl Scenario {
@@ -466,46 +430,41 @@ impl Scenario {
         report
     }
 
-    /// Solve one point against an explicit workspace. This is the whole
-    /// solve path: serial sweeps call it with the scenario's own workspace,
-    /// coordinator workers with their own — which is why the two agree
-    /// bitwise (a solve's result never depends on workspace history).
+    /// Solve one point against an explicit workspace. Coordinator workers
+    /// call it with their own workspace; serial grid sweeps instead call
+    /// `report_for` on a network they share across the grid's models. The
+    /// two agree bitwise because a solve's result depends neither on
+    /// workspace history nor on which build of a seed's network it reads.
     fn solve_with_ws(
         &self,
         seed: u64,
         model_override: Option<LinkRateModel>,
         ws: &mut SolverWorkspace,
     ) -> ScenarioReport {
-        let owned;
-        let net = match &self.source {
-            NetworkSource::Fixed(net) => net,
-            NetworkSource::Random { .. } => {
-                owned = self.build_network(seed);
-                &owned
-            }
-        };
-        self.report_for(net, seed, model_override, ws)
+        self.report_for(&self.network_for(seed), seed, model_override, ws)
     }
 
-    /// Build the seeded topology of a random source (panics on fixed
-    /// sources, which never call it).
-    fn build_network(&self, seed: u64) -> Network {
+    /// The network of `seed`: a fixed source's own, or a random source's
+    /// seeded topology, built here.
+    fn network_for(&self, seed: u64) -> Cow<'_, Network> {
         match &self.source {
-            NetworkSource::Fixed(_) => unreachable!("fixed sources hold their network"),
+            NetworkSource::Fixed(net) => Cow::Borrowed(net),
             NetworkSource::Random {
                 family,
                 nodes,
                 sessions,
                 max_receivers,
-            } => random_network_with(*family, seed, *nodes, *sessions, *max_receivers)
-                // mlf-lint: allow(panic-unwrap, reason = "ScenarioBuilder::build already rejected invalid random-source parameters, so regeneration cannot fail")
-                .expect("random-source parameters were validated at build time"),
+            } => Cow::Owned(
+                random_network_with(*family, seed, *nodes, *sessions, *max_receivers)
+                    // mlf-lint: allow(panic-unwrap, reason = "ScenarioBuilder::build already rejected invalid random-source parameters, so regeneration cannot fail")
+                    .expect("random-source parameters were validated at build time"),
+            ),
         }
     }
 
     /// The full per-point report against an explicit, already-built
-    /// network: the tail of the solve path shared by the cached and
-    /// uncached paths.
+    /// network: the tail of the solve path shared by single solves and
+    /// grid sweeps.
     fn report_for(
         &self,
         net: &Network,
@@ -548,97 +507,15 @@ impl Scenario {
         }
     }
 
-    /// The cache identity of one sweep point, when the scenario's
-    /// configuration is expressible as a uniform link-rate model (explicit
-    /// per-session configs are not and bypass the cache).
-    fn solve_key(&self, seed: u64, model_override: Option<LinkRateModel>) -> Option<SolveKey> {
-        let model = match model_override {
-            Some(m) => m,
-            None => match &self.link_rates {
-                LinkRates::Efficient => LinkRateModel::Efficient,
-                LinkRates::Uniform(m) => *m,
-                LinkRates::Explicit(_) => return None,
-            },
-        };
-        let topology = match &self.source {
-            // Fixed solves are seed-independent: every seed shares one
-            // entry (the hit path restores the requesting seed label).
-            NetworkSource::Fixed(_) => TopologyKey::fixed(),
-            NetworkSource::Random {
-                family,
-                nodes,
-                sessions,
-                max_receivers,
-            } => TopologyKey::random(*family, *nodes, *sessions, *max_receivers, seed),
-        };
-        Some(SolveKey::new(topology, model))
-    }
-
-    /// One sweep point through the cache (when one is supplied and the
-    /// point is representable): memoized points return as clones, misses
-    /// solve against the cached topology and populate the memo.
-    fn sweep_point_with(
-        &self,
-        seed: u64,
-        model: Option<LinkRateModel>,
-        ws: &mut SolverWorkspace,
-        cache: Option<&mut SolveCache>,
-    ) -> SweepPoint {
-        let uncached = |ws: &mut SolverWorkspace| {
-            SweepPoint::from_report(self.solve_with_ws(seed, model, ws), model)
-        };
-        let Some(cache) = cache else {
-            return uncached(ws);
-        };
-        let Some(key) = self.solve_key(seed, model) else {
-            return uncached(ws);
-        };
-        if let Some(mut point) = cache.point(&key) {
-            // The solve is key-determined but the `model` and `seed`
-            // labels record what *this* job requested: a `None` job served
-            // by a memoized `Some(Efficient)` solve, or a fixed-source
-            // point memoized under a different seed, must still label its
-            // point the way an uncached run would.
-            point.model = model;
-            point.seed = seed;
-            return point;
-        }
-        let report = match &self.source {
-            NetworkSource::Fixed(net) => self.report_for(net, seed, model, ws),
-            NetworkSource::Random { .. } => {
-                let net = cache.network(key.topology(), || self.build_network(seed));
-                self.report_for(&net, seed, model, ws)
-            }
-        };
-        let point = SweepPoint::from_report(report, model);
-        cache.insert_point(key, point.clone());
-        point
-    }
-
-    /// Whether caching is enabled at all for this scenario.
-    fn caching_enabled(&self) -> bool {
-        self.cache_points > 0 || self.cache_networks > 0
-    }
-
-    /// A fresh cache sized like the scenario's (a coordinator worker's
-    /// cache), or `None` when caching is disabled.
-    fn worker_cache(&self) -> Option<SolveCache> {
-        self.caching_enabled()
-            .then(|| SolveCache::with_capacity(self.cache_points, self.cache_networks))
-    }
-
-    /// Run one solve per seed, reusing the workspace — and the scenario's
-    /// persistent [`SolveCache`] — throughout. The result is a pure
-    /// function of the seeds (and the scenario spec): two sweeps with
-    /// equal seeds produce equal points (the second served from cache).
+    /// Run one solve per seed, reusing the workspace throughout. The
+    /// result is a pure function of the seeds (and the scenario spec): two
+    /// sweeps with equal seeds produce equal points.
     pub fn sweep<I: IntoIterator<Item = u64>>(&mut self, seeds: I) -> SweepReport {
         self.sweep_grid(&SweepGrid::seeds(seeds))
     }
 
     /// Run the full `seeds × models` grid (the Figure 4/5/6 pattern:
-    /// the same topologies under different redundancy models). Each seeded
-    /// topology is built once and shared across the grid's models through
-    /// the scenario cache.
+    /// the same topologies under different redundancy models).
     ///
     /// # Panics
     ///
@@ -648,39 +525,47 @@ impl Scenario {
     /// ([`ScenarioError::AllocatorIgnoresLinkRates`]), or a model outside
     /// its domain ([`ScenarioError::InvalidLinkRateModel`]).
     ///
-    /// The sweep runs inline: one workspace, the scenario's own cache,
-    /// jobs in order. [`SweepReport::cache`] carries this sweep's share of
-    /// the cache counters.
+    /// The sweep runs inline on one workspace with seeds in the outer
+    /// loop: each seeded topology is built once, solved under every grid
+    /// model, and dropped before the next seed's is built. The points come
+    /// back in the canonical models-major order of the coordinated grid
+    /// sweep.
     pub fn sweep_grid(&mut self, grid: &SweepGrid) -> SweepReport {
         if let Err(e) = self.validate_grid(grid) {
             // mlf-lint: allow(panic-unwrap, reason = "the documented `# Panics` contract of the infallible sweep_grid; validate_grid and coordinate_grid are the typed alternatives")
             panic!("{e}");
         }
-        // Detach the owned workspace/cache so the shared solve path can
-        // borrow `self` immutably (the same path coordinator workers use).
+        // Detach the owned workspace so the shared solve path can borrow
+        // `self` immutably (the same path coordinator workers use).
         let mut ws = std::mem::take(&mut self.ws);
-        let mut cache = std::mem::take(&mut self.cache);
-        let before = cache.stats();
-        let enabled = self.caching_enabled();
-        let points = Self::grid_jobs(grid)
-            .into_iter()
-            .map(|(model, seed)| {
-                self.sweep_point_with(seed, model, &mut ws, enabled.then_some(&mut cache))
-            })
+        let models: Vec<Option<LinkRateModel>> = if grid.models.is_empty() {
+            vec![None]
+        } else {
+            grid.models.iter().copied().map(Some).collect()
+        };
+        let mut per_model: Vec<Vec<SweepPoint>> = models
+            .iter()
+            .map(|_| Vec::with_capacity(grid.seeds.len()))
             .collect();
-        let stats = cache.stats().since(&before);
-        self.cache = cache;
+        for &seed in &grid.seeds {
+            let net = self.network_for(seed);
+            for (points, &model) in per_model.iter_mut().zip(&models) {
+                let report = self.report_for(&net, seed, model, &mut ws);
+                points.push(SweepPoint::from_report(report, model));
+            }
+        }
         self.ws = ws;
+        let points: Vec<SweepPoint> = per_model.into_iter().flatten().collect();
         SweepReport {
             label: self.label.clone(),
+            cache: CacheStats::per_point(&self.source, points.len(), grid.seeds.len()),
             points,
-            cache: stats,
         }
     }
 
-    /// The canonical job order of a grid — models-major, then seeds. Both
-    /// the serial and the coordinated grid sweep consume this one
-    /// expansion, so their point order can never diverge.
+    /// The canonical job order of a grid — models-major, then seeds. The
+    /// coordinated grid sweep runs these jobs; the serial grid sweep emits
+    /// its points in the same order.
     fn grid_jobs(grid: &SweepGrid) -> Vec<(Option<LinkRateModel>, u64)> {
         let mut jobs = Vec::with_capacity(grid.seeds.len() * grid.models.len().max(1));
         if grid.models.is_empty() {
@@ -709,18 +594,6 @@ impl Scenario {
                     reason,
                 })
         })
-    }
-
-    /// The lifetime counters of the scenario's own (serial-sweep) cache.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Drop every cached topology and sweep point (counters are kept).
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
     }
 }
 
@@ -875,6 +748,45 @@ impl SweepPoint {
     }
 }
 
+/// Topology-reuse counters of one sweep, per point.
+///
+/// Kept only because the benchmark harness reads them; delete them with
+/// the next change to the benchmark. `hits + misses` is the point count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Points solved on a network the sweep already had: a later model of
+    /// the same seed, or any point of a fixed source.
+    pub hits: u64,
+    /// Points whose topology was built for that point.
+    pub misses: u64,
+    /// Always 0.
+    pub evictions: u64,
+}
+
+impl CacheStats {
+    /// The counters of `points` points of `source` that asked for
+    /// `networks` seeded networks: a random source builds each one (a
+    /// miss), and every other point reuses one (a hit).
+    fn per_point(source: &NetworkSource, points: usize, networks: usize) -> Self {
+        let builds = match source {
+            NetworkSource::Fixed(_) => 0,
+            NetworkSource::Random { .. } => networks,
+        };
+        CacheStats {
+            hits: (points - builds) as u64,
+            misses: builds as u64,
+            evictions: 0,
+        }
+    }
+
+    /// Accumulate another sweep's counters.
+    pub fn merge(&mut self, other: &CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.evictions += other.evictions;
+    }
+}
+
 /// The outcome of a sweep: one [`SweepPoint`] per (seed, model) pair.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
@@ -882,17 +794,15 @@ pub struct SweepReport {
     pub label: String,
     /// The points, in sweep order.
     pub points: Vec<SweepPoint>,
-    /// This sweep's solve-cache counters (serial: the scenario cache's
-    /// delta; coordinated: the workers' merged totals).
+    /// This sweep's topology-reuse counters (see [`CacheStats`]).
     pub cache: CacheStats,
 }
 
-/// Equality compares the **deterministic output** — label and points —
-/// and deliberately ignores [`SweepReport::cache`]: cache telemetry
-/// depends on execution history (a warm scenario hits where a cold one
-/// misses, workers shard differently at different thread counts) while
-/// the points are bitwise reproducible regardless. This is what lets the
-/// serial/parallel differential suites keep asserting `serial == parallel`.
+/// Equality compares the **output** — label and points — and ignores
+/// [`SweepReport::cache`]: a serial grid sweep shares each seed's topology
+/// across the grid's models, while a coordinated one builds a topology
+/// per job, yet both produce the same points bitwise. This is what lets
+/// the serial/parallel differential suites assert `serial == parallel`.
 impl PartialEq for SweepReport {
     fn eq(&self, other: &Self) -> bool {
         self.label == other.label && self.points == other.points
@@ -1087,34 +997,15 @@ mod tests {
         let a = s.sweep(0..10);
         let b = s.sweep(0..10);
         assert_eq!(a, b);
-        // The first sweep solved everything; the second was served
-        // entirely from the scenario cache (same points, no new solves).
-        assert_eq!(s.solves(), 10);
-        assert_eq!(
-            (a.cache.hits, a.cache.misses, b.cache.hits, b.cache.misses),
-            (0, 10, 10, 0)
-        );
+        // Both sweeps solved every point on the one workspace.
+        assert_eq!(s.solves(), 20);
         assert_eq!(a.points.len(), 10);
         // Theorem 1 holds at every point of an all-multi-rate sweep.
         assert_eq!(a.all_properties_rate(), 1.0);
-
-        // With the cache disabled, every sweep re-solves.
-        let mut uncached = Scenario::builder()
-            .random_networks(12, 4, 4)
-            .allocator(MultiRate::new())
-            .cache_capacity(0, 0)
-            .build()
-            .unwrap();
-        let c = uncached.sweep(0..10);
-        let d = uncached.sweep(0..10);
-        assert_eq!(a.points, c.points, "cached and uncached points agree");
-        assert_eq!(c.points, d.points);
-        assert_eq!(uncached.solves(), 20);
-        assert_eq!(c.cache, CacheStats::default());
     }
 
     #[test]
-    fn warm_cache_replays_grid_sweeps_bitwise() {
+    fn repeated_grid_sweeps_are_bitwise_identical() {
         let mut s = Scenario::builder()
             .random_networks(14, 4, 4)
             .allocator(MultiRate::new())
@@ -1125,32 +1016,19 @@ mod tests {
             LinkRateModel::Scaled(2.0),
             LinkRateModel::Sum,
         ]);
-        let cold = s.sweep_grid(&grid);
-        assert_eq!((cold.cache.hits, cold.cache.misses), (0, 18));
-        let solves_after_cold = s.solves();
-        let warm = s.sweep_grid(&grid);
-        assert_eq!(cold, warm, "warm replay is bitwise identical");
-        assert_eq!((warm.cache.hits, warm.cache.misses), (18, 0));
-        assert_eq!(s.solves(), solves_after_cold, "warm sweep solved nothing");
-        // And a fresh uncached scenario agrees point for point.
-        let fresh = Scenario::builder()
-            .random_networks(14, 4, 4)
-            .allocator(MultiRate::new())
-            .cache_capacity(0, 0)
-            .build()
-            .unwrap()
-            .sweep_grid(&grid);
-        assert_eq!(cold.points, fresh.points);
+        let first = s.sweep_grid(&grid);
+        let second = s.sweep_grid(&grid);
+        assert_eq!(first, second);
+        assert_eq!(s.solves(), 36, "every sweep solves every point");
+        let counters = |r: &SweepReport| (r.cache.hits, r.cache.misses);
+        assert_eq!(counters(&first), (12, 6));
+        assert_eq!(counters(&first), counters(&second));
     }
 
     #[test]
-    fn permuted_cache_population_order_preserves_stats_and_output() {
-        // Warm two identical scenarios through grids that visit the same
-        // cells in different orders, then sweep both with the canonical
-        // grid. The caches were *populated* in different orders, so any
-        // iteration-order dependence inside the cache (or hash-seed
-        // dependence across instances) would surface as diverging stats or
-        // points here.
+    fn grid_points_do_not_depend_on_grid_order() {
+        // Seeds and models reversed: every (seed, model) cell must come out
+        // bitwise the same, only in the reversed grid's own order.
         let models = [
             LinkRateModel::Efficient,
             LinkRateModel::Scaled(2.0),
@@ -1162,36 +1040,22 @@ mod tests {
             m.reverse();
             m
         });
-        let build = || {
-            Scenario::builder()
-                .random_networks(14, 4, 4)
-                .allocator(MultiRate::new())
-                .build()
-                .unwrap()
-        };
-        let mut a = build();
-        let mut b = build();
-        a.sweep_grid(&canonical);
-        b.sweep_grid(&permuted);
-        let out_a = a.sweep_grid(&canonical);
-        let out_b = b.sweep_grid(&canonical);
-        assert_eq!(out_a, out_b, "sweep output depends on population order");
-        assert_eq!(
-            (out_a.cache.hits, out_a.cache.misses),
-            (18, 0),
-            "canonical replay after canonical warmup must be all hits"
-        );
-        assert_eq!(
-            out_a.cache, out_b.cache,
-            "cache stats depend on population order"
-        );
+        let mut s = Scenario::builder()
+            .random_networks(14, 4, 4)
+            .allocator(MultiRate::new())
+            .build()
+            .unwrap();
+        let want = s.sweep_grid(&canonical).points;
+        let got = s.sweep_grid(&permuted).points;
+        let mut reversed = want.clone();
+        reversed.reverse();
+        assert_eq!(got, reversed);
     }
 
     #[test]
-    fn grid_cells_share_solves_when_models_normalize_equal() {
+    fn efficient_grid_model_matches_the_scenario_default() {
         // The scenario's default (Efficient) and an explicit Efficient grid
-        // model are the *same* solve: the second block of cells is served
-        // from the first block's entries.
+        // model are the same solve.
         let mut s = Scenario::builder()
             .random_networks(12, 3, 3)
             .allocator(MultiRate::new())
@@ -1199,10 +1063,8 @@ mod tests {
             .unwrap();
         let grid = SweepGrid::seeds(0..5).with_models([LinkRateModel::Efficient]);
         let with_model = s.sweep_grid(&grid);
-        assert_eq!((with_model.cache.hits, with_model.cache.misses), (0, 5));
         let plain = s.sweep(0..5);
-        assert_eq!((plain.cache.hits, plain.cache.misses), (5, 0));
-        // Labels still reflect what each sweep requested.
+        // Labels reflect what each sweep requested.
         assert!(with_model
             .points
             .iter()
@@ -1215,46 +1077,58 @@ mod tests {
     }
 
     #[test]
-    fn fixed_sources_share_one_solve_across_seeds() {
-        // A fixed network's solve is seed-independent; sweeping many seeds
-        // must solve once and relabel cached points per seed.
+    fn fixed_sources_reuse_their_network_across_seeds() {
+        // A fixed network's solve is seed-independent: every seed labels
+        // its own point, and no seed builds a topology.
         let mut s = Scenario::builder()
             .network(two_branch_network())
             .allocator(MultiRate::new())
             .build()
             .unwrap();
         let report = s.sweep(0..8);
-        assert_eq!((report.cache.hits, report.cache.misses), (7, 1));
-        assert_eq!(s.solves(), 1);
+        assert_eq!((report.cache.hits, report.cache.misses), (8, 0));
+        assert_eq!(s.solves(), 8);
         for (seed, p) in report.points.iter().enumerate() {
-            assert_eq!(p.seed, seed as u64, "seed label restored on hit");
+            assert_eq!(p.seed, seed as u64, "each point carries its seed");
             assert_eq!(p.metrics, report.points[0].metrics);
         }
-        // And the points match an uncached scenario's exactly.
-        let uncached = Scenario::builder()
-            .network(two_branch_network())
-            .allocator(MultiRate::new())
-            .cache_capacity(0, 0)
-            .build()
-            .unwrap()
-            .sweep(0..8);
-        assert_eq!(report.points, uncached.points);
     }
 
+    /// The counters count topology builds per point. 300 seeds is more
+    /// than any per-seed memo of 256 networks could hold across a
+    /// models-major grid; the seed-major loop builds each one once.
     #[test]
-    fn explicit_configs_bypass_the_cache() {
-        let net = two_branch_network();
+    fn grid_counters_count_one_build_per_seed() {
         let mut s = Scenario::builder()
-            .network(net)
+            .random_networks(6, 2, 2)
             .allocator(MultiRate::new())
-            .link_rates(LinkRates::Explicit(
-                LinkRateConfig::efficient(2).with_session(0, LinkRateModel::Scaled(2.0)),
-            ))
+            .check_properties(false)
             .build()
             .unwrap();
-        let a = s.sweep([0, 0, 0]);
-        assert_eq!(a.cache, CacheStats::default(), "no cacheable key");
-        assert_eq!(s.solves(), 3);
+        let grid = SweepGrid::seeds(0..300)
+            .with_models([LinkRateModel::Efficient, LinkRateModel::Scaled(2.0)]);
+        let report = s.sweep_grid(&grid);
+        assert_eq!(report.points.len(), 600);
+        let want = CacheStats {
+            hits: 300,
+            misses: 300,
+            evictions: 0,
+        };
+        assert_eq!(report.cache, want);
+
+        let fixed = Scenario::builder()
+            .network(two_branch_network())
+            .allocator(MultiRate::new())
+            .build()
+            .unwrap()
+            .sweep_grid(&SweepGrid::seeds(0..5).with_models([LinkRateModel::Sum]));
+        assert_eq!((fixed.cache.hits, fixed.cache.misses), (5, 0));
+
+        // A seeds-only coordinated sweep builds one topology per job too.
+        let serial = s.sweep(0..40);
+        let coordinated = s.coordinate(0..40, &threads(2)).unwrap().report;
+        assert_eq!(serial.cache, coordinated.cache);
+        assert_eq!((serial.cache.hits, serial.cache.misses), (0, 40));
     }
 
     fn threads(n: usize) -> CoordinatorConfig {

@@ -3,7 +3,6 @@
 //! records cross frames and checkpoints in, and the shipped spec a
 //! worker process rebuilds the scenario from.
 
-use crate::cache::{CacheStats, SolveCache};
 use crate::checkpoint::{
     load, shard_hash, CheckpointError, CheckpointMeta, CheckpointWriter, LoadedCheckpoint,
     ShardRecord,
@@ -143,7 +142,7 @@ impl CheckpointWriter {
 impl Sweep for Scenario {
     type Job = Job;
     type Record = SweepPoint;
-    type Worker = (SolverWorkspace, Option<SolveCache>);
+    type Worker = SolverWorkspace;
     const INIT_FRAME: u8 = FRAME_INIT;
     // Model tag u8 + model bits u64 + seed u64.
     const JOB_BYTES: usize = 17;
@@ -170,15 +169,11 @@ impl Sweep for Scenario {
     }
 
     fn worker(&self) -> Self::Worker {
-        (SolverWorkspace::new(), self.worker_cache())
+        SolverWorkspace::new()
     }
 
-    fn solve(&self, (ws, cache): &mut Self::Worker, &(model, seed): &Job) -> SweepPoint {
-        self.sweep_point_with(seed, model, ws, cache.as_mut())
-    }
-
-    fn cache_stats((_, cache): &Self::Worker) -> CacheStats {
-        cache.as_ref().map(SolveCache::stats).unwrap_or_default()
+    fn solve(&self, ws: &mut Self::Worker, &(model, seed): &Job) -> SweepPoint {
+        SweepPoint::from_report(self.solve_with_ws(seed, model, ws), model)
     }
 
     /// Label, allocator identity, audit switch, network source (a fixed
@@ -304,8 +299,6 @@ impl Sweep for Scenario {
         e.u64(mbits);
         e.u8(allocator);
         e.u8(u8::from(self.check_properties));
-        e.u64(self.cache_points as u64);
-        e.u64(self.cache_networks as u64);
         Ok(())
     }
 
@@ -334,7 +327,6 @@ impl Sweep for Scenario {
             .get(code)
             .ok_or_else(|| format!("unknown allocator code {code}"))?;
         let check_properties = d.u8()? != 0;
-        let (cache_points, cache_networks) = (d.u64()? as usize, d.u64()? as usize);
         let mut builder = Scenario::builder()
             .label(label)
             .random_networks_with(
@@ -344,8 +336,7 @@ impl Sweep for Scenario {
                 max_receivers as usize,
             )
             .link_rates(link_rates)
-            .check_properties(check_properties)
-            .cache_capacity(cache_points, cache_networks);
+            .check_properties(check_properties);
         builder.allocator = make();
         builder.build().map_err(|e| e.to_string())
     }

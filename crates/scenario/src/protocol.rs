@@ -501,7 +501,7 @@ impl ProtocolScenario {
         cfg: &CoordinatorConfig,
     ) -> Result<CoordinatorReport<ProtocolSweepReport>, CoordinatorError> {
         grid.validate().map_err(CoordinatorError::ProtocolGrid)?;
-        let (points, _, stats) = coordinator::coordinate(self, grid.jobs(&self.template), cfg)?;
+        let (points, stats) = coordinator::coordinate(self, grid.jobs(&self.template), cfg)?;
         Ok(CoordinatorReport {
             report: ProtocolSweepReport {
                 label: self.label.clone(),

@@ -48,7 +48,6 @@
 //! rather than approximated). Fault injection riding the same seeded
 //! [`FaultPlan`] on both sides keeps chaos runs reproducible.
 
-use crate::cache::CacheStats;
 use crate::coordinator::{
     Assignment, FaultEvent, FaultKind, FaultPlan, Sweep, TaskId, Ticket, WorkerReport, WorkerState,
     FAULT_KINDS,
@@ -353,9 +352,6 @@ fn encode_report<S: Sweep>(e: &mut Enc, r: &WorkerReport<S::Record>) {
     e.u64(tindex);
     e.u32(r.attempt);
     e.u64(r.hash);
-    e.u64(r.cache.hits);
-    e.u64(r.cache.misses);
-    e.u64(r.cache.evictions);
     e.u32(r.points.len() as u32);
     for p in &r.points {
         S::encode_record(p, e);
@@ -370,11 +366,6 @@ fn decode_report<S: Sweep>(payload: &[u8]) -> Result<WorkerReport<S::Record>, St
     let task = task_from_code(tkind, tindex)?;
     let attempt = d.u32()?;
     let hash = d.u64()?;
-    let cache = CacheStats {
-        hits: d.u64()?,
-        misses: d.u64()?,
-        evictions: d.u64()?,
-    };
     let npoints = d.count(S::RECORD_BYTES)?;
     let points = (0..npoints)
         .map(|_| S::decode_record(&mut d))
@@ -386,7 +377,6 @@ fn decode_report<S: Sweep>(payload: &[u8]) -> Result<WorkerReport<S::Record>, St
         attempt,
         points,
         hash,
-        cache,
     })
 }
 
@@ -651,7 +641,6 @@ mod tests {
             .random_networks(12, 3, 3)
             .link_rates(LinkRates::Uniform(LinkRateModel::Scaled(2.0)))
             .allocator(MultiRate::new())
-            .cache_capacity(64, 16)
             .build()
             .unwrap()
     }
@@ -725,11 +714,6 @@ mod tests {
                 attempt: 0,
                 points: vec![point(0), point(1)],
                 hash: 0xdead_beef,
-                cache: CacheStats {
-                    hits: 1,
-                    misses: 2,
-                    evictions: 3,
-                },
             }),
             Frame::Reject {
                 message: "bad frame".to_string(),
@@ -905,11 +889,6 @@ mod tests {
         assert_eq!(rep.worker, 0);
         assert_eq!(rep.task, TaskId::Shard(0));
         assert_eq!(rep.hash, shard_content_hash(0, 0, &rep.points));
-        assert_eq!(
-            (rep.cache.hits, rep.cache.misses),
-            (0, 6),
-            "the report carries its own cache delta"
-        );
         let enc_got: Vec<_> = rep.points.iter().map(encode_point).collect();
         let enc_want: Vec<_> = expected.points.iter().map(encode_point).collect();
         assert_eq!(enc_got, enc_want, "process-side points bitwise equal");

@@ -80,8 +80,8 @@ fn fault_free_coordinator_matches_serial_sweep() {
     }
 }
 
-/// With spot checks off, a fault-free run reports one miss per job, like a
-/// cold serial sweep: each worker report carries its own cache delta.
+/// A fault-free run reports one topology build per job, like the serial
+/// seeds-only sweep: both count every point of a random source a miss.
 #[test]
 fn fault_free_coordinator_reports_cold_cache_counters() {
     let cold = scenario().sweep(0..64);

@@ -3,7 +3,7 @@
 //! kill-the-worker-process and torn-frame plans, under the seeded
 //! six-kind process fault matrix at both fleet sizes, and across a
 //! kill-the-coordinator resume loop; a fault-free fleet also reports the
-//! cache counters of a cold serial sweep. The headline Figure-8 leg runs
+//! topology counters of the serial sweep. The headline Figure-8 leg runs
 //! a protocol grid with latency pairs through the same fleet, faults and
 //! resume loop.
 //!
@@ -293,8 +293,8 @@ fn thread_transport_survives_process_fault_plans() {
     }
 }
 
-/// With spot checks off, a fault-free fleet reports one miss per job, like
-/// a cold serial sweep: each worker report carries its own cache delta.
+/// A fault-free fleet reports one topology build per job, like the serial
+/// seeds-only sweep: both count every point of a random source a miss.
 fn fault_free_process_fleet_reports_cold_cache_counters() {
     let cold = scenario().sweep(0..64);
     let cfg = CoordinatorConfig {

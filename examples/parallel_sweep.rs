@@ -10,6 +10,10 @@
 //!   merged points are *bitwise identical* to the serial `sweep`, which
 //!   the example asserts before reporting.
 //!
+//! It then crosses each family's seeds with two link-rate models in one
+//! serial `sweep_grid`, which builds every seed's topology once and
+//! solves both models on it, and prints the topology-reuse counters.
+//!
 //! Run with `cargo run --release --example parallel_sweep`.
 
 use multicast_fairness::prelude::*;
@@ -29,7 +33,7 @@ fn main() {
         TopologyFamily::Dumbbell,
     ];
 
-    let mut cache_lines = Vec::new();
+    let mut reuse_lines = Vec::new();
     println!(
         "{:<14} {:>10} {:>14} {:>16}",
         "family", "mean Jain", "mean min rate", "all-props rate"
@@ -43,9 +47,7 @@ fn main() {
             .expect("valid sweep parameters");
 
         // The parallel engine must reproduce the serial sweep exactly —
-        // same seeds, same bits, regardless of thread count. (Cache
-        // telemetry is not part of report equality: the serial sweep uses
-        // the scenario's persistent cache, parallel workers their own.)
+        // same seeds, same bits, regardless of thread count.
         let serial = scenario.sweep(seeds.clone());
         let parallel = scenario
             .coordinate(seeds.clone(), &CoordinatorConfig::threads(threads))
@@ -57,15 +59,17 @@ fn main() {
             "parallel sweep diverged from serial for {}",
             family.label()
         );
-        // A warm serial re-sweep is served from the scenario's solve cache.
-        let warm = scenario.sweep(seeds.clone());
-        assert_eq!(serial, warm);
-        cache_lines.push(format!(
-            "{:<14} cold: {} misses -> warm re-sweep: {} hits / {} misses",
+        // A grid sweep solves every model on one build of each seed's
+        // topology: one miss (a build) per seed, hits for the other model.
+        let grid = SweepGrid::seeds(seeds.clone())
+            .with_models([LinkRateModel::Efficient, LinkRateModel::Scaled(2.0)]);
+        let gridded = scenario.sweep_grid(&grid);
+        reuse_lines.push(format!(
+            "{:<14} {} points: {} topologies built, {} points solved on one already built",
             family.label(),
-            serial.cache.misses,
-            warm.cache.hits,
-            warm.cache.misses,
+            gridded.points.len(),
+            gridded.cache.misses,
+            gridded.cache.hits,
         ));
 
         println!(
@@ -77,10 +81,8 @@ fn main() {
         );
     }
 
-    // Each scenario's solve cache replays a repeated sweep without
-    // re-solving a single point (bitwise identically — asserted above).
-    println!("\nSolve-cache effectiveness per family:");
-    for line in &cache_lines {
+    println!("\nTopology reuse of a two-model grid sweep per family:");
+    for line in &reuse_lines {
         println!("  {line}");
     }
 

@@ -78,13 +78,14 @@
 //!   produce byte-identical output on every run, on any worker fleet
 //!   (the sweep coordinator merges shards in canonical order, whether it
 //!   runs plain threads or a fault-injected, checkpointed process fleet),
-//!   and with the solve cache warm or cold.
+//!   and whether a grid sweep runs serially (each seed's topology shared
+//!   across the grid's models) or coordinated (one topology per job).
 //! * **No ambient inputs.** Library code takes seeds, times, and
 //!   configuration as parameters — never from wall clocks
 //!   (`Instant`/`SystemTime`), environment variables, or thread identity.
 //!   Randomness comes only from in-tree seeded generators (SplitMix64).
 //! * **No iteration-order dependence.** `HashMap`/`HashSet` are keyed
-//!   stores only; anything order-sensitive (eviction, folds, output)
+//!   stores only; anything order-sensitive (folds, output)
 //!   walks explicit orders — sorted ids, insertion queues, CSR index
 //!   order.
 //! * **Total float comparisons.** Sorts and extrema over `f64` use
@@ -158,8 +159,7 @@ pub mod prelude {
     pub use mlf_protocols::{ExperimentParamError, ExperimentParams, ProtocolKind};
     pub use mlf_scenario::{
         CacheStats, CoordinatorConfig, LinkRates, ProtocolScenario, ProtocolSweepGrid,
-        ProtocolSweepPoint, ProtocolSweepReport, Scenario, ScenarioReport, SolveCache, SweepGrid,
-        SweepReport,
+        ProtocolSweepPoint, ProtocolSweepReport, Scenario, ScenarioReport, SweepGrid, SweepReport,
     };
     pub use mlf_sim::{LossProcess, RunningStats, SimRng};
 }

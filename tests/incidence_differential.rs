@@ -317,47 +317,51 @@ fn unicast_matches_reference() {
     }
 }
 
-/// Sweep-cache differential: warm (all-hits) grid sweeps replay the cold
-/// solves bitwise across every topology family, serial and parallel alike.
+/// Grid differential: a seed-major grid sweep, which solves every model
+/// on one build of each seed's topology, equals one single-model sweep
+/// per model concatenated, and the coordinated grid sweep (one topology
+/// build per job) at several thread counts, bitwise across every family.
 #[test]
-fn warm_cache_sweeps_match_cold_solves_across_families() {
-    use mlf_scenario::{CoordinatorConfig, LinkRates, Scenario, SweepGrid};
+fn seed_major_grid_sweeps_match_per_model_sweeps_across_families() {
+    use mlf_scenario::checkpoint::encode_point;
+    use mlf_scenario::{CoordinatorConfig, LinkRates, Scenario, SweepGrid, SweepPoint};
 
+    let bits = |points: &[SweepPoint]| points.iter().map(encode_point).collect::<Vec<_>>();
+    let models = [LinkRateModel::Efficient, LinkRateModel::Scaled(2.0)];
     for family in FAMILIES {
-        let grid = SweepGrid::seeds(0..6)
-            .with_models([LinkRateModel::Efficient, LinkRateModel::Scaled(2.0)]);
-        let mut cached = Scenario::builder()
+        let mut s = Scenario::builder()
             .label(family.label())
             .random_networks_with(family, 16, 4, 4)
             .link_rates(LinkRates::Uniform(LinkRateModel::Efficient))
             .allocator(MultiRate::new())
             .build()
             .unwrap();
-        let cold = cached.sweep_grid(&grid);
-        let warm = cached.sweep_grid(&grid);
-        assert_eq!(cold, warm, "{}: warm replay diverged", family.label());
-        assert_eq!(cold.cache.hits, 0, "{}", family.label());
-        assert_eq!(warm.cache.misses, 0, "{}", family.label());
-
-        // An uncached twin agrees with both.
-        let mut uncached = Scenario::builder()
-            .label(family.label())
-            .random_networks_with(family, 16, 4, 4)
-            .link_rates(LinkRates::Uniform(LinkRateModel::Efficient))
-            .allocator(MultiRate::new())
-            .cache_capacity(0, 0)
-            .build()
-            .unwrap();
-        assert_eq!(cold.points, uncached.sweep_grid(&grid).points);
-
-        // Thread sweeps (worker-local caches) stay bitwise identical to
-        // serial at several thread counts.
-        for threads in [2usize, 5] {
-            let par = cached
+        let grid = SweepGrid::seeds(0..6).with_models(models);
+        let seed_major = s.sweep_grid(&grid);
+        let per_model: Vec<SweepPoint> = models
+            .iter()
+            .flat_map(|&m| {
+                s.sweep_grid(&SweepGrid::seeds(0..6).with_models([m]))
+                    .points
+            })
+            .collect();
+        assert_eq!(
+            bits(&seed_major.points),
+            bits(&per_model),
+            "{}: seed-major grid diverged from per-model sweeps",
+            family.label()
+        );
+        for threads in [1usize, 2, 3] {
+            let par = s
                 .coordinate_grid(&grid, &CoordinatorConfig::threads(threads))
                 .expect("thread sweep")
                 .report;
-            assert_eq!(cold, par, "{} at {threads} threads", family.label());
+            assert_eq!(
+                bits(&seed_major.points),
+                bits(&par.points),
+                "{} at {threads} threads",
+                family.label()
+            );
         }
     }
 }
