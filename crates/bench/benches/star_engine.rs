@@ -10,8 +10,10 @@
 //!    any timing — an engine-determinism regression fails the bench run
 //!    itself, which is why CI executes this bench. A second leg repeats
 //!    the check at independent loss 0, where receivers on lossless lanes
-//!    are parked as quiet and their deliveries settled lazily; the timed
-//!    configuration stays the lossy one.
+//!    are parked as quiet and their deliveries settled lazily, and both
+//!    legs run again under Section 5's (16, 64) graft/prune latencies,
+//!    where membership changes wait in the table's FIFO lanes; the timed
+//!    configuration stays the lossy zero-latency one.
 //! 2. **Throughput artifact + speedup floor**: the indexed engine is timed
 //!    best-of-three over all three protocols and written as
 //!    `BENCH_star_engine.json` (the gated "points" are slots; the metric is
@@ -34,6 +36,8 @@ const RECEIVERS: usize = 100;
 const LAYERS: usize = 8;
 const SLOTS: u64 = 500_000;
 const SEED: u64 = 0x51_66_C0_99;
+/// Section 5's graft and prune latencies, as Figure 8's grid runs them.
+const LATENCIES: (Tick, Tick) = (16, 64);
 
 enum Markers {
     None(NoMarkers),
@@ -112,6 +116,15 @@ fn bench_star_engine(c: &mut Criterion) {
     let cfg = paper_config();
     assert_engines_agree(&cfg, "independent loss 0.05");
     assert_engines_agree(&lossless_config(), "independent loss 0");
+    let (join, leave) = LATENCIES;
+    assert_engines_agree(
+        &cfg.clone().with_latencies(join, leave),
+        "independent loss 0.05, latencies (16, 64)",
+    );
+    assert_engines_agree(
+        &lossless_config().with_latencies(join, leave),
+        "independent loss 0, latencies (16, 64)",
+    );
 
     // Gated throughput: total slots across the three protocols per pass of
     // the indexed engine (scratch reused, as in a trial loop).

@@ -41,7 +41,8 @@
 //!   there: no receiver is subscribed to it, so it has no loss draw, no
 //!   subscriber row and no visit. Membership changes queued under join or
 //!   leave latency are applied only at the slot they fall due, so a slot
-//!   with nothing due does not touch the event queue either.
+//!   with nothing due does not touch the membership table's change lanes
+//!   either.
 //! * **A carried slot** draws the shared-link loss once, snapshots the
 //!   layer's subscriber bitset (O(receivers/64) words) and walks its set
 //!   bits in ascending receiver id, visiting only receivers it delivers
@@ -59,8 +60,11 @@
 //!   delivery — finite budgets are per-level clocks of the layer prefix,
 //!   so a slot costs one mask test while none is pending — and then its
 //!   skipped deliveries are settled from the layer prefix in one
-//!   [`ReceiverController::skip_quiet`] call before its visit. A run
-//!   with no lossless lane compiles the walk without any of this.
+//!   [`ReceiverController::skip_quiet`] call at its level before its
+//!   visit. A controller whose packets draw from a private RNG (the
+//!   Uncoordinated join coin) promises the draws before its first acting
+//!   one and replays them there. A run with no lossless lane compiles the
+//!   walk without any of this.
 //!
 //! The per-receiver `offered`/`level_slot_sum` accounting is settled
 //! **lazily at level-change events** from the cumulative per-layer
@@ -119,20 +123,24 @@ pub enum Action {
 /// *marker-free* one carries `marker == None`. A controller may promise
 /// that it answers [`Action::Stay`] to its next `q` clean, marker-free
 /// packets at requested level `level` ([`quiet_packets`]), and say how
-/// `n` such calls would leave it ([`skip_quiet`]). The star engine then
-/// stops calling it on lossless fanout links until a packet could change
-/// its answer — a shared-link loss, a marker, or the `(q+1)`-th quiet
-/// packet — and settles the skipped deliveries in one [`skip_quiet`]
-/// call. Neither answer may depend on the skipped packets' slots or
-/// layers.
+/// `n` such calls at that level would leave it ([`skip_quiet`]). The star
+/// engine then stops calling it on lossless fanout links until a packet
+/// could change its answer — a shared-link loss, a marker, or the
+/// `(q+1)`-th quiet packet — and settles the skipped deliveries in one
+/// [`skip_quiet`] call. Neither answer may depend on the skipped packets'
+/// slots or layers.
+///
+/// A controller that draws randomness per packet can still promise: it
+/// looks ahead in a clone of its own stream for the first draw that would
+/// act, and [`skip_quiet`] replays the draws the skipped packets would
+/// have made. That is only sound for a stream nothing else reads.
 ///
 /// The defaults (`0`, no-op) opt out: the engine calls
-/// [`on_packet`](Self::on_packet) for every delivery, as it does for any
-/// controller that draws randomness per packet below its budget. A
-/// controller whose answers read state shared with other receivers (an
-/// active node's common target level, say) must keep them: another
-/// receiver's visit may change that state while this one is skipped, and
-/// the promise would no longer hold.
+/// [`on_packet`](Self::on_packet) for every delivery. A controller whose
+/// answers read state shared with other receivers (an active node's
+/// common target level, say) must keep them: another receiver's visit may
+/// change that state while this one is skipped, and the promise would no
+/// longer hold.
 ///
 /// [`quiet_packets`]: Self::quiet_packets
 /// [`skip_quiet`]: Self::skip_quiet
@@ -150,10 +158,11 @@ pub trait ReceiverController {
     }
 
     /// Leave this controller exactly as `n` clean, marker-free
-    /// [`on_packet`](Self::on_packet) calls at its current level would,
-    /// for any `n` within its [`quiet_packets`](Self::quiet_packets)
-    /// budget. The default does nothing.
-    fn skip_quiet(&mut self, _n: u64) {}
+    /// [`on_packet`](Self::on_packet) calls at requested level `level` (of
+    /// `layer_count` layers) would, for any `n` within its
+    /// [`quiet_packets`](Self::quiet_packets) budget at that level. The
+    /// default does nothing.
+    fn skip_quiet(&mut self, _n: u64, _level: usize, _layer_count: usize) {}
 }
 
 impl ReceiverController for Box<dyn ReceiverController> {
@@ -165,8 +174,8 @@ impl ReceiverController for Box<dyn ReceiverController> {
         (**self).quiet_packets(level, layer_count)
     }
 
-    fn skip_quiet(&mut self, n: u64) {
-        (**self).skip_quiet(n)
+    fn skip_quiet(&mut self, n: u64, level: usize, layer_count: usize) {
+        (**self).skip_quiet(n, level, layer_count)
     }
 }
 
@@ -530,16 +539,19 @@ struct Parked {
     wake_at: u64,
 }
 
-/// Deliver `run` skipped quiet packets to a parked receiver: its lane's
-/// tally, one [`ReceiverController::skip_quiet`] call, and the counter.
+/// Deliver `run` skipped quiet packets to a receiver parked at `level` of
+/// `layer_count`: its lane's tally, one [`ReceiverController::skip_quiet`]
+/// call, and the counter.
 fn settle_quiet<C: ReceiverController>(
     lane: &mut Lane,
     controller: &mut C,
     work: &mut StarCounters,
     run: u64,
+    level: usize,
+    layer_count: usize,
 ) {
     lane.delivered += run;
-    controller.skip_quiet(run);
+    controller.skip_quiet(run, level, layer_count);
     work.quiet_deliveries += run;
 }
 
@@ -906,7 +918,14 @@ fn run_slots<const PARK: bool, C: ReceiverController, M: MarkerSource>(
                     // previous slot (this slot is on a layer it holds).
                     parked[w] &= !bit;
                     let quiet_run = layer_prefix(layer_cum, level) - 1 - since;
-                    settle_quiet(&mut lanes[r], &mut controllers[r], &mut work, quiet_run);
+                    settle_quiet(
+                        &mut lanes[r],
+                        &mut controllers[r],
+                        &mut work,
+                        quiet_run,
+                        level,
+                        m,
+                    );
                 }
                 let lane = &mut lanes[r];
                 let lost = lost_shared || lane.loss.sample(&mut lane.rng);
@@ -978,9 +997,16 @@ fn run_slots<const PARK: bool, C: ReceiverController, M: MarkerSource>(
             while bits != 0 {
                 let r = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let quiet_run =
-                    layer_prefix(layer_cum, membership.requested_level(r)) - quiet[r].since;
-                settle_quiet(&mut lanes[r], &mut controllers[r], &mut work, quiet_run);
+                let level = membership.requested_level(r);
+                let quiet_run = layer_prefix(layer_cum, level) - quiet[r].since;
+                settle_quiet(
+                    &mut lanes[r],
+                    &mut controllers[r],
+                    &mut work,
+                    quiet_run,
+                    level,
+                    m,
+                );
             }
         }
     }

@@ -1,8 +1,8 @@
 //! A generic future-event list for discrete-event simulation.
 //!
-//! The Figure 8 experiments run in packet-slot time, but join/leave latency
-//! (the Section 5 ablation) and any finer-grained extension need genuinely
-//! asynchronous events. [`EventQueue`] is a classic calendar built on a
+//! The frozen reference engines ([`crate::reference`] and
+//! [`crate::reference_tree`]) keep their membership changes under
+//! join/leave latency in an `EventQueue`: a classic calendar built on a
 //! binary heap with two guarantees the reproduction relies on:
 //!
 //! * **deterministic tie-breaking** — events at the same timestamp pop in
@@ -10,6 +10,9 @@
 //!   bit-for-bit repeatable;
 //! * **monotone time** — popping never goes backwards, and scheduling in
 //!   the past is a caller bug caught by an assertion.
+//!
+//! The optimized engines' [`crate::multicast::MembershipTable`] pops its
+//! changes in the same order from two FIFO lanes instead.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -19,9 +22,8 @@ use std::collections::BinaryHeap;
 pub type Tick = u64;
 
 /// An event queue over payloads of type `E`.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 #[derive(Debug, Clone)]
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: Tick,
@@ -55,15 +57,9 @@ impl<E> PartialEq for Entry<E> {
 }
 impl<E> Eq for Entry<E> {}
 
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<E> EventQueue<E> {
     /// An empty queue at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
@@ -72,7 +68,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Current simulation time (the timestamp of the last popped event).
-    pub fn now(&self) -> Tick {
+    pub(crate) fn now(&self) -> Tick {
         self.now
     }
 
@@ -88,15 +84,8 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { at, seq, payload });
     }
 
-    /// Schedule `payload` `delay` ticks from now.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn schedule_in(&mut self, delay: Tick, payload: E) {
-        self.schedule_at(self.now + delay, payload);
-    }
-
     /// Pop the next event, advancing the clock to its timestamp.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn pop(&mut self) -> Option<(Tick, E)> {
+    fn pop(&mut self) -> Option<(Tick, E)> {
         let entry = self.heap.pop()?;
         debug_assert!(entry.at >= self.now);
         self.now = entry.at;
@@ -110,44 +99,15 @@ impl<E> EventQueue<E> {
 
     /// Pop all events scheduled at or before `t` (advancing the clock to at
     /// most `t`).
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn drain_until(&mut self, t: Tick) -> Vec<(Tick, E)> {
+    pub(crate) fn drain_until(&mut self, t: Tick) -> Vec<(Tick, E)> {
         let mut out = Vec::new();
         while self.peek_time().is_some_and(|at| at <= t) {
             // A successful peek guarantees the pop; `break` degrades safely.
             let Some(ev) = self.pop() else { break };
             out.push(ev);
         }
-        self.advance_clock(t);
+        self.now = self.now.max(t);
         out
-    }
-
-    /// Advance the clock to `t` without popping anything (no-op when `t` is
-    /// in the past). Callers that pop due events by hand (peek/pop loops
-    /// that avoid `drain_until`'s `Vec`) use this to finish the drain.
-    pub(crate) fn advance_clock(&mut self, t: Tick) {
-        if self.now < t {
-            self.now = t;
-        }
-    }
-
-    /// Remove all pending events and rewind the clock (and tie-break
-    /// sequence) to zero — the same post-state as a fresh queue, reusing
-    /// the heap allocation.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.next_seq = 0;
-        self.now = 0;
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -179,15 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn relative_scheduling_tracks_now() {
-        let mut q = EventQueue::new();
-        q.schedule_at(10, "x");
-        let _ = q.pop();
-        q.schedule_in(5, "y");
-        assert_eq!(q.pop(), Some((15, "y")));
-    }
-
-    #[test]
     #[should_panic(expected = "past")]
     fn scheduling_in_the_past_panics() {
         let mut q = EventQueue::new();
@@ -197,27 +148,11 @@ mod tests {
     }
 
     #[test]
-    fn clear_restores_the_fresh_state() {
-        let mut q = EventQueue::new();
-        q.schedule_at(4, "a");
-        q.schedule_at(9, "b");
-        let _ = q.pop();
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), 0);
-        // Scheduling at time 0 works again and ties break from seq 0.
-        q.schedule_at(0, "x");
-        q.schedule_at(0, "y");
-        assert_eq!(q.pop(), Some((0, "x")));
-        assert_eq!(q.pop(), Some((0, "y")));
-    }
-
-    #[test]
-    fn advance_clock_never_goes_backwards() {
+    fn drain_until_never_moves_the_clock_back() {
         let mut q = EventQueue::<()>::new();
-        q.advance_clock(7);
+        assert!(q.drain_until(7).is_empty());
         assert_eq!(q.now(), 7);
-        q.advance_clock(3);
+        assert!(q.drain_until(3).is_empty());
         assert_eq!(q.now(), 7);
     }
 
@@ -230,7 +165,6 @@ mod tests {
         let due = q.drain_until(5);
         assert_eq!(due, vec![(1, "a"), (2, "b")]);
         assert_eq!(q.now(), 5);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
+        assert_eq!(q.drain_until(Tick::MAX), vec![(9, "c")]);
     }
 }

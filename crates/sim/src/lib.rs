@@ -23,8 +23,8 @@
 //!   between the two pinned by `tests/star_engine_differential.rs`;
 //! * bit-for-bit reproducible RNG with per-component substreams ([`rng`]);
 //! * Welford statistics for the 30-trial experiment protocol ([`stats`]);
-//! * a generic future-event list with deterministic tie-breaking
-//!   ([`events`]);
+//! * the simulation clock's [`Tick`] ([`events`], whose heap-based
+//!   future-event list only the frozen references still use);
 //! * a general-tree engine ([`tree`]) extending the star model to arbitrary
 //!   sender-rooted multicast trees with per-link loss and per-link
 //!   redundancy measurement — running on the per-link carrying bitsets of
@@ -57,7 +57,7 @@ pub use engine::{
     run_star, run_star_into, Action, LayerInterleaver, MarkerSource, NoMarkers, PacketEvent,
     ReceiverController, StarConfig, StarCounters, StarReport, StarScratch,
 };
-pub use events::{EventQueue, Tick};
+pub use events::Tick;
 pub use index::{LevelIndex, LinkLevelIndex};
 pub use loss::LossProcess;
 pub use multicast::MembershipTable;

@@ -23,7 +23,10 @@
 //! stars mixing lossless and lossy lanes, fleets mixing quiet controllers
 //! with ones that never opt in, and the lossless paper-shape cells cover
 //! that path; a counting wrapper checks that the skipped `on_packet`
-//! calls are exactly the counted quiet deliveries.
+//! calls are exactly the counted quiet deliveries. Uncoordinated receivers
+//! also park below the top layer, on budgets looked up in their own coin
+//! streams; a count pins that the lossless paper-shape cell leaves fewer
+//! than 1% of its visits to `on_packet`.
 //!
 //! The indexed engine replays its layer schedule from a table of one
 //! period (or, for rates whose schedule has no short period, from tables it
@@ -128,8 +131,8 @@ impl<C: ReceiverController> ReceiverController for Counting<C> {
         }
     }
 
-    fn skip_quiet(&mut self, n: u64) {
-        self.inner.skip_quiet(n);
+    fn skip_quiet(&mut self, n: u64, level: usize, layer_count: usize) {
+        self.inner.skip_quiet(n, level, layer_count);
     }
 }
 
@@ -706,5 +709,29 @@ fn paper_shape_lossless_agrees_for_every_protocol() {
                 );
             }
         }
+    }
+}
+
+/// The lossless Uncoordinated Figure 8 cell at paper shape is nearly all
+/// quiet: its receivers park below the top layer too, on budgets looked
+/// up in their own coin streams, so fewer than 1% of its visits reach
+/// `on_packet`.
+#[test]
+fn paper_shape_lossless_uncoordinated_is_mostly_quiet() {
+    for latencies in [(0, 0), (16, 64)] {
+        let cfg = StarConfig::figure8(8, 100, 0.0001, 0.0).with_latencies(latencies.0, latencies.1);
+        let (_, counters) = run_fresh(
+            &cfg,
+            ProtocolKind::Uncoordinated,
+            100_000,
+            0x51_66_C0_99,
+            ProtocolReceiver::new,
+        );
+        let calls = counters.visits - counters.quiet_deliveries;
+        assert!(
+            calls * 100 < counters.visits,
+            "lat={latencies:?}: {calls} on_packet calls of {} visits",
+            counters.visits
+        );
     }
 }
