@@ -27,6 +27,20 @@ fn main() {
     let packets: u64 = or_exit(args.get("packets", 30_000));
     let receivers: usize = or_exit(args.get("receivers", 30));
 
+    let template = or_exit(
+        ExperimentParams {
+            layers: 8,
+            receivers,
+            shared_loss: 0.0001,
+            independent_loss: 0.01,
+            packets,
+            trials,
+            seed: 0xAC71,
+            join_latency: 0,
+            leave_latency: 0,
+        }
+        .validated(),
+    );
     println!(
         "Active-node ablation: {receivers} receivers, shared loss 1e-4, \
          {packets} packets x {trials} trials\n"
@@ -42,15 +56,8 @@ fn main() {
     ]);
     for loss in [0.01f64, 0.03, 0.05, 0.08, 0.1] {
         let params = ExperimentParams {
-            layers: 8,
-            receivers,
-            shared_loss: 0.0001,
             independent_loss: loss,
-            packets,
-            trials,
-            seed: 0xAC71,
-            join_latency: 0,
-            leave_latency: 0,
+            ..template
         };
         let mut cells = vec![format!("{loss:.2}")];
         let mut coord_goodput = 0.0;

@@ -37,19 +37,20 @@ fn main() {
     let receivers: usize = or_exit(args.get("receivers", 30));
     let threads: usize = or_exit(args.get("threads", 0));
 
-    let template = ExperimentParams {
-        layers: 8,
-        receivers,
-        shared_loss: 0.0001,
-        independent_loss: 0.03,
-        packets,
-        trials,
-        seed: 0xAB1A7E,
-        join_latency: 0,
-        leave_latency: 0,
-    }
-    .validated()
-    .expect("static losses are valid");
+    let template = or_exit(
+        ExperimentParams {
+            layers: 8,
+            receivers,
+            shared_loss: 0.0001,
+            independent_loss: 0.03,
+            packets,
+            trials,
+            seed: 0xAB1A7E,
+            join_latency: 0,
+            leave_latency: 0,
+        }
+        .validated(),
+    );
     let scenario = ProtocolScenario::builder()
         .label("ablation_latency")
         .template(template)

@@ -29,18 +29,6 @@ impl Allocation {
         Allocation { rates }
     }
 
-    /// The all-zeros allocation for a network.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn zeros(net: &Network) -> Self {
-        Allocation {
-            rates: net
-                .sessions()
-                .iter()
-                .map(|s| vec![0.0; s.receivers.len()])
-                .collect(),
-        }
-    }
-
     /// The rate `a_{i,k}` of a receiver.
     pub fn rate(&self, r: ReceiverId) -> f64 {
         self.rates[r.session.0][r.index]
@@ -178,20 +166,6 @@ impl Allocation {
         v
     }
 
-    /// The uniform rate of a single-rate (or unicast) session, written `a_i`
-    /// in the paper. Panics if called on a multi-receiver multi-rate session
-    /// with non-uniform rates — a logic error in the caller.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn session_rate(&self, session: SessionId) -> f64 {
-        let rs = &self.rates[session.0];
-        let first = rs[0];
-        debug_assert!(
-            rs.iter().all(|&a| (a - first).abs() <= RATE_EPS),
-            "session_rate on a session with non-uniform receiver rates"
-        );
-        first
-    }
-
     /// Sum of all receiver rates (a coarse efficiency/throughput metric used
     /// in experiment reporting; not a fairness criterion).
     pub fn total_rate(&self) -> f64 {
@@ -209,7 +183,6 @@ impl Allocation {
 }
 
 /// A specific way an allocation violates feasibility.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
 #[derive(Debug, Clone, PartialEq)]
 pub enum FeasibilityViolation {
     /// Allocation shape does not match the network.
@@ -328,17 +301,8 @@ mod tests {
     }
 
     #[test]
-    fn zeros_matches_network_shape() {
-        let net = tree();
-        let z = Allocation::zeros(&net);
-        assert_eq!(z.rates(), &[vec![0.0, 0.0]]);
-        assert!(z.is_feasible(&net, &LinkRateConfig::efficient(1)));
-    }
-
-    #[test]
     fn iter_and_setters_round_trip() {
-        let net = tree();
-        let mut a = Allocation::zeros(&net);
+        let mut a = Allocation::from_rates(vec![vec![0.0, 0.0]]);
         a.set_rate(ReceiverId::new(0, 1), 2.5);
         assert_eq!(a.rate(ReceiverId::new(0, 1)), 2.5);
         let collected: Vec<_> = a.iter().collect();

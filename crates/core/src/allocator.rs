@@ -127,7 +127,6 @@ pub struct SolverWorkspace {
 /// workspaces report for each solve, and two runs of the same solves
 /// report equal counters. No clock is involved; callers that want time
 /// measure it themselves.
-// mlf-lint: allow(unused-pub, reason = "reachable through SolverWorkspace::counters; the ident-based usage scan cannot see type flow")
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveCounters {
     /// Progressive-filling rounds (the `iterations` of every solution).
@@ -663,12 +662,6 @@ impl Weighted {
         Weighted {
             weights: WeightSpec::Uniform,
         }
-    }
-
-    /// TCP-style weights from per-receiver round-trip times (`w = 1/RTT`).
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn from_rtts(rtts: Vec<Vec<f64>>) -> Self {
-        Weighted::new(Weights::from_rtts(rtts))
     }
 }
 

@@ -94,7 +94,7 @@ pub use allocator::{
 pub use linkrate::{LinkRateConfig, LinkRateModel};
 pub use maxmin::FreezeReason;
 pub use maxmin::{solve, MaxMinSolution};
-pub use metrics::{jain_index, min_max_spread, satisfaction};
+pub use metrics::{jain_index, satisfaction};
 pub use ordering::{is_min_unfavorable, is_strictly_min_unfavorable, ordered};
 pub use properties::{check_all, FairnessReport};
 pub use redundancy::{bottleneck_fair_rate, normalized_fair_rate, redundancy};

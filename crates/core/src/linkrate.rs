@@ -127,8 +127,7 @@ impl LinkRateModel {
     /// Whether this model dominates `other` pointwise (`v(X) ≥ v'(X)` for
     /// all rate sets) — the premise of Lemma 4. Conservative: returns `true`
     /// only for pairs we can prove.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn dominates(&self, other: &LinkRateModel) -> bool {
+    pub(crate) fn dominates(&self, other: &LinkRateModel) -> bool {
         use LinkRateModel::*;
         match (self, other) {
             (a, b) if a == b => true,
@@ -197,8 +196,7 @@ impl LinkRateConfig {
     }
 
     /// Whether `self` dominates `other` sessionwise (Lemma 4 premise).
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn dominates(&self, other: &LinkRateConfig) -> bool {
+    pub(crate) fn dominates(&self, other: &LinkRateConfig) -> bool {
         self.len() == other.len()
             && self
                 .models

@@ -91,7 +91,6 @@ use crate::linkrate::{LinkRateConfig, LinkRateModel};
 use mlf_net::{Incidence, LinkId, Network, ReceiverId};
 
 /// Why a receiver's rate froze at its final value.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FreezeReason {
     /// The session's maximum desired rate `κ_i` (or the layer rate `σ` for

@@ -13,8 +13,7 @@
 //!   1 for perfectly equal rates;
 //! * [`satisfaction`] — mean over receivers of `a_{i,k} / isolated_{i,k}`,
 //!   where the *isolated rate* is what the receiver would get if its
-//!   session were alone in the network (its path bottleneck capped by κ);
-//! * [`min_max_spread`] — the min/max rate ratio, a quick dispersion check.
+//!   session were alone in the network (its path bottleneck capped by κ).
 
 use crate::allocation::Allocation;
 use mlf_net::Network;
@@ -78,19 +77,6 @@ pub fn satisfaction(net: &Network, alloc: &Allocation) -> f64 {
     }
 }
 
-/// The ratio of the smallest to the largest receiver rate (1.0 when all
-/// equal; 0 when someone is starved). Returns 1.0 for empty allocations.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-pub fn min_max_spread(alloc: &Allocation) -> f64 {
-    let rates: Vec<f64> = alloc.rates().iter().flatten().copied().collect();
-    let max = rates.iter().copied().fold(0.0_f64, f64::max);
-    if rates.is_empty() || max == 0.0 {
-        return 1.0;
-    }
-    let min = rates.iter().copied().fold(f64::INFINITY, f64::min);
-    min / max
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,12 +122,10 @@ mod tests {
             "alone in the network, multi-rate receivers reach their bottlenecks"
         );
         assert!(satisfaction(&net, &single) < 0.5);
-        assert!(min_max_spread(&multi) < 1.0);
-        assert_eq!(min_max_spread(&single), 1.0);
     }
 
     /// Regression: a non-finite rate leaking out of an upstream model must
-    /// flow through the metrics path (ordered vector, Jain, spread) without
+    /// flow through the metrics path (ordered vector, Jain) without
     /// panicking — the old `partial_cmp(..).expect("finite")` sorts brought
     /// the whole sweep down on the first NaN.
     #[test]
@@ -154,10 +138,8 @@ mod tests {
         assert_eq!(ordered[1], 2.0);
         assert_eq!(ordered[2], f64::INFINITY);
         assert!(ordered[3].is_nan());
-        // Scalar metrics propagate or absorb the NaN instead of panicking:
-        // the min/max folds skip NaN, so spread = min / max = 1.0 / inf.
+        // Scalar metrics propagate the NaN instead of panicking.
         assert!(jain_index(&alloc).is_nan());
-        assert_eq!(min_max_spread(&alloc), 0.0);
         // The Definition 2 ordering helper tolerates NaNs too.
         let v = crate::ordering::ordered(&[f64::NAN, 0.5]);
         assert_eq!(v[0], 0.5);

@@ -21,8 +21,7 @@ use std::cmp::Ordering;
 /// Tolerance for rate comparisons within the ordering. Allocator outputs are
 /// exact for the paper's examples, but Monte-Carlo feasible allocations carry
 /// float noise.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-pub const ORD_EPS: f64 = 1e-9;
+pub(crate) const ORD_EPS: f64 = 1e-9;
 
 /// Sort a rate vector ascending (the "ordered vector" of Definition 2).
 /// Uses [`f64::total_cmp`], so non-finite rates (a NaN leaking out of an
@@ -36,7 +35,7 @@ pub fn ordered(rates: &[f64]) -> Vec<f64> {
 /// Compare two *ordered* equal-length vectors under `≤ₘ`.
 ///
 /// Returns `Ordering::Less` when `X <ₘ Y`, `Equal` when `X = Y` (within
-/// [`ORD_EPS`]), `Greater` when `Y <ₘ X`. The relation is total on ordered
+/// `ORD_EPS`), `Greater` when `Y <ₘ X`. The relation is total on ordered
 /// vectors of equal length (the paper notes at least one direction always
 /// holds).
 ///

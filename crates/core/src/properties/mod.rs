@@ -180,14 +180,6 @@ pub fn check_unicast_property1(
     check_fully_utilized_receiver_fair(net, cfg, alloc)
 }
 
-/// Unicast Fairness Property 2 on an all-unicast network (same-path
-/// fairness), equivalent to the multicast Property 2 checker.
-// mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-pub fn check_unicast_property2(net: &Network, alloc: &Allocation) -> Vec<(ReceiverId, ReceiverId)> {
-    debug_assert!(net.sessions().iter().all(|s| s.is_unicast()));
-    check_same_path_receiver_fair(net, alloc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

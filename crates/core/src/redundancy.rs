@@ -35,21 +35,9 @@ pub fn redundancy(
     Some(cfg.model(session.0).link_rate(&rates) / max)
 }
 
-/// Measured redundancy from observed byte counts: `carried / max_received`
-/// over a measurement interval. This is the estimator the packet-level
-/// simulator reports (Definition 3 with long-term averages).
-// mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-pub fn redundancy_from_counts(session_bytes_on_link: f64, max_receiver_bytes: f64) -> Option<f64> {
-    if max_receiver_bytes <= 0.0 {
-        return None;
-    }
-    Some(session_bytes_on_link / max_receiver_bytes)
-}
-
 /// A network-wide redundancy survey: every `(link, session)` pair with a
-/// defined redundancy, useful for audits and the examples.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-pub fn survey(
+/// defined redundancy.
+pub(crate) fn survey(
     net: &Network,
     cfg: &LinkRateConfig,
     alloc: &Allocation,
@@ -101,7 +89,6 @@ pub fn normalized_fair_rate(fraction_redundant: f64, v: f64) -> f64 {
 
 /// One row of the Figure 6 sweep: redundancy value plus normalized fair rate
 /// for each `m/n` curve.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
 #[derive(Debug, Clone, PartialEq)]
 pub struct Figure6Row {
     /// The redundancy `v` (x-axis).
@@ -178,8 +165,6 @@ mod tests {
         let cfg = LinkRateConfig::efficient(1);
         let zero = Allocation::from_rates(vec![vec![0.0]]);
         assert_eq!(redundancy(&net, &cfg, &zero, LinkId(0), SessionId(0)), None);
-        assert_eq!(redundancy_from_counts(10.0, 0.0), None);
-        assert_eq!(redundancy_from_counts(10.0, 5.0), Some(2.0));
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub fn check_theorem1(net: &Network) -> FairnessReport {
 }
 
 /// The per-part outcome of Theorem 2 on a mixed-type network.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
 #[derive(Debug, Clone)]
 pub struct Theorem2Outcome {
     /// (a) fully-utilized-receiver-fairness holds for every receiver of a

@@ -59,17 +59,6 @@ impl Weights {
         Weights { w }
     }
 
-    /// TCP-style weights from per-receiver round-trip times: `w = 1/RTT`.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn from_rtts(rtts: Vec<Vec<f64>>) -> Self {
-        Weights {
-            w: rtts
-                .into_iter()
-                .map(|s| s.into_iter().map(|rtt| 1.0 / rtt).collect())
-                .collect(),
-        }
-    }
-
     /// The weight of one receiver.
     pub fn get(&self, r: ReceiverId) -> f64 {
         self.w[r.session.0][r.index]
@@ -311,7 +300,8 @@ mod tests {
             vec![Session::unicast(n[0], n[1]), Session::unicast(n[0], n[1])],
         )
         .unwrap();
-        let alloc = Weighted::from_rtts(vec![vec![0.05], vec![0.1]]).allocate(&net);
+        let w = Weights::from_values(vec![vec![1.0 / 0.05], vec![1.0 / 0.1]]);
+        let alloc = Weighted::new(w).allocate(&net);
         let a = alloc.rate(ReceiverId::new(0, 0));
         let b = alloc.rate(ReceiverId::new(1, 0));
         assert!((a - 2.0 * b).abs() < 1e-9);

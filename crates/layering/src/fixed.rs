@@ -14,7 +14,6 @@ use mlf_core::linkrate::LinkRateConfig;
 use mlf_net::Network;
 
 /// Outcome of the exhaustive fixed-layer max-min search.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
 #[derive(Debug, Clone)]
 pub struct FixedLayerAnalysis {
     /// Every feasible allocation (receiver rates drawn from the cumulative

@@ -108,12 +108,6 @@ impl LayerSchedule {
         }
         level
     }
-
-    /// Whether some subscription level yields exactly `rate`.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn rate_is_achievable(&self, rate: f64) -> bool {
-        self.cumulative.iter().any(|&c| (c - rate).abs() <= 1e-12)
-    }
 }
 
 #[cfg(test)]
@@ -149,15 +143,6 @@ mod tests {
         assert_eq!(s.level_for_rate(1.0), 1);
         assert_eq!(s.level_for_rate(3.0), 2);
         assert_eq!(s.level_for_rate(100.0), 4);
-    }
-
-    #[test]
-    fn achievability() {
-        let s = LayerSchedule::from_rates(vec![2.0, 3.0]);
-        assert!(s.rate_is_achievable(0.0));
-        assert!(s.rate_is_achievable(2.0));
-        assert!(s.rate_is_achievable(5.0));
-        assert!(!s.rate_is_achievable(3.0));
     }
 
     #[test]

@@ -45,5 +45,4 @@ pub use quantum::{
     long_term_redundancy, measured_redundancy, prefix_subsets, random_subsets, rate_quota_schedule,
     SelectionMode,
 };
-pub use randomjoin::expected_link_rate;
 pub use randomjoin::{analytic_redundancy, figure5_series, Figure5Config};

@@ -32,7 +32,6 @@ fn shuffle(indices: &mut [usize], rng: &mut SplitMix64) {
 
 /// Packet subsets within one quantum: `subsets[r][p]` is whether receiver
 /// `r` collects packet `p` of the `sigma_packets` transmitted.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
 pub type PacketSubsets = Vec<Vec<bool>>;
 
 /// Coordinated (sender-aligned) packet choice: receiver `r` takes the first

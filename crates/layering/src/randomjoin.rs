@@ -19,12 +19,6 @@
 use crate::quantum::{long_term_redundancy, SelectionMode};
 use mlf_core::linkrate::LinkRateModel;
 
-/// The Appendix B closed form `E[U] = σ(1 − ∏(1 − a_t/σ))`.
-// mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-pub fn expected_link_rate(rates: &[f64], sigma: f64) -> f64 {
-    LinkRateModel::RandomJoin { sigma }.link_rate(rates)
-}
-
 /// Analytic redundancy of a single random-join layer: `E[U] / max a_t`.
 /// Returns 1.0 for empty/zero rate sets (the degenerate efficient case).
 pub fn analytic_redundancy(rates: &[f64], sigma: f64) -> f64 {
@@ -88,7 +82,6 @@ impl Figure5Config {
 }
 
 /// One point of the Figure 5 sweep.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
 #[derive(Debug, Clone, PartialEq)]
 pub struct Figure5Point {
     /// Number of receivers sharing the link (x-axis).

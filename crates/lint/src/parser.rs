@@ -145,6 +145,12 @@ pub struct Item {
     /// For [`ItemKind::Use`]: the normalized path text
     /// (`crate::point::{encode_point, decode_point}`).
     pub use_path: Option<String>,
+    /// Identifiers of the item's public signature: a `fn`'s generics,
+    /// parameters, return type and where-clause; the plain-`pub` fields
+    /// of a `struct`/`union`; an `enum`'s variants; a `trait`'s header and
+    /// member declarations (default bodies excluded); a `type` alias's
+    /// definition; a `const`/`static`'s type. Empty for other kinds.
+    pub signature: Vec<String>,
     /// Members of `mod { … }` and `impl { … }` bodies.
     pub children: Vec<Item>,
 }
@@ -163,6 +169,7 @@ impl Item {
             trait_impl: false,
             impl_target: None,
             use_path: None,
+            signature: Vec::new(),
             children: Vec::new(),
         }
     }
@@ -292,8 +299,9 @@ impl<'a> Parser<'a> {
 
     /// Consume the rest of a `fn`/`struct`/`enum`/`union`/`trait` item
     /// after its name and generics: through the where-clause to either a
-    /// terminating `;` or a balanced `{ … }` body.
-    fn skip_to_body_or_semi(&mut self) {
+    /// terminating `;` or a balanced `{ … }` body. Returns the index of
+    /// that `;` or body `{`.
+    fn skip_to_body_or_semi(&mut self) -> usize {
         let mut angle = 0usize;
         let mut paren = 0usize;
         while !self.eof() {
@@ -310,18 +318,20 @@ impl<'a> Parser<'a> {
                 angle = angle.saturating_sub(1);
             } else if self.is_punct(self.i, '{') {
                 if angle == 0 && paren == 0 {
+                    let end = self.i;
                     self.skip_balanced('{', '}');
-                    return;
+                    return end;
                 }
                 // Const-generic expression inside a type: skip balanced.
                 self.skip_balanced('{', '}');
                 continue;
             } else if self.is_punct(self.i, ';') && angle == 0 && paren == 0 {
                 self.i += 1;
-                return;
+                return self.i - 1;
             }
             self.i += 1;
         }
+        self.i
     }
 
     /// Consume through the next `;` at brace/paren/bracket depth 0 — the
@@ -538,10 +548,12 @@ impl<'a> Parser<'a> {
             self.i += 1;
             item.kind = ItemKind::Fn;
             item.name = self.take_name();
+            let from = self.i;
             if self.is_punct(self.i, '<') {
                 self.skip_generics();
             }
-            self.skip_to_body_or_semi();
+            let to = self.skip_to_body_or_semi();
+            item.signature = self.signature(item.kind, from, to);
         } else if self.is_ident(self.i, "struct")
             || self.is_ident(self.i, "enum")
             || self.is_ident(self.i, "union")
@@ -555,15 +567,19 @@ impl<'a> Parser<'a> {
             };
             self.i += 1;
             item.name = self.take_name();
+            let from = self.i;
             if self.is_punct(self.i, '<') {
                 self.skip_generics();
             }
             self.skip_to_body_or_semi();
+            item.signature = self.signature(item.kind, from, self.i);
         } else if self.is_ident(self.i, "type") && self.is_any_ident(self.i + 1) {
             self.i += 1;
             item.kind = ItemKind::TypeAlias;
             item.name = self.take_name();
+            let from = self.i;
             self.skip_to_semi();
+            item.signature = self.signature(item.kind, from, self.i);
         } else if (self.is_ident(self.i, "const") || self.is_ident(self.i, "static"))
             && (self.is_any_ident(self.i + 1)
                 || (self.is_ident(self.i + 1, "mut") && self.is_any_ident(self.i + 2)))
@@ -578,7 +594,9 @@ impl<'a> Parser<'a> {
                 self.i += 1;
             }
             item.name = self.take_name();
+            let from = self.i;
             self.skip_to_semi();
+            item.signature = self.signature(item.kind, from, self.i);
         } else if self.is_ident(self.i, "impl") {
             self.i += 1;
             item.kind = ItemKind::Impl;
@@ -674,6 +692,59 @@ impl<'a> Parser<'a> {
             }
         }
         item
+    }
+
+    /// The [`Item::signature`] identifiers among `toks[from..to]`, the
+    /// tokens after an item's name. Struct and union fields are kept
+    /// only when plain `pub`; trait default bodies and a `const`/`static`
+    /// initializer are dropped.
+    fn signature(&self, kind: ItemKind, from: usize, to: usize) -> Vec<String> {
+        let mut out = Vec::new();
+        let (mut braces, mut parens, mut angle) = (0usize, 0usize, 0usize);
+        // Inside the field list: whether the current field is plain `pub`.
+        let mut pub_field = false;
+        for at in from..to.min(self.toks.len()) {
+            let depth = braces + parens;
+            if self.is_punct(at, '{') || self.is_punct(at, '(') || self.is_punct(at, '[') {
+                if self.is_punct(at, '{') {
+                    braces += 1;
+                } else {
+                    parens += 1;
+                }
+                pub_field &= depth > 0;
+            } else if self.is_punct(at, '}') {
+                braces = braces.saturating_sub(1);
+            } else if self.is_punct(at, ')') || self.is_punct(at, ']') {
+                parens = parens.saturating_sub(1);
+            } else if self.is_punct(at, '<') {
+                angle += 1;
+            } else if self.is_punct(at, '>')
+                && !(at > 0 && (self.is_punct(at - 1, '-') || self.is_punct(at - 1, '=')))
+            {
+                angle = angle.saturating_sub(1);
+            } else if self.is_punct(at, ',') && depth == 1 && angle == 0 {
+                pub_field = false;
+            } else if self.is_punct(at, '=')
+                && depth == 0
+                && matches!(kind, ItemKind::Const | ItemKind::Static)
+            {
+                break;
+            } else if self.is_any_ident(at) {
+                if depth == 1 && self.is_ident(at, "pub") && !self.is_punct(at + 1, '(') {
+                    pub_field = true;
+                }
+                let keep = match kind {
+                    ItemKind::Struct | ItemKind::Union => depth == 0 || pub_field,
+                    ItemKind::Trait => braces <= 1,
+                    _ => true,
+                };
+                if keep {
+                    let t = self.text(at);
+                    out.push(t.strip_prefix("r#").unwrap_or(t).to_string());
+                }
+            }
+        }
+        out
     }
 
     /// Whether tokens `at, at+1` spell `::`.
@@ -845,6 +916,33 @@ mod tests {
             items[0].use_path.as_deref(),
             Some("crate::point::{encode_point,decode_point}")
         );
+    }
+
+    #[test]
+    fn signatures_keep_only_the_public_surface() {
+        let items = parse(
+            "pub fn f<T: Bound>(a: Arg) -> Ret where T: Clone { Body::new() }\n\
+             pub struct S { pub a: Map<K, V>, b: Hidden, #[doc(hidden)] pub c: [Elem; 2] }\n\
+             pub struct T(pub Shown, Hidden);\n\
+             pub trait Tr { fn m(&self) -> Out { Default::default() } }\n\
+             pub const C: Ty = Init::make();\n",
+        );
+        // (item, identifiers its signature must name, identifiers it must not)
+        let cases: [(usize, &[&str], &[&str]); 5] = [
+            (0, &["Bound", "Arg", "Ret", "Clone"], &["Body"]),
+            (1, &["Map", "K", "V", "Elem"], &["Hidden"]),
+            (2, &["Shown"], &["Hidden"]),
+            (3, &["Out"], &["Default"]),
+            (4, &["Ty"], &["Init"]),
+        ];
+        for (i, named, unnamed) in cases {
+            let sig = &items[i].signature;
+            assert!(named.iter().all(|n| sig.iter().any(|s| s == n)), "{sig:?}");
+            assert!(
+                unnamed.iter().all(|n| !sig.iter().any(|s| s == n)),
+                "{sig:?}"
+            );
+        }
     }
 
     #[test]

@@ -25,10 +25,17 @@
 //! * **`unused-pub`** — a `pub` item whose name is never referenced
 //!   outside its defining crate's library code (other crates, the crate's
 //!   own tests/benches/examples, the workspace-root harness) should be
-//!   `pub(crate)`. Matching is by identifier, so a shared name anywhere
-//!   outside the crate counts as use — the rule errs toward silence.
-//!   Intentional API (e.g. items used only from doc examples, which are
-//!   comments to the analyzer) carries
+//!   `pub(crate)`. A reference from the crate's own `#[cfg(test)]`
+//!   modules does not count. Matching is by identifier, so a shared name
+//!   anywhere outside the crate counts as use — the rule errs toward
+//!   silence. Types also flow: a `pub` type named in the public
+//!   signature (parameters and return type, plain-`pub` fields, enum
+//!   variants, trait members, alias definitions) of a `pub` item of the
+//!   same crate that is itself used counts as used, computed to a
+//!   fixpoint, so `fn f() -> A` used elsewhere keeps `A` and any type `A`
+//!   exposes. A type named only by unused items still fires with them.
+//!   Intentional API that no file names (e.g. items used only from doc
+//!   examples, which are comments to the analyzer) carries
 //!   `// mlf-lint: allow(unused-pub, reason = "…")` on the item.
 //! * **`differential-coverage`** — every frozen reference module (and
 //!   every non-test `mod` nested in one) must be named, together with its
@@ -604,10 +611,37 @@ fn check_api_surface(root: &Path, files: &[LoadedFile], cfg: &Config, findings: 
 /// A `pub` item that is a candidate for the unused-pub check.
 struct PubCandidate {
     name: String,
-    kind_word: &'static str,
+    kind: ItemKind,
+    signature: Vec<String>,
     rel: String,
     line: u32,
     krate: String,
+}
+
+impl PubCandidate {
+    fn new(item: &Item, name: &str, rel: &str, krate: &str) -> Self {
+        PubCandidate {
+            name: name.to_string(),
+            kind: item.kind,
+            signature: item.signature.clone(),
+            rel: rel.to_string(),
+            line: item.line,
+            krate: krate.to_string(),
+        }
+    }
+
+    /// Whether type flow can reach the item: only types are named in
+    /// signatures.
+    fn is_type(&self) -> bool {
+        matches!(
+            self.kind,
+            ItemKind::Struct
+                | ItemKind::Enum
+                | ItemKind::Union
+                | ItemKind::Trait
+                | ItemKind::TypeAlias
+        )
+    }
 }
 
 fn collect_pub_candidates(items: &[Item], rel: &str, krate: &str, out: &mut Vec<PubCandidate>) {
@@ -627,13 +661,7 @@ fn collect_pub_candidates(items: &[Item], rel: &str, krate: &str, out: &mut Vec<
                 if item.vis == Visibility::Public =>
             {
                 if let Some(n) = &item.name {
-                    out.push(PubCandidate {
-                        name: n.clone(),
-                        kind_word: item.kind.word(),
-                        rel: rel.to_string(),
-                        line: item.line,
-                        krate: krate.to_string(),
-                    });
+                    out.push(PubCandidate::new(item, n, rel, krate));
                 }
             }
             ItemKind::Mod => collect_pub_candidates(&item.children, rel, krate, out),
@@ -643,13 +671,7 @@ fn collect_pub_candidates(items: &[Item], rel: &str, krate: &str, out: &mut Vec<
                         continue;
                     }
                     if let Some(n) = &m.name {
-                        out.push(PubCandidate {
-                            name: n.clone(),
-                            kind_word: m.kind.word(),
-                            rel: rel.to_string(),
-                            line: m.line,
-                            krate: krate.to_string(),
-                        });
+                        out.push(PubCandidate::new(m, n, rel, krate));
                     }
                 }
             }
@@ -689,26 +711,50 @@ fn check_unused_pub(files: &[LoadedFile], cfg: &Config, findings: &mut Vec<Findi
             }
         }
     }
-    for c in &candidates {
-        let own = format!("lib:{}", c.krate);
-        let used_elsewhere = usage
-            .get(c.name.as_str())
-            .is_some_and(|units| units.iter().any(|u| u != &own));
-        if !used_elsewhere {
-            findings.push(Finding {
-                rule: UNUSED_PUB,
-                path: c.rel.clone(),
-                line: c.line,
-                col: 1,
-                message: format!(
-                    "`pub {} {}` is never referenced outside its defining crate — downgrade to \
-                     `pub(crate)`, or keep it public with \
-                     `// mlf-lint: allow(unused-pub, reason = \"…\")` naming why the API is \
-                     intentional",
-                    c.kind_word, c.name
-                ),
-            });
+    let mut used: Vec<bool> = candidates
+        .iter()
+        .map(|c| {
+            let own = format!("lib:{}", c.krate);
+            usage
+                .get(c.name.as_str())
+                .is_some_and(|units| units.iter().any(|u| u != &own))
+        })
+        .collect();
+    // Type flow: a pub type named in the public signature of a used pub
+    // item of its own crate is reachable through that item, and so used.
+    loop {
+        let reachable: BTreeSet<(&str, &str)> = candidates
+            .iter()
+            .zip(&used)
+            .filter(|(_, u)| **u)
+            .flat_map(|(c, _)| c.signature.iter().map(|n| (c.krate.as_str(), n.as_str())))
+            .collect();
+        let mut grew = false;
+        for (c, u) in candidates.iter().zip(used.iter_mut()) {
+            if !*u && c.is_type() && reachable.contains(&(c.krate.as_str(), c.name.as_str())) {
+                *u = true;
+                grew = true;
+            }
         }
+        if !grew {
+            break;
+        }
+    }
+    for (c, _) in candidates.iter().zip(&used).filter(|(_, u)| !**u) {
+        findings.push(Finding {
+            rule: UNUSED_PUB,
+            path: c.rel.clone(),
+            line: c.line,
+            col: 1,
+            message: format!(
+                "`pub {} {}` is never referenced outside its defining crate, directly or \
+                 through the signature of a used item — downgrade to `pub(crate)`, or keep it \
+                 public with `// mlf-lint: allow(unused-pub, reason = \"…\")` naming why the \
+                 API is intentional",
+                c.kind.word(),
+                c.name
+            ),
+        });
     }
 }
 

@@ -1,18 +1,23 @@
-//! Tamper regression tests for the frozen-reference integrity rule.
+//! Regression tests for two structural rules.
 //!
-//! The contract: a frozen module may change comments and whitespace
+//! `frozen-reference`: a frozen module may change comments and whitespace
 //! freely, but any *semantic* edit — renaming a local, reordering
 //! functions, touching a literal — must shift the committed fingerprint
-//! and surface as a `frozen-reference` finding. These tests tamper with
-//! an in-memory copy of the real frozen solver and check both directions
-//! against the committed snapshots.
+//! and surface as a finding. These tests tamper with an in-memory copy of
+//! the real frozen solver and check both directions against the committed
+//! snapshots.
+//!
+//! `unused-pub`: a `pub` item fires unless a file outside its crate's
+//! library code names it, or type flow reaches it through the public
+//! signature of a used item of its crate. In-memory workspaces check each
+//! side, and a ratchet keeps the workspace's allow count from growing.
 
 use std::path::PathBuf;
 
 use mlf_lint::lexer::lex;
 use mlf_lint::parser::{parse_items, ItemKind};
-use mlf_lint::structure::{self, fingerprint_source, FROZEN_REFERENCE};
-use mlf_lint::{classify, Config, LoadedFile};
+use mlf_lint::structure::{self, fingerprint_source, FROZEN_REFERENCE, UNUSED_PUB};
+use mlf_lint::{classify, load_workspace, Config, LoadedFile};
 
 const CORE_REFERENCE: &str = "crates/core/src/reference.rs";
 const SIM_REFERENCE: &str = "crates/sim/src/reference.rs";
@@ -206,5 +211,121 @@ fn pristine_workspace_matches_committed_fingerprints() {
     assert!(
         findings.is_empty(),
         "committed fingerprints must match the working tree: {findings:?}"
+    );
+}
+
+/// Names of the items `unused-pub` reports over an in-memory workspace of
+/// `(path, source)` files, sorted.
+fn unused_pub(files: &[(&str, &str)]) -> Vec<String> {
+    let cfg = Config::workspace();
+    let files: Vec<LoadedFile> = files
+        .iter()
+        .map(|(rel, src)| loaded(rel, src.to_string(), &cfg))
+        .collect();
+    let mut names: Vec<String> = structure::analyze(&workspace_root(), &files, &cfg)
+        .into_iter()
+        .filter(|f| f.rule == UNUSED_PUB)
+        .map(|f| {
+            let item = f.message.split('`').nth(1).expect("message names the item");
+            item.rsplit(' ')
+                .next()
+                .expect("item has a name")
+                .to_string()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+const NET_LIB: &str = "crates/net/src/fake.rs";
+const NET_TEST: &str = "crates/net/tests/fake.rs";
+const CORE_LIB: &str = "crates/core/src/fake.rs";
+
+#[test]
+fn unreferenced_pub_fn_fires() {
+    assert_eq!(unused_pub(&[(NET_LIB, "pub fn lonely() {}\n")]), ["lonely"]);
+}
+
+#[test]
+fn harness_or_other_crate_reference_silences() {
+    let lib = "pub fn lonely() {}\n";
+    let harness = "fn t() { mlf_net::lonely(); }\n";
+    assert!(unused_pub(&[(NET_LIB, lib), (NET_TEST, harness)]).is_empty());
+    let other_crate = "pub(crate) fn f() { mlf_net::lonely() }\n";
+    assert!(unused_pub(&[(NET_LIB, lib), (CORE_LIB, other_crate)]).is_empty());
+}
+
+#[test]
+fn own_cfg_test_reference_still_fires() {
+    let lib = "pub fn lonely() {}\n\
+               #[cfg(test)]\n\
+               mod tests {\n    #[test]\n    fn t() { super::lonely(); }\n}\n";
+    assert_eq!(unused_pub(&[(NET_LIB, lib)]), ["lonely"]);
+}
+
+#[test]
+fn type_in_a_used_signature_is_silent() {
+    let lib = "pub struct Shape(u32);\n\
+               pub fn make(seed: Seed) -> Shape { Shape(seed.0) }\n\
+               pub struct Seed(pub u32);\n";
+    let harness = "fn t() { let _ = mlf_net::make(x); }\n";
+    assert!(unused_pub(&[(NET_LIB, lib), (NET_TEST, harness)]).is_empty());
+}
+
+#[test]
+fn type_named_only_by_an_unused_fn_fires_with_it() {
+    let lib = "pub struct Orphan;\n\
+               pub fn orphan_maker() -> Orphan { Orphan }\n\
+               pub fn used() -> u32 { 0 }\n";
+    let harness = "fn t() { mlf_net::used(); }\n";
+    assert_eq!(
+        unused_pub(&[(NET_LIB, lib), (NET_TEST, harness)]),
+        ["Orphan", "orphan_maker"]
+    );
+}
+
+/// `outer()` is used; it returns `Outer`, whose pub field holds `Middle`,
+/// whose variant holds `Inner`. Only the fixpoint reaches `Inner`. A type
+/// behind a private field stays unreached.
+#[test]
+fn type_chains_resolve_through_the_fixpoint() {
+    let lib = "pub fn outer() -> Outer { todo!() }\n\
+               pub struct Outer {\n    pub middle: Vec<Middle>,\n    secret: Secret,\n}\n\
+               pub enum Middle {\n    Held(Inner),\n    Empty,\n}\n\
+               pub struct Inner;\n\
+               pub struct Secret;\n";
+    let harness = "fn t() { mlf_net::outer(); }\n";
+    assert_eq!(
+        unused_pub(&[(NET_LIB, lib), (NET_TEST, harness)]),
+        ["Secret"]
+    );
+}
+
+/// The most `unused-pub` allow directives the workspace may carry outside
+/// `crates/lint` (whose doc strings spell the directive). Type flow left
+/// no item that needs one. The test pins the count exactly, so a new allow
+/// is a reviewed edit to this bound (which stays below 20) and a removed
+/// one lowers it.
+const MAX_UNUSED_PUB_ALLOWS: usize = 0;
+
+#[test]
+fn unused_pub_allows_do_not_grow_back() {
+    let files = load_workspace(&workspace_root(), &Config::workspace()).expect("workspace loads");
+    let allows: Vec<String> = files
+        .iter()
+        .filter(|f| !f.rel.starts_with("crates/lint/"))
+        .flat_map(|f| {
+            f.src
+                .lines()
+                .enumerate()
+                .filter(|(_, line)| line.contains("mlf-lint:") && line.contains("(unused-pub"))
+                .map(move |(i, _)| format!("{}:{}", f.rel, i + 1))
+        })
+        .collect();
+    assert_eq!(
+        allows.len(),
+        MAX_UNUSED_PUB_ALLOWS,
+        "{} unused-pub allows, bound {MAX_UNUSED_PUB_ALLOWS}: {allows:?}",
+        allows.len()
     );
 }

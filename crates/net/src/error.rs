@@ -63,7 +63,6 @@ pub enum NetError {
 }
 
 /// The specific way an explicit route failed validation.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteDefect {
     /// The route is empty but sender and receiver are on different nodes.

@@ -33,12 +33,6 @@ impl Link {
             None
         }
     }
-
-    /// Whether `node` is one of the link's endpoints.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn touches(&self, node: NodeId) -> bool {
-        node == self.a || node == self.b
-    }
 }
 
 /// The network graph `G`: a set of nodes connected by `n` links.
@@ -57,7 +51,7 @@ impl Link {
 /// let b = g.add_node();
 /// let l = g.add_link(a, b, 5.0).unwrap();
 /// assert_eq!(g.capacity(l), 5.0);
-/// assert_eq!(g.neighbors(a).count(), 1);
+/// assert_eq!(g.link(l).opposite(a), Some(b));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Graph {
@@ -71,16 +65,6 @@ impl Graph {
     /// Create an empty graph.
     pub fn new() -> Self {
         Graph::default()
-    }
-
-    /// Create a graph with `n` isolated nodes.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn with_nodes(n: usize) -> Self {
-        Graph {
-            node_count: n,
-            links: Vec::new(),
-            adj: vec![Vec::new(); n],
-        }
     }
 
     /// Add a node and return its id.
@@ -157,12 +141,6 @@ impl Graph {
         self.links[id.0].capacity
     }
 
-    /// The capacities of all links, indexed by link id.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn capacities(&self) -> Vec<f64> {
-        self.links.iter().map(|l| l.capacity).collect()
-    }
-
     /// Whether a node id is valid for this graph.
     pub(crate) fn contains_node(&self, node: NodeId) -> bool {
         node.0 < self.node_count
@@ -174,30 +152,8 @@ impl Graph {
     }
 
     /// Iterate over `(neighbor, link)` pairs adjacent to `node`.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, LinkId)> + '_ {
+    pub(crate) fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, LinkId)> + '_ {
         self.adj[node.0].iter().copied()
-    }
-
-    /// Node degree (number of incident links).
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn degree(&self, node: NodeId) -> usize {
-        self.adj[node.0].len()
-    }
-
-    /// Replace the capacity of an existing link.
-    ///
-    /// Useful in experiments that sweep a bottleneck capacity.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn set_capacity(&mut self, id: LinkId, capacity: f64) -> NetResult<()> {
-        if !self.contains_link(id) {
-            return Err(NetError::UnknownLink(id));
-        }
-        if !(capacity.is_finite() && capacity > 0.0) {
-            return Err(NetError::BadCapacity { link: id, capacity });
-        }
-        self.links[id.0].capacity = capacity;
-        Ok(())
     }
 }
 
@@ -219,8 +175,8 @@ mod tests {
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.link_count(), 2);
         assert_eq!(g.capacity(links[0]), 1.0);
-        assert_eq!(g.degree(nodes[1]), 2);
-        assert_eq!(g.degree(nodes[0]), 1);
+        assert_eq!(g.neighbors(nodes[1]).count(), 2);
+        assert_eq!(g.neighbors(nodes[0]).count(), 1);
     }
 
     #[test]
@@ -257,8 +213,6 @@ mod tests {
         assert_eq!(l.opposite(nodes[0]), Some(nodes[1]));
         assert_eq!(l.opposite(nodes[1]), Some(nodes[0]));
         assert_eq!(l.opposite(nodes[2]), None);
-        assert!(l.touches(nodes[0]));
-        assert!(!l.touches(nodes[2]));
     }
 
     #[test]
@@ -267,15 +221,6 @@ mod tests {
         let n: Vec<_> = g.neighbors(nodes[1]).collect();
         assert!(n.contains(&(nodes[0], links[0])));
         assert!(n.contains(&(nodes[2], links[1])));
-    }
-
-    #[test]
-    fn set_capacity_updates_and_validates() {
-        let (mut g, _, links) = line3();
-        g.set_capacity(links[0], 7.5).unwrap();
-        assert_eq!(g.capacity(links[0]), 7.5);
-        assert!(g.set_capacity(links[0], -1.0).is_err());
-        assert!(g.set_capacity(LinkId(42), 1.0).is_err());
     }
 
     #[test]

@@ -309,21 +309,6 @@ impl Network {
         }
         Self::assemble(self.graph.clone(), sessions, offsets, links)
     }
-
-    /// Fraction of sessions that are multi-rate (the `m/n` knob of Figure 6
-    /// viewed from the session side; handy for experiment reporting).
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn multi_rate_fraction(&self) -> f64 {
-        if self.sessions.is_empty() {
-            return 0.0;
-        }
-        let m = self
-            .sessions
-            .iter()
-            .filter(|s| s.kind.is_multi_rate())
-            .count();
-        m as f64 / self.sessions.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -474,7 +459,10 @@ mod tests {
         assert!(single.session(SessionId(0)).kind.is_single_rate());
         assert!(net.session(SessionId(0)).kind.is_multi_rate());
         let all_single = net.with_uniform_kind(SessionType::SingleRate);
-        assert_eq!(all_single.multi_rate_fraction(), 0.0);
-        assert_eq!(net.multi_rate_fraction(), 1.0);
+        assert!(all_single
+            .sessions()
+            .iter()
+            .all(|s| s.kind.is_single_rate()));
+        assert!(net.sessions().iter().all(|s| s.kind.is_multi_rate()));
     }
 }

@@ -21,7 +21,6 @@ use std::collections::VecDeque;
 /// sender to the receiver. The *set* of these links is what the fairness
 /// definitions consume (`R_{i,j}` membership); order matters only for
 /// packet-level simulation.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 pub type Route = Vec<LinkId>;
 
 /// Compute the hop-count shortest path between two nodes as a sequence of

@@ -50,15 +50,14 @@ pub struct Session {
     pub kind: SessionType,
     /// The maximum desired rate `kappa_i` (`0 < kappa_i <= INF_RATE`). The
     /// paper permits `kappa_i = infinity`; we encode "effectively unbounded"
-    /// as [`Session::UNBOUNDED_RATE`].
+    /// as `Session::UNBOUNDED_RATE` (`1e12`).
     pub max_rate: f64,
 }
 
 impl Session {
     /// Stand-in for `kappa_i = infinity`: far larger than any capacity used in
     /// experiments, yet finite so rate arithmetic stays well-behaved.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub const UNBOUNDED_RATE: f64 = 1e12;
+    pub(crate) const UNBOUNDED_RATE: f64 = 1e12;
 
     /// Create a multi-rate session with unbounded desired rate.
     pub fn multi_rate(sender: NodeId, receivers: Vec<NodeId>) -> Self {
@@ -90,27 +89,6 @@ impl Session {
     pub fn with_max_rate(mut self, max_rate: f64) -> Self {
         self.max_rate = max_rate;
         self
-    }
-
-    /// Builder-style override of the session type.
-    pub(crate) fn with_kind(mut self, kind: SessionType) -> Self {
-        self.kind = kind;
-        self
-    }
-
-    /// Return a copy of this session with its type flipped to multi-rate.
-    ///
-    /// This is the "replacement" operation of Lemma 3: same members, same
-    /// topology, only the type differs.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn as_multi_rate(&self) -> Self {
-        self.clone().with_kind(SessionType::MultiRate)
-    }
-
-    /// Return a copy of this session with its type flipped to single-rate.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn as_single_rate(&self) -> Self {
-        self.clone().with_kind(SessionType::SingleRate)
     }
 
     /// Number of receivers `k_i`.
@@ -149,17 +127,6 @@ mod tests {
         let sr = Session::single_rate(NodeId(0), vec![NodeId(1)]).with_max_rate(3.0);
         assert!(sr.kind.is_single_rate());
         assert_eq!(sr.max_rate, 3.0);
-    }
-
-    #[test]
-    fn type_flips_preserve_membership() {
-        let s = Session::single_rate(NodeId(0), vec![NodeId(1), NodeId(2)]).with_max_rate(9.0);
-        let m = s.as_multi_rate();
-        assert!(m.kind.is_multi_rate());
-        assert_eq!(m.receivers, s.receivers);
-        assert_eq!(m.max_rate, 9.0);
-        let back = m.as_single_rate();
-        assert_eq!(back, s);
     }
 
     #[test]

@@ -42,7 +42,6 @@ fn must_link(g: &mut Graph, a: NodeId, b: NodeId, capacity: f64) -> LinkId {
 }
 
 /// A star (Figure 7): `sender --shared--> hub --fanout_k--> receiver_k`.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
 #[derive(Debug, Clone)]
 pub struct Star {
     /// The assembled graph.
@@ -354,8 +353,7 @@ impl std::error::Error for TopologyError {}
 /// Capacity multiplier for transit-core links relative to stub links: the
 /// classic transit–stub assumption that backbone links are provisioned an
 /// order of magnitude above access links.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-pub const TRANSIT_CAPACITY_SCALE: f64 = 8.0;
+pub(crate) const TRANSIT_CAPACITY_SCALE: f64 = 8.0;
 
 /// A structural family of random topologies, selectable per sweep. Every
 /// family is generated deterministically from a seed and produces a tree
@@ -372,7 +370,7 @@ pub enum TopologyFamily {
         arity: usize,
     },
     /// Two-level transit–stub hierarchy: the first `transit` nodes form a
-    /// high-capacity random core ([`TRANSIT_CAPACITY_SCALE`]× the stub
+    /// high-capacity random core (`TRANSIT_CAPACITY_SCALE`× the stub
     /// capacity range); the remaining nodes are stub nodes assigned
     /// round-robin to per-core-node stub domains and attached by random
     /// attachment *within* their domain.

@@ -40,14 +40,17 @@ impl ProtocolKind {
     }
 }
 
+/// The most layers a protocol receiver can climb: the join threshold of
+/// level 32, `2^62` packets, is the last that fits a `u64`.
+pub(crate) const MAX_LAYERS: usize = 32;
+
 /// The join threshold at level `i`: `2^{2(i−1)}` packets.
 ///
 /// # Panics
 ///
-/// Panics for `i = 0` (levels are 1-based) or thresholds beyond `u64`.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-pub fn join_threshold(level: usize) -> u64 {
-    assert!((1..=32).contains(&level), "level out of range");
+/// Panics for `i = 0` (levels are 1-based) or `i > MAX_LAYERS`.
+pub(crate) fn join_threshold(level: usize) -> u64 {
+    assert!((1..=MAX_LAYERS).contains(&level), "level out of range");
     1u64 << (2 * (level - 1))
 }
 
@@ -56,23 +59,6 @@ pub fn join_threshold(level: usize) -> u64 {
 /// [`join_threshold`]).
 pub(crate) fn join_probability(level: usize) -> f64 {
     1.0 / join_threshold(level) as f64
-}
-
-/// Protocol/experiment configuration for the Figure 8 family.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProtocolConfig {
-    /// Number of layers `M` (8 in the paper).
-    pub layers: usize,
-    /// Which protocol receivers run.
-    pub kind: ProtocolKind,
-}
-
-impl ProtocolConfig {
-    /// The paper's setting: 8 layers.
-    pub fn paper(kind: ProtocolKind) -> Self {
-        ProtocolConfig { layers: 8, kind }
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! redundancy. [`run_point`] reproduces one such point; [`figure8_series`]
 //! sweeps the independent-loss axis for all three protocols.
 
-use crate::config::ProtocolKind;
+use crate::config::{ProtocolKind, MAX_LAYERS};
 use crate::receiver::ProtocolReceiver;
 use crate::sender::CoordinatedSender;
 use mlf_sim::{
@@ -15,15 +15,18 @@ use mlf_sim::{
     StarScratch, Tick,
 };
 
-/// A loss probability that cannot parameterize an experiment.
+/// A value that cannot parameterize an experiment.
 ///
 /// The Bernoulli loss processes of the star (`StarConfig::figure8`) need
 /// probabilities in `[0, 1)` — a loss of exactly 1 starves every trial and
 /// a non-finite value silently poisons every [`RunningStats`] the
 /// experiment aggregates (NaN redundancy means a whole Figure 8 point
-/// quietly plots as a gap). [`ExperimentParams::paper`] and
-/// [`ExperimentParams::quick`] therefore reject such inputs up front with
-/// this typed error instead of producing NaN trial stats.
+/// quietly plots as a gap). The shape fails the same way: zero receivers
+/// or packets divide by zero into NaN means, zero trials report all-zero
+/// statistics that plot as a real redundancy of 0, and a layer count
+/// outside `1..=32` panics inside the layer schedule or the join
+/// threshold. [`ExperimentParams::validate`] rejects all of these up
+/// front with this typed error.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExperimentParamError {
     /// A loss rate was NaN or infinite.
@@ -40,6 +43,17 @@ pub enum ExperimentParamError {
         /// The offending value.
         value: f64,
     },
+    /// The layer count was outside `1..=32`, the levels whose join
+    /// threshold `2^{2(i−1)}` fits a `u64`.
+    LayersOutOfRange {
+        /// The offending layer count.
+        layers: usize,
+    },
+    /// A count that must be positive was zero.
+    ZeroCount {
+        /// Which knob was zero (`"receivers"`, `"packets"` or `"trials"`).
+        which: &'static str,
+    },
 }
 
 impl std::fmt::Display for ExperimentParamError {
@@ -51,6 +65,10 @@ impl std::fmt::Display for ExperimentParamError {
             ExperimentParamError::LossOutOfRange { which, value } => {
                 write!(f, "{which} loss rate {value} is outside [0, 1)")
             }
+            ExperimentParamError::LayersOutOfRange { layers } => {
+                write!(f, "layer count {layers} is outside 1..={MAX_LAYERS}")
+            }
+            ExperimentParamError::ZeroCount { which } => write!(f, "{which} must be at least 1"),
         }
     }
 }
@@ -132,14 +150,31 @@ impl ExperimentParams {
         .validated()
     }
 
-    /// Check both loss probabilities (finite, in `[0, 1)`).
+    /// Check both loss probabilities (finite, in `[0, 1)`), the layer
+    /// count (`1..=32`) and that receivers, packets and trials are
+    /// positive.
     ///
     /// The fields are public (struct-update syntax is how the binaries and
     /// tests tweak shapes), so a hand-built value can still carry a bad
-    /// loss; call this before running it.
+    /// value; call this before running it.
     pub fn validate(&self) -> Result<(), ExperimentParamError> {
         validate_loss("shared", self.shared_loss)?;
-        validate_loss("independent", self.independent_loss)
+        validate_loss("independent", self.independent_loss)?;
+        if !(1..=MAX_LAYERS).contains(&self.layers) {
+            return Err(ExperimentParamError::LayersOutOfRange {
+                layers: self.layers,
+            });
+        }
+        for (which, count) in [
+            ("receivers", self.receivers as u64),
+            ("packets", self.packets),
+            ("trials", self.trials as u64),
+        ] {
+            if count == 0 {
+                return Err(ExperimentParamError::ZeroCount { which });
+            }
+        }
+        Ok(())
     }
 
     /// [`ExperimentParams::validate`], by value (builder-style).

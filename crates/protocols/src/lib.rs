@@ -28,9 +28,12 @@
 //! `(protocol × loss × seed)` grids across worker threads with bitwise
 //! serial/parallel agreement. [`figure8_series`] remains the serial
 //! reference for one full Figure 8 panel; parallel callers should prefer
-//! the scenario path. [`ExperimentParams::paper`]/[`ExperimentParams::quick`]
-//! reject non-finite or out-of-`[0,1)` loss probabilities with a typed
-//! [`ExperimentParamError`] instead of producing NaN trial statistics.
+//! the scenario path. [`ExperimentParams::validate`] (which
+//! [`ExperimentParams::paper`]/[`ExperimentParams::quick`] run) rejects
+//! non-finite or out-of-`[0,1)` loss probabilities, a layer count outside
+//! `1..=32` and zero receivers, packets or trials with a typed
+//! [`ExperimentParamError`] instead of producing NaN trial statistics or
+//! panicking mid-sweep.
 //!
 //! ## Example
 //!
@@ -57,8 +60,7 @@ pub mod receiver;
 pub mod sender;
 
 pub use active::run_trial_active;
-pub use config::ProtocolConfig;
-pub use config::{join_threshold, ProtocolKind};
+pub use config::ProtocolKind;
 pub use experiment::{
     figure8_series, run_point, run_trial, validate_loss, ExperimentParamError, ExperimentParams,
     PointOutcome,

@@ -31,7 +31,6 @@
 use crate::config::{join_probability, ProtocolKind};
 
 /// A dense finite discrete-time Markov chain (row-stochastic matrix).
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
 #[derive(Debug, Clone)]
 pub struct DenseChain {
     /// `p[s][t]` = transition probability from state `s` to state `t`.
@@ -57,23 +56,15 @@ impl DenseChain {
     }
 
     /// Number of states.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn state_count(&self) -> usize {
+    pub(crate) fn state_count(&self) -> usize {
         self.p.len()
-    }
-
-    /// The transition probability from `s` to `t`.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn prob(&self, s: usize, t: usize) -> f64 {
-        self.p[s][t]
     }
 
     /// Stationary distribution by power iteration from the uniform vector.
     /// Converges for the aperiodic, irreducible chains built here; the
     /// iteration cap guards against pathological inputs.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
     #[allow(clippy::needless_range_loop)] // dense matrix-vector product
-    pub fn stationary(&self, tol: f64, max_iter: usize) -> Vec<f64> {
+    pub(crate) fn stationary(&self, tol: f64, max_iter: usize) -> Vec<f64> {
         let n = self.state_count();
         let mut pi = vec![1.0 / n as f64; n];
         let mut next = vec![0.0; n];
@@ -101,7 +92,6 @@ impl DenseChain {
 }
 
 /// The two-receiver chain plus its state indexing.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
 #[derive(Debug, Clone)]
 pub struct TwoReceiverModel {
     /// The chain over states `(ℓ₁, ℓ₂)`.
@@ -111,15 +101,8 @@ pub struct TwoReceiverModel {
 }
 
 impl TwoReceiverModel {
-    /// Flatten `(ℓ₁, ℓ₂)` (1-based levels) to a state index.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn state_index(&self, l1: usize, l2: usize) -> usize {
-        (l1 - 1) * self.layers + (l2 - 1)
-    }
-
-    /// Unflatten a state index to `(ℓ₁, ℓ₂)`.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn levels_of(&self, s: usize) -> (usize, usize) {
+    /// Unflatten a state index, `(ℓ₁ − 1)·M + (ℓ₂ − 1)`, to `(ℓ₁, ℓ₂)`.
+    pub(crate) fn levels_of(&self, s: usize) -> (usize, usize) {
         (s / self.layers + 1, s % self.layers + 1)
     }
 
@@ -395,8 +378,7 @@ mod tests {
         let model = two_receiver_chain(ProtocolKind::Uncoordinated, 5, 0.01, 0.01, 0.01);
         for l1 in 1..=5 {
             for l2 in 1..=5 {
-                let s = model.state_index(l1, l2);
-                assert_eq!(model.levels_of(s), (l1, l2));
+                assert_eq!(model.levels_of((l1 - 1) * 5 + (l2 - 1)), (l1, l2));
             }
         }
     }

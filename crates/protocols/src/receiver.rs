@@ -33,7 +33,6 @@ use crate::config::{join_threshold, ProtocolKind};
 use mlf_sim::{Action, PacketEvent, ReceiverController, SimRng};
 
 /// Uncoordinated: per-packet probabilistic joins.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 #[derive(Debug, Clone, PartialEq)]
 pub struct UncoordinatedReceiver {
     rng: SimRng,
@@ -111,7 +110,6 @@ fn join_coin(rng: &mut SimRng, level: usize) -> bool {
 }
 
 /// Deterministic: joins after a fixed run of clean packets.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeterministicReceiver {
     /// Clean packets received since the last join/leave event.
@@ -160,7 +158,6 @@ impl ReceiverController for DeterministicReceiver {
 }
 
 /// Coordinated: joins only on sender markers.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoordinatedReceiver;
 

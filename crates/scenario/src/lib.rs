@@ -175,7 +175,6 @@ impl LinkRates {
 }
 
 /// Why a [`ScenarioBuilder`] refused to build.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioError {
     /// Neither [`ScenarioBuilder::network`] nor
@@ -245,7 +244,6 @@ impl std::fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {}
 
 /// Builder for [`Scenario`]. Obtain via [`Scenario::builder`].
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 pub struct ScenarioBuilder {
     label: String,
     source: Option<NetworkSource>,
@@ -651,7 +649,6 @@ impl ScenarioMetrics {
 }
 
 /// How one receiver's fair rate fits the scenario's layer ladder.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerFit {
     /// The receiver.
@@ -669,7 +666,6 @@ pub struct LayerFit {
 }
 
 /// The layering report of one run: per-receiver ladder fits.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayeringSummary {
     /// Per-receiver fits, session-major.
@@ -694,16 +690,6 @@ impl LayeringSummary {
             })
             .collect();
         LayeringSummary { fits }
-    }
-
-    /// Mean deficit across receivers (0 when every fair rate sits exactly
-    /// on a ladder step).
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn mean_deficit(&self) -> f64 {
-        if self.fits.is_empty() {
-            return 0.0;
-        }
-        self.fits.iter().map(|f| f.deficit).sum::<f64>() / self.fits.len() as f64
     }
 }
 
@@ -1380,7 +1366,6 @@ mod tests {
         assert_eq!(summary.fits[0].level, 2);
         assert!((summary.fits[0].deficit).abs() < 1e-9);
         assert!((summary.fits[1].deficit - 1.0 / 3.0).abs() < 1e-9);
-        assert!(summary.mean_deficit() > 0.0);
     }
 
     #[test]

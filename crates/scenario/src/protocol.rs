@@ -53,7 +53,6 @@ use mlf_sim::{RunningStats, Tick};
 
 /// Why a [`ProtocolScenarioBuilder`] or a [`ProtocolSweepGrid`] was
 /// rejected.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ProtocolScenarioError {
     /// The experiment template (or a grid loss) carries an invalid loss
@@ -99,7 +98,6 @@ impl From<ExperimentParamError> for ProtocolScenarioError {
 
 /// Builder for [`ProtocolScenario`]. Obtain via
 /// [`ProtocolScenario::builder`].
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 pub struct ProtocolScenarioBuilder {
     label: String,
     template: ExperimentParams,
@@ -132,8 +130,8 @@ impl ProtocolScenarioBuilder {
         self
     }
 
-    /// Validate the template's loss probabilities and assemble the
-    /// scenario.
+    /// Validate the template ([`ExperimentParams::validate`]: losses,
+    /// layer count, positive counts) and assemble the scenario.
     pub fn build(self) -> Result<ProtocolScenario, ProtocolScenarioError> {
         self.template.validate()?;
         Ok(ProtocolScenario {
@@ -365,21 +363,6 @@ impl ProtocolSweepReport {
             return 0.0;
         }
         self.points.iter().map(f).sum::<f64>() / self.points.len() as f64
-    }
-
-    /// Mean shared-link redundancy of one protocol across the sweep.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn mean_redundancy(&self, kind: ProtocolKind) -> f64 {
-        let of_kind: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|p| p.kind == kind)
-            .map(ProtocolSweepPoint::redundancy)
-            .collect();
-        if of_kind.is_empty() {
-            return 0.0;
-        }
-        of_kind.iter().sum::<f64>() / of_kind.len() as f64
     }
 
     /// The points of one protocol, in sweep order.
@@ -698,6 +681,78 @@ mod tests {
                 }
             ))
         );
+    }
+
+    /// Templates with one bad shape field each, and the error each must
+    /// raise: a layer count the schedule or join threshold would panic
+    /// on, and zero receivers, packets or trials, which would yield NaN
+    /// or all-zero statistics.
+    fn bad_shapes() -> Vec<(ExperimentParams, ExperimentParamError)> {
+        let ok = ExperimentParams::quick(0.0001, 0.0).unwrap();
+        vec![
+            (
+                ExperimentParams { layers: 0, ..ok },
+                ExperimentParamError::LayersOutOfRange { layers: 0 },
+            ),
+            (
+                ExperimentParams { layers: 33, ..ok },
+                ExperimentParamError::LayersOutOfRange { layers: 33 },
+            ),
+            (
+                ExperimentParams { layers: 60, ..ok },
+                ExperimentParamError::LayersOutOfRange { layers: 60 },
+            ),
+            (
+                ExperimentParams { receivers: 0, ..ok },
+                ExperimentParamError::ZeroCount { which: "receivers" },
+            ),
+            (
+                ExperimentParams { packets: 0, ..ok },
+                ExperimentParamError::ZeroCount { which: "packets" },
+            ),
+            (
+                ExperimentParams { trials: 0, ..ok },
+                ExperimentParamError::ZeroCount { which: "trials" },
+            ),
+        ]
+    }
+
+    #[test]
+    fn builder_rejects_bad_shapes() {
+        for (template, want) in bad_shapes() {
+            let err = ProtocolScenario::builder().template(template).build().err();
+            assert_eq!(
+                err,
+                Some(ProtocolScenarioError::Params(want)),
+                "{template:?}"
+            );
+        }
+        let edge = ExperimentParams {
+            layers: 32,
+            receivers: 1,
+            packets: 1,
+            trials: 1,
+            ..ExperimentParams::quick(0.0001, 0.0).unwrap()
+        };
+        assert!(ProtocolScenario::builder().template(edge).build().is_ok());
+    }
+
+    /// A worker rebuilds its sweep from the coordinator's spec bytes; a
+    /// spec carrying a bad shape must come back as an error, not a sweep
+    /// that panics or reports NaN.
+    #[test]
+    fn from_spec_rejects_bad_shapes() {
+        for (template, want) in bad_shapes() {
+            let unchecked = ProtocolScenario {
+                label: "bad".to_string(),
+                template,
+            };
+            let mut e = Enc::new();
+            unchecked.process_spec(&mut e).unwrap();
+            let bytes = e.done();
+            let err = ProtocolScenario::from_spec(&mut Dec(&bytes)).err();
+            assert_eq!(err, Some(ProtocolScenarioError::Params(want).to_string()));
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! Every frame is one record of the crate's checksummed record codec
 //! (`crate::record`, shared with the checkpoint file): [`MAGIC`],
-//! [`PROTOCOL_VERSION`], a type byte, a header-checksummed length, the
+//! `PROTOCOL_VERSION`, a type byte, a header-checksummed length, the
 //! payload, and an FNV-1a checksum over everything before it. A record
 //! crosses the process boundary in exactly the bytes the shard hashes
 //! and the checkpoint file speak, which is what keeps the process
@@ -65,8 +65,7 @@ pub const MAGIC: [u8; 4] = *b"MLFW";
 /// coordinator and a worker from different generations refuse each other
 /// with [`TransportError::VersionSkew`] instead of misparsing; a
 /// checkpoint from another generation is refused the same way.
-// mlf-lint: allow(unused-pub, reason = "documented wire-protocol surface; referenced by ARCHITECTURE.md")
-pub const PROTOCOL_VERSION: u16 = 2;
+pub(crate) const PROTOCOL_VERSION: u16 = 2;
 
 /// `Init` frame of a [`Scenario`] sweep.
 pub(crate) const FRAME_INIT: u8 = 1;
@@ -85,7 +84,6 @@ pub(crate) const WORKER_ENV: &str = "MLF_PROCESS_WORKER";
 pub(crate) const WORKER_ARG: &str = "--mlf-process-worker";
 
 /// Why a frame could not be read, written, or trusted.
-// mlf-lint: allow(unused-pub, reason = "carried by CoordinatorError::Transport so callers can match on launch failures")
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
     /// The stream ended mid-frame.

@@ -36,7 +36,7 @@
 //!   slot bumps its layer's cumulative emission counter, asks the
 //!   [`MarkerSource`] for its marker (one call per slot, in slot order,
 //!   so coordinated senders count every packet), and compares its layer
-//!   with the [`LevelIndex`]'s cached maximum effective level.
+//!   with the `LevelIndex`'s cached maximum effective level.
 //! * **An uncarried slot** (its layer above every effective level) ends
 //!   there: no receiver is subscribed to it, so it has no loss draw, no
 //!   subscriber row and no visit. Membership changes queued under join or
@@ -75,8 +75,6 @@
 //! [`StarReport`]s, resting on the RNG-draw-preservation argument spelled
 //! out in [`crate::multicast`] — is pinned by
 //! `tests/star_engine_differential.rs`.
-//!
-//! [`LevelIndex`]: crate::index::LevelIndex
 
 use crate::events::Tick;
 use crate::loss::{LaneLoss, LossProcess};

@@ -51,9 +51,8 @@
 
 /// Incremental per-level counts and per-layer subscriber bitsets for one
 /// set of receivers with cumulative-layer subscriptions.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 #[derive(Debug, Clone, Default)]
-pub struct LevelIndex {
+pub(crate) struct LevelIndex {
     receiver_count: usize,
     layer_count: usize,
     /// Words per bitset row: `ceil(receiver_count / 64)`.
@@ -69,18 +68,10 @@ pub struct LevelIndex {
 }
 
 impl LevelIndex {
-    /// An index over `receivers` receivers of `layer_count` layers, all at
-    /// effective = active = `initial`.
-    pub fn new(receivers: usize, layer_count: usize, initial: usize) -> Self {
-        let mut ix = LevelIndex::default();
-        ix.reset(receivers, layer_count, initial);
-        ix
-    }
-
     /// Re-initialize in place (every receiver back to `initial`), reusing
     /// the count and bitset allocations — the engine scratch resets one
     /// index across trials instead of reallocating.
-    pub fn reset(&mut self, receivers: usize, layer_count: usize, initial: usize) {
+    pub(crate) fn reset(&mut self, receivers: usize, layer_count: usize, initial: usize) {
         assert!(initial <= layer_count || receivers == 0);
         self.receiver_count = receivers;
         self.layer_count = layer_count;
@@ -113,61 +104,27 @@ impl LevelIndex {
         }
     }
 
-    /// Number of receivers indexed.
-    pub fn receiver_count(&self) -> usize {
-        self.receiver_count
-    }
-
-    /// Number of layers `M`.
-    pub fn layer_count(&self) -> usize {
-        self.layer_count
-    }
-
     /// The highest effective level across receivers, O(1). Zero when no
     /// receivers are tracked.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn max_effective(&self) -> usize {
+    pub(crate) fn max_effective(&self) -> usize {
         self.max_eff
     }
 
     /// How many receivers hold effective level exactly `level`.
-    pub fn effective_count(&self, level: usize) -> usize {
+    pub(crate) fn effective_count(&self, level: usize) -> usize {
         self.eff_count[level] as usize
     }
 
     /// The bitset row of `layer` (1-based): bit `r` set iff receiver `r` is
     /// actively subscribed to it. The engine snapshots this slice per slot
     /// and walks its set bits in ascending receiver id.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn subscribers(&self, layer: usize) -> &[u64] {
+    pub(crate) fn subscribers(&self, layer: usize) -> &[u64] {
         let range = self.row_range(layer);
         &self.rows[range]
     }
 
-    /// Number of receivers actively subscribed to `layer` (1-based).
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn subscriber_count(&self, layer: usize) -> usize {
-        self.subscribers(layer)
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
-    /// Visit the active subscribers of `layer` in ascending receiver id.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn for_each_subscriber(&self, layer: usize, mut f: impl FnMut(usize)) {
-        for (w, &word) in self.subscribers(layer).iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                f(w * 64 + word.trailing_zeros() as usize);
-                word &= word - 1;
-            }
-        }
-    }
-
     /// Record receiver `r`'s effective level moving `old → new`.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn effective_changed(&mut self, _r: usize, old: usize, new: usize) {
+    pub(crate) fn effective_changed(&mut self, _r: usize, old: usize, new: usize) {
         self.eff_count[old] -= 1;
         self.eff_count[new] += 1;
         if new > self.max_eff {
@@ -182,8 +139,7 @@ impl LevelIndex {
     /// Record receiver `r`'s active level (`min(requested, effective)`)
     /// moving `old → new`: flip `r`'s bit in the rows of layers
     /// `min+1..=max` of the two.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn active_changed(&mut self, r: usize, old: usize, new: usize) {
+    pub(crate) fn active_changed(&mut self, r: usize, old: usize, new: usize) {
         let word = r / 64;
         let mask = 1u64 << (r % 64);
         for layer in (old.min(new) + 1)..=(old.max(new)) {
@@ -199,8 +155,11 @@ impl LevelIndex {
     /// Check every index invariant against ground-truth `effective` and
     /// `requested` level slices; returns the first violation as an error
     /// string. Used by the membership property tests.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn check_invariants(&self, requested: &[usize], effective: &[usize]) -> Result<(), String> {
+    pub(crate) fn check_invariants(
+        &self,
+        requested: &[usize],
+        effective: &[usize],
+    ) -> Result<(), String> {
         if requested.len() != self.receiver_count || effective.len() != self.receiver_count {
             return Err("level slice length mismatch".into());
         }
@@ -254,9 +213,8 @@ const NO_PARENT: u32 = u32::MAX;
 /// Error from [`LinkLevelIndex::rebuild`]: the supplied routes are not the
 /// paths of a sender-rooted tree, so per-link downstream maxima (and the
 /// parent-chain loss propagation built on them) would be ill-defined.
-// mlf-lint: allow(unused-pub, reason = "error type of the public LinkLevelIndex::rebuild API; in-crate consumers are invisible to the analyzer")
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkIndexError {
+pub(crate) enum LinkIndexError {
     /// A receiver's route contains no links (receiver colocated with the
     /// sender, which the session model forbids).
     EmptyRoute {
@@ -308,9 +266,8 @@ impl std::error::Error for LinkIndexError {}
 /// through [`LinkLevelIndex::effective_changed`] from the same two
 /// notification sites that maintain the receiver-level index, so the
 /// carry sets stay exact under join/leave latencies.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 #[derive(Debug, Clone, Default)]
-pub struct LinkLevelIndex {
+pub(crate) struct LinkLevelIndex {
     receiver_count: usize,
     layer_count: usize,
     link_count: usize,
@@ -351,8 +308,7 @@ impl LinkLevelIndex {
     ///
     /// Fails when the routes are not tree paths: every link must appear at
     /// one depth with one predecessor across all routes.
-    // mlf-lint: allow(unused-pub, reason = "the public LinkLevelIndex is built only through this method; its in-crate callers are invisible to the analyzer")
-    pub fn rebuild(
+    pub(crate) fn rebuild(
         &mut self,
         layer_count: usize,
         link_count: usize,
@@ -458,8 +414,7 @@ impl LinkLevelIndex {
     /// flow through [`LinkLevelIndex::effective_changed`] afterwards.
     ///
     /// [`MembershipTable`]: crate::multicast::MembershipTable
-    // mlf-lint: allow(unused-pub, reason = "documented public API of the exported index; doc links and in-crate consumers are invisible to the analyzer")
-    pub fn sync_levels(&mut self, effective: &[usize]) {
+    pub(crate) fn sync_levels(&mut self, effective: &[usize]) {
         assert_eq!(effective.len(), self.receiver_count, "receiver count");
         let m = self.layer_count;
         self.eff_count.fill(0);
@@ -488,8 +443,7 @@ impl LinkLevelIndex {
     /// Record receiver `r`'s effective level moving `old → new`: one
     /// bucket move, cached-max repair, and at most `|old − new|` bitset
     /// word flips per ancestor link of `r`.
-    // mlf-lint: allow(unused-pub, reason = "documented public API of the exported index; doc links and in-crate consumers are invisible to the analyzer")
-    pub fn effective_changed(&mut self, r: usize, old: usize, new: usize) {
+    pub(crate) fn effective_changed(&mut self, r: usize, old: usize, new: usize) {
         let m = self.layer_count;
         let s = self.route_start[r] as usize;
         let e = self.route_start[r + 1] as usize;
@@ -530,8 +484,7 @@ impl LinkLevelIndex {
     /// rank `a`'s downstream maximum effective level is `≥ layer`. The
     /// engine walks its set bits in ascending rank order — parents before
     /// children.
-    // mlf-lint: allow(unused-pub, reason = "documented public API of the exported index; doc links and in-crate consumers are invisible to the analyzer")
-    pub fn carrying(&self, layer: usize) -> &[u64] {
+    pub(crate) fn carrying(&self, layer: usize) -> &[u64] {
         debug_assert!(
             (1..=self.layer_count).contains(&layer),
             "layer out of range"
@@ -541,47 +494,37 @@ impl LinkLevelIndex {
     }
 
     /// Number of link ranks (links on at least one route).
-    // mlf-lint: allow(unused-pub, reason = "documented public API of the exported index; doc links and in-crate consumers are invisible to the analyzer")
-    pub fn rank_count(&self) -> usize {
+    pub(crate) fn rank_count(&self) -> usize {
         self.rank_count
     }
 
     /// Number of receivers the routes cover.
-    pub fn receiver_count(&self) -> usize {
+    pub(crate) fn receiver_count(&self) -> usize {
         self.receiver_count
     }
 
-    /// Number of layers `M`.
-    pub fn layer_count(&self) -> usize {
-        self.layer_count
-    }
-
     /// The link id of rank `a`.
-    // mlf-lint: allow(unused-pub, reason = "documented public API of the exported index; doc links and in-crate consumers are invisible to the analyzer")
-    pub fn link_of(&self, a: usize) -> usize {
+    pub(crate) fn link_of(&self, a: usize) -> usize {
         self.link_ids[a] as usize
     }
 
     /// The parent rank of rank `a` (`None` for root-adjacent links).
     /// Always strictly less than `a` when present.
-    // mlf-lint: allow(unused-pub, reason = "documented public API of the exported index; doc links and in-crate consumers are invisible to the analyzer")
-    pub fn parent_of(&self, a: usize) -> Option<usize> {
+    pub(crate) fn parent_of(&self, a: usize) -> Option<usize> {
         let p = self.parent[a];
         (p != NO_PARENT).then_some(p as usize)
     }
 
     /// The rank of receiver `r`'s access link (last link of its route);
     /// its fate decides `r`'s end-to-end delivery.
-    // mlf-lint: allow(unused-pub, reason = "documented public API of the exported index; doc links and in-crate consumers are invisible to the analyzer")
-    pub fn last_rank(&self, r: usize) -> usize {
+    pub(crate) fn last_rank(&self, r: usize) -> usize {
         self.route_ranks[self.route_start[r + 1] as usize - 1] as usize
     }
 
     /// Check every index invariant against ground-truth per-receiver
     /// `effective` levels; returns the first violation as an error string.
     /// Used by the membership property tests.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn check_invariants(&self, effective: &[usize]) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self, effective: &[usize]) -> Result<(), String> {
         if effective.len() != self.receiver_count {
             return Err("level slice length mismatch".into());
         }
@@ -640,70 +583,96 @@ impl LinkLevelIndex {
 mod tests {
     use super::*;
 
+    /// An index over `receivers` receivers of `layer_count` layers, all at
+    /// effective = active = `initial`.
+    fn fresh(receivers: usize, layer_count: usize, initial: usize) -> LevelIndex {
+        let mut ix = LevelIndex::default();
+        ix.reset(receivers, layer_count, initial);
+        ix
+    }
+
+    /// Number of receivers actively subscribed to `layer` (1-based).
+    fn subscriber_count(ix: &LevelIndex, layer: usize) -> usize {
+        ix.subscribers(layer)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+
+    /// The active subscribers of `layer`, in the ascending receiver-id
+    /// order the engine visits them.
+    fn subscriber_ids(ix: &LevelIndex, layer: usize) -> Vec<usize> {
+        let mut ids = Vec::new();
+        for (w, &word) in ix.subscribers(layer).iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                ids.push(w * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        }
+        ids
+    }
+
     #[test]
     fn initial_state_indexes_everyone_at_the_initial_level() {
-        let ix = LevelIndex::new(130, 4, 2);
+        let ix = fresh(130, 4, 2);
         assert_eq!(ix.max_effective(), 2);
         assert_eq!(ix.effective_count(2), 130);
-        assert_eq!(ix.subscriber_count(1), 130);
-        assert_eq!(ix.subscriber_count(2), 130);
-        assert_eq!(ix.subscriber_count(3), 0);
+        assert_eq!(subscriber_count(&ix, 1), 130);
+        assert_eq!(subscriber_count(&ix, 2), 130);
+        assert_eq!(subscriber_count(&ix, 3), 0);
         let levels = vec![2usize; 130];
         ix.check_invariants(&levels, &levels).unwrap();
     }
 
     #[test]
     fn transitions_move_buckets_and_bits() {
-        let mut ix = LevelIndex::new(70, 8, 1);
+        let mut ix = fresh(70, 8, 1);
         // Receiver 65 requests level 5 with zero latency: eff 1 -> 5,
         // active 1 -> 5.
         ix.effective_changed(65, 1, 5);
         ix.active_changed(65, 1, 5);
         assert_eq!(ix.max_effective(), 5);
         assert_eq!(ix.effective_count(5), 1);
-        assert_eq!(ix.subscriber_count(5), 1);
-        let mut seen = Vec::new();
-        ix.for_each_subscriber(3, |r| seen.push(r));
-        assert_eq!(seen, vec![65]);
+        assert_eq!(subscriber_count(&ix, 5), 1);
+        assert_eq!(subscriber_ids(&ix, 3), vec![65]);
         // Back down to 2: the cached max repairs by scanning down.
         ix.effective_changed(65, 5, 2);
         ix.active_changed(65, 5, 2);
         assert_eq!(ix.max_effective(), 2);
-        assert_eq!(ix.subscriber_count(3), 0);
-        assert_eq!(ix.subscriber_count(2), 1);
+        assert_eq!(subscriber_count(&ix, 3), 0);
+        assert_eq!(subscriber_count(&ix, 2), 1);
     }
 
     #[test]
     fn ascending_id_iteration_across_words() {
-        let mut ix = LevelIndex::new(200, 2, 1);
+        let mut ix = fresh(200, 2, 1);
         for &r in &[3usize, 64, 77, 130, 199] {
             ix.effective_changed(r, 1, 2);
             ix.active_changed(r, 1, 2);
         }
-        let mut seen = Vec::new();
-        ix.for_each_subscriber(2, |r| seen.push(r));
-        assert_eq!(seen, vec![3, 64, 77, 130, 199]);
+        assert_eq!(subscriber_ids(&ix, 2), vec![3, 64, 77, 130, 199]);
     }
 
     #[test]
     fn empty_index_is_degenerate() {
-        let ix = LevelIndex::new(0, 4, 1);
+        let ix = fresh(0, 4, 1);
         assert_eq!(ix.max_effective(), 0);
-        assert_eq!(ix.subscriber_count(1), 0);
+        assert_eq!(subscriber_count(&ix, 1), 0);
         ix.check_invariants(&[], &[]).unwrap();
     }
 
     #[test]
     fn reset_reuses_and_reinitializes() {
-        let mut ix = LevelIndex::new(10, 4, 1);
+        let mut ix = fresh(10, 4, 1);
         ix.effective_changed(3, 1, 4);
         ix.active_changed(3, 1, 4);
         ix.reset(64, 3, 2);
-        assert_eq!(ix.receiver_count(), 64);
-        assert_eq!(ix.layer_count(), 3);
+        assert_eq!(ix.receiver_count, 64);
+        assert_eq!(ix.layer_count, 3);
         assert_eq!(ix.max_effective(), 2);
-        assert_eq!(ix.subscriber_count(2), 64);
-        assert_eq!(ix.subscriber_count(3), 0);
+        assert_eq!(subscriber_count(&ix, 2), 64);
+        assert_eq!(subscriber_count(&ix, 3), 0);
         let levels = vec![2usize; 64];
         ix.check_invariants(&levels, &levels).unwrap();
     }

@@ -12,7 +12,7 @@
 //!   Gilbert–Elliott burst-loss extension ([`loss`]);
 //! * idealized multicast membership with optional join/leave latency for
 //!   the Section 5 ablations ([`multicast`]), backed by the incrementally
-//!   maintained level-bucketed [`index::LevelIndex`] (O(1) max effective
+//!   maintained level-bucketed `LevelIndex` (O(1) max effective
 //!   level, per-layer subscriber bitsets);
 //! * the modified-star engine measuring shared-link redundancy
 //!   ([`engine::run_star`]) — O(1) per slot the shared link does not
@@ -28,7 +28,7 @@
 //! * a general-tree engine ([`tree`]) extending the star model to arbitrary
 //!   sender-rooted multicast trees with per-link loss and per-link
 //!   redundancy measurement — running on the per-link carrying bitsets of
-//!   [`index::LinkLevelIndex`] (per-slot cost O(carrying links) +
+//!   `LinkLevelIndex` (per-slot cost O(carrying links) +
 //!   O(subscribed receivers), good for 10⁵+ receivers in one session),
 //!   with the pre-bitset scan engine frozen in [`mod@reference_tree`] and
 //!   bitwise equality pinned by `tests/tree_engine_differential.rs`.
@@ -44,7 +44,7 @@
 
 pub mod engine;
 pub mod events;
-pub mod index;
+mod index;
 pub mod loss;
 pub mod multicast;
 pub mod reference;
@@ -58,7 +58,6 @@ pub use engine::{
     ReceiverController, StarConfig, StarCounters, StarReport, StarScratch,
 };
 pub use events::Tick;
-pub use index::{LevelIndex, LinkLevelIndex};
 pub use loss::LossProcess;
 pub use multicast::MembershipTable;
 pub use rng::SimRng;

@@ -101,28 +101,6 @@ impl LossProcess {
             }
         }
     }
-
-    /// The long-run average loss rate of the process.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn average_loss_rate(&self) -> f64 {
-        match *self {
-            LossProcess::Bernoulli { p } => p,
-            LossProcess::GilbertElliott {
-                p_good_to_bad,
-                p_bad_to_good,
-                loss_good,
-                loss_bad,
-                ..
-            } => {
-                let denom = p_good_to_bad + p_bad_to_good;
-                if denom == 0.0 {
-                    return loss_good; // chain never leaves its start state
-                }
-                let pi_bad = p_good_to_bad / denom;
-                pi_bad * loss_bad + (1.0 - pi_bad) * loss_good
-            }
-        }
-    }
 }
 
 /// A link's [`LossProcess`] in the form the star engine samples per visit:
@@ -244,19 +222,30 @@ mod tests {
     #[test]
     fn bernoulli_empirical_rate() {
         let mut lp = LossProcess::bernoulli(0.05);
+        assert_eq!(lp, LossProcess::Bernoulli { p: 0.05 });
         let mut rng = SimRng::seed_from_u64(1);
         let n = 100_000;
         let losses = (0..n).filter(|_| lp.sample(&mut rng)).count();
         let rate = losses as f64 / n as f64;
         assert!((rate - 0.05).abs() < 0.005, "rate {rate}");
-        assert_eq!(lp.average_loss_rate(), 0.05);
     }
 
     #[test]
     fn gilbert_elliott_matches_target_average() {
-        let lp = LossProcess::bursty_with_average(0.05, 10.0);
-        assert!((lp.average_loss_rate() - 0.05).abs() < 1e-12);
-        let mut lp = lp;
+        let mut lp = LossProcess::bursty_with_average(0.05, 10.0);
+        let LossProcess::GilbertElliott {
+            p_good_to_bad,
+            p_bad_to_good,
+            loss_good,
+            loss_bad,
+            ..
+        } = lp
+        else {
+            panic!("bursty_with_average must build a Gilbert–Elliott process");
+        };
+        let pi_bad = p_good_to_bad / (p_good_to_bad + p_bad_to_good);
+        let stationary = pi_bad * loss_bad + (1.0 - pi_bad) * loss_good;
+        assert!((stationary - 0.05).abs() < 1e-12, "stationary {stationary}");
         let mut rng = SimRng::seed_from_u64(2);
         let n = 400_000;
         let losses = (0..n).filter(|_| lp.sample(&mut rng)).count();

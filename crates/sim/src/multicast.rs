@@ -34,7 +34,7 @@
 //!
 //! ## The level index and its invariants
 //!
-//! The table owns a [`LevelIndex`] and maintains it **incrementally**: every
+//! The table owns a `LevelIndex` and maintains it **incrementally**: every
 //! place a requested or effective level changes ([`request_level`] applying
 //! a zero-latency change, [`advance_to`] landing a delayed one) reports the
 //! `old → new` transition to the index before returning. The invariants,
@@ -53,8 +53,8 @@
 //!   sequence too, so a stale in-flight join can never override a newer
 //!   instant leave).
 //!
-//! A table can additionally carry a [`LinkLevelIndex`]
-//! ([`attach_link_index`]/[`detach_link_index`]) for the tree engine:
+//! A table can additionally carry a `LinkLevelIndex`
+//! (`attach_link_index`/`detach_link_index`) for the tree engine:
 //! both effective-level notification sites — the zero-latency fast path
 //! in [`request_level`] and delayed changes landing in [`advance_to`] —
 //! forward the same `old → new` transition to it, so per-link carry sets
@@ -86,8 +86,6 @@
 //! [`request_level`]: MembershipTable::request_level
 //! [`advance_to`]: MembershipTable::advance_to
 //! [`max_effective_level`]: MembershipTable::max_effective_level
-//! [`attach_link_index`]: MembershipTable::attach_link_index
-//! [`detach_link_index`]: MembershipTable::detach_link_index
 
 use crate::events::Tick;
 use crate::index::{LevelIndex, LinkLevelIndex};
@@ -196,14 +194,13 @@ impl MembershipTable {
 
     /// The receiver's active level `min(requested, effective)`: the prefix
     /// of layers it both wants and effectively holds.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn active_level(&self, r: usize) -> usize {
+    pub(crate) fn active_level(&self, r: usize) -> usize {
         self.requested[r].min(self.effective[r])
     }
 
     /// The level index: O(1) bucket maximum and per-layer subscriber
     /// bitsets, maintained incrementally by this table.
-    pub fn index(&self) -> &LevelIndex {
+    pub(crate) fn index(&self) -> &LevelIndex {
         &self.index
     }
 
@@ -212,8 +209,7 @@ impl MembershipTable {
     /// count; the dynamic state is synced to the current effective levels
     /// here, and every later transition keeps it current until
     /// [`MembershipTable::detach_link_index`].
-    // mlf-lint: allow(unused-pub, reason = "documented public API; the tree engine consumes it in-crate, invisibly to the analyzer")
-    pub fn attach_link_index(&mut self, mut links: Box<LinkLevelIndex>) {
+    pub(crate) fn attach_link_index(&mut self, mut links: Box<LinkLevelIndex>) {
         assert_eq!(
             links.receiver_count(),
             self.receiver_count(),
@@ -225,14 +221,12 @@ impl MembershipTable {
 
     /// Detach and return the link index (if any), so engine scratch can
     /// reuse its allocations across trials.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; the tree engine consumes it in-crate, invisibly to the analyzer")
-    pub fn detach_link_index(&mut self) -> Option<Box<LinkLevelIndex>> {
+    pub(crate) fn detach_link_index(&mut self) -> Option<Box<LinkLevelIndex>> {
         self.links.take()
     }
 
     /// The attached per-link index, if any.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; the tree engine consumes it in-crate, invisibly to the analyzer")
-    pub fn link_index(&self) -> Option<&LinkLevelIndex> {
+    pub(crate) fn link_index(&self) -> Option<&LinkLevelIndex> {
         self.links.as_deref()
     }
 
@@ -365,25 +359,13 @@ impl MembershipTable {
         self.index.max_effective()
     }
 
-    /// The highest requested level across receivers.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn max_requested_level(&self) -> usize {
-        self.requested.iter().copied().max().unwrap_or(0)
-    }
-
     /// Whether receiver `r` is effectively subscribed to `layer` (1-based).
     pub fn subscribed(&self, r: usize, layer: usize) -> bool {
         layer >= 1 && layer <= self.effective[r]
     }
 
-    /// Whether receiver `r`'s protocol wants `layer` (1-based).
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn wants(&self, r: usize, layer: usize) -> bool {
-        layer >= 1 && layer <= self.requested[r]
-    }
-
     /// Check every index invariant against the table's ground-truth level
-    /// vectors (see [`crate::index::LevelIndex::check_invariants`]), plus
+    /// vectors (see `LevelIndex::check_invariants`), plus
     /// the attached link index's (if any).
     pub fn check_index_invariants(&self) -> Result<(), String> {
         self.index

@@ -2,7 +2,7 @@
 //! testing.
 //!
 //! The production [`crate::engine::run_star_into`] runs on the
-//! level-bucketed [`crate::index::LevelIndex`]: the delivery loop visits
+//! level-bucketed `LevelIndex`: the delivery loop visits
 //! only receivers effectively subscribed to the slot's layer, the shared
 //! link's `max_effective_level` is an O(1) cached bucket maximum, and the
 //! per-receiver `offered`/`level_slot_sum` accounting is settled lazily at

@@ -2,7 +2,7 @@
 //! testing.
 //!
 //! The production [`crate::tree::run_tree`] runs on the per-link
-//! [`crate::index::LinkLevelIndex`]: carried-link detection is a non-zero
+//! `LinkLevelIndex`: carried-link detection is a non-zero
 //! bit in a per-layer carrying-link bitset row, delivery batches the
 //! effectively subscribed receivers with word-at-a-time
 //! `trailing_zeros` walks, end-to-end loss is resolved by propagating

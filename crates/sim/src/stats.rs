@@ -3,7 +3,7 @@
 //! Figure 8 reports, for each parameter point, "the mean of 30 experiments
 //! ... the variance is less than 1% with 95% confidence". [`RunningStats`]
 //! accumulates trial results with Welford's numerically-stable online
-//! algorithm and reports the mean, variance, and a normal-approximation 95%
+//! algorithm and reports the mean, standard deviation, and a normal-approximation 95%
 //! confidence half-width.
 
 /// Online mean/variance accumulator (Welford).
@@ -80,16 +80,6 @@ impl RunningStats {
         (self.n, self.mean, self.m2, self.min, self.max)
     }
 
-    /// Build from a slice of observations.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn from_slice(xs: &[f64]) -> Self {
-        let mut s = Self::new();
-        for &x in xs {
-            s.push(x);
-        }
-        s
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.n
@@ -101,8 +91,7 @@ impl RunningStats {
     }
 
     /// Unbiased sample variance. Zero for fewer than two observations.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -140,27 +129,23 @@ impl RunningStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Relative 95% CI half-width (`ci95 / mean`), the "variance less than
-    /// 1% with 95% confidence" figure-of-merit the paper quotes. Zero when
-    /// the mean is zero.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn relative_ci95(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.ci95_half_width() / self.mean.abs()
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn stats_of(xs: &[f64]) -> RunningStats {
+        let mut s = RunningStats::new();
+        for &x in xs {
+            s.push(x);
+        }
+        s
+    }
+
     #[test]
     fn matches_closed_form_on_small_sample() {
-        let s = RunningStats::from_slice(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
+        let s = stats_of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         // Sample variance (n-1): Σ(x-5)^2 = 32, /7.
@@ -174,7 +159,7 @@ mod tests {
         let s = RunningStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.variance(), 0.0);
-        let s = RunningStats::from_slice(&[3.0]);
+        let s = stats_of(&[3.0]);
         assert_eq!(s.mean(), 3.0);
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.ci95_half_width(), 0.0);
@@ -182,7 +167,7 @@ mod tests {
 
     #[test]
     fn ci_shrinks_with_sample_size() {
-        let small = RunningStats::from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        let small = stats_of(&[1.0, 2.0, 3.0, 4.0]);
         let mut big = RunningStats::new();
         for _ in 0..25 {
             for x in [1.0, 2.0, 3.0, 4.0] {
@@ -190,16 +175,15 @@ mod tests {
             }
         }
         assert!(big.ci95_half_width() < small.ci95_half_width() / 2.0);
-        assert!(big.relative_ci95() < 0.1);
     }
 
     #[test]
     fn merge_matches_pushing_everything_into_one_accumulator() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let whole = RunningStats::from_slice(&xs);
+        let whole = stats_of(&xs);
         for split in 0..=xs.len() {
-            let mut left = RunningStats::from_slice(&xs[..split]);
-            let right = RunningStats::from_slice(&xs[split..]);
+            let mut left = stats_of(&xs[..split]);
+            let right = stats_of(&xs[split..]);
             left.merge(&right);
             assert_eq!(left.count(), whole.count(), "split {split}");
             assert!((left.mean() - whole.mean()).abs() < 1e-12, "split {split}");
@@ -241,7 +225,7 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits());
             }
         }
-        let s = RunningStats::from_slice(&[1.0, 2.5, 9.0]);
+        let s = stats_of(&[1.0, 2.5, 9.0]);
         let (n, mean, m2, min, max) = s.raw_parts();
         assert_eq!(RunningStats::from_raw_parts(n, mean, m2, min, max), s);
     }
@@ -250,7 +234,7 @@ mod tests {
     fn welford_is_stable_for_large_offsets() {
         // Classic catastrophic-cancellation case for naive sum-of-squares.
         let base = 1e9;
-        let s = RunningStats::from_slice(&[base + 1.0, base + 2.0, base + 3.0]);
+        let s = stats_of(&[base + 1.0, base + 2.0, base + 3.0]);
         assert!((s.variance() - 1.0).abs() < 1e-6);
     }
 }

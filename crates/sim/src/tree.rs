@@ -26,7 +26,7 @@
 //! [`crate::reference_tree`]) scanned every link × downstream receiver per
 //! slot plus a full `0..n` receiver loop with a per-receiver route
 //! re-scan. This one runs on the incrementally maintained
-//! [`LinkLevelIndex`], so a slot costs
+//! `LinkLevelIndex`, so a slot costs
 //! O(carrying links) + O(subscribed receivers on the slot's layer):
 //!
 //! * **Carried links** are the set bits of the layer's carrying-link
@@ -35,7 +35,7 @@
 //!   loss draw with its parent's already-computed fate, resolved down the
 //!   whole tree in a single sweep.
 //! * **Delivery** walks the layer's active-subscriber bitset row from the
-//!   receiver-level [`LevelIndex`](crate::index::LevelIndex) in ascending
+//!   receiver-level `LevelIndex` in ascending
 //!   receiver id; a receiver's fate is a single lookup of its access
 //!   link's fate. Both indexes are maintained by the one
 //!   [`MembershipTable`], so a ±1 level transition costs O(route length)
@@ -87,7 +87,6 @@ pub struct TreeConfig {
 
 /// A tree run configuration [`run_tree`] cannot execute. See the module
 /// docs for the full contract; every variant names the offending input.
-// mlf-lint: allow(unused-pub, reason = "the typed error contract of run_tree; workspace tests match it via expect, invisibly to the analyzer")
 #[derive(Debug, Clone, PartialEq)]
 pub enum TreeConfigError {
     /// The network holds `sessions` sessions; the engine wants exactly one.

@@ -128,9 +128,10 @@ proptest! {
         let table = drive(receivers, layers, 0, 0, ops, seed);
         for r in 0..receivers {
             prop_assert_eq!(table.effective_level(r), table.requested_level(r));
+            // With every level in 0..=layers, the recounted buckets below
+            // partition the receivers.
+            prop_assert!(table.effective_level(r) <= layers);
         }
-        let index = table.index();
-        let total: usize = (0..=layers).map(|v| index.effective_count(v)).sum();
-        prop_assert_eq!(total, receivers, "buckets must partition the receivers");
+        table.check_index_invariants().unwrap();
     }
 }

@@ -4,7 +4,8 @@
 //! The bitset engine replaces the reference's per-slot scan of every
 //! link's downstream receiver set and its full `0..n` receiver loop (with
 //! a per-receiver route re-scan for the end-to-end loss fate) with the
-//! [`mlf_sim::LinkLevelIndex`] carrying-link rows, a single parents-first
+//! carrying-link rows of `LinkLevelIndex` (crate-private, in
+//! `crates/sim/src/index.rs`), a single parents-first
 //! path-loss sweep, word-at-a-time delivery walks and lazy `offered`
 //! settlement. Its contract is that every produced bit of the
 //! [`TreeReport`] — `carried`, `offered`, `delivered`,
