@@ -9,7 +9,7 @@
 //!    [--trials 5] [--packets 30000] [--receivers 30] [--loss 0.03]`
 
 use mlf_bench::{cli, knob, or_exit, write_csv, Args, Table};
-use mlf_protocols::{CoordinatedSender, ProtocolKind, ProtocolReceiver};
+use mlf_protocols::{CoordinatedSender, ExperimentParams, ProtocolKind, ProtocolReceiver};
 use mlf_sim::{run_star, LossProcess, NoMarkers, RunningStats, SimRng, StarConfig};
 
 const KNOBS: &[cli::Knob] = &[
@@ -29,6 +29,21 @@ fn main() {
     let packets: u64 = or_exit(args.get("packets", 30_000));
     let receivers: usize = or_exit(args.get("receivers", 30));
     let loss: f64 = or_exit(args.get("loss", 0.03));
+    // The star's shape, checked before any trial runs.
+    or_exit(
+        ExperimentParams {
+            layers: 8,
+            receivers,
+            shared_loss: 0.0001,
+            independent_loss: loss,
+            packets,
+            trials,
+            seed: 0x2B,
+            join_latency: 0,
+            leave_latency: 0,
+        }
+        .validate(),
+    );
 
     println!(
         "Burst-loss ablation: average independent loss {loss}, shared 1e-4, \

@@ -3,7 +3,8 @@
 //! pinned digest. Between them they drive Gilbert–Elliott fanout loss
 //! (`ablation_burst`), nonzero prune latencies through the protocol sweep
 //! (`ablation_latency`) and the active-node hub next to the paper's three
-//! protocols (`ablation_active`).
+//! protocols (`ablation_active`). All three reject an empty star or an
+//! empty trial count with exit status 2 before writing anything.
 
 use std::process::Command;
 
@@ -65,4 +66,39 @@ fn ablation_active_matches_the_pinned_digest() {
         &[],
     );
     assert_eq!(h, 0x16b4_fe7f_dcc6_6568, "digest is 0x{h:016x}");
+}
+
+/// `--receivers 0` and `--trials 0` each make every binary exit 2 with the
+/// typed parameter error, and leave no CSV behind.
+#[test]
+fn ablations_reject_empty_shapes_before_writing() {
+    for (exe, name) in [
+        (env!("CARGO_BIN_EXE_ablation_latency"), "ablation_latency"),
+        (env!("CARGO_BIN_EXE_ablation_burst"), "ablation_burst"),
+        (env!("CARGO_BIN_EXE_ablation_active"), "ablation_active"),
+    ] {
+        for (knob, which) in [("--receivers", "receivers"), ("--trials", "trials")] {
+            let mut args = ARGS;
+            let at = args.iter().position(|&a| a == knob).expect("shared knob");
+            args[at + 1] = "0";
+            let dir = std::env::temp_dir()
+                .join(format!("mlf-{name}-zero-{which}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("scratch dir");
+            let out = Command::new(exe)
+                .args(args)
+                .current_dir(&dir)
+                .output()
+                .expect("ablation binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let wrote = dir.join("results").exists();
+            let _ = std::fs::remove_dir_all(&dir);
+            assert_eq!(out.status.code(), Some(2), "{name} {knob} 0: {stderr}");
+            assert!(
+                stderr.contains(&format!("error: {which} must be at least 1")),
+                "{name} {knob} 0: {stderr}"
+            );
+            assert!(!wrote, "{name} {knob} 0 wrote results");
+        }
+    }
 }

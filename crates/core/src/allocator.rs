@@ -35,7 +35,7 @@
 
 use crate::allocation::Allocation;
 use crate::linkrate::{LinkRateConfig, LinkRateModel};
-use crate::maxmin::{solve_in, FreezeReason, MaxMinSolution};
+use crate::maxmin::{solve_in, solved, FreezeReason, MaxMinSolution, Pending, SolveError};
 use crate::unicast::unicast_solve_in;
 use crate::weighted::{weighted_solve_in, Weights};
 use mlf_net::{Incidence, Network, SessionType};
@@ -89,8 +89,11 @@ pub struct SolverWorkspace {
     pub(crate) link_used: Vec<f64>,
     /// Per-link flags (binding links in the unicast solver).
     pub(crate) link_flag: Vec<bool>,
-    /// `(estimate, link)` of the links a round still has to bisect.
-    pub(crate) pending: Vec<(f64, usize)>,
+    /// The links a round still has to search, with their bracket loads.
+    pub(crate) pending: Vec<Pending>,
+    /// Per-link load at the water level, left by the last freeze pass for
+    /// the next round's lower bracket; NaN until the first pass of a solve.
+    pub(crate) level_load: Vec<f64>,
     /// Per-position active flags, aligned with the flat `slot_receivers`
     /// array of the network's [`Incidence`]: position `p` of slot `(j, i)`
     /// is receiver `(i, slot_receivers[p])` on link `j`.
@@ -133,16 +136,24 @@ pub struct SolveCounters {
     pub freeze_rounds: u64,
     /// Evaluations of one link's load `u_j(ℓ)` at a candidate level, by
     /// the link-freeze pass and the `RandomJoin` saturation search
-    /// (bracket checks and bisection steps).
+    /// (bracket checks and `bracket_probes`).
     pub link_load_evals: u64,
-    /// Halving steps of the `RandomJoin` saturation bisection.
+    /// Halvings the `RandomJoin` saturation search replayed; a link its
+    /// skip probe settles replays none.
     pub bisection_steps: u64,
-    /// Bisections stopped early because their lower bound already reached
-    /// the round's running minimum saturation level.
+    /// Searches stopped early because their lower bound already reached
+    /// the round's running minimum saturation level, counting the links
+    /// the skip probe settled.
     pub early_exits: u64,
-    /// Bisections that used every one of their 200 steps without meeting
+    /// Searches that used every one of their 200 halvings without meeting
     /// the convergence tolerance.
     pub cap_hits: u64,
+    /// Load evaluations inside a link's bracket: skip probes, regula falsi
+    /// points and midpoint fallbacks. At most
+    /// `bracket_resolved + 2 · bisection_steps`.
+    pub bracket_probes: u64,
+    /// Bracketed links settled by their skip probe alone.
+    pub bracket_resolved: u64,
 }
 
 impl std::ops::AddAssign for SolveCounters {
@@ -152,6 +163,8 @@ impl std::ops::AddAssign for SolveCounters {
         self.bisection_steps += other.bisection_steps;
         self.early_exits += other.early_exits;
         self.cap_hits += other.cap_hits;
+        self.bracket_probes += other.bracket_probes;
+        self.bracket_resolved += other.bracket_resolved;
     }
 }
 
@@ -192,6 +205,8 @@ impl SolverWorkspace {
         self.link_used.resize(net.link_count(), 0.0);
         self.link_flag.clear();
         self.link_flag.resize(net.link_count(), false);
+        self.level_load.clear();
+        self.level_load.resize(net.link_count(), f64::NAN);
 
         // Per-slot aggregates for the hot loops: all receivers start
         // active, so frozen aggregates are zero and the active counts are
@@ -350,7 +365,23 @@ impl Regimes {
 pub trait Allocator: Send + Sync {
     /// Compute the regime's unique max-min fair allocation of `net`,
     /// with per-receiver freeze diagnostics.
+    ///
+    /// # Panics
+    ///
+    /// Where [`Allocator::try_solve`] returns a [`SolveError`].
     fn solve(&self, net: &Network, ws: &mut SolverWorkspace) -> MaxMinSolution;
+
+    /// [`Allocator::solve`], returning a [`SolveError`] instead of
+    /// panicking when progressive filling stalls. The default wraps
+    /// `solve`: [`Weighted`] and [`Unicast`] keep their engines' own
+    /// `assert!`s.
+    fn try_solve(
+        &self,
+        net: &Network,
+        ws: &mut SolverWorkspace,
+    ) -> Result<MaxMinSolution, SolveError> {
+        Ok(self.solve(net, ws))
+    }
 
     /// Convenience one-shot solve returning just the allocation.
     fn allocate(&self, net: &Network) -> Allocation {
@@ -362,6 +393,7 @@ pub trait Allocator: Send + Sync {
     /// link-rate parameterization ([`Weighted`] and [`Unicast`] are defined
     /// for the efficient model only) — callers that need the override, like
     /// `Scenario` model sweeps, treat `None` as a configuration error.
+    /// Panics where [`Allocator::solve`] does.
     fn solve_with(
         &self,
         net: &Network,
@@ -437,7 +469,7 @@ fn solve_regime(
     cfg: Option<&LinkRateConfig>,
     regimes: &Regimes,
     ws: &mut SolverWorkspace,
-) -> MaxMinSolution {
+) -> Result<MaxMinSolution, SolveError> {
     regimes.check(net);
     match cfg {
         Some(cfg) => solve_in(net, cfg, regimes, ws),
@@ -470,6 +502,14 @@ impl MultiRate {
 
 impl Allocator for MultiRate {
     fn solve(&self, net: &Network, ws: &mut SolverWorkspace) -> MaxMinSolution {
+        solved(self.try_solve(net, ws))
+    }
+
+    fn try_solve(
+        &self,
+        net: &Network,
+        ws: &mut SolverWorkspace,
+    ) -> Result<MaxMinSolution, SolveError> {
         solve_regime(
             net,
             self.cfg.as_ref(),
@@ -484,12 +524,12 @@ impl Allocator for MultiRate {
         cfg: &LinkRateConfig,
         ws: &mut SolverWorkspace,
     ) -> Option<MaxMinSolution> {
-        Some(solve_regime(
+        Some(solved(solve_regime(
             net,
             Some(cfg),
             &Regimes::Uniform(SessionType::MultiRate),
             ws,
-        ))
+        )))
     }
 
     fn supports_link_rates(&self) -> bool {
@@ -525,6 +565,14 @@ impl SingleRate {
 
 impl Allocator for SingleRate {
     fn solve(&self, net: &Network, ws: &mut SolverWorkspace) -> MaxMinSolution {
+        solved(self.try_solve(net, ws))
+    }
+
+    fn try_solve(
+        &self,
+        net: &Network,
+        ws: &mut SolverWorkspace,
+    ) -> Result<MaxMinSolution, SolveError> {
         solve_regime(
             net,
             self.cfg.as_ref(),
@@ -539,12 +587,12 @@ impl Allocator for SingleRate {
         cfg: &LinkRateConfig,
         ws: &mut SolverWorkspace,
     ) -> Option<MaxMinSolution> {
-        Some(solve_regime(
+        Some(solved(solve_regime(
             net,
             Some(cfg),
             &Regimes::Uniform(SessionType::SingleRate),
             ws,
-        ))
+        )))
     }
 
     fn supports_link_rates(&self) -> bool {
@@ -600,6 +648,14 @@ impl Default for Hybrid {
 
 impl Allocator for Hybrid {
     fn solve(&self, net: &Network, ws: &mut SolverWorkspace) -> MaxMinSolution {
+        solved(self.try_solve(net, ws))
+    }
+
+    fn try_solve(
+        &self,
+        net: &Network,
+        ws: &mut SolverWorkspace,
+    ) -> Result<MaxMinSolution, SolveError> {
         solve_regime(net, self.cfg.as_ref(), &self.regimes, ws)
     }
 
@@ -609,7 +665,7 @@ impl Allocator for Hybrid {
         cfg: &LinkRateConfig,
         ws: &mut SolverWorkspace,
     ) -> Option<MaxMinSolution> {
-        Some(solve_regime(net, Some(cfg), &self.regimes, ws))
+        Some(solved(solve_regime(net, Some(cfg), &self.regimes, ws)))
     }
 
     fn supports_link_rates(&self) -> bool {
@@ -758,7 +814,12 @@ mod tests {
 
     /// Counters are exact work counts: a workspace reused across solves
     /// reports the sum of what a fresh workspace reports per solve, and
-    /// the Figure-5 shape never runs a bisection into its step cap.
+    /// the Figure-5 shape never runs a search into its step cap.
+    ///
+    /// The pins: rounds, early exits and cap hits are the plain
+    /// bisection's (it made 39 426 load evaluations here); the rest are
+    /// the bracketed search's own, exact, so a change in how it probes
+    /// shows up here first.
     #[test]
     fn solve_counters_are_deterministic_sums() {
         use mlf_net::topology::random_network_with;
@@ -792,9 +853,30 @@ mod tests {
         }
         let counters = reused.counters();
         assert_eq!(counters, summed);
-        assert_eq!(counters.cap_hits, 0);
-        assert!(counters.bisection_steps > 0 && counters.early_exits > 0);
-        assert!(counters.link_load_evals > counters.bisection_steps);
+        assert_eq!(
+            (
+                counters.freeze_rounds,
+                counters.early_exits,
+                counters.cap_hits
+            ),
+            (438, 2804, 0)
+        );
+        assert_eq!(
+            counters,
+            SolveCounters {
+                freeze_rounds: 438,
+                link_load_evals: 17_156,
+                bisection_steps: 19_994,
+                early_exits: 2804,
+                cap_hits: 0,
+                bracket_probes: 6359,
+                bracket_resolved: 2804,
+            }
+        );
+        assert!(counters.link_load_evals <= 24_000);
+        assert!(
+            counters.bracket_probes <= counters.bracket_resolved + 2 * counters.bisection_steps
+        );
     }
 
     #[test]

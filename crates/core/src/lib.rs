@@ -93,7 +93,7 @@ pub use allocator::{
 };
 pub use linkrate::{LinkRateConfig, LinkRateModel};
 pub use maxmin::FreezeReason;
-pub use maxmin::{solve, MaxMinSolution};
+pub use maxmin::{solve, MaxMinSolution, SolveError};
 pub use metrics::{jain_index, satisfaction};
 pub use ordering::{is_min_unfavorable, is_strictly_min_unfavorable, ordered};
 pub use properties::{check_all, FairnessReport};

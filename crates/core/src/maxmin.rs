@@ -36,8 +36,10 @@
 //! piecewise-linear models (`Efficient`, `Scaled`, `Sum`) each link's load is
 //! `K + Σ_i w_i · max(b_i, ℓ)` in the level `ℓ`, whose saturation point is
 //! found exactly by scanning breakpoints; the nonlinear `RandomJoin` model
-//! falls back to bisection. Every iteration freezes at least one receiver,
-//! so the loop runs at most `#receivers` times.
+//! is searched by an exact replay of a bisection (see "Bracketed search").
+//! Every iteration freezes at least one receiver, so the loop runs at most
+//! `#receivers` times; an iteration that freezes none ends the solve with
+//! [`SolveError::Stalled`].
 //!
 //! # Implementation: incidence + incremental aggregates
 //!
@@ -66,24 +68,79 @@
 //! load is bit-for-bit the reference's; only the copy into a scratch
 //! buffer and the recomputation of frozen factors are gone.
 //!
-//! # The exact early exit
+//! # Bracketed search
 //!
 //! A round needs only `next = min(upper, min_j ℓ_j)` over the links'
-//! saturation levels `ℓ_j`, so each bisection is handed the running
-//! minimum `best` and stops as soon as its lower end `lo ≥ best`. This is
-//! exact: inside the loop `lo` only rises (it moves only to a midpoint
-//! above it), so the full bisection would have returned some value
-//! `≥ lo ≥ best`, and `min(best, ·)` is `best` either way. The bracket
-//! pre-checks (`u_j(upper) ≤ c_j + ε`, `u_j(level) ≥ c_j − ε`) run
-//! unchanged, and for the same reason the links may be bisected in any
-//! order: links settled without a bisection (piecewise-linear links and
-//! settled brackets) go first, the rest in ascending order of a linear
-//! interpolation of their bracket, so `best` falls early. `min` is
-//! order-independent on the non-negative, non-NaN levels involved, so the
-//! order changes how much work a round does, never its result.
-//! [`crate::allocator::SolveCounters`] counts that work: load
-//! evaluations, bisection steps, early exits, and bisections that hit the
-//! 200-step cap.
+//! saturation levels `ℓ_j`. The reference finds each `RandomJoin` link's
+//! `ℓ_j` by bisecting `[level, upper]` to `hi − lo < 1e-13·(1 + |hi|)`
+//! (at most 200 halvings, returning `lo`). The search here returns what
+//! that bisection would leave in `min`, bit for bit, while evaluating the
+//! load far less often. Links settled without a search (piecewise-linear
+//! links and brackets the end checks `u_j(upper) ≤ c_j + ε`,
+//! `u_j(level) ≥ c_j − ε` decide) go first, the rest in ascending order
+//! of a linear interpolation of their bracket, so the running minimum
+//! `best` falls early. `min` is order-independent on the non-negative,
+//! non-NaN levels involved, so the order changes how much work a round
+//! does, never its result. Everything below rests on one lemma.
+//!
+//! **Monotonicity.** `State::link_load_at` is non-decreasing in the
+//! level under IEEE rounding. Every operation on the level's path is a
+//! correctly rounded monotone operation on non-negative operands:
+//! `min(σ)`, `max(0)`, division by `σ > 0`, `1 − x`, products of factors in
+//! `[0, 1]`, multiplication by `σ` or a factor `≥ 1`, and sums. So
+//! `u_j(x) ≤ c_j` holds on a down-set of levels: once one level is known
+//! to satisfy it (a *good* level) every level below does, and once one is
+//! known to fail it (a *bad* level) every level above fails too.
+//!
+//! **Early exit.** The bisection stops, returning `lo`, once `lo ≥ best`.
+//! `lo` only rises, so the finished bisection would return a level
+//! `≥ lo ≥ best` too, and `min(best, ·)` is `best` either way.
+//!
+//! **One-probe skip.** The search first evaluates the link once at
+//! `q = best + 1e-12·(1 + |best|)`. If `u_j(q) ≤ c_j`, every midpoint
+//! `≤ q` is good by monotonicity, so the bisection's `hi` only ever moves
+//! to midpoints above `q`. While `lo < best`, then,
+//! `hi − lo > q − best ≈ 1e-12·(1 + best)`, and since `hi ↦ hi − best −
+//! 1e-13·(1 + hi)` increases and is already `≈ 0.9e-12·(1 + best)` at
+//! `hi = q`, the tolerance exit cannot fire below `best`; the margin of
+//! ten tolerances also covers the rounding of `q` and of the exit test.
+//! The step cap could still end a bisection below `best` if 200 halvings
+//! did not narrow the bracket past the margin: each halving leaves at most
+//! `w/2 + 2^-53·hi` of a width `w`, so from `upper ≤ 2^100` the width after
+//! 200 halvings is below `2^-100 + 2^-52·best`, far under the margin. The
+//! skip therefore returns `best` only when `upper ≤ 2^100`; above it (or
+//! when `q ≥ upper`) the probe only narrows the bracket. A zero margin
+//! would not do: a crossing less than one tolerance above a linear link's
+//! closed-form level `best` passes the probe at `q = best`, yet its
+//! bisection can end below `best`.
+//!
+//! **Bracketed replay.** Otherwise the search replays the bisection's
+//! exact midpoint sequence and loop exits, keeping the largest good level
+//! and the smallest bad one it knows (initially `level`, `upper` and the
+//! probe). A midpoint at or below the good level resolves `lo = mid` with
+//! no evaluation, one at or above the bad level resolves `hi = mid`; only a
+//! midpoint strictly between them is still open. An open midpoint first
+//! gets one Illinois regula falsi point inside the bracket (moved to the
+//! next float inside when it rounds onto an end), and is evaluated itself
+//! only if that did not decide it. Each halving thus costs at most two
+//! evaluations, and the probe counts as the first halving's extra one.
+//! Regula falsi pins the crossing to a few floats within a handful of
+//! evaluations, after which almost every midpoint resolves for free.
+//!
+//! **Reused lower bracket.** The freeze pass evaluates every active link's
+//! load at the round's level and keeps it per link
+//! ([`SolverWorkspace`]'s `level_load`, NaN at the start of each solve);
+//! the next round reads it as its `u_j(level)`. It is bitwise the load the
+//! next round would compute: the level does not change between the two;
+//! κ-freezes, which store `rate = κ`, all run before the freeze pass
+//! evaluates; and link and closure freezes store `rate = level`, whose
+//! miss factor is bitwise the active factor `g` (and whose `Sum` term and
+//! `max` contribution are the same `level`), so freezing a receiver later
+//! in the pass changes no bit of a load evaluated earlier.
+//!
+//! [`crate::allocator::SolveCounters`] counts the work: load evaluations,
+//! replayed halvings, early exits, step-cap hits, the search's own probes
+//! and the links the skip settled.
 
 use crate::allocation::{Allocation, RATE_EPS};
 use crate::allocator::{Regimes, SolverWorkspace};
@@ -130,12 +187,57 @@ impl MaxMinSolution {
     }
 }
 
+/// Why progressive filling could not finish.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SolveError {
+    /// A round raised the water level to `level` and then froze no
+    /// receiver: no session reached its cap, and no link on an active
+    /// route came within `1e-9` of its capacity. Saturation levels are
+    /// found to a relative tolerance, so very large capacities, or
+    /// `RandomJoin` loads whose floating-point steps exceed `1e-9`,
+    /// can stop short of every link.
+    Stalled {
+        /// The water level of the stalled round.
+        level: f64,
+    },
+}
+
+impl std::fmt::Display for SolveError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SolveError::Stalled { level } => write!(
+                f,
+                "progressive filling made no progress at level {level}: no link came within \
+                 1e-9 of its capacity"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SolveError {}
+
 /// One-shot progressive-filling solve with diagnostics, honouring each
 /// session's declared type. The low-level engine entry: allocates a fresh
 /// workspace per call. Prefer the [`crate::allocator::Allocator`] trait with
 /// a reused [`SolverWorkspace`] in sweeps and other hot paths.
+///
+/// # Panics
+///
+/// On a [`SolveError`]; [`crate::allocator::Allocator::try_solve`] returns
+/// it instead.
 pub fn solve(net: &Network, cfg: &LinkRateConfig) -> MaxMinSolution {
-    solve_in(net, cfg, &Regimes::AsDeclared, &mut SolverWorkspace::new())
+    solved(solve_in(
+        net,
+        cfg,
+        &Regimes::AsDeclared,
+        &mut SolverWorkspace::new(),
+    ))
+}
+
+/// The solution, or the panic the infallible entry points document.
+pub(crate) fn solved(result: Result<MaxMinSolution, SolveError>) -> MaxMinSolution {
+    // mlf-lint: allow(panic-unwrap, reason = "documented '# Panics' contract of the infallible entry points; Allocator::try_solve is the typed alternative")
+    result.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Progressive filling into a caller-provided workspace, with an explicit
@@ -146,7 +248,7 @@ pub(crate) fn solve_in(
     cfg: &LinkRateConfig,
     regimes: &Regimes,
     ws: &mut SolverWorkspace,
-) -> MaxMinSolution {
+) -> Result<MaxMinSolution, SolveError> {
     assert_eq!(
         cfg.len(),
         net.session_count(),
@@ -168,9 +270,9 @@ pub(crate) fn solve_in(
             iterations <= net.receiver_count() + 1,
             "progressive filling failed to converge (tolerance breakdown?)"
         );
-        state.step();
+        state.step()?;
     }
-    ws.take_solution(iterations)
+    Ok(ws.take_solution(iterations))
 }
 
 /// Water-filling pass over workspace-held state.
@@ -209,7 +311,7 @@ impl State<'_> {
 
     /// One progressive-filling event: advance the level to the next freezing
     /// point and freeze every receiver that binds there.
-    fn step(&mut self) {
+    fn step(&mut self) -> Result<(), SolveError> {
         let upper = (0..self.net.session_count())
             .filter(|&i| self.session_has_active(i))
             .map(|i| self.effective_kappa(i))
@@ -217,10 +319,10 @@ impl State<'_> {
         debug_assert!(upper.is_finite(), "session max rates are finite");
 
         // The next level is the smallest saturation level over all links
-        // (clamped to `upper`). Links settled without a bisection go first;
-        // the rest are bisected in ascending order of their estimated
-        // level, so the running minimum falls early and later bisections
-        // stop early (see `saturation_level_bisect`).
+        // (clamped to `upper`). Links settled without a search go first;
+        // the rest are searched in ascending order of their estimated
+        // level, so the running minimum falls early and later searches
+        // settle on one probe (see `saturation_level_search`).
         let mut next = upper;
         let mut pending = std::mem::take(&mut self.ws.pending);
         pending.clear();
@@ -230,12 +332,12 @@ impl State<'_> {
             }
             match self.link_saturation_level(j, upper) {
                 Saturation::Level(lj) => next = next.min(lj),
-                Saturation::Bracketed(estimate) => pending.push((estimate, j)),
+                Saturation::Bracketed(link) => pending.push(link),
             }
         }
-        pending.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for &(_, j) in &pending {
-            let lj = self.saturation_level_bisect(j, upper, next);
+        pending.sort_by(|a, b| a.estimate.total_cmp(&b.estimate));
+        for link in &pending {
+            let lj = self.saturation_level_search(link, upper, next);
             next = next.min(lj);
         }
         self.ws.pending = pending;
@@ -276,7 +378,11 @@ impl State<'_> {
             if self.ws.link_active[j] == 0 {
                 continue;
             }
+            // κ-freezes are done, and every later freeze this round stores
+            // `rate = level` (so the same miss factor as the active `g`):
+            // this load is bitwise the next round's load at the same level.
             let load = self.link_load_at(j, self.level);
+            self.ws.level_load[j] = load;
             if load < self.net.graph().capacity(link) - RATE_EPS {
                 continue;
             }
@@ -313,11 +419,11 @@ impl State<'_> {
             }
         }
 
-        assert!(
-            froze_any,
-            "progressive filling made no progress at level {}",
-            self.level
-        );
+        if froze_any {
+            Ok(())
+        } else {
+            Err(SolveError::Stalled { level: self.level })
+        }
     }
 
     /// Freeze active receiver `(i, k)` at its current rate: clear its flag,
@@ -465,7 +571,14 @@ impl State<'_> {
         if at_upper <= cap + RATE_EPS {
             return Saturation::Level(upper);
         }
-        let at_lo = self.link_load_at(j, lo);
+        // The previous round's freeze pass left the load at this level
+        // (NaN before the first one).
+        let cached = self.ws.level_load[j];
+        let at_lo = if cached.is_nan() {
+            self.link_load_at(j, lo)
+        } else {
+            cached
+        };
         if at_lo >= cap - RATE_EPS {
             // Already saturated: the level can only advance past this link's
             // constraint if no marginal session remains; conservatively stop
@@ -474,7 +587,12 @@ impl State<'_> {
             // marginal, so no free-rider ride-through exists to find.)
             return Saturation::Level(lo);
         }
-        Saturation::Bracketed(lo + (cap - at_lo) / (at_upper - at_lo) * (upper - lo))
+        Saturation::Bracketed(Pending {
+            estimate: lo + (cap - at_lo) / (at_upper - at_lo) * (upper - lo),
+            link: j,
+            at_lo,
+            at_upper,
+        })
     }
 
     /// Exact solve for piecewise-linear loads `u_j(ℓ) = K + Σ w_t·max(b_t, ℓ)`.
@@ -559,17 +677,44 @@ impl State<'_> {
         upper // never saturates before the cap
     }
 
-    /// Monotone bisection of a nonlinear (RandomJoin) link's saturation
-    /// level over `[self.level, upper]`, once `link_saturation_level` has
-    /// checked that the load crosses the capacity inside it.
+    /// The saturation level of a bracketed nonlinear (RandomJoin) link as
+    /// the round's `min` sees it: the bisection of `[self.level, upper]`
+    /// that the reference runs, with its early exit at `lo ≥ best`, and
+    /// with most of its load evaluations replaced by what the bracket
+    /// already knows (see "Bracketed search" in the module docs).
     ///
-    /// Stops early, returning `lo`, once `lo ≥ best`: `lo` only rises, so
-    /// the finished bisection would return a level `≥ best` too, and the
-    /// caller's `min` keeps `best` either way (see the module docs).
-    fn saturation_level_bisect(&mut self, j: usize, upper: f64, best: f64) -> f64 {
+    /// A link whose skip probe shows it cannot cross below `best` returns
+    /// `best`; otherwise the result is bit for bit the bisection's.
+    fn saturation_level_search(&mut self, link: &Pending, upper: f64, best: f64) -> f64 {
+        let j = link.link;
         let cap = self.net.graph().capacity(LinkId(j));
         let mut lo = self.level;
         let mut hi = upper;
+        if lo >= best {
+            self.ws.counters.early_exits += 1;
+            return lo;
+        }
+        let mut known = Bracket {
+            good: lo,
+            f_good: link.at_lo - cap,
+            bad: hi,
+            f_bad: link.at_upper - cap,
+            last: 0,
+        };
+        // The probe is the first halving's extra evaluation: that halving
+        // then evaluates its midpoint at most.
+        let mut spare = true;
+        let q = best + SKIP_MARGIN * (1.0 + best.abs());
+        if q < hi {
+            let at_q = self.search_load_at(j, q);
+            if at_q <= cap && upper <= SKIP_SPAN {
+                self.ws.counters.bracket_resolved += 1;
+                self.ws.counters.early_exits += 1;
+                return best;
+            }
+            known.record(q, at_q, cap);
+            spare = false;
+        }
         for _ in 0..BISECTION_CAP {
             if lo >= best {
                 self.ws.counters.early_exits += 1;
@@ -577,7 +722,20 @@ impl State<'_> {
             }
             self.ws.counters.bisection_steps += 1;
             let mid = 0.5 * (lo + hi);
-            if self.link_load_at(j, mid) <= cap {
+            if known.undecided(mid) {
+                if let Some(x) = known.falsi_point().filter(|_| spare) {
+                    let at_x = self.search_load_at(j, x);
+                    known.record(x, at_x, cap);
+                }
+                if known.undecided(mid) {
+                    let at_mid = self.search_load_at(j, mid);
+                    known.record(mid, at_mid, cap);
+                }
+            }
+            spare = true;
+            // `mid ≤ good` means `u_j(mid) ≤ u_j(good) ≤ c_j`; otherwise
+            // `mid ≥ bad` and `u_j(mid) ≥ u_j(bad) > c_j`.
+            if mid <= known.good {
                 lo = mid;
             } else {
                 hi = mid;
@@ -589,19 +747,109 @@ impl State<'_> {
         self.ws.counters.cap_hits += 1;
         lo
     }
+
+    /// [`State::link_load_at`] on behalf of the bracketed search, counted
+    /// as one of its probes.
+    fn search_load_at(&mut self, j: usize, level: f64) -> f64 {
+        self.ws.counters.bracket_probes += 1;
+        self.link_load_at(j, level)
+    }
 }
 
 /// What a link's saturation search settled before any bisection.
 enum Saturation {
     /// The link's saturation level.
     Level(f64),
-    /// The load crosses the capacity strictly inside the bracket; the
-    /// payload estimates where (it only orders the bisections).
-    Bracketed(f64),
+    /// The load crosses the capacity strictly inside the bracket.
+    Bracketed(Pending),
+}
+
+/// A link whose load crosses its capacity strictly inside
+/// `[level, upper]`, with the loads at both ends.
+#[derive(Debug)]
+pub(crate) struct Pending {
+    /// A linear interpolation of the crossing; it only orders the searches.
+    estimate: f64,
+    link: usize,
+    at_lo: f64,
+    at_upper: f64,
+}
+
+/// The levels known on either side of one link's crossing:
+/// `u_j(good) ≤ c_j < u_j(bad)`, with `f = u_j − c_j` at each end for the
+/// Illinois variant of regula falsi.
+struct Bracket {
+    good: f64,
+    f_good: f64,
+    bad: f64,
+    f_bad: f64,
+    /// Which end the last record moved: `-1` good, `1` bad, `0` neither.
+    last: i8,
+}
+
+impl Bracket {
+    /// Whether monotonicity leaves `u_j(mid) ≤ c_j` open.
+    fn undecided(&self, mid: f64) -> bool {
+        self.good < mid && mid < self.bad
+    }
+
+    /// The regula falsi point, moved strictly inside the bracket when it
+    /// rounds onto (or past) an end: a crossing predicted at `good` is
+    /// then confirmed by one evaluation at the next float above it. `None`
+    /// once the two ends are adjacent floats.
+    fn falsi_point(&self) -> Option<f64> {
+        let x = self.good - self.f_good * (self.bad - self.good) / (self.f_bad - self.f_good);
+        // `max` drops a NaN (0/0 or ∞/∞ slopes): then the next float up.
+        let x = x.max(next_above(self.good)).min(next_below(self.bad));
+        (self.good < x && x < self.bad).then_some(x)
+    }
+
+    /// Narrow the bracket with the load `at_x` evaluated at `x` inside it.
+    /// An end kept twice in a row has its `f` halved (Illinois), so the
+    /// falsi points cannot creep from one side.
+    fn record(&mut self, x: f64, at_x: f64, cap: f64) {
+        if at_x <= cap {
+            self.good = x;
+            self.f_good = at_x - cap;
+            if self.last == -1 {
+                self.f_bad *= 0.5;
+            }
+            self.last = -1;
+        } else {
+            self.bad = x;
+            self.f_bad = at_x - cap;
+            if self.last == 1 {
+                self.f_good *= 0.5;
+            }
+            self.last = 1;
+        }
+    }
+}
+
+/// The next float above a non-negative `x` (`f64::next_up`, newer than
+/// the supported toolchain).
+fn next_above(x: f64) -> f64 {
+    f64::from_bits(x.abs().to_bits() + 1)
+}
+
+/// The next float below a positive `x`.
+fn next_below(x: f64) -> f64 {
+    f64::from_bits(x.to_bits() - 1)
 }
 
 /// Most halving steps one saturation bisection takes.
 const BISECTION_CAP: usize = 200;
+
+/// How far above the running minimum `best` the skip probe looks, relative
+/// to `1 + |best|`: ten times the bisection's tolerance, so a bisection
+/// whose `hi` stays above the probe cannot meet the tolerance below `best`.
+const SKIP_MARGIN: f64 = 1e-12;
+
+/// Largest `upper` at which a passing skip probe settles a link: from a
+/// span of at most 2^100, 200 halvings narrow any bracket far below the
+/// skip margin, so the step cap cannot end a bisection below `best`
+/// either (and `lo + hi` cannot overflow).
+const SKIP_SPAN: f64 = 1.2676506002282294e30; // 2^100
 
 /// The `RandomJoin` factor `1 − a.min(σ).max(0)/σ` of one receiver at rate
 /// `a`: the probability that it misses a given packet of the layer. The
@@ -886,7 +1134,7 @@ mod tests {
         for seed in 0..30u64 {
             let net = mlf_net::topology::random_network(seed, 12, 4, 4).unwrap();
             let cfg = LinkRateConfig::efficient(net.session_count());
-            let sol = solve_in(&net, &cfg, &Regimes::AsDeclared, &mut ws);
+            let sol = solve_in(&net, &cfg, &Regimes::AsDeclared, &mut ws).unwrap();
             assert!(
                 sol.allocation.is_feasible(&net, &cfg),
                 "seed {seed}: infeasible: {:?}",
@@ -909,6 +1157,91 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The bracketed search rests on `link_load_at` being monotone in the
+    /// level under IEEE rounding. Checked on the Figure-5 shape and on
+    /// per-session model mixes, at the start of a solve and after a few
+    /// freeze rounds, over sorted random levels and `(x, next_up(x))`
+    /// pairs.
+    #[test]
+    fn link_load_at_is_fp_monotone_in_the_level() {
+        use mlf_net::topology::{random_network_with, SplitMix64};
+        use mlf_net::TopologyFamily;
+        const MIX: [LinkRateModel; 6] = [
+            LinkRateModel::RandomJoin { sigma: 1.0 },
+            LinkRateModel::RandomJoin { sigma: 2.5 },
+            LinkRateModel::Efficient,
+            LinkRateModel::Scaled(2.0),
+            LinkRateModel::Sum,
+            LinkRateModel::RandomJoin { sigma: 6.0 },
+        ];
+        let families = [
+            TopologyFamily::FlatTree,
+            TopologyFamily::KaryTree { arity: 3 },
+            TopologyFamily::TransitStub { transit: 4 },
+            TopologyFamily::Dumbbell,
+        ];
+        let mut rng = SplitMix64(0x00AD_10AD);
+        let mut ws = SolverWorkspace::new();
+        let mut pairs = 0usize;
+        for seed in 0..24u64 {
+            let net = random_network_with(families[seed as usize % 4], seed, 30, 8, 5).unwrap();
+            let mixed = LinkRateConfig::per_session(
+                (0..net.session_count())
+                    .map(|i| MIX[(seed as usize + i) % MIX.len()])
+                    .collect(),
+            );
+            let fig5 = LinkRateConfig::uniform(
+                net.session_count(),
+                LinkRateModel::RandomJoin { sigma: 6.0 },
+            );
+            for cfg in [&fig5, &mixed] {
+                for rounds in 0..4 {
+                    ws.reset(&net);
+                    let mut state = State {
+                        net: &net,
+                        inc: net.incidence(),
+                        cfg,
+                        regimes: &Regimes::AsDeclared,
+                        ws: &mut ws,
+                        level: 0.0,
+                    };
+                    for _ in 0..rounds {
+                        if state.any_active() {
+                            state.step().unwrap();
+                        }
+                    }
+                    for j in 0..net.link_count() {
+                        if state.ws.link_active[j] == 0 {
+                            continue;
+                        }
+                        let mut levels: Vec<f64> = (0..48).map(|_| 8.0 * rng.unit()).collect();
+                        levels.extend([0.0, state.level, 1.0, 2.5, 6.0, f64::MIN_POSITIVE]);
+                        levels.sort_by(f64::total_cmp);
+                        let loads: Vec<f64> =
+                            levels.iter().map(|&l| state.link_load_at(j, l)).collect();
+                        for (w, l) in loads.windows(2).zip(levels.windows(2)) {
+                            assert!(
+                                w[0] <= w[1],
+                                "seed {seed} link {j}: u({}) > u({})",
+                                l[0],
+                                l[1]
+                            );
+                        }
+                        for &x in &levels {
+                            let (a, b) = (
+                                state.link_load_at(j, x),
+                                state.link_load_at(j, next_above(x)),
+                            );
+                            assert!(a <= b, "seed {seed} link {j}: u({x}) > u(next_up)");
+                            pairs += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(pairs > 10_000, "only {pairs} pairs checked");
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //! crossed with every link-rate model (including the nonlinear
 //! `RandomJoin` bisection path), randomized session-type mixes and κ caps,
 //! plus the weighted and unicast engines. The `random_join_*` cases focus
-//! on the bisection path: the Figure-5 sweep shape, per-session layer
-//! rates mixed with linear sessions, and workspace reuse across shapes
-//! and models.
+//! on the bracketed saturation search: the Figure-5 sweep shape,
+//! per-session layer rates mixed with linear sessions, workspace reuse
+//! across shapes and models, tied and near-tied crossings, and inputs at
+//! the edges of the validated range.
 
 use mlf_core::allocator::{Allocator, Hybrid, MultiRate, SolverWorkspace, Unicast, Weighted};
-use mlf_core::{reference, LinkRateConfig, LinkRateModel, Regimes, Weights};
+use mlf_core::{reference, LinkRateConfig, LinkRateModel, Regimes, SolveError, Weights};
 use mlf_net::topology::{random_network_with, random_tree, SplitMix64};
-use mlf_net::{Network, NodeId, Session, SessionId, SessionType, TopologyFamily};
+use mlf_net::{Graph, NetError, Network, NodeId, Session, SessionId, SessionType, TopologyFamily};
 use proptest::prelude::*;
 
 const FAMILIES: [TopologyFamily; 4] = [
@@ -58,6 +59,39 @@ fn assert_bitwise(
             );
         }
     }
+}
+
+/// Solve `net` under `cfg` with `try_solve` and the reference: bitwise
+/// equal when the reference finishes, `SolveError::Stalled` at the same
+/// level exactly where the reference panics with "made no progress".
+/// Returns the solve's counters.
+fn assert_bitwise_or_both_stall(
+    label: &str,
+    net: &Network,
+    cfg: &LinkRateConfig,
+) -> mlf_core::SolveCounters {
+    let mut ws = SolverWorkspace::new();
+    let optimized = Hybrid::as_declared()
+        .with_config(cfg.clone())
+        .try_solve(net, &mut ws);
+    let reference =
+        std::panic::catch_unwind(|| reference::solve_in(net, cfg, &Regimes::AsDeclared));
+    match (optimized, reference) {
+        (Ok(optimized), Ok(reference)) => assert_bitwise(label, &optimized, &reference),
+        (Err(SolveError::Stalled { level }), Err(panic)) => {
+            let message = panic.downcast_ref::<String>().map_or("", |m| m.as_str());
+            assert!(
+                message.contains(&format!("made no progress at level {level}")),
+                "{label}: stalled at level {level}; the reference: {message}"
+            );
+        }
+        (optimized, reference) => panic!(
+            "{label}: optimized {:?} vs reference finished {}",
+            optimized.err(),
+            reference.is_ok()
+        ),
+    }
+    ws.counters()
 }
 
 /// A random network of the given family, with a deterministic sprinkle of
@@ -266,6 +300,118 @@ proptest! {
         );
     }
 
+    /// A linear link saturates in closed form at `s`; a `RandomJoin` link
+    /// crosses its capacity at `s + δ`, with `δ` below the bisection's
+    /// `1e-13` tolerance. The bisection of the `RandomJoin` link can end
+    /// below `s`, so the round's level is that link's, not `s`. A skip
+    /// probe with no margin above the running minimum would see
+    /// `u(s) ≤ c` and keep `s`.
+    #[test]
+    fn random_join_near_tied_crossings_match_reference(
+        seed in any::<u64>(),
+        receivers in 1usize..4,
+        sigma_ix in 0usize..4,
+        linear_ix in 0usize..2,
+    ) {
+        let mut rng = SplitMix64(seed);
+        let sigma = [1.0, 2.0, 6.0, 8.0][sigma_ix];
+        let s = sigma * (0.05 + 0.9 * rng.unit());
+        let delta = 1e-13 * (1.0 + s) * rng.unit();
+        let rj = LinkRateModel::RandomJoin { sigma };
+        let cap_rj = rj.link_rate(&vec![s + delta; receivers]);
+        // src -(s)- a: the linear unicast; src -(cap_rj)- hub -(100)- leaves:
+        // the RandomJoin session.
+        let mut g = Graph::new();
+        let src = g.add_node();
+        let a = g.add_node();
+        let hub = g.add_node();
+        g.add_link(src, a, s).unwrap();
+        g.add_link(src, hub, cap_rj).unwrap();
+        let leaves = g.add_nodes(receivers);
+        for &leaf in &leaves {
+            g.add_link(hub, leaf, 100.0).unwrap();
+        }
+        let linear = [LinkRateModel::Efficient, LinkRateModel::Sum][linear_ix];
+        let net = Network::new(
+            g,
+            vec![Session::unicast(src, a), Session::multi_rate(src, leaves)],
+        )
+        .unwrap();
+        let cfg = LinkRateConfig::per_session(vec![linear, rj]);
+        let optimized = Hybrid::as_declared()
+            .with_config(cfg.clone())
+            .solve(&net, &mut SolverWorkspace::new());
+        let reference = reference::solve_in(&net, &cfg, &Regimes::AsDeclared);
+        assert_bitwise(
+            &format!("near-tie/s {s}/δ {delta}/{receivers} receivers/{rj:?}/{linear:?}"),
+            &optimized,
+            &reference,
+        );
+    }
+
+    /// Inputs at the edges of what `Network::new` and
+    /// `LinkRateModel::validate` accept: subnormal, tiny and huge σ,
+    /// capacities from 1e-300 to 1e300, tiny and huge κ, and linear
+    /// sessions mixed in. The solver must not panic: where the reference
+    /// stalls (its "made no progress" assert), `try_solve` returns
+    /// `SolveError::Stalled`; everywhere else the two agree bitwise. The
+    /// counters show the bracketed search spent at most one probe per
+    /// settled link plus two evaluations per replayed halving. A κ of 0
+    /// is a typed `NetError`.
+    #[test]
+    fn random_join_extreme_inputs_match_reference(seed in any::<u64>(), family_ix in 0usize..4) {
+        const SIGMAS: [f64; 9] = [5e-324, 1e-310, 1e-200, 1e-9, 1.0, 6.0, 1e12, 1e200, 1e300];
+        const LINEAR: [LinkRateModel; 3] =
+            [LinkRateModel::Efficient, LinkRateModel::Sum, LinkRateModel::Scaled(2.0)];
+        let mut rng = SplitMix64(seed ^ 0xE7_7E3E);
+        let base = random_network_with(FAMILIES[family_ix], seed, 12, 4, 4).unwrap();
+        // One magnitude per network, jittered per link, so links compete;
+        // σ and κ are drawn near it or from the extremes.
+        let exponent = match rng.below(3) {
+            0 => rng.below(7) as i32 - 3,
+            _ => rng.below(601) as i32 - 300,
+        };
+        let magnitude = 10f64.powi(exponent);
+        let near = |rng: &mut SplitMix64| magnitude * 10f64.powf(2.0 * rng.unit() - 1.0);
+        let mut g = Graph::new();
+        g.add_nodes(base.graph().node_count());
+        for (_, link) in base.graph().links() {
+            let jitter = [1.0, 0.5 + rng.unit(), 10f64.powi(rng.below(7) as i32 - 3)][rng.below(3)];
+            g.add_link(link.a, link.b, (magnitude * jitter).clamp(1e-300, 1e300)).unwrap();
+        }
+        let mut sessions = base.sessions().to_vec();
+        let mut models = Vec::new();
+        for s in sessions.iter_mut() {
+            s.max_rate = match rng.below(5) {
+                0 => 5e-324,
+                1 => 10f64.powi(rng.below(601) as i32 - 300),
+                2 => near(&mut rng),
+                _ => s.max_rate,
+            };
+            let sigma = match rng.below(2) {
+                0 => SIGMAS[rng.below(SIGMAS.len())],
+                _ => near(&mut rng),
+            };
+            models.push(if rng.below(4) == 0 {
+                LINEAR[rng.below(LINEAR.len())]
+            } else {
+                LinkRateModel::RandomJoin { sigma }
+            });
+        }
+        let mut zero = sessions.clone();
+        zero[0].max_rate = 0.0;
+        let zero = Network::with_routes(g.clone(), zero, base.routes());
+        prop_assert!(matches!(zero, Err(NetError::BadMaxRate { .. })), "κ = 0 accepted");
+        let net = Network::with_routes(g, sessions, base.routes()).unwrap();
+        let cfg = LinkRateConfig::per_session(models);
+        let label = format!("extreme/{}/seed {seed}", FAMILIES[family_ix].label());
+        let c = assert_bitwise_or_both_stall(&label, &net, &cfg);
+        prop_assert!(
+            c.bracket_probes <= c.bracket_resolved + 2 * c.bisection_steps,
+            "{label}: {c:?}"
+        );
+    }
+
     /// The weighted engine against its reference, with deterministic
     /// pseudo-random weights.
     #[test]
@@ -364,6 +510,49 @@ fn seed_major_grid_sweeps_match_per_model_sweeps_across_families() {
             );
         }
     }
+}
+
+/// A crossing one or a few skip margins above the running minimum, with
+/// `upper` so large that 200 halvings of `[level, upper]` cannot narrow
+/// the bisection past the margin: the reference's bisection hits its step
+/// cap below `best` and lowers the round's level (here into a stall). The
+/// skip probe passes, so only its `upper ≤ 2^100` condition keeps the
+/// search from returning `best`.
+#[test]
+fn random_join_step_cap_below_best_matches_reference() {
+    let mut cases = 0;
+    for scale in [1e50, 1e60, 1e80] {
+        for margins in [1.0, 1.5, 3.0, 10.0] {
+            // src -(1)- a carries a linear unicast that saturates at 1;
+            // src -(1 + margins·2e-12)- hub carries a RandomJoin session
+            // with σ = κ = scale, whose load is 0 at small levels, and a
+            // linear unicast, so that link crosses exactly at its capacity.
+            let mut g = Graph::new();
+            let n = g.add_nodes(5);
+            g.add_link(n[0], n[1], 1.0).unwrap();
+            g.add_link(n[0], n[2], 1.0 + margins * 2e-12).unwrap();
+            g.add_link(n[2], n[3], 1e300).unwrap();
+            g.add_link(n[2], n[4], 1e300).unwrap();
+            let net = Network::new(
+                g,
+                vec![
+                    Session::unicast(n[0], n[1]).with_max_rate(scale),
+                    Session::unicast(n[0], n[3]).with_max_rate(scale),
+                    Session::unicast(n[0], n[4]).with_max_rate(scale),
+                ],
+            )
+            .unwrap();
+            let cfg = LinkRateConfig::efficient(3)
+                .with_session(1, LinkRateModel::RandomJoin { sigma: scale });
+            let c = assert_bitwise_or_both_stall(
+                &format!("step cap/scale {scale}/{margins} margins"),
+                &net,
+                &cfg,
+            );
+            cases += usize::from(c.cap_hits > 0);
+        }
+    }
+    assert!(cases > 0, "no case ran a bisection into its step cap");
 }
 
 /// The paper's fixture networks, for good measure (fixed shapes exercise
