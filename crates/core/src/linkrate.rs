@@ -52,25 +52,38 @@ impl LinkRateModel {
     /// `RandomJoin` this holds because rates are clamped to `σ` and
     /// `σ(1 − ∏(1 − a_t/σ)) ≥ σ·(a_max/σ) = a_max`).
     pub fn link_rate(&self, rates: &[f64]) -> f64 {
-        if rates.is_empty() {
+        self.link_rate_of(rates.iter().copied())
+    }
+
+    /// [`LinkRateModel::link_rate`] of a sequence of rates that can be
+    /// walked more than once, folded in sequence order: the same
+    /// operations in the same order as on a slice of those rates, so the
+    /// same bits, without gathering the rates first.
+    pub(crate) fn link_rate_of<I>(&self, rates: I) -> f64
+    where
+        I: Iterator<Item = f64> + Clone,
+    {
+        let mut first_two = rates.clone();
+        if first_two.next().is_none() {
             return 0.0;
         }
-        let max = rates.iter().copied().fold(0.0_f64, f64::max);
+        let several = first_two.next().is_some();
+        let max = || rates.clone().fold(0.0_f64, f64::max);
         match *self {
-            LinkRateModel::Efficient => max,
+            LinkRateModel::Efficient => max(),
             LinkRateModel::Scaled(factor) => {
                 debug_assert!(factor >= 1.0, "redundancy factor must be >= 1");
-                if rates.len() >= 2 {
-                    factor * max
+                if several {
+                    factor * max()
                 } else {
-                    max
+                    max()
                 }
             }
-            LinkRateModel::Sum => rates.iter().sum(),
+            LinkRateModel::Sum => rates.sum(),
             LinkRateModel::RandomJoin { sigma } => {
                 debug_assert!(sigma > 0.0, "layer rate must be positive");
                 let mut miss_all = 1.0;
-                for &a in rates {
+                for a in rates {
                     let a = a.min(sigma).max(0.0);
                     miss_all *= 1.0 - a / sigma;
                 }

@@ -21,50 +21,35 @@ use mlf_net::Network;
 /// Jain's fairness index of the receiver-rate vector. Returns 1.0 for the
 /// empty or all-zero allocation (vacuously fair).
 pub fn jain_index(alloc: &Allocation) -> f64 {
-    let rates: Vec<f64> = alloc.rates().iter().flatten().copied().collect();
-    let n = rates.len();
+    let rates = || alloc.rates().iter().flatten();
+    let n = alloc.receiver_count();
     if n == 0 {
         return 1.0;
     }
-    let sum: f64 = rates.iter().sum();
-    let sum_sq: f64 = rates.iter().map(|x| x * x).sum();
+    let sum: f64 = rates().sum();
+    let sum_sq: f64 = rates().map(|x| x * x).sum();
     if sum_sq == 0.0 {
         return 1.0;
     }
     (sum * sum) / (n as f64 * sum_sq)
 }
 
-/// The isolated rate of each receiver: the minimum capacity along its
-/// data-path, capped by its session's κ — what it would receive were its
-/// session alone in the network (shaped `[session][receiver]`).
-pub(crate) fn isolated_rates(net: &Network) -> Vec<Vec<f64>> {
-    net.sessions()
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            (0..s.receivers.len())
-                .map(|k| {
-                    let r = mlf_net::ReceiverId::new(i, k);
-                    let bottleneck = net
-                        .route(r)
-                        .iter()
-                        .map(|&l| net.graph().capacity(l))
-                        .fold(f64::INFINITY, f64::min);
-                    bottleneck.min(s.max_rate)
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// Mean receiver satisfaction: `mean(a_{i,k} / isolated_{i,k})` over all
 /// receivers. 1.0 means every receiver does as well as it would alone.
+///
+/// A receiver's *isolated rate* is the minimum capacity along its
+/// data-path, capped by its session's κ: what it would receive were its
+/// session alone in the network.
 pub fn satisfaction(net: &Network, alloc: &Allocation) -> f64 {
-    let iso = isolated_rates(net);
     let mut total = 0.0;
     let mut count = 0usize;
     for (r, a) in alloc.iter() {
-        let denom = iso[r.session.0][r.index];
+        let bottleneck = net
+            .route(r)
+            .iter()
+            .map(|&l| net.graph().capacity(l))
+            .fold(f64::INFINITY, f64::min);
+        let denom = bottleneck.min(net.session(r.session).max_rate);
         if denom > 0.0 && denom.is_finite() {
             total += a / denom;
             count += 1;
@@ -166,8 +151,10 @@ mod tests {
         ));
     }
 
+    /// Each receiver's isolated rate is its path bottleneck capped by its
+    /// session's κ.
     #[test]
-    fn isolated_rates_respect_kappa_and_bottlenecks() {
+    fn satisfaction_divides_by_kappa_capped_bottlenecks() {
         let mut g = Graph::new();
         let n = g.add_nodes(3);
         g.add_link(n[0], n[1], 5.0).unwrap();
@@ -180,8 +167,12 @@ mod tests {
             ],
         )
         .unwrap();
-        let iso = isolated_rates(&net);
-        assert_eq!(iso[0], vec![2.0], "kappa caps");
-        assert_eq!(iso[1], vec![3.0], "path bottleneck");
+        // Isolated rates 2 (kappa caps) and 3 (path bottleneck).
+        let at = |a0: f64, a1: f64| {
+            satisfaction(&net, &Allocation::from_rates(vec![vec![a0], vec![a1]]))
+        };
+        assert_eq!(at(2.0, 0.0), 0.5, "kappa caps");
+        assert_eq!(at(0.0, 3.0), 0.5, "path bottleneck");
+        assert_eq!(at(1.0, 1.5), 0.5);
     }
 }

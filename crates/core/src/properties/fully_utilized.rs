@@ -9,7 +9,7 @@
 
 use crate::allocation::{Allocation, RATE_EPS};
 use crate::linkrate::LinkRateConfig;
-use crate::properties::LinkAudit;
+use crate::properties::{push_violation, LinkAudit};
 use mlf_net::{Network, ReceiverId};
 
 /// Return the receivers whose rates are *not* fully-utilized-receiver-fair.
@@ -22,26 +22,27 @@ pub fn check_fully_utilized_receiver_fair(
     violations(net, alloc, &LinkAudit::new(net, cfg, alloc))
 }
 
-/// Property 1's violations, reading full-utilization from a prepared
-/// [`LinkAudit`].
+/// Property 1's violations, reading full-utilization and each link's
+/// largest receiver rate from a prepared [`LinkAudit`].
 pub(crate) fn violations(net: &Network, alloc: &Allocation, links: &LinkAudit) -> Vec<ReceiverId> {
-    net.receivers()
-        .filter(|&r| !receiver_is_fair(net, alloc, links, r))
-        .collect()
-}
-
-fn receiver_is_fair(net: &Network, alloc: &Allocation, links: &LinkAudit, r: ReceiverId) -> bool {
-    let a = alloc.rate(r);
-    let kappa = net.session(r.session).max_rate;
-    if a >= kappa - RATE_EPS {
-        return true;
+    let inc = net.incidence();
+    let mut out = Vec::new();
+    for (i, s) in net.sessions().iter().enumerate() {
+        let rates = &alloc.rates()[i][..s.receivers.len()];
+        for (k, &a) in rates.iter().enumerate() {
+            let f = inc.flat(i, k);
+            let fair = a >= s.max_rate - RATE_EPS
+                || inc
+                    .route_links(f)
+                    .iter()
+                    .any(|&l| links.bottleneck_for(l, a));
+            if !fair {
+                let bound = inc.receiver_count() - f;
+                push_violation(&mut out, ReceiverId::new(i, k), bound);
+            }
+        }
     }
-    net.route(r).iter().any(|&l| {
-        links.full(l)
-            && net
-                .receivers_on_link(l)
-                .all(|other| alloc.rate(other) <= a + RATE_EPS)
-    })
+    out
 }
 
 #[cfg(test)]

@@ -26,9 +26,12 @@ pub use per_receiver_link::check_per_receiver_link_fair;
 pub use per_session_link::check_per_session_link_fair;
 pub(crate) use same_path::check_same_path_receiver_fair;
 
+#[cfg(test)]
+mod oracle;
+
 use crate::allocation::{Allocation, RATE_EPS};
 use crate::linkrate::LinkRateConfig;
-use mlf_net::{LinkId, Network, ReceiverId, SessionId};
+use mlf_net::{Incidence, LinkId, Network, ReceiverId, SessionId};
 
 /// Outcome of checking all four fairness properties on an allocation.
 #[derive(Debug, Clone, Default)]
@@ -92,8 +95,8 @@ impl FairnessReport {
 ///
 /// Equal, violation for violation, to calling the four checkers one by
 /// one, but the link-level inputs Properties 1, 3 and 4 share (the
-/// session link-rate table and the full-utilization mask) are derived
-/// once instead of once per property.
+/// session link rates, the full-utilization mask and the per-link maxima)
+/// are derived once instead of once per property.
 pub fn check_all(net: &Network, cfg: &LinkRateConfig, alloc: &Allocation) -> FairnessReport {
     let links = LinkAudit::new(net, cfg, alloc);
     FairnessReport {
@@ -104,66 +107,128 @@ pub fn check_all(net: &Network, cfg: &LinkRateConfig, alloc: &Allocation) -> Fai
     }
 }
 
+/// Push a violation onto `out`, which at most `bound` violations
+/// (this one included) can still join: the first push sizes the list for
+/// all of them, so a violation list costs one allocation, or none when
+/// the property holds.
+fn push_violation<T>(out: &mut Vec<T>, violation: T, bound: usize) {
+    if out.capacity() == 0 {
+        out.reserve_exact(bound);
+    }
+    out.push(violation);
+}
+
+/// `max(acc, x)` that keeps a NaN once it appears: a fold of it is NaN
+/// exactly when some folded value is.
+///
+/// Over a non-empty set `X`, `fold(nan_max, X) ≤ t` is then bitwise the
+/// answer of `X.all(|x| x ≤ t)`: with no NaN both say that the largest
+/// element is at most `t`, and with one both are `false`. Which of `±0.0`
+/// the fold keeps does not matter, since the two compare equal.
+fn nan_max(acc: f64, x: f64) -> f64 {
+    if x > acc || x.is_nan() {
+        x
+    } else {
+        acc
+    }
+}
+
 /// The link-level facts Properties 1, 3 and 4 read, derived once per
-/// audit: every session link rate `u_{i,j}` and whether each link is fully
-/// utilized.
+/// audit.
+///
+/// Per incidence slot it holds the session link rate `u_{i,j}`. Per link
+/// it holds whether the link is fully utilized, the largest receiver rate
+/// in `R_j`, and the largest session link rate over the sessions crossing
+/// it. Both maxima are [`nan_max`] folds, so a property's "every rate on
+/// the link is at most `x + ε`" scan becomes one comparison against the
+/// maximum.
 pub(crate) struct LinkAudit {
-    sessions: usize,
-    /// `u_{i,j}`, link-major: entry `j · sessions + i`.
-    rates: Vec<f64>,
-    /// Whether link `j` is fully utilized (`u_j ≥ c_j` within tolerance).
-    full: Vec<bool>,
+    /// `u_{i,j}` of each slot.
+    slot_rates: Vec<f64>,
+    links: Vec<LinkFacts>,
+}
+
+/// One link's row of a [`LinkAudit`].
+#[derive(Clone, Copy)]
+struct LinkFacts {
+    /// `u_j ≥ c_j` within tolerance.
+    full: bool,
+    /// The largest `a_{i,k}` over `R_j`.
+    rate_max: f64,
+    /// The largest `u_{i,j}` over all sessions.
+    share_max: f64,
 }
 
 impl LinkAudit {
-    /// Evaluate every `u_{i,j}` as [`Allocation::session_link_rate`] does,
-    /// and derive `u_j` from each link's row by the same session-order sum
-    /// [`Allocation::link_rate`] performs, so the mask is bitwise the one
-    /// [`Allocation::is_fully_utilized`] computes. Only the network's
-    /// non-empty `(link, session)` slots are evaluated; every other entry
-    /// is the empty set's link rate, `0.0`.
+    /// Evaluate every slot's `u_{i,j}` as [`Allocation::session_link_rate`]
+    /// does, and derive `u_j` by the session-order sum
+    /// [`Allocation::link_rate`] performs. That sum also adds `0.0` for
+    /// every session off the link, which changes at most the sign of a
+    /// zero, so the mask is the one [`Allocation::is_fully_utilized`]
+    /// computes.
     pub(crate) fn new(net: &Network, cfg: &LinkRateConfig, alloc: &Allocation) -> Self {
-        let sessions = net.session_count();
         let inc = net.incidence();
-        let mut rates = vec![0.0; net.link_count() * sessions];
-        let mut full = Vec::with_capacity(net.link_count());
-        let mut on_link = Vec::new();
+        let mut slot_rates = Vec::with_capacity(inc.slot_count());
+        let mut links = Vec::with_capacity(net.link_count());
         for j in 0..net.link_count() {
-            let row = j * sessions;
-            for slot in inc.link_slots(j) {
+            let slots = inc.link_slots(j);
+            let mut u = 0.0;
+            let mut rate_max = f64::NEG_INFINITY;
+            let mut share_max = f64::NEG_INFINITY;
+            for slot in slots {
                 let i = inc.slot_session(slot);
-                on_link.clear();
-                on_link.extend(
-                    inc.slot_receivers(slot)
-                        .iter()
-                        .map(|&k| alloc.rates()[i][k]),
-                );
-                rates[row + i] = cfg.model(i).link_rate(&on_link);
+                let rates = &alloc.rates()[i];
+                let on_link = inc.slot_receivers(slot).iter().map(|&k| rates[k]);
+                rate_max = on_link.clone().fold(rate_max, nan_max);
+                let rate = cfg.model(i).link_rate_of(on_link);
+                slot_rates.push(rate);
+                u += rate;
+                share_max = nan_max(share_max, rate);
             }
-            let u: f64 = rates[row..row + sessions].iter().sum();
-            full.push(u >= net.graph().capacity(LinkId(j)) - RATE_EPS);
+            links.push(LinkFacts {
+                full: u >= net.graph().capacity(LinkId(j)) - RATE_EPS,
+                rate_max,
+                share_max,
+            });
         }
-        LinkAudit {
-            sessions,
-            rates,
-            full,
-        }
+        LinkAudit { slot_rates, links }
     }
 
-    /// Whether `link` is fully utilized.
-    pub(crate) fn full(&self, link: LinkId) -> bool {
-        self.full[link.0]
+    /// Property 1's link condition for a receiver at rate `a` crossing
+    /// `link`: the link is fully utilized and `a_{i',k'} ≤ a + ε` for all
+    /// `r_{i',k'} ∈ R_j`.
+    #[inline]
+    pub(crate) fn bottleneck_for(&self, link: LinkId, a: f64) -> bool {
+        let facts = self.links[link.0];
+        facts.full && facts.rate_max <= a + RATE_EPS
     }
 
-    /// Whether `session`'s link rate on `link` is at least every other
-    /// session's there (within tolerance): `u_{i',j} ≤ u_{i,j}` for all
-    /// `i' ≠ i`.
-    pub(crate) fn largest_share(&self, link: LinkId, session: SessionId) -> bool {
-        let row = &self.rates[link.0 * self.sessions..(link.0 + 1) * self.sessions];
-        let mine = row[session.0];
-        row.iter()
-            .enumerate()
-            .all(|(i, &u)| i == session.0 || u <= mine + RATE_EPS)
+    /// Properties 3 and 4's link condition for the session of `slot`, a
+    /// slot on `link`: the link is fully utilized and
+    /// `u_{i',j} ≤ u_{i,j} + ε` for all `i' ≠ i`.
+    ///
+    /// The maximum differs from the definition's `i' ≠ i` scan in two
+    /// ways, and neither changes the answer on a fully utilized link.
+    /// It includes the session's own rate, which adds the test
+    /// `u_{i,j} ≤ u_{i,j} + ε` that only a NaN fails; a NaN `u_{i,j}`
+    /// makes `u_j` NaN, so the link is not full. It leaves out the
+    /// sessions off the link, whose `u = 0` fails the test only when
+    /// `u_{i,j} < −ε`; then every crossing rate is below `0` too, so
+    /// `u_j < −ε` and the link is not full.
+    #[inline]
+    fn fair_share(&self, link: LinkId, slot: usize) -> bool {
+        let facts = self.links[link.0];
+        facts.full && facts.share_max <= self.slot_rates[slot] + RATE_EPS
+    }
+
+    /// Whether flat receiver `f`'s data-path has a link meeting
+    /// [`LinkAudit::fair_share`] for its session: the link condition of
+    /// Property 3, and of Property 4 for any one receiver of the session.
+    pub(crate) fn fair_share_on_path(&self, inc: &Incidence, f: usize) -> bool {
+        inc.route_links(f)
+            .iter()
+            .zip(inc.route_slots(f))
+            .any(|(&l, &(slot, _))| self.fair_share(l, slot))
     }
 }
 
@@ -263,7 +328,9 @@ mod tests {
     }
 
     /// The shared mask is bitwise the one `Allocation::is_fully_utilized`
-    /// computes, and the shared table holds `Allocation::session_link_rate`.
+    /// computes, the slot rates are `Allocation::session_link_rate`, and
+    /// the per-link maxima are those of the link's receiver rates and of
+    /// its sessions' link rates.
     #[test]
     fn link_audit_matches_allocation_accessors() {
         let mut ws = SolverWorkspace::new();
@@ -278,13 +345,33 @@ mod tests {
                 .solve(&net, &mut ws)
                 .allocation;
             let links = LinkAudit::new(&net, &cfg, &alloc);
+            let inc = net.incidence();
             for j in 0..net.link_count() {
                 let link = LinkId(j);
-                assert_eq!(links.full(link), alloc.is_fully_utilized(&net, &cfg, link));
-                for i in 0..net.session_count() {
-                    let u = alloc.session_link_rate(&net, &cfg, link, SessionId(i));
-                    assert_eq!(links.rates[j * links.sessions + i].to_bits(), u.to_bits());
+                assert_eq!(
+                    links.links[j].full,
+                    alloc.is_fully_utilized(&net, &cfg, link)
+                );
+                let shares: Vec<f64> = (0..net.session_count())
+                    .map(|i| alloc.session_link_rate(&net, &cfg, link, SessionId(i)))
+                    .collect();
+                for slot in inc.link_slots(j) {
+                    let u = shares[inc.slot_session(slot)];
+                    assert_eq!(links.slot_rates[slot].to_bits(), u.to_bits());
                 }
+                if inc.link_slots(j).is_empty() {
+                    continue;
+                }
+                let share_max = inc
+                    .link_slots(j)
+                    .map(|slot| shares[inc.slot_session(slot)])
+                    .fold(f64::NEG_INFINITY, f64::max);
+                assert_eq!(links.links[j].share_max, share_max);
+                let rate_max = net
+                    .receivers_on_link(link)
+                    .map(|r| alloc.rate(r))
+                    .fold(f64::NEG_INFINITY, f64::max);
+                assert_eq!(links.links[j].rate_max, rate_max);
             }
         }
     }

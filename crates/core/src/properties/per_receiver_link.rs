@@ -13,7 +13,7 @@
 
 use crate::allocation::{Allocation, RATE_EPS};
 use crate::linkrate::LinkRateConfig;
-use crate::properties::LinkAudit;
+use crate::properties::{push_violation, LinkAudit};
 use mlf_net::{Network, ReceiverId};
 
 /// Return the receivers witnessing per-receiver-link-fairness violations
@@ -30,18 +30,20 @@ pub fn check_per_receiver_link_fair(
 /// Property 3's violations, reading session link rates and
 /// full-utilization from a prepared [`LinkAudit`].
 pub(crate) fn violations(net: &Network, alloc: &Allocation, links: &LinkAudit) -> Vec<ReceiverId> {
-    net.receivers()
-        .filter(|&r| !receiver_ok(net, alloc, links, r))
-        .collect()
-}
-
-fn receiver_ok(net: &Network, alloc: &Allocation, links: &LinkAudit, r: ReceiverId) -> bool {
-    if alloc.rate(r) >= net.session(r.session).max_rate - RATE_EPS {
-        return true;
+    let inc = net.incidence();
+    let mut out = Vec::new();
+    for (i, s) in net.sessions().iter().enumerate() {
+        let rates = &alloc.rates()[i][..s.receivers.len()];
+        for (k, &a) in rates.iter().enumerate() {
+            let f = inc.flat(i, k);
+            let ok = a >= s.max_rate - RATE_EPS || links.fair_share_on_path(inc, f);
+            if !ok {
+                let bound = inc.receiver_count() - f;
+                push_violation(&mut out, ReceiverId::new(i, k), bound);
+            }
+        }
     }
-    net.route(r)
-        .iter()
-        .any(|&l| links.full(l) && links.largest_share(l, r.session))
+    out
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@
 
 use crate::allocation::{Allocation, RATE_EPS};
 use crate::linkrate::LinkRateConfig;
-use crate::properties::LinkAudit;
-use mlf_net::{LinkId, Network, ReceiverId, SessionId};
+use crate::properties::{push_violation, LinkAudit};
+use mlf_net::{Network, SessionId};
 
 /// Return the sessions violating per-session-link-fairness. Empty result ⇒
 /// Property 4 holds network-wide.
@@ -29,26 +29,22 @@ pub fn check_per_session_link_fair(
 
 /// Property 4's violations, reading session link rates and
 /// full-utilization from a prepared [`LinkAudit`]. A session's data-path
-/// links are the links of its `(link, session)` slots.
+/// is the union of its receivers' routes, so it has a fair full link
+/// exactly when one of its receivers' routes has one.
 pub(crate) fn violations(net: &Network, alloc: &Allocation, links: &LinkAudit) -> Vec<SessionId> {
     let inc = net.incidence();
-    let mut fair_link = vec![false; net.session_count()];
-    for j in (0..net.link_count()).filter(|&j| links.full(LinkId(j))) {
-        for slot in inc.link_slots(j) {
-            let i = inc.slot_session(slot);
-            fair_link[i] = fair_link[i] || links.largest_share(LinkId(j), SessionId(i));
+    let mut out = Vec::new();
+    for (i, s) in net.sessions().iter().enumerate() {
+        let receivers = 0..s.receivers.len();
+        let fair_link = receivers
+            .clone()
+            .any(|k| links.fair_share_on_path(inc, inc.flat(i, k)));
+        let rates = &alloc.rates()[i];
+        if !fair_link && !receivers.clone().all(|k| rates[k] >= s.max_rate - RATE_EPS) {
+            push_violation(&mut out, SessionId(i), net.session_count() - i);
         }
     }
-    (0..net.session_count())
-        .map(SessionId)
-        .filter(|&sid| !fair_link[sid.0] && !all_capped(net, alloc, sid))
-        .collect()
-}
-
-fn all_capped(net: &Network, alloc: &Allocation, sid: SessionId) -> bool {
-    let session = net.session(sid);
-    (0..session.receivers.len())
-        .all(|k| alloc.rate(ReceiverId::new(sid.0, k)) >= session.max_rate - RATE_EPS)
+    out
 }
 
 #[cfg(test)]

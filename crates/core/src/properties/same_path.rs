@@ -12,39 +12,59 @@
 //! it (`r_{1,1}` at 2 vs `r_{2,1}` at 3 on the identical path).
 
 use crate::allocation::{Allocation, RATE_EPS};
-use mlf_net::{Network, ReceiverId};
+use mlf_net::{Incidence, Network, ReceiverId};
 
 /// Return all unordered receiver pairs with identical data-paths whose rates
 /// violate same-path-receiver-fairness. Empty result ⇒ Property 2 holds.
 ///
 /// Pairs come out in all-pairs order: by the first receiver, then the
-/// second, both session-major. Receivers are grouped by their sorted link
-/// sets first, so only pairs within a group are compared.
+/// second, both session-major. A receiver sharing `a`'s link set crosses
+/// every link of it, so `a`'s partners are found among the receivers of
+/// the link on its path that carries the fewest; that link's receivers
+/// are stored session-major, so they come out in order.
 pub(crate) fn check_same_path_receiver_fair(
     net: &Network,
     alloc: &Allocation,
 ) -> Vec<(ReceiverId, ReceiverId)> {
     let inc = net.incidence();
-    let receivers: Vec<ReceiverId> = net.receivers().collect();
-    // Flat ids sorted by link set; the stable sort keeps each group in
-    // flat order, so linking neighbours chains every group ascending.
-    let mut by_path: Vec<usize> = (0..receivers.len()).collect();
-    by_path.sort_by_key(|&f| inc.crossed(f));
-    let mut next_same = vec![None; receivers.len()];
-    for w in by_path.windows(2) {
-        if inc.crossed(w[0]) == inc.crossed(w[1]) {
-            next_same[w[0]] = Some(w[1]);
-        }
-    }
     let mut violations = Vec::new();
-    for (f, &a) in receivers.iter().enumerate() {
-        for g in std::iter::successors(next_same[f], |&g| next_same[g]) {
-            if !pair_is_fair(net, alloc, a, receivers[g]) {
-                violations.push((a, receivers[g]));
+    for (i, s) in net.sessions().iter().enumerate() {
+        for k in 0..s.receivers.len() {
+            let a = ReceiverId::new(i, k);
+            let path = inc.crossed(inc.flat(i, k));
+            let mut check = |b: ReceiverId| {
+                if b > a
+                    && inc.crossed(inc.flat(b.session.0, b.index)) == path
+                    && !pair_is_fair(net, alloc, a, b)
+                {
+                    violations.push((a, b));
+                }
+            };
+            match path.iter().copied().min_by_key(|&j| receivers_on(inc, j)) {
+                Some(j) => {
+                    for slot in inc.link_slots(j) {
+                        let i2 = inc.slot_session(slot);
+                        for &k2 in inc.slot_receivers(slot) {
+                            check(ReceiverId::new(i2, k2));
+                        }
+                    }
+                }
+                // An empty path (a receiver on its sender's node, which
+                // network validation rejects) is shared with any receiver.
+                None => net.receivers().for_each(check),
             }
         }
     }
     violations
+}
+
+/// `|R_j|`: how many receivers cross link `j`.
+fn receivers_on(inc: &Incidence, j: usize) -> usize {
+    let slots = inc.link_slots(j);
+    if slots.is_empty() {
+        return 0;
+    }
+    inc.slot_positions(slots.end - 1).end - inc.slot_positions(slots.start).start
 }
 
 /// Whether one specific same-path pair satisfies Property 2. Callers must

@@ -158,7 +158,10 @@ impl Config {
                 "crates/sim/src/index.rs",
                 "crates/sim/src/tree.rs",
             ]),
-            unsafe_allow_files: v(&["crates/bench/benches/workspace_reuse.rs"]),
+            unsafe_allow_files: v(&[
+                "crates/bench/benches/workspace_reuse.rs",
+                "tests/allocation_ratchet.rs",
+            ]),
             tooling_crates: v(&["bench", "lint"]),
             frozen_files: v(&[
                 "crates/core/src/reference.rs",

@@ -386,8 +386,9 @@ fn panic_unwrap(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
 }
 
 /// **unsafe-code** — the workspace is `forbid(unsafe_code)` by policy;
-/// the single exception (the counting allocator in the alloc bench) is
-/// allowlisted by path in the [`Config`](crate::Config).
+/// the exceptions (the counting allocators of the alloc bench and of the
+/// allocation ratchet test) are allowlisted by path in the
+/// [`Config`](crate::Config).
 fn unsafe_code(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     if ctx
         .cfg

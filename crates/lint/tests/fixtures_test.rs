@@ -11,7 +11,7 @@ use std::path::Path;
 const LIB: &str = "crates/core/src/fixture.rs";
 /// Classifies as a solver hot-path file (as-float-cast applies).
 const HOT: &str = "crates/sim/src/engine.rs";
-/// The one path where `unsafe` is allowlisted.
+/// A path where `unsafe` is allowlisted.
 const UNSAFE_OK: &str = "crates/bench/benches/workspace_reuse.rs";
 
 fn lint_fixture(file: &str, rel: &str) -> Vec<Finding> {

@@ -38,8 +38,10 @@ impl Link {
 /// The network graph `G`: a set of nodes connected by `n` links.
 ///
 /// Nodes carry no attributes in the model; they exist only as attachment
-/// points for session members and link endpoints. The graph maintains an
-/// adjacency index for efficient routing.
+/// points for session members and link endpoints. The graph stores only
+/// its links, in insertion (id) order: routing derives a node's neighbours
+/// from that order (see [`crate::shortest_path`]), so a node keeps no
+/// adjacency list of its own.
 ///
 /// # Examples
 ///
@@ -57,8 +59,6 @@ impl Link {
 pub struct Graph {
     node_count: usize,
     links: Vec<Link>,
-    /// `adj[node] = [(neighbor, link), ...]`
-    adj: Vec<Vec<(NodeId, LinkId)>>,
 }
 
 impl Graph {
@@ -67,11 +67,19 @@ impl Graph {
         Graph::default()
     }
 
+    /// A graph of `node_count` nodes (ids `0..node_count`) with room for
+    /// `link_capacity` links, for builders that know both up front.
+    pub(crate) fn with_nodes(node_count: usize, link_capacity: usize) -> Self {
+        Graph {
+            node_count,
+            links: Vec::with_capacity(link_capacity),
+        }
+    }
+
     /// Add a node and return its id.
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.node_count);
         self.node_count += 1;
-        self.adj.push(Vec::new());
         id
     }
 
@@ -105,8 +113,6 @@ impl Graph {
             return Err(NetError::BadCapacity { link: id, capacity });
         }
         self.links.push(Link { a, b, capacity });
-        self.adj[a.0].push((b, id));
-        self.adj[b.0].push((a, id));
         Ok(id)
     }
 
@@ -151,9 +157,12 @@ impl Graph {
         link.0 < self.links.len()
     }
 
-    /// Iterate over `(neighbor, link)` pairs adjacent to `node`.
+    /// Iterate over `(neighbor, link)` pairs adjacent to `node`, in link
+    /// id order: a scan of every link, kept for tests only.
+    #[cfg(test)]
     pub(crate) fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, LinkId)> + '_ {
-        self.adj[node.0].iter().copied()
+        self.links()
+            .filter_map(move |(id, l)| l.opposite(node).map(|v| (v, id)))
     }
 }
 

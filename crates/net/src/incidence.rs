@@ -45,69 +45,77 @@ impl Incidence {
     /// Build the incidence of validated routes (link ids below
     /// `link_count`, none repeated within a route) of `sessions`' receivers:
     /// flat receiver `f`'s route is
-    /// `route_links[route_offsets[f]..route_offsets[f + 1]]`. One counting
-    /// pass buckets the route entries by link in session-major,
-    /// receiver-ascending order, which is already the slot order.
+    /// `route_links[route_offsets[f]..route_offsets[f + 1]]`.
+    ///
+    /// Two passes over the route entries, both session-major and
+    /// receiver-ascending, which is already the order of positions within
+    /// a link and of slots within a link. The first counts each link's
+    /// positions and slots (a slot opens where a link meets a new
+    /// session); the second places every entry at its link's next position
+    /// and opens its slots, so every array is allocated once at its final
+    /// size.
     pub(crate) fn new(
         link_count: usize,
         sessions: &[Session],
         route_offsets: Vec<usize>,
         route_links: Vec<LinkId>,
     ) -> Self {
-        let mut recv_offsets = vec![0];
+        let mut recv_offsets = Vec::with_capacity(sessions.len() + 1);
+        recv_offsets.push(0);
         for s in sessions {
             recv_offsets.push(recv_offsets[recv_offsets.len() - 1] + s.receivers.len());
         }
         let entries = route_links.len();
+        let session_entries =
+            |i: usize| route_offsets[recv_offsets[i]]..route_offsets[recv_offsets[i + 1]];
 
-        // First position of each link (counting sort by link id).
-        let mut link_pos = vec![0usize; link_count + 1];
-        for l in &route_links {
-            link_pos[l.0 + 1] += 1;
+        // Counting pass: `next_pos[j]` and `next_slot[j]` end up as link
+        // `j`'s first position and first slot; `last[j]` is the latest
+        // session seen on link `j`.
+        let mut next_pos = vec![0usize; link_count + 1];
+        let mut next_slot = vec![0usize; link_count + 1];
+        let mut last = vec![usize::MAX; link_count];
+        for i in 0..sessions.len() {
+            for l in &route_links[session_entries(i)] {
+                next_pos[l.0 + 1] += 1;
+                if std::mem::replace(&mut last[l.0], i) != i {
+                    next_slot[l.0 + 1] += 1;
+                }
+            }
         }
         for j in 0..link_count {
-            link_pos[j + 1] += link_pos[j];
+            next_pos[j + 1] += next_pos[j];
+            next_slot[j + 1] += next_slot[j];
         }
-        let mut next = link_pos.clone();
+        let slots = next_slot[link_count];
+        let link_offsets = next_slot.clone();
+
+        // Placing pass. A session's entries on link `j` open a slot when
+        // the link's newest slot belongs to an earlier session (or the
+        // link has none yet).
         let mut slot_receivers = vec![0; entries];
-        let mut pos_session = vec![0; entries];
-        let mut route_pos = Vec::with_capacity(entries);
-        for i in 0..recv_offsets.len() - 1 {
+        let mut link_sessions = vec![0; slots];
+        let mut slot_offsets = vec![entries; slots + 1];
+        let mut route_slots = Vec::with_capacity(entries);
+        let mut crossed = Vec::with_capacity(entries);
+        for i in 0..sessions.len() {
             for (k, f) in (recv_offsets[i]..recv_offsets[i + 1]).enumerate() {
-                for l in &route_links[route_offsets[f]..route_offsets[f + 1]] {
-                    let p = next[l.0];
-                    next[l.0] += 1;
+                let route = &route_links[route_offsets[f]..route_offsets[f + 1]];
+                for l in route {
+                    let j = l.0;
+                    let p = next_pos[j];
+                    next_pos[j] += 1;
                     slot_receivers[p] = k;
-                    pos_session[p] = i;
-                    route_pos.push(p);
+                    if next_slot[j] == link_offsets[j] || link_sessions[next_slot[j] - 1] != i {
+                        link_sessions[next_slot[j]] = i;
+                        slot_offsets[next_slot[j]] = p;
+                        next_slot[j] += 1;
+                    }
+                    route_slots.push((next_slot[j] - 1, p));
+                    crossed.push(j);
                 }
+                crossed[route_offsets[f]..].sort_unstable();
             }
-        }
-
-        // Slots: runs of one session within a link's positions. The
-        // session buffer is reused for each position's slot.
-        let mut link_offsets = Vec::with_capacity(link_count + 1);
-        let mut link_sessions = Vec::new();
-        let mut slot_offsets = Vec::new();
-        let mut pos_slot = pos_session;
-        for j in 0..link_count {
-            link_offsets.push(link_sessions.len());
-            let start = link_pos[j];
-            for (t, entry) in pos_slot[start..link_pos[j + 1]].iter_mut().enumerate() {
-                if t == 0 || link_sessions[link_sessions.len() - 1] != *entry {
-                    link_sessions.push(*entry);
-                    slot_offsets.push(start + t);
-                }
-                *entry = link_sessions.len() - 1;
-            }
-        }
-        link_offsets.push(link_sessions.len());
-        slot_offsets.push(entries);
-        let route_slots = route_pos.iter().map(|&p| (pos_slot[p], p)).collect();
-
-        let mut crossed: Vec<usize> = route_links.iter().map(|l| l.0).collect();
-        for f in 0..route_offsets.len() - 1 {
-            crossed[route_offsets[f]..route_offsets[f + 1]].sort_unstable();
         }
         Incidence {
             recv_offsets,

@@ -12,7 +12,7 @@ use crate::error::{NetError, NetResult};
 use crate::graph::Graph;
 use crate::ids::{LinkId, NodeId, ReceiverId, SessionId};
 use crate::incidence::Incidence;
-use crate::routing::{validate_route, Route, RouteTree};
+use crate::routing::{validate_route, Adjacency, Route, RouteTree};
 use crate::session::{Session, SessionType};
 
 /// A fully-routed multicast network.
@@ -43,18 +43,23 @@ pub struct Network {
 impl Network {
     /// Build a network, routing every receiver along the hop-count shortest
     /// path from its session sender (deterministic tie-breaking): one BFS
-    /// tree per session, whose parent walks give exactly the routes of
-    /// [`crate::shortest_path`]. An unknown or unreachable receiver node (or
-    /// an unknown sender) is [`NetError::Unroutable`], naming the first such
-    /// receiver session-major.
+    /// tree per session over one adjacency of the graph, whose parent walks
+    /// give exactly the routes of [`crate::shortest_path`]. An unknown or
+    /// unreachable receiver node (or an unknown sender) is
+    /// [`NetError::Unroutable`], naming the first such receiver
+    /// session-major.
     pub fn new(graph: Graph, sessions: Vec<Session>) -> NetResult<Self> {
-        let mut offsets = vec![0];
+        let receivers = sessions.iter().map(|s| s.receivers.len()).sum::<usize>();
+        let mut offsets = Vec::with_capacity(receivers + 1);
+        offsets.push(0);
         let mut links = Vec::new();
+        let adjacency = Adjacency::new(&graph);
         let mut tree = RouteTree::default();
         for (i, s) in sessions.iter().enumerate() {
             let known = graph.contains_node(s.sender);
             if known {
-                tree.grow(&graph, s.sender, None);
+                tree.grow(&adjacency, s.sender);
+                links.reserve(s.receivers.iter().map(|&r| tree.hops(r)).sum());
             }
             for (k, &rnode) in s.receivers.iter().enumerate() {
                 let routed =
@@ -110,7 +115,10 @@ impl Network {
         offsets: Vec<usize>,
         route_links: Vec<LinkId>,
     ) -> NetResult<Self> {
-        // Validate sessions against the model's restrictions.
+        // Validate sessions against the model's restrictions. `stamp[v]`
+        // holds the last session with a member on node `v`, so the tau
+        // check is linear in the members.
+        let mut stamp = vec![usize::MAX; graph.node_count()];
         for (i, s) in sessions.iter().enumerate() {
             let sid = SessionId(i);
             if s.receivers.is_empty() {
@@ -126,22 +134,20 @@ impl Network {
                 return Err(NetError::UnknownNode(s.sender));
             }
             // tau restriction: no two members of one session on the same
-            // node. Sort-and-scan keeps this O(n log n) — a linear
-            // `contains` per receiver would go quadratic at bench scale.
-            let mut members: Vec<NodeId> = Vec::with_capacity(s.receivers.len() + 1);
-            members.push(s.sender);
+            // node. Every member is checked for existence first; then the
+            // lowest shared node is reported.
+            stamp[s.sender.0] = i;
+            let mut shared: Option<NodeId> = None;
             for &r in &s.receivers {
                 if !graph.contains_node(r) {
                     return Err(NetError::UnknownNode(r));
                 }
-                members.push(r);
+                if std::mem::replace(&mut stamp[r.0], i) == i {
+                    shared = Some(shared.map_or(r, |n| n.min(r)));
+                }
             }
-            members.sort_unstable_by_key(|n| n.0);
-            if let Some(pair) = members.windows(2).find(|w| w[0] == w[1]) {
-                return Err(NetError::DuplicateMember {
-                    session: sid,
-                    node: pair[0],
-                });
+            if let Some(node) = shared {
+                return Err(NetError::DuplicateMember { session: sid, node });
             }
         }
         let incidence = Incidence::new(graph.link_count(), &sessions, offsets, route_links);
@@ -385,6 +391,33 @@ mod tests {
         g.add_link(n[0], n[1], 1.0).unwrap();
         let err = Network::new(g, vec![Session::multi_rate(n[0], vec![n[1], n[1]])]);
         assert!(matches!(err, Err(NetError::DuplicateMember { .. })));
+    }
+
+    /// The lowest node shared by two members is reported, whatever the
+    /// receiver order, and the sender counts as a member.
+    #[test]
+    fn duplicate_members_report_the_lowest_shared_node() {
+        let mut g = Graph::new();
+        let n = g.add_nodes(4);
+        g.add_link(n[0], n[1], 1.0).unwrap();
+        g.add_link(n[1], n[2], 1.0).unwrap();
+        g.add_link(n[2], n[3], 1.0).unwrap();
+        let shared = |sender: NodeId, receivers: Vec<NodeId>| {
+            let sessions = vec![
+                Session::unicast(n[0], n[3]),
+                Session::multi_rate(sender, receivers),
+            ];
+            match Network::new(g.clone(), sessions) {
+                Err(NetError::DuplicateMember { session, node }) => (session, node),
+                other => panic!("expected DuplicateMember, got {other:?}"),
+            }
+        };
+        assert_eq!(
+            shared(n[0], vec![n[3], n[2], n[3], n[2]]),
+            (SessionId(1), n[2])
+        );
+        assert_eq!(shared(n[2], vec![n[3], n[1], n[2]]), (SessionId(1), n[2]));
+        assert_eq!(shared(n[3], vec![n[3], n[1], n[1]]), (SessionId(1), n[1]));
     }
 
     #[test]

@@ -15,7 +15,6 @@
 use crate::error::{NetError, NetResult, RouteDefect};
 use crate::graph::Graph;
 use crate::ids::{LinkId, NodeId, ReceiverId};
-use std::collections::VecDeque;
 
 /// A receiver's data-path: the ordered sequence of links from the session
 /// sender to the receiver. The *set* of these links is what the fairness
@@ -26,11 +25,16 @@ pub type Route = Vec<LinkId>;
 /// Compute the hop-count shortest path between two nodes as a sequence of
 /// links, or `None` if the nodes are disconnected.
 ///
-/// Ties are broken deterministically: BFS explores neighbors in adjacency
-/// (insertion) order, so among equal-hop routes the one using
+/// Ties are broken deterministically: BFS explores each node's neighbours
+/// in link insertion (id) order, so among equal-hop routes the one using
 /// earliest-inserted links is returned. Determinism matters because the whole
 /// reproduction pipeline (allocator, simulator, benches) must be re-runnable
 /// bit-for-bit.
+///
+/// One query costs O(links): it builds the graph's adjacency and a full
+/// BFS tree from `from`. [`crate::Network::new`] routes every receiver of
+/// a session from one such tree, which is how networks should be routed;
+/// this per-pair form is the reference its routes are tested against.
 ///
 /// If `from == to`, the empty route is returned.
 pub fn shortest_path(graph: &Graph, from: NodeId, to: NodeId) -> Option<Route> {
@@ -40,51 +44,100 @@ pub fn shortest_path(graph: &Graph, from: NodeId, to: NodeId) -> Option<Route> {
     if !graph.contains_node(from) || !graph.contains_node(to) {
         return None;
     }
+    let adjacency = Adjacency::new(graph);
     let mut tree = RouteTree::default();
-    tree.grow(graph, from, Some(to));
+    tree.grow(&adjacency, from);
     let mut route = Vec::new();
     tree.route_into(from, to, &mut route).then_some(route)
 }
 
+/// A graph's adjacency in compressed sparse rows: the `(neighbour, link)`
+/// pairs of node `v` are `entries[offsets[v]..offsets[v + 1]]`, in link id
+/// order. That order is the routing tie-break: BFS discovers a node's
+/// neighbours in link insertion order.
+#[derive(Debug)]
+pub(crate) struct Adjacency {
+    offsets: Vec<usize>,
+    entries: Vec<(NodeId, LinkId)>,
+}
+
+impl Adjacency {
+    /// Bucket every link under both of its endpoints, each node's row in
+    /// link id order.
+    pub(crate) fn new(graph: &Graph) -> Self {
+        let nodes = graph.node_count();
+        // Degrees, summed into row ends: `offsets[v]` is where row `v`
+        // stops. Placing links from the last id down moves each row end
+        // back to its row start, and leaves the row in link id order.
+        let mut offsets = vec![0usize; nodes + 1];
+        for (_, l) in graph.links() {
+            offsets[l.a.0] += 1;
+            offsets[l.b.0] += 1;
+        }
+        for v in 1..=nodes {
+            offsets[v] += offsets[v - 1];
+        }
+        let mut entries = vec![(NodeId(0), LinkId(0)); offsets[nodes]];
+        for id in (0..graph.link_count()).rev().map(LinkId) {
+            let l = graph.link(id);
+            offsets[l.a.0] -= 1;
+            entries[offsets[l.a.0]] = (l.b, id);
+            offsets[l.b.0] -= 1;
+            entries[offsets[l.b.0]] = (l.a, id);
+        }
+        Adjacency { offsets, entries }
+    }
+
+    /// The `(neighbour, link)` pairs of `node`, in link id order.
+    #[inline]
+    fn neighbors(&self, node: NodeId) -> &[(NodeId, LinkId)] {
+        &self.entries[self.offsets[node.0]..self.offsets[node.0 + 1]]
+    }
+}
+
 /// A BFS tree from one source; a route is the parent walk from its end
-/// node back to the source, reversed.
-///
-/// [`crate::Network::new`] grows one full tree per session sender and
-/// routes every receiver of the session from it, while [`shortest_path`]
-/// stops the same BFS once it discovers its target. The routes agree on
-/// any graph, cycles and parallel links included: BFS from a fixed source
-/// dequeues nodes in the same order and gives each discovered node the
-/// same parent whether or not it stops early, since stopping only
-/// truncates the run. So no per-receiver search and no tree check are
-/// needed.
-///
-/// The buffers are reused from one source to the next.
+/// node back to the source, reversed. [`crate::Network::new`] grows one
+/// tree per session sender and routes every receiver of the session from
+/// it, reusing the buffers from one source to the next.
 #[derive(Debug, Default)]
 pub(crate) struct RouteTree {
-    /// parent[v] = (previous node, link used to reach v); `None` for the
-    /// source and for nodes not reached.
-    parent: Vec<Option<(NodeId, LinkId)>>,
-    queue: VecDeque<NodeId>,
+    /// `parent[v] = (previous node, link used to reach v, hops from the
+    /// source)`; `None` for the source and for nodes not reached.
+    parent: Vec<Option<(NodeId, LinkId, usize)>>,
+    /// The BFS queue: every node is pushed at most once, so a vector read
+    /// from `head` never needs to drop its front.
+    queue: Vec<NodeId>,
 }
 
 impl RouteTree {
-    /// Grow the BFS tree of `from` (a node of `graph`), in full or until
-    /// `stop_at` is discovered.
-    pub(crate) fn grow(&mut self, graph: &Graph, from: NodeId, stop_at: Option<NodeId>) {
+    /// Grow the full BFS tree of `from` (a node of the graph `adjacency`
+    /// was built from).
+    pub(crate) fn grow(&mut self, adjacency: &Adjacency, from: NodeId) {
+        let nodes = adjacency.offsets.len() - 1;
         self.parent.clear();
-        self.parent.resize(graph.node_count(), None);
+        self.parent.resize(nodes, None);
         self.queue.clear();
-        self.queue.push_back(from);
-        'bfs: while let Some(u) = self.queue.pop_front() {
-            for (v, l) in graph.neighbors(u) {
+        self.queue.reserve(nodes);
+        self.queue.push(from);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let hops = self.hops(u) + 1;
+            for &(v, l) in adjacency.neighbors(u) {
                 if v != from && self.parent[v.0].is_none() {
-                    self.parent[v.0] = Some((u, l));
-                    if Some(v) == stop_at {
-                        break 'bfs;
-                    }
-                    self.queue.push_back(v);
+                    self.parent[v.0] = Some((u, l, hops));
+                    self.queue.push(v);
                 }
             }
+        }
+    }
+
+    /// The length of the route to `to`: 0 for the source and for nodes
+    /// not in the tree.
+    pub(crate) fn hops(&self, to: NodeId) -> usize {
+        match self.parent.get(to.0) {
+            Some(&Some((_, _, hops))) => hops,
+            _ => 0,
         }
     }
 
@@ -95,7 +148,7 @@ impl RouteTree {
         let start = out.len();
         let mut cur = to;
         while cur != from {
-            let Some(&Some((prev, link))) = self.parent.get(cur.0) else {
+            let Some(&Some((prev, link, _))) = self.parent.get(cur.0) else {
                 out.truncate(start);
                 return false;
             };

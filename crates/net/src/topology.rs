@@ -233,12 +233,11 @@ pub fn random_tree(seed: u64, node_count: usize, cap_lo: f64, cap_hi: f64) -> Gr
     assert!(node_count >= 1);
     assert!(cap_lo > 0.0 && cap_hi > cap_lo);
     let mut rng = SplitMix64(seed);
-    let mut g = Graph::new();
-    let nodes = g.add_nodes(node_count);
+    let mut g = Graph::with_nodes(node_count, node_count - 1);
     for k in 1..node_count {
-        let parent = nodes[rng.below(k)];
+        let parent = NodeId(rng.below(k));
         let cap = rng.range_f64(cap_lo, cap_hi);
-        must_link(&mut g, parent, nodes[k], cap);
+        must_link(&mut g, parent, NodeId(k), cap);
     }
     g
 }
@@ -471,42 +470,41 @@ impl TopologyFamily {
             TopologyFamily::FlatTree => random_tree(seed, node_count, cap_lo, cap_hi),
             TopologyFamily::KaryTree { arity } => {
                 let mut rng = SplitMix64(seed);
-                let mut g = Graph::new();
-                let nodes = g.add_nodes(node_count);
+                let mut g = Graph::with_nodes(node_count, node_count - 1);
                 for k in 1..node_count {
-                    let parent = nodes[(k - 1) / arity];
+                    let parent = NodeId((k - 1) / arity);
                     let cap = rng.range_f64(cap_lo, cap_hi);
-                    must_link(&mut g, parent, nodes[k], cap);
+                    must_link(&mut g, parent, NodeId(k), cap);
                 }
                 g
             }
             TopologyFamily::TransitStub { transit } => {
                 let mut rng = SplitMix64(seed);
-                let mut g = Graph::new();
-                let nodes = g.add_nodes(node_count);
+                let mut g = Graph::with_nodes(node_count, node_count - 1);
                 // High-capacity random core over the transit nodes.
                 for k in 1..transit {
-                    let parent = nodes[rng.below(k)];
+                    let parent = NodeId(rng.below(k));
                     let cap = TRANSIT_CAPACITY_SCALE * rng.range_f64(cap_lo, cap_hi);
-                    must_link(&mut g, parent, nodes[k], cap);
+                    must_link(&mut g, parent, NodeId(k), cap);
                 }
                 // Stub domains: domain d starts at its transit node and
-                // grows by random attachment within itself.
-                let mut domains: Vec<Vec<NodeId>> = (0..transit).map(|d| vec![nodes[d]]).collect();
-                for (i, &stub) in nodes.iter().enumerate().skip(transit) {
-                    let domain = &mut domains[(i - transit) % transit];
-                    let parent = domain[rng.below(domain.len())];
+                // grows by random attachment within itself. Stubs join the
+                // domains round-robin, so domain d holds the nodes
+                // d, d + transit, d + 2·transit, … in join order, and its
+                // t-th member is node d + t·transit.
+                for stub in transit..node_count {
+                    let d = (stub - transit) % transit;
+                    let members = 1 + (stub - transit) / transit;
+                    let parent = NodeId(d + rng.below(members) * transit);
                     let cap = rng.range_f64(cap_lo, cap_hi);
-                    must_link(&mut g, parent, stub, cap);
-                    domain.push(stub);
+                    must_link(&mut g, parent, NodeId(stub), cap);
                 }
                 g
             }
             TopologyFamily::Dumbbell => {
                 let mut rng = SplitMix64(seed);
-                let mut g = Graph::new();
-                let hub_l = g.add_node();
-                let hub_r = g.add_node();
+                let mut g = Graph::with_nodes(node_count, node_count - 1);
+                let (hub_l, hub_r) = (NodeId(0), NodeId(1));
                 let cap = rng.range_f64(cap_lo, cap_hi);
                 must_link(&mut g, hub_l, hub_r, cap);
                 for leaf in 2..node_count {
@@ -517,9 +515,8 @@ impl TopologyFamily {
                         _ => rng.below(2) == 0,
                     };
                     let hub = if left { hub_l } else { hub_r };
-                    let n = g.add_node();
                     let cap = 2.0 * rng.range_f64(cap_lo, cap_hi);
-                    must_link(&mut g, hub, n, cap);
+                    must_link(&mut g, hub, NodeId(leaf), cap);
                 }
                 g
             }

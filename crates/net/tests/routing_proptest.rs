@@ -2,10 +2,118 @@
 
 use mlf_net::topology::{random_network, random_network_with, random_tree, SplitMix64};
 use mlf_net::{
-    paper, shortest_path, validate_route, Graph, NetError, Network, NodeId, ReceiverId, Session,
-    TopologyFamily,
+    paper, shortest_path, validate_route, Graph, LinkId, NetError, Network, NodeId, ReceiverId,
+    Session, TopologyFamily,
 };
 use proptest::prelude::*;
+use std::collections::VecDeque;
+
+/// The routing oracle: a BFS that finds a node's neighbours by scanning
+/// `graph.links()` in id order, the order in which `Graph` once kept a
+/// per-node adjacency list. Among equal-hop routes it must pick the one
+/// `Network::new` and `shortest_path` pick.
+fn link_scan_route(graph: &Graph, from: NodeId, to: NodeId) -> Option<Vec<LinkId>> {
+    if from == to {
+        return Some(Vec::new());
+    }
+    if from.0 >= graph.node_count() || to.0 >= graph.node_count() {
+        return None;
+    }
+    let mut parent: Vec<Option<(NodeId, LinkId)>> = vec![None; graph.node_count()];
+    let mut queue = VecDeque::from([from]);
+    while let Some(u) = queue.pop_front() {
+        for (id, link) in graph.links() {
+            let Some(v) = link.opposite(u) else { continue };
+            if v != from && parent[v.0].is_none() {
+                parent[v.0] = Some((u, id));
+                queue.push_back(v);
+            }
+        }
+    }
+    let mut route = Vec::new();
+    let mut cur = to;
+    while cur != from {
+        let (prev, id) = parent[cur.0]?;
+        route.push(id);
+        cur = prev;
+    }
+    route.reverse();
+    Some(route)
+}
+
+/// Every route of `net`, and `shortest_path` between every pair of nodes,
+/// equal the link-scan oracle's.
+fn assert_routes_match_the_link_scan_oracle(net: &Network) {
+    let g = net.graph();
+    for r in net.receivers() {
+        let s = net.session(r.session);
+        let expected = link_scan_route(g, s.sender, s.receivers[r.index])
+            .expect("a built network routes every receiver");
+        assert_eq!(net.route(r), expected.as_slice(), "route of {r:?}");
+    }
+    for a in g.nodes() {
+        for b in g.nodes() {
+            assert_eq!(
+                shortest_path(g, a, b),
+                link_scan_route(g, a, b),
+                "{a:?} -> {b:?}"
+            );
+        }
+    }
+}
+
+/// A multigraph with many equal-hop routes: `layers` layers of `width`
+/// nodes, every node linked to every node of the next layer, and each
+/// link doubled with probability 1/2. Links are inserted in an order
+/// shuffled by `seed`, so link ids do not follow node ids and a neighbour
+/// order by node id would pick different routes.
+fn tied_multigraph(seed: u64, layers: usize, width: usize, sessions: usize) -> Network {
+    let mut rng = SplitMix64(seed);
+    let nodes = 1 + layers * width;
+    let node = |layer: usize, t: usize| NodeId(1 + (layer - 1) * width + t);
+    let mut pairs = Vec::new();
+    for t in 0..width {
+        pairs.push((NodeId(0), node(1, t)));
+    }
+    for layer in 1..layers {
+        for t in 0..width {
+            for u in 0..width {
+                pairs.push((node(layer, t), node(layer + 1, u)));
+            }
+        }
+    }
+    for t in (1..pairs.len()).rev() {
+        pairs.swap(t, rng.below(t + 1));
+    }
+    let mut g = Graph::new();
+    for _ in 0..nodes {
+        g.add_node();
+    }
+    for (a, b) in pairs {
+        let (a, b) = if rng.below(2) == 0 { (a, b) } else { (b, a) };
+        g.add_link(a, b, 1.0 + rng.unit()).expect("valid link");
+        if rng.below(2) == 0 {
+            g.add_link(b, a, 1.0 + rng.unit())
+                .expect("valid parallel link");
+        }
+    }
+    let sessions = (0..sessions)
+        .map(|_| {
+            let sender = NodeId(rng.below(nodes));
+            let receivers: Vec<NodeId> = (0..nodes)
+                .map(NodeId)
+                .filter(|&v| v != sender && rng.below(2) == 0)
+                .collect();
+            let receivers = if receivers.is_empty() {
+                vec![NodeId(usize::from(sender.0 == 0))]
+            } else {
+                receivers
+            };
+            Session::multi_rate(sender, receivers)
+        })
+        .collect();
+    Network::new(g, sessions).expect("connected graphs route every receiver")
+}
 
 /// `Network::new` routes every receiver from one BFS tree per session;
 /// each route must be the per-receiver `shortest_path` query's, tie-breaks
@@ -141,8 +249,31 @@ fn unroutable_receivers_keep_their_error_identity() {
     );
 }
 
+/// Layered multigraphs are full of equal-hop ties and parallel links;
+/// every route must still be the link-scan oracle's.
+#[test]
+fn tied_multigraphs_route_like_the_link_scan_oracle() {
+    for seed in 0..48u64 {
+        let net = tied_multigraph(seed, 1 + (seed % 4) as usize, 2 + (seed % 3) as usize, 3);
+        assert_routes_match_the_link_scan_oracle(&net);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// On random connected multigraphs with cycles and parallel links,
+    /// `Network::new` and `shortest_path` route like the link-scan oracle.
+    #[test]
+    fn cyclic_multigraphs_route_like_the_link_scan_oracle(
+        seed in any::<u64>(),
+        nodes in 2usize..24,
+        extra in 0usize..30,
+        sessions in 1usize..5,
+    ) {
+        let net = cyclic_network(seed, nodes, extra, sessions);
+        assert_routes_match_the_link_scan_oracle(&net);
+    }
 
     /// On connected graphs with cycles and parallel links, where routes
     /// are no longer unique, the per-session trees still pick exactly the

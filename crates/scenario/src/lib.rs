@@ -423,23 +423,29 @@ impl Scenario {
         // Detach the owned workspace so the shared solve path can borrow
         // `self` immutably (the same path coordinator workers use).
         let mut ws = std::mem::take(&mut self.ws);
-        let report = self.solve_with_ws(0, None, &mut ws);
+        let report = self.report(&mut ws);
         self.ws = ws;
         report
     }
 
-    /// Solve one point against an explicit workspace. Coordinator workers
-    /// call it with their own workspace; serial grid sweeps instead call
-    /// `report_for` on a network they share across the grid's models. The
-    /// two agree bitwise because a solve's result depends neither on
-    /// workspace history nor on which build of a seed's network it reads.
-    fn solve_with_ws(
-        &self,
-        seed: u64,
-        model_override: Option<LinkRateModel>,
-        ws: &mut SolverWorkspace,
-    ) -> ScenarioReport {
-        self.report_for(&self.network_for(seed), seed, model_override, ws)
+    /// The full report of seed 0: the sweep point's solve and audit, plus
+    /// what only a single run keeps (the label, the solution and the
+    /// layer fits).
+    fn report(&self, ws: &mut SolverWorkspace) -> ScenarioReport {
+        let net = self.network_for(0);
+        let (solution, fairness) = self.solve_and_audit(&net, None, ws);
+        let layering = self
+            .layering
+            .as_ref()
+            .map(|s| LayeringSummary::new(s, &net, &solution));
+        ScenarioReport {
+            label: self.label.clone(),
+            seed: 0,
+            metrics: ScenarioMetrics::measure(&net, &solution),
+            solution,
+            fairness,
+            layering,
+        }
     }
 
     /// The network of `seed`: a fixed source's own, or a random source's
@@ -460,16 +466,36 @@ impl Scenario {
         }
     }
 
-    /// The full per-point report against an explicit, already-built
-    /// network: the tail of the solve path shared by single solves and
-    /// grid sweeps.
-    fn report_for(
+    /// One sweep point against an explicit, already-built network: the
+    /// solve path shared by serial grid sweeps (one network per seed,
+    /// reused across the grid's models) and coordinator workers (their
+    /// own workspace). The two agree bitwise because a solve's result
+    /// depends neither on workspace history nor on which build of a seed's
+    /// network it reads.
+    fn point_for(
         &self,
         net: &Network,
         seed: u64,
+        model: Option<LinkRateModel>,
+        ws: &mut SolverWorkspace,
+    ) -> SweepPoint {
+        let (solution, fairness) = self.solve_and_audit(net, model, ws);
+        SweepPoint {
+            seed,
+            model,
+            metrics: ScenarioMetrics::measure(net, &solution),
+            properties_holding: fairness.as_ref().map(FairnessReport::count_holding),
+        }
+    }
+
+    /// Solve `net` under the scenario's link rates (or the uniform
+    /// `model_override`), and audit the solution unless disabled.
+    fn solve_and_audit(
+        &self,
+        net: &Network,
         model_override: Option<LinkRateModel>,
         ws: &mut SolverWorkspace,
-    ) -> ScenarioReport {
+    ) -> (MaxMinSolution, Option<FairnessReport>) {
         let cfg = match model_override {
             Some(m) => LinkRateConfig::uniform(net.session_count(), m),
             None => self.link_rates.resolve(net.session_count()),
@@ -490,19 +516,7 @@ impl Scenario {
         let fairness = self
             .check_properties
             .then(|| properties::check_all(net, &cfg, &solution.allocation));
-        let layering = self
-            .layering
-            .as_ref()
-            .map(|s| LayeringSummary::new(s, net, &solution));
-        let metrics = ScenarioMetrics::measure(net, &solution);
-        ScenarioReport {
-            label: self.label.clone(),
-            seed,
-            solution,
-            fairness,
-            metrics,
-            layering,
-        }
+        (solution, fairness)
     }
 
     /// Run one solve per seed, reusing the workspace throughout. The
@@ -548,8 +562,7 @@ impl Scenario {
         for &seed in &grid.seeds {
             let net = self.network_for(seed);
             for (points, &model) in per_model.iter_mut().zip(&models) {
-                let report = self.report_for(&net, seed, model, &mut ws);
-                points.push(SweepPoint::from_report(report, model));
+                points.push(self.point_for(&net, seed, model, &mut ws));
             }
         }
         self.ws = ws;
@@ -721,17 +734,6 @@ pub struct SweepPoint {
     pub metrics: ScenarioMetrics,
     /// How many of the four fairness properties held (when audited).
     pub properties_holding: Option<usize>,
-}
-
-impl SweepPoint {
-    fn from_report(report: ScenarioReport, model: Option<LinkRateModel>) -> Self {
-        SweepPoint {
-            seed: report.seed,
-            model,
-            metrics: report.metrics,
-            properties_holding: report.fairness.as_ref().map(|f| f.count_holding()),
-        }
-    }
 }
 
 /// Topology-reuse counters of one sweep, per point.

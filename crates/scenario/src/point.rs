@@ -173,7 +173,7 @@ impl Sweep for Scenario {
     }
 
     fn solve(&self, ws: &mut Self::Worker, &(model, seed): &Job) -> SweepPoint {
-        SweepPoint::from_report(self.solve_with_ws(seed, model, ws), model)
+        self.point_for(&self.network_for(seed), seed, model, ws)
     }
 
     /// Label, allocator identity, audit switch, network source (a fixed
