@@ -86,10 +86,16 @@ fn bench_link_rate_models(c: &mut Criterion) {
             LinkRateConfig::uniform(m, LinkRateModel::RandomJoin { sigma: 100.0 }),
         ),
     ] {
-        let allocator = Hybrid::as_declared().with_config(cfg.clone());
         let mut ws = SolverWorkspace::new();
         group.bench_function(name, |b| {
-            b.iter(|| black_box(allocator.solve(&net, &mut ws).allocation.total_rate()))
+            b.iter(|| {
+                let sol = Hybrid::as_declared().solve_with(&net, &cfg, &mut ws);
+                black_box(
+                    sol.expect("the bench network solves")
+                        .allocation
+                        .total_rate(),
+                )
+            })
         });
     }
     group.finish();

@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlf_core::allocator::{Allocator, Hybrid, SolverWorkspace};
-use mlf_core::{LinkRateConfig, LinkRateModel};
+use mlf_core::{Allocation, LinkRateConfig, LinkRateModel};
 use mlf_net::topology::random_network;
 use mlf_net::Network;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -57,31 +57,32 @@ fn sweep_corpus() -> (Vec<Network>, LinkRateConfig) {
     (nets, cfg)
 }
 
-fn fresh_sweep(nets: &[Network], allocator: &Hybrid) -> f64 {
+fn fresh_sweep(nets: &[Network], cfg: &LinkRateConfig) -> f64 {
     nets.iter()
-        .map(|net| {
-            allocator
-                .solve(net, &mut SolverWorkspace::new())
-                .allocation
-                .total_rate()
-        })
+        .map(|net| solve(net, cfg, &mut SolverWorkspace::new()).total_rate())
         .sum()
 }
 
-fn workspace_sweep(nets: &[Network], allocator: &Hybrid, ws: &mut SolverWorkspace) -> f64 {
+fn workspace_sweep(nets: &[Network], cfg: &LinkRateConfig, ws: &mut SolverWorkspace) -> f64 {
     nets.iter()
-        .map(|net| allocator.solve(net, ws).allocation.total_rate())
+        .map(|net| solve(net, cfg, ws).total_rate())
         .sum()
+}
+
+/// The declared-regime allocation of `net` under `cfg`.
+fn solve(net: &Network, cfg: &LinkRateConfig, ws: &mut SolverWorkspace) -> Allocation {
+    Hybrid::as_declared()
+        .solve_with(net, cfg, ws)
+        .expect("the bench corpus solves")
+        .allocation
 }
 
 fn report_allocation_counts(nets: &[Network], cfg: &LinkRateConfig) {
-    let allocator = Hybrid::as_declared().with_config(cfg.clone());
     let mut ws = SolverWorkspace::new();
     // Warm the workspace so steady-state reuse is measured, then compare.
-    let (warm_total, _) = allocations_during(|| workspace_sweep(nets, &allocator, &mut ws));
-    let (reused_total, reused_allocs) =
-        allocations_during(|| workspace_sweep(nets, &allocator, &mut ws));
-    let (fresh_total, fresh_allocs) = allocations_during(|| fresh_sweep(nets, &allocator));
+    let (warm_total, _) = allocations_during(|| workspace_sweep(nets, cfg, &mut ws));
+    let (reused_total, reused_allocs) = allocations_during(|| workspace_sweep(nets, cfg, &mut ws));
+    let (fresh_total, fresh_allocs) = allocations_during(|| fresh_sweep(nets, cfg));
     assert_eq!(warm_total, reused_total);
     assert_eq!(reused_total, fresh_total, "paths must agree");
     let n = nets.len() as u64;
@@ -99,13 +100,12 @@ fn bench_sweep(c: &mut Criterion) {
     report_allocation_counts(&nets, &cfg);
 
     let mut group = c.benchmark_group("allocator/fig5_random_join_sweep");
-    let allocator = Hybrid::as_declared().with_config(cfg.clone());
     group.bench_function("fresh_workspace", |b| {
-        b.iter(|| black_box(fresh_sweep(&nets, &allocator)))
+        b.iter(|| black_box(fresh_sweep(&nets, &cfg)))
     });
     let mut ws = SolverWorkspace::new();
     group.bench_function("reused_workspace", |b| {
-        b.iter(|| black_box(workspace_sweep(&nets, &allocator, &mut ws)))
+        b.iter(|| black_box(workspace_sweep(&nets, &cfg, &mut ws)))
     });
     group.finish();
 }
@@ -114,14 +114,13 @@ fn bench_single_network_resolve(c: &mut Criterion) {
     // The simulation-loop shape: the same network solved over and over.
     let net = random_network(7, 40, 10, 5).unwrap();
     let cfg = LinkRateConfig::efficient(10);
-    let allocator = Hybrid::as_declared().with_config(cfg.clone());
     let mut ws = SolverWorkspace::new();
     let mut group = c.benchmark_group("allocator/repeated_resolve_40n_10s");
     group.bench_function("fresh_workspace", |b| {
-        b.iter(|| black_box(allocator.solve(&net, &mut SolverWorkspace::new())))
+        b.iter(|| black_box(solve(&net, &cfg, &mut SolverWorkspace::new())))
     });
     group.bench_function("reused_workspace", |b| {
-        b.iter(|| black_box(allocator.solve(&net, &mut ws).allocation.total_rate()))
+        b.iter(|| black_box(solve(&net, &cfg, &mut ws).total_rate()))
     });
     group.finish();
 }

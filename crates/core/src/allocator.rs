@@ -17,20 +17,49 @@
 //! | [`Weighted`] | weighted multi-rate max-min (`w = 1/RTT` TCP fairness) |
 //! | [`Unicast`] | Bertsekas–Gallager water-filling (differential baseline) |
 //!
+//! An allocator is a regime and carries no link-rate configuration. The
+//! per-session models `v` of Section 3 enter a solve in one place, the
+//! `cfg` argument of [`Allocator::solve_with`], the one required solve
+//! method; it returns a typed [`SolveError`] instead of panicking.
+//! [`Allocator::solve`] and [`Allocator::allocate`] are conveniences for
+//! the efficient model. Pass the same `cfg` to the fairness audit
+//! ([`crate::properties::check_all`]): the properties are only meaningful
+//! relative to the model the allocation was solved under.
+//! [`Allocator::signature`] states everything about an allocator that can
+//! change a solve's bits, which sweeps fold into their identity.
+//!
 //! # Example
 //!
 //! ```
-//! use mlf_core::allocator::{Allocator, Hybrid, MultiRate, SolverWorkspace};
+//! use mlf_core::allocator::{Allocator, Hybrid, MultiRate, SolverWorkspace, Weighted};
+//! use mlf_core::{properties, LinkRateConfig, LinkRateModel, SolveError};
 //!
+//! # fn main() -> Result<(), SolveError> {
 //! let example = mlf_net::paper::figure2();
+//! let net = &example.network;
 //! let mut ws = SolverWorkspace::new();
 //!
 //! // The network's declared regime mix (S1 single-rate)…
-//! let declared = Hybrid::as_declared().solve(&example.network, &mut ws);
+//! let declared = Hybrid::as_declared().solve(net, &mut ws);
 //! // …versus the all-multi-rate counterfactual, reusing the same scratch.
-//! let multi = MultiRate::new().solve(&example.network, &mut ws);
+//! let multi = MultiRate::new().solve(net, &mut ws);
 //! assert!(multi.allocation.min_rate() >= declared.allocation.min_rate());
-//! assert_eq!(ws.solves(), 2);
+//!
+//! // Redundant layering: solve and audit under the same configuration.
+//! let rj = LinkRateModel::RandomJoin { sigma: 8.0 };
+//! let cfg = LinkRateConfig::uniform(net.session_count(), rj);
+//! let layered = MultiRate::new().solve_with(net, &cfg, &mut ws)?;
+//! let report = properties::check_all(net, &cfg, &layered.allocation);
+//! assert!(report.count_holding() <= 4);
+//!
+//! // Weighted max-min is defined for the efficient model only.
+//! assert!(matches!(
+//!     Weighted::uniform().solve_with(net, &cfg, &mut ws),
+//!     Err(SolveError::UnsupportedLinkRates { allocator: "weighted", session: 0 })
+//! ));
+//! assert_eq!(ws.solves(), 3);
+//! # Ok(())
+//! # }
 //! ```
 
 use crate::allocation::Allocation;
@@ -342,7 +371,7 @@ impl Regimes {
         }
     }
 
-    fn check(&self, net: &Network) {
+    pub(crate) fn check(&self, net: &Network) {
         if let Regimes::PerSession(ks) = self {
             assert_eq!(
                 ks.len(),
@@ -361,250 +390,140 @@ impl Regimes {
 /// scratch across solves. The `Send + Sync` bound makes that concurrency
 /// real: a `&dyn Allocator` can be shared across `std::thread::scope`
 /// workers, each solving with its own workspace — the substrate of
-/// `mlf-scenario`'s sweep coordinator.
+/// `mlf-scenario`'s sweep coordinator. Link rates are an argument of
+/// [`Allocator::solve_with`], never allocator state (see the module docs).
 pub trait Allocator: Send + Sync {
-    /// Compute the regime's unique max-min fair allocation of `net`,
-    /// with per-receiver freeze diagnostics.
+    /// Compute the regime's unique max-min fair allocation of `net` under
+    /// the per-session link-rate models `cfg`, with per-receiver freeze
+    /// diagnostics.
+    ///
+    /// Returns [`SolveError::Stalled`] when progressive filling stops
+    /// short of every link, and [`SolveError::UnsupportedLinkRates`] when
+    /// the regime has no link-rate parameterization ([`Weighted`] and
+    /// [`Unicast`] are defined for the efficient model only) and `cfg`
+    /// gives a session another model.
     ///
     /// # Panics
     ///
-    /// Where [`Allocator::try_solve`] returns a [`SolveError`].
-    fn solve(&self, net: &Network, ws: &mut SolverWorkspace) -> MaxMinSolution;
-
-    /// [`Allocator::solve`], returning a [`SolveError`] instead of
-    /// panicking when progressive filling stalls. The default wraps
-    /// `solve`: [`Weighted`] and [`Unicast`] keep their engines' own
-    /// `assert!`s.
-    fn try_solve(
-        &self,
-        net: &Network,
-        ws: &mut SolverWorkspace,
-    ) -> Result<MaxMinSolution, SolveError> {
-        Ok(self.solve(net, ws))
-    }
-
-    /// Convenience one-shot solve returning just the allocation.
-    fn allocate(&self, net: &Network) -> Allocation {
-        self.solve(net, &mut SolverWorkspace::new()).allocation
-    }
-
-    /// Solve under an explicit link-rate configuration, overriding any the
-    /// allocator carries. Returns `None` for allocators whose regime has no
-    /// link-rate parameterization ([`Weighted`] and [`Unicast`] are defined
-    /// for the efficient model only) — callers that need the override, like
-    /// `Scenario` model sweeps, treat `None` as a configuration error.
-    /// Panics where [`Allocator::solve`] does.
+    /// When `cfg` does not cover every session of `net`. The [`Weighted`]
+    /// and [`Unicast`] engines keep their own `assert!`s, stalls included.
     fn solve_with(
         &self,
         net: &Network,
         cfg: &LinkRateConfig,
         ws: &mut SolverWorkspace,
-    ) -> Option<MaxMinSolution> {
-        let _ = (net, cfg, ws);
-        None
+    ) -> Result<MaxMinSolution, SolveError>;
+
+    /// [`Allocator::solve_with`] under the efficient link-rate model.
+    ///
+    /// # Panics
+    ///
+    /// Where [`Allocator::solve_with`] returns a [`SolveError`].
+    fn solve(&self, net: &Network, ws: &mut SolverWorkspace) -> MaxMinSolution {
+        solved(self.solve_with(net, &LinkRateConfig::efficient(net.session_count()), ws))
     }
 
-    /// Whether [`Allocator::solve_with`] honours a link-rate configuration.
+    /// Convenience one-shot [`Allocator::solve`] returning just the
+    /// allocation. Panics where `solve` does.
+    fn allocate(&self, net: &Network) -> Allocation {
+        self.solve(net, &mut SolverWorkspace::new()).allocation
+    }
+
+    /// Whether [`Allocator::solve_with`] accepts link-rate models other
+    /// than `Efficient`.
     fn supports_link_rates(&self) -> bool {
-        false
+        true
     }
 
     /// A short regime label for reports and benches.
-    fn name(&self) -> &'static str {
-        "allocator"
-    }
+    fn name(&self) -> &'static str;
 
     /// A stable textual identity of everything about this allocator that
-    /// can change a solve's bits: the regime and any carried link-rate
-    /// configuration, with float parameters spelled as exact bit patterns.
+    /// can change a solve's bits, with float parameters spelled as exact
+    /// bit patterns.
     ///
     /// Two allocators with equal signatures produce bitwise-equal
     /// solutions for the same network and link-rate inputs, which is what
     /// lets a sweep fold the allocator into its identity and ship it to a
-    /// worker process by name. Return `None` when the identity is not
-    /// cheaply representable (e.g. explicit per-receiver weights) — such
-    /// an allocator then stays in-process rather than risk another
-    /// configuration's bits.
-    fn cache_signature(&self) -> Option<String> {
-        None
-    }
+    /// worker process by name.
+    fn signature(&self) -> String;
 }
 
-/// Render a [`LinkRateConfig`] for [`Allocator::cache_signature`]:
-/// per-session model tags with parameters as exact `f64` bit patterns.
-fn signature_of_cfg(cfg: &LinkRateConfig) -> String {
-    let mut out = String::from("[");
-    for i in 0..cfg.len() {
-        if i > 0 {
-            out.push(',');
-        }
-        match cfg.model(i) {
-            LinkRateModel::Efficient => out.push_str("eff"),
-            LinkRateModel::Sum => out.push_str("sum"),
-            LinkRateModel::Scaled(v) => {
-                out.push_str("scaled:");
-                out.push_str(&v.to_bits().to_string());
-            }
-            LinkRateModel::RandomJoin { sigma } => {
-                out.push_str("rj:");
-                out.push_str(&sigma.to_bits().to_string());
-            }
-        }
-    }
-    out.push(']');
-    out
-}
-
-/// The common shape of most regime signatures: `name` plus the carried
-/// configuration (or `@eff` when the allocator solves the efficient model).
-fn signature_with_cfg(name: &str, cfg: Option<&LinkRateConfig>) -> String {
-    match cfg {
-        None => format!("{name}@eff"),
-        Some(c) => format!("{name}@{}", signature_of_cfg(c)),
-    }
-}
-
-fn solve_regime(
+/// `Ok` when every session of `cfg` is efficient: the one configuration
+/// the regimes without a link-rate parameterization solve.
+fn efficient_only(
+    allocator: &'static str,
     net: &Network,
-    cfg: Option<&LinkRateConfig>,
-    regimes: &Regimes,
-    ws: &mut SolverWorkspace,
-) -> Result<MaxMinSolution, SolveError> {
-    regimes.check(net);
-    match cfg {
-        Some(cfg) => solve_in(net, cfg, regimes, ws),
-        None => solve_in(
-            net,
-            &LinkRateConfig::efficient(net.session_count()),
-            regimes,
-            ws,
-        ),
+    cfg: &LinkRateConfig,
+) -> Result<(), SolveError> {
+    assert_eq!(
+        cfg.len(),
+        net.session_count(),
+        "link-rate config must cover every session"
+    );
+    match (0..cfg.len()).find(|&i| !matches!(cfg.model(i), LinkRateModel::Efficient)) {
+        Some(session) => Err(SolveError::UnsupportedLinkRates { allocator, session }),
+        None => Ok(()),
     }
 }
 
 /// Every session treated as multi-rate (Theorem 1's setting).
 #[derive(Debug, Clone, Default)]
-pub struct MultiRate {
-    cfg: Option<LinkRateConfig>,
-}
+pub struct MultiRate;
 
 impl MultiRate {
-    /// Multi-rate max-min under the efficient link-rate model.
+    /// The multi-rate max-min allocator.
     pub fn new() -> Self {
-        MultiRate { cfg: None }
-    }
-
-    /// Multi-rate max-min under explicit per-session link-rate models.
-    pub fn with_config(cfg: LinkRateConfig) -> Self {
-        MultiRate { cfg: Some(cfg) }
+        MultiRate
     }
 }
 
 impl Allocator for MultiRate {
-    fn solve(&self, net: &Network, ws: &mut SolverWorkspace) -> MaxMinSolution {
-        solved(self.try_solve(net, ws))
-    }
-
-    fn try_solve(
-        &self,
-        net: &Network,
-        ws: &mut SolverWorkspace,
-    ) -> Result<MaxMinSolution, SolveError> {
-        solve_regime(
-            net,
-            self.cfg.as_ref(),
-            &Regimes::Uniform(SessionType::MultiRate),
-            ws,
-        )
-    }
-
     fn solve_with(
         &self,
         net: &Network,
         cfg: &LinkRateConfig,
         ws: &mut SolverWorkspace,
-    ) -> Option<MaxMinSolution> {
-        Some(solved(solve_regime(
-            net,
-            Some(cfg),
-            &Regimes::Uniform(SessionType::MultiRate),
-            ws,
-        )))
-    }
-
-    fn supports_link_rates(&self) -> bool {
-        true
+    ) -> Result<MaxMinSolution, SolveError> {
+        solve_in(net, cfg, &Regimes::Uniform(SessionType::MultiRate), ws)
     }
 
     fn name(&self) -> &'static str {
         "multi-rate"
     }
 
-    fn cache_signature(&self) -> Option<String> {
-        Some(signature_with_cfg("multi-rate", self.cfg.as_ref()))
+    fn signature(&self) -> String {
+        "multi-rate@eff".to_string()
     }
 }
 
 /// Every session treated as single-rate (the Tzeng–Siu setting).
 #[derive(Debug, Clone, Default)]
-pub struct SingleRate {
-    cfg: Option<LinkRateConfig>,
-}
+pub struct SingleRate;
 
 impl SingleRate {
-    /// Single-rate max-min under the efficient link-rate model.
+    /// The single-rate max-min allocator.
     pub fn new() -> Self {
-        SingleRate { cfg: None }
-    }
-
-    /// Single-rate max-min under explicit per-session link-rate models.
-    pub fn with_config(cfg: LinkRateConfig) -> Self {
-        SingleRate { cfg: Some(cfg) }
+        SingleRate
     }
 }
 
 impl Allocator for SingleRate {
-    fn solve(&self, net: &Network, ws: &mut SolverWorkspace) -> MaxMinSolution {
-        solved(self.try_solve(net, ws))
-    }
-
-    fn try_solve(
-        &self,
-        net: &Network,
-        ws: &mut SolverWorkspace,
-    ) -> Result<MaxMinSolution, SolveError> {
-        solve_regime(
-            net,
-            self.cfg.as_ref(),
-            &Regimes::Uniform(SessionType::SingleRate),
-            ws,
-        )
-    }
-
     fn solve_with(
         &self,
         net: &Network,
         cfg: &LinkRateConfig,
         ws: &mut SolverWorkspace,
-    ) -> Option<MaxMinSolution> {
-        Some(solved(solve_regime(
-            net,
-            Some(cfg),
-            &Regimes::Uniform(SessionType::SingleRate),
-            ws,
-        )))
-    }
-
-    fn supports_link_rates(&self) -> bool {
-        true
+    ) -> Result<MaxMinSolution, SolveError> {
+        solve_in(net, cfg, &Regimes::Uniform(SessionType::SingleRate), ws)
     }
 
     fn name(&self) -> &'static str {
         "single-rate"
     }
 
-    fn cache_signature(&self) -> Option<String> {
-        Some(signature_with_cfg("single-rate", self.cfg.as_ref()))
+    fn signature(&self) -> String {
+        "single-rate@eff".to_string()
     }
 }
 
@@ -613,15 +532,13 @@ impl Allocator for SingleRate {
 #[derive(Debug, Clone)]
 pub struct Hybrid {
     regimes: Regimes,
-    cfg: Option<LinkRateConfig>,
 }
 
 impl Hybrid {
-    /// Solve with each session's declared type and efficient link rates.
+    /// Solve with each session's declared type.
     pub fn as_declared() -> Self {
         Hybrid {
             regimes: Regimes::AsDeclared,
-            cfg: None,
         }
     }
 
@@ -629,14 +546,7 @@ impl Hybrid {
     pub fn new(kinds: Vec<SessionType>) -> Self {
         Hybrid {
             regimes: Regimes::PerSession(kinds),
-            cfg: None,
         }
-    }
-
-    /// Use explicit per-session link-rate models (the Section 3 setting).
-    pub fn with_config(mut self, cfg: LinkRateConfig) -> Self {
-        self.cfg = Some(cfg);
-        self
     }
 }
 
@@ -647,46 +557,25 @@ impl Default for Hybrid {
 }
 
 impl Allocator for Hybrid {
-    fn solve(&self, net: &Network, ws: &mut SolverWorkspace) -> MaxMinSolution {
-        solved(self.try_solve(net, ws))
-    }
-
-    fn try_solve(
-        &self,
-        net: &Network,
-        ws: &mut SolverWorkspace,
-    ) -> Result<MaxMinSolution, SolveError> {
-        solve_regime(net, self.cfg.as_ref(), &self.regimes, ws)
-    }
-
     fn solve_with(
         &self,
         net: &Network,
         cfg: &LinkRateConfig,
         ws: &mut SolverWorkspace,
-    ) -> Option<MaxMinSolution> {
-        Some(solved(solve_regime(net, Some(cfg), &self.regimes, ws)))
-    }
-
-    fn supports_link_rates(&self) -> bool {
-        true
+    ) -> Result<MaxMinSolution, SolveError> {
+        solve_in(net, cfg, &self.regimes, ws)
     }
 
     fn name(&self) -> &'static str {
         "hybrid"
     }
 
-    fn cache_signature(&self) -> Option<String> {
-        let regimes = match &self.regimes {
-            Regimes::AsDeclared => "declared".to_string(),
-            Regimes::Uniform(t) => format!("uniform:{t:?}"),
-            Regimes::PerSession(kinds) => format!("per-session:{kinds:?}"),
-        };
-        Some(format!(
-            "{}|{}",
-            signature_with_cfg("hybrid", self.cfg.as_ref()),
-            regimes
-        ))
+    fn signature(&self) -> String {
+        match &self.regimes {
+            Regimes::AsDeclared => "hybrid@eff|declared".to_string(),
+            Regimes::Uniform(t) => format!("hybrid@eff|uniform:{t:?}"),
+            Regimes::PerSession(kinds) => format!("hybrid@eff|per-session:{kinds:?}"),
+        }
     }
 }
 
@@ -722,24 +611,40 @@ impl Weighted {
 }
 
 impl Allocator for Weighted {
-    fn solve(&self, net: &Network, ws: &mut SolverWorkspace) -> MaxMinSolution {
-        match &self.weights {
+    fn solve_with(
+        &self,
+        net: &Network,
+        cfg: &LinkRateConfig,
+        ws: &mut SolverWorkspace,
+    ) -> Result<MaxMinSolution, SolveError> {
+        efficient_only(self.name(), net, cfg)?;
+        Ok(match &self.weights {
             WeightSpec::Uniform => weighted_solve_in(net, &Weights::uniform(net), ws),
             WeightSpec::Explicit(w) => weighted_solve_in(net, w, ws),
-        }
+        })
+    }
+
+    fn supports_link_rates(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {
         "weighted"
     }
 
-    /// Uniform weights have a stable identity; explicit per-receiver
-    /// weights are deliberately unrepresentable (`None`), so they stay
-    /// in-process rather than fingerprint a large float matrix.
-    fn cache_signature(&self) -> Option<String> {
+    /// Explicit weights enter by their exact bit patterns, session by
+    /// session.
+    fn signature(&self) -> String {
         match &self.weights {
-            WeightSpec::Uniform => Some("weighted@uniform".to_string()),
-            WeightSpec::Explicit(_) => None,
+            WeightSpec::Uniform => "weighted@uniform".to_string(),
+            WeightSpec::Explicit(w) => {
+                let sessions: Vec<Vec<u64>> = w
+                    .values()
+                    .iter()
+                    .map(|ws| ws.iter().map(|x| x.to_bits()).collect())
+                    .collect();
+                format!("weighted@explicit:{sessions:?}")
+            }
         }
     }
 }
@@ -759,16 +664,26 @@ impl Unicast {
 }
 
 impl Allocator for Unicast {
-    fn solve(&self, net: &Network, ws: &mut SolverWorkspace) -> MaxMinSolution {
-        unicast_solve_in(net, ws)
+    fn solve_with(
+        &self,
+        net: &Network,
+        cfg: &LinkRateConfig,
+        ws: &mut SolverWorkspace,
+    ) -> Result<MaxMinSolution, SolveError> {
+        efficient_only(self.name(), net, cfg)?;
+        Ok(unicast_solve_in(net, ws))
+    }
+
+    fn supports_link_rates(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {
         "unicast"
     }
 
-    fn cache_signature(&self) -> Option<String> {
-        Some("unicast@eff".to_string())
+    fn signature(&self) -> String {
+        "unicast@eff".to_string()
     }
 }
 
@@ -838,11 +753,12 @@ mod tests {
                     net.session_count(),
                     LinkRateModel::RandomJoin { sigma: 6.0 },
                 );
-                let allocator = MultiRate::with_config(cfg);
-                let warm = allocator.solve(&net, &mut reused);
+                let warm = MultiRate::new().solve_with(&net, &cfg, &mut reused);
                 let mut fresh = SolverWorkspace::new();
-                let cold = allocator.solve(&net, &mut fresh);
-                assert_eq!(warm, cold);
+                let cold = MultiRate::new()
+                    .solve_with(&net, &cfg, &mut fresh)
+                    .expect("the Figure-5 shape solves");
+                assert_eq!(warm, Ok(cold.clone()));
                 assert_eq!(
                     fresh.counters().freeze_rounds,
                     cold.iterations as u64,
@@ -877,6 +793,86 @@ mod tests {
         assert!(
             counters.bracket_probes <= counters.bracket_resolved + 2 * counters.bisection_steps
         );
+    }
+
+    /// `solve` is `solve_with` under the efficient model, bit for bit, for
+    /// every allocator on every topology family; the efficient-only
+    /// regimes refuse any other model with a typed error naming the first
+    /// session that has one.
+    #[test]
+    fn solve_is_solve_with_under_efficient_link_rates() {
+        use mlf_net::topology::random_network_with;
+        use mlf_net::TopologyFamily;
+        let bits = |sol: &MaxMinSolution| -> Vec<u64> {
+            sol.allocation.iter().map(|(_, a)| a.to_bits()).collect()
+        };
+        let allocators: [Box<dyn Allocator>; 5] = [
+            Box::new(MultiRate::new()),
+            Box::new(SingleRate::new()),
+            Box::new(Hybrid::as_declared()),
+            Box::new(Weighted::uniform()),
+            Box::new(Unicast::new()),
+        ];
+        let rj = LinkRateModel::RandomJoin { sigma: 6.0 };
+        let mut ws = SolverWorkspace::new();
+        for family in [
+            TopologyFamily::FlatTree,
+            TopologyFamily::KaryTree { arity: 3 },
+            TopologyFamily::TransitStub { transit: 4 },
+            TopologyFamily::Dumbbell,
+        ] {
+            for seed in 0..4u64 {
+                for a in &allocators {
+                    // The unicast baseline solves one-receiver sessions only.
+                    let receivers = if a.name() == "unicast" { 1 } else { 5 };
+                    let net = random_network_with(family, seed, 30, 6, receivers).unwrap();
+                    let m = net.session_count();
+                    let plain = a.solve(&net, &mut ws);
+                    let with = a
+                        .solve_with(&net, &LinkRateConfig::efficient(m), &mut ws)
+                        .unwrap();
+                    let label = format!("{}/{}/seed {seed}", a.name(), family.label());
+                    assert_eq!(bits(&plain), bits(&with), "{label}");
+                    assert_eq!(plain.reasons, with.reasons, "{label}");
+                    assert_eq!(plain.iterations, with.iterations, "{label}");
+                    let mixed = LinkRateConfig::efficient(m).with_session(m - 1, rj);
+                    let got = a.solve_with(&net, &mixed, &mut ws);
+                    if a.supports_link_rates() {
+                        assert!(got.is_ok(), "{label}");
+                    } else {
+                        let allocator = a.name();
+                        let session = m - 1;
+                        let want = SolveError::UnsupportedLinkRates { allocator, session };
+                        assert_eq!(got, Err(want), "{label}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The registry allocators state the identities sweeps and checkpoints
+    /// already carry; explicit weights enter theirs bit for bit.
+    #[test]
+    fn signatures_state_every_bit_of_identity() {
+        assert_eq!(MultiRate::new().signature(), "multi-rate@eff");
+        assert_eq!(SingleRate::new().signature(), "single-rate@eff");
+        assert_eq!(Hybrid::as_declared().signature(), "hybrid@eff|declared");
+        assert_eq!(Weighted::uniform().signature(), "weighted@uniform");
+        assert_eq!(Unicast::new().signature(), "unicast@eff");
+        assert_eq!(
+            Hybrid::new(vec![SessionType::SingleRate]).signature(),
+            "hybrid@eff|per-session:[SingleRate]"
+        );
+        let explicit = |w: f64| Weighted::new(Weights::from_values(vec![vec![1.0, w]])).signature();
+        assert_eq!(
+            explicit(0.5),
+            format!(
+                "weighted@explicit:[[{}, {}]]",
+                1.0f64.to_bits(),
+                0.5f64.to_bits()
+            )
+        );
+        assert_ne!(explicit(0.0), explicit(-0.0));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!   trait over every regime the paper compares ([`MultiRate`],
 //!   [`SingleRate`], [`Hybrid`] per-session mixes, [`Weighted`] TCP-style,
 //!   [`Unicast`] Bertsekas–Gallager), all sharing scratch buffers through a
-//!   reusable [`SolverWorkspace`];
+//!   reusable [`SolverWorkspace`]. [`Allocator::solve_with`] is the one
+//!   typed solve: the link-rate configuration is its argument, never
+//!   allocator state;
 //! * [`maxmin`] — the progressive-filling engine (the paper's Appendix A
 //!   algorithm) computing the unique max-min fair allocation for any mix of
 //!   single-rate and multi-rate sessions, generalized to arbitrary monotone
@@ -37,13 +39,16 @@
 //!
 //! Every solve goes through the [`Allocator`] trait (or the `Scenario`
 //! builder in the `mlf-scenario` crate, which adds topology, metrics and
-//! sweep composition on top).
+//! sweep composition on top). Solve and audit read the same
+//! [`LinkRateConfig`]: the fairness properties hold, or fail, relative to
+//! the link-rate model the allocation was solved under.
 //! ## Example: the four regimes through one trait
 //!
 //! ```
 //! use mlf_core::allocator::{Allocator, Hybrid, MultiRate, SingleRate, SolverWorkspace};
 //! use mlf_core::{properties, LinkRateConfig};
 //!
+//! # fn main() -> Result<(), mlf_core::SolveError> {
 //! let example = mlf_net::paper::figure2();
 //! let net = &example.network;
 //! let cfg = LinkRateConfig::efficient(net.session_count());
@@ -52,18 +57,20 @@
 //! let mut ws = SolverWorkspace::new();
 //!
 //! // The declared regime mix (S1 single-rate) costs three properties…
-//! let declared = Hybrid::as_declared().solve(net, &mut ws);
+//! let declared = Hybrid::as_declared().solve_with(net, &cfg, &mut ws)?;
 //! let report = properties::check_all(net, &cfg, &declared.allocation);
 //! assert_eq!(report.count_holding(), 1);
 //!
 //! // …the all-multi-rate regime recovers all four (Theorem 1)…
-//! let multi = MultiRate::new().solve(net, &mut ws);
+//! let multi = MultiRate::new().solve_with(net, &cfg, &mut ws)?;
 //! assert!(properties::check_all(net, &cfg, &multi.allocation).all_hold());
 //!
 //! // …and the single-rate regime is what the declared mix collapses to.
-//! let single = SingleRate::new().solve(net, &mut ws);
+//! let single = SingleRate::new().solve_with(net, &cfg, &mut ws)?;
 //! assert_eq!(declared.allocation.rates(), single.allocation.rates());
 //! assert_eq!(ws.solves(), 3);
+//! # Ok(())
+//! # }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -93,7 +100,7 @@ pub use allocator::{
 };
 pub use linkrate::{LinkRateConfig, LinkRateModel};
 pub use maxmin::FreezeReason;
-pub use maxmin::{solve, MaxMinSolution, SolveError};
+pub use maxmin::{MaxMinSolution, SolveError};
 pub use metrics::{jain_index, satisfaction};
 pub use ordering::{is_min_unfavorable, is_strictly_min_unfavorable, ordered};
 pub use properties::{check_all, FairnessReport};

@@ -2,12 +2,11 @@
 //! single-rate and multi-rate sessions (Appendix A of the paper),
 //! generalized to arbitrary monotone session link-rate models (Section 3).
 //!
-//! The preferred entry points are the [`crate::allocator::Allocator`]
+//! The entry points are the [`crate::allocator::Allocator`]
 //! implementations ([`crate::allocator::MultiRate`],
 //! [`crate::allocator::SingleRate`], [`crate::allocator::Hybrid`], …),
-//! which share scratch buffers through a
-//! [`crate::allocator::SolverWorkspace`]; [`solve`] is the low-level
-//! one-shot engine entry.
+//! whose `solve_with` takes the link-rate configuration and shares
+//! scratch buffers through a [`crate::allocator::SolverWorkspace`].
 //!
 //! # Algorithm
 //!
@@ -187,7 +186,7 @@ impl MaxMinSolution {
     }
 }
 
-/// Why progressive filling could not finish.
+/// Why a solve could not finish.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolveError {
     /// A round raised the water level to `level` and then froze no
@@ -200,6 +199,15 @@ pub enum SolveError {
         /// The water level of the stalled round.
         level: f64,
     },
+    /// The allocator's regime is defined for the efficient link-rate
+    /// model only (`Weighted`, `Unicast`), and the configuration gives a
+    /// session another model.
+    UnsupportedLinkRates {
+        /// The allocator's [`name`](crate::allocator::Allocator::name).
+        allocator: &'static str,
+        /// The first session whose model is not `Efficient`.
+        session: usize,
+    },
 }
 
 impl std::fmt::Display for SolveError {
@@ -210,33 +218,20 @@ impl std::fmt::Display for SolveError {
                 "progressive filling made no progress at level {level}: no link came within \
                  1e-9 of its capacity"
             ),
+            SolveError::UnsupportedLinkRates { allocator, session } => write!(
+                f,
+                "the {allocator} allocator solves the efficient link-rate model only, but \
+                 session {session} has another"
+            ),
         }
     }
 }
 
 impl std::error::Error for SolveError {}
 
-/// One-shot progressive-filling solve with diagnostics, honouring each
-/// session's declared type. The low-level engine entry: allocates a fresh
-/// workspace per call. Prefer the [`crate::allocator::Allocator`] trait with
-/// a reused [`SolverWorkspace`] in sweeps and other hot paths.
-///
-/// # Panics
-///
-/// On a [`SolveError`]; [`crate::allocator::Allocator::try_solve`] returns
-/// it instead.
-pub fn solve(net: &Network, cfg: &LinkRateConfig) -> MaxMinSolution {
-    solved(solve_in(
-        net,
-        cfg,
-        &Regimes::AsDeclared,
-        &mut SolverWorkspace::new(),
-    ))
-}
-
 /// The solution, or the panic the infallible entry points document.
 pub(crate) fn solved(result: Result<MaxMinSolution, SolveError>) -> MaxMinSolution {
-    // mlf-lint: allow(panic-unwrap, reason = "documented '# Panics' contract of the infallible entry points; Allocator::try_solve is the typed alternative")
+    // mlf-lint: allow(panic-unwrap, reason = "documented '# Panics' contract of the infallible entry points; Allocator::solve_with is the typed alternative")
     result.unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -249,6 +244,7 @@ pub(crate) fn solve_in(
     regimes: &Regimes,
     ws: &mut SolverWorkspace,
 ) -> Result<MaxMinSolution, SolveError> {
+    regimes.check(net);
     assert_eq!(
         cfg.len(),
         net.session_count(),
@@ -866,6 +862,13 @@ mod tests {
     use crate::allocator::{Allocator, Hybrid, MultiRate, SingleRate};
     use mlf_net::{Graph, Session, SessionId, SessionType};
 
+    /// The declared-regime solve of `net` under `cfg`.
+    fn solve(net: &Network, cfg: &LinkRateConfig) -> MaxMinSolution {
+        Hybrid::as_declared()
+            .solve_with(net, cfg, &mut SolverWorkspace::new())
+            .expect("solvable")
+    }
+
     fn assert_rates(alloc: &Allocation, expected: &[Vec<f64>], tol: f64) {
         for (i, exp) in expected.iter().enumerate() {
             for (k, &e) in exp.iter().enumerate() {
@@ -1054,7 +1057,7 @@ mod tests {
         .unwrap();
         // v = 2 for session 0: link load = 2·L + L = 3L = 12 -> L = 4.
         let cfg = LinkRateConfig::efficient(2).with_session(0, LinkRateModel::Scaled(2.0));
-        let alloc = Hybrid::as_declared().with_config(cfg).allocate(&net);
+        let alloc = solve(&net, &cfg).allocation;
         assert_rates(&alloc, &[vec![4.0, 4.0], vec![4.0]], 1e-9);
         // Efficient: 2L = 12 -> 6 each.
         let eff = Hybrid::as_declared().allocate(&net);
@@ -1077,7 +1080,7 @@ mod tests {
         )
         .unwrap();
         let cfg = LinkRateConfig::efficient(2).with_session(0, LinkRateModel::Sum);
-        let alloc = Hybrid::as_declared().with_config(cfg).allocate(&net);
+        let alloc = solve(&net, &cfg).allocation;
         // Load on the first hop: a11 + a12 + a2 = 3L = 9.
         assert_rates(&alloc, &[vec![3.0, 3.0], vec![3.0]], 1e-9);
     }
@@ -1251,9 +1254,7 @@ mod tests {
             // Flip session 0 single-rate.
             net = net.with_session_kind(SessionId(0), SessionType::SingleRate);
             let cfg = LinkRateConfig::efficient(net.session_count());
-            let alloc = Hybrid::as_declared()
-                .with_config(cfg.clone())
-                .allocate(&net);
+            let alloc = solve(&net, &cfg).allocation;
             assert!(alloc.is_feasible(&net, &cfg), "seed {seed}");
             let rs = &alloc.rates()[0];
             for &a in rs {

@@ -284,8 +284,8 @@ mod tests {
                 for model in models {
                     let cfg = LinkRateConfig::uniform(net.session_count(), model);
                     let solved = Hybrid::as_declared()
-                        .with_config(cfg.clone())
-                        .solve(&net, &mut ws)
+                        .solve_with(&net, &cfg, &mut ws)
+                        .expect("solvable")
                         .allocation;
                     let perturbed = Allocation::from_rates(
                         solved
@@ -341,8 +341,8 @@ mod tests {
                 LinkRateModel::RandomJoin { sigma: 6.0 },
             );
             let alloc = Hybrid::as_declared()
-                .with_config(cfg.clone())
-                .solve(&net, &mut ws)
+                .solve_with(&net, &cfg, &mut ws)
+                .expect("solvable")
                 .allocation;
             let links = LinkAudit::new(&net, &cfg, &alloc);
             let inc = net.incidence();

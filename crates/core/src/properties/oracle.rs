@@ -301,8 +301,8 @@ fn audit_matches_the_definitions_on_max_min_and_perturbed_allocations() {
             for model in models {
                 let cfg = LinkRateConfig::uniform(net.session_count(), model);
                 let solved = Hybrid::as_declared()
-                    .with_config(cfg.clone())
-                    .solve(&net, &mut ws)
+                    .solve_with(&net, &cfg, &mut ws)
+                    .expect("solvable")
                     .allocation;
                 let noisy = perturbed(&net, &solved, &mut rng);
                 for alloc in [&solved, &noisy] {

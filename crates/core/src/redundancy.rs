@@ -119,6 +119,7 @@ pub fn figure6_series(fractions: &[f64], v_max: f64, steps: usize) -> Vec<Figure
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocator::{Allocator, Hybrid, SolverWorkspace};
     use crate::linkrate::{LinkRateConfig, LinkRateModel};
     use mlf_net::{Graph, Session};
 
@@ -229,7 +230,10 @@ mod tests {
         }
         let net = Network::new(g, sessions).unwrap();
         let cfg = LinkRateConfig::efficient(5).with_session(0, LinkRateModel::Scaled(2.0));
-        let alloc = crate::maxmin::solve(&net, &cfg).allocation;
+        let alloc = Hybrid::as_declared()
+            .solve_with(&net, &cfg, &mut SolverWorkspace::new())
+            .expect("solvable")
+            .allocation;
         let expected = bottleneck_fair_rate(12.0, 5, 1, 2.0);
         for (_, rate) in alloc.iter() {
             assert!((rate - expected).abs() < 1e-9, "rate {rate} != {expected}");

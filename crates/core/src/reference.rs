@@ -106,7 +106,7 @@ pub fn solve_in(net: &Network, cfg: &LinkRateConfig, regimes: &Regimes) -> MaxMi
 }
 
 /// Reference solve honouring each session's declared type under explicit
-/// link rates (the shape of `maxmin::solve`).
+/// link rates (what `Hybrid::as_declared().solve_with` computes).
 pub fn solve(net: &Network, cfg: &LinkRateConfig) -> MaxMinSolution {
     solve_in(net, cfg, &Regimes::AsDeclared)
 }

@@ -15,12 +15,19 @@
 //!   max-min fair.
 
 use crate::allocation::{Allocation, RATE_EPS};
+use crate::allocator::{Allocator, Hybrid, SolverWorkspace};
 use crate::linkrate::LinkRateConfig;
-use crate::maxmin::solve;
+use crate::maxmin::{solved, MaxMinSolution};
 use crate::ordering::{is_min_unfavorable, ordered};
 use crate::properties::{self, FairnessReport};
 use mlf_net::topology::SplitMix64;
 use mlf_net::{Network, ReceiverId, SessionType};
+
+/// The max-min fair solution of `net` under `cfg` with each session's
+/// declared type; panics where [`Allocator::solve`] does.
+fn solve(net: &Network, cfg: &LinkRateConfig) -> MaxMinSolution {
+    solved(Hybrid::as_declared().solve_with(net, cfg, &mut SolverWorkspace::new()))
+}
 
 /// Check Theorem 1 on a network: flip every session to multi-rate, compute
 /// the max-min fair allocation under efficient link rates, and verify all

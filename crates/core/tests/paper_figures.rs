@@ -2,7 +2,7 @@
 //! the receiver rates, the session link rates, the full-utilization pattern,
 //! and the property violations the prose walks through.
 
-use mlf_core::allocator::{Allocator, Hybrid};
+use mlf_core::allocator::{Allocator, Hybrid, SolverWorkspace};
 use mlf_core::linkrate::{LinkRateConfig, LinkRateModel};
 use mlf_core::properties;
 use mlf_core::redundancy;
@@ -159,7 +159,10 @@ fn figure4_redundancy_breaks_session_perspective_fairness() {
     let net = &ex.network;
     // S1 redundancy 2 on shared links.
     let cfg = LinkRateConfig::efficient(2).with_session(0, LinkRateModel::Scaled(2.0));
-    let alloc = Hybrid::as_declared().with_config(cfg.clone()).allocate(net);
+    let alloc = Hybrid::as_declared()
+        .solve_with(net, &cfg, &mut SolverWorkspace::new())
+        .expect("solvable")
+        .allocation;
     assert_alloc(&alloc, &ex.expected_rates);
 
     // u_{1,4} = 4, u_{2,4} = 2, l4 (index 3) fully utilized.

@@ -17,7 +17,9 @@
 //! ([`FileClass`]): *library* code carries the full contract, *harness*
 //! code (tests/benches/examples/bins) and *tooling* crates are exempt from
 //! the rules that only make sense for deterministic library paths.
-//! `#[cfg(test)]` regions inside library files count as harness code.
+//! `#[cfg(test)]` regions inside library files count as harness code, and
+//! so, on whole-workspace runs, does every file an out-of-line
+//! `#[cfg(test)] mod name;` declaration pulls in (see [`load_workspace`]).
 //!
 //! # Suppression
 //!
@@ -683,7 +685,10 @@ pub fn lint_paths(root: &Path, paths: &[PathBuf], cfg: &Config) -> io::Result<Re
 }
 
 /// Load every in-scope `.rs` file of the workspace rooted at `root`, in
-/// sorted path order.
+/// sorted path order. A library file that a `#[cfg(test)] mod name;`
+/// declaration pulls in (`name.rs` or `name/mod.rs` in the declaring
+/// module's directory), or that such a file declares in turn, is held to
+/// harness scope like an inline `#[cfg(test)] mod name { … }`.
 pub fn load_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<LoadedFile>> {
     let mut files = Vec::new();
     collect_rs_files(root, &mut files)?;
@@ -705,7 +710,75 @@ pub fn load_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<LoadedFile>> 
             info,
         });
     }
+    mark_test_modules(&mut loaded);
     Ok(loaded)
+}
+
+/// The modules `src` declares out of line at its top level
+/// (`mod name;`), each with whether a `#[cfg(test)]` gates it.
+fn module_decls(src: &str) -> Vec<(&str, bool)> {
+    let tokens = lex(src).tokens;
+    let in_test = test_regions(&tokens, src);
+    let mut depth = 0usize;
+    let mut decls = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        if t.is_punct(src, '{') {
+            depth += 1;
+        } else if t.is_punct(src, '}') {
+            depth = depth.saturating_sub(1);
+        } else if depth == 0
+            && t.kind == TokenKind::Ident
+            && t.text(src) == "mod"
+            && tokens
+                .get(i + 1)
+                .is_some_and(|n| n.kind == TokenKind::Ident)
+            && tokens.get(i + 2).is_some_and(|n| n.is_punct(src, ';'))
+        {
+            decls.push((tokens[i + 1].text(src), in_test[i]));
+        }
+    }
+    decls
+}
+
+/// Reclassify the library files that only test builds compile (see
+/// [`load_workspace`]) as harness code, to a fixpoint over nested
+/// declarations.
+fn mark_test_modules(files: &mut [LoadedFile]) {
+    // `(declaring file, child candidate, gated)` per top-level `mod x;`.
+    let mut edges = Vec::new();
+    for (f, file) in files.iter().enumerate() {
+        let (dir, name) = file.rel.rsplit_once('/').unwrap_or(("", &file.rel));
+        let module_dir = match name {
+            "lib.rs" | "main.rs" | "mod.rs" => dir.to_string(),
+            _ => format!("{dir}/{}", name.trim_end_matches(".rs")),
+        };
+        for (decl, gated) in module_decls(&file.src) {
+            for child in [
+                format!("{module_dir}/{decl}.rs"),
+                format!("{module_dir}/{decl}/mod.rs"),
+            ] {
+                if let Some(c) = files.iter().position(|g| g.rel == child) {
+                    edges.push((f, c, gated));
+                }
+            }
+        }
+    }
+    let mut test_only = vec![false; files.len()];
+    let mut grew = true;
+    while grew {
+        grew = false;
+        for &(parent, child, gated) in &edges {
+            if (gated || test_only[parent]) && !test_only[child] {
+                test_only[child] = true;
+                grew = true;
+            }
+        }
+    }
+    for (file, _) in files.iter_mut().zip(test_only).filter(|(_, t)| *t) {
+        if file.info.class == FileClass::Library {
+            file.info.class = FileClass::Harness;
+        }
+    }
 }
 
 /// Lint the whole workspace: token rules over every in-scope file, plus

@@ -146,3 +146,21 @@ fn workspace_is_lint_clean() {
         report.files_scanned
     );
 }
+
+/// A file pulled in by an out-of-line `#[cfg(test)] mod gated;` is held to
+/// harness scope on a workspace run, as an inline `#[cfg(test)]` module is;
+/// the same source declared as a plain `mod plain;` stays library code.
+#[test]
+fn out_of_line_test_modules_are_harness_code() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/test_module");
+    let report = mlf_lint::lint_workspace(&root, &Config::workspace()).expect("fixture scan");
+    let unwraps = |file: &str| {
+        report
+            .findings
+            .iter()
+            .filter(|f| f.rule == "panic-unwrap" && f.path == format!("crates/core/src/{file}"))
+            .count()
+    };
+    assert_eq!(unwraps("gated.rs"), 0, "{}", mlf_lint::to_human(&report));
+    assert_eq!(unwraps("plain.rs"), 1, "{}", mlf_lint::to_human(&report));
+}

@@ -80,7 +80,9 @@
 //! [`TransportKind::Process`] a **supervised fleet of child worker
 //! processes** that self-exec the current binary
 //! and speak the framed protocol of [`crate::transport`]. Dead processes
-//! are respawned with capped backoff up to
+//! are respawned on the same capped backoff as retries
+//! ([`CoordinatorConfig::backoff_base`] doubling up to
+//! [`CoordinatorConfig::backoff_cap`]), up to
 //! [`ProcessConfig::max_respawns`] per slot; an exhausted fleet degrades
 //! to the serial fallback like a lost thread fleet. The transport cannot
 //! change the merged bytes — it only moves *where* the same pure solves
@@ -292,20 +294,16 @@ pub enum TransportKind {
     Process(ProcessConfig),
 }
 
-/// Knobs of the process-fleet supervisor.
+/// Knobs of the process-fleet supervisor. Workers re-exec the current
+/// executable, which must call
+/// [`crate::transport::maybe_run_process_worker`] first thing in `main`;
+/// a dead slot respawns on the coordinator's retry backoff
+/// ([`CoordinatorConfig::backoff_base`], [`CoordinatorConfig::backoff_cap`]).
 #[derive(Debug, Clone)]
 pub struct ProcessConfig {
-    /// The worker binary (`None` = re-exec the current executable, which
-    /// must call [`crate::transport::maybe_run_process_worker`] first
-    /// thing in `main`).
-    pub program: Option<PathBuf>,
     /// Respawn budget per worker slot; a slot that exhausts it stays
     /// down (and a fully exhausted fleet falls back to the serial path).
     pub max_respawns: u32,
-    /// First respawn backoff; doubles per respawn.
-    pub respawn_backoff: Duration,
-    /// Respawn backoff ceiling.
-    pub respawn_backoff_cap: Duration,
     /// A worker silent for this long while holding an assignment is
     /// declared dead, killed, and respawned. Generous by default — the
     /// per-shard [`CoordinatorConfig::shard_timeout`] already requeues
@@ -316,10 +314,7 @@ pub struct ProcessConfig {
 impl Default for ProcessConfig {
     fn default() -> Self {
         ProcessConfig {
-            program: None,
             max_respawns: 4,
-            respawn_backoff: Duration::from_millis(10),
-            respawn_backoff_cap: Duration::from_millis(200),
             heartbeat: Duration::from_secs(30),
         }
     }
@@ -341,7 +336,8 @@ pub struct CoordinatorConfig {
     pub shard_timeout: Duration,
     /// Retry budget per shard (timeouts and hash rejects both count).
     pub max_retries: u32,
-    /// First retry backoff; doubles per retry.
+    /// First retry backoff; doubles per retry. Process fleets respawn a
+    /// dead worker slot on the same backoff.
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_cap: Duration,
@@ -831,7 +827,9 @@ fn sweep_identity<S: Sweep>(sweep: &S, jobs: &[S::Job]) -> u64 {
     h.finish()
 }
 
-fn backoff(cfg: &CoordinatorConfig, attempt: u32) -> Duration {
+/// The capped, doubling delay before the `attempt`-th retry (from 1):
+/// shard and spot-check retries here, worker respawns in the supervisor.
+pub(crate) fn backoff(cfg: &CoordinatorConfig, attempt: u32) -> Duration {
     let shift = attempt.saturating_sub(1).min(16);
     cfg.backoff_base
         .saturating_mul(1u32 << shift)
@@ -1407,8 +1405,8 @@ impl<'a, S: Sweep + 'static> Run<'a, S> {
                 let mut transport = crate::supervisor::ProcessTransport::<S>::launch(
                     spec.done(),
                     workers,
+                    cfg,
                     pc.clone(),
-                    plan.clone(),
                     stall,
                 )?;
                 self.drive(&mut transport)

@@ -419,6 +419,10 @@ impl Scenario {
     }
 
     /// Solve the scenario once (seed 0 for random sources).
+    ///
+    /// # Panics
+    ///
+    /// On a solve that stalls ([`mlf_core::SolveError::Stalled`]).
     pub fn run(&mut self) -> ScenarioReport {
         // Detach the owned workspace so the shared solve path can borrow
         // `self` immutably (the same path coordinator workers use).
@@ -500,19 +504,14 @@ impl Scenario {
             Some(m) => LinkRateConfig::uniform(net.session_count(), m),
             None => self.link_rates.resolve(net.session_count()),
         };
-        // The allocator solves under the scenario's link-rate config — the
-        // same one the property audit uses. Allocators without link-rate
-        // parameterization (Weighted, Unicast) only compose with efficient
-        // link rates, enforced at build()/sweep_grid() time.
-        let solution =
-            if matches!(self.link_rates, LinkRates::Efficient) && model_override.is_none() {
-                self.allocator.solve(net, ws)
-            } else {
-                self.allocator
-                    .solve_with(net, &cfg, ws)
-                    // mlf-lint: allow(panic-unwrap, reason = "build()/sweep_grid() already rejected allocator/link-rate combinations that solve_with cannot handle")
-                    .expect("allocator link-rate support was validated at build time")
-            };
+        // One config for the solve and the audit: the properties hold, or
+        // fail, relative to the link-rate model the allocation was solved
+        // under.
+        let solution = self
+            .allocator
+            .solve_with(net, &cfg, ws)
+            // mlf-lint: allow(panic-unwrap, reason = "build() and validate_grid() reject link rates the allocator cannot solve; a stalled solve is the documented `# Panics` of run() and sweep_grid()")
+            .unwrap_or_else(|e| panic!("{e}"));
         let fairness = self
             .check_properties
             .then(|| properties::check_all(net, &cfg, &solution.allocation));
@@ -535,7 +534,9 @@ impl Scenario {
     /// error's message: link-rate models on an allocator without a
     /// link-rate parameterization
     /// ([`ScenarioError::AllocatorIgnoresLinkRates`]), or a model outside
-    /// its domain ([`ScenarioError::InvalidLinkRateModel`]).
+    /// its domain ([`ScenarioError::InvalidLinkRateModel`]). Also on a
+    /// solve that stalls ([`mlf_core::SolveError::Stalled`]), as
+    /// [`Scenario::run`] does.
     ///
     /// The sweep runs inline on one workspace with seeds in the outer
     /// loop: each seeded topology is built once, solved under every grid

@@ -182,11 +182,7 @@ impl Sweep for Scenario {
     fn identity(&self, h: &mut Fnv1a) {
         h.write(self.label.as_bytes());
         h.write(self.allocator.name().as_bytes());
-        let sig = self
-            .allocator
-            .cache_signature()
-            .unwrap_or_else(|| "<opaque>".to_string());
-        h.write(sig.as_bytes());
+        h.write(self.allocator.signature().as_bytes());
         h.write_u64(u64::from(self.check_properties));
         match &self.source {
             NetworkSource::Fixed(net) => {

@@ -9,7 +9,8 @@
 //!
 //! * a worker silent past its heartbeat while holding an assignment is
 //!   declared dead, killed, and reaped;
-//! * a dead slot respawns with capped exponential backoff, up to
+//! * a dead slot respawns on the coordinator's capped exponential retry
+//!   backoff (`CoordinatorConfig::{backoff_base, backoff_cap}`), up to
 //!   `ProcessConfig::max_respawns` times, then stays down (**exhausted**);
 //! * every death surfaces to the coordinator as a `Down` event so every
 //!   assignment the worker held is requeued;
@@ -27,7 +28,8 @@
 //! supervisor only reports who is alive and moves bytes.
 
 use crate::coordinator::{
-    Assignment, FaultKind, FaultPlan, ProcessConfig, Sweep, TaskId, Ticket, WorkerReport,
+    backoff, Assignment, CoordinatorConfig, FaultKind, ProcessConfig, Sweep, TaskId, Ticket,
+    WorkerReport,
 };
 use crate::record::HEADER_BYTES;
 use crate::transport::{
@@ -147,8 +149,9 @@ pub(crate) struct ProcessTransport<S: Sweep> {
     program: PathBuf,
     /// The sweep's `Sweep::process_spec` bytes, shipped in every `Init`.
     spec: Vec<u8>,
-    plan: FaultPlan,
     stall: Duration,
+    /// The sweep's config: its fault plan and its retry backoff.
+    coordinator: CoordinatorConfig,
     cfg: ProcessConfig,
     slots: Vec<ChildSlot>,
     /// Slots marked down outside `recv_timeout` (a failed write) whose
@@ -166,23 +169,20 @@ impl<S: Sweep> ProcessTransport<S> {
     pub(crate) fn launch(
         spec: Vec<u8>,
         workers: usize,
+        coordinator: &CoordinatorConfig,
         cfg: ProcessConfig,
-        plan: FaultPlan,
         stall: Duration,
     ) -> Result<Self, TransportError> {
-        let program = match cfg.program.clone() {
-            Some(p) => p,
-            None => std::env::current_exe().map_err(|e| TransportError::Io {
-                op: "current_exe",
-                message: e.to_string(),
-            })?,
-        };
+        let program = std::env::current_exe().map_err(|e| TransportError::Io {
+            op: "current_exe",
+            message: e.to_string(),
+        })?;
         let (events_tx, events_rx) = channel();
         let mut fleet = ProcessTransport {
             program,
             spec,
-            plan,
             stall,
+            coordinator: coordinator.clone(),
             cfg,
             slots: (0..workers.max(1)).map(|_| ChildSlot::new()).collect(),
             lost: VecDeque::new(),
@@ -231,7 +231,7 @@ impl<S: Sweep> ProcessTransport<S> {
         let init = Frame::<S>::Init(WorkerInit {
             worker: w,
             stall: self.stall,
-            plan: self.plan.clone(),
+            plan: self.coordinator.fault_plan.clone(),
             kind: S::INIT_FRAME,
             spec: self.spec.clone(),
         });
@@ -262,13 +262,7 @@ impl<S: Sweep> ProcessTransport<S> {
             slot.respawn_at = None;
         } else {
             slot.respawns_used += 1;
-            let shift = slot.respawns_used.saturating_sub(1).min(16);
-            let delay = self
-                .cfg
-                .respawn_backoff
-                .saturating_mul(1u32 << shift)
-                .min(self.cfg.respawn_backoff_cap);
-            slot.respawn_at = Some(Clock::now() + delay);
+            slot.respawn_at = Some(Clock::now() + backoff(&self.coordinator, slot.respawns_used));
         }
     }
 
@@ -319,9 +313,11 @@ impl<S: Sweep> WorkerTransport<S> for ProcessTransport<S> {
             return false;
         }
         let fault = match assignment.task {
-            TaskId::Shard(_) => self
-                .plan
-                .fires(worker, assignment.shard, assignment.attempt),
+            TaskId::Shard(_) => {
+                self.coordinator
+                    .fault_plan
+                    .fires(worker, assignment.shard, assignment.attempt)
+            }
             TaskId::Spot(_) => None,
         };
         let mut bytes = frame_bytes(&Frame::<S>::Assign(assignment.clone()));

@@ -228,7 +228,7 @@ pub(crate) struct WorkerInit {
 /// ship by name. Membership is decided by *signature equality*: a
 /// scenario's allocator maps to a code only if a fresh instance of that
 /// registry entry states the identical
-/// [`cache_signature`](Allocator::cache_signature), so a worker process
+/// [`signature`](Allocator::signature), so a worker process
 /// provably rebuilds the same solve. The code is the entry's index.
 pub(crate) const ALLOCATORS: [fn() -> Box<dyn Allocator>; 5] = [
     || Box::new(MultiRate::new()),
@@ -239,9 +239,9 @@ pub(crate) const ALLOCATORS: [fn() -> Box<dyn Allocator>; 5] = [
 ];
 
 pub(crate) fn allocator_code(a: &dyn Allocator) -> Option<u8> {
-    let sig = a.cache_signature()?;
+    let sig = a.signature();
     (0..ALLOCATORS.len())
-        .find(|&i| ALLOCATORS[i]().cache_signature().as_deref() == Some(sig.as_str()))
+        .find(|&i| ALLOCATORS[i]().signature() == sig)
         .map(|i| i as u8)
 }
 

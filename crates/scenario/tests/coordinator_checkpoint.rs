@@ -4,8 +4,8 @@
 //! killed at *every* shard boundary resumes to bytes identical to the
 //! serial sweep.
 
-use mlf_core::allocator::MultiRate;
-use mlf_core::LinkRateModel;
+use mlf_core::allocator::{MultiRate, Weighted};
+use mlf_core::{LinkRateModel, Weights};
 use mlf_scenario::checkpoint::{
     decode_point, encode_point, load_checkpoint, shard_content_hash, CheckpointError,
     CheckpointMeta, CheckpointWriter, LoadedCheckpoint, ShardRecord, POINT_BYTES,
@@ -503,4 +503,52 @@ fn checkpoint_is_bound_to_its_fixed_network_content() {
         assert_eq!(resumed.stats.shards_from_checkpoint, 2, "{label}");
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// Explicit per-receiver weights are part of the sweep's identity: a
+/// checkpoint of one weighting must never resume as another on the same
+/// network.
+#[test]
+fn resuming_with_other_explicit_weights_is_refused() {
+    let weighted = |w: f64| {
+        let mut g = mlf_net::Graph::new();
+        let (src, hub) = (g.add_node(), g.add_node());
+        let (a, b) = (g.add_node(), g.add_node());
+        g.add_link(src, hub, 10.0).unwrap();
+        g.add_link(hub, a, 8.0).unwrap();
+        g.add_link(hub, b, 6.0).unwrap();
+        let sessions = vec![
+            mlf_net::Session::multi_rate(src, vec![a, b]),
+            mlf_net::Session::unicast(src, b),
+        ];
+        let weights = Weights::from_values(vec![vec![1.0, w], vec![1.0]]);
+        Scenario::builder()
+            .network(mlf_net::Network::new(g, sessions).unwrap())
+            .allocator(Weighted::new(weights))
+            .build()
+            .expect("valid weighted scenario")
+    };
+    let (mut w1, mut w2) = (weighted(1.0), weighted(3.0));
+    assert_ne!(
+        w1.sweep(0..1),
+        w2.sweep(0..1),
+        "the two weightings must solve differently"
+    );
+    let path = tmp("explicit-weights");
+    let cfg = CoordinatorConfig {
+        shard_size: 1,
+        ..fast_cfg(&path)
+    };
+    let checkpointed = w1.coordinate(0..4, &cfg).expect("w1 sweep checkpoints");
+    assert_eq!(checkpointed.stats.shards_from_checkpoint, 0);
+    match w2.coordinate(0..4, &cfg) {
+        Err(CoordinatorError::Checkpoint(CheckpointError::HeaderMismatch { field, .. })) => {
+            assert_eq!(field, "sweep");
+        }
+        other => panic!("the w2 sweep resumed the w1 checkpoint: {other:?}"),
+    }
+    // The same weighting resumes its own checkpoint.
+    let resumed = w1.coordinate(0..4, &cfg).expect("w1 resumes");
+    assert_eq!(resumed.stats.shards_from_checkpoint, 4);
+    std::fs::remove_file(&path).ok();
 }

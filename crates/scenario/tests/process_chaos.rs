@@ -96,8 +96,8 @@ fn scenario() -> Scenario {
 }
 
 /// Process-fleet config: the same small shards and fast retry clocks as
-/// the thread-transport differential, plus a tight respawn backoff so
-/// kill-and-respawn cycles resolve in milliseconds.
+/// the thread-transport differential. Respawns ride the same 2–20 ms
+/// backoff, so kill-and-respawn cycles resolve in milliseconds.
 fn process_cfg(workers: usize) -> CoordinatorConfig {
     CoordinatorConfig {
         workers,
@@ -106,11 +106,7 @@ fn process_cfg(workers: usize) -> CoordinatorConfig {
         shard_timeout: Duration::from_secs(2),
         backoff_base: Duration::from_millis(2),
         backoff_cap: Duration::from_millis(20),
-        transport: TransportKind::Process(ProcessConfig {
-            respawn_backoff: Duration::from_millis(2),
-            respawn_backoff_cap: Duration::from_millis(50),
-            ..ProcessConfig::default()
-        }),
+        transport: TransportKind::Process(ProcessConfig::default()),
         ..CoordinatorConfig::default()
     }
 }
@@ -243,7 +239,6 @@ fn pipelined_fleet_requeues_exactly_the_lost_assignments() {
     let mut cfg = one_worker(FaultKind::Stall, 1);
     cfg.transport = TransportKind::Process(ProcessConfig {
         heartbeat: Duration::from_millis(200),
-        respawn_backoff: Duration::from_millis(2),
         ..ProcessConfig::default()
     });
     let out = s

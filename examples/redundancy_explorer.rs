@@ -45,8 +45,8 @@ fn main() {
     for m in [0usize, 1, 3, 5, 10] {
         let (net, cfg) = bottleneck_network(capacity, n, m, 3.0);
         let alloc = Hybrid::as_declared()
-            .with_config(cfg.clone())
-            .solve(&net, &mut ws)
+            .solve_with(&net, &cfg, &mut ws)
+            .expect("solvable")
             .allocation;
         let measured = alloc.min_rate();
         let predicted = mlf_core::bottleneck_fair_rate(capacity, n, m, 3.0);

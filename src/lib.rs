@@ -57,16 +57,26 @@
 //! For one-off solves without a scenario, use the
 //! [`Allocator`](mlf_core::allocator::Allocator) trait directly; a shared
 //! [`SolverWorkspace`](mlf_core::allocator::SolverWorkspace) makes repeated
-//! solves allocation-free:
+//! solves allocation-free. The link-rate configuration is an argument of
+//! `solve_with`, never allocator state, so the solve and the fairness
+//! audit read the same one (`solve` is the efficient-model shorthand):
 //!
 //! ```
 //! use multicast_fairness::prelude::*;
 //!
 //! let example = mlf_net::paper::figure2();
+//! let net = &example.network;
 //! let mut ws = SolverWorkspace::new();
-//! let declared = Hybrid::as_declared().solve(&example.network, &mut ws);
-//! let multi = MultiRate::new().solve(&example.network, &mut ws);
+//! let declared = Hybrid::as_declared().solve(net, &mut ws);
+//! let multi = MultiRate::new().solve(net, &mut ws);
 //! assert!(multi.allocation.min_rate() >= declared.allocation.min_rate());
+//!
+//! let rj = LinkRateConfig::uniform(net.session_count(), LinkRateModel::RandomJoin { sigma: 8.0 });
+//! let layered = MultiRate::new()
+//!     .solve_with(net, &rj, &mut ws)
+//!     .expect("the figure 2 network solves");
+//! let audit = check_all(net, &rj, &layered.allocation);
+//! assert!(audit.count_holding() <= 4);
 //! ```
 //!
 //! ## Determinism contract

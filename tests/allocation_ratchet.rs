@@ -70,8 +70,8 @@ const CEILINGS: [(&str, u64); 3] = [
 
 fn max_min(net: &Network, cfg: &LinkRateConfig, ws: &mut SolverWorkspace) -> Allocation {
     Hybrid::as_declared()
-        .with_config(cfg.clone())
-        .solve(net, ws)
+        .solve_with(net, cfg, ws)
+        .expect("solvable")
         .allocation
 }
 

@@ -80,8 +80,8 @@ fn hybrid_with_config_matches_max_min_allocation_with() {
             let cfg = LinkRateConfig::uniform(net.session_count(), model);
             let legacy = reference::solve(&net, &cfg).allocation;
             let new = Hybrid::as_declared()
-                .with_config(cfg)
-                .solve(&net, &mut ws)
+                .solve_with(&net, &cfg, &mut ws)
+                .expect("solvable")
                 .allocation;
             assert_bitwise(&format!("{name}/{model:?}"), &legacy, &new);
         }

@@ -63,13 +63,13 @@ fn random_join_model_is_less_fair_than_efficient() {
     let rj = LinkRateConfig::efficient(2).with_session(0, LinkRateModel::RandomJoin { sigma: 8.0 });
     let mut ws = SolverWorkspace::new();
     let a_eff = Hybrid::as_declared()
-        .with_config(eff)
-        .solve(&ex.network, &mut ws)
+        .solve_with(&ex.network, &eff, &mut ws)
+        .expect("solvable")
         .allocation
         .ordered_vector();
     let a_rj = Hybrid::as_declared()
-        .with_config(rj)
-        .solve(&ex.network, &mut ws)
+        .solve_with(&ex.network, &rj, &mut ws)
+        .expect("solvable")
         .allocation
         .ordered_vector();
     assert!(mlf_core::is_min_unfavorable(&a_rj, &a_eff));
@@ -192,8 +192,9 @@ fn figure6_model_allocator_and_measure_agree() {
         cfg = cfg.with_session(i, LinkRateModel::Scaled(v));
     }
     let alloc = Hybrid::as_declared()
-        .with_config(cfg.clone())
-        .allocate(&net);
+        .solve_with(&net, &cfg, &mut SolverWorkspace::new())
+        .expect("solvable")
+        .allocation;
     let predicted = mlf_core::bottleneck_fair_rate(capacity, n, m, v);
     for (_, rate) in alloc.iter() {
         assert!((rate - predicted).abs() < 1e-9);

@@ -61,7 +61,7 @@ fn assert_bitwise(
     }
 }
 
-/// Solve `net` under `cfg` with `try_solve` and the reference: bitwise
+/// Solve `net` under `cfg` with `solve_with` and the reference: bitwise
 /// equal when the reference finishes, `SolveError::Stalled` at the same
 /// level exactly where the reference panics with "made no progress".
 /// Returns the solve's counters.
@@ -71,9 +71,7 @@ fn assert_bitwise_or_both_stall(
     cfg: &LinkRateConfig,
 ) -> mlf_core::SolveCounters {
     let mut ws = SolverWorkspace::new();
-    let optimized = Hybrid::as_declared()
-        .with_config(cfg.clone())
-        .try_solve(net, &mut ws);
+    let optimized = Hybrid::as_declared().solve_with(net, cfg, &mut ws);
     let reference =
         std::panic::catch_unwind(|| reference::solve_in(net, cfg, &Regimes::AsDeclared));
     match (optimized, reference) {
@@ -163,8 +161,8 @@ proptest! {
         let cfg = LinkRateConfig::uniform(net.session_count(), model);
         let mut ws = SolverWorkspace::new();
         let optimized = Hybrid::as_declared()
-            .with_config(cfg.clone())
-            .solve(&net, &mut ws);
+            .solve_with(&net, &cfg, &mut ws)
+            .expect("solvable");
         let reference = reference::solve_in(&net, &cfg, &Regimes::AsDeclared);
         assert_bitwise(
             &format!("{}/{:?}/seed {seed}", family.label(), model),
@@ -185,8 +183,8 @@ proptest! {
         let mut ws = SolverWorkspace::new();
         for _ in 0..2 {
             let optimized = Hybrid::as_declared()
-                .with_config(cfg.clone())
-                .solve(&net, &mut ws);
+                .solve_with(&net, &cfg, &mut ws)
+                .expect("solvable");
             let reference = reference::solve_in(&net, &cfg, &Regimes::AsDeclared);
             assert_bitwise(&format!("mixed/seed {seed}"), &optimized, &reference);
         }
@@ -201,7 +199,9 @@ proptest! {
         let family = FAMILIES[family_ix];
         let net = random_network_with(family, seed, 30, 8, 5).unwrap();
         let cfg = LinkRateConfig::uniform(net.session_count(), FIG5_MODEL);
-        let optimized = MultiRate::with_config(cfg.clone()).solve(&net, &mut SolverWorkspace::new());
+        let optimized = MultiRate::new()
+            .solve_with(&net, &cfg, &mut SolverWorkspace::new())
+            .expect("solvable");
         let reference =
             reference::solve_in(&net, &cfg, &Regimes::Uniform(SessionType::MultiRate));
         assert_bitwise(&format!("fig5/{}/seed {seed}", family.label()), &optimized, &reference);
@@ -220,8 +220,8 @@ proptest! {
         let net = sprinkle(random_network_with(family, seed, nodes, 6, 5).unwrap(), seed);
         let cfg = mixed_sigma_config(&net, seed);
         let optimized = Hybrid::as_declared()
-            .with_config(cfg.clone())
-            .solve(&net, &mut SolverWorkspace::new());
+            .solve_with(&net, &cfg, &mut SolverWorkspace::new())
+            .expect("solvable");
         let reference = reference::solve_in(&net, &cfg, &Regimes::AsDeclared);
         assert_bitwise(&format!("sigmas/{}/seed {seed}", family.label()), &optimized, &reference);
     }
@@ -246,7 +246,9 @@ proptest! {
         ];
         let mut ws = SolverWorkspace::new();
         for (step, (net, cfg)) in solves.iter().enumerate() {
-            let optimized = Hybrid::as_declared().with_config(cfg.clone()).solve(net, &mut ws);
+            let optimized = Hybrid::as_declared()
+                .solve_with(net, cfg, &mut ws)
+                .expect("solvable");
             let reference = reference::solve_in(net, cfg, &Regimes::AsDeclared);
             assert_bitwise(&format!("reuse step {step}/seed {seed}"), &optimized, &reference);
         }
@@ -290,8 +292,8 @@ proptest! {
         let mate = if linear_mate == 1 { LinkRateModel::Efficient } else { rj };
         let cfg = LinkRateConfig::per_session(vec![rj, rj, mate]);
         let optimized = Hybrid::as_declared()
-            .with_config(cfg.clone())
-            .solve(&net, &mut SolverWorkspace::new());
+            .solve_with(&net, &cfg, &mut SolverWorkspace::new())
+            .expect("solvable");
         let reference = reference::solve_in(&net, &cfg, &Regimes::AsDeclared);
         assert_bitwise(
             &format!("tied/{hops} hops/{fanout} leaves/cap {cap_ix}/leaf {leaf_ix}/{rj:?}"),
@@ -339,8 +341,8 @@ proptest! {
         .unwrap();
         let cfg = LinkRateConfig::per_session(vec![linear, rj]);
         let optimized = Hybrid::as_declared()
-            .with_config(cfg.clone())
-            .solve(&net, &mut SolverWorkspace::new());
+            .solve_with(&net, &cfg, &mut SolverWorkspace::new())
+            .expect("solvable");
         let reference = reference::solve_in(&net, &cfg, &Regimes::AsDeclared);
         assert_bitwise(
             &format!("near-tie/s {s}/δ {delta}/{receivers} receivers/{rj:?}/{linear:?}"),
@@ -353,7 +355,7 @@ proptest! {
     /// `LinkRateModel::validate` accept: subnormal, tiny and huge σ,
     /// capacities from 1e-300 to 1e300, tiny and huge κ, and linear
     /// sessions mixed in. The solver must not panic: where the reference
-    /// stalls (its "made no progress" assert), `try_solve` returns
+    /// stalls (its "made no progress" assert), `solve_with` returns
     /// `SolveError::Stalled`; everywhere else the two agree bitwise. The
     /// counters show the bracketed search spent at most one probe per
     /// settled link plus two evaluations per replayed halving. A κ of 0

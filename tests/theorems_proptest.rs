@@ -5,7 +5,7 @@
 //! test are exercised, not the routing tie-breaks) with random multicast
 //! sessions; session types and κ caps are randomized per case.
 
-use mlf_core::allocator::{Allocator, Hybrid};
+use mlf_core::allocator::{Allocator, Hybrid, SolverWorkspace};
 use mlf_core::{
     linkrate::{LinkRateConfig, LinkRateModel},
     ordering, theory,
@@ -54,7 +54,10 @@ proptest! {
     #[test]
     fn allocator_output_is_feasible_and_blocked(net in arb_network()) {
         let cfg = LinkRateConfig::efficient(net.session_count());
-        let alloc = Hybrid::as_declared().with_config(cfg.clone()).allocate(&net);
+        let alloc = Hybrid::as_declared()
+            .solve_with(&net, &cfg, &mut SolverWorkspace::new())
+            .expect("solvable")
+            .allocation;
         prop_assert!(alloc.is_feasible(&net, &cfg),
             "violation: {:?}", alloc.feasibility_violation(&net, &cfg));
         prop_assert!(theory::spot_check_maxmin(&net, &cfg, &alloc));
