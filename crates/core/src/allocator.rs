@@ -20,7 +20,8 @@
 //! An allocator is a regime and carries no link-rate configuration. The
 //! per-session models `v` of Section 3 enter a solve in one place, the
 //! `cfg` argument of [`Allocator::solve_with`], the one required solve
-//! method; it returns a typed [`SolveError`] instead of panicking.
+//! method; it returns a typed [`SolveError`] instead of panicking, and
+//! [`Allocator::check`] returns its input errors without solving.
 //! [`Allocator::solve`] and [`Allocator::allocate`] are conveniences for
 //! the efficient model. Pass the same `cfg` to the fairness audit
 //! ([`crate::properties::check_all`]): the properties are only meaningful
@@ -66,8 +67,9 @@ use crate::allocation::Allocation;
 use crate::linkrate::{LinkRateConfig, LinkRateModel};
 use crate::maxmin::{solve_in, solved, FreezeReason, MaxMinSolution, Pending, SolveError};
 use crate::unicast::unicast_solve_in;
-use crate::weighted::{weighted_solve_in, Weights};
-use mlf_net::{Incidence, Network, SessionType};
+use crate::weighted::Weights;
+use mlf_net::{Incidence, Network, Session, SessionType};
+use std::borrow::Cow;
 
 /// Reusable scratch state for the progressive-filling solvers.
 ///
@@ -85,7 +87,7 @@ use mlf_net::{Incidence, Network, SessionType};
 /// session → receiver incidence, built once with the [`Network`]). Each
 /// solve (`SolverWorkspace::reset`) sizes, per `(link, session)` *slot*,
 /// the aggregates the hot loops consume: active-receiver count,
-/// frozen-rate sum, frozen-rate maximum, and (for the weighted solver) the
+/// frozen-rate sum, frozen-rate maximum, and (in a `Weighted` solve) the
 /// maximum weight among active receivers. Between freeze events the
 /// solvers never rescan `links × sessions × receivers`; when a receiver
 /// freezes, `SolverWorkspace::note_freeze` recomputes the aggregates of
@@ -137,8 +139,9 @@ pub struct SolverWorkspace {
     pub(crate) slot_frozen_sum: Vec<f64>,
     /// Per-slot frozen-rate maximum (ascending-receiver fold).
     pub(crate) slot_frozen_max: Vec<f64>,
-    /// Per-slot maximum weight among active receivers (weighted solver
-    /// only; left zeroed by the unweighted engines).
+    /// Per-slot maximum weight among active receivers (ascending-receiver
+    /// fold, `0` once none is active). Sized by `Weighted` solves only and
+    /// read only while the solve has weights.
     pub(crate) slot_wmax: Vec<f64>,
     /// Per-link count of active receivers crossing the link.
     pub(crate) link_active: Vec<usize>,
@@ -214,9 +217,10 @@ impl SolverWorkspace {
     }
 
     /// Size the per-receiver tables for `net` and reset them to the
-    /// progressive-filling start state (all rates 0, everyone active).
+    /// progressive-filling start state (all rates 0, everyone active), with
+    /// the per-slot weight maxima of `weights` when the solve has them.
     /// Inner buffers are reused whenever shapes repeat.
-    pub(crate) fn reset(&mut self, net: &Network) {
+    pub(crate) fn reset(&mut self, net: &Network, weights: Option<&[Vec<f64>]>) {
         let m = net.session_count();
         self.rates.resize_with(m, Vec::new);
         self.active.resize_with(m, Vec::new);
@@ -248,7 +252,13 @@ impl SolverWorkspace {
         self.slot_frozen_max.clear();
         self.slot_frozen_max.resize(slots, 0.0);
         self.slot_wmax.clear();
-        self.slot_wmax.resize(slots, 0.0);
+        if let Some(w) = weights {
+            self.slot_wmax.extend((0..slots).map(|slot| {
+                let i = inc.slot_session(slot);
+                let receivers = inc.slot_receivers(slot).iter();
+                receivers.fold(0.0_f64, |wmax, &k| wmax.max(w[i][k]))
+            }));
+        }
         let positions = inc.position_count();
         self.pos_active.clear();
         self.pos_active.resize(positions, true);
@@ -275,10 +285,18 @@ impl SolverWorkspace {
     /// factor `miss` (when its session has one) at every position, and
     /// recompute the frozen aggregates of every slot on the receiver's
     /// data-path by the ascending-receiver fold (see the incremental-load
-    /// invariant in the type docs). The caller must have already cleared
+    /// invariant in the type docs), and the active-weight maxima too when
+    /// the solve has `weights`. The caller must have already cleared
     /// `active[i][k]` and stored the final rate in `rates[i][k]`; `inc` is
     /// the incidence of the network being solved.
-    pub(crate) fn note_freeze(&mut self, inc: &Incidence, i: usize, k: usize, miss: Option<f64>) {
+    pub(crate) fn note_freeze(
+        &mut self,
+        inc: &Incidence,
+        i: usize,
+        k: usize,
+        miss: Option<f64>,
+        weights: Option<&[Vec<f64>]>,
+    ) {
         debug_assert!(!self.active[i][k], "freeze bookkeeping before the flag");
         self.session_active[i] -= 1;
         self.active_total -= 1;
@@ -292,7 +310,8 @@ impl SolverWorkspace {
             let mut active = 0usize;
             let mut frozen_sum = 0.0_f64;
             let mut frozen_max = 0.0_f64;
-            for (p, &kk) in inc.slot_positions(slot).zip(inc.slot_receivers(slot)) {
+            let positions = || inc.slot_positions(slot).zip(inc.slot_receivers(slot));
+            for (p, &kk) in positions() {
                 if self.pos_active[p] {
                     active += 1;
                 } else {
@@ -304,27 +323,10 @@ impl SolverWorkspace {
             self.slot_active[slot] = active;
             self.slot_frozen_sum[slot] = frozen_sum;
             self.slot_frozen_max[slot] = frozen_max;
-        }
-    }
-
-    /// [`SolverWorkspace::note_freeze`] plus maintenance of the per-slot
-    /// active-weight maximum the weighted solver reads (`slot_wmax`).
-    pub(crate) fn note_freeze_weighted(
-        &mut self,
-        inc: &Incidence,
-        i: usize,
-        k: usize,
-        weights: &[Vec<f64>],
-    ) {
-        self.note_freeze(inc, i, k, None);
-        for &(slot, _) in inc.route_slots(inc.flat(i, k)) {
-            let mut wmax = 0.0_f64;
-            for &kk in inc.slot_receivers(slot) {
-                if self.active[i][kk] {
-                    wmax = wmax.max(weights[i][kk]);
-                }
+            if let Some(w) = weights {
+                let active = positions().filter(|&(p, _)| self.pos_active[p]);
+                self.slot_wmax[slot] = active.fold(0.0_f64, |wmax, (_, &kk)| wmax.max(w[i][kk]));
             }
-            self.slot_wmax[slot] = wmax;
         }
     }
 
@@ -371,13 +373,11 @@ impl Regimes {
         }
     }
 
-    pub(crate) fn check(&self, net: &Network) {
-        if let Regimes::PerSession(ks) = self {
-            assert_eq!(
-                ks.len(),
-                net.session_count(),
-                "per-session regime list must cover every session"
-            );
+    /// `Ok` unless a per-session list misses or exceeds `net`'s sessions.
+    fn check(&self, net: &Network) -> Result<(), SolveError> {
+        match self {
+            Regimes::PerSession(ks) => session_count("regime list", net, ks.len()),
+            _ => Ok(()),
         }
     }
 }
@@ -397,22 +397,23 @@ pub trait Allocator: Send + Sync {
     /// the per-session link-rate models `cfg`, with per-receiver freeze
     /// diagnostics.
     ///
-    /// Returns [`SolveError::Stalled`] when progressive filling stops
-    /// short of every link, and [`SolveError::UnsupportedLinkRates`] when
-    /// the regime has no link-rate parameterization ([`Weighted`] and
-    /// [`Unicast`] are defined for the efficient model only) and `cfg`
-    /// gives a session another model.
-    ///
-    /// # Panics
-    ///
-    /// When `cfg` does not cover every session of `net`. The [`Weighted`]
-    /// and [`Unicast`] engines keep their own `assert!`s, stalls included.
+    /// Returns the error of [`Allocator::check`] on inputs it rejects, and
+    /// [`SolveError::Stalled`] when progressive filling stops short of
+    /// every link.
     fn solve_with(
         &self,
         net: &Network,
         cfg: &LinkRateConfig,
         ws: &mut SolverWorkspace,
     ) -> Result<MaxMinSolution, SolveError>;
+
+    /// The [`SolveError`] [`Allocator::solve_with`] returns for `net` and
+    /// `cfg` before any filling, or `Ok` (the solve can still stall): a
+    /// per-session input of the wrong length, a model or session the
+    /// regime does not define, or bad weights.
+    fn check(&self, net: &Network, cfg: &LinkRateConfig) -> Result<(), SolveError> {
+        session_count("link-rate config", net, cfg.len())
+    }
 
     /// [`Allocator::solve_with`] under the efficient link-rate model.
     ///
@@ -449,20 +450,31 @@ pub trait Allocator: Send + Sync {
     fn signature(&self) -> String;
 }
 
-/// `Ok` when every session of `cfg` is efficient: the one configuration
-/// the regimes without a link-rate parameterization solve.
+/// `Ok` when a per-session `input` of `got` entries covers `net`.
+fn session_count(input: &'static str, net: &Network, got: usize) -> Result<(), SolveError> {
+    if got == net.session_count() {
+        Ok(())
+    } else {
+        Err(SolveError::SessionCount { input, got })
+    }
+}
+
+/// `Ok` when `cfg` covers `net` with efficient models only and every
+/// session is one the regime defines: the inputs of the regimes without a
+/// link-rate parameterization.
 fn efficient_only(
     allocator: &'static str,
     net: &Network,
     cfg: &LinkRateConfig,
+    defined: impl Fn(&Session) -> bool,
 ) -> Result<(), SolveError> {
-    assert_eq!(
-        cfg.len(),
-        net.session_count(),
-        "link-rate config must cover every session"
-    );
-    match (0..cfg.len()).find(|&i| !matches!(cfg.model(i), LinkRateModel::Efficient)) {
-        Some(session) => Err(SolveError::UnsupportedLinkRates { allocator, session }),
+    session_count("link-rate config", net, cfg.len())?;
+    let efficient = |i| matches!(cfg.model(i), LinkRateModel::Efficient);
+    if let Some(session) = (0..cfg.len()).find(|&i| !efficient(i)) {
+        return Err(SolveError::UnsupportedLinkRates { allocator, session });
+    }
+    match net.sessions().iter().position(|s| !defined(s)) {
+        Some(session) => Err(SolveError::UnsupportedSession { allocator, session }),
         None => Ok(()),
     }
 }
@@ -485,7 +497,9 @@ impl Allocator for MultiRate {
         cfg: &LinkRateConfig,
         ws: &mut SolverWorkspace,
     ) -> Result<MaxMinSolution, SolveError> {
-        solve_in(net, cfg, &Regimes::Uniform(SessionType::MultiRate), ws)
+        self.check(net, cfg)?;
+        let regimes = Regimes::Uniform(SessionType::MultiRate);
+        solve_in(net, cfg, &regimes, None, ws)
     }
 
     fn name(&self) -> &'static str {
@@ -515,7 +529,9 @@ impl Allocator for SingleRate {
         cfg: &LinkRateConfig,
         ws: &mut SolverWorkspace,
     ) -> Result<MaxMinSolution, SolveError> {
-        solve_in(net, cfg, &Regimes::Uniform(SessionType::SingleRate), ws)
+        self.check(net, cfg)?;
+        let regimes = Regimes::Uniform(SessionType::SingleRate);
+        solve_in(net, cfg, &regimes, None, ws)
     }
 
     fn name(&self) -> &'static str {
@@ -563,7 +579,13 @@ impl Allocator for Hybrid {
         cfg: &LinkRateConfig,
         ws: &mut SolverWorkspace,
     ) -> Result<MaxMinSolution, SolveError> {
-        solve_in(net, cfg, &self.regimes, ws)
+        self.check(net, cfg)?;
+        solve_in(net, cfg, &self.regimes, None, ws)
+    }
+
+    fn check(&self, net: &Network, cfg: &LinkRateConfig) -> Result<(), SolveError> {
+        session_count("link-rate config", net, cfg.len())?;
+        self.regimes.check(net)
     }
 
     fn name(&self) -> &'static str {
@@ -583,20 +605,15 @@ impl Allocator for Hybrid {
 /// extension): max-min over the normalized rates `a / w`.
 #[derive(Debug, Clone)]
 pub struct Weighted {
-    weights: WeightSpec,
-}
-
-#[derive(Debug, Clone)]
-enum WeightSpec {
-    Uniform,
-    Explicit(Weights),
+    /// Explicit weights, or `None` for uniform ones.
+    weights: Option<Weights>,
 }
 
 impl Weighted {
-    /// Explicit per-receiver weights (shape-checked at solve time).
+    /// Explicit per-receiver weights (checked by [`Allocator::check`]).
     pub fn new(weights: Weights) -> Self {
         Weighted {
-            weights: WeightSpec::Explicit(weights),
+            weights: Some(weights),
         }
     }
 
@@ -604,9 +621,7 @@ impl Weighted {
     /// makes this the differential twin of [`MultiRate`] on multi-rate
     /// networks.
     pub fn uniform() -> Self {
-        Weighted {
-            weights: WeightSpec::Uniform,
-        }
+        Weighted { weights: None }
     }
 }
 
@@ -617,11 +632,31 @@ impl Allocator for Weighted {
         cfg: &LinkRateConfig,
         ws: &mut SolverWorkspace,
     ) -> Result<MaxMinSolution, SolveError> {
-        efficient_only(self.name(), net, cfg)?;
-        Ok(match &self.weights {
-            WeightSpec::Uniform => weighted_solve_in(net, &Weights::uniform(net), ws),
-            WeightSpec::Explicit(w) => weighted_solve_in(net, w, ws),
-        })
+        self.check(net, cfg)?;
+        let uniform = || Cow::Owned(Weights::uniform(net));
+        let weights = self.weights.as_ref().map_or_else(uniform, Cow::Borrowed);
+        let regimes = Regimes::Uniform(SessionType::MultiRate);
+        solve_in(net, cfg, &regimes, Some(weights.values()), ws)
+    }
+
+    fn check(&self, net: &Network, cfg: &LinkRateConfig) -> Result<(), SolveError> {
+        efficient_only(self.name(), net, cfg, |s| s.kind.is_multi_rate())?;
+        let Some(weights) = &self.weights else {
+            return Ok(());
+        };
+        session_count("weight table", net, weights.values().len())?;
+        let fits = |(s, row): (&Session, &Vec<f64>)| {
+            row.len() == s.receivers.len() && row.iter().all(|w| w.is_finite() && *w > 0.0)
+        };
+        match net
+            .sessions()
+            .iter()
+            .zip(weights.values())
+            .position(|p| !fits(p))
+        {
+            Some(session) => Err(SolveError::BadWeights { session }),
+            None => Ok(()),
+        }
     }
 
     fn supports_link_rates(&self) -> bool {
@@ -636,8 +671,8 @@ impl Allocator for Weighted {
     /// session.
     fn signature(&self) -> String {
         match &self.weights {
-            WeightSpec::Uniform => "weighted@uniform".to_string(),
-            WeightSpec::Explicit(w) => {
+            None => "weighted@uniform".to_string(),
+            Some(w) => {
                 let sessions: Vec<Vec<u64>> = w
                     .values()
                     .iter()
@@ -651,8 +686,7 @@ impl Allocator for Weighted {
 
 /// The textbook Bertsekas–Gallager unicast water-filling, kept
 /// implementation-independent from the general solver as a differential
-/// baseline. Panics (as the legacy free function did) if any session has
-/// more than one receiver.
+/// baseline. Defined for one-receiver sessions only.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Unicast;
 
@@ -670,8 +704,12 @@ impl Allocator for Unicast {
         cfg: &LinkRateConfig,
         ws: &mut SolverWorkspace,
     ) -> Result<MaxMinSolution, SolveError> {
-        efficient_only(self.name(), net, cfg)?;
-        Ok(unicast_solve_in(net, ws))
+        self.check(net, cfg)?;
+        unicast_solve_in(net, ws)
+    }
+
+    fn check(&self, net: &Network, cfg: &LinkRateConfig) -> Result<(), SolveError> {
+        efficient_only(self.name(), net, cfg, Session::is_unicast)
     }
 
     fn supports_link_rates(&self) -> bool {
@@ -886,17 +924,128 @@ mod tests {
         assert_eq!(a1.rates(), a2.rates());
     }
 
+    /// Every input a regime does not define returns its typed error, from
+    /// `check` and `solve_with` alike, instead of a panic.
     #[test]
-    fn weighted_uniform_matches_multi_rate() {
+    fn rejected_inputs_return_typed_errors() {
+        let mut g = Graph::new();
+        let n = g.add_nodes(4);
+        g.add_link(n[0], n[1], 6.0).unwrap();
+        g.add_link(n[1], n[2], 4.0).unwrap();
+        g.add_link(n[1], n[3], 2.0).unwrap();
+        let unicast = Session::unicast(n[0], n[2]);
+        let multi = Session::multi_rate(n[0], vec![n[2], n[3]]);
+        let single = Session::single_rate(n[0], vec![n[2], n[3]]);
+        let net = Network::new(g.clone(), vec![multi, unicast.clone()]).unwrap();
+        let mixed = Network::new(g, vec![single, unicast]).unwrap();
+        let weighted = |w: Vec<Vec<f64>>| -> Box<dyn Allocator> {
+            Box::new(Weighted::new(Weights::from_values(w)))
+        };
+        let second_weight = |w: f64| weighted(vec![vec![1.0, w], vec![1.0]]);
+        let bad_weights = SolveError::BadWeights { session: 0 };
+        let one_short = |input| SolveError::SessionCount { input, got: 1 };
+        let short = LinkRateConfig::efficient(1);
+        let eff = LinkRateConfig::efficient(2);
+        type Case<'a> = (
+            &'a str,
+            Box<dyn Allocator>,
+            &'a Network,
+            &'a LinkRateConfig,
+            SolveError,
+        );
+        let cases: Vec<Case> = vec![
+            (
+                "weights one session short",
+                weighted(vec![vec![1.0, 1.0]]),
+                &net,
+                &eff,
+                one_short("weight table"),
+            ),
+            (
+                "weights one receiver short",
+                weighted(vec![vec![1.0], vec![1.0]]),
+                &net,
+                &eff,
+                bad_weights,
+            ),
+            ("zero weight", second_weight(0.0), &net, &eff, bad_weights),
+            (
+                "NaN weight",
+                second_weight(f64::NAN),
+                &net,
+                &eff,
+                bad_weights,
+            ),
+            (
+                "negative weight",
+                second_weight(-1.0),
+                &net,
+                &eff,
+                bad_weights,
+            ),
+            (
+                "infinite weight",
+                second_weight(f64::INFINITY),
+                &net,
+                &eff,
+                bad_weights,
+            ),
+            (
+                "single-rate session under Weighted",
+                Box::new(Weighted::uniform()),
+                &mixed,
+                &eff,
+                SolveError::UnsupportedSession {
+                    allocator: "weighted",
+                    session: 0,
+                },
+            ),
+            (
+                "link rates one short under MultiRate",
+                Box::new(MultiRate::new()),
+                &net,
+                &short,
+                one_short("link-rate config"),
+            ),
+            (
+                "link rates one short under Weighted",
+                Box::new(Weighted::uniform()),
+                &net,
+                &short,
+                one_short("link-rate config"),
+            ),
+            (
+                "regime list one short",
+                Box::new(Hybrid::new(vec![SessionType::MultiRate])),
+                &net,
+                &eff,
+                one_short("regime list"),
+            ),
+            (
+                "Unicast on a multicast network",
+                Box::new(Unicast::new()),
+                &net,
+                &eff,
+                SolveError::UnsupportedSession {
+                    allocator: "unicast",
+                    session: 0,
+                },
+            ),
+        ];
         let mut ws = SolverWorkspace::new();
-        for seed in 0..10u64 {
-            let net = random_network(seed, 10, 4, 4).unwrap();
-            let w = Weighted::uniform().solve(&net, &mut ws).allocation;
-            let m = MultiRate::new().solve(&net, &mut ws).allocation;
-            for (a, b) in w.rates().iter().flatten().zip(m.rates().iter().flatten()) {
-                assert!((a - b).abs() < 1e-9, "seed {seed}: {a} vs {b}");
-            }
+        for (label, allocator, net, cfg, want) in &cases {
+            assert_eq!(allocator.check(net, cfg), Err(*want), "{label}");
+            assert_eq!(
+                allocator.solve_with(net, cfg, &mut ws),
+                Err(*want),
+                "{label}"
+            );
         }
+        assert_eq!(ws.solves(), 0, "no input reached the filling");
+        // Well-formed inputs pass the same checks.
+        assert_eq!(second_weight(0.5).check(&net, &eff), Ok(()));
+        assert_eq!(Weighted::uniform().check(&net, &eff), Ok(()));
+        assert_eq!(MultiRate::new().check(&mixed, &eff), Ok(()));
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!   reusable [`SolverWorkspace`]. [`Allocator::solve_with`] is the one
 //!   typed solve: the link-rate configuration is its argument, never
 //!   allocator state;
-//! * [`maxmin`] — the progressive-filling engine (the paper's Appendix A
-//!   algorithm) computing the unique max-min fair allocation for any mix of
-//!   single-rate and multi-rate sessions, generalized to arbitrary monotone
-//!   session link-rate models. Its hot paths iterate the network's own
+//! * [`maxmin`] — the one progressive-filling engine (the paper's Appendix
+//!   A algorithm) computing the unique max-min fair allocation for any mix
+//!   of single-rate and multi-rate sessions, generalized to arbitrary
+//!   monotone session link-rate models and, for [`Weighted`], to
+//!   per-receiver weights. Its hot paths iterate the network's own
 //!   CSR incidence ([`mlf_net::Incidence`], built once with the
 //!   `Network`) instead of rescanning `links × sessions × receivers`, with
 //!   incrementally maintained per-`(link, session)` aggregates in the
@@ -34,8 +35,9 @@
 //! * [`theory`] — Theorems 1–2 and Lemmas 1, 3, 4 as executable checks;
 //! * [`unicast`] — the textbook Bertsekas–Gallager unicast water-filling,
 //!   kept implementation-independent as a differential baseline;
-//! * [`weighted`] — weighted (TCP-fairness-style) multi-rate max-min, the
-//!   Section 5 future-work item, implemented.
+//! * [`weighted`] — the per-receiver [`Weights`] of weighted
+//!   (TCP-fairness-style) multi-rate max-min, the Section 5 future-work
+//!   item, which [`Weighted`] solves through [`maxmin`].
 //!
 //! Every solve goes through the [`Allocator`] trait (or the `Scenario`
 //! builder in the `mlf-scenario` crate, which adds topology, metrics and

@@ -51,6 +51,38 @@
 //! suite asserts. `Sum` and `RandomJoin` loads re-fold a slot's positions
 //! at each evaluation, in the same order.
 //!
+//! # Weighted filling
+//!
+//! [`crate::allocator::Weighted`] runs this loop with a weight `w > 0` per
+//! receiver (multi-rate `Efficient` sessions only). The level becomes a
+//! potential: an active receiver holds `w·ℓ`, and a slot's session rate is
+//! `max(frozen_max, w_max·ℓ)`, with `w_max` its largest active weight,
+//! re-folded by `SolverWorkspace::note_freeze`. Only these steps read the
+//! weights: the cap `min κ_i / w`, the raise to `w·ℓ`, the saturation term
+//! `(frozen_max / w_max, w_max)`, the load `frozen_max.max(w_max·ℓ)`, and
+//! the two freeze tests below, each the operation of the frozen
+//! `reference::weighted_solve`. `State` takes the weighting as a const
+//! parameter, so unweighted solves compile without these branches.
+//!
+//! **Exact at `w ≡ 1`.** `x / 1.0` and `1.0 · x` are exact, so with unit
+//! weights the cap, raise, terms and load are the unweighted ones bit for
+//! bit (the load's `ℓ.max(0)` is `ℓ`: the level never falls below 0).
+//!
+//! **The κ test stays weighted.** A weighted receiver freezes at `κ_i`
+//! when `w·ℓ ≥ κ_i − ε`, an unweighted session when `κ_i ≤ ℓ + ε`. These
+//! agree in exact arithmetic, but `κ_i − ε` and `ℓ + ε` round differently,
+//! so a level within a rounding of the boundary can pass one and fail the
+//! other (a `2e-9` link with `κ_i` just over `c + ε` is such a case; see
+//! the `weighted` tests). Each keeps the expression of its own reference.
+//!
+//! **The free-rider test, per receiver.** On a saturated link a weighted
+//! receiver freezes once its rate is its session's rate there,
+//! `w·ℓ ≥ max(frozen_max, w_max·ℓ) − ε`; lighter receivers ride on. At
+//! `w ≡ 1` every active rate is `ℓ`. If `frozen_max ≥ ℓ`, the test is
+//! `ℓ ≥ frozen_max − ε`. Otherwise it is `ℓ ≥ ℓ − ε`, true, and so is
+//! `ℓ ≥ frozen_max − ε`, as rounding is monotone. Either way it is the
+//! slot-level `ℓ ≥ frozen_max − ε` that `session_marginal_on` tests once.
+//!
 //! # `RandomJoin` loads: per-position miss factors
 //!
 //! A `RandomJoin{σ}` session's link rate is `σ(1 − ∏_t(1 − a_t/σ))`,
@@ -208,6 +240,28 @@ pub enum SolveError {
         /// The first session whose model is not `Efficient`.
         session: usize,
     },
+    /// The regime does not define a session of this kind: `Weighted`
+    /// solves multi-rate sessions only, `Unicast` one-receiver ones.
+    UnsupportedSession {
+        /// The allocator's [`name`](crate::allocator::Allocator::name).
+        allocator: &'static str,
+        /// The first session outside the regime.
+        session: usize,
+    },
+    /// A per-session input (`"link-rate config"`, `"regime list"` or
+    /// `"weight table"`) does not hold one entry per session.
+    SessionCount {
+        /// Which input.
+        input: &'static str,
+        /// How many entries it holds.
+        got: usize,
+    },
+    /// A session's weights are not one finite, positive weight per
+    /// receiver.
+    BadWeights {
+        /// The first such session.
+        session: usize,
+    },
 }
 
 impl std::fmt::Display for SolveError {
@@ -223,6 +277,18 @@ impl std::fmt::Display for SolveError {
                 "the {allocator} allocator solves the efficient link-rate model only, but \
                  session {session} has another"
             ),
+            SolveError::UnsupportedSession { allocator, session } => {
+                write!(f, "the {allocator} regime excludes session {session}")
+            }
+            SolveError::SessionCount { input, got } => {
+                write!(f, "the {input} has {got} entries, not one per session")
+            }
+            SolveError::BadWeights { session } => {
+                write!(
+                    f,
+                    "session {session} needs a finite weight > 0 per receiver"
+                )
+            }
         }
     }
 }
@@ -236,52 +302,66 @@ pub(crate) fn solved(result: Result<MaxMinSolution, SolveError>) -> MaxMinSoluti
 }
 
 /// Progressive filling into a caller-provided workspace, with an explicit
-/// session-type regime. The engine behind every [`crate::allocator`]
-/// implementation except `Weighted` and `Unicast`.
+/// session-type regime and, for `Weighted`, per-receiver weights
+/// (`[session][receiver]`; see "Weighted filling"). The engine behind
+/// every [`crate::allocator`] implementation except `Unicast`. The inputs
+/// must pass the allocator's [`crate::allocator::Allocator::check`].
 pub(crate) fn solve_in(
     net: &Network,
     cfg: &LinkRateConfig,
     regimes: &Regimes,
+    weights: Option<&[Vec<f64>]>,
     ws: &mut SolverWorkspace,
 ) -> Result<MaxMinSolution, SolveError> {
-    regimes.check(net);
-    assert_eq!(
-        cfg.len(),
-        net.session_count(),
-        "link-rate config must cover every session"
-    );
-    ws.reset(net);
-    let mut state = State {
-        net,
-        inc: net.incidence(),
-        cfg,
-        regimes,
-        ws,
-        level: 0.0,
-    };
-    let mut iterations = 0;
-    while state.any_active() {
-        iterations += 1;
-        assert!(
-            iterations <= net.receiver_count() + 1,
-            "progressive filling failed to converge (tolerance breakdown?)"
-        );
-        state.step()?;
+    ws.reset(net, weights);
+    match weights {
+        None => State::<false>::fill(net, cfg, regimes, &[], ws),
+        Some(weights) => State::<true>::fill(net, cfg, regimes, weights, ws),
     }
-    Ok(ws.take_solution(iterations))
 }
 
-/// Water-filling pass over workspace-held state.
-struct State<'a> {
+/// Water-filling pass over workspace-held state; `WEIGHTED` solves read
+/// `weights` (see "Weighted filling"), the others compile without them.
+struct State<'a, const WEIGHTED: bool> {
     net: &'a Network,
     inc: &'a Incidence,
     cfg: &'a LinkRateConfig,
     regimes: &'a Regimes,
+    /// Per-receiver weights, `[session][receiver]`: active rates are
+    /// `w·level`. Only multi-rate `Efficient` sessions have them.
+    weights: &'a [Vec<f64>],
     ws: &'a mut SolverWorkspace,
     level: f64,
 }
 
-impl State<'_> {
+impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
+    /// Fill from the workspace's reset state until every receiver froze.
+    fn fill(
+        net: &'a Network,
+        cfg: &'a LinkRateConfig,
+        regimes: &'a Regimes,
+        weights: &'a [Vec<f64>],
+        ws: &'a mut SolverWorkspace,
+    ) -> Result<MaxMinSolution, SolveError> {
+        let inc = net.incidence();
+        let mut state = Self {
+            net,
+            inc,
+            cfg,
+            regimes,
+            weights,
+            ws,
+            level: 0.0,
+        };
+        // Every step freezes a receiver or fails, so the loop is finite.
+        let mut iterations = 0;
+        while state.any_active() {
+            iterations += 1;
+            state.step()?;
+        }
+        Ok(state.ws.take_solution(iterations))
+    }
+
     fn any_active(&self) -> bool {
         self.ws.active_total > 0
     }
@@ -308,11 +388,19 @@ impl State<'_> {
     /// One progressive-filling event: advance the level to the next freezing
     /// point and freeze every receiver that binds there.
     fn step(&mut self) -> Result<(), SolveError> {
-        let upper = (0..self.net.session_count())
-            .filter(|&i| self.session_has_active(i))
-            .map(|i| self.effective_kappa(i))
-            .fold(f64::INFINITY, f64::min);
-        debug_assert!(upper.is_finite(), "session max rates are finite");
+        let mut upper = f64::INFINITY;
+        for i in (0..self.net.session_count()).filter(|&i| self.session_has_active(i)) {
+            let kappa = self.effective_kappa(i);
+            upper = if WEIGHTED {
+                // A weighted receiver reaches κ_i at level κ_i / w.
+                let w = &self.weights[i];
+                (0..w.len())
+                    .filter(|&k| self.ws.active[i][k])
+                    .fold(upper, |u, k| u.min(kappa / w[k]))
+            } else {
+                upper.min(kappa)
+            };
+        }
 
         // The next level is the smallest saturation level over all links
         // (clamped to `upper`). Links settled without a search go first;
@@ -343,27 +431,35 @@ impl State<'_> {
         );
         self.level = next.max(self.level);
 
-        // Raise every active receiver to the new level.
+        // Raise every active receiver to the new level (`w·level` when
+        // weighted).
         for i in 0..self.ws.rates.len() {
             for k in 0..self.ws.rates[i].len() {
                 if self.ws.active[i][k] {
-                    self.ws.rates[i][k] = self.level;
+                    self.ws.rates[i][k] = if WEIGHTED {
+                        self.weights[i][k] * self.level
+                    } else {
+                        self.level
+                    };
                 }
             }
         }
 
         let mut froze_any = false;
 
-        // κ freezes.
+        // κ freezes: the whole session at once, or, when weighted, each
+        // receiver whose own rate reached κ_i.
         for i in 0..self.net.session_count() {
-            if self.session_has_active(i) && self.effective_kappa(i) <= self.level + RATE_EPS {
-                let kappa = self.effective_kappa(i);
-                for k in 0..self.ws.rates[i].len() {
-                    if self.ws.active[i][k] {
-                        self.ws.rates[i][k] = kappa;
-                        self.freeze(i, k, FreezeReason::MaxRate);
-                        froze_any = true;
-                    }
+            let kappa = self.effective_kappa(i);
+            if !self.session_has_active(i) || (!WEIGHTED && kappa > self.level + RATE_EPS) {
+                continue;
+            }
+            for k in 0..self.ws.rates[i].len() {
+                let at_kappa = !WEIGHTED || self.ws.rates[i][k] >= kappa - RATE_EPS;
+                if self.ws.active[i][k] && at_kappa {
+                    self.ws.rates[i][k] = kappa;
+                    self.freeze(i, k, FreezeReason::MaxRate);
+                    froze_any = true;
                 }
             }
         }
@@ -387,7 +483,12 @@ impl State<'_> {
                 if self.ws.slot_active[slot] == 0 {
                     continue;
                 }
-                if !self.session_marginal_on(slot, i) {
+                // Weighted: a receiver is marginal once its rate is the
+                // session's rate on the link (see "Weighted filling").
+                let session_max = WEIGHTED.then(|| {
+                    self.ws.slot_frozen_max[slot].max(self.ws.slot_wmax[slot] * self.level)
+                });
+                if !WEIGHTED && !self.session_marginal_on(slot, i) {
                     continue; // free rider: keeps rising under the frozen max
                 }
                 if self.single_rate(i) {
@@ -406,7 +507,9 @@ impl State<'_> {
                 } else {
                     let inc = self.inc;
                     for &k in inc.slot_receivers(slot) {
-                        if self.ws.active[i][k] {
+                        let rate = self.ws.rates[i][k];
+                        let marginal = session_max.map_or(true, |max| rate >= max - RATE_EPS);
+                        if self.ws.active[i][k] && marginal {
                             self.freeze(i, k, FreezeReason::Link(link));
                             froze_any = true;
                         }
@@ -432,7 +535,8 @@ impl State<'_> {
             LinkRateModel::RandomJoin { sigma } => Some(miss_factor(self.ws.rates[i][k], sigma)),
             _ => None,
         };
-        self.ws.note_freeze(self.inc, i, k, miss);
+        let weights = WEIGHTED.then_some(self.weights);
+        self.ws.note_freeze(self.inc, i, k, miss, weights);
     }
 
     /// The load `u_j(ℓ)` of link `j` at hypothetical level `ℓ`.
@@ -456,10 +560,12 @@ impl State<'_> {
             match *self.cfg.model(i) {
                 LinkRateModel::Efficient => {
                     let frozen_max = ws.slot_frozen_max[slot];
-                    total += if ws.slot_active[slot] > 0 {
-                        frozen_max.max(level.max(0.0))
-                    } else {
+                    total += if ws.slot_active[slot] == 0 {
                         frozen_max
+                    } else if WEIGHTED {
+                        frozen_max.max(ws.slot_wmax[slot] * level)
+                    } else {
+                        frozen_max.max(level.max(0.0))
                     };
                 }
                 LinkRateModel::Scaled(factor) => {
@@ -604,7 +710,13 @@ impl State<'_> {
             match *self.cfg.model(i) {
                 LinkRateModel::Efficient => {
                     if active_count > 0 {
-                        ws.terms.push((frozen_max, 1.0));
+                        // The session's rate is max(frozen_max, w_max·ℓ).
+                        ws.terms.push(if WEIGHTED {
+                            let w_max = ws.slot_wmax[slot];
+                            (frozen_max / w_max, w_max)
+                        } else {
+                            (frozen_max, 1.0)
+                        });
                     } else {
                         constant += frozen_max;
                     }
@@ -1137,7 +1249,7 @@ mod tests {
         for seed in 0..30u64 {
             let net = mlf_net::topology::random_network(seed, 12, 4, 4).unwrap();
             let cfg = LinkRateConfig::efficient(net.session_count());
-            let sol = solve_in(&net, &cfg, &Regimes::AsDeclared, &mut ws).unwrap();
+            let sol = solve_in(&net, &cfg, &Regimes::AsDeclared, None, &mut ws).unwrap();
             assert!(
                 sol.allocation.is_feasible(&net, &cfg),
                 "seed {seed}: infeasible: {:?}",
@@ -1201,12 +1313,13 @@ mod tests {
             );
             for cfg in [&fig5, &mixed] {
                 for rounds in 0..4 {
-                    ws.reset(&net);
-                    let mut state = State {
+                    ws.reset(&net, None);
+                    let mut state = State::<false> {
                         net: &net,
                         inc: net.incidence(),
                         cfg,
                         regimes: &Regimes::AsDeclared,
+                        weights: &[],
                         ws: &mut ws,
                         level: 0.0,
                     };

@@ -1,8 +1,8 @@
 //! Frozen pre-incidence-index reference solvers, kept verbatim for
 //! differential testing.
 //!
-//! The production engines in [`crate::maxmin`], [`crate::weighted`] and
-//! [`crate::unicast`] run on the CSR incidence structure of
+//! The production engines in [`crate::maxmin`] (weighted filling
+//! included) and [`crate::unicast`] run on the CSR incidence structure of
 //! [`mlf_net::Incidence`] with incrementally maintained per-link
 //! aggregates. This module preserves the *original* scan-everything
 //! implementations — the nested `for link { for session { for receiver } }`
@@ -414,7 +414,7 @@ impl State<'_> {
 }
 
 /// Reference weighted progressive filling: the pre-index implementation of
-/// `weighted::weighted_solve_in`.
+/// the weighted steps of `maxmin::solve_in` (see "Weighted filling" there).
 #[allow(clippy::needless_range_loop)] // parallel (rates, active, weights) tables
 pub fn weighted_solve(net: &Network, weights: &Weights) -> MaxMinSolution {
     assert!(

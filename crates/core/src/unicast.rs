@@ -14,19 +14,19 @@
 //! [`crate::allocator::Allocator`] trait.
 
 use crate::allocator::SolverWorkspace;
-use crate::maxmin::{FreezeReason, MaxMinSolution};
+use crate::maxmin::{FreezeReason, MaxMinSolution, SolveError};
 use mlf_net::{LinkId, Network};
 
 /// Textbook water-filling into a caller-provided workspace: the engine
 /// behind [`crate::allocator::Unicast`]. Flow `i` occupies the workspace's
-/// `[i][0]` slots (one receiver per session by definition).
+/// `[i][0]` slots (one receiver per session, which
+/// [`crate::allocator::Allocator::check`] has confirmed).
 #[allow(clippy::needless_range_loop)] // parallel per-flow tables
-pub(crate) fn unicast_solve_in(net: &Network, ws: &mut SolverWorkspace) -> MaxMinSolution {
-    assert!(
-        net.sessions().iter().all(|s| s.is_unicast()),
-        "unicast max-min requires an all-unicast network"
-    );
-    ws.reset(net);
+pub(crate) fn unicast_solve_in(
+    net: &Network,
+    ws: &mut SolverWorkspace,
+) -> Result<MaxMinSolution, SolveError> {
+    ws.reset(net, None);
     let m = net.session_count();
     let route = |i: usize| net.route(mlf_net::ReceiverId::new(i, 0));
     let kappa = |i: usize| net.sessions()[i].max_rate;
@@ -112,12 +112,14 @@ pub(crate) fn unicast_solve_in(net: &Network, ws: &mut SolverWorkspace) -> MaxMi
                 for &l in route(i) {
                     ws.link_used[l.0] += ws.rates[i][0];
                 }
-                ws.note_freeze(net.incidence(), i, 0, None);
+                ws.note_freeze(net.incidence(), i, 0, None, None);
             }
         }
-        assert!(froze, "unicast water-filling must freeze a flow per round");
+        if !froze {
+            return Err(SolveError::Stalled { level: next });
+        }
     }
-    ws.take_solution(iterations)
+    Ok(ws.take_solution(iterations))
 }
 
 #[cfg(test)]
@@ -178,17 +180,6 @@ mod tests {
         let sol = Unicast::new().solve(&net, &mut SolverWorkspace::new());
         assert_eq!(sol.allocation.rates(), &[vec![2.0], vec![8.0]]);
         assert_eq!(sol.reason(ReceiverId::new(0, 0)), FreezeReason::MaxRate);
-    }
-
-    #[test]
-    #[should_panic(expected = "all-unicast")]
-    fn rejects_multicast_sessions() {
-        let mut g = Graph::new();
-        let n = g.add_nodes(3);
-        g.add_link(n[0], n[1], 1.0).unwrap();
-        g.add_link(n[0], n[2], 1.0).unwrap();
-        let net = Network::new(g, vec![Session::multi_rate(n[0], vec![n[1], n[2]])]).unwrap();
-        let _ = Unicast::new().allocate(&net);
     }
 
     #[test]

@@ -5,35 +5,22 @@
 //! be directly applied to TCP-fairness by constructing a definition of
 //! max-min fairness where receiver rates are assigned weights (i.e., a
 //! receiver's rate is weighted by the inverse of round trip time)". This
-//! module implements exactly that: each receiver `r_{i,k}` carries a weight
-//! `w_{i,k} > 0`, and the allocation is max-min fair over the *normalized*
-//! rates `a_{i,k} / w_{i,k}`. Unweighted max-min is the `w ≡ 1` special
-//! case; TCP-friendliness uses `w = 1/RTT` (per the Mahdavi–Floyd model at
-//! fixed loss).
+//! module holds exactly those weights: each receiver `r_{i,k}` carries a
+//! weight `w_{i,k} > 0`, and the allocation is max-min fair over the
+//! *normalized* rates `a_{i,k} / w_{i,k}`. Unweighted max-min is the
+//! `w ≡ 1` special case; TCP-friendliness uses `w = 1/RTT` (per the
+//! Mahdavi–Floyd model at fixed loss).
 //!
 //! The entry point is [`crate::allocator::Weighted`] through the
-//! [`crate::allocator::Allocator`] trait.
-//!
-//! The algorithm is progressive filling over a common *potential* `φ`:
-//! every active receiver holds `a = w·φ`. Under the efficient link-rate
-//! model the load is `u_j(φ) = Σ_i max(f_{i,j}, φ·W_{i,j})` where
-//! `f_{i,j}` is the session's frozen maximum on the link and `W_{i,j}` the
-//! largest *weight* among its active receivers crossing the link — the same
-//! `K + Σ w·max(b, φ)` form as the unweighted solver, solved exactly by
-//! breakpoint scanning. Free riders generalize: an active receiver whose
-//! weight is below its session's max weight on a saturated link rides it
-//! indefinitely (its rate can never catch the session maximum there), so
-//! only maximal-weight receivers freeze on saturation.
+//! [`crate::allocator::Allocator`] trait. It runs the one progressive
+//! filling of [`crate::maxmin`] (see "Weighted filling" there).
 //!
 //! Scope: multi-rate sessions under the efficient model (the setting the
 //! paper's remark addresses). Single-rate sessions would need a convention
 //! for mixing per-receiver weights with the uniform-rate constraint that
-//! the paper does not define; the solver rejects them.
+//! the paper does not define; the allocator rejects them.
 
-use crate::allocation::RATE_EPS;
-use crate::allocator::SolverWorkspace;
-use crate::maxmin::{FreezeReason, MaxMinSolution};
-use mlf_net::{LinkId, Network, ReceiverId};
+use mlf_net::{Network, ReceiverId};
 
 /// Per-receiver weights, shaped like the network (`[session][receiver]`).
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +41,7 @@ impl Weights {
     }
 
     /// Explicit weights; must be positive and finite and match the network
-    /// shape (checked by the solver).
+    /// shape (checked by [`crate::allocator::Allocator::check`]).
     pub fn from_values(w: Vec<Vec<f64>>) -> Self {
         Weights { w }
     }
@@ -71,206 +58,15 @@ impl Weights {
     }
 }
 
-/// Weighted progressive filling into a caller-provided workspace: the
-/// engine behind [`crate::allocator::Weighted`].
-#[allow(clippy::needless_range_loop)] // parallel (rates, active, weights) tables
-pub(crate) fn weighted_solve_in(
-    net: &Network,
-    weights: &Weights,
-    ws: &mut SolverWorkspace,
-) -> MaxMinSolution {
-    assert!(
-        net.sessions().iter().all(|s| s.kind.is_multi_rate()),
-        "weighted max-min is defined for multi-rate sessions"
-    );
-    assert_eq!(weights.w.len(), net.session_count(), "weight shape");
-    for (s, wsess) in net.sessions().iter().zip(&weights.w) {
-        assert_eq!(wsess.len(), s.receivers.len(), "weight shape");
-        assert!(
-            wsess.iter().all(|w| w.is_finite() && *w > 0.0),
-            "weights must be positive"
-        );
-    }
-
-    ws.reset(net);
-    let inc = net.incidence();
-    // Seed the per-slot active-weight maxima (every receiver starts
-    // active): the ascending-receiver fold over each slot's weights.
-    for slot in 0..inc.slot_count() {
-        let i = inc.slot_session(slot);
-        let mut wmax = 0.0_f64;
-        for &k in inc.slot_receivers(slot) {
-            wmax = wmax.max(weights.w[i][k]);
-        }
-        ws.slot_wmax[slot] = wmax;
-    }
-    let mut phi = 0.0_f64;
-    let mut iterations = 0usize;
-
-    loop {
-        if ws.active_total == 0 {
-            break;
-        }
-        iterations += 1;
-        assert!(iterations <= net.receiver_count() + 1, "no convergence");
-
-        // Potential cap from κ: receiver r freezes at φ = κ_i / w_r.
-        let mut upper = f64::INFINITY;
-        for (i, s) in net.sessions().iter().enumerate() {
-            for k in 0..s.receivers.len() {
-                if ws.active[i][k] {
-                    upper = upper.min(s.max_rate / weights.w[i][k]);
-                }
-            }
-        }
-        debug_assert!(upper.is_finite());
-
-        // Exact saturation potential per link, from the cached slot
-        // aggregates (`frozen_max` and the active-weight maximum are both
-        // max-folds, which incremental maintenance reproduces exactly).
-        let mut next = upper;
-        for j in 0..net.link_count() {
-            let link = LinkId(j);
-            if ws.link_active[j] == 0 {
-                continue;
-            }
-            let mut constant = 0.0;
-            ws.terms.clear(); // (breakpoint b, slope W)
-            for slot in inc.link_slots(j) {
-                let frozen_max = ws.slot_frozen_max[slot];
-                let w_max = ws.slot_wmax[slot];
-                if w_max > 0.0 {
-                    ws.terms.push((frozen_max / w_max, w_max));
-                } else {
-                    constant += frozen_max;
-                }
-            }
-            let cap = net.graph().capacity(link);
-            let terms = &ws.terms;
-            let load_at = |p: f64| -> f64 {
-                constant + terms.iter().map(|&(b, w)| w * b.max(p)).sum::<f64>()
-            };
-            ws.breakpoints.clear();
-            ws.breakpoints.extend(terms.iter().map(|&(b, _)| b));
-            ws.breakpoints.push(phi);
-            ws.breakpoints.push(upper);
-            // total_cmp: never panic on a NaN breakpoint mid-sweep.
-            ws.breakpoints.sort_by(f64::total_cmp);
-            ws.breakpoints.dedup();
-            let mut lo = phi;
-            let mut sat = upper;
-            for &bp in ws.breakpoints.iter().filter(|&&b| b > phi && b <= upper) {
-                if load_at(bp) > cap + RATE_EPS {
-                    let slope: f64 = terms
-                        .iter()
-                        .filter(|&&(b, _)| b <= lo + RATE_EPS)
-                        .map(|&(_, w)| w)
-                        .sum();
-                    let base = load_at(lo);
-                    sat = if slope <= 0.0 {
-                        lo
-                    } else {
-                        (lo + (cap - base) / slope).clamp(lo, bp)
-                    };
-                    break;
-                }
-                lo = bp;
-            }
-            next = next.min(sat);
-        }
-        phi = next.max(phi);
-
-        // Raise all active receivers to w·φ.
-        for i in 0..ws.rates.len() {
-            for k in 0..ws.rates[i].len() {
-                if ws.active[i][k] {
-                    ws.rates[i][k] = weights.w[i][k] * phi;
-                }
-            }
-        }
-
-        let mut froze = false;
-        // κ freezes.
-        for (i, s) in net.sessions().iter().enumerate() {
-            for k in 0..s.receivers.len() {
-                if ws.active[i][k] && weights.w[i][k] * phi >= s.max_rate - RATE_EPS {
-                    ws.active[i][k] = false;
-                    ws.rates[i][k] = s.max_rate;
-                    ws.reasons[i][k] = Some(FreezeReason::MaxRate);
-                    ws.note_freeze_weighted(inc, i, k, &weights.w);
-                    froze = true;
-                }
-            }
-        }
-        // Link freezes: on saturated links, freeze the session's
-        // maximal-weight active receivers that are at or past the frozen
-        // max. A session's maximum rate on a link is `max(frozen_max,
-        // w_max·φ)` — active rates are exactly `w·φ` and multiplication by
-        // the non-negative φ is monotone, so the cached maxima reproduce
-        // the receiver-table fold bit for bit.
-        for j in 0..net.link_count() {
-            let link = LinkId(j);
-            if ws.link_active[j] == 0 {
-                continue; // nothing left to freeze here
-            }
-            // Load at current φ.
-            let mut load = 0.0;
-            for slot in inc.link_slots(j) {
-                let frozen_max = ws.slot_frozen_max[slot];
-                let max = if ws.slot_active[slot] > 0 {
-                    frozen_max.max(ws.slot_wmax[slot] * phi)
-                } else {
-                    frozen_max
-                };
-                load += max;
-            }
-            if load < net.graph().capacity(link) - RATE_EPS {
-                continue;
-            }
-            for slot in inc.link_slots(j) {
-                let i = inc.slot_session(slot);
-                let session_max = if ws.slot_active[slot] > 0 {
-                    ws.slot_frozen_max[slot].max(ws.slot_wmax[slot] * phi)
-                } else {
-                    ws.slot_frozen_max[slot]
-                };
-                for &k in inc.slot_receivers(slot) {
-                    if ws.active[i][k] && ws.rates[i][k] >= session_max - RATE_EPS {
-                        ws.active[i][k] = false;
-                        ws.reasons[i][k] = Some(FreezeReason::Link(link));
-                        ws.note_freeze_weighted(inc, i, k, &weights.w);
-                        froze = true;
-                    }
-                }
-            }
-        }
-        assert!(froze, "weighted filling made no progress at phi = {phi}");
-    }
-    ws.take_solution(iterations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocator::{Allocator, Hybrid, MultiRate, Weighted};
+    use crate::allocation::RATE_EPS;
+    use crate::allocator::{Allocator, MultiRate, SolverWorkspace, Weighted};
     use crate::linkrate::LinkRateConfig;
+    use crate::maxmin::FreezeReason;
     use mlf_net::topology::random_network;
-    use mlf_net::{Graph, Session};
-
-    #[test]
-    fn uniform_weights_match_unweighted() {
-        let mut ws = SolverWorkspace::new();
-        for seed in 0..15u64 {
-            let net = random_network(seed, 10, 4, 4).unwrap();
-            let weighted = Weighted::uniform().solve(&net, &mut ws).allocation;
-            let plain = Hybrid::as_declared().solve(&net, &mut ws).allocation;
-            for (a, b) in weighted.rates().iter().zip(plain.rates()) {
-                for (x, y) in a.iter().zip(b) {
-                    assert!((x - y).abs() < 1e-9, "seed {seed}: {x} vs {y}");
-                }
-            }
-        }
-    }
+    use mlf_net::{Graph, LinkId, Session};
 
     #[test]
     fn weights_split_a_shared_link_proportionally() {
@@ -398,23 +194,76 @@ mod tests {
         }
     }
 
+    /// The one step whose floating-point form differs between the
+    /// weighted and unweighted fillings: at a level within a rounding of
+    /// `κ − ε`, the per-receiver test `w·ℓ ≥ κ − ε` can hold where the
+    /// session test `κ ≤ ℓ + ε` fails. `Weighted` keeps its reference's
+    /// form, so with unit weights it caps this flow at κ while `MultiRate`
+    /// freezes it on its link.
     #[test]
-    fn uniform_weights_equal_plain_multi_rate() {
-        let net = random_network(7, 10, 3, 3).unwrap();
-        assert_eq!(
-            Weighted::uniform().allocate(&net).rates(),
-            MultiRate::new().allocate(&net).rates()
-        );
+    fn kappa_test_keeps_the_weighted_reference_form() {
+        let (cap, kappa) = (2.118557595709872e-9, 3.118557595709872e-9);
+        assert!(cap >= kappa - RATE_EPS && kappa > cap + RATE_EPS);
+        let mut g = Graph::new();
+        let n = g.add_nodes(2);
+        g.add_link(n[0], n[1], cap).unwrap();
+        let flow = Session::unicast(n[0], n[1]).with_max_rate(kappa);
+        let net = Network::new(g, vec![flow]).unwrap();
+        let r = ReceiverId::new(0, 0);
+        let weighted = Weighted::uniform().solve(&net, &mut SolverWorkspace::new());
+        let reference = crate::reference::weighted_solve(&net, &Weights::uniform(&net));
+        assert_eq!(weighted.allocation.rate(r).to_bits(), kappa.to_bits());
+        assert_eq!(weighted, reference);
+        assert_eq!(weighted.reason(r), FreezeReason::MaxRate);
+        let plain = MultiRate::new().solve(&net, &mut SolverWorkspace::new());
+        assert_eq!(plain.allocation.rate(r).to_bits(), cap.to_bits());
+        assert_eq!(plain.reason(r), FreezeReason::Link(LinkId(0)));
     }
 
+    /// `Weighted::uniform()` is `MultiRate` bit for bit (rates, reasons,
+    /// iterations) on all four topology families, with and without finite
+    /// κ: at `w ≡ 1` the weighted steps of the shared filling are exact,
+    /// and the per-receiver κ test agrees with the session-level one here.
+    /// A weighted solve counts one freeze round per iteration.
     #[test]
-    #[should_panic(expected = "multi-rate")]
-    fn rejects_single_rate_sessions() {
-        let mut g = Graph::new();
-        let n = g.add_nodes(3);
-        g.add_link(n[0], n[1], 1.0).unwrap();
-        g.add_link(n[0], n[2], 1.0).unwrap();
-        let net = Network::new(g, vec![Session::single_rate(n[0], vec![n[1], n[2]])]).unwrap();
-        let _ = Weighted::uniform().allocate(&net);
+    fn uniform_weights_are_multi_rate_bit_for_bit() {
+        use mlf_net::topology::{random_network_with, SplitMix64};
+        use mlf_net::TopologyFamily;
+        let mut rng = SplitMix64(0x3E16_47ED);
+        for family in [
+            TopologyFamily::FlatTree,
+            TopologyFamily::KaryTree { arity: 3 },
+            TopologyFamily::TransitStub { transit: 4 },
+            TopologyFamily::Dumbbell,
+        ] {
+            for seed in 0..12u64 {
+                let net = random_network_with(family, seed, 20, 5, 4).unwrap();
+                let mut capped = net.sessions().to_vec();
+                for s in capped.iter_mut() {
+                    if rng.below(2) == 0 {
+                        s.max_rate = 0.25 + rng.below(40) as f64 * 0.25;
+                    }
+                }
+                let capped = Network::with_routes(net.graph().clone(), capped, net.routes())
+                    .expect("same routes");
+                for (kappa, net) in [("unbounded", &net), ("finite", &capped)] {
+                    let label = format!("{}/seed {seed}/{kappa} κ", family.label());
+                    let mut ws = SolverWorkspace::new();
+                    let weighted = Weighted::uniform().solve(net, &mut ws);
+                    let plain = MultiRate::new().solve(net, &mut SolverWorkspace::new());
+                    let bits = |sol: &crate::MaxMinSolution| -> Vec<u64> {
+                        sol.allocation.iter().map(|(_, a)| a.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&weighted), bits(&plain), "{label}");
+                    assert_eq!(weighted.reasons, plain.reasons, "{label}");
+                    assert_eq!(weighted.iterations, plain.iterations, "{label}");
+                    assert_eq!(
+                        ws.counters().freeze_rounds,
+                        weighted.iterations as u64,
+                        "{label}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -113,7 +113,7 @@ pub use transport::TransportError;
 
 use mlf_core::allocator::{Allocator, Hybrid, SolverWorkspace};
 use mlf_core::{
-    metrics, properties, FairnessReport, LinkRateConfig, LinkRateModel, MaxMinSolution,
+    metrics, properties, FairnessReport, LinkRateConfig, LinkRateModel, MaxMinSolution, SolveError,
 };
 use mlf_layering::LayerSchedule;
 use mlf_net::topology::random_network_with;
@@ -175,7 +175,7 @@ impl LinkRates {
 }
 
 /// Why a [`ScenarioBuilder`] refused to build.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
     /// Neither [`ScenarioBuilder::network`] nor
     /// [`ScenarioBuilder::random_networks`] was called.
@@ -207,6 +207,10 @@ pub enum ScenarioError {
         /// What is wrong with the parameter.
         reason: &'static str,
     },
+    /// The allocator rejects the fixed network under the scenario's link
+    /// rates (see [`Allocator::check`]): weights of the wrong shape or
+    /// outside `(0, ∞)`, or a session its regime does not define.
+    Solve(SolveError),
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -237,11 +241,19 @@ impl std::fmt::Display for ScenarioError {
                 Some(i) => write!(f, "invalid link-rate model for session {i}: {reason}"),
                 None => write!(f, "invalid link-rate model: {reason}"),
             },
+            ScenarioError::Solve(e) => write!(f, "the allocator rejects the network: {e}"),
         }
     }
 }
 
-impl std::error::Error for ScenarioError {}
+impl std::error::Error for ScenarioError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ScenarioError::Solve(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 /// Builder for [`Scenario`]. Obtain via [`Scenario::builder`].
 pub struct ScenarioBuilder {
@@ -333,7 +345,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Validate and assemble the scenario.
+    /// Validate and assemble the scenario. A fixed network must also pass
+    /// the allocator's [`Allocator::check`] under the scenario's link rates.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
         let source = self.source.ok_or(ScenarioError::MissingNetwork)?;
         if !matches!(self.link_rates, LinkRates::Efficient) && !self.allocator.supports_link_rates()
@@ -368,6 +381,12 @@ impl ScenarioBuilder {
                     return Err(ScenarioError::ExplicitConfigOnRandom);
                 }
             }
+        }
+        if let NetworkSource::Fixed(net) = &source {
+            let cfg = self.link_rates.resolve(net.session_count());
+            self.allocator
+                .check(net, &cfg)
+                .map_err(ScenarioError::Solve)?;
         }
         Ok(Scenario {
             label: self.label,
@@ -422,7 +441,10 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// On a solve that stalls ([`mlf_core::SolveError::Stalled`]).
+    /// On a solve that fails: one that stalls
+    /// ([`mlf_core::SolveError::Stalled`]), or, for a random source, a
+    /// drawn network the allocator's [`Allocator::check`] rejects (such as
+    /// explicit weights that do not fit it).
     pub fn run(&mut self) -> ScenarioReport {
         // Detach the owned workspace so the shared solve path can borrow
         // `self` immutably (the same path coordinator workers use).
@@ -510,7 +532,7 @@ impl Scenario {
         let solution = self
             .allocator
             .solve_with(net, &cfg, ws)
-            // mlf-lint: allow(panic-unwrap, reason = "build() and validate_grid() reject link rates the allocator cannot solve; a stalled solve is the documented `# Panics` of run() and sweep_grid()")
+            // mlf-lint: allow(panic-unwrap, reason = "build() and validate_grid() reject link rates the allocator cannot solve, and build() every fixed network its check rejects; the rest is the documented `# Panics` of run() and sweep_grid()")
             .unwrap_or_else(|e| panic!("{e}"));
         let fairness = self
             .check_properties
@@ -535,8 +557,7 @@ impl Scenario {
     /// link-rate parameterization
     /// ([`ScenarioError::AllocatorIgnoresLinkRates`]), or a model outside
     /// its domain ([`ScenarioError::InvalidLinkRateModel`]). Also on a
-    /// solve that stalls ([`mlf_core::SolveError::Stalled`]), as
-    /// [`Scenario::run`] does.
+    /// solve that fails, as [`Scenario::run`] does.
     ///
     /// The sweep runs inline on one workspace with seeds in the outer
     /// loop: each seeded topology is built once, solved under every grid
@@ -1391,5 +1412,41 @@ mod tests {
             .unwrap();
         let report = s.run();
         assert_eq!(report.solution.allocation.rates(), &[vec![6.0], vec![3.0]]);
+    }
+
+    /// Weights that do not fit a fixed network are refused at build time
+    /// with the allocator's typed error, so `run` never meets them.
+    #[test]
+    fn fixed_network_with_bad_weights_fails_to_build() {
+        let mut g = Graph::new();
+        let n = g.add_nodes(3);
+        g.add_link(n[0], n[1], 9.0).unwrap();
+        g.add_link(n[0], n[2], 9.0).unwrap();
+        let net = Network::new(
+            g,
+            vec![
+                Session::multi_rate(n[0], vec![n[1], n[2]]),
+                Session::unicast(n[0], n[1]),
+            ],
+        )
+        .unwrap();
+        let build = |w: Vec<Vec<f64>>| {
+            Scenario::builder()
+                .network(net.clone())
+                .allocator(Weighted::new(mlf_core::Weights::from_values(w)))
+                .build()
+                .err()
+        };
+        let bad = Some(ScenarioError::Solve(SolveError::BadWeights { session: 0 }));
+        assert_eq!(build(vec![vec![1.0], vec![1.0]]), bad);
+        assert_eq!(build(vec![vec![1.0, -2.0], vec![1.0]]), bad);
+        assert_eq!(
+            build(vec![vec![1.0, 1.0]]),
+            Some(ScenarioError::Solve(SolveError::SessionCount {
+                input: "weight table",
+                got: 1,
+            }))
+        );
+        assert!(build(vec![vec![1.0, 2.0], vec![1.0]]).is_none());
     }
 }

@@ -110,6 +110,11 @@ fn sprinkle(mut net: Network, seed: u64) -> Network {
             net = net.with_session_kind(SessionId(i), SessionType::SingleRate);
         }
     }
+    cap_sessions(net, &mut rng)
+}
+
+/// Cap about a third of the sessions at κ ∈ [0.5, 10.25], drawn from `rng`.
+fn cap_sessions(net: Network, rng: &mut SplitMix64) -> Network {
     let mut sessions = net.sessions().to_vec();
     for s in sessions.iter_mut() {
         if rng.below(3) == 0 {
@@ -415,10 +420,22 @@ proptest! {
     }
 
     /// The weighted engine against its reference, with deterministic
-    /// pseudo-random weights.
+    /// pseudo-random weights, and finite κ on about a third of the sessions
+    /// when `capped` (the per-receiver κ test is where the weighted steps
+    /// differ from the unweighted ones as floating-point expressions).
     #[test]
-    fn weighted_matches_reference(seed in any::<u64>(), nodes in 6usize..20, family_ix in 0usize..4) {
+    fn weighted_matches_reference(
+        seed in any::<u64>(),
+        nodes in 6usize..20,
+        family_ix in 0usize..4,
+        capped in any::<bool>(),
+    ) {
         let net = random_network_with(FAMILIES[family_ix], seed, nodes, 4, 4).unwrap();
+        let net = if capped {
+            cap_sessions(net, &mut SplitMix64(seed ^ 0x6A09_E667_F3BC_C909))
+        } else {
+            net
+        };
         let w = Weights::from_values(
             net.sessions()
                 .iter()
