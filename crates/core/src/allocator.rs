@@ -84,7 +84,9 @@ use std::borrow::Cow;
 /// # Incidence and incremental aggregates
 ///
 /// The solvers iterate the network's own [`Incidence`] (CSR link →
-/// session → receiver incidence, built once with the [`Network`]). Each
+/// session → receiver incidence, built once with the [`Network`]). The
+/// per-receiver tables are flat, indexed by the incidence's session-major
+/// receiver id [`Incidence::flat`]. Each
 /// solve (`SolverWorkspace::reset`) sizes, per `(link, session)` *slot*,
 /// the aggregates the hot loops consume: active-receiver count,
 /// frozen-rate sum, frozen-rate maximum, and (in a `Weighted` solve) the
@@ -106,25 +108,40 @@ use std::borrow::Cow;
 /// often the fold runs.
 #[derive(Debug, Default)]
 pub struct SolverWorkspace {
-    /// Per-receiver rates, `[session][receiver]`.
-    pub(crate) rates: Vec<Vec<f64>>,
+    /// Per-receiver rates, indexed by flat receiver id.
+    pub(crate) rates: Vec<f64>,
     /// Per-receiver active flags (still rising with the water level).
-    pub(crate) active: Vec<Vec<bool>>,
+    pub(crate) active: Vec<bool>,
     /// Per-receiver freeze diagnostics.
-    pub(crate) reasons: Vec<Vec<Option<FreezeReason>>>,
+    pub(crate) reasons: Vec<Option<FreezeReason>>,
+    /// Per-receiver weights of a `Weighted` solve; empty otherwise.
+    pub(crate) weights: Vec<f64>,
     /// `(breakpoint, weight)` terms of a link's piecewise-linear load.
     pub(crate) terms: Vec<(f64, f64)>,
     /// Sorted breakpoint scan buffer.
     pub(crate) breakpoints: Vec<f64>,
     /// Per-link accumulator (bandwidth used by frozen unicast flows).
+    /// Sized by the unicast solver only.
     pub(crate) link_used: Vec<f64>,
-    /// Per-link flags (binding links in the unicast solver).
+    /// Per-link flags (binding links in the unicast solver). Sized by the
+    /// unicast solver only.
     pub(crate) link_flag: Vec<bool>,
+    /// The links with an active receiver, ascending, each with whether
+    /// every session crossing it is piecewise-linear (set once per solve).
+    pub(crate) live: Vec<(usize, bool)>,
+    /// The clean linear links a round settles after all others.
+    pub(crate) clean: Vec<usize>,
     /// The links a round still has to search, with their bracket loads.
     pub(crate) pending: Vec<Pending>,
     /// Per-link load at the water level, left by the last freeze pass for
     /// the next round's lower bracket; NaN until the first pass of a solve.
+    /// Read by nonlinear links only.
     pub(crate) level_load: Vec<f64>,
+    /// Per-link floor of a linear link's saturation level, stored by its
+    /// last exact scan; NaN until that scan and after any of its
+    /// receivers freezes (see "Change-following rounds" in
+    /// [`crate::maxmin`]).
+    pub(crate) floor: Vec<f64>,
     /// Per-position active flags, aligned with the flat `slot_receivers`
     /// array of the network's [`Incidence`]: position `p` of slot `(j, i)`
     /// is receiver `(i, slot_receivers[p])` on link `j`.
@@ -186,6 +203,14 @@ pub struct SolveCounters {
     pub bracket_probes: u64,
     /// Bracketed links settled by their skip probe alone.
     pub bracket_resolved: u64,
+    /// Links with an active receiver, once per round that visited them.
+    pub links_visited: u64,
+    /// Exact breakpoint scans of piecewise-linear links; a clean link its
+    /// cached floor settles is not scanned.
+    pub linear_scans: u64,
+    /// Freeze-pass load evaluations skipped on clean linear links whose
+    /// floor shows that nobody on them freezes at the round's level.
+    pub freeze_skips: u64,
 }
 
 impl std::ops::AddAssign for SolveCounters {
@@ -197,6 +222,9 @@ impl std::ops::AddAssign for SolveCounters {
         self.cap_hits += other.cap_hits;
         self.bracket_probes += other.bracket_probes;
         self.bracket_resolved += other.bracket_resolved;
+        self.links_visited += other.links_visited;
+        self.linear_scans += other.linear_scans;
+        self.freeze_skips += other.freeze_skips;
     }
 }
 
@@ -218,28 +246,20 @@ impl SolverWorkspace {
 
     /// Size the per-receiver tables for `net` and reset them to the
     /// progressive-filling start state (all rates 0, everyone active), with
-    /// the per-slot weight maxima of `weights` when the solve has them.
-    /// Inner buffers are reused whenever shapes repeat.
+    /// the flat weights and per-slot weight maxima of `weights` when the
+    /// solve has them. Buffers are reused whenever shapes repeat.
     pub(crate) fn reset(&mut self, net: &Network, weights: Option<&[Vec<f64>]>) {
-        let m = net.session_count();
-        self.rates.resize_with(m, Vec::new);
-        self.active.resize_with(m, Vec::new);
-        self.reasons.resize_with(m, Vec::new);
-        for (i, s) in net.sessions().iter().enumerate() {
-            let k = s.receivers.len();
-            self.rates[i].clear();
-            self.rates[i].resize(k, 0.0);
-            self.active[i].clear();
-            self.active[i].resize(k, true);
-            self.reasons[i].clear();
-            self.reasons[i].resize(k, None);
+        let receivers = net.receiver_count();
+        self.rates.clear();
+        self.rates.resize(receivers, 0.0);
+        self.active.clear();
+        self.active.resize(receivers, true);
+        self.reasons.clear();
+        self.reasons.resize(receivers, None);
+        self.weights.clear();
+        if let Some(w) = weights {
+            self.weights.extend(w.iter().flatten());
         }
-        self.link_used.clear();
-        self.link_used.resize(net.link_count(), 0.0);
-        self.link_flag.clear();
-        self.link_flag.resize(net.link_count(), false);
-        self.level_load.clear();
-        self.level_load.resize(net.link_count(), f64::NAN);
 
         // Per-slot aggregates for the hot loops: all receivers start
         // active, so frozen aggregates are zero and the active counts are
@@ -252,11 +272,12 @@ impl SolverWorkspace {
         self.slot_frozen_max.clear();
         self.slot_frozen_max.resize(slots, 0.0);
         self.slot_wmax.clear();
-        if let Some(w) = weights {
+        if !self.weights.is_empty() {
+            let w = &self.weights;
             self.slot_wmax.extend((0..slots).map(|slot| {
-                let i = inc.slot_session(slot);
+                let base = inc.flat_range(inc.slot_session(slot)).start;
                 let receivers = inc.slot_receivers(slot).iter();
-                receivers.fold(0.0_f64, |wmax, &k| wmax.max(w[i][k]))
+                receivers.fold(0.0_f64, |wmax, &k| wmax.max(w[base + k]))
             }));
         }
         let positions = inc.position_count();
@@ -276,32 +297,25 @@ impl SolverWorkspace {
         self.session_active.clear();
         self.session_active
             .extend(net.sessions().iter().map(|s| s.receivers.len()));
-        self.active_total = net.receiver_count();
+        self.active_total = receivers;
         self.solves += 1;
     }
 
-    /// Account a just-frozen receiver `(i, k)`: decrement the active
-    /// counters, clear its position flags, store its `RandomJoin` miss
-    /// factor `miss` (when its session has one) at every position, and
-    /// recompute the frozen aggregates of every slot on the receiver's
-    /// data-path by the ascending-receiver fold (see the incremental-load
-    /// invariant in the type docs), and the active-weight maxima too when
-    /// the solve has `weights`. The caller must have already cleared
-    /// `active[i][k]` and stored the final rate in `rates[i][k]`; `inc` is
-    /// the incidence of the network being solved.
-    pub(crate) fn note_freeze(
-        &mut self,
-        inc: &Incidence,
-        i: usize,
-        k: usize,
-        miss: Option<f64>,
-        weights: Option<&[Vec<f64>]>,
-    ) {
-        debug_assert!(!self.active[i][k], "freeze bookkeeping before the flag");
+    /// Account a just-frozen receiver with flat id `f` of session `i`:
+    /// decrement the active counters, clear its position flags, store its
+    /// `RandomJoin` miss factor `miss` (when its session has one) at every
+    /// position, and recompute the frozen aggregates of every slot on the
+    /// receiver's data-path by the ascending-receiver fold (see the
+    /// incremental-load invariant in the type docs), and the active-weight
+    /// maxima too when the solve has weights. The caller must have already
+    /// cleared `active[f]` and stored the final rate in `rates[f]`; `inc`
+    /// is the incidence of the network being solved.
+    pub(crate) fn note_freeze(&mut self, inc: &Incidence, i: usize, f: usize, miss: Option<f64>) {
+        debug_assert!(!self.active[f], "freeze bookkeeping before the flag");
         self.session_active[i] -= 1;
         self.active_total -= 1;
-        let flat = inc.flat(i, k);
-        for (l, &(slot, pos)) in inc.route_links(flat).iter().zip(inc.route_slots(flat)) {
+        let base = inc.flat_range(i).start;
+        for (l, &(slot, pos)) in inc.route_links(f).iter().zip(inc.route_slots(f)) {
             self.link_active[l.0] -= 1;
             self.pos_active[pos] = false;
             if let Some(miss) = miss {
@@ -311,11 +325,11 @@ impl SolverWorkspace {
             let mut frozen_sum = 0.0_f64;
             let mut frozen_max = 0.0_f64;
             let positions = || inc.slot_positions(slot).zip(inc.slot_receivers(slot));
-            for (p, &kk) in positions() {
+            for (p, &k) in positions() {
                 if self.pos_active[p] {
                     active += 1;
                 } else {
-                    let a = self.rates[i][kk];
+                    let a = self.rates[base + k];
                     frozen_sum += a;
                     frozen_max = frozen_max.max(a);
                 }
@@ -323,30 +337,39 @@ impl SolverWorkspace {
             self.slot_active[slot] = active;
             self.slot_frozen_sum[slot] = frozen_sum;
             self.slot_frozen_max[slot] = frozen_max;
-            if let Some(w) = weights {
+            if !self.weights.is_empty() {
+                let w = &self.weights;
                 let active = positions().filter(|&(p, _)| self.pos_active[p]);
-                self.slot_wmax[slot] = active.fold(0.0_f64, |wmax, (_, &kk)| wmax.max(w[i][kk]));
+                self.slot_wmax[slot] = active.fold(0.0_f64, |wmax, (_, &k)| wmax.max(w[base + k]));
             }
         }
     }
 
-    /// Package the frozen state as a [`MaxMinSolution`] (the only
-    /// allocations a warm solve performs are for this owned output) and
-    /// count the solve's rounds.
-    pub(crate) fn take_solution(&mut self, iterations: usize) -> MaxMinSolution {
+    /// Package the frozen state as a [`MaxMinSolution`] shaped
+    /// `[session][receiver]` by `inc` (the only allocations a warm solve
+    /// performs are for this owned output) and count the solve's rounds.
+    pub(crate) fn take_solution(
+        &mut self,
+        inc: &Incidence,
+        sessions: usize,
+        iterations: usize,
+    ) -> MaxMinSolution {
         self.counters.freeze_rounds += iterations as u64;
+        let rates = (0..sessions)
+            .map(|i| self.rates[inc.flat_range(i)].to_vec())
+            .collect();
+        let reasons = (0..sessions)
+            .map(|i| {
+                self.reasons[inc.flat_range(i)]
+                    .iter()
+                    // mlf-lint: allow(panic-unwrap, reason = "the progressive-filling loop only returns after every receiver froze; a None reason here is an allocator bug")
+                    .map(|r| r.expect("every receiver froze"))
+                    .collect()
+            })
+            .collect();
         MaxMinSolution {
-            allocation: Allocation::from_rates(self.rates.clone()),
-            reasons: self
-                .reasons
-                .iter()
-                .map(|rs| {
-                    rs.iter()
-                        // mlf-lint: allow(panic-unwrap, reason = "the progressive-filling loop only returns after every receiver froze; a None reason here is an allocator bug")
-                        .map(|r| r.expect("every receiver froze"))
-                        .collect()
-                })
-                .collect(),
+            allocation: Allocation::from_rates(rates),
+            reasons,
             iterations,
         }
     }
@@ -825,12 +848,71 @@ mod tests {
                 cap_hits: 0,
                 bracket_probes: 6359,
                 bracket_resolved: 2804,
+                links_visited: 5251,
+                linear_scans: 0,
+                freeze_skips: 0,
             }
         );
         assert!(counters.link_load_evals <= 24_000);
         assert!(
             counters.bracket_probes <= counters.bracket_resolved + 2 * counters.bisection_steps
         );
+    }
+
+    /// The round counters on the piecewise-linear sweep shapes: a 96-node
+    /// transit–stub and an 85-node 4-ary tree, 8 sessions of at most 5
+    /// receivers, under `Efficient`, `Scaled(2.0)` and `Sum`. The floors
+    /// of clean links settle most of every round: the exact scans and the
+    /// freeze-pass loads are both well below the links visited, and every
+    /// visited link a round does not scan needed no scan to stay out of
+    /// `min`.
+    #[test]
+    fn linear_round_counters_are_deterministic_sums() {
+        use mlf_net::topology::random_network_with;
+        use mlf_net::TopologyFamily;
+        let mut reused = SolverWorkspace::new();
+        let mut summed = SolveCounters::default();
+        for (family, nodes) in [
+            (TopologyFamily::TransitStub { transit: 4 }, 96),
+            (TopologyFamily::KaryTree { arity: 4 }, 85),
+        ] {
+            for seed in 0..8u64 {
+                let net = random_network_with(family, seed, nodes, 8, 5).unwrap();
+                for model in [
+                    LinkRateModel::Efficient,
+                    LinkRateModel::Scaled(2.0),
+                    LinkRateModel::Sum,
+                ] {
+                    let cfg = LinkRateConfig::uniform(net.session_count(), model);
+                    let warm = MultiRate::new().solve_with(&net, &cfg, &mut reused);
+                    let mut fresh = SolverWorkspace::new();
+                    let cold = MultiRate::new()
+                        .solve_with(&net, &cfg, &mut fresh)
+                        .expect("the linear shapes solve");
+                    assert_eq!(warm, Ok(cold));
+                    summed += fresh.counters();
+                }
+            }
+        }
+        let counters = reused.counters();
+        assert_eq!(counters, summed);
+        assert_eq!(
+            counters,
+            SolveCounters {
+                freeze_rounds: 353,
+                link_load_evals: 1042,
+                bisection_steps: 0,
+                early_exits: 0,
+                cap_hits: 0,
+                bracket_probes: 0,
+                bracket_resolved: 0,
+                links_visited: 7179,
+                linear_scans: 3844,
+                freeze_skips: 4797,
+            }
+        );
+        assert!(counters.linear_scans < counters.links_visited);
+        assert!(counters.link_load_evals < counters.links_visited);
     }
 
     /// `solve` is `solve_with` under the efficient model, bit for bit, for

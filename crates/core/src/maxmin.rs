@@ -169,9 +169,105 @@
 //! `max` contribution are the same `level`), so freezing a receiver later
 //! in the pass changes no bit of a load evaluated earlier.
 //!
+//! # Change-following rounds
+//!
+//! Between two rounds only the slots of the receivers that froze change.
+//! A piecewise-linear ("linear") link whose slots did not change needs
+//! neither its exact breakpoint scan nor its freeze-pass load unless it
+//! is near the water level, and a bound cached from its last scan shows
+//! when it is not.
+//!
+//! **Bookkeeping.** A solve lists its links with an active receiver once,
+//! ascending, each with a flag for "every session crossing it is
+//! piecewise-linear", and drops a link from the list when its last
+//! receiver freezes. Each exact scan of a linear link stores a *floor*
+//! `φ_j` (below). Freezing a receiver of a linear session sets the floor
+//! of every link on its route to NaN: the link is *dirty*. A link with a
+//! floor is *clean*. The terms `(b_t, w_t)` and constant `K` of a clean
+//! link are those of the scan that stored its floor: they are functions
+//! of its slots' aggregates, which only `note_freeze` changes. `RandomJoin`
+//! links never hold a floor, and `RandomJoin` freezes touch none.
+//!
+//! **Rounds.** The saturation pass scans dirty linear links and settles
+//! the nonlinear links' end checks as before. It then visits the clean
+//! linear links: one with `φ_j ≥ next` (the running minimum) is skipped,
+//! any other is scanned exactly. The bracketed searches run last, so
+//! they see the same `next` as before. The freeze pass skips a clean
+//! linear link with `φ_j > level`: evaluating it would freeze nobody.
+//! (The `level_load` it would store is read only by nonlinear links.) So
+//! the link that wins `min` is always scanned exactly, and every output
+//! bit is the scans' own.
+//!
+//! **Notation.** Fix a link's terms, with capacity `c`, `ε = RATE_EPS`,
+//! `w_min = min_t w_t`, and `P` the link's positions. `u(x) = K + Σ_t
+//! w_t·max(b_t, x)` is the exact load, `û` the scan's rounded `load_at`,
+//! and `G = {x : û(x) > c + ε}`. `F(level, upper)` is the scan's result.
+//! 1. `û` is monotone (the argument under "Monotonicity"), so `G` is an
+//!    up-set. The scan visits the breakpoints in `(level, upper)`,
+//!    ascending, then `upper` when it lies above `level`. It triggers at
+//!    the first point in `G`, `bp`, and returns a value in `[lo, bp]`,
+//!    `lo` its previous point or `level`. Without a trigger it returns
+//!    `upper`. So `F ≥ min(level, upper)`.
+//! 2. `û`, `link_load_at` and the scan's slope sum are within a relative
+//!    `γ = (P + 4)·2^-52` of their exact values (non-negative summands).
+//! 3. On `[lo, bp]`, `u` is linear with slope `s = Σ_{b_t ≤ lo} w_t`,
+//!    which is 0 or at least `w_min`. The scan's slope also counts terms
+//!    with `b_t ∈ (lo, lo + ε]`, and only when `bp ≤ lo + ε`.
+//! 4. When `û(lo) ≥ c`, the scan returns `lo`. Otherwise it returns the
+//!    exact crossing of the segment's line to within
+//!    `3(γ + 2^-53)(c + ε)/s + 2^-52·|F|`.
+//!
+//! **Lemma 1 (scan skip).** For `level₁ ≥ level₀` and `upper₁ ≥ upper₀`,
+//! `F₁ = F(level₁, upper₁) ≥ F₀ − Δ` with `F₀ = F(level₀, upper₀)` and
+//! `Δ = (ε + 8γ(c + ε))/w_min + 2ε + 2^-50(1 + |F₀|)`, provided some
+//! `b_t < upper₀`. Both premises hold between rounds: the level never
+//! falls, and `upper` is a minimum over a shrinking set of receivers.
+//! *Proof.* If scan 1 does not trigger, `F₁ = upper₁ ≥ upper₀ ≥ F₀`.
+//! Else let it trigger at `bp₁` from `lo₁`. If scan 0 triggers at or
+//! below `lo₁`, `F₀ ≤ lo₁ ≤ F₁`. Otherwise scan 0 visits no point in
+//! `(lo₁, bp₁)` but possibly `upper₀`, and its last point `lo₀` before
+//! that is at most `lo₁`. Three cases. (a) Scan 0 triggers at `bp₁` or at
+//! `upper₀ ≤ bp₁`: both scans solve on one segment line, so by fact 4 they
+//! differ by less than `Δ`. A slope that counts an extra term (fact 3)
+//! instead confines both results to `[lo₀, lo₀ + ε]`. (b) Scan 0 returns
+//! `upper₀ ∉ G` inside `(lo₁, bp₁)`: then `û(upper₀) ≤ c + ε`. The
+//! segment's slope is at least `w_min`: a `b_t < upper₀` is at most `lo₁`.
+//! So its line crosses `c` no lower than `upper₀ − (ε + 2γ(c + ε))/w_min`,
+//! and fact 4 bounds scan 1's result from there. (c) Without a
+//! `b_t < upper₀`, case (b) can meet a flat segment whose rounded load
+//! straddles `c + ε`. Scan 1 then returns `lo₁`, arbitrarily far below
+//! `upper₀`. That case stores the floor `min(level₀, upper₀)`, which
+//! `F₁ ≥ min(level₁, upper₁)` respects.
+//!
+//! **Lemma 2 (freeze skip).** If the freeze pass at a level `ℓ ≥ level₀`
+//! freezes a receiver on the link, then `F₀ ≤ ℓ + Δ′` with
+//! `Δ′ = (3ε + 8γ(c + ε))/w_min + 2ε + 2^-50(1 + |F₀|)`. *Proof.* A
+//! freeze needs `link_load_at(ℓ) ≥ c − ε` and a marginal active slot. The
+//! free-rider test passes a frozen max up to `ε` above `ℓ` (and a
+//! weighted receiver's up to `ε` above its rate `w·ℓ`), so that slot's
+//! term has `b ≤ ℓ + ε/w_min`, rounded. Past `b`, `u` rises at slope at
+//! least `w_min` from `u(ℓ) ≥ c − ε − γc`. So every level above
+//! `x* = ℓ + (3ε + 3γ(c + ε))/w_min` (rounded up) lies in `G`. Scan 0
+//! started at `level₀ ≤ ℓ < x*`. It triggers below `x*`, or solves on the
+//! segment that contains `x*`, whose line crosses `c` below `x*`, or it
+//! stops at `upper₀ < x*`. By facts 3 and 4, `F₀ ≤ x* + ε + 2^-52·|F₀| +
+//! 3(γ + 2^-53)(c + ε)/w_min`.
+//!
+//! **The floor.** A scan that returns `F` stores
+//! `φ = F − (4ε + 16γ(c + ε))/w_min − 2ε − 2^-44(1 + |F|)`. This exceeds
+//! both bounds, with slack for the rounding of `φ` itself. It stores
+//! `min(level, upper)` in Lemma 1's case (c). It stores `−∞` unless every
+//! weight is positive and finite. An infinite `c` or `F` makes `φ`
+//! `−∞` or NaN, which only disables the skips. Then `φ ≥ next` gives
+//! `F₁ ≥ next`, so `min` keeps `next`; and `φ > ℓ` rules out a freeze.
+//! The bounds are loose on purpose: a skip needs the floor to clear the
+//! running minimum or the level, and on the links that lose a round it
+//! does so by far more than any of these terms.
+//!
 //! [`crate::allocator::SolveCounters`] counts the work: load evaluations,
 //! replayed halvings, early exits, step-cap hits, the search's own probes
-//! and the links the skip settled.
+//! and the links the skip settled, and per round the links visited, the
+//! exact linear scans and the freeze-pass loads the floors skipped.
 
 use crate::allocation::{Allocation, RATE_EPS};
 use crate::allocator::{Regimes, SolverWorkspace};
@@ -315,51 +411,65 @@ pub(crate) fn solve_in(
 ) -> Result<MaxMinSolution, SolveError> {
     ws.reset(net, weights);
     match weights {
-        None => State::<false>::fill(net, cfg, regimes, &[], ws),
-        Some(weights) => State::<true>::fill(net, cfg, regimes, weights, ws),
+        None => State::<false>::new(net, cfg, regimes, ws).fill(),
+        Some(_) => State::<true>::new(net, cfg, regimes, ws).fill(),
     }
 }
 
 /// Water-filling pass over workspace-held state; `WEIGHTED` solves read
-/// `weights` (see "Weighted filling"), the others compile without them.
+/// the workspace's flat weights (see "Weighted filling"), the others
+/// compile without them.
 struct State<'a, const WEIGHTED: bool> {
     net: &'a Network,
     inc: &'a Incidence,
     cfg: &'a LinkRateConfig,
     regimes: &'a Regimes,
-    /// Per-receiver weights, `[session][receiver]`: active rates are
-    /// `w·level`. Only multi-rate `Efficient` sessions have them.
-    weights: &'a [Vec<f64>],
     ws: &'a mut SolverWorkspace,
     level: f64,
 }
 
 impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
-    /// Fill from the workspace's reset state until every receiver froze.
-    fn fill(
+    /// The start state over a workspace `reset` for `net`: the live-link
+    /// list with each link's linear flag, and no cached load or floor.
+    fn new(
         net: &'a Network,
         cfg: &'a LinkRateConfig,
         regimes: &'a Regimes,
-        weights: &'a [Vec<f64>],
         ws: &'a mut SolverWorkspace,
-    ) -> Result<MaxMinSolution, SolveError> {
+    ) -> Self {
         let inc = net.incidence();
-        let mut state = Self {
+        let links = net.link_count();
+        ws.live.clear();
+        for j in (0..links).filter(|&j| ws.link_active[j] > 0) {
+            let linear = inc
+                .link_slots(j)
+                .all(|slot| cfg.model(inc.slot_session(slot)).is_piecewise_linear());
+            ws.live.push((j, linear));
+        }
+        ws.level_load.clear();
+        ws.level_load.resize(links, f64::NAN);
+        ws.floor.clear();
+        ws.floor.resize(links, f64::NAN);
+        Self {
             net,
             inc,
             cfg,
             regimes,
-            weights,
             ws,
             level: 0.0,
-        };
+        }
+    }
+
+    /// Fill until every receiver froze.
+    fn fill(mut self) -> Result<MaxMinSolution, SolveError> {
         // Every step freezes a receiver or fails, so the loop is finite.
         let mut iterations = 0;
-        while state.any_active() {
+        while self.any_active() {
             iterations += 1;
-            state.step()?;
+            self.step()?;
         }
-        Ok(state.ws.take_solution(iterations))
+        let sessions = self.net.session_count();
+        Ok(self.ws.take_solution(self.inc, sessions, iterations))
     }
 
     fn any_active(&self) -> bool {
@@ -393,38 +503,16 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
             let kappa = self.effective_kappa(i);
             upper = if WEIGHTED {
                 // A weighted receiver reaches κ_i at level κ_i / w.
-                let w = &self.weights[i];
-                (0..w.len())
-                    .filter(|&k| self.ws.active[i][k])
-                    .fold(upper, |u, k| u.min(kappa / w[k]))
+                let ws = &*self.ws;
+                self.inc
+                    .flat_range(i)
+                    .filter(|&f| ws.active[f])
+                    .fold(upper, |u, f| u.min(kappa / ws.weights[f]))
             } else {
                 upper.min(kappa)
             };
         }
-
-        // The next level is the smallest saturation level over all links
-        // (clamped to `upper`). Links settled without a search go first;
-        // the rest are searched in ascending order of their estimated
-        // level, so the running minimum falls early and later searches
-        // settle on one probe (see `saturation_level_search`).
-        let mut next = upper;
-        let mut pending = std::mem::take(&mut self.ws.pending);
-        pending.clear();
-        for j in 0..self.net.link_count() {
-            if self.ws.link_active[j] == 0 {
-                continue;
-            }
-            match self.link_saturation_level(j, upper) {
-                Saturation::Level(lj) => next = next.min(lj),
-                Saturation::Bracketed(link) => pending.push(link),
-            }
-        }
-        pending.sort_by(|a, b| a.estimate.total_cmp(&b.estimate));
-        for link in &pending {
-            let lj = self.saturation_level_search(link, upper, next);
-            next = next.min(lj);
-        }
-        self.ws.pending = pending;
+        let next = self.next_level(upper);
         debug_assert!(
             next >= self.level - RATE_EPS,
             "water level must not decrease"
@@ -433,16 +521,19 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
 
         // Raise every active receiver to the new level (`w·level` when
         // weighted).
-        for i in 0..self.ws.rates.len() {
-            for k in 0..self.ws.rates[i].len() {
-                if self.ws.active[i][k] {
-                    self.ws.rates[i][k] = if WEIGHTED {
-                        self.weights[i][k] * self.level
-                    } else {
-                        self.level
-                    };
-                }
-            }
+        let ws = &mut *self.ws;
+        for (f, (rate, _)) in ws
+            .rates
+            .iter_mut()
+            .zip(&ws.active)
+            .enumerate()
+            .filter(|(_, (_, &active))| active)
+        {
+            *rate = if WEIGHTED {
+                ws.weights[f] * self.level
+            } else {
+                self.level
+            };
         }
 
         let mut froze_any = false;
@@ -454,69 +545,31 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
             if !self.session_has_active(i) || (!WEIGHTED && kappa > self.level + RATE_EPS) {
                 continue;
             }
-            for k in 0..self.ws.rates[i].len() {
-                let at_kappa = !WEIGHTED || self.ws.rates[i][k] >= kappa - RATE_EPS;
-                if self.ws.active[i][k] && at_kappa {
-                    self.ws.rates[i][k] = kappa;
-                    self.freeze(i, k, FreezeReason::MaxRate);
+            for f in self.inc.flat_range(i) {
+                let at_kappa = !WEIGHTED || self.ws.rates[f] >= kappa - RATE_EPS;
+                if self.ws.active[f] && at_kappa {
+                    self.ws.rates[f] = kappa;
+                    self.freeze(i, f, FreezeReason::MaxRate);
                     froze_any = true;
                 }
             }
         }
 
         // Link freezes: saturated links freeze their marginal active receivers.
-        for j in 0..self.net.link_count() {
-            let link = LinkId(j);
+        let live = std::mem::take(&mut self.ws.live);
+        for &(j, linear) in &live {
             if self.ws.link_active[j] == 0 {
                 continue;
             }
-            // κ-freezes are done, and every later freeze this round stores
-            // `rate = level` (so the same miss factor as the active `g`):
-            // this load is bitwise the next round's load at the same level.
-            let load = self.link_load_at(j, self.level);
-            self.ws.level_load[j] = load;
-            if load < self.net.graph().capacity(link) - RATE_EPS {
+            if linear && self.ws.floor[j] > self.level {
+                // Clean, and its floor clears the level: nobody on it
+                // freezes (Lemma 2 of "Change-following rounds").
+                self.ws.counters.freeze_skips += 1;
                 continue;
             }
-            for slot in self.inc.link_slots(j) {
-                let i = self.inc.slot_session(slot);
-                if self.ws.slot_active[slot] == 0 {
-                    continue;
-                }
-                // Weighted: a receiver is marginal once its rate is the
-                // session's rate on the link (see "Weighted filling").
-                let session_max = WEIGHTED.then(|| {
-                    self.ws.slot_frozen_max[slot].max(self.ws.slot_wmax[slot] * self.level)
-                });
-                if !WEIGHTED && !self.session_marginal_on(slot, i) {
-                    continue; // free rider: keeps rising under the frozen max
-                }
-                if self.single_rate(i) {
-                    // Freeze the whole session (step 7).
-                    for k in 0..self.ws.rates[i].len() {
-                        if self.ws.active[i][k] {
-                            let reason = if self.inc.slot_receivers(slot).contains(&k) {
-                                FreezeReason::Link(link)
-                            } else {
-                                FreezeReason::SessionClosure
-                            };
-                            self.freeze(i, k, reason);
-                            froze_any = true;
-                        }
-                    }
-                } else {
-                    let inc = self.inc;
-                    for &k in inc.slot_receivers(slot) {
-                        let rate = self.ws.rates[i][k];
-                        let marginal = session_max.map_or(true, |max| rate >= max - RATE_EPS);
-                        if self.ws.active[i][k] && marginal {
-                            self.freeze(i, k, FreezeReason::Link(link));
-                            froze_any = true;
-                        }
-                    }
-                }
-            }
+            froze_any |= self.freeze_on(j);
         }
+        self.ws.live = live;
 
         if froze_any {
             Ok(())
@@ -525,18 +578,127 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
         }
     }
 
-    /// Freeze active receiver `(i, k)` at its current rate: clear its flag,
-    /// record why, and hand the workspace its `RandomJoin` miss factor
-    /// when the session has one.
-    fn freeze(&mut self, i: usize, k: usize, reason: FreezeReason) {
-        self.ws.active[i][k] = false;
-        self.ws.reasons[i][k] = Some(reason);
+    /// The round's next level: the smallest saturation level over all live
+    /// links, clamped to `upper`. Dirty linear links are scanned and
+    /// nonlinear links' end checks settled first, then the clean linear
+    /// links whose floors do not clear the running minimum are scanned;
+    /// the bracketed searches go last, in ascending order of their
+    /// estimated level, so the running minimum falls early and later
+    /// searches settle on one probe (see `saturation_level_search`).
+    fn next_level(&mut self, upper: f64) -> f64 {
+        let ws = &mut *self.ws;
+        let link_active = &ws.link_active;
+        ws.live.retain(|&(j, _)| link_active[j] > 0);
+        ws.counters.links_visited += ws.live.len() as u64;
+        let live = std::mem::take(&mut ws.live);
+        let mut clean = std::mem::take(&mut ws.clean);
+        let mut pending = std::mem::take(&mut ws.pending);
+        clean.clear();
+        pending.clear();
+        let mut next = upper;
+        for &(j, linear) in &live {
+            if !linear {
+                match self.link_saturation_level(j, upper) {
+                    Saturation::Level(lj) => next = next.min(lj),
+                    Saturation::Bracketed(link) => pending.push(link),
+                }
+            } else if self.ws.floor[j].is_nan() {
+                next = next.min(self.scan_linear(j, upper));
+            } else {
+                clean.push(j);
+            }
+        }
+        for &j in &clean {
+            // A floor at or above `next` keeps the link's level there too
+            // (Lemma 1 of "Change-following rounds").
+            if self.ws.floor[j] < next {
+                next = next.min(self.scan_linear(j, upper));
+            }
+        }
+        pending.sort_by(|a, b| a.estimate.total_cmp(&b.estimate));
+        for link in &pending {
+            let lj = self.saturation_level_search(link, upper, next);
+            next = next.min(lj);
+        }
+        self.ws.live = live;
+        self.ws.clean = clean;
+        self.ws.pending = pending;
+        next
+    }
+
+    /// The freeze pass on live link `j`: if its load at the level reaches
+    /// its capacity, freeze its marginal active receivers. Whether any
+    /// froze.
+    fn freeze_on(&mut self, j: usize) -> bool {
+        let link = LinkId(j);
+        // κ-freezes are done, and every later freeze this round stores
+        // `rate = level` (so the same miss factor as the active `g`):
+        // this load is bitwise the next round's load at the same level.
+        let load = self.link_load_at(j, self.level);
+        self.ws.level_load[j] = load;
+        if load < self.net.graph().capacity(link) - RATE_EPS {
+            return false;
+        }
+        let mut froze_any = false;
+        let inc = self.inc;
+        for slot in inc.link_slots(j) {
+            let i = inc.slot_session(slot);
+            if self.ws.slot_active[slot] == 0 {
+                continue;
+            }
+            // Weighted: a receiver is marginal once its rate is the
+            // session's rate on the link (see "Weighted filling").
+            let session_max = WEIGHTED
+                .then(|| self.ws.slot_frozen_max[slot].max(self.ws.slot_wmax[slot] * self.level));
+            if !WEIGHTED && !self.session_marginal_on(slot, i) {
+                continue; // free rider: keeps rising under the frozen max
+            }
+            let base = inc.flat_range(i).start;
+            if self.single_rate(i) {
+                // Freeze the whole session (step 7).
+                for f in inc.flat_range(i) {
+                    if self.ws.active[f] {
+                        let reason = if inc.slot_receivers(slot).contains(&(f - base)) {
+                            FreezeReason::Link(link)
+                        } else {
+                            FreezeReason::SessionClosure
+                        };
+                        self.freeze(i, f, reason);
+                        froze_any = true;
+                    }
+                }
+            } else {
+                for &k in inc.slot_receivers(slot) {
+                    let f = base + k;
+                    let rate = self.ws.rates[f];
+                    let marginal = session_max.map_or(true, |max| rate >= max - RATE_EPS);
+                    if self.ws.active[f] && marginal {
+                        self.freeze(i, f, FreezeReason::Link(link));
+                        froze_any = true;
+                    }
+                }
+            }
+        }
+        froze_any
+    }
+
+    /// Freeze active receiver `f` of session `i` at its current rate: clear
+    /// its flag, record why, and hand the workspace its `RandomJoin` miss
+    /// factor when the session has one. A linear session's freeze dirties
+    /// the floors of the links on its route.
+    fn freeze(&mut self, i: usize, f: usize, reason: FreezeReason) {
+        self.ws.active[f] = false;
+        self.ws.reasons[f] = Some(reason);
         let miss = match *self.cfg.model(i) {
-            LinkRateModel::RandomJoin { sigma } => Some(miss_factor(self.ws.rates[i][k], sigma)),
-            _ => None,
+            LinkRateModel::RandomJoin { sigma } => Some(miss_factor(self.ws.rates[f], sigma)),
+            _ => {
+                for l in self.inc.route_links(f) {
+                    self.ws.floor[l.0] = f64::NAN;
+                }
+                None
+            }
         };
-        let weights = WEIGHTED.then_some(self.weights);
-        self.ws.note_freeze(self.inc, i, k, miss, weights);
+        self.ws.note_freeze(self.inc, i, f, miss);
     }
 
     /// The load `u_j(ℓ)` of link `j` at hypothetical level `ℓ`.
@@ -583,13 +745,14 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
                 }
                 LinkRateModel::Sum => {
                     let positions = self.inc.slot_positions(slot);
+                    let base = self.inc.flat_range(i).start;
                     total += positions
                         .zip(self.inc.slot_receivers(slot))
                         .map(|(p, &k)| {
                             if ws.pos_active[p] {
                                 level
                             } else {
-                                ws.rates[i][k]
+                                ws.rates[base + k]
                             }
                         })
                         .sum::<f64>();
@@ -652,22 +815,12 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
         }
     }
 
-    /// The largest level `ℓ ∈ [self.level, upper]` with `u_j(ℓ) ≤ c_j`,
-    /// when it is found without bisecting: exactly for piecewise-linear
-    /// links, and for nonlinear links whose load at either end of the
-    /// bracket already decides it. Otherwise the bracket's linear
-    /// interpolation of the level, as a search-order estimate.
+    /// The largest level `ℓ ∈ [self.level, upper]` with `u_j(ℓ) ≤ c_j` of a
+    /// nonlinear link, when its load at either end of the bracket already
+    /// decides it. Otherwise the bracket's linear interpolation of the
+    /// level, as a search-order estimate.
     fn link_saturation_level(&mut self, j: usize, upper: f64) -> Saturation {
         let cap = self.net.graph().capacity(LinkId(j));
-        // Sessions crossing j: are they all piecewise-linear?
-        let linear = self.inc.link_slots(j).all(|slot| {
-            self.cfg
-                .model(self.inc.slot_session(slot))
-                .is_piecewise_linear()
-        });
-        if linear {
-            return Saturation::Level(self.saturation_level_linear(j, upper, cap));
-        }
         let lo = self.level;
         let at_upper = self.link_load_at(j, upper);
         if at_upper <= cap + RATE_EPS {
@@ -695,6 +848,47 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
             at_lo,
             at_upper,
         })
+    }
+
+    /// The exact saturation level of linear link `j`, with its floor
+    /// stored for later rounds (see "Change-following rounds").
+    fn scan_linear(&mut self, j: usize, upper: f64) -> f64 {
+        self.ws.counters.linear_scans += 1;
+        let cap = self.net.graph().capacity(LinkId(j));
+        let lj = self.saturation_level_linear(j, upper, cap);
+        self.ws.floor[j] = self.linear_floor(j, lj, upper, cap);
+        lj
+    }
+
+    /// The floor `φ` of a scan of link `j` that returned `lj`, from the
+    /// terms the scan left in the workspace: `lj` less the margin that
+    /// covers both lemmas of "Change-following rounds".
+    fn linear_floor(&self, j: usize, lj: f64, upper: f64, cap: f64) -> f64 {
+        let mut sloped = false;
+        let mut weighed = true;
+        let mut w_min = f64::INFINITY;
+        for &(b, w) in &self.ws.terms {
+            sloped |= b < upper;
+            weighed &= w > 0.0 && w.is_finite();
+            w_min = w_min.min(w);
+        }
+        if !sloped {
+            // Lemma 1's case (c): no slope below `upper` is known.
+            return self.level.min(upper);
+        }
+        if !weighed {
+            return f64::NEG_INFINITY;
+        }
+        // A live link has slots, and its positions are contiguous.
+        let slots = self.inc.link_slots(j);
+        let positions =
+            self.inc.slot_positions(slots.end - 1).end - self.inc.slot_positions(slots.start).start;
+        // mlf-lint: allow(as-float-cast, reason = "a link's position count is bounded by the receiver population, far below 2^53, so the cast is exact")
+        let gamma = (positions + 4) as f64 * f64::EPSILON;
+        let margin = (4.0 * RATE_EPS + 16.0 * gamma * (cap + RATE_EPS)) / w_min
+            + 2.0 * RATE_EPS
+            + FLOOR_SLACK * (1.0 + lj.abs());
+        lj - margin
     }
 
     /// Exact solve for piecewise-linear loads `u_j(ℓ) = K + Σ w_t·max(b_t, ℓ)`.
@@ -745,24 +939,26 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
         if ws.terms.is_empty() {
             return upper; // load independent of the level
         }
-        // Scan segments between sorted breakpoints.
+        // Scan segments between the breakpoints in `(level, upper)`,
+        // ascending, and then `upper`: the values of the reference's
+        // sorted, deduplicated breakpoints in `(level, upper]`. A repeated
+        // breakpoint is evaluated twice to the same effect, so none is
+        // dropped, and a NaN rate from an upstream model fails both bounds
+        // (total_cmp: it must not panic the whole sweep mid-solve).
+        let level = self.level;
         ws.breakpoints.clear();
-        ws.breakpoints.extend(ws.terms.iter().map(|&(b, _)| b));
-        ws.breakpoints.push(self.level);
-        ws.breakpoints.push(upper);
-        // total_cmp: a NaN rate from an upstream model must not panic the
-        // whole sweep mid-solve (NaNs sort last and surface in the output).
+        let inside = ws.terms.iter().map(|&(b, _)| b);
+        ws.breakpoints
+            .extend(inside.filter(|&b| b > level && b < upper));
         ws.breakpoints.sort_by(f64::total_cmp);
-        ws.breakpoints.dedup();
+        if upper > level {
+            ws.breakpoints.push(upper);
+        }
         let terms = &ws.terms;
         let load_at =
             |l: f64| -> f64 { constant + terms.iter().map(|&(b, w)| w * b.max(l)).sum::<f64>() };
-        let mut lo = self.level;
-        for &bp in ws
-            .breakpoints
-            .iter()
-            .filter(|&&b| b > self.level && b <= upper)
-        {
+        let mut lo = level;
+        for &bp in &ws.breakpoints {
             // Segment [lo, bp]: slope = Σ w over terms with b ≤ lo.
             if load_at(bp) > cap + RATE_EPS {
                 // Saturation inside (lo, bp]: solve linearly.
@@ -952,6 +1148,11 @@ const BISECTION_CAP: usize = 200;
 /// to `1 + |best|`: ten times the bisection's tolerance, so a bisection
 /// whose `hi` stays above the probe cannot meet the tolerance below `best`.
 const SKIP_MARGIN: f64 = 1e-12;
+
+/// The relative slack `2^-44` of a linear link's floor: it covers, with
+/// room to spare, the few roundings relative to the level that the
+/// "Change-following rounds" bounds carry.
+const FLOOR_SLACK: f64 = 256.0 * f64::EPSILON;
 
 /// Largest `upper` at which a passing skip probe settles a link: from a
 /// span of at most 2^100, 200 halvings narrow any bracket far below the
@@ -1314,15 +1515,7 @@ mod tests {
             for cfg in [&fig5, &mixed] {
                 for rounds in 0..4 {
                     ws.reset(&net, None);
-                    let mut state = State::<false> {
-                        net: &net,
-                        inc: net.incidence(),
-                        cfg,
-                        regimes: &Regimes::AsDeclared,
-                        weights: &[],
-                        ws: &mut ws,
-                        level: 0.0,
-                    };
+                    let mut state = State::<false>::new(&net, cfg, &Regimes::AsDeclared, &mut ws);
                     for _ in 0..rounds {
                         if state.any_active() {
                             state.step().unwrap();

@@ -18,15 +18,19 @@ use crate::maxmin::{FreezeReason, MaxMinSolution, SolveError};
 use mlf_net::{LinkId, Network};
 
 /// Textbook water-filling into a caller-provided workspace: the engine
-/// behind [`crate::allocator::Unicast`]. Flow `i` occupies the workspace's
-/// `[i][0]` slots (one receiver per session, which
-/// [`crate::allocator::Allocator::check`] has confirmed).
+/// behind [`crate::allocator::Unicast`]. Every session has one receiver
+/// (which [`crate::allocator::Allocator::check`] has confirmed), so flow
+/// `i` is flat receiver `i` of the workspace's tables.
 #[allow(clippy::needless_range_loop)] // parallel per-flow tables
 pub(crate) fn unicast_solve_in(
     net: &Network,
     ws: &mut SolverWorkspace,
 ) -> Result<MaxMinSolution, SolveError> {
     ws.reset(net, None);
+    ws.link_used.clear();
+    ws.link_used.resize(net.link_count(), 0.0);
+    ws.link_flag.clear();
+    ws.link_flag.resize(net.link_count(), false);
     let m = net.session_count();
     let route = |i: usize| net.route(mlf_net::ReceiverId::new(i, 0));
     let kappa = |i: usize| net.sessions()[i].max_rate;
@@ -36,7 +40,7 @@ pub(crate) fn unicast_solve_in(
     // by the freeze bookkeeping (one receiver per session, so the
     // workspace's per-link active-receiver counter *is* the flow count —
     // integers, hence trivially identical to the reference's rescans).
-    // ws.active[i][0]: flow i still rising. ws.rates[i][0]: its rate.
+    // ws.active[i]: flow i still rising. ws.rates[i]: its rate.
     let mut iterations = 0usize;
     loop {
         if ws.active_total == 0 {
@@ -49,17 +53,17 @@ pub(crate) fn unicast_solve_in(
         // link share is (c_j - used_j) / #active flows on j, offset by the
         // current common rate.
         #[cfg(debug_assertions)]
-        if let Some(first) = (0..m).find(|&i| ws.active[i][0]) {
-            let current = ws.rates[first][0];
+        if let Some(first) = (0..m).find(|&i| ws.active[i]) {
+            let current = ws.rates[first];
             debug_assert!((0..m)
-                .filter(|&i| ws.active[i][0])
-                .all(|i| (ws.rates[i][0] - current).abs() < 1e-12));
+                .filter(|&i| ws.active[i])
+                .all(|i| (ws.rates[i] - current).abs() < 1e-12));
         }
 
         let mut next = f64::INFINITY;
         // κ events.
         for i in 0..m {
-            if ws.active[i][0] {
+            if ws.active[i] {
                 next = next.min(kappa(i));
             }
         }
@@ -79,8 +83,8 @@ pub(crate) fn unicast_solve_in(
         // bookkeeping mutation (freezing one flow must not shift the share
         // seen by the next flow in the same round).
         for i in 0..m {
-            if ws.active[i][0] {
-                ws.rates[i][0] = next.min(kappa(i));
+            if ws.active[i] {
+                ws.rates[i] = next.min(kappa(i));
             }
         }
         for j in 0..net.link_count() {
@@ -95,10 +99,10 @@ pub(crate) fn unicast_solve_in(
         }
         let mut froze = false;
         for i in 0..m {
-            if !ws.active[i][0] {
+            if !ws.active[i] {
                 continue;
             }
-            let at_kappa = ws.rates[i][0] >= kappa(i) - 1e-12;
+            let at_kappa = ws.rates[i] >= kappa(i) - 1e-12;
             let binding_link = route(i).iter().copied().find(|l| ws.link_flag[l.0]);
             let reason = if at_kappa {
                 Some(FreezeReason::MaxRate)
@@ -106,20 +110,20 @@ pub(crate) fn unicast_solve_in(
                 binding_link.map(FreezeReason::Link)
             };
             if let Some(reason) = reason {
-                ws.active[i][0] = false;
-                ws.reasons[i][0] = Some(reason);
+                ws.active[i] = false;
+                ws.reasons[i] = Some(reason);
                 froze = true;
                 for &l in route(i) {
-                    ws.link_used[l.0] += ws.rates[i][0];
+                    ws.link_used[l.0] += ws.rates[i];
                 }
-                ws.note_freeze(net.incidence(), i, 0, None, None);
+                ws.note_freeze(net.incidence(), i, i, None);
             }
         }
         if !froze {
             return Err(SolveError::Stalled { level: next });
         }
     }
-    Ok(ws.take_solution(iterations))
+    Ok(ws.take_solution(net.incidence(), m, iterations))
 }
 
 #[cfg(test)]

@@ -144,6 +144,13 @@ impl Incidence {
         f
     }
 
+    /// The flat ids of session `i`'s receivers, ascending with their
+    /// index `k`: `flat(i, k) = flat_range(i).start + k`.
+    #[inline]
+    pub fn flat_range(&self, i: usize) -> Range<usize> {
+        self.recv_offsets[i]..self.recv_offsets[i + 1]
+    }
+
     /// The data-path of flat receiver `f`, route order.
     #[inline]
     pub fn route_links(&self, f: usize) -> &[LinkId] {

@@ -65,7 +65,9 @@ fn incidence_matches_a_naive_recomputation_from_routes() {
         let mut flat = 0;
         for i in 0..net.session_count() {
             let mut path = vec![false; net.link_count()];
-            for k in 0..net.session(SessionId(i)).receivers.len() {
+            let receivers = net.session(SessionId(i)).receivers.len();
+            assert_eq!(inc.flat_range(i), flat..flat + receivers);
+            for k in 0..receivers {
                 let r = ReceiverId::new(i, k);
                 assert_eq!(inc.flat(i, k), flat);
                 let route = net.route(r);

@@ -72,8 +72,21 @@ fn assert_bitwise_or_both_stall(
 ) -> mlf_core::SolveCounters {
     let mut ws = SolverWorkspace::new();
     let optimized = Hybrid::as_declared().solve_with(net, cfg, &mut ws);
-    let reference =
-        std::panic::catch_unwind(|| reference::solve_in(net, cfg, &Regimes::AsDeclared));
+    assert_agrees_or_both_stall(label, optimized, || {
+        reference::solve_in(net, cfg, &Regimes::AsDeclared)
+    });
+    ws.counters()
+}
+
+/// An optimized solve against its reference: bitwise equal when the
+/// reference finishes, `SolveError::Stalled` at the same level exactly
+/// where the reference panics with "made no progress".
+fn assert_agrees_or_both_stall(
+    label: &str,
+    optimized: Result<mlf_core::MaxMinSolution, SolveError>,
+    reference: impl FnOnce() -> mlf_core::MaxMinSolution + std::panic::UnwindSafe,
+) {
+    let reference = std::panic::catch_unwind(reference);
     match (optimized, reference) {
         (Ok(optimized), Ok(reference)) => assert_bitwise(label, &optimized, &reference),
         (Err(SolveError::Stalled { level }), Err(panic)) => {
@@ -89,7 +102,6 @@ fn assert_bitwise_or_both_stall(
             reference.is_ok()
         ),
     }
-    ws.counters()
 }
 
 /// A random network of the given family, with a deterministic sprinkle of
@@ -452,6 +464,215 @@ proptest! {
         let reference = reference::weighted_solve(&net, &w);
         assert_bitwise(&format!("weighted/seed {seed}"), &optimized, &reference);
     }
+}
+
+/// The solvers' saturation tolerance: a link within it of its capacity is
+/// full.
+const RATE_EPS: f64 = 1e-9;
+
+/// The piecewise-linear models, with `Scaled` factors across their domain
+/// `v ≥ 1` (the slopes below 1 come from `Weighted` weights).
+fn linear_model(rng: &mut SplitMix64) -> LinkRateModel {
+    const FACTORS: [f64; 5] = [1.0, 1.5, 2.0, 8.0, 1e3];
+    match rng.below(3) {
+        0 => LinkRateModel::Efficient,
+        1 => LinkRateModel::Sum,
+        _ => LinkRateModel::Scaled(FACTORS[rng.below(FACTORS.len())]),
+    }
+}
+
+/// `net` with link `j`'s capacity replaced by `cap(j)`, same sessions and
+/// routes.
+fn recapacitated(net: &Network, mut cap: impl FnMut(usize) -> f64) -> Network {
+    let mut g = Graph::new();
+    g.add_nodes(net.graph().node_count());
+    for (id, link) in net.graph().links() {
+        g.add_link(link.a, link.b, cap(id.0)).unwrap();
+    }
+    Network::with_routes(g, net.sessions().to_vec(), net.routes())
+        .expect("same routes remain valid")
+}
+
+/// Capacities that make saturation levels tie or nearly tie, round after
+/// round: one of four values at a magnitude up to 1e6, plus 0, 1 or 2
+/// times one offset `δ ≤ RATE_EPS` drawn per network.
+fn near_tied_capacities(net: &Network, rng: &mut SplitMix64) -> Network {
+    let magnitude = 10f64.powi(rng.below(7) as i32) / 4.0;
+    let delta = RATE_EPS * rng.unit();
+    recapacitated(net, |_| {
+        (1 + rng.below(4)) as f64 * magnitude + rng.below(3) as f64 * delta
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Linear links in series with equal capacities carry the same
+    /// receivers, so their saturation levels tie exactly in every round,
+    /// and the clean links of a round tie with the dirty ones. A floor that
+    /// let a clean link out of `min` when it ties would lose that link's
+    /// freezes.
+    #[test]
+    fn linear_tied_links_match_reference(
+        hops in 2usize..5,
+        fanout in 2usize..5,
+        cap_ix in 0usize..6,
+        leaf_ix in 0usize..3,
+        seed in any::<u64>(),
+        single in any::<bool>(),
+    ) {
+        const CAPS: [f64; 6] = [1.5, 2.0, 3.0, 4.5, 7.0, 10.0];
+        const LEAF_CAPS: [f64; 3] = [0.75, 2.5, 100.0];
+        let mut rng = SplitMix64(seed);
+        let mut g = Graph::new();
+        let chain = g.add_nodes(hops + 1);
+        for w in chain.windows(2) {
+            g.add_link(w[0], w[1], CAPS[cap_ix]).unwrap();
+        }
+        // A second chain of the same capacity into the same hub.
+        let side = g.add_nodes(hops);
+        g.add_link(chain[0], side[0], CAPS[cap_ix]).unwrap();
+        for w in side.windows(2) {
+            g.add_link(w[0], w[1], CAPS[cap_ix]).unwrap();
+        }
+        let leaves = g.add_nodes(fanout);
+        for &leaf in &leaves {
+            g.add_link(chain[hops], leaf, LEAF_CAPS[leaf_ix]).unwrap();
+        }
+        let pair = vec![leaves[0], leaves[fanout - 1]];
+        let net = Network::new(
+            g,
+            vec![
+                Session::multi_rate(chain[0], leaves.clone()),
+                if single {
+                    Session::single_rate(chain[0], pair)
+                } else {
+                    Session::multi_rate(chain[0], pair)
+                },
+                Session::unicast(chain[0], leaves[0]),
+                Session::unicast(chain[0], side[hops - 1]),
+            ],
+        )
+        .unwrap();
+        let cfg = LinkRateConfig::per_session((0..4).map(|_| linear_model(&mut rng)).collect());
+        assert_bitwise_or_both_stall(
+            &format!("linear tied/{hops} hops/{fanout} leaves/cap {cap_ix}/leaf {leaf_ix}/seed {seed}"),
+            &net,
+            &cfg,
+        );
+    }
+
+    /// Random networks of every family with near-tied capacities up to
+    /// 1e6, per-session linear models (`Scaled` factors up to 1e3),
+    /// single-rate sessions and κ caps: crossings at most `RATE_EPS` apart
+    /// in later rounds, where most links are clean and their floors decide
+    /// what is scanned and what the freeze pass evaluates.
+    #[test]
+    fn linear_near_tied_crossings_match_reference(
+        seed in any::<u64>(),
+        family_ix in 0usize..4,
+        nodes in 8usize..30,
+    ) {
+        let mut rng = SplitMix64(seed ^ 0x7E1E_D0C5);
+        let base = sprinkle(random_network_with(FAMILIES[family_ix], seed, nodes, 6, 5).unwrap(), seed);
+        let net = near_tied_capacities(&base, &mut rng);
+        let cfg = LinkRateConfig::per_session(
+            (0..net.session_count()).map(|_| linear_model(&mut rng)).collect(),
+        );
+        assert_bitwise_or_both_stall(
+            &format!("linear near-tie/{}/seed {seed}", FAMILIES[family_ix].label()),
+            &net,
+            &cfg,
+        );
+    }
+
+    /// Weighted filling with weights from 1e-6 up on near-tied capacities
+    /// up to 1e6, with and without κ caps.
+    #[test]
+    fn weighted_tiny_weights_match_reference(
+        seed in any::<u64>(),
+        family_ix in 0usize..4,
+        capped in any::<bool>(),
+    ) {
+        const SCALES: [f64; 5] = [1e-6, 1e-3, 0.5, 1.0, 4.0];
+        let mut rng = SplitMix64(seed ^ 0x3E16_47ED);
+        let base = random_network_with(FAMILIES[family_ix], seed, 16, 5, 4).unwrap();
+        let base = if capped { cap_sessions(base, &mut rng) } else { base };
+        let net = near_tied_capacities(&base, &mut rng);
+        let w = Weights::from_values(
+            net.sessions()
+                .iter()
+                .map(|s| {
+                    (0..s.receivers.len())
+                        .map(|_| SCALES[rng.below(SCALES.len())] * (1.0 + rng.below(4) as f64))
+                        .collect()
+                })
+                .collect(),
+        );
+        let optimized = Weighted::new(w.clone()).solve_with(
+            &net,
+            &LinkRateConfig::efficient(net.session_count()),
+            &mut SolverWorkspace::new(),
+        );
+        assert_agrees_or_both_stall(
+            &format!("tiny weights/{}/seed {seed}", FAMILIES[family_ix].label()),
+            optimized,
+            || reference::weighted_solve(&net, &w),
+        );
+    }
+}
+
+/// A weighted free rider whose session's frozen maximum sits at most
+/// `RATE_EPS` above its own rate when another link saturates it.
+///
+/// Link 0 (capacity `c`) carries a session with receivers of weights `3s`
+/// and `s`, and a unicast of weight `s`; it saturates first, freezing the
+/// heavy receiver at `H = 0.75c` and the unicast. The light receiver rides
+/// link 0 for free until its own tail (link 2, capacity `H − η`) saturates
+/// at `H − η`. There its rate is within `RATE_EPS` of the frozen maximum,
+/// so the freeze pass freezes it on link 0 first: link 0 is clean in that
+/// round, and its floor must not skip it. Weights run down to 1e-6.
+#[test]
+fn weighted_free_rider_within_eps_matches_reference() {
+    let mut cases = 0;
+    for s in [1e-6, 1e-3, 1.0, 4.0] {
+        for c in [1.0, 10.0, 1e3, 1e6] {
+            for eta in [0.0, 0.25, 0.5, 0.9, 1.0].map(|x| x * RATE_EPS) {
+                let net = |tail: f64| {
+                    let mut g = Graph::new();
+                    let n = g.add_nodes(5);
+                    g.add_link(n[0], n[1], c).unwrap();
+                    g.add_link(n[1], n[2], 1e9).unwrap();
+                    g.add_link(n[1], n[3], tail).unwrap();
+                    g.add_link(n[1], n[4], 1e9).unwrap();
+                    Network::new(
+                        g,
+                        vec![
+                            Session::multi_rate(n[0], vec![n[2], n[3]]),
+                            Session::unicast(n[0], n[4]),
+                        ],
+                    )
+                    .unwrap()
+                };
+                let w = Weights::from_values(vec![vec![3.0 * s, s], vec![s]]);
+                // The heavy receiver's rate does not depend on the tail.
+                let heavy = reference::weighted_solve(&net(1e9), &w)
+                    .allocation
+                    .rate(mlf_net::ReceiverId::new(0, 0));
+                let net = net(heavy - eta);
+                let label = format!("free rider/s {s}/c {c}/η {eta}");
+                let optimized = Weighted::new(w.clone()).solve(&net, &mut SolverWorkspace::new());
+                let reference = reference::weighted_solve(&net, &w);
+                assert_bitwise(&label, &optimized, &reference);
+                let light = mlf_net::ReceiverId::new(0, 1);
+                cases += usize::from(reference.bottleneck(light) == Some(mlf_net::LinkId(0)));
+            }
+        }
+    }
+    assert!(
+        cases > 40,
+        "only {cases} cases froze the free rider on link 0"
+    );
 }
 
 /// The unicast engine against its reference on random all-unicast trees.
