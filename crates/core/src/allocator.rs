@@ -65,7 +65,7 @@
 
 use crate::allocation::Allocation;
 use crate::linkrate::{LinkRateConfig, LinkRateModel};
-use crate::maxmin::{solve_in, solved, FreezeReason, MaxMinSolution, Pending, SolveError};
+use crate::maxmin::{solve_in, solved, Curve, FreezeReason, MaxMinSolution, Pending, SolveError};
 use crate::unicast::unicast_solve_in;
 use crate::weighted::Weights;
 use mlf_net::{Incidence, Network, Session, SessionType};
@@ -137,11 +137,17 @@ pub struct SolverWorkspace {
     /// the next round's lower bracket; NaN until the first pass of a solve.
     /// Read by nonlinear links only.
     pub(crate) level_load: Vec<f64>,
-    /// Per-link floor of a linear link's saturation level, stored by its
-    /// last exact scan; NaN until that scan and after any of its
-    /// receivers freezes (see "Change-following rounds" in
-    /// [`crate::maxmin`]).
+    /// Per-link floor of the saturation level: a linear link's is stored
+    /// by its last exact scan and cleared by any freeze of a receiver on
+    /// it; a nonlinear link's is raised by its load evaluations and
+    /// cleared only by freezes of linear sessions' receivers on it. NaN
+    /// when unknown (see "Change-following rounds" and "`RandomJoin`
+    /// floors" in [`crate::maxmin`]).
     pub(crate) floor: Vec<f64>,
+    /// Per-link state of the links a `RandomJoin` session crosses: the
+    /// rounding bound of their loads, the load their floor came from, and
+    /// their last end load. Sized by solves that have such a link only.
+    pub(crate) curves: Vec<Curve>,
     /// Per-position active flags, aligned with the flat `slot_receivers`
     /// array of the network's [`Incidence`]: position `p` of slot `(j, i)`
     /// is receiver `(i, slot_receivers[p])` on link `j`.
@@ -208,9 +214,22 @@ pub struct SolveCounters {
     /// Exact breakpoint scans of piecewise-linear links; a clean link its
     /// cached floor settles is not scanned.
     pub linear_scans: u64,
-    /// Freeze-pass load evaluations skipped on clean linear links whose
-    /// floor shows that nobody on them freezes at the round's level.
+    /// Freeze-pass load evaluations skipped on links whose floor lies
+    /// above the round's level, so that nobody on them freezes: clean
+    /// linear links and `RandomJoin` links alike.
     pub freeze_skips: u64,
+    /// `RandomJoin` end checks `u_j(upper) ≤ c_j + ε` a floor at or above
+    /// `upper` passed without a load evaluation.
+    pub end_checks_skipped: u64,
+    /// `RandomJoin` end loads `u_j(upper)` reused from an earlier round at
+    /// the same `upper`, no receiver on the link having frozen since.
+    pub end_loads_reused: u64,
+    /// Skip probes a floor at or above the probe level settled without a
+    /// load evaluation (counted in `early_exits`, not `bracket_resolved`).
+    pub probes_skipped: u64,
+    /// Slot aggregates re-folded by freezes: one per link on a freezing
+    /// receiver's route.
+    pub slot_refolds: u64,
 }
 
 impl std::ops::AddAssign for SolveCounters {
@@ -225,6 +244,10 @@ impl std::ops::AddAssign for SolveCounters {
         self.links_visited += other.links_visited;
         self.linear_scans += other.linear_scans;
         self.freeze_skips += other.freeze_skips;
+        self.end_checks_skipped += other.end_checks_skipped;
+        self.end_loads_reused += other.end_loads_reused;
+        self.probes_skipped += other.probes_skipped;
+        self.slot_refolds += other.slot_refolds;
     }
 }
 
@@ -315,7 +338,9 @@ impl SolverWorkspace {
         self.session_active[i] -= 1;
         self.active_total -= 1;
         let base = inc.flat_range(i).start;
-        for (l, &(slot, pos)) in inc.route_links(f).iter().zip(inc.route_slots(f)) {
+        let route = inc.route_links(f);
+        self.counters.slot_refolds += route.len() as u64;
+        for (l, &(slot, pos)) in route.iter().zip(inc.route_slots(f)) {
             self.link_active[l.0] -= 1;
             self.pos_active[pos] = false;
             if let Some(miss) = miss {
@@ -432,10 +457,10 @@ pub trait Allocator: Send + Sync {
 
     /// The [`SolveError`] [`Allocator::solve_with`] returns for `net` and
     /// `cfg` before any filling, or `Ok` (the solve can still stall): a
-    /// per-session input of the wrong length, a model or session the
-    /// regime does not define, or bad weights.
+    /// per-session input of the wrong length, a model outside its domain,
+    /// a model or session the regime does not define, or bad weights.
     fn check(&self, net: &Network, cfg: &LinkRateConfig) -> Result<(), SolveError> {
-        session_count("link-rate config", net, cfg.len())
+        link_rates(net, cfg)
     }
 
     /// [`Allocator::solve_with`] under the efficient link-rate model.
@@ -480,6 +505,17 @@ fn session_count(input: &'static str, net: &Network, got: usize) -> Result<(), S
     } else {
         Err(SolveError::SessionCount { input, got })
     }
+}
+
+/// `Ok` when `cfg` holds one model per session of `net`, each inside its
+/// domain ([`LinkRateModel::validate`]).
+fn link_rates(net: &Network, cfg: &LinkRateConfig) -> Result<(), SolveError> {
+    session_count("link-rate config", net, cfg.len())?;
+    (0..cfg.len()).try_for_each(|session| {
+        cfg.model(session)
+            .validate()
+            .map_err(|reason| SolveError::BadLinkRate { session, reason })
+    })
 }
 
 /// `Ok` when `cfg` covers `net` with efficient models only and every
@@ -607,7 +643,7 @@ impl Allocator for Hybrid {
     }
 
     fn check(&self, net: &Network, cfg: &LinkRateConfig) -> Result<(), SolveError> {
-        session_count("link-rate config", net, cfg.len())?;
+        link_rates(net, cfg)?;
         self.regimes.check(net)
     }
 
@@ -792,9 +828,10 @@ mod tests {
     /// reports the sum of what a fresh workspace reports per solve, and
     /// the Figure-5 shape never runs a search into its step cap.
     ///
-    /// The pins: rounds, early exits and cap hits are the plain
-    /// bisection's (it made 39 426 load evaluations here); the rest are
-    /// the bracketed search's own, exact, so a change in how it probes
+    /// The pins: rounds and cap hits are the plain bisection's (it made
+    /// 39 426 load evaluations here); the rest, early exits included (the
+    /// search order decides which links exit early), are the bracketed
+    /// search's and the floors' own, exact, so a change in how they probe
     /// shows up here first.
     #[test]
     fn solve_counters_are_deterministic_sums() {
@@ -836,24 +873,28 @@ mod tests {
                 counters.early_exits,
                 counters.cap_hits
             ),
-            (438, 2804, 0)
+            (438, 2795, 0)
         );
         assert_eq!(
             counters,
             SolveCounters {
                 freeze_rounds: 438,
-                link_load_evals: 17_156,
-                bisection_steps: 19_994,
-                early_exits: 2804,
+                link_load_evals: 8499,
+                bisection_steps: 20_368,
+                early_exits: 2795,
                 cap_hits: 0,
-                bracket_probes: 6359,
-                bracket_resolved: 2804,
+                bracket_probes: 4650,
+                bracket_resolved: 273,
                 links_visited: 5251,
                 linear_scans: 0,
-                freeze_skips: 0,
+                freeze_skips: 4119,
+                end_checks_skipped: 1460,
+                end_loads_reused: 1369,
+                probes_skipped: 2522,
+                slot_refolds: 5470,
             }
         );
-        assert!(counters.link_load_evals <= 24_000);
+        assert!(counters.link_load_evals <= 9300);
         assert!(
             counters.bracket_probes <= counters.bracket_resolved + 2 * counters.bisection_steps
         );
@@ -909,6 +950,10 @@ mod tests {
                 links_visited: 7179,
                 linear_scans: 3844,
                 freeze_skips: 4797,
+                end_checks_skipped: 0,
+                end_loads_reused: 0,
+                probes_skipped: 0,
+                slot_refolds: 6204,
             }
         );
         assert!(counters.linear_scans < counters.links_visited);
@@ -1028,6 +1073,22 @@ mod tests {
         let one_short = |input| SolveError::SessionCount { input, got: 1 };
         let short = LinkRateConfig::efficient(1);
         let eff = LinkRateConfig::efficient(2);
+        let second_model = |m| LinkRateConfig::efficient(2).with_session(1, m);
+        let sigma = |sigma| second_model(LinkRateModel::RandomJoin { sigma });
+        let (half, zero, negative) = (
+            second_model(LinkRateModel::Scaled(0.5)),
+            sigma(0.0),
+            sigma(-1.0),
+        );
+        let (nan, infinite) = (sigma(f64::NAN), sigma(f64::INFINITY));
+        let bad_scaled = SolveError::BadLinkRate {
+            session: 1,
+            reason: "Scaled needs a finite redundancy factor >= 1",
+        };
+        let bad_sigma = SolveError::BadLinkRate {
+            session: 1,
+            reason: "RandomJoin needs a finite layer rate sigma > 0",
+        };
         type Case<'a> = (
             &'a str,
             Box<dyn Allocator>,
@@ -1095,6 +1156,48 @@ mod tests {
                 &net,
                 &short,
                 one_short("link-rate config"),
+            ),
+            (
+                "Scaled(0.5) under MultiRate",
+                Box::new(MultiRate::new()),
+                &net,
+                &half,
+                bad_scaled,
+            ),
+            (
+                "Scaled(0.5) under Hybrid",
+                Box::new(Hybrid::as_declared()),
+                &mixed,
+                &half,
+                bad_scaled,
+            ),
+            (
+                "RandomJoin σ = 0 under SingleRate",
+                Box::new(SingleRate::new()),
+                &net,
+                &zero,
+                bad_sigma,
+            ),
+            (
+                "RandomJoin σ < 0 under MultiRate",
+                Box::new(MultiRate::new()),
+                &net,
+                &negative,
+                bad_sigma,
+            ),
+            (
+                "RandomJoin σ = NaN under Hybrid",
+                Box::new(Hybrid::new(vec![SessionType::MultiRate; 2])),
+                &net,
+                &nan,
+                bad_sigma,
+            ),
+            (
+                "RandomJoin σ = ∞ under MultiRate",
+                Box::new(MultiRate::new()),
+                &net,
+                &infinite,
+                bad_sigma,
             ),
             (
                 "regime list one short",

@@ -108,11 +108,12 @@
 //! that bisection would leave in `min`, bit for bit, while evaluating the
 //! load far less often. Links settled without a search (piecewise-linear
 //! links and brackets the end checks `u_j(upper) ≤ c_j + ε`,
-//! `u_j(level) ≥ c_j − ε` decide) go first, the rest in ascending order
-//! of a linear interpolation of their bracket, so the running minimum
-//! `best` falls early. `min` is order-independent on the non-negative,
-//! non-NaN levels involved, so the order changes how much work a round
-//! does, never its result. Everything below rests on one lemma.
+//! `u_j(level) ≥ c_j − ε` or a floor decide) go first, the rest in
+//! ascending order of an estimate of their crossing (see "`RandomJoin`
+//! floors"), so the running minimum `best` falls early. `min` is
+//! order-independent on the non-negative, non-NaN levels involved, so the
+//! order changes how much work a round does, never its result.
+//! Everything below rests on one lemma.
 //!
 //! **Monotonicity.** `State::link_load_at` is non-decreasing in the
 //! level under IEEE rounding. Every operation on the level's path is a
@@ -158,10 +159,11 @@
 //! Regula falsi pins the crossing to a few floats within a handful of
 //! evaluations, after which almost every midpoint resolves for free.
 //!
-//! **Reused lower bracket.** The freeze pass evaluates every active link's
-//! load at the round's level and keeps it per link
-//! ([`SolverWorkspace`]'s `level_load`, NaN at the start of each solve);
-//! the next round reads it as its `u_j(level)`. It is bitwise the load the
+//! **Reused lower bracket.** The freeze pass evaluates the load of every
+//! active link its floor does not skip at the round's level and keeps it
+//! per link ([`SolverWorkspace`]'s `level_load`, NaN at the start of each
+//! solve and for a link the pass skipped); the next round reads it as its
+//! `u_j(level)`. It is bitwise the load the
 //! next round would compute: the level does not change between the two;
 //! κ-freezes, which store `rate = κ`, all run before the freeze pass
 //! evaluates; and link and closure freezes store `rate = level`, whose
@@ -186,17 +188,20 @@
 //! floor is *clean*. The terms `(b_t, w_t)` and constant `K` of a clean
 //! link are those of the scan that stored its floor: they are functions
 //! of its slots' aggregates, which only `note_freeze` changes. `RandomJoin`
-//! links never hold a floor, and `RandomJoin` freezes touch none.
+//! receivers cross no linear link, so their freezes touch no linear floor.
+//! (Nonlinear links keep floors of their own in the same vector; see
+//! "`RandomJoin` floors".)
 //!
 //! **Rounds.** The saturation pass scans dirty linear links and settles
 //! the nonlinear links' end checks as before. It then visits the clean
 //! linear links: one with `φ_j ≥ next` (the running minimum) is skipped,
 //! any other is scanned exactly. The bracketed searches run last, so
-//! they see the same `next` as before. The freeze pass skips a clean
-//! linear link with `φ_j > level`: evaluating it would freeze nobody.
-//! (The `level_load` it would store is read only by nonlinear links.) So
-//! the link that wins `min` is always scanned exactly, and every output
-//! bit is the scans' own.
+//! they see the same `next` as before. The freeze pass skips every link,
+//! linear or not, with `φ_j > level`: evaluating it would freeze nobody.
+//! (The `level_load` it would store is read only by nonlinear links, and
+//! a skipped one needs none: its floor clears the level.) So the link
+//! that wins `min` is always scanned exactly, and every output bit is the
+//! scans' own.
 //!
 //! **Notation.** Fix a link's terms, with capacity `c`, `ε = RATE_EPS`,
 //! `w_min = min_t w_t`, and `P` the link's positions. `u(x) = K + Σ_t
@@ -264,10 +269,86 @@
 //! running minimum or the level, and on the links that lose a round it
 //! does so by far more than any of these terms.
 //!
+//! # `RandomJoin` floors
+//!
+//! A nonlinear link (one some `RandomJoin` session crosses) has no closed
+//! form, but its load rises no faster than a bound known in advance, so
+//! one evaluation below capacity shows how far above it the link cannot
+//! saturate. Fix such a link with capacity `c`, `ε = RATE_EPS`, `n` active
+//! receivers (`link_active`), `F = max(1, largest Scaled factor of the
+//! solve)`, `L = n·F`, `P_s` the positions of slot `s`, and `P`, `S` the
+//! link's positions and slots. `u` is the exact load of the current
+//! slots as a function of the level, `û` the evaluated one.
+//!
+//! **Lemma 3a (slope and rounding).** `u(y) − u(x) ≤ L·(y − x)` for
+//! `y ≥ x`. A `RandomJoin` slot with `m` active receivers and frozen miss
+//! product `M` adds `σ(1 − M(1 − x.min(σ)/σ)^m)`, of slope
+//! `M·m(1 − x/σ)^(m−1) ≤ m`. A `Sum` slot rises at its active count, an
+//! `Efficient` slot at most 1, a shared `Scaled` slot at most its factor;
+//! each slot with a slope has an active receiver. While `u ≤ c`, `û` is
+//! within `δ/2` of `u`, with `δ = 2^-50·(Σ_RJ σ_s(P_s + 1) + (P + S + 4)c)`
+//! (`Curve::err`). A miss factor `1 − a.min(σ).max(0)/σ` is within
+//! `1.5·2^-53` of exact, each of the `P_s` products in `[0, 1]` adds
+//! `2^-54`, and `1 − ∏` then `σ·` add `2^-54` and `σ·2^-53`: a slot is off
+//! by at most `σ(2P_s + 2)·2^-52`, an *absolute* error because `1 − ∏`
+//! cancels. The linear terms and the sum over slots are off by a relative
+//! `(P + S)·2^-53` of at most `c`. Underflow adds at most `2^-1074` per
+//! operation, far inside the slack below.
+//!
+//! **Lemma 3b (freezes only lower the load).** After later freezes, every
+//! evaluation `û′(y)` at a level `y` at or above the level of each of
+//! them has `û′(y) ≤ û(y + ε′)`, `ε′ = ε + 2^-52(1 + y)`. A link or
+//! closure freeze stores `rate = level ≤ y`, and a κ-freeze `κ ≤ level +
+//! ε` rounded (the *κ shift*), so every newly frozen rate `a` is at most
+//! `y + ε′`: its miss factor is at least `g(y + ε′)`, its `max` or `Sum`
+//! contribution at most `y + ε′`, as are the still-active receivers'. Every
+//! operation of the load is monotone (see "Monotonicity"). A freeze thus
+//! never raises the load above the level, and `L` only shrinks.
+//!
+//! **Lemma 3 (floor).** After an evaluation `û(x) < c − ε` at a level
+//! `x ≥ level`, the floor
+//! `φ = x + (c − ε − û(x) − 2δ)/L − ε − 2^-44(1 + x + |x + (c − ε − û(x) −
+//! 2δ)/L|)` has `û′(y) < c − ε` at every later level `y ∈ [level′, φ]`.
+//! *Proof.* If `y + ε′ ≤ x`, `û′(y) ≤ û(x)` by 3b and monotonicity.
+//! Otherwise 3b and 3a give `û′(y) ≤ û(x) + δ + L·(y + ε′ − x)`, and
+//! `y + ε′ − x ≤ (c − ε − û(x) − 2δ)/L`: the `−ε` term of the margin is
+//! the κ shift, and the `2^-44` slack covers `ε′ − ε` and the rounding of
+//! the floor's own arithmetic (half of `δ` covers its numerator's). So
+//! `û′(y) ≤ c − ε − δ/2`.
+//!
+//! Each evaluation of a nonlinear link at or above the level raises its
+//! floor to the larger of the two; a linear session's freeze on the link
+//! clears it (the linear rule, conservative here), a `RandomJoin` freeze
+//! never does. A round then decides what the reference's evaluations
+//! would, without them:
+//! - `φ ≥ upper`: the end check `û(upper) ≤ c + ε` passes, and the link's
+//!   level `upper` cannot lower `next`. It is skipped.
+//! - `φ ≥ level` on a bracketed link: `û(level) < c − ε`, so the link is
+//!   not saturated, and `φ` is a good end of its bracket.
+//! - `φ ≥ q` in the search: the skip probe at `q` passes; the search
+//!   returns `best`.
+//! - `φ > level` in the freeze pass: the load is below `c − ε`; nobody
+//!   freezes. One rule for linear and nonlinear links.
+//!
+//! **End loads.** A link keeps its last end load `û(upper)` with the bits
+//! of `upper` and its active count, and reuses it while both recur. Each
+//! freeze of a receiver on the link, linear or not, lowers the count, so
+//! an equal count means every slot's aggregates, flags and miss factors
+//! are those of the stored load, which is then bitwise the load.
+//!
+//! **Search order.** The bracketed searches run in ascending order of the
+//! crossing of the link's last load below the end at the slope bound `L`
+//! (at a floor, the load the floor was raised from). Only the work
+//! depends on it: `min` is order-independent, every skip and every
+//! replayed midpoint is decided exactly, and the loads that stand in for
+//! unknown ones steer only regula falsi.
+//!
 //! [`crate::allocator::SolveCounters`] counts the work: load evaluations,
 //! replayed halvings, early exits, step-cap hits, the search's own probes
-//! and the links the skip settled, and per round the links visited, the
-//! exact linear scans and the freeze-pass loads the floors skipped.
+//! and the links the skip settled, per round the links visited, the exact
+//! linear scans and the freeze-pass loads the floors skipped, the end
+//! checks and probes `RandomJoin` floors settled, the end loads reused,
+//! and the slot aggregates freezes re-folded.
 
 use crate::allocation::{Allocation, RATE_EPS};
 use crate::allocator::{Regimes, SolverWorkspace};
@@ -358,6 +439,15 @@ pub enum SolveError {
         /// The first such session.
         session: usize,
     },
+    /// A session's link-rate model is outside its domain
+    /// ([`LinkRateModel::validate`]): a `Scaled` factor below 1, or a
+    /// `RandomJoin` layer rate that is not finite and positive.
+    BadLinkRate {
+        /// The first such session.
+        session: usize,
+        /// Why, as `validate` states it.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for SolveError {
@@ -383,6 +473,12 @@ impl std::fmt::Display for SolveError {
                 write!(
                     f,
                     "session {session} needs a finite weight > 0 per receiver"
+                )
+            }
+            SolveError::BadLinkRate { session, reason } => {
+                write!(
+                    f,
+                    "session {session}'s link-rate model is invalid: {reason}"
                 )
             }
         }
@@ -426,11 +522,15 @@ struct State<'a, const WEIGHTED: bool> {
     regimes: &'a Regimes,
     ws: &'a mut SolverWorkspace,
     level: f64,
+    /// `max(1, largest Scaled factor)`: an active receiver's most slope in
+    /// a link's load (see "`RandomJoin` floors").
+    slope_scale: f64,
 }
 
 impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
     /// The start state over a workspace `reset` for `net`: the live-link
-    /// list with each link's linear flag, and no cached load or floor.
+    /// list with each link's linear flag, no cached load or floor, and,
+    /// when some link is nonlinear, the rounding bounds of those links.
     fn new(
         net: &'a Network,
         cfg: &'a LinkRateConfig,
@@ -440,16 +540,33 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
         let inc = net.incidence();
         let links = net.link_count();
         ws.live.clear();
+        let mut nonlinear = false;
         for j in (0..links).filter(|&j| ws.link_active[j] > 0) {
             let linear = inc
                 .link_slots(j)
                 .all(|slot| cfg.model(inc.slot_session(slot)).is_piecewise_linear());
+            nonlinear |= !linear;
             ws.live.push((j, linear));
         }
         ws.level_load.clear();
         ws.level_load.resize(links, f64::NAN);
         ws.floor.clear();
         ws.floor.resize(links, f64::NAN);
+        let mut slope_scale = 1.0_f64;
+        if nonlinear {
+            for i in 0..cfg.len() {
+                if let LinkRateModel::Scaled(factor) = *cfg.model(i) {
+                    slope_scale = slope_scale.max(factor);
+                }
+            }
+            ws.curves.clear();
+            ws.curves.resize(links, Curve::default());
+            for &(j, linear) in &ws.live {
+                if !linear {
+                    ws.curves[j].err = rounding_bound(net, cfg, j);
+                }
+            }
+        }
         Self {
             net,
             inc,
@@ -457,6 +574,7 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
             regimes,
             ws,
             level: 0.0,
+            slope_scale,
         }
     }
 
@@ -561,13 +679,17 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
             if self.ws.link_active[j] == 0 {
                 continue;
             }
-            if linear && self.ws.floor[j] > self.level {
-                // Clean, and its floor clears the level: nobody on it
-                // freezes (Lemma 2 of "Change-following rounds").
+            if self.ws.floor[j] > self.level {
+                // Its floor clears the level: nobody on it freezes (Lemma 2
+                // of "Change-following rounds", Lemma 3 of "`RandomJoin`
+                // floors"). The next round reads no load at this level.
                 self.ws.counters.freeze_skips += 1;
+                if !linear {
+                    self.ws.level_load[j] = f64::NAN;
+                }
                 continue;
             }
-            froze_any |= self.freeze_on(j);
+            froze_any |= self.freeze_on(j, linear);
         }
         self.ws.live = live;
 
@@ -627,16 +749,20 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
     }
 
     /// The freeze pass on live link `j`: if its load at the level reaches
-    /// its capacity, freeze its marginal active receivers. Whether any
-    /// froze.
-    fn freeze_on(&mut self, j: usize) -> bool {
+    /// its capacity, freeze its marginal active receivers; otherwise raise
+    /// a nonlinear link's floor from the load. Whether any froze.
+    fn freeze_on(&mut self, j: usize, linear: bool) -> bool {
         let link = LinkId(j);
         // κ-freezes are done, and every later freeze this round stores
         // `rate = level` (so the same miss factor as the active `g`):
         // this load is bitwise the next round's load at the same level.
         let load = self.link_load_at(j, self.level);
         self.ws.level_load[j] = load;
-        if load < self.net.graph().capacity(link) - RATE_EPS {
+        let cap = self.net.graph().capacity(link);
+        if load < cap - RATE_EPS {
+            if !linear {
+                self.raise_floor(j, self.level, load, cap);
+            }
             return false;
         }
         let mut froze_any = false;
@@ -816,38 +942,117 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
     }
 
     /// The largest level `ℓ ∈ [self.level, upper]` with `u_j(ℓ) ≤ c_j` of a
-    /// nonlinear link, when its load at either end of the bracket already
-    /// decides it. Otherwise the bracket's linear interpolation of the
-    /// level, as a search-order estimate.
+    /// nonlinear link, when its floor or its load at either end of the
+    /// bracket already decides it. Otherwise the bracket, with an estimate
+    /// of the crossing that orders the searches.
     fn link_saturation_level(&mut self, j: usize, upper: f64) -> Saturation {
-        let cap = self.net.graph().capacity(LinkId(j));
-        let lo = self.level;
-        let at_upper = self.link_load_at(j, upper);
-        if at_upper <= cap + RATE_EPS {
+        if self.ws.floor[j] >= upper {
+            // `u_j(upper) < c_j − ε`: the end check passes (Lemma 3).
+            self.ws.counters.end_checks_skipped += 1;
             return Saturation::Level(upper);
         }
-        // The previous round's freeze pass left the load at this level
-        // (NaN before the first one).
-        let cached = self.ws.level_load[j];
-        let at_lo = if cached.is_nan() {
-            self.link_load_at(j, lo)
-        } else {
-            cached
-        };
-        if at_lo >= cap - RATE_EPS {
-            // Already saturated: the level can only advance past this link's
-            // constraint if no marginal session remains; conservatively stop
-            // here and let the freezing pass sort it out. (For RandomJoin
-            // loads there are no flat segments while any session is
-            // marginal, so no free-rider ride-through exists to find.)
-            return Saturation::Level(lo);
+        let cap = self.net.graph().capacity(LinkId(j));
+        let lo = self.level;
+        let at_upper = self.end_load(j, upper);
+        if at_upper <= cap + RATE_EPS {
+            self.raise_floor(j, upper, at_upper, cap);
+            return Saturation::Level(upper);
         }
+        let mut at_lo = f64::NAN;
+        if self.ws.floor[j].is_nan() || self.ws.floor[j] < lo {
+            // The previous round's freeze pass left the load at this
+            // level (NaN before the first one, or where a floor let the
+            // pass skip the link).
+            let cached = self.ws.level_load[j];
+            at_lo = if cached.is_nan() {
+                self.link_load_at(j, lo)
+            } else {
+                cached
+            };
+            if at_lo >= cap - RATE_EPS {
+                // Already saturated: the level can only advance past this
+                // link's constraint if no marginal session remains;
+                // conservatively stop here and let the freezing pass sort
+                // it out. (For RandomJoin loads there are no flat segments
+                // while any session is marginal, so no free-rider
+                // ride-through exists to find.)
+                return Saturation::Level(lo);
+            }
+            self.raise_floor(j, lo, at_lo, cap);
+        }
+        // The bracket's good end: the floor when it clears the level, else
+        // the level itself. The last load known below the end (`at_lo`,
+        // or the one the floor was raised from) only steers the search:
+        // its crossing at the link's current slope bound orders the
+        // searches, and at a floor the secant from it to `u_j(upper)`
+        // stands in for the load at the good end in regula falsi.
+        let floor = self.ws.floor[j];
+        let slope = self.slope_bound(j);
+        let (good, at_good, estimate) = if floor >= lo {
+            let Curve {
+                floor_x,
+                floor_load,
+                ..
+            } = self.ws.curves[j];
+            let t = (floor - floor_x) / (upper - floor_x);
+            let at_floor = floor_load + (at_upper - floor_load) * t;
+            (floor, at_floor, floor_x + (cap - floor_load) / slope)
+        } else {
+            (lo, at_lo, lo + (cap - at_lo) / slope)
+        };
         Saturation::Bracketed(Pending {
-            estimate: lo + (cap - at_lo) / (at_upper - at_lo) * (upper - lo),
+            estimate,
             link: j,
-            at_lo,
+            good,
+            at_good,
             at_upper,
         })
+    }
+
+    /// `L_j = n_j·max(1, largest Scaled factor)`: a bound on the slope of
+    /// link `j`'s load in the level (Lemma 3a).
+    fn slope_bound(&self, j: usize) -> f64 {
+        // mlf-lint: allow(as-float-cast, reason = "a link's active count is bounded by the receiver population, far below 2^53, so the cast is exact")
+        let active = self.ws.link_active[j] as f64;
+        active * self.slope_scale
+    }
+
+    /// `u_j(upper)` of nonlinear link `j`: its last end load when that was
+    /// taken at the same `upper` with as many active receivers on the link
+    /// (so no freeze changed any of its slots since), else a fresh one.
+    fn end_load(&mut self, j: usize, upper: f64) -> f64 {
+        let active = self.ws.link_active[j];
+        let curve = &self.ws.curves[j];
+        if curve.end_upper.to_bits() == upper.to_bits() && curve.end_active == active {
+            self.ws.counters.end_loads_reused += 1;
+            return curve.end_load;
+        }
+        let load = self.link_load_at(j, upper);
+        let curve = &mut self.ws.curves[j];
+        curve.end_upper = upper;
+        curve.end_active = active;
+        curve.end_load = load;
+        load
+    }
+
+    /// Raise nonlinear link `j`'s floor from its load `load = û_j(x)` at a
+    /// level `x ≥ self.level`, when that is below `c_j − ε` (Lemma 3 of
+    /// "`RandomJoin` floors"). A floor only ever rises until a linear
+    /// session's freeze clears it.
+    fn raise_floor(&mut self, j: usize, x: f64, load: f64, cap: f64) {
+        if load >= cap - RATE_EPS {
+            return; // (a NaN load yields a NaN floor, which skips nothing)
+        }
+        let slope = self.slope_bound(j);
+        let curve = &mut self.ws.curves[j];
+        let raw = x + (cap - RATE_EPS - load - 2.0 * curve.err) / slope;
+        let floor = raw - (RATE_EPS + FLOOR_SLACK * (1.0 + x + raw.abs()));
+        let current = &mut self.ws.floor[j];
+        if floor > *current || current.is_nan() {
+            *current = floor;
+            curve.floor_x = x;
+            curve.floor_load = load;
+        }
     }
 
     /// The exact saturation level of linear link `j`, with its floor
@@ -999,8 +1204,8 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
             return lo;
         }
         let mut known = Bracket {
-            good: lo,
-            f_good: link.at_lo - cap,
+            good: link.good,
+            f_good: link.at_good - cap,
             bad: hi,
             f_bad: link.at_upper - cap,
             last: 0,
@@ -1010,7 +1215,13 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
         let mut spare = true;
         let q = best + SKIP_MARGIN * (1.0 + best.abs());
         if q < hi {
-            let at_q = self.search_load_at(j, q);
+            if self.ws.floor[j] >= q && upper <= SKIP_SPAN {
+                // The probe would pass: `u_j(q) < c_j − ε` (Lemma 3).
+                self.ws.counters.probes_skipped += 1;
+                self.ws.counters.early_exits += 1;
+                return best;
+            }
+            let at_q = self.search_load_at(j, q, cap);
             if at_q <= cap && upper <= SKIP_SPAN {
                 self.ws.counters.bracket_resolved += 1;
                 self.ws.counters.early_exits += 1;
@@ -1028,11 +1239,11 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
             let mid = 0.5 * (lo + hi);
             if known.undecided(mid) {
                 if let Some(x) = known.falsi_point().filter(|_| spare) {
-                    let at_x = self.search_load_at(j, x);
+                    let at_x = self.search_load_at(j, x, cap);
                     known.record(x, at_x, cap);
                 }
                 if known.undecided(mid) {
-                    let at_mid = self.search_load_at(j, mid);
+                    let at_mid = self.search_load_at(j, mid, cap);
                     known.record(mid, at_mid, cap);
                 }
             }
@@ -1053,10 +1264,12 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
     }
 
     /// [`State::link_load_at`] on behalf of the bracketed search, counted
-    /// as one of its probes.
-    fn search_load_at(&mut self, j: usize, level: f64) -> f64 {
+    /// as one of its probes, raising the link's floor from it.
+    fn search_load_at(&mut self, j: usize, level: f64, cap: f64) -> f64 {
         self.ws.counters.bracket_probes += 1;
-        self.link_load_at(j, level)
+        let load = self.link_load_at(j, level);
+        self.raise_floor(j, level, load, cap);
+        load
     }
 }
 
@@ -1069,14 +1282,56 @@ enum Saturation {
 }
 
 /// A link whose load crosses its capacity strictly inside
-/// `[level, upper]`, with the loads at both ends.
+/// `[level, upper]`, with a good level `good ≥ level` and the loads at
+/// both ends.
 #[derive(Debug)]
 pub(crate) struct Pending {
     /// A linear interpolation of the crossing; it only orders the searches.
     estimate: f64,
     link: usize,
-    at_lo: f64,
+    good: f64,
+    /// `u_j(good)`, or an estimate of it when `good` is the link's floor.
+    at_good: f64,
     at_upper: f64,
+}
+
+/// The per-link state of a nonlinear link (see "`RandomJoin` floors").
+/// The default holds no end load: no live link has 0 active receivers.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Curve {
+    /// `δ_j`: twice a bound on the absolute rounding error of one load
+    /// evaluation while the load is below `c_j`.
+    err: f64,
+    /// The level and load the link's floor was last raised from.
+    floor_x: f64,
+    floor_load: f64,
+    /// The level of the last end load.
+    end_upper: f64,
+    /// The link's active receivers when the end load was taken.
+    end_active: usize,
+    /// The last end load `u_j(end_upper)`.
+    end_load: f64,
+}
+
+/// `δ_j` of nonlinear link `j`: twice the bound
+/// `2^-51·(Σ_RJ σ_s(P_s + 1) + (P + S + 4)·c_j)` on the absolute rounding
+/// error of one load evaluation below `c_j` (`P_s` the positions of a
+/// `RandomJoin` slot, `P` and `S` the link's positions and slots).
+fn rounding_bound(net: &Network, cfg: &LinkRateConfig, j: usize) -> f64 {
+    let inc = net.incidence();
+    let mut sigmas = 0.0;
+    let mut count = 4usize;
+    for slot in inc.link_slots(j) {
+        let positions = inc.slot_positions(slot).len();
+        count += positions + 1;
+        if let LinkRateModel::RandomJoin { sigma } = *cfg.model(inc.slot_session(slot)) {
+            // mlf-lint: allow(as-float-cast, reason = "a slot's position count is bounded by the receiver population, far below 2^53, so the cast is exact")
+            sigmas += sigma * (positions + 1) as f64;
+        }
+    }
+    let cap = net.graph().capacity(LinkId(j));
+    // mlf-lint: allow(as-float-cast, reason = "a link's position and slot counts are bounded by the receiver population, far below 2^53, so the cast is exact")
+    ROUNDING * (sigmas + count as f64 * cap)
 }
 
 /// The levels known on either side of one link's crossing:
@@ -1149,10 +1404,14 @@ const BISECTION_CAP: usize = 200;
 /// whose `hi` stays above the probe cannot meet the tolerance below `best`.
 const SKIP_MARGIN: f64 = 1e-12;
 
-/// The relative slack `2^-44` of a linear link's floor: it covers, with
-/// room to spare, the few roundings relative to the level that the
-/// "Change-following rounds" bounds carry.
+/// The relative slack `2^-44` of a floor: it covers, with room to spare,
+/// the few roundings relative to the level that the bounds of
+/// "Change-following rounds" and "`RandomJoin` floors" carry.
 const FLOOR_SLACK: f64 = 256.0 * f64::EPSILON;
+
+/// `2^-50`: twice the `2^-51` of a nonlinear link's rounding bound, so
+/// that the bound also covers the rounding of the floor's own arithmetic.
+const ROUNDING: f64 = 4.0 * f64::EPSILON;
 
 /// Largest `upper` at which a passing skip probe settles a link: from a
 /// span of at most 2^100, 200 halvings narrow any bracket far below the
@@ -1551,6 +1810,71 @@ mod tests {
             }
         }
         assert!(pairs > 10_000, "only {pairs} pairs checked");
+    }
+
+    /// Lemma 3 of "`RandomJoin` floors", checked where it is used: after
+    /// every round of solves that mix `RandomJoin` sessions (σ from 0.5 to
+    /// 1e4) with `Efficient`, `Sum` and `Scaled` ones (factors up to 1e3)
+    /// under κ caps, every nonlinear link's load stays below `c − ε` from
+    /// the level up to its floor.
+    #[test]
+    fn random_join_floors_bound_later_loads() {
+        use mlf_net::topology::{random_network_with, SplitMix64};
+        use mlf_net::TopologyFamily;
+        const MIX: [LinkRateModel; 6] = [
+            LinkRateModel::RandomJoin { sigma: 0.5 },
+            LinkRateModel::RandomJoin { sigma: 6.0 },
+            LinkRateModel::RandomJoin { sigma: 1e4 },
+            LinkRateModel::Efficient,
+            LinkRateModel::Scaled(1e3),
+            LinkRateModel::Sum,
+        ];
+        let families = [
+            TopologyFamily::FlatTree,
+            TopologyFamily::KaryTree { arity: 3 },
+            TopologyFamily::TransitStub { transit: 4 },
+            TopologyFamily::Dumbbell,
+        ];
+        let mut rng = SplitMix64(0x000F_1002);
+        let mut ws = SolverWorkspace::new();
+        let mut checked = 0usize;
+        for seed in 0..48u64 {
+            let base = random_network_with(families[seed as usize % 4], seed, 24, 6, 5).unwrap();
+            let mut sessions = base.sessions().to_vec();
+            for s in sessions.iter_mut() {
+                if rng.below(3) == 0 {
+                    s.max_rate = 0.25 + 4.0 * rng.unit();
+                }
+            }
+            let net = Network::with_routes(base.graph().clone(), sessions, base.routes()).unwrap();
+            let cfg = LinkRateConfig::per_session(
+                (0..net.session_count())
+                    .map(|_| MIX[rng.below(MIX.len())])
+                    .collect(),
+            );
+            ws.reset(&net, None);
+            let mut state = State::<false>::new(&net, &cfg, &Regimes::AsDeclared, &mut ws);
+            while state.any_active() && state.step().is_ok() {
+                let live = state.ws.live.clone();
+                for (j, _) in live.into_iter().filter(|&(_, linear)| !linear) {
+                    let floor = state.ws.floor[j];
+                    if state.ws.link_active[j] == 0 || floor.is_nan() || floor < state.level {
+                        continue;
+                    }
+                    let cap = net.graph().capacity(LinkId(j));
+                    for k in 0..=4 {
+                        let y = state.level + (floor - state.level) * f64::from(k) / 4.0;
+                        let load = state.link_load_at(j, y.min(floor));
+                        assert!(
+                            load < cap - RATE_EPS,
+                            "seed {seed} link {j}: u({y}) = {load} ≥ c − ε under floor {floor}"
+                        );
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 500, "only {checked} floors checked");
     }
 
     #[test]

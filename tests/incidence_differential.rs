@@ -622,6 +622,212 @@ proptest! {
     }
 }
 
+/// Per-session models for a link shared by `RandomJoin` and linear
+/// sessions: about half `RandomJoin` with σ log-uniform in `[1e-3, 1e6]`,
+/// the rest `Efficient`, `Sum` or `Scaled` with factors up to 1e3.
+fn random_join_mix(net: &Network, rng: &mut SplitMix64) -> LinkRateConfig {
+    LinkRateConfig::per_session(
+        (0..net.session_count())
+            .map(|_| {
+                if rng.below(2) == 0 {
+                    LinkRateModel::RandomJoin {
+                        sigma: 10f64.powf(9.0 * rng.unit() - 3.0),
+                    }
+                } else {
+                    linear_model(rng)
+                }
+            })
+            .collect(),
+    )
+}
+
+/// `net` with one session's κ moved to within `±RATE_EPS` of a level at
+/// which the reference froze some receiver, so a κ-freeze stores a rate up
+/// to `RATE_EPS` above the level of its round (`net` itself where the
+/// reference stalls).
+fn kappa_near_a_freeze_level(net: &Network, cfg: &LinkRateConfig, rng: &mut SplitMix64) -> Network {
+    let solved = std::panic::catch_unwind(|| reference::solve_in(net, cfg, &Regimes::AsDeclared));
+    let levels: Vec<f64> = solved
+        .map(|s| s.allocation.iter().map(|(_, a)| a).collect::<Vec<_>>())
+        .unwrap_or_default()
+        .into_iter()
+        .filter(|a| a.is_finite() && *a > RATE_EPS)
+        .collect();
+    let mut sessions = net.sessions().to_vec();
+    if let Some(&level) = levels.get(rng.below(levels.len().max(1))) {
+        let s = rng.below(sessions.len());
+        sessions[s].max_rate = level + (2.0 * rng.unit() - 1.0) * RATE_EPS;
+    }
+    Network::with_routes(net.graph().clone(), sessions, net.routes())
+        .expect("same routes remain valid")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `RandomJoin` sessions sharing links with `Scaled` sessions (factors
+    /// up to 1e3), `Sum` and `Efficient` ones, single-rate sessions and κ
+    /// caps, on capacities that tie or nearly tie. A floor's slope bound
+    /// must count every active receiver at the largest `Scaled` factor: a
+    /// `Scaled(1e3)` mate rises a thousand times faster than its one
+    /// active receiver.
+    #[test]
+    fn random_join_scaled_and_sum_mates_match_reference(
+        seed in any::<u64>(),
+        family_ix in 0usize..4,
+        nodes in 8usize..30,
+    ) {
+        let mut rng = SplitMix64(seed ^ 0x5CA1_ED5D);
+        let base = sprinkle(random_network_with(FAMILIES[family_ix], seed, nodes, 6, 5).unwrap(), seed);
+        let net = if rng.below(2) == 0 { near_tied_capacities(&base, &mut rng) } else { base };
+        let cfg = random_join_mix(&net, &mut rng);
+        assert_bitwise_or_both_stall(
+            &format!("rj mates/{}/seed {seed}", FAMILIES[family_ix].label()),
+            &net,
+            &cfg,
+        );
+    }
+
+    /// A session capped within `±RATE_EPS` of a level at which receivers
+    /// freeze: its κ-freeze stores a rate up to `RATE_EPS` above the level,
+    /// which raises the load of every link it shares with a `RandomJoin`
+    /// session just above the level. Floors from evaluations made before
+    /// that freeze must leave room for it.
+    #[test]
+    fn random_join_kappa_near_freeze_level_matches_reference(
+        seed in any::<u64>(),
+        family_ix in 0usize..4,
+    ) {
+        let mut rng = SplitMix64(seed ^ 0x000C_A99A);
+        let base = random_network_with(FAMILIES[family_ix], seed, 16, 5, 4).unwrap();
+        let cfg = random_join_mix(&base, &mut rng);
+        let net = kappa_near_a_freeze_level(&base, &cfg, &mut rng);
+        assert_bitwise_or_both_stall(
+            &format!("rj κ near a level/{}/seed {seed}", FAMILIES[family_ix].label()),
+            &net,
+            &cfg,
+        );
+    }
+
+    /// Layer rates σ from 1e-3 to 1e6 on capacities from 1e-3 up to 1e6,
+    /// with linear sessions mixed in: the rounding bound of a load grows
+    /// with σ and with the capacity, and floors must hold at both ends.
+    #[test]
+    fn random_join_sigma_and_capacity_ranges_match_reference(
+        seed in any::<u64>(),
+        family_ix in 0usize..4,
+    ) {
+        let mut rng = SplitMix64(seed ^ 0x0051_6CA9);
+        let base = sprinkle(random_network_with(FAMILIES[family_ix], seed, 20, 6, 5).unwrap(), seed);
+        let magnitude = 10f64.powf(9.0 * rng.unit() - 3.0);
+        let net = recapacitated(&base, |_| (magnitude * (0.5 + 2.0 * rng.unit())).min(1e6));
+        let cfg = random_join_mix(&net, &mut rng);
+        assert_bitwise_or_both_stall(
+            &format!("rj ranges/{}/seed {seed}/magnitude {magnitude}", FAMILIES[family_ix].label()),
+            &net,
+            &cfg,
+        );
+    }
+
+    /// One workspace solves `RandomJoin`, then a linear-only network of
+    /// another shape, then `RandomJoin` on that one and on the first again.
+    /// The linear solve sizes no `RandomJoin` state, so a stale end load or
+    /// floor from the first solve would show as a bit difference; the
+    /// reused workspace's counters are the fresh solves' sums.
+    #[test]
+    fn random_join_linear_random_join_reuse_matches_reference(
+        seed in any::<u64>(),
+        family_ix in 0usize..4,
+    ) {
+        let mut rng = SplitMix64(seed ^ 0x0002_E05E);
+        let a = random_network_with(FAMILIES[family_ix], seed, 30, 8, 5).unwrap();
+        let b = sprinkle(
+            random_network_with(FAMILIES[(family_ix + 2) % 4], seed ^ 7, 24, 6, 5).unwrap(),
+            seed,
+        );
+        let linear = LinkRateConfig::per_session(
+            (0..b.session_count()).map(|_| linear_model(&mut rng)).collect(),
+        );
+        let mixed = random_join_mix(&b, &mut rng);
+        let solves = [
+            (&a, LinkRateConfig::uniform(a.session_count(), FIG5_MODEL)),
+            (&b, linear),
+            (&b, mixed),
+            (&a, LinkRateConfig::uniform(a.session_count(), FIG5_MODEL)),
+        ];
+        let mut ws = SolverWorkspace::new();
+        let mut summed = mlf_core::SolveCounters::default();
+        for (step, (net, cfg)) in solves.iter().enumerate() {
+            let label = format!("rj reuse step {step}/seed {seed}");
+            let optimized = Hybrid::as_declared().solve_with(net, cfg, &mut ws);
+            assert_agrees_or_both_stall(&label, optimized, || {
+                reference::solve_in(net, cfg, &Regimes::AsDeclared)
+            });
+            let mut fresh = SolverWorkspace::new();
+            let _ = Hybrid::as_declared().solve_with(net, cfg, &mut fresh);
+            summed += fresh.counters();
+        }
+        prop_assert_eq!(ws.counters(), summed);
+    }
+}
+
+/// The κ shift, built to be tight. Link A (capacity `2(s + d)`) carries
+/// two one-receiver `RandomJoin` sessions `R` and `U` (each one's load is
+/// its rate), so its load rises at exactly 2 while both are active.
+/// Link B (capacity `2s`) carries `U` and an efficient unicast `W`, and
+/// link C (capacity `s/2`) an efficient unicast `V`. `U` is capped at
+/// `κ = s + t·ε`, `t ∈ [−1, 1]`, `ε = RATE_EPS`. The first round stops at
+/// `s/2`, where A's load gives it a floor near `s + d`. For `t ∈ (1/2, 1)`
+/// the second stops at B's crossing `s`, where `U`'s κ-freeze stores `κ`,
+/// `tε` above the level, after the floor was set (a `RandomJoin` freeze
+/// leaves floors in place). At `d ∈ (ε/2, (1 + t)ε/2]` the reference
+/// freezes `R` on A there, and only the floor's `−ε` term keeps the floor
+/// below the level.
+#[test]
+fn random_join_kappa_shift_is_covered() {
+    let mut cases = 0;
+    let mut linked = 0;
+    for s in [0.75, 1.0, 3.0, 250.0] {
+        for sigma in [4.0 * s, 1e3 * s] {
+            for t in [-1.0, -0.5, 0.0, 0.5, 0.6, 0.75, 0.9, 1.0] {
+                for d in [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0] {
+                    let (d, kappa) = (d * RATE_EPS, s + t * RATE_EPS);
+                    let mut g = Graph::new();
+                    let n = g.add_nodes(5);
+                    g.add_link(n[0], n[1], 2.0 * (s + d)).unwrap();
+                    g.add_link(n[1], n[2], 2.0 * s).unwrap();
+                    g.add_link(n[1], n[3], 1e9).unwrap();
+                    g.add_link(n[0], n[4], s / 2.0).unwrap();
+                    let net = Network::new(
+                        g,
+                        vec![
+                            Session::unicast(n[0], n[3]),
+                            Session::unicast(n[0], n[2]).with_max_rate(kappa),
+                            Session::unicast(n[1], n[2]),
+                            Session::unicast(n[0], n[4]),
+                        ],
+                    )
+                    .unwrap();
+                    let rj = LinkRateModel::RandomJoin { sigma };
+                    let cfg = LinkRateConfig::efficient(4)
+                        .with_session(0, rj)
+                        .with_session(1, rj);
+                    let label = format!("κ shift/s {s}/σ {sigma}/t {t}/d {d}");
+                    assert_bitwise_or_both_stall(&label, &net, &cfg);
+                    let reference = reference::solve_in(&net, &cfg, &Regimes::AsDeclared);
+                    let r = mlf_net::ReceiverId::new(0, 0);
+                    linked += usize::from(reference.bottleneck(r) == Some(mlf_net::LinkId(0)));
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        linked > 20,
+        "only {linked} of {cases} cases froze R on link A"
+    );
+}
+
 /// A weighted free rider whose session's frozen maximum sits at most
 /// `RATE_EPS` above its own rate when another link saturates it.
 ///
