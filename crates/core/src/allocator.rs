@@ -65,7 +65,9 @@
 
 use crate::allocation::Allocation;
 use crate::linkrate::{LinkRateConfig, LinkRateModel};
-use crate::maxmin::{solve_in, solved, Curve, FreezeReason, MaxMinSolution, Pending, SolveError};
+use crate::maxmin::{
+    miss_factor, solve_in, solved, Curve, FreezeReason, MaxMinSolution, Pending, SolveError,
+};
 use crate::unicast::unicast_solve_in;
 use crate::weighted::Weights;
 use mlf_net::{Incidence, Network, Session, SessionType};
@@ -106,6 +108,30 @@ use std::borrow::Cow;
 /// running sum) is what keeps the floating-point results **bitwise
 /// identical** to the reference: the fold order never changes, only how
 /// often the fold runs.
+///
+/// Most slots need less. A slot of a session that is neither `Sum` nor
+/// weighted reads only its active count and frozen maximum (its frozen
+/// sum is never read, and stays 0), and a freeze on it patches both in
+/// O(1): `slot_active − 1` and `slot_frozen_max.max(rate)`. That running
+/// max is the ascending fold's value bit for bit, up to the sign of a
+/// zero result:
+/// * both are `f64::max` folds from `0.0` over the same set of rates;
+///   `max` of two distinct values is the larger, and of two equal values
+///   with one sign the same bits, so on values other than zero the fold
+///   order does not matter;
+/// * a NaN operand is skipped by `f64::max` (the other one returns), in
+///   either fold, so NaN rates (which a solve never stores) could not
+///   split them either;
+/// * only a zero maximum may come out as `0.0` in one fold and `−0.0` in
+///   the other (`max(0.0, −0.0)` may return either). Every reader is blind
+///   to that sign: the free-rider test compares `frozen_max − ε`; a load
+///   adds the maximum (or a multiple of it, or of `frozen_max.max(x)`)
+///   into a total that starts at `0.0`, as a linear scan does into its
+///   constant `K`, which then takes the scan's term sum: `±0` leaves a
+///   non-zero total as it is, and `0.0 + −0.0` is `0.0`; and a scan keeps
+///   only breakpoints above the level, which is `≥ 0`.
+///
+/// `Sum` slots, weighted solves and the unicast solver re-fold.
 #[derive(Debug, Default)]
 pub struct SolverWorkspace {
     /// Per-receiver rates, indexed by flat receiver id.
@@ -227,8 +253,9 @@ pub struct SolveCounters {
     /// Skip probes a floor at or above the probe level settled without a
     /// load evaluation (counted in `early_exits`, not `bracket_resolved`).
     pub probes_skipped: u64,
-    /// Slot aggregates re-folded by freezes: one per link on a freezing
-    /// receiver's route.
+    /// Slot aggregates re-folded by freezes: one per link on the route of
+    /// a freezing receiver of a `Sum` session, a weighted solve or the
+    /// unicast solver (other freezes patch their slots in O(1)).
     pub slot_refolds: u64,
 }
 
@@ -324,27 +351,49 @@ impl SolverWorkspace {
         self.solves += 1;
     }
 
-    /// Account a just-frozen receiver with flat id `f` of session `i`:
-    /// decrement the active counters, clear its position flags, store its
-    /// `RandomJoin` miss factor `miss` (when its session has one) at every
-    /// position, and recompute the frozen aggregates of every slot on the
-    /// receiver's data-path by the ascending-receiver fold (see the
-    /// incremental-load invariant in the type docs), and the active-weight
-    /// maxima too when the solve has weights. The caller must have already
-    /// cleared `active[f]` and stored the final rate in `rates[f]`; `inc`
-    /// is the incidence of the network being solved.
-    pub(crate) fn note_freeze(&mut self, inc: &Incidence, i: usize, f: usize, miss: Option<f64>) {
+    /// Account a just-frozen receiver with flat id `f` of session `i`,
+    /// whose session has link-rate `model` (`None` in the unicast
+    /// solver): decrement the active counters, clear its position flags,
+    /// store its `RandomJoin` miss factor at every position when `model`
+    /// has one, and update the frozen aggregates of every slot on the
+    /// receiver's data-path (see the incremental-load invariant in the
+    /// type docs): in O(1) for a session that is neither `Sum` nor
+    /// weighted, otherwise by the ascending-receiver re-fold, active-weight
+    /// maxima included when the solve has weights. The caller must have
+    /// already cleared `active[f]` and stored the final rate in
+    /// `rates[f]`; `inc` is the incidence of the network being solved.
+    pub(crate) fn note_freeze(
+        &mut self,
+        inc: &Incidence,
+        i: usize,
+        f: usize,
+        model: Option<LinkRateModel>,
+    ) {
         debug_assert!(!self.active[f], "freeze bookkeeping before the flag");
         self.session_active[i] -= 1;
         self.active_total -= 1;
+        let rate = self.rates[f];
+        let (miss, refold) = match model {
+            Some(LinkRateModel::RandomJoin { sigma }) => (Some(miss_factor(rate, sigma)), false),
+            Some(LinkRateModel::Efficient | LinkRateModel::Scaled(_)) => (None, false),
+            Some(LinkRateModel::Sum) | None => (None, true),
+        };
+        let refold = refold || !self.weights.is_empty();
         let base = inc.flat_range(i).start;
         let route = inc.route_links(f);
-        self.counters.slot_refolds += route.len() as u64;
+        if refold {
+            self.counters.slot_refolds += route.len() as u64;
+        }
         for (l, &(slot, pos)) in route.iter().zip(inc.route_slots(f)) {
             self.link_active[l.0] -= 1;
             self.pos_active[pos] = false;
             if let Some(miss) = miss {
                 self.pos_miss[pos] = miss;
+            }
+            if !refold {
+                self.slot_active[slot] -= 1;
+                self.slot_frozen_max[slot] = self.slot_frozen_max[slot].max(rate);
+                continue;
             }
             let mut active = 0usize;
             let mut frozen_sum = 0.0_f64;
@@ -891,7 +940,7 @@ mod tests {
                 end_checks_skipped: 1460,
                 end_loads_reused: 1369,
                 probes_skipped: 2522,
-                slot_refolds: 5470,
+                slot_refolds: 0,
             }
         );
         assert!(counters.link_load_evals <= 9300);
@@ -953,7 +1002,7 @@ mod tests {
                 end_checks_skipped: 0,
                 end_loads_reused: 0,
                 probes_skipped: 0,
-                slot_refolds: 6204,
+                slot_refolds: 2068,
             }
         );
         assert!(counters.linear_scans < counters.links_visited);

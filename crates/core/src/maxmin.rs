@@ -809,22 +809,19 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
     }
 
     /// Freeze active receiver `f` of session `i` at its current rate: clear
-    /// its flag, record why, and hand the workspace its `RandomJoin` miss
-    /// factor when the session has one. A linear session's freeze dirties
-    /// the floors of the links on its route.
+    /// its flag, record why, and hand the workspace the session's model
+    /// for its slot bookkeeping. A linear session's freeze dirties the
+    /// floors of the links on its route.
     fn freeze(&mut self, i: usize, f: usize, reason: FreezeReason) {
         self.ws.active[f] = false;
         self.ws.reasons[f] = Some(reason);
-        let miss = match *self.cfg.model(i) {
-            LinkRateModel::RandomJoin { sigma } => Some(miss_factor(self.ws.rates[f], sigma)),
-            _ => {
-                for l in self.inc.route_links(f) {
-                    self.ws.floor[l.0] = f64::NAN;
-                }
-                None
+        let model = *self.cfg.model(i);
+        if !matches!(model, LinkRateModel::RandomJoin { .. }) {
+            for l in self.inc.route_links(f) {
+                self.ws.floor[l.0] = f64::NAN;
             }
-        };
-        self.ws.note_freeze(self.inc, i, f, miss);
+        }
+        self.ws.note_freeze(self.inc, i, f, Some(model));
     }
 
     /// The load `u_j(ℓ)` of link `j` at hypothetical level `ℓ`.
@@ -1424,7 +1421,7 @@ const SKIP_SPAN: f64 = 1.2676506002282294e30; // 2^100
 /// operations are exactly those `LinkRateModel::link_rate` applies to each
 /// rate, so folding these factors reproduces its product bit for bit.
 #[inline]
-fn miss_factor(a: f64, sigma: f64) -> f64 {
+pub(crate) fn miss_factor(a: f64, sigma: f64) -> f64 {
     1.0 - a.min(sigma).max(0.0) / sigma
 }
 

@@ -385,7 +385,7 @@ mod tests {
         for seed in 0..48u64 {
             let mut rng = SplitMix64(seed);
             let nodes = 2 + rng.below(5);
-            let g = mlf_net::topology::random_tree(seed, nodes, 1.0, 5.0);
+            let g = mlf_net::topology::random_tree(seed, nodes, 1.0, 5.0).unwrap();
             // Many sessions from two senders onto a handful of nodes:
             // co-located receivers of one sender share their path.
             let sessions: Vec<Session> = (0..10)

@@ -253,7 +253,7 @@ fn with_kappas_and_kinds(net: &Network, rng: &mut SplitMix64) -> Result<Network,
 fn shared_path_network(seed: u64) -> Result<Network, NetError> {
     let mut rng = SplitMix64(seed);
     let nodes = 2 + rng.below(5);
-    let g = random_tree(seed, nodes, 1.0, 5.0);
+    let g = random_tree(seed, nodes, 1.0, 5.0).unwrap();
     let sessions: Vec<Session> = (0..6)
         .map(|_| {
             let sender = NodeId(rng.below(2));

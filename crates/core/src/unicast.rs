@@ -194,7 +194,7 @@ mod tests {
         let mut rng = SplitMix64(0xC0FFEE);
         let mut ws = SolverWorkspace::new();
         for seed in 0..40u64 {
-            let g = random_tree(seed, 10, 1.0, 8.0);
+            let g = random_tree(seed, 10, 1.0, 8.0).unwrap();
             let nodes = g.node_count();
             let mut sessions = Vec::new();
             for s in 0..4 {

@@ -42,12 +42,19 @@ pub struct Network {
 
 impl Network {
     /// Build a network, routing every receiver along the hop-count shortest
-    /// path from its session sender (deterministic tie-breaking): one BFS
-    /// tree per session over one adjacency of the graph, whose parent walks
-    /// give exactly the routes of [`crate::shortest_path`]. An unknown or
-    /// unreachable receiver node (or an unknown sender) is
+    /// path from its session sender (deterministic tie-breaking), the route
+    /// [`crate::shortest_path`] returns.
+    ///
+    /// A graph of `nodes − 1` links that one BFS from node 0 spans is a
+    /// tree: every route is the only simple path between its ends, built
+    /// by climbing that one BFS tree's parent links from both ends to
+    /// their common ancestor. Every generator of [`crate::topology`] emits
+    /// such a graph. Any other graph grows one BFS tree per session sender
+    /// over one adjacency of the graph, whose parent walks are the routes.
+    ///
+    /// An unknown or unreachable receiver node (or an unknown sender) is
     /// [`NetError::Unroutable`], naming the first such receiver
-    /// session-major.
+    /// session-major; a receiver on its sender's node has the empty route.
     pub fn new(graph: Graph, sessions: Vec<Session>) -> NetResult<Self> {
         let receivers = sessions.iter().map(|s| s.receivers.len()).sum::<usize>();
         let mut offsets = Vec::with_capacity(receivers + 1);
@@ -55,15 +62,35 @@ impl Network {
         let mut links = Vec::new();
         let adjacency = Adjacency::new(&graph);
         let mut tree = RouteTree::default();
+        let rooted = graph.link_count() + 1 == graph.node_count() && {
+            tree.grow(&adjacency, NodeId(0));
+            tree.spans()
+        };
+        if rooted {
+            // A route climbs at most from each end to the root.
+            let depths = |s: &Session| {
+                let from = tree.hops(s.sender);
+                s.receivers
+                    .iter()
+                    .map(|&r| from + tree.hops(r))
+                    .sum::<usize>()
+            };
+            links.reserve(sessions.iter().map(depths).sum());
+        }
         for (i, s) in sessions.iter().enumerate() {
             let known = graph.contains_node(s.sender);
-            if known {
+            if known && !rooted {
                 tree.grow(&adjacency, s.sender);
                 links.reserve(s.receivers.iter().map(|&r| tree.hops(r)).sum());
             }
             for (k, &rnode) in s.receivers.iter().enumerate() {
-                let routed =
-                    rnode == s.sender || (known && tree.route_into(s.sender, rnode, &mut links));
+                let routed = rnode == s.sender
+                    || (known
+                        && if rooted {
+                            tree.climb_into(s.sender, rnode, &mut links)
+                        } else {
+                            tree.route_into(s.sender, rnode, &mut links)
+                        });
                 if !routed {
                     return Err(NetError::Unroutable {
                         receiver: ReceiverId::new(i, k),

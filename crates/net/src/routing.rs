@@ -96,9 +96,12 @@ impl Adjacency {
 }
 
 /// A BFS tree from one source; a route is the parent walk from its end
-/// node back to the source, reversed. [`crate::Network::new`] grows one
-/// tree per session sender and routes every receiver of the session from
-/// it, reusing the buffers from one source to the next.
+/// node back to the source, reversed. On a graph that is a tree,
+/// [`crate::Network::new`] grows one of these from node 0 and routes every
+/// receiver by [`RouteTree::climb_into`]. On any other graph it grows one
+/// per session sender and routes the session's receivers by
+/// [`RouteTree::route_into`], reusing the buffers from one source to the
+/// next.
 #[derive(Debug, Default)]
 pub(crate) struct RouteTree {
     /// `parent[v] = (previous node, link used to reach v, hops from the
@@ -132,6 +135,11 @@ impl RouteTree {
         }
     }
 
+    /// Whether the last [`RouteTree::grow`] reached every node.
+    pub(crate) fn spans(&self) -> bool {
+        self.queue.len() == self.parent.len()
+    }
+
     /// The length of the route to `to`: 0 for the source and for nodes
     /// not in the tree.
     pub(crate) fn hops(&self, to: NodeId) -> usize {
@@ -156,6 +164,46 @@ impl RouteTree {
             cur = prev;
         }
         out[start..].reverse();
+        true
+    }
+
+    /// Append the path from `from` to `to` onto `out`, in path order, when
+    /// the graph is a tree and this BFS tree [`RouteTree::spans`] it: then
+    /// it is the graph itself, rooted at its source, and holds the graph's
+    /// only simple path between any two nodes. Both ends climb their
+    /// parent links to their deepest common ancestor; the path is the
+    /// `from`-side links in climb order, then the `to`-side links
+    /// reversed. Returns `false`, leaving `out` as it was, when either end
+    /// is not a node of the graph.
+    pub(crate) fn climb_into(&self, from: NodeId, to: NodeId, out: &mut Vec<LinkId>) -> bool {
+        let nodes = self.parent.len();
+        if from.0 >= nodes || to.0 >= nodes {
+            return false;
+        }
+        // Every node below the root has a parent, and no climb passes the
+        // root: it is the common ancestor of any two nodes.
+        let up = |v: NodeId| self.parent[v.0].map_or((v, LinkId(0)), |(p, l, _)| (p, l));
+        let (mut a, mut b) = (from, to);
+        while self.hops(a) > self.hops(b) {
+            a = up(a).0;
+        }
+        while self.hops(b) > self.hops(a) {
+            b = up(b).0;
+        }
+        while a != b {
+            (a, b) = (up(a).0, up(b).0);
+        }
+        let climb = |mut v: NodeId, out: &mut Vec<LinkId>| {
+            while v != a {
+                let (p, l) = up(v);
+                out.push(l);
+                v = p;
+            }
+        };
+        climb(from, out);
+        let mid = out.len();
+        climb(to, out);
+        out[mid..].reverse();
         true
     }
 }

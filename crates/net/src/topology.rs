@@ -170,12 +170,23 @@ pub fn dumbbell(
 /// A complete `arity`-ary tree of the given depth. Returns the graph, the
 /// root, and the nodes grouped by level (`levels[0] = [root]`). Capacities
 /// are assigned per level by `capacity_at(level_of_child)`.
+///
+/// # Errors
+///
+/// [`TopologyError::BadArity`] when `arity` is 0.
+///
+/// # Panics
+///
+/// When `capacity_at` returns a capacity [`Graph::add_link`] rejects (not
+/// positive and finite): the capacities are the caller's code.
 pub fn kary_tree(
     depth: usize,
     arity: usize,
     mut capacity_at: impl FnMut(usize) -> f64,
-) -> (Graph, NodeId, Vec<Vec<NodeId>>) {
-    assert!(arity >= 1, "arity must be at least 1");
+) -> Result<(Graph, NodeId, Vec<Vec<NodeId>>), TopologyError> {
+    if arity == 0 {
+        return Err(TopologyError::BadArity);
+    }
     let mut g = Graph::new();
     let root = g.add_node();
     let mut levels = vec![vec![root]];
@@ -191,7 +202,7 @@ pub fn kary_tree(
         }
         levels.push(this_level);
     }
-    (g, root, levels)
+    Ok((g, root, levels))
 }
 
 /// Minimal deterministic generator (SplitMix64) used only for randomized
@@ -229,9 +240,25 @@ impl SplitMix64 {
 /// A uniformly random labelled tree on `node_count` nodes (random attachment:
 /// node `k` links to a uniformly chosen earlier node), with capacities drawn
 /// uniformly from `[cap_lo, cap_hi)`. Deterministic in `seed`.
-pub fn random_tree(seed: u64, node_count: usize, cap_lo: f64, cap_hi: f64) -> Graph {
-    assert!(node_count >= 1);
-    assert!(cap_lo > 0.0 && cap_hi > cap_lo);
+///
+/// # Errors
+///
+/// [`TopologyError::TooFewNodes`] when `node_count` is 0, and
+/// [`TopologyError::BadCapacityRange`] unless `0 < cap_lo < cap_hi < ∞`.
+pub fn random_tree(
+    seed: u64,
+    node_count: usize,
+    cap_lo: f64,
+    cap_hi: f64,
+) -> Result<Graph, TopologyError> {
+    if node_count == 0 {
+        return Err(TopologyError::TooFewNodes {
+            family: TopologyFamily::FlatTree.label(),
+            requested: 0,
+            minimum: 1,
+        });
+    }
+    check_capacity_range(cap_lo, cap_hi)?;
     let mut rng = SplitMix64(seed);
     let mut g = Graph::with_nodes(node_count, node_count - 1);
     for k in 1..node_count {
@@ -239,7 +266,18 @@ pub fn random_tree(seed: u64, node_count: usize, cap_lo: f64, cap_hi: f64) -> Gr
         let cap = rng.range_f64(cap_lo, cap_hi);
         must_link(&mut g, parent, NodeId(k), cap);
     }
-    g
+    Ok(g)
+}
+
+/// Capacities are drawn from `[cap_lo, cap_hi)`: every draw is a valid
+/// link capacity exactly when `0 < cap_lo < cap_hi < ∞` (NaN fails every
+/// comparison).
+fn check_capacity_range(cap_lo: f64, cap_hi: f64) -> Result<(), TopologyError> {
+    if cap_lo > 0.0 && cap_hi > cap_lo && cap_hi.is_finite() {
+        Ok(())
+    } else {
+        Err(TopologyError::BadCapacityRange)
+    }
 }
 
 /// Attach `session_count` randomly-placed multicast sessions (each with
@@ -322,6 +360,9 @@ pub enum TopologyError {
     BadArity,
     /// A transit–stub hierarchy needs at least one transit node.
     NoTransitNodes,
+    /// Link capacities are drawn from `[lo, hi)`, which needs
+    /// `0 < lo < hi < ∞`.
+    BadCapacityRange,
 }
 
 impl fmt::Display for TopologyError {
@@ -342,6 +383,9 @@ impl fmt::Display for TopologyError {
             TopologyError::BadArity => write!(f, "k-ary tree needs arity >= 1"),
             TopologyError::NoTransitNodes => {
                 write!(f, "transit-stub hierarchy needs at least one transit node")
+            }
+            TopologyError::BadCapacityRange => {
+                write!(f, "capacity range [lo, hi) needs 0 < lo < hi < infinity")
             }
         }
     }
@@ -449,14 +493,8 @@ impl TopologyFamily {
     }
 
     /// Build a random graph of this family, deterministically in `seed`,
-    /// with (stub-level) capacities drawn uniformly from `[cap_lo, cap_hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Asserts `0 < cap_lo < cap_hi` (the same contract as
-    /// [`random_tree`]); capacity bounds are chosen by code, not by
-    /// experiment parameters, so a bad range is a caller bug rather than a
-    /// rejectable request.
+    /// with (stub-level) capacities drawn uniformly from `[cap_lo, cap_hi)`
+    /// (the same range contract as [`random_tree`]).
     pub(crate) fn build_graph(
         &self,
         seed: u64,
@@ -465,9 +503,9 @@ impl TopologyFamily {
         cap_hi: f64,
     ) -> Result<Graph, TopologyError> {
         self.validate(node_count)?;
-        assert!(cap_lo > 0.0 && cap_hi > cap_lo);
+        check_capacity_range(cap_lo, cap_hi)?;
         Ok(match *self {
-            TopologyFamily::FlatTree => random_tree(seed, node_count, cap_lo, cap_hi),
+            TopologyFamily::FlatTree => random_tree(seed, node_count, cap_lo, cap_hi)?,
             TopologyFamily::KaryTree { arity } => {
                 let mut rng = SplitMix64(seed);
                 let mut g = Graph::with_nodes(node_count, node_count - 1);
@@ -612,7 +650,7 @@ mod tests {
 
     #[test]
     fn kary_tree_shape() {
-        let (g, _root, levels) = kary_tree(3, 2, |_| 1.0);
+        let (g, _root, levels) = kary_tree(3, 2, |_| 1.0).unwrap();
         assert_eq!(levels.len(), 4);
         assert_eq!(levels[3].len(), 8);
         assert_eq!(g.node_count(), 1 + 2 + 4 + 8);
@@ -621,8 +659,8 @@ mod tests {
 
     #[test]
     fn random_tree_is_a_tree_and_deterministic() {
-        let g1 = random_tree(7, 20, 1.0, 5.0);
-        let g2 = random_tree(7, 20, 1.0, 5.0);
+        let g1 = random_tree(7, 20, 1.0, 5.0).unwrap();
+        let g2 = random_tree(7, 20, 1.0, 5.0).unwrap();
         assert_eq!(g1, g2, "same seed, same graph");
         assert_eq!(g1.link_count(), 19);
         // Connected: every node reachable from node 0.
@@ -632,7 +670,7 @@ mod tests {
                 "node {k} reachable"
             );
         }
-        let g3 = random_tree(8, 20, 1.0, 5.0);
+        let g3 = random_tree(8, 20, 1.0, 5.0).unwrap();
         assert_ne!(g1, g3, "different seed, different graph (overwhelmingly)");
     }
 
@@ -653,7 +691,7 @@ mod tests {
 
     #[test]
     fn random_sessions_respect_member_distinctness() {
-        let g = random_tree(3, 12, 1.0, 2.0);
+        let g = random_tree(3, 12, 1.0, 2.0).unwrap();
         for seed in 0..20 {
             let sessions = random_sessions(&g, seed, 5, 6);
             for s in &sessions {
@@ -697,7 +735,7 @@ mod tests {
         // n = 3: receiver counts can only be 1 or 2; with a huge
         // max_receivers both must actually occur, and 2-receiver sessions
         // must span the full non-sender set (the old code could underfill).
-        let g = random_tree(5, 3, 1.0, 2.0);
+        let g = random_tree(5, 3, 1.0, 2.0).unwrap();
         let mut seen = [false; 3];
         for seed in 0..40 {
             for s in random_sessions(&g, seed, 4, 64) {
@@ -752,6 +790,48 @@ mod tests {
         );
         let msg = random_network(1, 1, 3, 3).unwrap_err().to_string();
         assert!(msg.contains("at least 2 nodes"), "{msg}");
+    }
+
+    #[test]
+    fn bad_tree_requests_return_typed_errors() {
+        assert_eq!(
+            random_tree(1, 0, 1.0, 2.0).unwrap_err(),
+            TopologyError::TooFewNodes {
+                family: "flat-tree",
+                requested: 0,
+                minimum: 1,
+            }
+        );
+        for (lo, hi) in [
+            (f64::NAN, 2.0),
+            (1.0, f64::NAN),
+            (0.0, 2.0),
+            (-1.0, 2.0),
+            (2.0, 1.0),
+            (2.0, 2.0),
+            (1.0, f64::INFINITY),
+        ] {
+            assert_eq!(
+                random_tree(1, 5, lo, hi).unwrap_err(),
+                TopologyError::BadCapacityRange,
+                "[{lo}, {hi})"
+            );
+            assert_eq!(
+                TopologyFamily::Dumbbell
+                    .build_graph(1, 5, lo, hi)
+                    .unwrap_err(),
+                TopologyError::BadCapacityRange
+            );
+        }
+        assert_eq!(random_tree(1, 1, 1.0, 2.0).unwrap().link_count(), 0);
+        assert_eq!(
+            kary_tree(2, 0, |_| 1.0).unwrap_err(),
+            TopologyError::BadArity
+        );
+        let (g, _, levels) = kary_tree(0, 3, |_| 1.0).unwrap();
+        assert_eq!((g.node_count(), levels.len()), (1, 1));
+        let msg = TopologyError::BadCapacityRange.to_string();
+        assert!(msg.contains("0 < lo < hi"), "{msg}");
     }
 
     #[test]

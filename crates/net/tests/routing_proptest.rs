@@ -41,6 +41,118 @@ fn link_scan_route(graph: &Graph, from: NodeId, to: NodeId) -> Option<Vec<LinkId
     Some(route)
 }
 
+/// What `Network::new` must return, routes and errors alike: every
+/// receiver routed by the link-scan oracle, the first one it cannot route
+/// (session-major) reported as `Unroutable` before any session is
+/// validated, and the routed sessions validated by `Network::with_routes`.
+/// This is what routing each session from its own BFS tree returns, on
+/// trees and on every other graph.
+fn link_scan_network(graph: &Graph, sessions: &[Session]) -> Result<Network, NetError> {
+    let mut routes = Vec::with_capacity(sessions.len());
+    for (i, s) in sessions.iter().enumerate() {
+        let mut session = Vec::with_capacity(s.receivers.len());
+        for (k, &r) in s.receivers.iter().enumerate() {
+            session.push(
+                link_scan_route(graph, s.sender, r).ok_or(NetError::Unroutable {
+                    receiver: ReceiverId::new(i, k),
+                })?,
+            );
+        }
+        routes.push(session);
+    }
+    Network::with_routes(graph.clone(), sessions.to_vec(), routes)
+}
+
+/// `Network::new` on `graph` and `sessions` returns exactly what the
+/// link-scan oracle's routing does: the same network, or the same error.
+fn assert_network_matches_the_link_scan_oracle(graph: &Graph, sessions: &[Session]) {
+    assert_eq!(
+        Network::new(graph.clone(), sessions.to_vec()),
+        link_scan_network(graph, sessions),
+        "{graph:?} {sessions:?}"
+    );
+}
+
+/// A graph on `nodes` nodes grown as a random-attachment tree, with node
+/// ids shuffled (so a parent can have a larger id than its child, and the
+/// root is anywhere), `cut` of its links left out (a forest) and `chords`
+/// extra links between distinct nodes (cycles, parallel links, or links
+/// rejoining the forest), inserted in shuffled order and orientation.
+/// `cut == chords` keeps `nodes − 1` links whether or not it is a tree.
+fn scrambled_graph(rng: &mut SplitMix64, nodes: usize, cut: usize, chords: usize) -> Graph {
+    let mut label: Vec<NodeId> = (0..nodes).map(NodeId).collect();
+    for t in (1..nodes).rev() {
+        label.swap(t, rng.below(t + 1));
+    }
+    let mut pairs: Vec<(NodeId, NodeId)> = (1..nodes)
+        .map(|k| (label[rng.below(k)], label[k]))
+        .collect();
+    for _ in 0..cut.min(pairs.len()) {
+        pairs.swap_remove(rng.below(pairs.len()));
+    }
+    if nodes >= 2 {
+        for _ in 0..chords {
+            let a = rng.below(nodes);
+            let b = (a + 1 + rng.below(nodes - 1)) % nodes;
+            pairs.push((NodeId(a), NodeId(b)));
+        }
+    }
+    for t in (1..pairs.len()).rev() {
+        pairs.swap(t, rng.below(t + 1));
+    }
+    let mut g = Graph::new();
+    g.add_nodes(nodes);
+    for (a, b) in pairs {
+        let (a, b) = if rng.below(2) == 0 { (a, b) } else { (b, a) };
+        g.add_link(a, b, 1.0 + rng.unit()).expect("valid link");
+    }
+    g
+}
+
+/// `count` sessions on a graph of `nodes` nodes. Each member is, with
+/// probability `odd/32`, something the network must reject or route
+/// specially: an unknown node, a receiver on its sender's node, or a
+/// duplicate of an earlier receiver; a session is, with the same
+/// probability, empty or given a bad rate.
+fn scrambled_sessions(
+    rng: &mut SplitMix64,
+    nodes: usize,
+    count: usize,
+    odd: usize,
+) -> Vec<Session> {
+    let odd_one = |rng: &mut SplitMix64| rng.below(32) < odd;
+    let member = |rng: &mut SplitMix64| {
+        if odd_one(rng) {
+            NodeId(nodes + rng.below(2))
+        } else {
+            NodeId(rng.below(nodes))
+        }
+    };
+    (0..count)
+        .map(|_| {
+            let sender = member(rng);
+            let size = if odd_one(rng) { 0 } else { 1 + rng.below(4) };
+            let mut receivers: Vec<NodeId> = Vec::with_capacity(size);
+            for _ in 0..size {
+                let r = match rng.below(32) {
+                    t if t < odd => sender,
+                    t if t < 2 * odd && !receivers.is_empty() => {
+                        receivers[rng.below(receivers.len())]
+                    }
+                    _ => member(rng),
+                };
+                receivers.push(r);
+            }
+            let session = Session::multi_rate(sender, receivers);
+            if odd_one(rng) {
+                session.with_max_rate(0.0)
+            } else {
+                session
+            }
+        })
+        .collect()
+}
+
 /// Every route of `net`, and `shortest_path` between every pair of nodes,
 /// equal the link-scan oracle's.
 fn assert_routes_match_the_link_scan_oracle(net: &Network) {
@@ -131,7 +243,7 @@ fn assert_routes_match_shortest_paths(net: &Network) {
 /// links (parallel links and links closing cycles included), and sessions
 /// with distinct members drawn over all of its nodes.
 fn cyclic_network(seed: u64, nodes: usize, extra: usize, sessions: usize) -> Network {
-    let mut g = random_tree(seed, nodes, 1.0, 5.0);
+    let mut g = random_tree(seed, nodes, 1.0, 5.0).unwrap();
     let mut rng = SplitMix64(seed ^ 0x5eed_c7c1_e5ee_d000);
     for _ in 0..extra {
         let a = NodeId(rng.below(nodes));
@@ -249,6 +361,118 @@ fn unroutable_receivers_keep_their_error_identity() {
     );
 }
 
+/// A tree routes by parent climbs: an unknown sender whose receiver sits
+/// on the sender's node still reaches session validation, which reports
+/// the unknown node; an unknown sender's other receivers are unroutable.
+#[test]
+fn tree_routing_keeps_every_error_identity() {
+    let mut g = Graph::new();
+    let n = g.add_nodes(4);
+    g.add_link(n[2], n[0], 1.0).unwrap();
+    g.add_link(n[3], n[2], 1.0).unwrap();
+    g.add_link(n[1], n[2], 1.0).unwrap();
+    let ok = Session::multi_rate(n[3], vec![n[0], n[1]]);
+    let cases = [
+        vec![Session::unicast(NodeId(9), NodeId(9))],
+        vec![
+            ok.clone(),
+            Session::multi_rate(NodeId(9), vec![NodeId(9), n[1]]),
+        ],
+        vec![ok.clone(), Session::multi_rate(n[1], vec![n[3], NodeId(4)])],
+        vec![
+            ok.clone().with_max_rate(0.0),
+            Session::multi_rate(n[0], vec![n[0]]),
+        ],
+        vec![
+            ok.clone(),
+            Session::multi_rate(n[0], vec![n[1], n[3], n[1]]),
+        ],
+        vec![
+            Session::multi_rate(n[0], vec![]),
+            Session::unicast(n[1], NodeId(7)),
+        ],
+        vec![ok],
+    ];
+    for sessions in &cases {
+        assert_network_matches_the_link_scan_oracle(&g, sessions);
+    }
+    assert_eq!(
+        Network::new(g.clone(), cases[0].clone()),
+        Err(NetError::UnknownNode(NodeId(9)))
+    );
+    assert_eq!(
+        Network::new(g.clone(), cases[1].clone()),
+        Err(NetError::Unroutable {
+            receiver: ReceiverId::new(1, 1)
+        })
+    );
+}
+
+/// The smallest trees, one node and one link either way round, against
+/// every sender and every one- or two-receiver list over their nodes and
+/// one unknown node.
+#[test]
+fn tiny_trees_route_like_the_link_scan_oracle() {
+    let mut graphs = Vec::new();
+    for nodes in 1..=2 {
+        let mut g = Graph::new();
+        g.add_nodes(nodes);
+        graphs.push(g);
+    }
+    let mut flipped = graphs[1].clone();
+    graphs[1].add_link(NodeId(0), NodeId(1), 1.0).unwrap();
+    flipped.add_link(NodeId(1), NodeId(0), 2.0).unwrap();
+    graphs.push(flipped);
+    for g in &graphs {
+        let ids = || (0..=g.node_count()).map(NodeId);
+        for sender in ids() {
+            for a in ids() {
+                assert_network_matches_the_link_scan_oracle(g, &[Session::unicast(sender, a)]);
+                for b in ids() {
+                    let session = Session::multi_rate(sender, vec![a, b]);
+                    assert_network_matches_the_link_scan_oracle(g, &[session]);
+                }
+            }
+        }
+    }
+}
+
+/// Graphs with `nodes − 1` links that are not trees: a cycle or a
+/// parallel pair, plus a node no link reaches, with node 0 on either
+/// side.
+#[test]
+fn near_trees_route_like_the_link_scan_oracle() {
+    let mut graphs = Vec::new();
+    for isolated in [0, 3] {
+        let mut g = Graph::new();
+        g.add_nodes(4);
+        let ring: Vec<NodeId> = (0..4).filter(|&v| v != isolated).map(NodeId).collect();
+        for t in 0..3 {
+            g.add_link(ring[t], ring[(t + 1) % 3], 1.0).unwrap();
+        }
+        graphs.push(g);
+    }
+    let mut pair = Graph::new();
+    pair.add_nodes(3);
+    pair.add_link(NodeId(0), NodeId(1), 1.0).unwrap();
+    pair.add_link(NodeId(1), NodeId(0), 2.0).unwrap();
+    graphs.push(pair);
+    for g in &graphs {
+        let n = g.node_count();
+        for sender in 0..n {
+            for r in 0..n {
+                let others: Vec<NodeId> = (0..n).filter(|&v| v != sender).map(NodeId).collect();
+                let sessions = [
+                    Session::unicast(NodeId(sender), NodeId(r)),
+                    Session::multi_rate(NodeId(sender), others),
+                ];
+                assert_network_matches_the_link_scan_oracle(g, &sessions[..1]);
+                assert_network_matches_the_link_scan_oracle(g, &sessions[1..]);
+            }
+        }
+    }
+}
+
 /// Layered multigraphs are full of equal-hop ties and parallel links;
 /// every route must still be the link-scan oracle's.
 #[test]
@@ -261,6 +485,28 @@ fn tied_multigraphs_route_like_the_link_scan_oracle() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// On trees with shuffled node ids and link order, forests, graphs
+    /// with `nodes − 1` links that are not trees, and graphs with cycles,
+    /// `Network::new` returns the link-scan oracle's network or error,
+    /// for sessions with unknown members, receivers on their sender's
+    /// node, duplicate members, empty sessions and bad rates.
+    #[test]
+    fn scrambled_graphs_route_like_the_link_scan_oracle(
+        seed in any::<u64>(),
+        nodes in 1usize..40,
+        cut in 0usize..3,
+        chords in 0usize..3,
+        sessions in 1usize..5,
+        odd in 0usize..6,
+    ) {
+        let mut rng = SplitMix64(seed);
+        // Half the cases are trees.
+        let (cut, chords) = if rng.below(2) == 0 { (0, 0) } else { (cut, chords) };
+        let g = scrambled_graph(&mut rng, nodes, cut, chords);
+        let sessions = scrambled_sessions(&mut rng, nodes, sessions, odd);
+        assert_network_matches_the_link_scan_oracle(&g, &sessions);
+    }
 
     /// On random connected multigraphs with cycles and parallel links,
     /// `Network::new` and `shortest_path` route like the link-scan oracle.
@@ -298,7 +544,7 @@ proptest! {
         a in 0usize..30,
         b in 0usize..30,
     ) {
-        let g = random_tree(seed, nodes, 1.0, 5.0);
+        let g = random_tree(seed, nodes, 1.0, 5.0).unwrap();
         let from = NodeId(a % nodes);
         let to = NodeId(b % nodes);
         let route = shortest_path(&g, from, to).expect("trees are connected");
@@ -312,7 +558,7 @@ proptest! {
     /// bounded by the node count.
     #[test]
     fn bfs_paths_are_simple(seed in any::<u64>(), nodes in 2usize..25) {
-        let g = random_tree(seed, nodes, 1.0, 5.0);
+        let g = random_tree(seed, nodes, 1.0, 5.0).unwrap();
         for t in 1..nodes {
             let route = shortest_path(&g, NodeId(0), NodeId(t)).unwrap();
             prop_assert!(route.len() < nodes);

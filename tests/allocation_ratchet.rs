@@ -67,7 +67,7 @@ const SHAPES: [(TopologyFamily, usize); 2] = [
 /// stays in the workspace), `check_all`, and `jain_index` with
 /// `satisfaction`.
 const CEILINGS: [(&str, u64); 4] = [
-    ("random_network_with", 40),
+    ("random_network_with", 28),
     ("solve_with (warm)", 18),
     ("check_all", 6),
     ("jain_index + satisfaction", 0),

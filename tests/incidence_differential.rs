@@ -887,7 +887,7 @@ fn unicast_matches_reference() {
     let mut rng = SplitMix64(0xD1FF_EE12_71A1 ^ 0xABCD);
     let mut ws = SolverWorkspace::new();
     for seed in 0..60u64 {
-        let g = random_tree(seed, 12, 1.0, 8.0);
+        let g = random_tree(seed, 12, 1.0, 8.0).unwrap();
         let nodes = g.node_count();
         let mut sessions = Vec::new();
         for s in 0..5 {

@@ -77,7 +77,7 @@ fn topology(shape_ix: usize, size: usize, seed: u64) -> Network {
         1 => {
             let arity = 2 + size % 3; // 2..=4
             let depth = 2 + size % 2; // 2..=3
-            let (g, root, levels) = kary_tree(depth, arity, |_| 1000.0);
+            let (g, root, levels) = kary_tree(depth, arity, |_| 1000.0).unwrap();
             let leaves = levels[depth].clone();
             Network::new(g, vec![Session::multi_rate(root, leaves)]).expect("kary tree is routable")
         }
@@ -85,7 +85,7 @@ fn topology(shape_ix: usize, size: usize, seed: u64) -> Network {
         // at mixed depths (every other non-root node).
         _ => {
             let nodes = (size.clamp(2, 48)) + 2;
-            let g = random_tree(seed, nodes, 500.0, 1500.0);
+            let g = random_tree(seed, nodes, 500.0, 1500.0).unwrap();
             let receivers: Vec<NodeId> = (1..nodes).step_by(2).map(NodeId).collect();
             Network::new(g, vec![Session::multi_rate(NodeId(0), receivers)])
                 .expect("random tree is routable")
@@ -259,7 +259,7 @@ proptest! {
 /// bench re-asserts before timing, at a test-sized slot budget.
 #[test]
 fn bench_shape_agrees_for_every_protocol() {
-    let (g, root, levels) = kary_tree(4, 4, |_| 1000.0);
+    let (g, root, levels) = kary_tree(4, 4, |_| 1000.0).unwrap();
     let leaves = levels[4].clone();
     let net = Network::new(g, vec![Session::multi_rate(root, leaves)]).expect("kary tree");
     for kind in KINDS {

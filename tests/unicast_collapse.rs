@@ -16,7 +16,7 @@ use proptest::prelude::*;
 /// A random all-unicast network on a random tree.
 fn arb_unicast_network() -> impl Strategy<Value = Network> {
     (any::<u64>(), 4usize..14, 2usize..7).prop_map(|(seed, nodes, flows)| {
-        let g = random_tree(seed, nodes, 1.0, 9.0);
+        let g = random_tree(seed, nodes, 1.0, 9.0).unwrap();
         let mut rng = SplitMix64(seed ^ 0x1234);
         let sessions = (0..flows)
             .map(|_| {
