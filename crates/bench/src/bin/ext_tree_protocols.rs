@@ -11,7 +11,7 @@ use mlf_bench::{cli, knob, or_exit, write_csv, Args, Table};
 use mlf_net::{LinkId, Network, Session};
 use mlf_protocols::{CoordinatedSender, ProtocolKind, ProtocolReceiver};
 use mlf_sim::{
-    tree::{run_tree_expect, TreeConfig},
+    tree::{run_tree, TreeConfig},
     LossProcess, NoMarkers, RunningStats, SimRng,
 };
 
@@ -129,7 +129,7 @@ fn run_once(
     match kind {
         ProtocolKind::Coordinated => {
             let mut sender = CoordinatedSender::new(layers);
-            run_tree_expect(
+            run_tree(
                 net,
                 &cfg,
                 &mut controllers,
@@ -137,14 +137,16 @@ fn run_once(
                 packets,
                 0x11 + trial,
             )
+            .expect("a valid tree run")
         }
-        _ => run_tree_expect(
+        _ => run_tree(
             net,
             &cfg,
             &mut controllers,
             &mut NoMarkers,
             packets,
             0x11 + trial,
-        ),
+        )
+        .expect("a valid tree run"),
     }
 }

@@ -146,12 +146,6 @@ pub struct SolverWorkspace {
     pub(crate) terms: Vec<(f64, f64)>,
     /// Sorted breakpoint scan buffer.
     pub(crate) breakpoints: Vec<f64>,
-    /// Per-link accumulator (bandwidth used by frozen unicast flows).
-    /// Sized by the unicast solver only.
-    pub(crate) link_used: Vec<f64>,
-    /// Per-link flags (binding links in the unicast solver). Sized by the
-    /// unicast solver only.
-    pub(crate) link_flag: Vec<bool>,
     /// The links with an active receiver, ascending, each with whether
     /// every session crossing it is piecewise-linear (set once per solve).
     pub(crate) live: Vec<(usize, bool)>,
@@ -159,10 +153,6 @@ pub struct SolverWorkspace {
     pub(crate) clean: Vec<usize>,
     /// The links a round still has to search, with their bracket loads.
     pub(crate) pending: Vec<Pending>,
-    /// Per-link load at the water level, left by the last freeze pass for
-    /// the next round's lower bracket; NaN until the first pass of a solve.
-    /// Read by nonlinear links only.
-    pub(crate) level_load: Vec<f64>,
     /// Per-link floor of the saturation level: a linear link's is stored
     /// by its last exact scan and cleared by any freeze of a receiver on
     /// it; a nonlinear link's is raised by its load evaluations and
@@ -171,8 +161,8 @@ pub struct SolverWorkspace {
     /// floors" in [`crate::maxmin`]).
     pub(crate) floor: Vec<f64>,
     /// Per-link state of the links a `RandomJoin` session crosses: the
-    /// rounding bound of their loads, the load their floor came from, and
-    /// their last end load. Sized by solves that have such a link only.
+    /// rounding bound of their loads and the load their floor came from.
+    /// Sized by solves that have such a link only.
     pub(crate) curves: Vec<Curve>,
     /// Per-position active flags, aligned with the flat `slot_receivers`
     /// array of the network's [`Incidence`]: position `p` of slot `(j, i)`
@@ -247,9 +237,6 @@ pub struct SolveCounters {
     /// `RandomJoin` end checks `u_j(upper) ≤ c_j + ε` a floor at or above
     /// `upper` passed without a load evaluation.
     pub end_checks_skipped: u64,
-    /// `RandomJoin` end loads `u_j(upper)` reused from an earlier round at
-    /// the same `upper`, no receiver on the link having frozen since.
-    pub end_loads_reused: u64,
     /// Skip probes a floor at or above the probe level settled without a
     /// load evaluation (counted in `early_exits`, not `bracket_resolved`).
     pub probes_skipped: u64,
@@ -272,7 +259,6 @@ impl std::ops::AddAssign for SolveCounters {
         self.linear_scans += other.linear_scans;
         self.freeze_skips += other.freeze_skips;
         self.end_checks_skipped += other.end_checks_skipped;
-        self.end_loads_reused += other.end_loads_reused;
         self.probes_skipped += other.probes_skipped;
         self.slot_refolds += other.slot_refolds;
     }
@@ -928,7 +914,7 @@ mod tests {
             counters,
             SolveCounters {
                 freeze_rounds: 438,
-                link_load_evals: 8499,
+                link_load_evals: 9868,
                 bisection_steps: 20_368,
                 early_exits: 2795,
                 cap_hits: 0,
@@ -938,12 +924,11 @@ mod tests {
                 linear_scans: 0,
                 freeze_skips: 4119,
                 end_checks_skipped: 1460,
-                end_loads_reused: 1369,
                 probes_skipped: 2522,
                 slot_refolds: 0,
             }
         );
-        assert!(counters.link_load_evals <= 9300);
+        assert!(counters.link_load_evals <= 10_800);
         assert!(
             counters.bracket_probes <= counters.bracket_resolved + 2 * counters.bisection_steps
         );
@@ -1000,7 +985,6 @@ mod tests {
                 linear_scans: 3844,
                 freeze_skips: 4797,
                 end_checks_skipped: 0,
-                end_loads_reused: 0,
                 probes_skipped: 0,
                 slot_refolds: 2068,
             }

@@ -159,18 +159,6 @@
 //! Regula falsi pins the crossing to a few floats within a handful of
 //! evaluations, after which almost every midpoint resolves for free.
 //!
-//! **Reused lower bracket.** The freeze pass evaluates the load of every
-//! active link its floor does not skip at the round's level and keeps it
-//! per link ([`SolverWorkspace`]'s `level_load`, NaN at the start of each
-//! solve and for a link the pass skipped); the next round reads it as its
-//! `u_j(level)`. It is bitwise the load the
-//! next round would compute: the level does not change between the two;
-//! κ-freezes, which store `rate = κ`, all run before the freeze pass
-//! evaluates; and link and closure freezes store `rate = level`, whose
-//! miss factor is bitwise the active factor `g` (and whose `Sum` term and
-//! `max` contribution are the same `level`), so freezing a receiver later
-//! in the pass changes no bit of a load evaluated earlier.
-//!
 //! # Change-following rounds
 //!
 //! Between two rounds only the slots of the receivers that froze change.
@@ -198,10 +186,8 @@
 //! any other is scanned exactly. The bracketed searches run last, so
 //! they see the same `next` as before. The freeze pass skips every link,
 //! linear or not, with `φ_j > level`: evaluating it would freeze nobody.
-//! (The `level_load` it would store is read only by nonlinear links, and
-//! a skipped one needs none: its floor clears the level.) So the link
-//! that wins `min` is always scanned exactly, and every output bit is the
-//! scans' own.
+//! So the link that wins `min` is always scanned exactly, and every output
+//! bit is the scans' own.
 //!
 //! **Notation.** Fix a link's terms, with capacity `c`, `ε = RATE_EPS`,
 //! `w_min = min_t w_t`, and `P` the link's positions. `u(x) = K + Σ_t
@@ -330,11 +316,9 @@
 //! - `φ > level` in the freeze pass: the load is below `c − ε`; nobody
 //!   freezes. One rule for linear and nonlinear links.
 //!
-//! **End loads.** A link keeps its last end load `û(upper)` with the bits
-//! of `upper` and its active count, and reuses it while both recur. Each
-//! freeze of a receiver on the link, linear or not, lowers the count, so
-//! an equal count means every slot's aggregates, flags and miss factors
-//! are those of the stored load, which is then bitwise the load.
+//! The floor and the point it was raised from are all a nonlinear link
+//! carries from one round to the next: every load at the level or at
+//! `upper` that a round needs is evaluated afresh.
 //!
 //! **Search order.** The bracketed searches run in ascending order of the
 //! crossing of the link's last load below the end at the slope bound `L`
@@ -347,8 +331,8 @@
 //! replayed halvings, early exits, step-cap hits, the search's own probes
 //! and the links the skip settled, per round the links visited, the exact
 //! linear scans and the freeze-pass loads the floors skipped, the end
-//! checks and probes `RandomJoin` floors settled, the end loads reused,
-//! and the slot aggregates freezes re-folded.
+//! checks and probes `RandomJoin` floors settled, and the slot aggregates
+//! freezes re-folded.
 
 use crate::allocation::{Allocation, RATE_EPS};
 use crate::allocator::{Regimes, SolverWorkspace};
@@ -529,7 +513,7 @@ struct State<'a, const WEIGHTED: bool> {
 
 impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
     /// The start state over a workspace `reset` for `net`: the live-link
-    /// list with each link's linear flag, no cached load or floor, and,
+    /// list with each link's linear flag, no floor, and,
     /// when some link is nonlinear, the rounding bounds of those links.
     fn new(
         net: &'a Network,
@@ -548,8 +532,6 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
             nonlinear |= !linear;
             ws.live.push((j, linear));
         }
-        ws.level_load.clear();
-        ws.level_load.resize(links, f64::NAN);
         ws.floor.clear();
         ws.floor.resize(links, f64::NAN);
         let mut slope_scale = 1.0_f64;
@@ -682,11 +664,8 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
             if self.ws.floor[j] > self.level {
                 // Its floor clears the level: nobody on it freezes (Lemma 2
                 // of "Change-following rounds", Lemma 3 of "`RandomJoin`
-                // floors"). The next round reads no load at this level.
+                // floors").
                 self.ws.counters.freeze_skips += 1;
-                if !linear {
-                    self.ws.level_load[j] = f64::NAN;
-                }
                 continue;
             }
             froze_any |= self.freeze_on(j, linear);
@@ -753,11 +732,7 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
     /// a nonlinear link's floor from the load. Whether any froze.
     fn freeze_on(&mut self, j: usize, linear: bool) -> bool {
         let link = LinkId(j);
-        // κ-freezes are done, and every later freeze this round stores
-        // `rate = level` (so the same miss factor as the active `g`):
-        // this load is bitwise the next round's load at the same level.
         let load = self.link_load_at(j, self.level);
-        self.ws.level_load[j] = load;
         let cap = self.net.graph().capacity(link);
         if load < cap - RATE_EPS {
             if !linear {
@@ -950,22 +925,14 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
         }
         let cap = self.net.graph().capacity(LinkId(j));
         let lo = self.level;
-        let at_upper = self.end_load(j, upper);
+        let at_upper = self.link_load_at(j, upper);
         if at_upper <= cap + RATE_EPS {
             self.raise_floor(j, upper, at_upper, cap);
             return Saturation::Level(upper);
         }
         let mut at_lo = f64::NAN;
         if self.ws.floor[j].is_nan() || self.ws.floor[j] < lo {
-            // The previous round's freeze pass left the load at this
-            // level (NaN before the first one, or where a floor let the
-            // pass skip the link).
-            let cached = self.ws.level_load[j];
-            at_lo = if cached.is_nan() {
-                self.link_load_at(j, lo)
-            } else {
-                cached
-            };
+            at_lo = self.link_load_at(j, lo);
             if at_lo >= cap - RATE_EPS {
                 // Already saturated: the level can only advance past this
                 // link's constraint if no marginal session remains;
@@ -1012,24 +979,6 @@ impl<'a, const WEIGHTED: bool> State<'a, WEIGHTED> {
         // mlf-lint: allow(as-float-cast, reason = "a link's active count is bounded by the receiver population, far below 2^53, so the cast is exact")
         let active = self.ws.link_active[j] as f64;
         active * self.slope_scale
-    }
-
-    /// `u_j(upper)` of nonlinear link `j`: its last end load when that was
-    /// taken at the same `upper` with as many active receivers on the link
-    /// (so no freeze changed any of its slots since), else a fresh one.
-    fn end_load(&mut self, j: usize, upper: f64) -> f64 {
-        let active = self.ws.link_active[j];
-        let curve = &self.ws.curves[j];
-        if curve.end_upper.to_bits() == upper.to_bits() && curve.end_active == active {
-            self.ws.counters.end_loads_reused += 1;
-            return curve.end_load;
-        }
-        let load = self.link_load_at(j, upper);
-        let curve = &mut self.ws.curves[j];
-        curve.end_upper = upper;
-        curve.end_active = active;
-        curve.end_load = load;
-        load
     }
 
     /// Raise nonlinear link `j`'s floor from its load `load = û_j(x)` at a
@@ -1293,7 +1242,6 @@ pub(crate) struct Pending {
 }
 
 /// The per-link state of a nonlinear link (see "`RandomJoin` floors").
-/// The default holds no end load: no live link has 0 active receivers.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Curve {
     /// `δ_j`: twice a bound on the absolute rounding error of one load
@@ -1302,12 +1250,6 @@ pub(crate) struct Curve {
     /// The level and load the link's floor was last raised from.
     floor_x: f64,
     floor_load: f64,
-    /// The level of the last end load.
-    end_upper: f64,
-    /// The link's active receivers when the end load was taken.
-    end_active: usize,
-    /// The last end load `u_j(end_upper)`.
-    end_load: f64,
 }
 
 /// `δ_j` of nonlinear link `j`: twice the bound

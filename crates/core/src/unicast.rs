@@ -27,15 +27,13 @@ pub(crate) fn unicast_solve_in(
     ws: &mut SolverWorkspace,
 ) -> Result<MaxMinSolution, SolveError> {
     ws.reset(net, None);
-    ws.link_used.clear();
-    ws.link_used.resize(net.link_count(), 0.0);
-    ws.link_flag.clear();
-    ws.link_flag.resize(net.link_count(), false);
+    let mut link_used = vec![0.0; net.link_count()];
+    let mut link_flag = vec![false; net.link_count()];
     let m = net.session_count();
     let route = |i: usize| net.route(mlf_net::ReceiverId::new(i, 0));
     let kappa = |i: usize| net.sessions()[i].max_rate;
 
-    // ws.link_used[j]: bandwidth consumed by frozen flows on link j.
+    // link_used[j]: bandwidth consumed by frozen flows on link j.
     // ws.link_active[j]: count of active flows crossing link j, maintained
     // by the freeze bookkeeping (one receiver per session, so the
     // workspace's per-link active-receiver counter *is* the flow count —
@@ -74,7 +72,7 @@ pub(crate) fn unicast_solve_in(
                 continue;
             }
             // mlf-lint: allow(as-float-cast, reason = "flow counts are bounded by the receiver population, far below 2^53, so the cast is exact")
-            let share = (net.graph().capacity(LinkId(j)) - ws.link_used[j]) / on as f64;
+            let share = (net.graph().capacity(LinkId(j)) - link_used[j]) / on as f64;
             next = next.min(share);
         }
         debug_assert!(next.is_finite());
@@ -89,11 +87,11 @@ pub(crate) fn unicast_solve_in(
         }
         for j in 0..net.link_count() {
             let on = ws.link_active[j];
-            ws.link_flag[j] = if on == 0 {
+            link_flag[j] = if on == 0 {
                 false
             } else {
                 // mlf-lint: allow(as-float-cast, reason = "flow counts are bounded by the receiver population, far below 2^53, so the cast is exact")
-                let share = (net.graph().capacity(LinkId(j)) - ws.link_used[j]) / on as f64;
+                let share = (net.graph().capacity(LinkId(j)) - link_used[j]) / on as f64;
                 share <= next + 1e-12
             };
         }
@@ -103,7 +101,7 @@ pub(crate) fn unicast_solve_in(
                 continue;
             }
             let at_kappa = ws.rates[i] >= kappa(i) - 1e-12;
-            let binding_link = route(i).iter().copied().find(|l| ws.link_flag[l.0]);
+            let binding_link = route(i).iter().copied().find(|l| link_flag[l.0]);
             let reason = if at_kappa {
                 Some(FreezeReason::MaxRate)
             } else {
@@ -114,7 +112,7 @@ pub(crate) fn unicast_solve_in(
                 ws.reasons[i] = Some(reason);
                 froze = true;
                 for &l in route(i) {
-                    ws.link_used[l.0] += ws.rates[i];
+                    link_used[l.0] += ws.rates[i];
                 }
                 ws.note_freeze(net.incidence(), i, i, None);
             }

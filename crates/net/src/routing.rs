@@ -173,11 +173,12 @@ impl RouteTree {
     /// only simple path between any two nodes. Both ends climb their
     /// parent links to their deepest common ancestor; the path is the
     /// `from`-side links in climb order, then the `to`-side links
-    /// reversed. Returns `false`, leaving `out` as it was, when either end
-    /// is not a node of the graph.
+    /// reversed. Returns `false`, leaving `out` as it was, when the tree
+    /// does not span its graph (two unreached nodes would climb forever)
+    /// or either end is not a node of the graph.
     pub(crate) fn climb_into(&self, from: NodeId, to: NodeId, out: &mut Vec<LinkId>) -> bool {
         let nodes = self.parent.len();
-        if from.0 >= nodes || to.0 >= nodes {
+        if !self.spans() || from.0 >= nodes || to.0 >= nodes {
             return false;
         }
         // Every node below the root has a parent, and no climb passes the
@@ -321,6 +322,25 @@ mod tests {
         let _l23 = g.add_link(n[2], n[3], 1.0).unwrap();
         for _ in 0..10 {
             assert_eq!(shortest_path(&g, n[0], n[3]), Some(vec![l01, l13]));
+        }
+    }
+
+    /// An `n − 1`-link graph need not be a tree: here a triangle and an
+    /// isolated node. Its BFS tree from node 0 does not span it, so no
+    /// climb is attempted; the isolated node and the root, both without a
+    /// parent, would otherwise climb forever.
+    #[test]
+    fn climb_into_refuses_a_tree_that_does_not_span() {
+        let (mut g, n, _) = triangle();
+        let isolated = g.add_node();
+        assert_eq!(g.link_count() + 1, g.node_count());
+        let mut tree = RouteTree::default();
+        tree.grow(&Adjacency::new(&g), n[0]);
+        assert!(!tree.spans());
+        let mut out = vec![LinkId(7)];
+        for (from, to) in [(isolated, n[0]), (n[0], isolated), (n[1], n[2])] {
+            assert!(!tree.climb_into(from, to, &mut out));
+            assert_eq!(out, [LinkId(7)], "{from:?} → {to:?} left a partial route");
         }
     }
 

@@ -56,7 +56,7 @@
 //!   wire; the frame checksum catches it, the worker rejects it, and the
 //!   coordinator requeues. Thread fleets deliver the rejection directly.
 //!
-//! Retries are capped ([`CoordinatorConfig::max_retries`], then
+//! Retries are capped (`MAX_RETRIES`, four per shard, then
 //! [`CoordinatorError::ShardFailed`]); when every worker is lost the
 //! coordinator degrades gracefully to computing the remaining shards
 //! serially in-process. None of these scheduling decisions can change the
@@ -82,8 +82,8 @@
 //! and speak the framed protocol of [`crate::transport`]. Dead processes
 //! are respawned on the same capped backoff as retries
 //! ([`CoordinatorConfig::backoff_base`] doubling up to
-//! [`CoordinatorConfig::backoff_cap`]), up to
-//! [`ProcessConfig::max_respawns`] per slot; an exhausted fleet degrades
+//! [`CoordinatorConfig::backoff_cap`]), up to `MAX_RESPAWNS` (four) per
+//! slot; an exhausted fleet degrades
 //! to the serial fallback like a lost thread fleet. The transport cannot
 //! change the merged bytes — it only moves *where* the same pure solves
 //! run.
@@ -283,6 +283,13 @@ impl FaultPlan {
     }
 }
 
+/// Retry budget per shard (timeouts and hash rejects both count), and per
+/// spot check.
+pub(crate) const MAX_RETRIES: u32 = 4;
+
+/// Respawn budget per process-fleet worker slot.
+pub(crate) const MAX_RESPAWNS: u32 = 4;
+
 /// Which worker fleet a coordinated sweep runs on.
 #[derive(Debug, Clone, Default)]
 pub enum TransportKind {
@@ -298,12 +305,11 @@ pub enum TransportKind {
 /// executable, which must call
 /// [`crate::transport::maybe_run_process_worker`] first thing in `main`;
 /// a dead slot respawns on the coordinator's retry backoff
-/// ([`CoordinatorConfig::backoff_base`], [`CoordinatorConfig::backoff_cap`]).
+/// ([`CoordinatorConfig::backoff_base`], [`CoordinatorConfig::backoff_cap`])
+/// at most four times, then stays down (a fully exhausted fleet falls
+/// back to the serial path).
 #[derive(Debug, Clone)]
 pub struct ProcessConfig {
-    /// Respawn budget per worker slot; a slot that exhausts it stays
-    /// down (and a fully exhausted fleet falls back to the serial path).
-    pub max_respawns: u32,
     /// A worker silent for this long while holding an assignment is
     /// declared dead, killed, and respawned. Generous by default — the
     /// per-shard [`CoordinatorConfig::shard_timeout`] already requeues
@@ -314,7 +320,6 @@ pub struct ProcessConfig {
 impl Default for ProcessConfig {
     fn default() -> Self {
         ProcessConfig {
-            max_respawns: 4,
             heartbeat: Duration::from_secs(30),
         }
     }
@@ -334,8 +339,6 @@ pub struct CoordinatorConfig {
     /// How long one shard may stay assigned before it is reassigned
     /// (`Duration::MAX`: never).
     pub shard_timeout: Duration,
-    /// Retry budget per shard (timeouts and hash rejects both count).
-    pub max_retries: u32,
     /// First retry backoff; doubles per retry. Process fleets respawn a
     /// dead worker slot on the same backoff.
     pub backoff_base: Duration,
@@ -375,7 +378,6 @@ impl Default for CoordinatorConfig {
             shard_size: 8,
             spot_check: 2,
             shard_timeout: Duration::from_secs(2),
-            max_retries: 4,
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(200),
             checkpoint: None,
@@ -995,7 +997,7 @@ impl<'a, S: Sweep + 'static> Run<'a, S> {
     fn retry_shard(&mut self, i: usize) -> Result<(), CoordinatorError> {
         self.stats.retries += 1;
         self.attempts[i] += 1;
-        if self.attempts[i] > self.cfg.max_retries {
+        if self.attempts[i] > MAX_RETRIES {
             return Err(CoordinatorError::ShardFailed {
                 shard: i as u64,
                 attempts: self.attempts[i],
@@ -1016,7 +1018,7 @@ impl<'a, S: Sweep + 'static> Run<'a, S> {
         mut audit: Audit<S::Record>,
     ) -> Result<(), CoordinatorError> {
         audit.spot_attempt += 1;
-        if audit.spot_attempt > self.cfg.max_retries {
+        if audit.spot_attempt > MAX_RETRIES {
             self.stats.spot_checks_skipped += 1;
             return self.accept(i, audit.points);
         }

@@ -11,7 +11,7 @@
 //!   declared dead, killed, and reaped;
 //! * a dead slot respawns on the coordinator's capped exponential retry
 //!   backoff (`CoordinatorConfig::{backoff_base, backoff_cap}`), up to
-//!   `ProcessConfig::max_respawns` times, then stays down (**exhausted**);
+//!   `MAX_RESPAWNS` (four) times, then stays down (**exhausted**);
 //! * every death surfaces to the coordinator as a `Down` event so every
 //!   assignment the worker held is requeued;
 //! * shutdown and drop kill, wait on, and join everything — no zombies,
@@ -29,7 +29,7 @@
 
 use crate::coordinator::{
     backoff, Assignment, CoordinatorConfig, FaultKind, ProcessConfig, Sweep, TaskId, Ticket,
-    WorkerReport,
+    WorkerReport, MAX_RESPAWNS,
 };
 use crate::record::HEADER_BYTES;
 use crate::transport::{
@@ -257,7 +257,7 @@ impl<S: Sweep> ProcessTransport<S> {
         slot.reap();
         slot.busy_until = None;
         slot.outstanding.clear();
-        if slot.respawns_used >= self.cfg.max_respawns {
+        if slot.respawns_used >= MAX_RESPAWNS {
             slot.exhausted = true;
             slot.respawn_at = None;
         } else {

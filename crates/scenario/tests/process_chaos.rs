@@ -239,7 +239,6 @@ fn pipelined_fleet_requeues_exactly_the_lost_assignments() {
     let mut cfg = one_worker(FaultKind::Stall, 1);
     cfg.transport = TransportKind::Process(ProcessConfig {
         heartbeat: Duration::from_millis(200),
-        ..ProcessConfig::default()
     });
     let out = s
         .coordinate(0..4, &cfg)

@@ -45,9 +45,11 @@
 //! performed every slot. Links are identified by dense *ranks* assigned in
 //! `(depth, link id)` order so that every link's parent has a smaller
 //! rank; the tree engine exploits that to resolve end-to-end loss in one
-//! ascending-rank sweep per slot. The index is topology-only data — routes
-//! come in as a flat CSR of link ids, so the structure stays independent
-//! of `mlf_net`.
+//! ascending-rank sweep per slot. The index is topology-only data: it
+//! reads the routes from the network's incidence once per rebuild and
+//! keeps them as its own CSR of ranks.
+
+use mlf_net::{LinkId, Network};
 
 /// Incremental per-level counts and per-layer subscriber bitsets for one
 /// set of receivers with cumulative-layer subscriptions.
@@ -210,41 +212,20 @@ const ROOT_PRED: u32 = u32::MAX - 1;
 /// `parent` sentinel: rank has no parent rank (root-adjacent link).
 const NO_PARENT: u32 = u32::MAX;
 
-/// Error from [`LinkLevelIndex::rebuild`]: the supplied routes are not the
+/// Error from [`LinkLevelIndex::rebuild`]: the session's routes are not the
 /// paths of a sender-rooted tree, so per-link downstream maxima (and the
 /// parent-chain loss propagation built on them) would be ill-defined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LinkIndexError {
-    /// A receiver's route contains no links (receiver colocated with the
-    /// sender, which the session model forbids).
-    EmptyRoute {
-        /// Receiver index within the session.
-        receiver: usize,
-    },
     /// A link appears at two different depths or with two different
-    /// predecessor links across routes — impossible on a tree.
+    /// predecessor links across routes — impossible on a tree — or a
+    /// route is empty (a receiver on the sender's node, which
+    /// [`Network`] already refuses).
     NotATree {
         /// Receiver index whose route first exposed the inconsistency.
         receiver: usize,
     },
 }
-
-impl std::fmt::Display for LinkIndexError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LinkIndexError::EmptyRoute { receiver } => {
-                write!(f, "receiver {receiver} has an empty route")
-            }
-            LinkIndexError::NotATree { receiver } => write!(
-                f,
-                "receiver {receiver}'s route is not a path of a sender-rooted tree \
-                 (a link appears with two different prefixes)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for LinkIndexError {}
 
 /// Incremental per-link downstream-level counts and per-layer
 /// carrying-link bitsets for one multicast session on a sender-rooted
@@ -299,24 +280,23 @@ pub(crate) struct LinkLevelIndex {
 }
 
 impl LinkLevelIndex {
-    /// (Re)build the static topology from routes given as a CSR of link
-    /// ids (`route_links[route_start[r]..route_start[r+1]]` = receiver
-    /// `r`'s route, sender → receiver order), reusing prior allocations.
-    /// Dynamic state is reset to *no* receivers counted; call
-    /// [`LinkLevelIndex::sync_levels`] with the current effective levels
-    /// before querying.
+    /// (Re)build the static topology from the routes of `net`'s session 0
+    /// (read from its [`mlf_net::Incidence`], sender → receiver order),
+    /// reusing prior allocations. Dynamic state is reset to *no* receivers
+    /// counted; call [`LinkLevelIndex::sync_levels`] with the current
+    /// effective levels before querying.
     ///
     /// Fails when the routes are not tree paths: every link must appear at
     /// one depth with one predecessor across all routes.
     pub(crate) fn rebuild(
         &mut self,
         layer_count: usize,
-        link_count: usize,
-        route_start: &[u32],
-        route_links: &[u32],
+        net: &Network,
     ) -> Result<(), LinkIndexError> {
-        let receivers = route_start.len().saturating_sub(1);
-        self.receiver_count = receivers;
+        let inc = net.incidence();
+        let receivers = inc.flat_range(0);
+        let link_count = net.link_count();
+        self.receiver_count = receivers.len();
         self.layer_count = layer_count;
         self.link_count = link_count;
 
@@ -329,23 +309,14 @@ impl LinkLevelIndex {
         self.depth.clear();
         self.depth.resize(link_count, 0);
         let mut max_depth = 0u32;
-        for r in 0..receivers {
-            let s = route_start[r] as usize;
-            let e = route_start[r + 1] as usize;
-            if s == e {
-                return Err(LinkIndexError::EmptyRoute { receiver: r });
+        for (r, f) in receivers.clone().enumerate() {
+            let route = inc.route_links(f);
+            if route.is_empty() {
+                return Err(LinkIndexError::NotATree { receiver: r });
             }
-            for i in s..e {
-                let l = route_links[i] as usize;
-                if l >= link_count {
-                    return Err(LinkIndexError::NotATree { receiver: r });
-                }
-                let p = if i == s {
-                    ROOT_PRED
-                } else {
-                    route_links[i - 1]
-                };
-                let d = (i - s + 1) as u32;
+            let mut p = ROOT_PRED;
+            for (i, &LinkId(l)) in route.iter().enumerate() {
+                let d = (i + 1) as u32;
                 if self.pred[l] == UNSEEN {
                     self.pred[l] = p;
                     self.depth[l] = d;
@@ -353,6 +324,7 @@ impl LinkLevelIndex {
                 } else if self.pred[l] != p || self.depth[l] != d {
                     return Err(LinkIndexError::NotATree { receiver: r });
                 }
+                p = l as u32;
             }
         }
 
@@ -392,10 +364,13 @@ impl LinkLevelIndex {
 
         // Pass 3: routes re-expressed as ranks.
         self.route_start.clear();
-        self.route_start.extend_from_slice(route_start);
+        self.route_start.push(0);
         self.route_ranks.clear();
-        self.route_ranks
-            .extend(route_links.iter().map(|&l| self.rank_of[l as usize]));
+        for f in receivers {
+            let ranks = inc.route_links(f).iter().map(|l| self.rank_of[l.0]);
+            self.route_ranks.extend(ranks);
+            self.route_start.push(self.route_ranks.len() as u32);
+        }
 
         // Dynamic state: sized but empty until `sync_levels`.
         self.eff_count.clear();
@@ -582,6 +557,7 @@ impl LinkLevelIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlf_net::{Graph, Session};
 
     /// An index over `receivers` receivers of `layer_count` layers, all at
     /// effective = active = `initial`.
@@ -677,19 +653,21 @@ mod tests {
         ix.check_invariants(&levels, &levels).unwrap();
     }
 
-    /// Routes of a 2-level binary tree: trunks l0, l1 then leaf links
-    /// l2..=l5, receivers 0..4.
-    fn binary_routes() -> (Vec<u32>, Vec<u32>) {
-        let route_links = vec![0, 2, 0, 3, 1, 4, 1, 5];
-        let route_start = vec![0, 2, 4, 6, 8];
-        (route_start, route_links)
+    /// A 2-level binary tree rooted at the sender: trunks l0, l1 then
+    /// leaf links l2..=l5, receivers 0..4 behind l2..=l5.
+    fn binary_tree() -> Network {
+        let mut g = Graph::new();
+        let n = g.add_nodes(7);
+        for (a, b) in [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)] {
+            g.add_link(n[a], n[b], 1.0).unwrap();
+        }
+        Network::new(g, vec![Session::multi_rate(n[0], n[3..].to_vec())]).unwrap()
     }
 
     #[test]
     fn link_index_ranks_parents_before_children() {
-        let (start, links) = binary_routes();
         let mut ix = LinkLevelIndex::default();
-        ix.rebuild(4, 6, &start, &links).unwrap();
+        ix.rebuild(4, &binary_tree()).unwrap();
         assert_eq!(ix.rank_count(), 6);
         assert_eq!(ix.receiver_count(), 4);
         // Depth-1 trunks take ranks 0..2, leaf links 2..6, id order within.
@@ -705,9 +683,8 @@ mod tests {
 
     #[test]
     fn link_index_tracks_downstream_maxima() {
-        let (start, links) = binary_routes();
         let mut ix = LinkLevelIndex::default();
-        ix.rebuild(4, 6, &start, &links).unwrap();
+        ix.rebuild(4, &binary_tree()).unwrap();
         let mut eff = vec![1usize; 4];
         ix.sync_levels(&eff);
         ix.check_invariants(&eff).unwrap();
@@ -730,19 +707,23 @@ mod tests {
 
     #[test]
     fn link_index_rejects_non_tree_routes() {
-        // Two routes disagree on l2's predecessor: not tree paths.
-        let start = vec![0u32, 2, 4];
-        let links = vec![0u32, 2, 1, 2];
+        // Parallel links l0, l1 into node 1, then l2 to node 2 and l3 to
+        // node 3: the two routes reach l2 through different links.
+        let mut g = Graph::new();
+        let n = g.add_nodes(4);
+        for (a, b) in [(0, 1), (0, 1), (1, 2), (2, 3)] {
+            g.add_link(n[a], n[b], 1.0).unwrap();
+        }
+        let session = Session::multi_rate(n[0], vec![n[2], n[3]]);
+        let routes = vec![vec![
+            vec![LinkId(0), LinkId(2)],
+            vec![LinkId(1), LinkId(2), LinkId(3)],
+        ]];
+        let net = Network::with_routes(g, vec![session], routes).unwrap();
         let mut ix = LinkLevelIndex::default();
         assert_eq!(
-            ix.rebuild(2, 3, &start, &links),
+            ix.rebuild(2, &net),
             Err(LinkIndexError::NotATree { receiver: 1 })
-        );
-        // An empty route is rejected too.
-        let mut ix = LinkLevelIndex::default();
-        assert_eq!(
-            ix.rebuild(2, 3, &[0, 0], &[]),
-            Err(LinkIndexError::EmptyRoute { receiver: 0 })
         );
     }
 }

@@ -62,6 +62,4 @@ pub use loss::LossProcess;
 pub use multicast::MembershipTable;
 pub use rng::SimRng;
 pub use stats::RunningStats;
-pub use tree::{
-    run_tree, run_tree_expect, run_tree_into, TreeConfig, TreeConfigError, TreeReport, TreeScratch,
-};
+pub use tree::{run_tree, run_tree_into, TreeConfig, TreeConfigError, TreeReport, TreeScratch};

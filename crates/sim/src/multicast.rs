@@ -498,10 +498,15 @@ mod tests {
     fn attached_link_index_follows_latent_transitions() {
         // Star of 3: shared link 0 (rank 0), fanouts 1..=3; receiver r's
         // route is [0, r+1].
-        let route_start = [0u32, 2, 4, 6];
-        let route_links = [0u32, 1, 0, 2, 0, 3];
+        let mut g = mlf_net::Graph::new();
+        let n = g.add_nodes(5);
+        for (a, b) in [(0, 1), (1, 2), (1, 3), (1, 4)] {
+            g.add_link(n[a], n[b], 1.0).unwrap();
+        }
+        let session = mlf_net::Session::multi_rate(n[0], n[2..].to_vec());
+        let net = mlf_net::Network::new(g, vec![session]).unwrap();
         let mut links = Box::<LinkLevelIndex>::default();
-        links.rebuild(8, 4, &route_start, &route_links).unwrap();
+        links.rebuild(8, &net).unwrap();
         let mut t = MembershipTable::new(3, 8, 1).with_latencies(4, 9);
         t.attach_link_index(links);
         t.check_index_invariants().unwrap();

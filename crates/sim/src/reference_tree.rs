@@ -246,7 +246,7 @@ mod tests {
     use super::*;
     use crate::engine::NoMarkers;
     use crate::loss::LossProcess;
-    use crate::tree::run_tree_expect;
+    use crate::tree;
     use mlf_net::topology::star_network;
 
     struct Pinned(usize);
@@ -272,7 +272,8 @@ mod tests {
         };
         let mk = || vec![Pinned(4), Pinned(1), Pinned(6), Pinned(3), Pinned(2)];
         let reference = run_tree(&net, &cfg, &mut mk(), &mut NoMarkers, 20_000, 9);
-        let bitset = run_tree_expect(&net, &cfg, &mut mk(), &mut NoMarkers, 20_000, 9);
+        let bitset = tree::run_tree(&net, &cfg, &mut mk(), &mut NoMarkers, 20_000, 9)
+            .expect("a valid tree run");
         assert_eq!(reference, bitset);
     }
 }

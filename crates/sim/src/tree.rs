@@ -60,8 +60,7 @@
 //! **finite positive rates**, and routes that are the paths of a
 //! **sender-rooted tree**. Validation happens before any RNG draw or
 //! controller callback, so a failed call has no side effects beyond the
-//! scratch. [`run_tree_expect`] is the panicking convenience wrapper for
-//! tests and examples.
+//! scratch.
 
 use crate::engine::{Action, LayerInterleaver, MarkerSource, PacketEvent, ReceiverController};
 use crate::events::Tick;
@@ -69,7 +68,7 @@ use crate::index::{LinkIndexError, LinkLevelIndex};
 use crate::loss::LossProcess;
 use crate::multicast::MembershipTable;
 use crate::rng::SimRng;
-use mlf_net::{LinkId, Network, ReceiverId, SessionId};
+use mlf_net::{LinkId, Network, SessionId};
 
 /// Configuration of a tree run: a single multicast session on a
 /// sender-rooted tree network, one loss process per link.
@@ -244,9 +243,6 @@ pub struct TreeScratch {
     path_lost: Vec<bool>,
     /// Per receiver: rank of its access link.
     last_rank: Vec<u32>,
-    /// Route CSR handed to the link index (link ids, sender → receiver).
-    route_start: Vec<u32>,
-    route_links: Vec<u32>,
 }
 
 /// Settle receiver `r`'s lazily accounted `offered` counter at a level
@@ -276,7 +272,7 @@ fn settle_offered(
 /// unique tree path (guaranteed when the graph is a tree, e.g. from
 /// `mlf_net::topology::{star, kary_tree, random_tree}`). Invalid
 /// configurations come back as a typed [`TreeConfigError`] (see the module
-/// docs); [`run_tree_expect`] panics instead, for tests.
+/// docs).
 pub fn run_tree<C: ReceiverController, M: MarkerSource>(
     net: &Network,
     cfg: &TreeConfig,
@@ -298,24 +294,6 @@ pub fn run_tree<C: ReceiverController, M: MarkerSource>(
         &mut scratch,
     )?;
     Ok(report)
-}
-
-/// [`run_tree`] that panics on an invalid configuration — the convenience
-/// wrapper for tests and examples, where a [`TreeConfigError`] is a bug in
-/// the test itself.
-pub fn run_tree_expect<C: ReceiverController, M: MarkerSource>(
-    net: &Network,
-    cfg: &TreeConfig,
-    controllers: &mut [C],
-    marker: &mut M,
-    slots: u64,
-    seed: u64,
-) -> TreeReport {
-    match run_tree(net, cfg, controllers, marker, slots, seed) {
-        Ok(report) => report,
-        // mlf-lint: allow(panic-unwrap, reason = "documented panicking wrapper for tests; run_tree is the typed alternative")
-        Err(err) => panic!("invalid tree run configuration: {err}"),
-    }
 }
 
 /// [`run_tree`] into caller-owned `report` and `scratch` buffers, reusing
@@ -362,22 +340,12 @@ pub fn run_tree_into<C: ReceiverController, M: MarkerSource>(
         }
     }
 
-    // Routes as a CSR of link ids, then the per-link index over them. A
-    // rejected topology hands the (unbuilt) index back to the scratch.
-    scratch.route_start.clear();
-    scratch.route_start.push(0);
-    scratch.route_links.clear();
-    for r in 0..n {
-        let route = net.route(ReceiverId::new(session.0, r));
-        scratch
-            .route_links
-            .extend(route.iter().map(|&l| l.0 as u32));
-        scratch.route_start.push(scratch.route_links.len() as u32);
-    }
+    // The per-link index over the session's routes. A rejected topology
+    // hands the (unbuilt) index back to the scratch.
     let mut links = scratch.link_index.take().unwrap_or_default();
-    if let Err(err) = links.rebuild(m, n_links, &scratch.route_start, &scratch.route_links) {
+    if let Err(err) = links.rebuild(m, net) {
         scratch.link_index = Some(links);
-        let (LinkIndexError::EmptyRoute { receiver } | LinkIndexError::NotATree { receiver }) = err;
+        let LinkIndexError::NotATree { receiver } = err;
         return Err(TreeConfigError::NotATree { receiver });
     }
 
@@ -601,7 +569,8 @@ mod tests {
         let cfg = lossless_cfg(&net, 4); // rates 1,1,2,4; total 8
                                          // Levels: r0=4, r1=1 (A side); r2=2, r3=2 (B side).
         let mut ctls = vec![Pin(4), Pin(1), Pin(2), Pin(2)];
-        let report = run_tree_expect(&net, &cfg, &mut ctls, &mut NoMarkers, 80_000, 1);
+        let report =
+            run_tree(&net, &cfg, &mut ctls, &mut NoMarkers, 80_000, 1).expect("a valid tree run");
         // Steady state: l0 (A trunk) carries level 4 = all slots; l1 (B
         // trunk) carries level 2 = rate 2 of 8.
         let total = report.slots as f64;
@@ -619,7 +588,8 @@ mod tests {
         let mut cfg = lossless_cfg(&net, 4);
         cfg.link_loss[0] = LossProcess::bernoulli(0.2); // A trunk lossy
         let mut ctls = vec![Pin(4), Pin(4), Pin(4), Pin(4)];
-        let report = run_tree_expect(&net, &cfg, &mut ctls, &mut NoMarkers, 40_000, 2);
+        let report =
+            run_tree(&net, &cfg, &mut ctls, &mut NoMarkers, 40_000, 2).expect("a valid tree run");
         // r0 and r1 (below the lossy trunk) lose the same packets.
         assert_eq!(report.congestion_events[0], report.congestion_events[1]);
         assert!(report.congestion_events[0] > 0);
@@ -635,7 +605,8 @@ mod tests {
         let star = mlf_net::topology::star_network(3, 1000.0, 1000.0);
         let cfg = lossless_cfg(&star, 4);
         let mut ctls = vec![Pin(3), Pin(2), Pin(1)];
-        let report = run_tree_expect(&star, &cfg, &mut ctls, &mut NoMarkers, 8_000, 3);
+        let report =
+            run_tree(&star, &cfg, &mut ctls, &mut NoMarkers, 8_000, 3).expect("a valid tree run");
         // Shared link (l0) carries the max level 3 = rate 4/8 of slots.
         assert!((report.carried[0] as f64 / 8000.0 - 0.5).abs() < 0.02);
         assert!((report.link_redundancy(LinkId(0)).unwrap() - 1.0).abs() < 0.05);
@@ -653,7 +624,8 @@ mod tests {
         }
         let run = |seed| {
             let mut ctls = vec![Pin(5), Pin(3), Pin(6), Pin(2)];
-            let r = run_tree_expect(&net, &cfg, &mut ctls, &mut NoMarkers, 10_000, seed);
+            let r = run_tree(&net, &cfg, &mut ctls, &mut NoMarkers, 10_000, seed)
+                .expect("a valid tree run");
             // With pinned levels, `carried`/`offered` are loss-independent;
             // the seed shows up in the loss draws, i.e. `delivered`.
             (r.carried.clone(), r.offered.clone(), r.delivered.clone())
@@ -694,14 +666,15 @@ mod tests {
             )
             .unwrap();
             let mut fresh_ctls = vec![Pin(4), Pin(1), Pin(3), Pin(2)];
-            let fresh = run_tree_expect(
+            let fresh = run_tree(
                 &tree,
                 &tree_cfg,
                 &mut fresh_ctls,
                 &mut NoMarkers,
                 5_000,
                 round,
-            );
+            )
+            .expect("a valid tree run");
             assert_eq!(report, fresh, "tree round {round}");
 
             let mut ctls = vec![Pin(6), Pin(2), Pin(5), Pin(1), Pin(3)];
@@ -717,14 +690,15 @@ mod tests {
             )
             .unwrap();
             let mut fresh_ctls = vec![Pin(6), Pin(2), Pin(5), Pin(1), Pin(3)];
-            let fresh = run_tree_expect(
+            let fresh = run_tree(
                 &star,
                 &star_cfg,
                 &mut fresh_ctls,
                 &mut NoMarkers,
                 5_000,
                 round,
-            );
+            )
+            .expect("a valid tree run");
             assert_eq!(report, fresh, "star round {round}");
         }
     }

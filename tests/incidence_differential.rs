@@ -828,6 +828,66 @@ fn random_join_kappa_shift_is_covered() {
     );
 }
 
+/// A `RandomJoin` link left just short of saturation at the level, so
+/// that no floor clears the level and the next round evaluates the link's
+/// load there afresh. Link B (capacity `c`) carries a one-receiver
+/// session `U` capped at `κ` and a session `R` of `m` receivers, both
+/// `RandomJoin`; every other link is wide. The first round stops at `κ`,
+/// where `U` freezes and B's load `u` is known. With
+/// `c = u + ε + t·m·ε`, `ε = RATE_EPS`, the floor raised from `u` sits
+/// about `(1 − t)ε` below `κ` for `t < 1`, so the second round's bracket
+/// starts from a fresh `u_B(κ)`; `t ≥ 1` lets the floor clear the level,
+/// and `t ≤ 0` saturates B at `κ`.
+#[test]
+fn random_join_near_saturation_at_the_level_matches_reference() {
+    let mut cases = 0;
+    let mut later = 0;
+    for sigma in [1.0, 6.0, 1e3] {
+        for kappa in [0.1, 0.5, 0.9].map(|x| x * sigma) {
+            for m in 1..=3 {
+                for t in [-0.5, 0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.5, 3.0] {
+                    let graph = |c: f64| {
+                        let mut g = Graph::new();
+                        let n = g.add_nodes(m + 3);
+                        g.add_link(n[0], n[1], c).unwrap();
+                        for leaf in 2..m + 3 {
+                            g.add_link(n[1], n[leaf], 1e9).unwrap();
+                        }
+                        let sessions = vec![
+                            Session::unicast(n[0], n[2]).with_max_rate(kappa),
+                            Session::multi_rate(n[0], (3..m + 3).map(|k| n[k]).collect()),
+                        ];
+                        Network::new(g, sessions).unwrap()
+                    };
+                    let cfg = LinkRateConfig::uniform(2, LinkRateModel::RandomJoin { sigma });
+                    // B's load with every receiver at κ: `U` frozen there,
+                    // `R` still rising at the level.
+                    let at_kappa = vec![vec![kappa], vec![kappa; m]];
+                    let u = mlf_core::Allocation::from_rates(at_kappa).link_rate(
+                        &graph(1.0),
+                        &cfg,
+                        mlf_net::LinkId(0),
+                    );
+                    let c = u + RATE_EPS + t * m as f64 * RATE_EPS;
+                    let net = graph(c);
+                    let label = format!("near saturation/σ {sigma}/κ {kappa}/m {m}/t {t}");
+                    assert_bitwise_or_both_stall(&label, &net, &cfg);
+                    let reference = reference::solve_in(&net, &cfg, &Regimes::AsDeclared);
+                    let r = reference.allocation.rate(mlf_net::ReceiverId::new(1, 0));
+                    if t > 0.0 && t < 1.0 {
+                        later += usize::from(reference.iterations >= 2 && r > kappa);
+                    }
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        later > 100,
+        "only {later} of {cases} cases left B unsaturated at κ"
+    );
+}
+
 /// A weighted free rider whose session's frozen maximum sits at most
 /// `RATE_EPS` above its own rate when another link saturates it.
 ///

@@ -35,7 +35,7 @@ use mlf_net::topology::star_network;
 use mlf_net::LinkId;
 use mlf_protocols::{CoordinatedSender, ProtocolKind, ProtocolReceiver};
 use mlf_sim::engine::{MarkerSource, NoMarkers, StarConfig};
-use mlf_sim::tree::{run_tree_expect, TreeConfig};
+use mlf_sim::tree::{run_tree, TreeConfig};
 use mlf_sim::{run_star, LossProcess, SimRng, Tick};
 
 const KINDS: [ProtocolKind; 3] = ProtocolKind::ALL;
@@ -121,7 +121,8 @@ fn assert_star_tree_agree(
     let (mut star_ctls, mut star_mk) = rig(kind, n, layers, seed);
     let star = run_star(&star_cfg, &mut star_ctls, &mut star_mk, slots, seed);
     let (mut tree_ctls, mut tree_mk) = rig(kind, n, layers, seed);
-    let tree = run_tree_expect(&net, &tree_cfg, &mut tree_ctls, &mut tree_mk, slots, seed);
+    let tree = run_tree(&net, &tree_cfg, &mut tree_ctls, &mut tree_mk, slots, seed)
+        .expect("a valid tree run");
 
     assert_eq!(star.offered, tree.offered, "{label}: offered");
     assert_eq!(star.delivered, tree.delivered, "{label}: delivered");

@@ -23,7 +23,7 @@ use mlf_net::topology::{kary_tree, random_tree, star_network};
 use mlf_net::{Network, NodeId, Session};
 use mlf_protocols::{CoordinatedSender, ProtocolKind, ProtocolReceiver};
 use mlf_sim::engine::{MarkerSource, NoMarkers};
-use mlf_sim::tree::{run_tree_expect, run_tree_into, TreeConfig, TreeReport, TreeScratch};
+use mlf_sim::tree::{run_tree, run_tree_into, TreeConfig, TreeReport, TreeScratch};
 use mlf_sim::{reference_tree, LossProcess, SimRng, Tick};
 use proptest::prelude::*;
 
@@ -144,7 +144,7 @@ fn run_bitset(
     seed: u64,
 ) -> TreeReport {
     let (mut ctls, mut mk) = rig(kind, receivers_of(net), cfg.layer_rates.len(), seed);
-    run_tree_expect(net, cfg, &mut ctls, &mut mk, slots, seed)
+    run_tree(net, cfg, &mut ctls, &mut mk, slots, seed).expect("a valid tree run")
 }
 
 fn run_reference(
